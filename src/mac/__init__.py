@@ -3,7 +3,7 @@
 Library layout:
 
 - ``mac.tensor``      dense tensors + reverse-mode autodiff
-- ``mac.optim``       AdamW / SGD update steps
+- ``mac.optim``       gradient clipping and AdamW update steps
 - ``mac.ssd``         selective state-space kernels (three equivalent modes)
 - ``mac.blocks``      Mamba-2 style blocks, LoRA adapters, the language model
 - ``mac.audio``       WAV reader, mel front-end, CNN patch encoder

@@ -56,16 +56,6 @@ class LmConfig:
         return 2 * self.d_inner + 2 * self.n_groups * self.d_state + self.n_heads
 
 
-def nano_config(vocab_size: int = 512, **over) -> LmConfig:
-    return LmConfig(n_layers=4, d_model=64, n_heads=4, head_dim=16, d_state=16,
-                    vocab_size=vocab_size, **over)
-
-
-def small_config(vocab_size: int = 512, **over) -> LmConfig:
-    return LmConfig(n_layers=8, d_model=128, n_heads=8, head_dim=16, d_state=16,
-                    vocab_size=vocab_size, **over)
-
-
 @dataclass
 class LoraAdapter:
     """Low-rank update (alpha/rank) * down @ up with alpha fixed at 2*rank."""
@@ -195,10 +185,12 @@ class MambaBlock:
         mode: str = "chunked",
         chunk_len: int = ssd.DEFAULT_CHUNK,
         state: BlockState | None = None,
-        return_state: bool = False,
-        collect_states: bool = False,
-    ):
-        """x: [B, T, D] -> [B, T, D] (residual added by the caller)."""
+    ) -> tuple[Tensor, BlockState]:
+        """x: [B, T, D] -> (out [B, T, D], state after the last position).
+
+        The residual is added by the caller. Passing the returned state back
+        as ``state`` continues the sequence where this call stopped.
+        """
         cfg = self.cfg
         if x.ndim != 3 or x.shape[-1] != cfg.d_model:
             raise ShapeError(f"block input {x.shape}, expected [B, T, {cfg.d_model}]")
@@ -219,41 +211,21 @@ class MambaBlock:
         dt = tz.softplus(tz.add(dt_raw, self.dt_bias))
         a = tz.neg(tz.exp(self.log_a))
         params = ssd.SelectiveParams(dt=dt, a=a, B=bmat, C=cmat, x=xs)
-
         initial = state.ssm if state is not None else None
-        traj = None
-        if mode == "recurrent" or collect_states:
-            res = ssd.scan_recurrent(params, initial=initial, collect_states=collect_states)
-            y, final = res[0], res[1]
-            if collect_states:
-                traj = res[2]
-        elif mode == "chunked":
-            y, final = ssd.scan_chunked(params, chunk_len=chunk_len, initial=initial)
-        elif mode == "convolutional":
-            y = ssd.scan_convolutional(params, initial=initial)
-            final = None
-        else:
-            raise ContractError(f"unknown scan mode {mode!r}")
+        y, final = ssd.scan(params, mode, chunk_len, initial=initial)
 
         y = tz.add(y, tz.mul(xs, tz.reshape(self.skip, (1, 1, cfg.n_heads, 1))))
         y = tz.reshape(y, (b, t, di))
         gated = tz.mul(y, tz.silu(z))
         out = self.out_proj(tz.rms_norm(gated, self.gate_norm))
 
-        results = [out]
-        if return_state:
-            if final is None:
-                raise ContractError("convolutional mode does not produce a carried state")
-            tail_src = tz.concat([prefix, xbc_raw], axis=1) if prefix is not None else xbc_raw
-            if tail_src.shape[1] < cfg.conv_width - 1:
-                pad = tz.zeros((b, cfg.conv_width - 1 - tail_src.shape[1], cfg.conv_dim),
-                               dtype=tail_src.dtype)
-                tail_src = tz.concat([pad, tail_src], axis=1)
-            new_tail = tail_src[:, tail_src.shape[1] - (cfg.conv_width - 1) :, :]
-            results.append(BlockState(ssm=final, conv_tail=new_tail))
-        if collect_states:
-            results.append(traj)
-        return results[0] if len(results) == 1 else tuple(results)
+        tail_src = tz.concat([prefix, xbc_raw], axis=1) if prefix is not None else xbc_raw
+        if tail_src.shape[1] < cfg.conv_width - 1:
+            pad = tz.zeros((b, cfg.conv_width - 1 - tail_src.shape[1], cfg.conv_dim),
+                           dtype=tail_src.dtype)
+            tail_src = tz.concat([pad, tail_src], axis=1)
+        new_tail = tail_src[:, tail_src.shape[1] - (cfg.conv_width - 1) :, :]
+        return out, BlockState(ssm=final, conv_tail=new_tail)
 
     __call__ = forward
 
@@ -299,54 +271,26 @@ class SsmLm:
         chunk_len: int = ssd.DEFAULT_CHUNK,
         states: list[BlockState] | None = None,
         return_states: bool = False,
-        collect_states: bool = False,
     ):
-        """embs: [B, T, D] -> logits [B, T, vocab]."""
+        """embs: [B, T, D] -> logits [B, T, vocab], or (logits, per-block
+        states) with ``return_states``; ``states`` continues a sequence."""
         if embs.ndim != 3 or embs.shape[-1] != self.cfg.d_model:
             raise ShapeError(
                 f"embedding input {embs.shape}, expected [B, T, {self.cfg.d_model}]"
             )
         x = embs
         new_states = []
-        traces = []
         for i, blk in enumerate(self.blocks):
             st = states[i] if states is not None else None
-            res = blk.forward(
-                tz.rms_norm(x, blk.res_norm),
-                mode=mode,
-                chunk_len=chunk_len,
-                state=st,
-                return_state=return_states,
-                collect_states=collect_states,
-            )
-            if return_states and collect_states:
-                y, ns, traj = res
-                new_states.append(ns)
-                traces.append(traj)
-            elif return_states:
-                y, ns = res
-                new_states.append(ns)
-            elif collect_states:
-                y, traj = res
-                traces.append(traj)
-            else:
-                y = res
+            y, ns = blk.forward(tz.rms_norm(x, blk.res_norm), mode=mode,
+                                chunk_len=chunk_len, state=st)
+            new_states.append(ns)
             x = tz.add(x, y)
         x = tz.rms_norm(x, self.final_norm)
         logits = tz.matmul(x, self.head_matrix())
-        out = [logits]
-        if return_states:
-            out.append(new_states)
-        if collect_states:
-            out.append(traces)
-        return out[0] if len(out) == 1 else tuple(out)
+        return (logits, new_states) if return_states else logits
 
     __call__ = forward
-
-
-def lm_forward(lm: SsmLm, embs: Tensor, mode: str = "chunked",
-               chunk_len: int = ssd.DEFAULT_CHUNK) -> Tensor:
-    return lm.forward(embs, mode=mode, chunk_len=chunk_len)
 
 
 def attach_lora(lm: SsmLm, rank: int, rng: np.random.Generator) -> None:
@@ -354,12 +298,6 @@ def attach_lora(lm: SsmLm, rank: int, rng: np.random.Generator) -> None:
     for blk in lm.blocks:
         blk.in_proj.adapter = LoraAdapter.init(blk.cfg.d_model, blk.cfg.d_in_proj, rank, rng)
         blk.out_proj.adapter = LoraAdapter.init(blk.cfg.d_inner, blk.cfg.d_model, rank, rng)
-
-
-def detach_lora(lm: SsmLm) -> None:
-    for blk in lm.blocks:
-        blk.in_proj.adapter = None
-        blk.out_proj.adapter = None
 
 
 def lora_parameters(lm: SsmLm) -> dict[str, Tensor]:
@@ -371,29 +309,3 @@ def lora_parameters(lm: SsmLm) -> dict[str, Tensor]:
                 out[f"blocks.{i}.{proj_name}.lora.up"] = proj.adapter.up
     return out
 
-
-# Tensor-name mapping to the reference Mamba-2 checkpoint layout, kept so a
-# future import of real pretrained weights knows where each array lands.
-# Import itself is out of scope at desk scale (we train from random init).
-PRETRAINED_NAME_MAP = {
-    "embedding": "backbone.embedding.weight",
-    "final_norm": "backbone.norm_f.weight",
-    "blocks.{i}.res_norm": "backbone.layers.{i}.norm.weight",
-    "blocks.{i}.in_proj.base": "backbone.layers.{i}.mixer.in_proj.weight (transposed)",
-    "blocks.{i}.conv.weight": "backbone.layers.{i}.mixer.conv1d.weight (K x C layout)",
-    "blocks.{i}.conv.bias": "backbone.layers.{i}.mixer.conv1d.bias",
-    "blocks.{i}.dt_bias": "backbone.layers.{i}.mixer.dt_bias",
-    "blocks.{i}.log_a": "backbone.layers.{i}.mixer.A_log",
-    "blocks.{i}.skip": "backbone.layers.{i}.mixer.D",
-    "blocks.{i}.gate_norm": "backbone.layers.{i}.mixer.norm.weight",
-    "blocks.{i}.out_proj.base": "backbone.layers.{i}.mixer.out_proj.weight (transposed)",
-    "lm_head": "lm_head.weight (transposed; absent when tied)",
-}
-
-
-def import_pretrained(path: str) -> None:
-    """Stub: real-checkpoint ingestion is deliberately unimplemented."""
-    raise NotImplementedError(
-        "pretrained Mamba-2 checkpoints are outside desk scale; "
-        "see PRETRAINED_NAME_MAP for where each tensor would land"
-    )

@@ -13,10 +13,13 @@ Manifest lines (order-preserving):
     tensor <name> <f4|f8> <dim0,dim1,...> <offset> <nbytes>
 
 Round trips are bit-identical; offsets, sizes and shape products are
-validated on load.
+validated on load. Saves are atomic: the file at ``path`` is either the
+previous one or the complete new one.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -67,11 +70,20 @@ def save(
     lines.extend(entries)
     manifest = ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
-    with open(path, "wb") as fh:
-        fh.write(f"{MAGIC} {VERSION} {len(manifest)}\n".encode("ascii"))
-        fh.write(manifest)
-        for raw in blobs:
-            fh.write(raw)
+    # write beside the target, then swap it in: a failed save leaves any
+    # previous file at ``path`` untouched
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(f"{MAGIC} {VERSION} {len(manifest)}\n".encode("ascii"))
+            fh.write(manifest)
+            for raw in blobs:
+                fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load(path: str) -> tuple[dict[str, np.ndarray], str, dict[str, str]]:

@@ -32,6 +32,8 @@ def _apply_thread_cap() -> None:
 
 
 def build_parser() -> _Parser:
+    from .ssd import MODES
+
     parser = _Parser(prog="mac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -60,8 +62,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="diagnostics.csv")
 
     p = sub.add_parser("bench", help="scaling benchmark of the scan kernels")
-    p.add_argument("--mode", default="recurrent",
-                   choices=["recurrent", "chunked", "convolutional"])
+    p.add_argument("--mode", default="recurrent", choices=MODES)
     p.add_argument("--lengths", default="256,512,1024,2048,4096,8192")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="bench.csv")
@@ -94,7 +95,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error_code=config {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        print("error_code=interrupted training stopped; checkpoint flushed", file=sys.stderr)
+        # outputs are written only when a command completes, so nothing is flushed here
+        print("error_code=interrupted stopped before completion; nothing was flushed",
+              file=sys.stderr)
         return 3
     except Exception as exc:  # runtime failures map to exit 3
         from .pipeline import TrainingDiverged
@@ -154,12 +157,7 @@ def _cmd_train(args) -> int:
     if overrides:
         cfg = configmod.apply_overrides(cfg, overrides)
 
-    try:
-        rows = pipeline.run_experiment(cfg, args.out)
-    except KeyboardInterrupt:
-        # flush whatever exists so the run can be resumed/inspected
-        print(f"interrupted; partial outputs in {args.out}", file=sys.stderr)
-        raise
+    rows = pipeline.run_experiment(cfg, args.out)
     last = rows[-1]
     print(f"done: {len(rows)} epochs, final loss {last['loss']:.4f}, "
           f"caption F1 {last['caption_f1']:.3f} -> {os.path.join(args.out, 'metrics.csv')}")

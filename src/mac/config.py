@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import LmConfig
+from .ssd import MODES
 
 
 class ConfigError(ValueError):
@@ -35,7 +36,7 @@ SCHEMA: dict[str, Field] = {
     "model.d_state": Field(16, "int"),
     "model.n_groups": Field(1, "int"),
     "model.tie_embeddings": Field(True, "bool"),
-    "model.scan_mode": Field("chunked", "str", ("recurrent", "chunked", "convolutional")),
+    "model.scan_mode": Field("chunked", "str", MODES),
     "model.chunk_len": Field(16, "int"),
     "model.lora_rank": Field(8, "int"),
     "model.conv_width": Field(4, "int"),

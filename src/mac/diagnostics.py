@@ -107,38 +107,35 @@ def mean_pairwise_cosine(feats: FeatureMatrix) -> float:
 # -- state tracing --------------------------------------------------------------
 
 
-def state_update_distances(captioner, sample, per_head_mean: bool | None = None,
-                           trace: bool = True):
+def state_update_distances(captioner, sample, per_head_mean: bool | None = None):
     """Distances ||h_t - h_{t-1}|| of adjacent audio positions.
 
-    Runs the blocks in recurrent mode with state collection over the
-    [audio, prompt] sequence, slices the audio span, and reduces each
+    Streams the audio span of the [audio, prompt] sequence through the LM
+    one position at a time, carrying the per-block states, and reduces each
     per-layer state difference by Frobenius norm (default) or by the mean
     of per-head norms. Returns (mean over layers [L_a-1], per-layer
     [n_layers, L_a-1]).
     """
-    if not trace:
-        raise ContractError("state tracing is disabled; nothing to measure")
     if per_head_mean is None:
         per_head_mean = captioner.cfg["diag.state_metric"] == "per_head_mean"
+    lm = captioner.lm
     with tz.no_grad():
         seq, _, _ = captioner.build_sequence(sample, mode="infer")
-        embs = tz.reshape(seq.vectors, (1,) + seq.vectors.shape)
-        _, traces = captioner.lm.forward(embs, mode="recurrent", collect_states=True)
-    n_audio = sum(1 for s in seq.segments if s in ("audio", "separator"))
+        n_audio = sum(1 for s in seq.segments if s in ("audio", "separator"))
+        states = None
+        trajectory = []  # per position: [n_layers, H, P, N]
+        for t in range(n_audio):
+            step = tz.reshape(seq.vectors[t : t + 1], (1, 1, lm.cfg.d_model))
+            _, states = lm.forward(step, mode="recurrent", states=states, return_states=True)
+            trajectory.append(np.stack([st.ssm.h.data[0] for st in states]))
     if n_audio < 2:
-        return np.zeros(0), np.zeros((len(traces), 0))
-    per_layer = []
-    for traj in traces:
-        h = traj.data[0, :n_audio]  # [L_a, H, P, N]
-        diff = h[1:] - h[:-1]
-        if per_head_mean:
-            d = np.sqrt((diff**2).sum(axis=(2, 3))).mean(axis=1)
-        else:
-            d = np.sqrt((diff**2).sum(axis=(1, 2, 3)))
-        per_layer.append(d)
-    per_layer_arr = np.stack(per_layer)
-    return per_layer_arr.mean(axis=0), per_layer_arr
+        return np.zeros(0), np.zeros((len(lm.blocks), 0))
+    diff = np.diff(np.stack(trajectory, axis=1), axis=1)  # [n_layers, L_a-1, H, P, N]
+    if per_head_mean:
+        per_layer = np.sqrt((diff**2).sum(axis=(3, 4))).mean(axis=2)
+    else:
+        per_layer = np.sqrt((diff**2).sum(axis=(2, 3, 4)))
+    return per_layer.mean(axis=0), per_layer
 
 
 # -- scaling benchmark -----------------------------------------------------------
@@ -168,29 +165,19 @@ def scaling_bench(lengths: list[int], mode: str = "recurrent",
     rows = []
     with tz.no_grad():
         warm = _random_params(rng, min(lengths), h, p, g, n)
-        _run_mode(warm, mode, chunk_len)
+        ssd.scan(warm, mode, chunk_len)
         for t in lengths:
             params = _random_params(rng, t, h, p, g, n)
             best = np.inf
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                _run_mode(params, mode, chunk_len)
+                ssd.scan(params, mode, chunk_len)
                 best = min(best, time.perf_counter() - t0)
             rows.append((t, best, ssd.count_flops(t, n, h, p, mode, g, chunk_len)))
     xs = np.log([r[0] for r in rows])
     ys = np.log([r[1] for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return rows, slope
-
-
-def _run_mode(params, mode: str, chunk_len: int):
-    if mode == "recurrent":
-        return ssd.scan_recurrent(params)
-    if mode == "chunked":
-        return ssd.scan_chunked(params, chunk_len=chunk_len)
-    if mode == "convolutional":
-        return ssd.scan_convolutional(params)
-    raise ContractError(f"unknown mode {mode!r}")
 
 
 # -- table emission ---------------------------------------------------------------

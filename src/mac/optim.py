@@ -1,7 +1,8 @@
-"""Parameter update steps: decoupled-weight-decay Adam and plain SGD.
+"""Parameter updates: gradient-norm clipping and decoupled-weight-decay Adam.
 
-Both operate on a name->Tensor mapping and update ``.data`` in place in
-sorted-name order, which keeps training runs bit-reproducible.
+Both operate on a name->Tensor mapping and touch parameters in sorted-name
+order; AdamW updates ``.data`` in place, which keeps training runs
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -75,27 +76,3 @@ class AdamW:
         for p in self.params.values():
             p.grad = None
 
-
-class SGD:
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-2, momentum: float = 0.0):
-        self.params = dict(params)
-        self.lr = lr
-        self.momentum = momentum
-        self._vel = {k: np.zeros_like(v.data) for k, v in self.params.items()}
-
-    def step(self) -> None:
-        for name in sorted(self.params):
-            p = self.params[name]
-            if p.grad is None:
-                continue
-            if self.momentum:
-                vel = self._vel[name]
-                vel *= self.momentum
-                vel += p.grad
-                p.data -= self.lr * vel
-            else:
-                p.data -= self.lr * p.grad
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None

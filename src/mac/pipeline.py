@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import audio as audiomod
-from . import blocks, checkpoint, connector, optim, ssd, synth
+from . import blocks, checkpoint, connector, optim, synth
 from . import config as configmod
 from . import tensor as tz
 from .connector import SEG_CAPTION, SEG_PROMPT, EmbeddingSequence
@@ -116,11 +116,10 @@ class Captioner:
 
     # -- audio path -----------------------------------------------------------
 
-    def audio_grid(self, sample: Sample, frozen: bool | None = None) -> audiomod.AudioTokenGrid:
+    def audio_grid(self, sample: Sample) -> audiomod.AudioTokenGrid:
         if "features" in sample.audio:
             return audiomod.load_features(sample.audio["features"])
-        if frozen is None:
-            frozen = not self.cfg["train.encoder_trainable"]
+        frozen = not self.cfg["train.encoder_trainable"]
         key = repr(sorted(sample.audio.items()))
         if frozen and key in self._grid_cache:
             return self._grid_cache[key]
@@ -264,14 +263,11 @@ class TrainState:
     dump_dir: str | None = None
 
 
-def make_train_state(captioner: Captioner, lr: float | None = None,
-                     encoder_trainable: bool | None = None,
-                     dump_dir: str | None = None) -> TrainState:
+def make_train_state(captioner: Captioner, dump_dir: str | None = None) -> TrainState:
     v = captioner.cfg.values
-    params = captioner.trainable_parameters(encoder_trainable)
     opt = optim.AdamW(
-        params,
-        lr=v["train.lr_stage1"] if lr is None else lr,
+        captioner.trainable_parameters(),
+        lr=v["train.lr_stage1"],
         betas=(v["train.beta1"], v["train.beta2"]),
         weight_decay=v["train.weight_decay"],
     )
@@ -337,9 +333,7 @@ def generate_greedy(captioner: Captioner, sample: Sample, max_len: int = 24,
 
 
 def _decode_streaming(cap: Captioner, prefix: Tensor, max_len: int) -> list[int]:
-    # convolutional mode cannot carry state, so prefill falls back to chunked
-    prefill_mode = "chunked" if cap.scan_mode == "convolutional" else cap.scan_mode
-    logits, states = cap.lm.forward(prefix, mode=prefill_mode, chunk_len=cap.chunk_len,
+    logits, states = cap.lm.forward(prefix, mode=cap.scan_mode, chunk_len=cap.chunk_len,
                                     return_states=True)
     ids: list[int] = []
     nxt = int(np.argmax(logits.data[0, -1]))
@@ -499,12 +493,10 @@ def run_experiment(cfg: configmod.Config, out_dir: str, tag: str = "") -> list[d
         tz.set_default_dtype(np.float64)
 
 
-def write_metrics(path: str, rows: list[dict], append: bool = False) -> None:
-    exists = os.path.exists(path) and append
-    with open(path, "a" if append else "w", newline="") as fh:
+def write_metrics(path: str, rows: list[dict]) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=METRICS_HEADER)
-        if not exists:
-            writer.writeheader()
+        writer.writeheader()
         for row in rows:
             writer.writerow({k: _fmt(row[k]) for k in METRICS_HEADER})
 

@@ -9,13 +9,19 @@ with per-token step sizes ``dt`` (positive), a per-head negative decay rate
 ``a`` (scalar-times-identity state matrix), and input-dependent coupling
 rows B_t / readout rows C_t shared across heads within a group.
 
-Three computation modes produce identical outputs:
+Three computation modes (``MODES``) produce identical outputs and final
+states:
 
-- ``scan_recurrent``      step-by-step recurrence; supports streaming state
+- ``scan_recurrent``      step-by-step recurrence
 - ``scan_convolutional``  materializes the full lower-triangular
                           semiseparable operator (zero initial state only)
 - ``scan_chunked``        semiseparable matmul inside fixed-length chunks,
                           recurrence across chunk boundaries
+
+All three share one contract, ``(params, ..., initial, exact_zoh) ->
+(y, ScanState)``, and ``scan`` dispatches on the mode name. Feeding the
+returned state back as ``initial`` of a later call equals one uninterrupted
+scan (streaming contract).
 
 Shapes are written unbatched ([T, ...]) below; every function also accepts
 one extra leading batch axis.
@@ -31,6 +37,7 @@ from . import tensor as tz
 from .tensor import ContractError, ShapeError, Tensor
 
 DEFAULT_CHUNK = 16
+MODES = ("recurrent", "chunked", "convolutional")
 
 # Finite stand-in for -inf in masked log-decay entries: exp() underflows to
 # exactly 0.0 without tripping the debug finiteness checks.
@@ -171,19 +178,39 @@ def _state_as_batched(state: ScanState | None, b: int, h: int, p: int, n: int, w
     return hs
 
 
+def _finish(y: Tensor, hstate: Tensor, initial: ScanState | None, was_batched: bool):
+    """(y, final ScanState) back in the caller's batching, step counter advanced."""
+    start = initial.step_index if initial is not None else 0
+    final = ScanState(hstate, start + y.shape[1])
+    if not was_batched:
+        y = tz.reshape(y, y.shape[1:])
+        final.h = tz.reshape(hstate, hstate.shape[1:])
+    return y, final
+
+
+def scan(
+    params: SelectiveParams,
+    mode: str = "chunked",
+    chunk_len: int = DEFAULT_CHUNK,
+    initial: ScanState | None = None,
+    exact_zoh: bool = False,
+):
+    """Run the scan of ``mode`` (one of ``MODES``) -> (y, final_state)."""
+    if mode == "recurrent":
+        return scan_recurrent(params, initial=initial, exact_zoh=exact_zoh)
+    if mode == "chunked":
+        return scan_chunked(params, chunk_len=chunk_len, initial=initial, exact_zoh=exact_zoh)
+    if mode == "convolutional":
+        return scan_convolutional(params, initial=initial, exact_zoh=exact_zoh)
+    raise ContractError(f"unknown scan mode {mode!r}")
+
+
 def scan_recurrent(
     params: SelectiveParams,
     initial: ScanState | None = None,
     exact_zoh: bool = False,
-    collect_states: bool = False,
 ):
-    """Step-by-step evaluation of the recurrence.
-
-    Returns (y, final_state) with y [.., T, H, P]; with ``collect_states``
-    also returns the per-step hidden states stacked as [.., T, H, P, N].
-    Feeding ``final_state`` back as ``initial`` of a subsequent call equals
-    one uninterrupted scan (streaming contract).
-    """
+    """Step-by-step evaluation of the recurrence -> (y [.., T, H, P], final_state)."""
     params.validate()
     p_, was_batched = _as_batched(params)
     bsz, t, h = p_.dt.shape
@@ -197,7 +224,6 @@ def scan_recurrent(
 
     hstate = _state_as_batched(initial, bsz, h, p, n, was_batched, p_.x.dtype)
     ys = []
-    states = []
     for step in range(t):
         decay = tz.reshape(abar[:, step, :], (bsz, h, 1, 1))
         inject = tz.mul(
@@ -209,46 +235,28 @@ def scan_recurrent(
             tz.mul(tz.reshape(c_head[:, step, :, :], (bsz, h, 1, n)), hstate), axis=-1
         )
         ys.append(tz.reshape(y_t, (bsz, 1, h, p)))
-        if collect_states:
-            states.append(tz.reshape(hstate, (bsz, 1, h, p, n)))
-
-    y = tz.concat(ys, axis=1)
-    start = initial.step_index if initial is not None else 0
-    final = ScanState(hstate if was_batched else tz.reshape(hstate, (h, p, n)), start + t)
-    if not was_batched:
-        y = tz.reshape(y, (t, h, p))
-    if collect_states:
-        traj = tz.concat(states, axis=1)
-        if not was_batched:
-            traj = tz.reshape(traj, (t, h, p, n))
-        return y, final, traj
-    return y, final
+    return _finish(tz.concat(ys, axis=1), hstate, initial, was_batched)
 
 
 def scan_convolutional(
     params: SelectiveParams,
     initial: ScanState | None = None,
     exact_zoh: bool = False,
-) -> Tensor:
+):
     """Whole-sequence evaluation through the semiseparable operator.
 
     For time-invariant parameters this is convolution by the kernel
     (C bbar, C abar bbar, C abar^2 bbar, ...); with selective parameters the
     kernel generalizes to the lower-triangular operator
     y_t = sum_{s<=t} C_t . (prod_{r=s+1..t} abar_r) bbar_s x_s.
-    Requires a zero initial state.
+    Requires a zero initial state; returns (y, final_state) like the others.
     """
     if initial is not None and not initial.is_zero():
         raise ContractError("convolution mode requires a zero initial state")
     params.validate()
     p_, was_batched = _as_batched(params)
-    t, h = p_.dt.shape[1], p_.dt.shape[2]
-    p = p_.x.shape[3]
-
-    y, _ = _semiseparable_block(p_, h_in=None, exact_zoh=exact_zoh)
-    if not was_batched:
-        y = tz.reshape(y, (t, h, p))
-    return y
+    y, h_out = _semiseparable_block(p_, h_in=None, exact_zoh=exact_zoh)
+    return _finish(y, h_out, initial, was_batched)
 
 
 def scan_chunked(
@@ -291,14 +299,9 @@ def scan_chunked(
         if y_c.dtype != in_dtype:
             y_c = tz.cast(y_c, in_dtype)
         ys.append(y_c)
-    y = tz.concat(ys, axis=1)
     if hstate.dtype != in_dtype:
         hstate = tz.cast(hstate, in_dtype)
-    start = initial.step_index if initial is not None else 0
-    final = ScanState(hstate if was_batched else tz.reshape(hstate, (h, p, n)), start + t)
-    if not was_batched:
-        y = tz.reshape(y, (t, h, p))
-    return y, final
+    return _finish(tz.concat(ys, axis=1), hstate, initial, was_batched)
 
 
 def _semiseparable_block(p_: SelectiveParams, h_in: Tensor | None, exact_zoh: bool):

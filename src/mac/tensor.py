@@ -128,13 +128,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def numpy(self) -> np.ndarray:
-        """Raw storage; callers must not mutate it."""
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
@@ -496,12 +489,6 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _node(data, [(p, make_vjp(i)) for i, p in enumerate(parts)], "concat")
 
 
-def stack(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = [_ensure(p) for p in parts]
-    expanded = [reshape(p, p.shape[:axis] + (1,) + p.shape[axis:]) for p in parts]
-    return concat(expanded, axis=axis)
-
-
 def cast(a, dtype) -> Tensor:
     a = _ensure(a)
     dtype = np.dtype(dtype)
@@ -696,14 +683,6 @@ def zeros(shape, requires_grad: bool = False, dtype=None) -> Tensor:
 
 def ones(shape, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype or _default_dtype), requires_grad)
-
-
-def full(shape, value: float, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=dtype or _default_dtype), requires_grad)
-
-
-def randn(rng: np.random.Generator, shape, std: float = 1.0, requires_grad: bool = False) -> Tensor:
-    return Tensor(rng.standard_normal(shape) * std, requires_grad=requires_grad)
 
 
 def zero_grad(params: Iterable[Tensor]) -> None:

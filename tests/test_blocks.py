@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mac import blocks, optim, ssd
+from mac import blocks, optim
+from mac import config as configmod
 from mac import tensor as tz
 from mac.blocks import LmConfig, LoraAdapter, MambaBlock, SsmLm
 from mac.tensor import ContractError, ShapeError, Tensor
@@ -25,7 +26,7 @@ class TestBlockForward:
         blk.in_proj.base.data[:] = 0.0  # gate z = 0 -> silu(0) = 0
         x = Tensor(np.random.default_rng(1).standard_normal((1, 6, 24)))
         with tz.no_grad():
-            y = blk.forward(x)
+            y, _ = blk.forward(x)
         np.testing.assert_array_equal(y.data, np.zeros_like(y.data))
 
     def test_causality_of_conv_plus_scan(self):
@@ -34,12 +35,12 @@ class TestBlockForward:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 10, 24))
         with tz.no_grad():
-            base = blk.forward(Tensor(x)).data
+            base = blk.forward(Tensor(x))[0].data
         for t in (0, 4, 9):
             bumped = x.copy()
             bumped[:, t, :] += rng.standard_normal(24)
             with tz.no_grad():
-                out = blk.forward(Tensor(bumped)).data
+                out = blk.forward(Tensor(bumped))[0].data
             delta = np.abs(out - base).max(axis=(0, 2))
             assert delta[:t].max(initial=0.0) == 0.0, f"leak before position {t}"
             assert delta[t] > 0.0
@@ -49,9 +50,9 @@ class TestBlockForward:
         blk = lm.blocks[0]
         x = Tensor(np.random.default_rng(5).standard_normal((2, 11, 24)))
         with tz.no_grad():
-            rec = blk.forward(x, mode="recurrent").data
-            chk = blk.forward(x, mode="chunked", chunk_len=4).data
-            conv = blk.forward(x, mode="convolutional").data
+            rec = blk.forward(x, mode="recurrent")[0].data
+            chk = blk.forward(x, mode="chunked", chunk_len=4)[0].data
+            conv = blk.forward(x, mode="convolutional")[0].data
         assert np.abs(rec - chk).max() <= 1e-8
         assert np.abs(rec - conv).max() <= 1e-8
 
@@ -71,7 +72,7 @@ class TestBlockForward:
 
         def fn():
             # pre-norm applied the way the residual stack does
-            y = blk.forward(tz.rms_norm(x, blk.res_norm), mode="chunked", chunk_len=2)
+            y, _ = blk.forward(tz.rms_norm(x, blk.res_norm), mode="chunked", chunk_len=2)
             return tz.tsum(tz.mul(y, w))
 
         worst = check_gradients(fn, leaves, tol=1e-4)
@@ -237,13 +238,11 @@ class TestConfigAndStubs:
             LmConfig(n_layers=1, d_model=65, n_heads=4, head_dim=16)
 
     def test_presets(self):
-        nano = blocks.nano_config(vocab_size=50)
-        small = blocks.small_config(vocab_size=50)
+        def preset(name):
+            cfg = configmod.apply_overrides(configmod.Config(), [f"model.preset={name}"])
+            return configmod.resolve_lm_config(cfg, vocab_size=50)
+
+        nano, small = preset("nano"), preset("small")
         assert (nano.n_layers, nano.d_model) == (4, 64)
         assert (small.n_layers, small.d_model) == (8, 128)
         assert small.d_model == small.n_heads * small.head_dim
-
-    def test_pretrained_import_is_documented_stub(self):
-        assert "embedding" in blocks.PRETRAINED_NAME_MAP
-        with pytest.raises(NotImplementedError):
-            blocks.import_pretrained("anything.ckpt")

@@ -56,6 +56,20 @@ class TestBasics:
         assert code == 3
         assert err.startswith("error_code=runtime")
 
+    def test_interrupt_exit_3_claims_no_flush(self, tmp_path, capsys, monkeypatch):
+        from mac import pipeline
+
+        def interrupted(cfg, out_dir, tag=""):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "run_experiment", interrupted)
+        code, _, err = run_cli(["train", "--out", str(tmp_path / "run")] + TINY_OVERRIDES,
+                               capsys)
+        assert code == 3
+        assert err.startswith("error_code=interrupted")
+        assert "nothing was flushed" in err
+        assert "checkpoint flushed" not in err and "partial outputs" not in err
+
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "mac.cli", "dump-config"],
                               capture_output=True, text=True)

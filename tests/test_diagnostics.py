@@ -239,11 +239,6 @@ class TestStateDistances:
         assert d_frob.shape == d_head.shape
         assert not np.allclose(d_frob, d_head)
 
-    def test_tracing_disabled_rejected(self):
-        cap, train, _ = tiny_captioner()
-        with pytest.raises(ContractError, match="disabled"):
-            state_update_distances(cap, train[0], trace=False)
-
 
 class TestScalingBench:
     def test_flop_ratio_is_exactly_two(self):

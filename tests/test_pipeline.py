@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mac import checkpoint, config as configmod, pipeline, synth
+from mac import checkpoint, config as configmod, pipeline, ssd, synth
 from mac import tensor as tz
 from mac.pipeline import Captioner, Sample
 from mac.tensor import ContractError
@@ -227,12 +227,15 @@ class TestGeneration:
         assert pipeline.generate_greedy(cap, train[0], max_len=0) == ""
 
     def test_streaming_equals_full_recompute(self):
-        for seed in (0, 1, 2):
-            cap, train, _ = tiny_captioner(**{"train.seed": str(seed)})
-            for s in train[:2]:
-                a = pipeline.generate_greedy(cap, s, max_len=10, streaming=True)
-                b = pipeline.generate_greedy(cap, s, max_len=10, streaming=False)
-                assert a == b
+        # every scan mode prefills the stream itself, convolutional included
+        for mode in ssd.MODES:
+            for seed in (0, 1, 2):
+                cap, train, _ = tiny_captioner(**{"train.seed": str(seed),
+                                                  "model.scan_mode": mode})
+                for s in train[:2]:
+                    a = pipeline.generate_greedy(cap, s, max_len=10, streaming=True)
+                    b = pipeline.generate_greedy(cap, s, max_len=10, streaming=False)
+                    assert a == b, (mode, seed)
 
     def test_token_f1(self):
         assert pipeline.token_f1("a b c", "a b c") == 1.0
@@ -282,6 +285,42 @@ class TestCheckpoint:
             a, _, _ = cap.batch_forward(train[:2])
             b, _, _ = fresh.batch_forward(train[:2])
         assert np.array_equal(a.data, b.data)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "model.ckpt")
+        checkpoint.save(path, {"w": np.arange(16, dtype=np.float64)}, meta={"kind": "full"})
+        before = open(path, "rb").read()
+
+        class FailsAfterHeader:
+            """File whose second write (the manifest) raises, as a full disk would."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("no space left on device")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        real_open = open
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda p, mode: FailsAfterHeader(real_open(p, mode)), raising=False)
+        with pytest.raises(OSError, match="no space"):
+            checkpoint.save(path, {"w": np.zeros(64)}, meta={"kind": "other"})
+        monkeypatch.undo()
+
+        assert open(path, "rb").read() == before
+        tensors, _, meta = checkpoint.load(path)
+        np.testing.assert_array_equal(tensors["w"], np.arange(16, dtype=np.float64))
+        assert meta == {"kind": "full"}
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_meta_and_config_round_trip(self, tmp_path):
         path = str(tmp_path / "meta.ckpt")

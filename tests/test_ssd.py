@@ -120,12 +120,12 @@ class TestScanConvolutional:
     def test_time_invariant_kernel(self):
         # impulse input reads out the kernel (C bbar, C abar bbar, ...)
         params = scalar_params(abar=0.5, bcoef=1.0, c=1.0, xs=[1.0, 0.0, 0.0])
-        y = ssd.scan_convolutional(params)
+        y, _ = ssd.scan_convolutional(params)
         np.testing.assert_allclose(y.data.reshape(-1), [1.0, 0.5, 0.25], atol=1e-15)
 
     def test_zero_input(self):
         params = scalar_params(abar=0.7, bcoef=1.0, c=1.0, xs=[0.0, 0.0, 0.0, 0.0])
-        y = ssd.scan_convolutional(params)
+        y, _ = ssd.scan_convolutional(params)
         np.testing.assert_array_equal(y.data, np.zeros_like(y.data))
 
     def test_matches_recurrent_oracle_time_varying(self):
@@ -133,7 +133,7 @@ class TestScanConvolutional:
         params = random_params(rng, t=17, g=2, n=6, p=5)
         with tz.no_grad():
             expect, _ = ssd.scan_recurrent(params)
-            got = ssd.scan_convolutional(params)
+            got, _ = ssd.scan_convolutional(params)
         assert np.abs(got.data - expect.data).max() <= 1e-10
 
     def test_nonzero_initial_state_rejected(self):
@@ -150,11 +150,13 @@ class TestScanChunked:
         rng = np.random.default_rng(3)
         params = random_params(rng, t=12)
         with tz.no_grad():
-            y_conv = ssd.scan_convolutional(params)
+            y_conv, final_conv = ssd.scan_convolutional(params)
             y_chunk, final = ssd.scan_chunked(params, chunk_len=12)
             y_rec, final_rec = ssd.scan_recurrent(params)
         assert np.abs(y_chunk.data - y_conv.data).max() <= 1e-12
         assert np.abs(final.h.data - final_rec.h.data).max() <= 1e-10
+        assert np.abs(final_conv.h.data - final_rec.h.data).max() <= 1e-10
+        assert final_conv.step_index == final_rec.step_index == 12
 
     def test_chunk_len_one_is_recurrent_path(self):
         rng = np.random.default_rng(4)
@@ -213,7 +215,7 @@ class TestProperties:
             params = random_params(rng, t=t, g=g, n=8, p=6, h=4)
             with tz.no_grad():
                 y_rec, _ = ssd.scan_recurrent(params)
-                y_conv = ssd.scan_convolutional(params)
+                y_conv, _ = ssd.scan_convolutional(params)
                 y_chunk, _ = ssd.scan_chunked(params, chunk_len=16)
             assert np.abs(y_rec.data - y_conv.data).max() <= 1e-8, f"case {case}"
             assert np.abs(y_rec.data - y_chunk.data).max() <= 1e-8, f"case {case}"
@@ -223,7 +225,7 @@ class TestProperties:
         params = random_params(rng, t=31)
         with tz.no_grad():
             y_rec, _ = ssd.scan_recurrent(params, exact_zoh=True)
-            y_conv = ssd.scan_convolutional(params, exact_zoh=True)
+            y_conv, _ = ssd.scan_convolutional(params, exact_zoh=True)
             y_chunk, _ = ssd.scan_chunked(params, chunk_len=8, exact_zoh=True)
         assert np.abs(y_rec.data - y_conv.data).max() <= 1e-8
         assert np.abs(y_rec.data - y_chunk.data).max() <= 1e-8
@@ -249,7 +251,13 @@ class TestProperties:
         t = 4096
         params = random_params(rng, t=t, h=2, p=3, n=4)
         with tz.no_grad():
-            _, final, traj = ssd.scan_recurrent(params, collect_states=True)
+            # step one token at a time so every intermediate state is seen
+            final, peak = None, 0.0
+            for s in range(t):
+                step = ssd.SelectiveParams(params.dt[s : s + 1], params.a, params.B[s : s + 1],
+                                           params.C[s : s + 1], params.x[s : s + 1])
+                _, final = ssd.scan_recurrent(step, initial=final)
+                peak = max(peak, np.abs(final.h.data).max())
             abar = np.exp(params.dt.data * params.a.data)
             bbar_x = (
                 params.dt.data[:, :, None, None]
@@ -258,8 +266,8 @@ class TestProperties:
             )
         worst_decay = abar.max()
         bound = np.abs(bbar_x).max() / (1.0 - worst_decay)
-        assert np.abs(traj.data).max() <= bound + 1e-9
-        assert np.isfinite(final.h.data).all()
+        assert peak <= bound + 1e-9
+        assert np.isfinite(final.h.data).all() and final.step_index == t
 
     def test_gradients_match_across_modes_and_fd(self):
         rng = np.random.default_rng(13)
@@ -277,17 +285,12 @@ class TestProperties:
                 params = ssd.SelectiveParams(
                     dt=tz.softplus(dt_raw), a=tz.neg(tz.exp(log_a)), B=bmat, C=cmat, x=x
                 )
-                if mode == "recurrent":
-                    y, _ = ssd.scan_recurrent(params)
-                elif mode == "chunked":
-                    y, _ = ssd.scan_chunked(params, chunk_len=3)
-                else:
-                    y = ssd.scan_convolutional(params)
+                y, _ = ssd.scan(params, mode, chunk_len=3)
                 return tz.tsum(tz.mul(y, w))
             return fn
 
         grads = {}
-        for mode in ("recurrent", "chunked", "convolutional"):
+        for mode in ssd.MODES:
             tz.zero_grad(leaves)
             grads[mode] = loss_for(mode)().backward()
         for leaf in leaves:
@@ -296,6 +299,12 @@ class TestProperties:
 
         tz.zero_grad(leaves)
         check_gradients(loss_for("chunked"), leaves)
+
+
+class TestDispatch:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ContractError, match="unknown scan mode"):
+            ssd.scan(random_params(np.random.default_rng(15), t=3), "fft")
 
 
 class TestCountFlops:

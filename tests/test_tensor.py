@@ -304,15 +304,6 @@ class TestOptim:
             opt.step()
         assert np.abs(w.data).max() < 1e-2
 
-    def test_sgd_matches_manual_update(self):
-        from mac import optim
-
-        w = Tensor(np.array([2.0]), requires_grad=True)
-        opt = optim.SGD({"w": w}, lr=0.5)
-        tz.tsum(tz.mul(w, w)).backward()
-        opt.step()
-        np.testing.assert_allclose(w.data, [2.0 - 0.5 * 4.0])
-
     def test_clip_norm_scales_to_bound(self):
         from mac import optim
 
