@@ -69,16 +69,17 @@ def save(
         lines.append(f"config {cfg_line}")
     lines.extend(entries)
     manifest = ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+    header = f"{MAGIC} {VERSION} {len(manifest)}\n".encode("ascii")
+    write_atomic(path, b"".join([header, manifest, *blobs]))
 
-    # write beside the target, then swap it in: a failed save leaves any
-    # previous file at ``path`` untouched
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` beside ``path``, then swap it in: a failed write
+    leaves any previous file at ``path`` untouched and no temp file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(f"{MAGIC} {VERSION} {len(manifest)}\n".encode("ascii"))
-            fh.write(manifest)
-            for raw in blobs:
-                fh.write(raw)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -4,12 +4,17 @@ The sequence contract: training consumes [audio, prompt, caption] embedding
 rows with next-token targets defined only over caption positions (plus the
 closing <eos>); inference consumes [audio, prompt] and decodes greedily,
 either by full re-forwarding or by carrying per-block streaming state.
+Streaming decode takes many rows at once: rows with equal prefix lengths
+share one prefill and then one recurrent step per token, and a row that has
+finished keeps stepping, unrecorded, until its whole group is done.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +26,23 @@ from . import tensor as tz
 from .connector import SEG_CAPTION, SEG_PROMPT, EmbeddingSequence
 from .tensor import ContractError, Tensor
 from .vocab import Vocab
+
+# entries kept in each of a Captioner's per-clip caches (least recently used
+# goes first); far above the clips any one training or eval pass touches
+CACHE_ENTRIES = 256
+
+
+def _cache_get(cache: OrderedDict, key: str):
+    value = cache.get(key)
+    if value is not None:
+        cache.move_to_end(key)
+    return value
+
+
+def _cache_put(cache: OrderedDict, key: str, value) -> None:
+    cache[key] = value
+    if len(cache) > CACHE_ENTRIES:
+        cache.popitem(last=False)
 
 
 @dataclass
@@ -82,8 +104,8 @@ class Captioner:
         )
         self.scan_mode = v["model.scan_mode"]
         self.chunk_len = v["model.chunk_len"]
-        self._grid_cache: dict[str, audiomod.AudioTokenGrid] = {}
-        self._mel_cache: dict[str, audiomod.MelSpec] = {}
+        self._grid_cache: OrderedDict[str, audiomod.AudioTokenGrid] = OrderedDict()
+        self._mel_cache: OrderedDict[str, audiomod.MelSpec] = OrderedDict()
 
     # -- parameters ---------------------------------------------------------
 
@@ -121,20 +143,21 @@ class Captioner:
             return audiomod.load_features(sample.audio["features"])
         frozen = not self.cfg["train.encoder_trainable"]
         key = repr(sorted(sample.audio.items()))
-        if frozen and key in self._grid_cache:
-            return self._grid_cache[key]
+        grid = _cache_get(self._grid_cache, key) if frozen else None
+        if grid is not None:
+            return grid
         # the mel image depends only on the clip, never on weights
-        mel = self._mel_cache.get(key)
+        mel = _cache_get(self._mel_cache, key)
         if mel is None:
             if "wav" in sample.audio:
                 wave = audiomod.load_wav(sample.audio["wav"])
             else:
                 wave = Tensor(synth.render(sample.audio["synthetic"]))
             mel = audiomod.melspectrogram(wave).pad_to(self.enc_cfg.mel_frames)
-            self._mel_cache[key] = mel
+            _cache_put(self._mel_cache, key, mel)
         grid = audiomod.encode(mel, self.encoder, frozen=frozen)
         if frozen:
-            self._grid_cache[key] = grid
+            _cache_put(self._grid_cache, key, grid)
         return grid
 
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
@@ -199,7 +222,10 @@ class Captioner:
 
         -> (logits [B, L, V], targets [B, L], mask [B, L])
         """
-        built = [self.build_sequence(s, mode) for s in samples]
+        return self._forward_built([self.build_sequence(s, mode) for s in samples])
+
+    def _forward_built(self, built: list) -> tuple[Tensor, np.ndarray, np.ndarray]:
+        """``batch_forward`` on sequences ``build_sequence`` already made."""
         length = max(len(seq.segments) for seq, _, _ in built)
         rows, targets, masks = [], [], []
         for seq, tgt, msk in built:
@@ -316,40 +342,65 @@ def generate_greedy(captioner: Captioner, sample: Sample, max_len: int = 24,
     """Argmax decoding until <eos> or max_len tokens.
 
     Streaming mode carries per-block scan/conv state so each step costs
-    O(1) in sequence length; the non-streaming path re-forwards the whole
-    growing sequence every step. Both produce identical tokens.
+    O(1) in sequence length; it is the batched decoder run on one row. The
+    non-streaming path re-forwards the whole growing sequence every step.
+    Both produce identical tokens.
     """
     if max_len <= 0:
         return ""
     with tz.no_grad():
         seq, _, _ = captioner.build_sequence(sample, mode="infer")
-        prefix = tz.reshape(seq.vectors, (1,) + seq.vectors.shape)
         if streaming:
-            ids = _decode_streaming(captioner, prefix, max_len)
+            ids = _decode_streaming(captioner, [seq.vectors], max_len)[0]
         else:
-            ids = _decode_full(captioner, prefix, max_len)
-    words = [captioner.vocab.words[i] for i in ids if i != captioner.vocab.eos_id]
-    return " ".join(words)
+            ids = _decode_full(captioner, seq.vectors, max_len)
+    return _caption_text(captioner, ids)
 
 
-def _decode_streaming(cap: Captioner, prefix: Tensor, max_len: int) -> list[int]:
-    logits, states = cap.lm.forward(prefix, mode=cap.scan_mode, chunk_len=cap.chunk_len,
-                                    return_states=True)
-    ids: list[int] = []
-    nxt = int(np.argmax(logits.data[0, -1]))
-    while True:
-        ids.append(nxt)
-        if nxt == cap.vocab.eos_id or len(ids) >= max_len:
-            return ids
-        emb = tz.reshape(cap.embed_tokens(np.array([nxt])), (1, 1, cap.lm_cfg.d_model))
-        logits, states = cap.lm.forward(emb, mode="recurrent", states=states,
+def _caption_text(cap: Captioner, ids: list[int]) -> str:
+    return " ".join(cap.vocab.words[i] for i in ids if i != cap.vocab.eos_id)
+
+
+def _decode_streaming(cap: Captioner, prefixes: list[Tensor], max_len: int) -> list[list[int]]:
+    """Greedy ids for each [L_i, D] prefix, in input order.
+
+    Prefixes of one length form a group, so no row is padded: one prefill,
+    then one recurrent step per token for all its rows. A row stops
+    recording at <eos> or max_len but keeps stepping until the group is
+    done; each row's state has a fixed size, so a step over all rows costs
+    little more than one over the live rows, and the states are never
+    compacted.
+    """
+    out: list[list[int]] = [[] for _ in prefixes]
+    if max_len <= 0:
+        return out
+    groups: dict[int, list[int]] = {}
+    for i, prefix in enumerate(prefixes):
+        groups.setdefault(prefix.shape[0], []).append(i)
+    for rows in groups.values():
+        embs = tz.concat([tz.reshape(prefixes[i], (1,) + prefixes[i].shape) for i in rows],
+                         axis=0)
+        logits, states = cap.lm.forward(embs, mode=cap.scan_mode, chunk_len=cap.chunk_len,
                                         return_states=True)
-        nxt = int(np.argmax(logits.data[0, -1]))
+        done = [False] * len(rows)
+        while True:
+            nxt = logits.data[:, -1].argmax(axis=-1)
+            for r, i in enumerate(rows):
+                if not done[r]:
+                    out[i].append(int(nxt[r]))
+                    done[r] = nxt[r] == cap.vocab.eos_id or len(out[i]) >= max_len
+            if all(done):
+                break
+            emb = tz.reshape(cap.embed_tokens(nxt), (len(rows), 1, cap.lm_cfg.d_model))
+            logits, states = cap.lm.forward(emb, mode="recurrent", states=states,
+                                            return_states=True)
+    return out
 
 
 def _decode_full(cap: Captioner, prefix: Tensor, max_len: int) -> list[int]:
+    """Greedy ids for one [L, D] prefix, re-forwarding every step (the oracle)."""
     ids: list[int] = []
-    current = prefix
+    current = tz.reshape(prefix, (1,) + prefix.shape)
     while True:
         logits = cap.lm.forward(current, mode=cap.scan_mode, chunk_len=cap.chunk_len)
         nxt = int(np.argmax(logits.data[0, -1]))
@@ -383,17 +434,27 @@ def token_f1(generated: str, reference: str) -> float:
 
 
 def evaluate(captioner: Captioner, samples: list[Sample], max_len: int | None = None):
-    """-> (teacher-forced token accuracy, mean caption F1, exact-match rate)."""
+    """-> (teacher-forced token accuracy, mean caption F1, exact-match rate).
+
+    Each sample's train-mode sequence is built once. Its rows give the
+    teacher-forced logits, and their [audio, prompt] part is the prefix the
+    captions are decoded from, all samples at once: rows are grouped by
+    prefix length and stepped together, past <eos>, until a group is done.
+    """
     if max_len is None:
         max_len = captioner.cfg["train.max_caption_len"]
     with tz.no_grad():
-        logits, targets, mask = captioner.batch_forward(samples, mode="train")
+        built = [captioner.build_sequence(s, mode="train") for s in samples]
+        logits, targets, mask = captioner._forward_built(built)
+        # the first loss position is the last prompt position
+        prefixes = [seq.vectors[: int(np.flatnonzero(msk)[0]) + 1] for seq, _, msk in built]
+        decoded = _decode_streaming(captioner, prefixes, max_len)
     pred = logits.data.argmax(axis=-1)
     hits = float(((pred == targets) * (mask > 0)).sum())
     token_acc = hits / float((mask > 0).sum())
     f1s, exact = [], []
-    for s in samples:
-        gen = generate_greedy(captioner, s, max_len=max_len)
+    for s, ids in zip(samples, decoded):
+        gen = _caption_text(captioner, ids)
         f1s.append(token_f1(gen, s.caption or ""))
         exact.append(1.0 if gen == s.caption else 0.0)
     return token_acc, float(np.mean(f1s)), float(np.mean(exact))
@@ -486,19 +547,20 @@ def run_experiment(cfg: configmod.Config, out_dir: str, tag: str = "") -> list[d
 
         write_metrics(os.path.join(out_dir, "metrics.csv"), rows)
         cap.save(os.path.join(out_dir, "final.ckpt"))
-        with open(os.path.join(out_dir, "config.txt"), "w") as fh:
-            fh.write(configmod.dump(cfg))
+        checkpoint.write_atomic(os.path.join(out_dir, "config.txt"),
+                                configmod.dump(cfg).encode("utf-8"))
         return rows
     finally:
         tz.set_default_dtype(np.float64)
 
 
 def write_metrics(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRICS_HEADER)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row[k]) for k in METRICS_HEADER})
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=METRICS_HEADER)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _fmt(row[k]) for k in METRICS_HEADER})
+    checkpoint.write_atomic(path, text.getvalue().encode("utf-8"))
 
 
 def _fmt(value):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mac import blocks, optim
+from mac import blocks, optim, ssd
 from mac import config as configmod
 from mac import tensor as tz
 from mac.blocks import LmConfig, LoraAdapter, MambaBlock, SsmLm
@@ -120,18 +120,21 @@ class TestLmForward:
             np.testing.assert_array_equal(out[:, :t], base[:, :t])
 
     def test_streaming_prefill_plus_steps_equals_full(self):
+        # logits, not tokens, so a wrong carried state cannot hide behind an
+        # argmax; every scan mode prefills, over two rows of one batch
         lm = tiny_lm(seed=16)
-        x = Tensor(np.random.default_rng(17).standard_normal((1, 12, 24)))
+        x = Tensor(np.random.default_rng(17).standard_normal((2, 12, 24)))
         with tz.no_grad():
             full = lm.forward(x, mode="recurrent").data
-            part, states = lm.forward(x[:, :5, :], mode="chunked", chunk_len=3,
-                                      return_states=True)
-            chunks = [part.data]
-            for t in range(5, 12):
-                out, states = lm.forward(x[:, t : t + 1, :], mode="recurrent",
-                                         states=states, return_states=True)
-                chunks.append(out.data)
-        assert np.abs(np.concatenate(chunks, axis=1) - full).max() <= 1e-10
+            for mode in ssd.MODES:
+                part, states = lm.forward(x[:, :5, :], mode=mode, chunk_len=3,
+                                          return_states=True)
+                chunks = [part.data]
+                for t in range(5, 12):
+                    out, states = lm.forward(x[:, t : t + 1, :], mode="recurrent",
+                                             states=states, return_states=True)
+                    chunks.append(out.data)
+                assert np.abs(np.concatenate(chunks, axis=1) - full).max() <= 1e-10, mode
 
 
 class TestLora:

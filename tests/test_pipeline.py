@@ -42,6 +42,29 @@ def tiny_captioner(**over) -> tuple[Captioner, list[Sample], list[Sample]]:
     return Captioner(cfg, vocab), train, evl
 
 
+def fail_writes_part_way(monkeypatch) -> None:
+    """Make every file ``checkpoint`` opens stop part-way through its first
+    write, as a full disk would."""
+
+    class FailsPartWay:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    real_open = open
+    monkeypatch.setattr(checkpoint, "open", lambda p, mode: FailsPartWay(real_open(p, mode)),
+                        raising=False)
+
+
 class TestVocab:
     def test_specials_have_fixed_ids(self):
         v = Vocab.build(["hello world"])
@@ -202,6 +225,24 @@ class TestTraining:
         with_enc = cap.trainable_parameters(encoder_trainable=True)
         assert any(k.startswith("encoder.") for k in with_enc)
 
+    def test_clip_caches_are_bounded_lru(self, monkeypatch):
+        cap, train, evl = tiny_captioner(**{"train.encoder_trainable": "false"})
+        clips = train + evl
+        monkeypatch.setattr(pipeline, "CACHE_ENTRIES", 3)
+        misses = []
+        real_mel = pipeline.audiomod.melspectrogram
+        monkeypatch.setattr(pipeline.audiomod, "melspectrogram",
+                            lambda wave: misses.append(1) or real_mel(wave))
+        for s in clips[:3] + clips[:1] + clips[3:5]:  # clip 0 used again, so clip 1 goes
+            cap.audio_grid(s)
+        assert len(cap._grid_cache) == len(cap._mel_cache) == 3
+        assert len(misses) == 5
+        cap.audio_grid(clips[0])  # kept: the last use made it recent
+        assert len(misses) == 5
+        cap.audio_grid(clips[1])  # evicted first, so rebuilt
+        assert len(misses) == 6
+        assert len(cap._grid_cache) == len(cap._mel_cache) == 3
+
     def test_frozen_encoder_weights_bit_invariant(self):
         cap, train, _ = tiny_captioner(**{"train.encoder_trainable": "false"})
         before = {k: t.data.copy() for k, t in cap.encoder.parameters().items()}
@@ -221,10 +262,58 @@ class TestTraining:
         assert err.value.dump_path and os.path.exists(err.value.dump_path)
 
 
+def mixed_prompt_samples(cap: Captioner, samples: list[Sample]) -> list[Sample]:
+    """Each sample under both configured prompts, which differ in token count."""
+    return [Sample(audio=s.audio, prompt=p, caption=c)
+            for s in samples
+            for p, c in ((cap.cfg["data.prompt"], s.caption),
+                         (cap.cfg["data.classify_prompt"], s.label))]
+
+
 class TestGeneration:
     def test_max_len_zero_empty(self):
         cap, train, _ = tiny_captioner()
         assert pipeline.generate_greedy(cap, train[0], max_len=0) == ""
+        with tz.no_grad():
+            seq, _, _ = cap.build_sequence(train[0], mode="infer")
+        assert pipeline._decode_streaming(cap, [seq.vectors, seq.vectors], 0) == [[], []]
+
+    def test_batched_streaming_equals_full_per_row(self):
+        max_len = 8
+        for mode in ssd.MODES:
+            cap, train, _ = tiny_captioner(**{"model.scan_mode": mode})
+            with tz.no_grad():
+                prefixes = [cap.build_sequence(s, mode="infer")[0].vectors
+                            for s in mixed_prompt_samples(cap, train)]
+                batched = pipeline._decode_streaming(cap, prefixes, max_len)
+                oracle = [pipeline._decode_full(cap, p, max_len) for p in prefixes]
+            assert batched == oracle, mode
+            # the list covers two prefix lengths, rows ending at <eos> before
+            # max_len and rows cut at max_len
+            assert len({p.shape[0] for p in prefixes}) == 2
+            eos = cap.vocab.eos_id
+            assert any(ids[-1] == eos and len(ids) < max_len for ids in batched), mode
+            assert any(ids[-1] != eos and len(ids) == max_len for ids in batched), mode
+
+    def test_evaluate_equals_per_sample_oracle(self):
+        for mode in ssd.MODES:
+            cap, train, evl = tiny_captioner(**{"model.scan_mode": mode})
+            samples = mixed_prompt_samples(cap, train + evl)
+            # give some samples the caption the model produces, so the exact
+            # and F1 terms are not all zero
+            for s in samples[::3]:
+                s.caption = pipeline.generate_greedy(cap, s, max_len=8) or s.caption
+            with tz.no_grad():
+                logits, targets, mask = cap.batch_forward(samples)
+            hits = ((logits.data.argmax(axis=-1) == targets) * (mask > 0)).sum()
+            gens = [pipeline.generate_greedy(cap, s, max_len=8, streaming=False)
+                    for s in samples]
+            refs = [s.caption for s in samples]
+            oracle = (float(hits) / float((mask > 0).sum()),
+                      float(np.mean([pipeline.token_f1(g, r) for g, r in zip(gens, refs)])),
+                      float(np.mean([g == r for g, r in zip(gens, refs)])))
+            assert pipeline.evaluate(cap, samples, max_len=8) == oracle, mode
+            assert 0.0 < oracle[2] < 1.0, mode
 
     def test_streaming_equals_full_recompute(self):
         # every scan mode prefills the stream itself, convolutional included
@@ -291,27 +380,7 @@ class TestCheckpoint:
         checkpoint.save(path, {"w": np.arange(16, dtype=np.float64)}, meta={"kind": "full"})
         before = open(path, "rb").read()
 
-        class FailsAfterHeader:
-            """File whose second write (the manifest) raises, as a full disk would."""
-
-            def __init__(self, fh):
-                self.fh, self.writes = fh, 0
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes > 1:
-                    raise OSError("no space left on device")
-                return self.fh.write(data)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-        real_open = open
-        monkeypatch.setattr(checkpoint, "open",
-                            lambda p, mode: FailsAfterHeader(real_open(p, mode)), raising=False)
+        fail_writes_part_way(monkeypatch)
         with pytest.raises(OSError, match="no space"):
             checkpoint.save(path, {"w": np.zeros(64)}, meta={"kind": "other"})
         monkeypatch.undo()
@@ -341,6 +410,21 @@ class TestExperiment:
         metrics = open(tmp_path / "run" / "metrics.csv").read()
         assert metrics.splitlines()[0] == "epoch,stage,loss,token_acc,caption_f1,seed"
         assert os.path.exists(tmp_path / "run" / "final.ckpt")
+
+    def test_failed_metrics_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "metrics.csv")
+        row = {"epoch": 0, "stage": "stage1", "loss": 1.5, "token_acc": 0.25,
+               "caption_f1": 0.5, "seed": 7}
+        pipeline.write_metrics(path, [row])
+        before = open(path, "rb").read()
+
+        fail_writes_part_way(monkeypatch)
+        with pytest.raises(OSError, match="no space"):
+            pipeline.write_metrics(path, [row, dict(row, epoch=1)])
+        monkeypatch.undo()
+
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["metrics.csv"]
 
     def test_same_seed_identical_csv(self, tmp_path):
         cfg = tiny_cfg()
