@@ -4,7 +4,8 @@ Library layout:
 
 - ``mac.tensor``      dense tensors + reverse-mode autodiff
 - ``mac.optim``       gradient clipping and AdamW update steps
-- ``mac.ssd``         selective state-space kernels (three equivalent modes)
+- ``mac.ssd``         selective state-space kernels (recurrent and chunked;
+                      convolutional is one chunk)
 - ``mac.blocks``      Mamba-2 style blocks, LoRA adapters, the language model
 - ``mac.audio``       WAV reader, mel front-end, CNN patch encoder
 - ``mac.synth``       synthetic captioned-audio corpus generator

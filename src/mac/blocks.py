@@ -171,14 +171,6 @@ class MambaBlock:
             out[f"out_proj.{k}"] = v
         return out
 
-    def initial_state(self, batch: int, dtype=None) -> BlockState:
-        cfg = self.cfg
-        return BlockState(
-            ssm=ssd.ScanState.zeros(cfg.n_heads, cfg.head_dim, cfg.d_state,
-                                    batch=batch, dtype=dtype),
-            conv_tail=tz.zeros((batch, cfg.conv_width - 1, cfg.conv_dim), dtype=dtype),
-        )
-
     def forward(
         self,
         x: Tensor,
@@ -189,20 +181,24 @@ class MambaBlock:
         """x: [B, T, D] -> (out [B, T, D], state after the last position).
 
         The residual is added by the caller. Passing the returned state back
-        as ``state`` continues the sequence where this call stopped.
+        as ``state`` continues the sequence where this call stopped; no state
+        is a zero state (a cold start).
         """
         cfg = self.cfg
         if x.ndim != 3 or x.shape[-1] != cfg.d_model:
             raise ShapeError(f"block input {x.shape}, expected [B, T, {cfg.d_model}]")
         b, t, _ = x.shape
-        di, gn = cfg.d_inner, cfg.n_groups * cfg.d_state
+        di, gn, k = cfg.d_inner, cfg.n_groups * cfg.d_state, cfg.conv_width
 
         proj = self.in_proj(x)
         z = proj[:, :, :di]
         xbc_raw = proj[:, :, di : di + cfg.conv_dim]
         dt_raw = proj[:, :, di + cfg.conv_dim :]
 
-        prefix = state.conv_tail if state is not None else None
+        if state is None:
+            prefix, initial = tz.zeros((b, k - 1, cfg.conv_dim), dtype=xbc_raw.dtype), None
+        else:
+            prefix, initial = state.conv_tail, state.ssm
         xbc = tz.silu(tz.conv1d_depthwise_causal(xbc_raw, self.conv_w, self.conv_b, prefix))
         xs = tz.reshape(xbc[:, :, :di], (b, t, cfg.n_heads, cfg.head_dim))
         bmat = tz.reshape(xbc[:, :, di : di + gn], (b, t, cfg.n_groups, cfg.d_state))
@@ -211,7 +207,6 @@ class MambaBlock:
         dt = tz.softplus(tz.add(dt_raw, self.dt_bias))
         a = tz.neg(tz.exp(self.log_a))
         params = ssd.SelectiveParams(dt=dt, a=a, B=bmat, C=cmat, x=xs)
-        initial = state.ssm if state is not None else None
         y, final = ssd.scan(params, mode, chunk_len, initial=initial)
 
         y = tz.add(y, tz.mul(xs, tz.reshape(self.skip, (1, 1, cfg.n_heads, 1))))
@@ -219,12 +214,9 @@ class MambaBlock:
         gated = tz.mul(y, tz.silu(z))
         out = self.out_proj(tz.rms_norm(gated, self.gate_norm))
 
-        tail_src = tz.concat([prefix, xbc_raw], axis=1) if prefix is not None else xbc_raw
-        if tail_src.shape[1] < cfg.conv_width - 1:
-            pad = tz.zeros((b, cfg.conv_width - 1 - tail_src.shape[1], cfg.conv_dim),
-                           dtype=tail_src.dtype)
-            tail_src = tz.concat([pad, tail_src], axis=1)
-        new_tail = tail_src[:, tail_src.shape[1] - (cfg.conv_width - 1) :, :]
+        # the last K-1 rows of [prefix, x], built from at most K-1 rows of x
+        tail_src = tz.concat([prefix, xbc_raw[:, max(t - (k - 1), 0) :, :]], axis=1)
+        new_tail = tail_src[:, tail_src.shape[1] - (k - 1) :, :]
         return out, BlockState(ssm=final, conv_tail=new_tail)
 
     __call__ = forward
@@ -260,9 +252,6 @@ class SsmLm:
         if self.lm_head is not None:
             return self.lm_head
         return tz.transpose(self.embedding, (1, 0))
-
-    def initial_states(self, batch: int, dtype=None) -> list[BlockState]:
-        return [blk.initial_state(batch, dtype) for blk in self.blocks]
 
     def forward(
         self,

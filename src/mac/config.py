@@ -46,7 +46,7 @@ SCHEMA: dict[str, Field] = {
     "audio.channels": Field("16,32,64", "str", help="hidden widths of the patch stack"),
     "audio.patches": Field("8x4,4x2,2x2,1x1", "str", help="per-layer time x freq strides"),
     "connector.variant": Field("concatenation", "str",
-                               ("concatenation", "time_major", "frequency_major", "mean_pool")),
+                               ("concatenation", "time_major", "frequency_major")),
     "connector.hidden_mult": Field(4, "int"),
     "connector.sep_position": Field("prefix", "str", ("prefix", "suffix")),
     "train.seed": Field(0, "int"),
@@ -219,9 +219,13 @@ def validate(cfg: Config) -> list[str]:
         if v[key] <= 0:
             errors.append(f"{key} must be positive")
     for key in ("train.batch_size", "train.steps_per_epoch", "data.n_train",
-                "train.max_caption_len", "audio.d_enc", "connector.hidden_mult"):
+                "train.max_caption_len", "audio.d_enc", "connector.hidden_mult",
+                "model.n_groups", "model.conv_width", "model.d_state"):
         if v[key] < 1:
             errors.append(f"{key} must be >= 1")
+    n_heads = _PRESETS.get(v["model.preset"], {}).get("n_heads", v["model.n_heads"])
+    if v["model.n_groups"] >= 1 and n_heads % v["model.n_groups"]:
+        errors.append(f"model.n_groups {v['model.n_groups']} does not divide n_heads {n_heads}")
     if v["data.source"] == "manifest" and not v["data.manifest"]:
         errors.append("data.manifest required when data.source = manifest")
     try:

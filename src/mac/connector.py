@@ -11,9 +11,7 @@ audio embedding sequence fed to the language model:
 - ``frequency_major``: tokens ordered (f outer, t inner), one separator
   per frequency band -> (T_a + 1) * F_a embeddings.
 
-The separator is the trainable embedding of the reserved "&&" token. A
-``mean_pool`` layout (average over frequency, then MLP) is included purely
-as a test baseline.
+The separator is the trainable embedding of the reserved "&&" token.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from . import tensor as tz
 from .audio import AudioTokenGrid
 from .tensor import ContractError, ShapeError, Tensor
 
-VARIANTS = ("concatenation", "time_major", "frequency_major", "mean_pool")
+VARIANTS = ("concatenation", "time_major", "frequency_major")
 
 SEG_AUDIO = "audio"
 SEG_SEPARATOR = "separator"
@@ -62,9 +60,7 @@ class ConnectorConfig:
             return self.grid_t
         if self.variant == "time_major":
             return self.grid_t * (self.grid_f + 1)
-        if self.variant == "frequency_major":
-            return (self.grid_t + 1) * self.grid_f
-        return self.grid_t  # mean_pool
+        return (self.grid_t + 1) * self.grid_f  # frequency_major
 
 
 @dataclass
@@ -119,10 +115,6 @@ def connect(grid: AudioTokenGrid, cfg: ConnectorConfig, mlp: ConnectorMlp,
 
     if cfg.variant == "concatenation":
         rows = tz.reshape(grid.tokens, (t_a, f_a * cfg.d_enc))
-        return EmbeddingSequence(mlp_forward(rows, mlp), [SEG_AUDIO] * t_a)
-
-    if cfg.variant == "mean_pool":
-        rows = tz.tmean(grid.tokens, axis=1)
         return EmbeddingSequence(mlp_forward(rows, mlp), [SEG_AUDIO] * t_a)
 
     sep_row = tz.reshape(sep_embedding, (1, cfg.d_model))

@@ -119,17 +119,16 @@ class Captioner:
             out[f"connector.{k}"] = t
         return out
 
-    def trainable_parameters(self, encoder_trainable: bool | None = None) -> dict[str, Tensor]:
+    def trainable_parameters(self) -> dict[str, Tensor]:
         """Exactly: LoRA adapters, connector, separator embedding, and the
-        encoder when trainable. Everything else is frozen in place."""
-        if encoder_trainable is None:
-            encoder_trainable = self.cfg["train.encoder_trainable"]
+        encoder when ``train.encoder_trainable``. Everything else is frozen
+        in place."""
         chosen = {"sep_embedding": self.sep_embedding}
         for k, t in blocks.lora_parameters(self.lm).items():
             chosen[f"lm.{k}"] = t
         for k, t in self.mlp.parameters().items():
             chosen[f"connector.{k}"] = t
-        if encoder_trainable:
+        if self.cfg["train.encoder_trainable"]:
             for k, t in self.encoder.parameters().items():
                 chosen[f"encoder.{k}"] = t
         for name, t in self.named_parameters().items():

@@ -1,4 +1,4 @@
-"""Selective state-space kernels: discretization and three equivalent scans.
+"""Selective state-space kernels: discretization and two scan algorithms.
 
 The underlying transform, per head, is the linear recurrence
 
@@ -9,22 +9,25 @@ with per-token step sizes ``dt`` (positive), a per-head negative decay rate
 ``a`` (scalar-times-identity state matrix), and input-dependent coupling
 rows B_t / readout rows C_t shared across heads within a group.
 
-Three computation modes (``MODES``) produce identical outputs and final
-states:
+Two algorithms compute it, under three mode names (``MODES``) that produce
+identical outputs and final states:
 
 - ``scan_recurrent``      step-by-step recurrence
-- ``scan_convolutional``  materializes the full lower-triangular
-                          semiseparable operator (zero initial state only)
 - ``scan_chunked``        semiseparable matmul inside fixed-length chunks,
                           recurrence across chunk boundaries
+- ``scan_convolutional``  the chunked algorithm with one chunk of length T:
+                          the full lower-triangular semiseparable operator
 
 All three share one contract, ``(params, ..., initial, exact_zoh) ->
-(y, ScanState)``, and ``scan`` dispatches on the mode name. Feeding the
-returned state back as ``initial`` of a later call equals one uninterrupted
-scan (streaming contract).
+(y, ScanState)``, and ``scan`` dispatches on the mode name. Every mode takes
+an ``initial`` state; none means a zero state. Feeding the returned state
+back as ``initial`` of a later call equals one uninterrupted scan
+(streaming contract).
 
 Shapes are written unbatched ([T, ...]) below; every function also accepts
-one extra leading batch axis.
+one extra leading batch axis. The kernels themselves are batched only: an
+unbatched call is lifted once on entry (``_lift``) and dropped once on exit
+(``_finish``).
 """
 
 from __future__ import annotations
@@ -53,6 +56,9 @@ class SelectiveParams:
     B:  [T, G, N]  input coupling, one row per parameter group
     C:  [T, G, N]  output readout, one row per parameter group
     x:  [T, H, P]  head inputs
+
+    dt, B, C and x may all carry one leading batch axis (``batched``); a is
+    shared across the batch.
     """
 
     dt: Tensor
@@ -100,14 +106,6 @@ class ScanState:
     h: Tensor
     step_index: int = 0
 
-    @staticmethod
-    def zeros(h_heads: int, p: int, n: int, batch: int | None = None, dtype=None) -> "ScanState":
-        shape = (h_heads, p, n) if batch is None else (batch, h_heads, p, n)
-        return ScanState(tz.zeros(shape, dtype=dtype), 0)
-
-    def is_zero(self) -> bool:
-        return not np.any(self.h.data)
-
 
 def discretize_zoh(dt: Tensor, a: Tensor, B: Tensor, exact: bool = False):
     """Zero-order-hold discretization of (a, B) with step sizes dt.
@@ -152,30 +150,29 @@ def _expand_groups(coef: Tensor, B: Tensor) -> Tensor:
     return tz.reshape(tz.mul(c, b), lead + (t, h, n))
 
 
-def _as_batched(params: SelectiveParams) -> tuple[SelectiveParams, bool]:
-    if params.batched:
-        return params, True
-    return (
-        SelectiveParams(
-            dt=tz.reshape(params.dt, (1,) + params.dt.shape),
-            a=params.a,
-            B=tz.reshape(params.B, (1,) + params.B.shape),
-            C=tz.reshape(params.C, (1,) + params.C.shape),
-            x=tz.reshape(params.x, (1,) + params.x.shape),
-        ),
-        False,
-    )
+def _lift(params: SelectiveParams, initial: ScanState | None):
+    """Validate, then lift one call to the batched form the kernels run on.
 
+    Returns (params with a batch axis, h0 [B, H, P, N], was_batched); h0 is
+    zeros when ``initial`` is None. ``_finish`` drops the axis again.
+    """
+    params.validate()
+    was_batched = params.batched
+    if not was_batched:
+        def lift(v):
+            return tz.reshape(v, (1,) + v.shape)
 
-def _state_as_batched(state: ScanState | None, b: int, h: int, p: int, n: int, was_batched: bool, dtype) -> Tensor:
-    if state is None:
-        return tz.zeros((b, h, p, n), dtype=dtype)
-    hs = state.h
-    if hs.ndim == 3 and not was_batched:
-        hs = tz.reshape(hs, (1,) + hs.shape)
-    if hs.shape != (b, h, p, n):
-        raise ShapeError(f"initial state shape {state.h.shape}, expected {(b, h, p, n)}")
-    return hs
+        params = SelectiveParams(dt=lift(params.dt), a=params.a, B=lift(params.B),
+                                 C=lift(params.C), x=lift(params.x))
+    bsz, _, h = params.dt.shape
+    shape = (bsz, h, params.x.shape[3], params.B.shape[3])
+    if initial is None:
+        return params, tz.zeros(shape, dtype=params.x.dtype), was_batched
+    expected = shape if was_batched else shape[1:]
+    if initial.h.shape != expected:
+        raise ShapeError(f"initial state shape {initial.h.shape}, expected {expected}")
+    h0 = initial.h if was_batched else tz.reshape(initial.h, shape)
+    return params, h0, was_batched
 
 
 def _finish(y: Tensor, hstate: Tensor, initial: ScanState | None, was_batched: bool):
@@ -211,18 +208,14 @@ def scan_recurrent(
     exact_zoh: bool = False,
 ):
     """Step-by-step evaluation of the recurrence -> (y [.., T, H, P], final_state)."""
-    params.validate()
-    p_, was_batched = _as_batched(params)
+    p_, hstate, was_batched = _lift(params, initial)
     bsz, t, h = p_.dt.shape
     n = p_.B.shape[3]
     p = p_.x.shape[3]
 
-    z = tz.mul(p_.dt, p_.a)
-    abar = tz.exp(z)  # [B, T, H]
-    rb = _expand_groups(_input_coef(p_.dt, z, exact_zoh), p_.B)  # [B, T, H, N]
+    abar, rb = discretize_zoh(p_.dt, p_.a, p_.B, exact=exact_zoh)  # [B,T,H], [B,T,H,N]
     c_head = _expand_groups(tz.ones((bsz, t, h)), p_.C)  # [B, T, H, N]
 
-    hstate = _state_as_batched(initial, bsz, h, p, n, was_batched, p_.x.dtype)
     ys = []
     for step in range(t):
         decay = tz.reshape(abar[:, step, :], (bsz, h, 1, 1))
@@ -249,14 +242,10 @@ def scan_convolutional(
     (C bbar, C abar bbar, C abar^2 bbar, ...); with selective parameters the
     kernel generalizes to the lower-triangular operator
     y_t = sum_{s<=t} C_t . (prod_{r=s+1..t} abar_r) bbar_s x_s.
-    Requires a zero initial state; returns (y, final_state) like the others.
+    That operator is one chunk of the chunked algorithm, so this is
+    ``scan_chunked`` with ``chunk_len = T``: O(T^2), any initial state.
     """
-    if initial is not None and not initial.is_zero():
-        raise ContractError("convolution mode requires a zero initial state")
-    params.validate()
-    p_, was_batched = _as_batched(params)
-    y, h_out = _semiseparable_block(p_, h_in=None, exact_zoh=exact_zoh)
-    return _finish(y, h_out, initial, was_batched)
+    return scan_chunked(params, chunk_len=params.dims()[0], initial=initial, exact_zoh=exact_zoh)
 
 
 def scan_chunked(
@@ -276,13 +265,8 @@ def scan_chunked(
         raise ContractError(f"chunk_len must be >= 1, got {chunk_len}")
     if chunk_len == 1:
         return scan_recurrent(params, initial=initial, exact_zoh=exact_zoh)
-    params.validate()
-    p_, was_batched = _as_batched(params)
-    bsz, t, h = p_.dt.shape
-    p = p_.x.shape[3]
-    n = p_.B.shape[3]
-
-    hstate = _state_as_batched(initial, bsz, h, p, n, was_batched, p_.x.dtype)
+    p_, hstate, was_batched = _lift(params, initial)
+    t = p_.dt.shape[1]
     in_dtype = p_.x.dtype
     ys = []
     for lo in range(0, t, chunk_len):
@@ -294,7 +278,7 @@ def scan_chunked(
             C=p_.C[:, lo:hi, :, :],
             x=p_.x[:, lo:hi, :, :],
         )
-        y_c, hstate = _semiseparable_block(piece, h_in=hstate, exact_zoh=exact_zoh)
+        y_c, hstate = _semiseparable_block(piece, hstate, exact_zoh=exact_zoh)
         hstate = tz.cast(hstate, np.float64)  # cross-chunk carry at full width
         if y_c.dtype != in_dtype:
             y_c = tz.cast(y_c, in_dtype)
@@ -304,15 +288,14 @@ def scan_chunked(
     return _finish(tz.concat(ys, axis=1), hstate, initial, was_batched)
 
 
-def _semiseparable_block(p_: SelectiveParams, h_in: Tensor | None, exact_zoh: bool):
+def _semiseparable_block(p_: SelectiveParams, h_in: Tensor, exact_zoh: bool):
     """One dense lower-triangular block over a full (sub)sequence.
 
-    p_ is batched: dt [B,L,H], B/C [B,L,G,N], x [B,L,H,P]; h_in [B,H,P,N]
-    or None for a zero start. Returns (y [B,L,H,P], h_out [B,H,P,N]).
+    p_ is batched: dt [B,L,H], B/C [B,L,G,N], x [B,L,H,P]; h_in [B,H,P,N] is
+    the state entering the block. Returns (y [B,L,H,P], h_out [B,H,P,N]).
     """
     bsz, L, h = p_.dt.shape
     g, n = p_.B.shape[2], p_.B.shape[3]
-    p = p_.x.shape[3]
     hpg = h // g
 
     z = tz.mul(p_.dt, p_.a)  # [B,L,H] log decay per step
@@ -345,21 +328,20 @@ def _semiseparable_block(p_: SelectiveParams, h_in: Tensor | None, exact_zoh: bo
 
     cum_last = cum[:, L - 1, :]  # [B,H]
 
-    if h_in is not None:
-        # y_state[b,h,t,p] = sum_n C_head[b,t,h,n] exp(cum_t) h_in[b,h,p,n]
-        expcum = tz.exp(cum)  # [B,L,H], <= 1
-        ce = tz.reshape(
-            tz.mul(
-                tz.reshape(p_.C, (bsz, L, g, 1, n)),
-                tz.reshape(expcum, (bsz, L, g, hpg, 1)),
-            ),
-            (bsz, L, h, n),
-        )
-        y_state = tz.matmul(
-            tz.transpose(ce, (0, 2, 1, 3)),  # [B,H,L,N]
-            tz.transpose(h_in, (0, 1, 3, 2)),  # [B,H,N,P]
-        )
-        y = tz.add(y, y_state)
+    # y_state[b,h,t,p] = sum_n C_head[b,t,h,n] exp(cum_t) h_in[b,h,p,n]
+    expcum = tz.exp(cum)  # [B,L,H], <= 1
+    ce = tz.reshape(
+        tz.mul(
+            tz.reshape(p_.C, (bsz, L, g, 1, n)),
+            tz.reshape(expcum, (bsz, L, g, hpg, 1)),
+        ),
+        (bsz, L, h, n),
+    )
+    y_state = tz.matmul(
+        tz.transpose(ce, (0, 2, 1, 3)),  # [B,H,L,N]
+        tz.transpose(h_in, (0, 1, 3, 2)),  # [B,H,N,P]
+    )
+    y = tz.add(y, y_state)
 
     # block-final state: h_out = exp(cum_last) h_in + sum_s decay(L-1,s) bbar_s (x) x_s
     tail = tz.exp(
@@ -376,8 +358,7 @@ def _semiseparable_block(p_: SelectiveParams, h_in: Tensor | None, exact_zoh: bo
         tz.transpose(p_.x, (0, 2, 3, 1)),  # [B,H,P,L]
         tz.transpose(w, (0, 2, 1, 3)),  # [B,H,L,N]
     )  # [B,H,P,N]
-    if h_in is not None:
-        h_out = tz.add(h_out, tz.mul(tz.reshape(tz.exp(cum_last), (bsz, h, 1, 1)), h_in))
+    h_out = tz.add(h_out, tz.mul(tz.reshape(tz.exp(cum_last), (bsz, h, 1, 1)), h_in))
 
     return tz.transpose(y, (0, 2, 1, 3)), h_out
 
@@ -411,16 +392,16 @@ def count_flops(
         lo = 0
         while lo < t:
             length = min(chunk_len, t - lo)
-            total += _block_flops(length, n, h, p, g, with_state=True)
+            total += _block_flops(length, n, h, p, g)
             lo += length
         return total
     if mode == "convolutional":
-        return _block_flops(t, n, h, p, g, with_state=False)
+        return count_flops(t, n, h, p, "chunked", g, chunk_len=t)
     raise ContractError(f"unknown mode {mode!r}")
 
 
-def _block_flops(length: int, n: int, h: int, p: int, g: int, with_state: bool) -> int:
+def _block_flops(length: int, n: int, h: int, p: int, g: int) -> int:
     pairwise = length * length * (2 * g * n + 5 * h + 2 * h * p)
     linear = length * (2 * h + 2 * h * n + 2 * h * n * p)
-    state = length * (2 * h * n * p + h * n + 2 * h) + h * p * n + h if with_state else 0
+    state = length * (2 * h * n * p + h * n + 2 * h) + h * p * n + h
     return pairwise + linear + state

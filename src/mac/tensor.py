@@ -55,10 +55,6 @@ def using_dtype(dtype):
         _default_dtype = prev
 
 
-def is_grad_enabled() -> bool:
-    return _grad_enabled
-
-
 @contextmanager
 def no_grad():
     """Disable tape recording (inference, benchmarks, oracles)."""
@@ -175,63 +171,10 @@ class Tensor:
                 node.grad = None  # free intermediate gradients promptly
         return leaves
 
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_ensure(other)))
-
-    def __rsub__(self, other):
-        return add(_ensure(other), neg(self))
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_ensure(other), self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+    # -- indexing ------------------------------------------------------------
 
     def __getitem__(self, index):
         return take(self, index)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes if axes else None)
-
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def astype(self, dtype) -> "Tensor":
-        return cast(self, dtype)
 
 
 def _ensure(x) -> Tensor:
@@ -561,43 +504,31 @@ def embedding(table, ids: np.ndarray) -> Tensor:
     return _node(out, [(table, vjp)], "embedding")
 
 
-def conv1d_depthwise_causal(x, weight, bias=None, prefix=None) -> Tensor:
+def conv1d_depthwise_causal(x, weight, bias, prefix) -> Tensor:
     """Per-channel causal convolution along the second-to-last axis.
 
-    x: [..., T, C]; weight: [K, C]; optional bias [C]; optional ``prefix``
-    of shape [..., K-1, C] carries streaming state (defaults to zeros, which
-    matches a cold causal start). Output position t sees inputs t-K+1 .. t.
+    x: [..., T, C]; weight: [K, C]; bias [C] or None; ``prefix`` [..., K-1, C]
+    holds the K-1 inputs before x (zeros for a cold causal start, the carried
+    tail when streaming). Output position t sees inputs t-K+1 .. t.
     """
-    x, weight = _ensure(x), _ensure(weight)
+    x, weight, prefix = _ensure(x), _ensure(weight), _ensure(prefix)
     k, c = weight.shape
     if x.shape[-1] != c:
         raise ShapeError(f"conv channels disagree: x {x.shape} vs weight {weight.shape}")
+    if prefix.shape != x.shape[:-2] + (k - 1, c):
+        raise ShapeError(f"conv prefix shape {prefix.shape} does not match input {x.shape}")
     t = x.shape[-2]
-    if prefix is None:
-        pad = np.zeros(x.shape[:-2] + (k - 1, c), dtype=x.data.dtype)
-        xp = np.concatenate([pad, x.data], axis=-2)
-        prefix_t = None
-    else:
-        prefix_t = _ensure(prefix)
-        if prefix_t.shape != x.shape[:-2] + (k - 1, c):
-            raise ShapeError(
-                f"conv prefix shape {prefix_t.shape} does not match input {x.shape}"
-            )
-        xp = np.concatenate([prefix_t.data, x.data], axis=-2)
+    xp = np.concatenate([prefix.data, x.data], axis=-2)
 
     out = np.zeros(x.shape, dtype=x.data.dtype)
     for i in range(k):
         out += weight.data[i] * xp[..., i : i + t, :]
 
-    pairs: list[tuple[Tensor, Callable]] = []
-
-    def vjp_x(g):
+    def vjp_xp(g):
         buf = np.zeros_like(xp)
         for i in range(k):
             buf[..., i : i + t, :] += g * weight.data[i]
-        return buf[..., k - 1 :, :]
-
-    pairs.append((x, vjp_x))
+        return buf
 
     def vjp_w(g):
         dw = np.empty_like(weight.data)
@@ -606,18 +537,11 @@ def conv1d_depthwise_causal(x, weight, bias=None, prefix=None) -> Tensor:
             dw[i] = (g * xp[..., i : i + t, :]).sum(axis=flat_axes)
         return dw
 
-    pairs.append((weight, vjp_w))
-
-    if prefix_t is not None:
-
-        def vjp_prefix(g):
-            buf = np.zeros_like(xp)
-            for i in range(k):
-                buf[..., i : i + t, :] += g * weight.data[i]
-            return buf[..., : k - 1, :]
-
-        pairs.append((prefix_t, vjp_prefix))
-
+    pairs: list[tuple[Tensor, Callable]] = [
+        (x, lambda g: vjp_xp(g)[..., k - 1 :, :]),
+        (weight, vjp_w),
+        (prefix, lambda g: vjp_xp(g)[..., : k - 1, :]),
+    ]
     if bias is not None:
         bias_t = _ensure(bias)
         out = out + bias_t.data

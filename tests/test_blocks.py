@@ -121,20 +121,29 @@ class TestLmForward:
 
     def test_streaming_prefill_plus_steps_equals_full(self):
         # logits, not tokens, so a wrong carried state cannot hide behind an
-        # argmax; every scan mode prefills, over two rows of one batch
-        lm = tiny_lm(seed=16)
+        # argmax; every scan mode prefills and then continues the carried
+        # state over pieces of 2 and 3 positions (below and at K-1 for conv
+        # width 4; width 1 carries no conv tail), over two rows of one batch,
+        # before the 1-token recurrent steps
         x = Tensor(np.random.default_rng(17).standard_normal((2, 12, 24)))
-        with tz.no_grad():
-            full = lm.forward(x, mode="recurrent").data
-            for mode in ssd.MODES:
-                part, states = lm.forward(x[:, :5, :], mode=mode, chunk_len=3,
-                                          return_states=True)
-                chunks = [part.data]
-                for t in range(5, 12):
-                    out, states = lm.forward(x[:, t : t + 1, :], mode="recurrent",
-                                             states=states, return_states=True)
-                    chunks.append(out.data)
-                assert np.abs(np.concatenate(chunks, axis=1) - full).max() <= 1e-10, mode
+        for width in (4, 1):
+            lm = tiny_lm(seed=16, conv_width=width)
+            with tz.no_grad():
+                full = lm.forward(x, mode="recurrent").data
+                for mode in ssd.MODES:
+                    part, states = lm.forward(x[:, :5, :], mode=mode, chunk_len=3,
+                                              return_states=True)
+                    chunks = [part.data]
+                    for lo, hi in ((5, 7), (7, 10)):
+                        out, states = lm.forward(x[:, lo:hi, :], mode=mode, chunk_len=3,
+                                                 states=states, return_states=True)
+                        chunks.append(out.data)
+                    for t in range(10, 12):
+                        out, states = lm.forward(x[:, t : t + 1, :], mode="recurrent",
+                                                 states=states, return_states=True)
+                        chunks.append(out.data)
+                    err = np.abs(np.concatenate(chunks, axis=1) - full).max()
+                    assert err <= 1e-10, (width, mode)
 
 
 class TestLora:

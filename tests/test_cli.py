@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,17 @@ class TestBasics:
         assert code == 2
         assert err.startswith("error_code=config")
 
+    def test_bad_model_dims_exit_2(self, tmp_path, capsys):
+        for setting, key in (("model.n_groups=0", "model.n_groups"),
+                             ("model.n_groups=3", "model.n_groups"),
+                             ("model.conv_width=0", "model.conv_width")):
+            code, _, err = run_cli(["train", "--set", setting, "--out", str(tmp_path / "run")],
+                                   capsys)
+            assert code == 2, setting
+            assert err.startswith("error_code=config") and key in err, err
+        assert not (tmp_path / "run").exists()
+        configmod.apply_overrides(configmod.Config(), ["model.conv_width=1"])  # still valid
+
     def test_runtime_error_exit_3(self, capsys):
         code, _, err = run_cli(["infer", "--checkpoint", "/nonexistent.ckpt",
                                 "--wav", "/nonexistent.wav"], capsys)
@@ -85,7 +97,7 @@ class TestMakeData:
         assert code == 0
         manifest = stdout.strip()
         assert os.path.exists(manifest)
-        lines = open(manifest).read().splitlines()
+        lines = Path(manifest).read_text().splitlines()
         assert len(lines) == 5
         from mac.audio import load_wav
 
@@ -106,8 +118,8 @@ class TestTrainInferDiagnose:
         code, _, _ = run_cli(["train", "--out", out2, "--seed", "7"] + TINY_OVERRIDES,
                              capsys)
         assert code == 0
-        a = open(os.path.join(trained, "metrics.csv"), "rb").read()
-        b = open(os.path.join(out2, "metrics.csv"), "rb").read()
+        a = Path(trained, "metrics.csv").read_bytes()
+        b = Path(out2, "metrics.csv").read_bytes()
         assert a == b
 
     def test_infer_prints_caption(self, trained, tmp_path, capsys):
@@ -133,7 +145,7 @@ class TestTrainInferDiagnose:
             "--dataset", "synthetic", "--n", "3", "--out", out_csv,
         ], capsys)
         assert code == 0
-        lines = open(out_csv).read().splitlines()
+        lines = Path(out_csv).read_text().splitlines()
         assert lines[0].startswith("model,erank(")
         assert lines[1].startswith("custom,")
 
@@ -143,14 +155,14 @@ class TestTrainInferDiagnose:
         code, _, _ = run_cli(["diagnose", "cosine", "--checkpoint", ck,
                               "--n", "2", "--out", cos_csv], capsys)
         assert code == 0
-        value = float(open(cos_csv).read().splitlines()[1].split(",")[1])
+        value = float(Path(cos_csv).read_text().splitlines()[1].split(",")[1])
         assert -1.0 <= value <= 1.0
 
         sd_csv = str(tmp_path / "sd.csv")
         code, _, _ = run_cli(["diagnose", "state-dist", "--checkpoint", ck,
                               "--n", "1", "--out", sd_csv], capsys)
         assert code == 0
-        lines = open(sd_csv).read().splitlines()
+        lines = Path(sd_csv).read_text().splitlines()
         assert lines[0] == "sample,position,distance"
         assert len(lines) >= 2  # tiny grid has 2 audio positions -> 1 distance
         assert float(lines[1].split(",")[2]) >= 0.0

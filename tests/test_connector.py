@@ -79,16 +79,6 @@ class TestLengths:
         with pytest.raises(ShapeError, match="does not match"):
             connect(make_grid(rng, 4, 2, 5), cfg, mlp, tz.zeros((8,)))
 
-    def test_mean_pool_baseline(self):
-        rng = np.random.default_rng(7)
-        cfg, mlp = build("mean_pool", t=4, f=3, d_enc=5)
-        grid = make_grid(rng, 4, 3, 5)
-        with tz.no_grad():
-            seq = connect(grid, cfg, mlp, tz.zeros((8,)))
-            direct = mlp_forward(tz.tmean(grid.tokens, axis=1), mlp)
-        assert len(seq) == 4
-        np.testing.assert_array_equal(seq.vectors.data, direct.data)
-
 
 class TestSeparators:
     def test_time_major_separator_positions(self):

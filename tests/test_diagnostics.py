@@ -1,5 +1,7 @@
 """eRank, covariance, cosine similarity, state distances, scaling bench."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -248,10 +250,15 @@ class TestScalingBench:
             )
 
     def test_rows_and_slope_on_small_lengths(self):
-        rows, slope = scaling_bench([32, 64, 128], mode="chunked", repeats=1)
-        assert [r[0] for r in rows] == [32, 64, 128]
-        assert all(r[1] > 0 for r in rows)
-        assert rows[1][2] == 2 * rows[0][2]  # analytic flops double
+        # unbatched scans, so this also runs every mode's lift at the API edge
+        for mode in ssd.MODES:
+            rows, slope = scaling_bench([32, 64, 128], mode=mode, repeats=1)
+            assert [r[0] for r in rows] == [32, 64, 128]
+            assert all(r[1] > 0 for r in rows)
+            flops = [ssd.count_flops(t, 16, 4, 16, mode) for t in (32, 64, 128)]
+            assert [r[2] for r in rows] == flops
+            if mode != "convolutional":
+                assert rows[1][2] == 2 * rows[0][2]  # analytic flops double
 
     def test_unsorted_lengths_rejected(self):
         with pytest.raises(ContractError):
@@ -280,7 +287,7 @@ class TestCsvEmission:
             ("nano", "time_major"): 2.5,
             ("small", "concatenation"): 4.0,
         })
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "model,erank(concatenation),erank(time_major)"
         assert lines[1].startswith("nano,3.25")
         assert lines[2].startswith("small,4.0")
@@ -289,6 +296,6 @@ class TestCsvEmission:
     def test_bench_csv(self, tmp_path):
         path = str(tmp_path / "bench.csv")
         diagnostics.write_bench_csv(path, [(32, 0.001, 1000)], 1.02)
-        content = open(path).read()
+        content = Path(path).read_text()
         assert "T,wall_time_s,analytic_flops" in content
         assert "fitted_slope" in content

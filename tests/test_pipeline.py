@@ -1,6 +1,7 @@
 """Tokenizer, config, sequence building, training, decoding, persistence."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,15 +215,16 @@ class TestTraining:
         assert pipeline.generate_greedy(cap, train[0], max_len=16) == train[0].caption
 
     def test_trainable_selection_contents(self):
-        cap, _, _ = tiny_captioner()
-        chosen = cap.trainable_parameters(encoder_trainable=False)
+        cap, _, _ = tiny_captioner(**{"train.encoder_trainable": "false"})
+        chosen = cap.trainable_parameters()
         assert "sep_embedding" in chosen
         assert any(k.startswith("connector.") for k in chosen)
         assert all(not k.startswith("encoder.") for k in chosen)
         assert all(("lora" in k) for k in chosen if k.startswith("lm."))
         assert "lm.embedding" not in chosen
 
-        with_enc = cap.trainable_parameters(encoder_trainable=True)
+        cap, _, _ = tiny_captioner(**{"train.encoder_trainable": "true"})
+        with_enc = cap.trainable_parameters()
         assert any(k.startswith("encoder.") for k in with_enc)
 
     def test_clip_caches_are_bounded_lru(self, monkeypatch):
@@ -347,16 +349,16 @@ class TestCheckpoint:
     def test_corrupted_payload_is_integrity_error(self, tmp_path):
         path = str(tmp_path / "trunc.ckpt")
         checkpoint.save(path, {"w": np.arange(16, dtype=np.float64)})
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-8])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-8])
         with pytest.raises(checkpoint.CheckpointError, match="integrity"):
             checkpoint.load(path)
 
     def test_version_mismatch(self, tmp_path):
         path = str(tmp_path / "vers.ckpt")
         checkpoint.save(path, {"w": np.zeros(3)})
-        blob = open(path, "rb").read().replace(b"MACCKPT 1", b"MACCKPT 9", 1)
-        open(path, "wb").write(blob)
+        blob = Path(path).read_bytes().replace(b"MACCKPT 1", b"MACCKPT 9", 1)
+        Path(path).write_bytes(blob)
         with pytest.raises(checkpoint.CheckpointError, match="version"):
             checkpoint.load(path)
 
@@ -378,14 +380,14 @@ class TestCheckpoint:
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = str(tmp_path / "model.ckpt")
         checkpoint.save(path, {"w": np.arange(16, dtype=np.float64)}, meta={"kind": "full"})
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
 
         fail_writes_part_way(monkeypatch)
         with pytest.raises(OSError, match="no space"):
             checkpoint.save(path, {"w": np.zeros(64)}, meta={"kind": "other"})
         monkeypatch.undo()
 
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         tensors, _, meta = checkpoint.load(path)
         np.testing.assert_array_equal(tensors["w"], np.arange(16, dtype=np.float64))
         assert meta == {"kind": "full"}
@@ -407,7 +409,7 @@ class TestExperiment:
         rows = pipeline.run_experiment(cfg, str(tmp_path / "run"))
         assert len(rows) == 2  # one epoch per stage
         assert {r["stage"] for r in rows} == {"stage1", "stage2"}
-        metrics = open(tmp_path / "run" / "metrics.csv").read()
+        metrics = (tmp_path / "run" / "metrics.csv").read_text()
         assert metrics.splitlines()[0] == "epoch,stage,loss,token_acc,caption_f1,seed"
         assert os.path.exists(tmp_path / "run" / "final.ckpt")
 
@@ -416,14 +418,14 @@ class TestExperiment:
         row = {"epoch": 0, "stage": "stage1", "loss": 1.5, "token_acc": 0.25,
                "caption_f1": 0.5, "seed": 7}
         pipeline.write_metrics(path, [row])
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
 
         fail_writes_part_way(monkeypatch)
         with pytest.raises(OSError, match="no space"):
             pipeline.write_metrics(path, [row, dict(row, epoch=1)])
         monkeypatch.undo()
 
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert os.listdir(tmp_path) == ["metrics.csv"]
 
     def test_same_seed_identical_csv(self, tmp_path):

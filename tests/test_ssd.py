@@ -136,13 +136,17 @@ class TestScanConvolutional:
             got, _ = ssd.scan_convolutional(params)
         assert np.abs(got.data - expect.data).max() <= 1e-10
 
-    def test_nonzero_initial_state_rejected(self):
-        params = scalar_params(0.5, 1.0, 1.0, [1.0, 1.0])
-        bad = ssd.ScanState(tz.ones((1, 1, 1)), 0)
-        with pytest.raises(ContractError, match="zero initial state"):
-            ssd.scan_convolutional(params, initial=bad)
-        ok = ssd.ScanState(tz.zeros((1, 1, 1)), 0)
-        ssd.scan_convolutional(params, initial=ok)  # explicit zero is fine
+    def test_nonzero_initial_state_matches_recurrent(self):
+        # a carried state enters the single chunk like any other
+        rng = np.random.default_rng(16)
+        params = random_params(rng, t=11, g=2, n=6, p=5, batch=2)
+        init = ssd.ScanState(Tensor(rng.standard_normal((2, 4, 5, 6))), 3)
+        with tz.no_grad():
+            expect, ef = ssd.scan_recurrent(params, initial=init)
+            got, gf = ssd.scan_convolutional(params, initial=init)
+        assert np.abs(got.data - expect.data).max() <= 1e-10
+        assert np.abs(gf.h.data - ef.h.data).max() <= 1e-10
+        assert gf.step_index == ef.step_index == 14
 
 
 class TestScanChunked:
@@ -326,6 +330,12 @@ class TestCountFlops:
         a = ssd.count_flops(256, 16, 4, 16, "convolutional")
         b = ssd.count_flops(512, 16, 4, 16, "convolutional")
         assert b / a > 3.5  # T^2-dominated
+
+    def test_convolutional_counts_one_chunk(self):
+        for t in (1, 7, 64):
+            assert ssd.count_flops(t, 16, 4, 16, "convolutional") == ssd.count_flops(
+                t, 16, 4, 16, "chunked", chunk_len=t
+            )
 
     def test_chunk_len_one_equals_recurrent_count(self):
         assert ssd.count_flops(64, 16, 4, 16, "chunked", chunk_len=1) == ssd.count_flops(

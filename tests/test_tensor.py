@@ -170,9 +170,10 @@ class TestPrimitiveGradients:
         w = Tensor(rng.standard_normal((4, 3)))
         b = Tensor(rng.standard_normal(3))
         scale = Tensor(rng.standard_normal((2, 9, 3)))
+        cold = tz.zeros((2, 3, 3))
 
         # brute-force oracle: zero-padded causal window product
-        out = tz.conv1d_depthwise_causal(x, w, b).data
+        out = tz.conv1d_depthwise_causal(x, w, b, cold).data
         expect = np.zeros_like(x.data)
         padded = np.concatenate([np.zeros((2, 3, 3)), x.data], axis=1)
         for t in range(9):
@@ -182,19 +183,23 @@ class TestPrimitiveGradients:
         np.testing.assert_allclose(out, expect, atol=1e-14)
 
         check_gradients(
-            lambda: tz.tsum(tz.mul(tz.conv1d_depthwise_causal(x, w, b), scale)),
+            lambda: tz.tsum(tz.mul(tz.conv1d_depthwise_causal(x, w, b, cold), scale)),
             [x, w, b],
+        )
+        warm = Tensor(rng.standard_normal((2, 3, 3)))
+        check_gradients(
+            lambda: tz.tsum(tz.mul(tz.conv1d_depthwise_causal(x, w, b, warm), scale)),
+            [x, w, b, warm],
         )
 
     def test_conv1d_prefix_matches_long_sequence(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.standard_normal((1, 12, 2)))
         w = Tensor(rng.standard_normal((4, 2)))
-        full = tz.conv1d_depthwise_causal(x, w).data
-        head = tz.conv1d_depthwise_causal(x[:, :5, :], w).data
-        tail = tz.conv1d_depthwise_causal(
-            x[:, 5:, :], w, prefix=x[:, 2:5, :]
-        ).data
+        cold = tz.zeros((1, 3, 2))
+        full = tz.conv1d_depthwise_causal(x, w, None, cold).data
+        head = tz.conv1d_depthwise_causal(x[:, :5, :], w, None, cold).data
+        tail = tz.conv1d_depthwise_causal(x[:, 5:, :], w, None, x[:, 2:5, :]).data
         np.testing.assert_allclose(np.concatenate([head, tail], axis=1), full, atol=1e-14)
 
     def test_cross_entropy(self):
