@@ -211,6 +211,10 @@ def validate(cfg: Config) -> list[str]:
             f"model.d_model {v['model.d_model']} != n_heads*head_dim "
             f"{v['model.n_heads']}*{v['model.head_dim']}"
         )
+    if v["model.preset"] == "custom":
+        for key in ("model.n_layers", "model.n_heads", "model.head_dim", "model.d_model"):
+            if v[key] < 1:
+                errors.append(f"{key} must be >= 1")
     if v["model.chunk_len"] < 1:
         errors.append("model.chunk_len must be >= 1")
     if v["model.lora_rank"] < 1:

@@ -14,13 +14,14 @@ Analyses over a matrix of audio tokens (rows = tokens):
 from __future__ import annotations
 
 import csv
+import io
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ssd
+from . import checkpoint, ssd
 from . import tensor as tz
 from .tensor import ContractError, Tensor
 
@@ -187,17 +188,20 @@ def write_grid_csv(path: str, metric: str, cells: dict[tuple[str, str], float]) 
     """model x connector grid, one row per model, one column per variant."""
     models = sorted({m for m, _ in cells})
     variants = sorted({v for _, v in cells})
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model"] + [f"{metric}({v})" for v in variants])
-        for m in models:
-            writer.writerow([m] + [f"{cells.get((m, v), float('nan')):.6f}" for v in variants])
+    _write_csv(path, [["model"] + [f"{metric}({v})" for v in variants]] + [
+        [m] + [f"{cells.get((m, v), float('nan')):.6f}" for v in variants] for m in models
+    ])
 
 
 def write_bench_csv(path: str, rows: list[tuple[int, float, int]], slope: float) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "wall_time_s", "analytic_flops"])
-        for t, wall, flops in rows:
-            writer.writerow([t, f"{wall:.6f}", flops])
-        writer.writerow(["fitted_slope", f"{slope:.4f}", ""])
+    _write_csv(path, [["T", "wall_time_s", "analytic_flops"]]
+               + [[t, f"{wall:.6f}", flops] for t, wall, flops in rows]
+               + [["fitted_slope", f"{slope:.4f}", ""]])
+
+
+def _write_csv(path: str, rows: list[list]) -> None:
+    """Render the rows in memory, then swap the file in: a failed write
+    leaves any previous file at ``path``."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    checkpoint.write_atomic(path, text.getvalue().encode("utf-8"))

@@ -24,6 +24,14 @@ an ``initial`` state; none means a zero state. Feeding the returned state
 back as ``initial`` of a later call equals one uninterrupted scan
 (streaming contract).
 
+Each algorithm is one numpy forward plus one hand-written adjoint that
+returns the gradients of dt, a, B, C, x and the initial state together. A
+call records two tape nodes, y and the final state (``tz.fused``); the
+adjoint of the chunked scan has the forward's chunk structure, with the
+cross-chunk carry run in reverse, and the adjoint of the recurrence is the
+recurrence run backwards. The scans composed from taped ``Tensor`` ops that
+these kernels replaced are kept in the test suite as their oracle.
+
 Shapes are written unbatched ([T, ...]) below; every function also accepts
 one extra leading batch axis. The kernels themselves are batched only: an
 unbatched call is lifted once on entry (``_lift``) and dropped once on exit
@@ -41,10 +49,8 @@ from .tensor import ContractError, ShapeError, Tensor
 
 DEFAULT_CHUNK = 16
 MODES = ("recurrent", "chunked", "convolutional")
-
-# Finite stand-in for -inf in masked log-decay entries: exp() underflows to
-# exactly 0.0 without tripping the debug finiteness checks.
-_MASK_FILL = -1e9
+# |dt*a| below this takes the series branch of the exact ZOH rule
+_SERIES_BELOW = 1e-6
 
 
 @dataclass
@@ -107,82 +113,86 @@ class ScanState:
     step_index: int = 0
 
 
-def discretize_zoh(dt: Tensor, a: Tensor, B: Tensor, exact: bool = False):
+def discretize_zoh(dt: np.ndarray, a: np.ndarray, exact: bool = False):
     """Zero-order-hold discretization of (a, B) with step sizes dt.
 
-    Returns (abar, bbar) where abar = exp(dt*a) has dt's shape [.., T, H] and
-    bbar [.., T, H, N] couples inputs into the state. The default uses the
-    Mamba-2 simplification bbar = dt * B; ``exact=True`` applies the full
-    scalar ZOH rule bbar = ((dt*a)^-1 (exp(dt*a) - 1)) * dt * B, with a
-    series fallback near dt*a = 0 where the closed form cancels.
+    Arrays in, arrays out: dt [.., T, H], a [H]. Returns
+    ``(z, coef, dcoef_ddt, dcoef_da)``, each of dt's shape: the log decay
+    z = dt*a (abar = exp(z)), the per-head scalar ``coef`` with
+    bbar = coef * B (B's group row for the head), and coef's partial
+    derivatives in dt and in a. The default uses the Mamba-2 simplification
+    coef = dt; ``exact=True`` applies the full scalar ZOH rule
+    coef = phi(z) dt with phi(z) = (e^z - 1)/z, switching to the series
+    1 + z/2 + z^2/6 near z = 0 where the closed form cancels.
     """
-    dt, a, B = tz._ensure(dt), tz._ensure(a), tz._ensure(B)
-    z = tz.mul(dt, a)
-    abar = tz.exp(z)
-    coef = _input_coef(dt, z, exact)
-    bbar = _expand_groups(coef, B)
-    return abar, bbar
-
-
-def _input_coef(dt: Tensor, z: Tensor, exact: bool) -> Tensor:
-    """Per-head scalar multiplying B_t: dt (simplified) or phi(z)*dt (exact ZOH)."""
+    z = dt * a
     if not exact:
-        return dt
-    zd = z.data
-    small = np.abs(zd) < 1e-6
-    # phi(z) = (e^z - 1)/z, with a Taylor branch where cancellation bites
-    phi_exact = tz.div(tz.add(tz.exp(tz.where_mask(z, ~small, 1.0)), -1.0),
-                       tz.where_mask(z, ~small, 1.0))
-    phi_taylor = tz.add(tz.add(1.0, tz.mul(z, 0.5)), tz.mul(tz.mul(z, z), 1.0 / 6.0))
-    keep = Tensor(np.where(small, 0.0, 1.0).astype(zd.dtype))
-    phi = tz.add(tz.mul(phi_exact, keep), tz.mul(phi_taylor, tz.add(1.0, tz.neg(keep))))
-    return tz.mul(phi, dt)
+        return z, dt, np.ones_like(dt), np.zeros_like(dt)
+    small = np.abs(z) < _SERIES_BELOW
+    zs = np.where(small, 1.0, z)
+    em1 = np.expm1(zs)
+    phi = np.where(small, 1.0 + z * 0.5 + z * z / 6.0, em1 / zs)
+    dphi = np.where(small, 0.5 + z / 3.0, (em1 + 1.0 - phi) / zs)
+    return z, phi * dt, phi + dphi * z, dphi * dt * dt
 
 
-def _expand_groups(coef: Tensor, B: Tensor) -> Tensor:
-    """coef [.., T, H] times group rows B [.., T, G, N] -> per-head [.., T, H, N]."""
-    off = coef.ndim - 2
-    t, h = coef.shape[off], coef.shape[off + 1]
-    g, n = B.shape[off + 1], B.shape[off + 2]
-    lead = coef.shape[:off]
-    c = tz.reshape(coef, lead + (t, g, h // g, 1))
-    b = tz.reshape(B, lead + (t, g, 1, n))
-    return tz.reshape(tz.mul(c, b), lead + (t, h, n))
+def _zoh_grads(gz: np.ndarray, gcoef: np.ndarray, dt: np.ndarray, a: np.ndarray, zoh):
+    """Gradients of (dt, a) from those of discretize_zoh's z and coef."""
+    _, _, dcoef_ddt, dcoef_da = zoh
+    return gz * a + gcoef * dcoef_ddt, (gz * dt + gcoef * dcoef_da).sum(axis=(0, 1))
 
 
 def _lift(params: SelectiveParams, initial: ScanState | None):
-    """Validate, then lift one call to the batched form the kernels run on.
+    """Validate, then lift one call to the batched arrays the kernels run on.
 
-    Returns (params with a batch axis, h0 [B, H, P, N], was_batched); h0 is
-    zeros when ``initial`` is None. ``_finish`` drops the axis again.
+    Returns ((dt, a, B, C, x) with a batch axis, h0 [B, H, P, N] or None for
+    a zero state, was_batched). ``_finish`` drops the axis again.
     """
     params.validate()
     was_batched = params.batched
-    if not was_batched:
-        def lift(v):
-            return tz.reshape(v, (1,) + v.shape)
-
-        params = SelectiveParams(dt=lift(params.dt), a=params.a, B=lift(params.B),
-                                 C=lift(params.C), x=lift(params.x))
-    bsz, _, h = params.dt.shape
-    shape = (bsz, h, params.x.shape[3], params.B.shape[3])
+    lead = () if was_batched else (1,)
+    dt, B, C, x = (v.data.reshape(lead + v.shape)
+                   for v in (params.dt, params.B, params.C, params.x))
+    arrays = (dt, params.a.data, B, C, x)
+    bsz, t, h = dt.shape
+    if t == 0:
+        raise ShapeError("scan over an empty sequence")
     if initial is None:
-        return params, tz.zeros(shape, dtype=params.x.dtype), was_batched
+        return arrays, None, was_batched
+    shape = (bsz, h, x.shape[3], B.shape[3])
     expected = shape if was_batched else shape[1:]
     if initial.h.shape != expected:
         raise ShapeError(f"initial state shape {initial.h.shape}, expected {expected}")
-    h0 = initial.h if was_batched else tz.reshape(initial.h, shape)
-    return params, h0, was_batched
+    return arrays, initial.h.data.reshape(shape), was_batched
 
 
-def _finish(y: Tensor, hstate: Tensor, initial: ScanState | None, was_batched: bool):
-    """(y, final ScanState) back in the caller's batching, step counter advanced."""
-    start = initial.step_index if initial is not None else 0
-    final = ScanState(hstate, start + y.shape[1])
+def _finish(params: SelectiveParams, initial: ScanState | None, y: np.ndarray,
+            h_final: np.ndarray, vjp, was_batched: bool):
+    """Record y and the final state, both batched arrays, as the call's two
+    tape nodes -> (y, final ScanState) in the caller's batching, the step
+    counter advanced.
+
+    ``vjp(gy, gh)`` is the kernel's adjoint: batched gradients of
+    (dt, a, B, C, x, h0) for output gradients gy and gh, either None.
+    """
+    parents = [params.dt, params.a, params.B, params.C, params.x]
+    if initial is not None:
+        parents.append(initial.h)
+
+    def grads(gy, gh):
+        return [gv.reshape(p.shape).astype(p.dtype, copy=False)
+                for gv, p in zip(vjp(gy, gh), parents)]
+
+    y_shape, h_shape = y.shape, h_final.shape
     if not was_batched:
-        y = tz.reshape(y, y.shape[1:])
-        final.h = tz.reshape(hstate, hstate.shape[1:])
-    return y, final
+        y, h_final = y[0], h_final[0]
+    dtype = params.x.dtype
+    y = tz.fused(y.astype(dtype, copy=False), parents,
+                 lambda g: grads(g.reshape(y_shape), None), "scan")
+    h_final = tz.fused(h_final.astype(dtype, copy=False), parents,
+                       lambda g: grads(None, g.reshape(h_shape)), "scan_state")
+    start = initial.step_index if initial is not None else 0
+    return y, ScanState(h_final, start + y_shape[1])
 
 
 def scan(
@@ -208,27 +218,9 @@ def scan_recurrent(
     exact_zoh: bool = False,
 ):
     """Step-by-step evaluation of the recurrence -> (y [.., T, H, P], final_state)."""
-    p_, hstate, was_batched = _lift(params, initial)
-    bsz, t, h = p_.dt.shape
-    n = p_.B.shape[3]
-    p = p_.x.shape[3]
-
-    abar, rb = discretize_zoh(p_.dt, p_.a, p_.B, exact=exact_zoh)  # [B,T,H], [B,T,H,N]
-    c_head = _expand_groups(tz.ones((bsz, t, h)), p_.C)  # [B, T, H, N]
-
-    ys = []
-    for step in range(t):
-        decay = tz.reshape(abar[:, step, :], (bsz, h, 1, 1))
-        inject = tz.mul(
-            tz.reshape(rb[:, step, :, :], (bsz, h, 1, n)),
-            tz.reshape(p_.x[:, step, :, :], (bsz, h, p, 1)),
-        )
-        hstate = tz.add(tz.mul(decay, hstate), inject)
-        y_t = tz.tsum(
-            tz.mul(tz.reshape(c_head[:, step, :, :], (bsz, h, 1, n)), hstate), axis=-1
-        )
-        ys.append(tz.reshape(y_t, (bsz, 1, h, p)))
-    return _finish(tz.concat(ys, axis=1), hstate, initial, was_batched)
+    arrays, h0, was_batched = _lift(params, initial)
+    y, h_final, vjp = _recurrent(*arrays, h0, exact_zoh)
+    return _finish(params, initial, y, h_final, vjp, was_batched)
 
 
 def scan_convolutional(
@@ -265,102 +257,184 @@ def scan_chunked(
         raise ContractError(f"chunk_len must be >= 1, got {chunk_len}")
     if chunk_len == 1:
         return scan_recurrent(params, initial=initial, exact_zoh=exact_zoh)
-    p_, hstate, was_batched = _lift(params, initial)
-    t = p_.dt.shape[1]
-    in_dtype = p_.x.dtype
-    ys = []
-    for lo in range(0, t, chunk_len):
-        hi = min(lo + chunk_len, t)
-        piece = SelectiveParams(
-            dt=p_.dt[:, lo:hi, :],
-            a=p_.a,
-            B=p_.B[:, lo:hi, :, :],
-            C=p_.C[:, lo:hi, :, :],
-            x=p_.x[:, lo:hi, :, :],
-        )
-        y_c, hstate = _semiseparable_block(piece, hstate, exact_zoh=exact_zoh)
-        hstate = tz.cast(hstate, np.float64)  # cross-chunk carry at full width
-        if y_c.dtype != in_dtype:
-            y_c = tz.cast(y_c, in_dtype)
-        ys.append(y_c)
-    if hstate.dtype != in_dtype:
-        hstate = tz.cast(hstate, in_dtype)
-    return _finish(tz.concat(ys, axis=1), hstate, initial, was_batched)
+    arrays, h0, was_batched = _lift(params, initial)
+    y, h_final, vjp = _chunked(*arrays, h0, chunk_len, exact_zoh)
+    return _finish(params, initial, y, h_final, vjp, was_batched)
 
 
-def _semiseparable_block(p_: SelectiveParams, h_in: Tensor, exact_zoh: bool):
-    """One dense lower-triangular block over a full (sub)sequence.
+def _recurrent(dt, a, B, C, x, h0, exact):
+    """The recurrence over batched arrays -> (y [nb,T,H,P], h_final [nb,H,P,N], vjp).
 
-    p_ is batched: dt [B,L,H], B/C [B,L,G,N], x [B,L,H,P]; h_in [B,H,P,N] is
-    the state entering the block. Returns (y [B,L,H,P], h_out [B,H,P,N]).
+    Heads are laid out as (group, head in group) so B/C rows broadcast.
     """
-    bsz, L, h = p_.dt.shape
-    g, n = p_.B.shape[2], p_.B.shape[3]
-    hpg = h // g
+    nb, t, h = dt.shape
+    g, n = B.shape[2], B.shape[3]
+    p, hpg = x.shape[3], h // g
+    zoh = discretize_zoh(dt, a, exact)
+    abar = np.exp(zoh[0]).reshape(nb, t, g, hpg, 1, 1)
+    cx = (x * zoh[1][..., None]).reshape(nb, t, g, hpg, p, 1)
+    b_row = B.reshape(nb, t, g, 1, 1, n)
+    c_row = C.reshape(nb, t, g, 1, 1, n)
+    h_in = None if h0 is None else h0.reshape(nb, g, hpg, p, n)
 
-    z = tz.mul(p_.dt, p_.a)  # [B,L,H] log decay per step
-    cum = tz.cumsum(z, axis=1)  # [B,L,H] inclusive log decay from block start
-    coef_in = _input_coef(p_.dt, z, exact_zoh)  # [B,L,H]
+    hs = cx * b_row  # each step's input, then (in place) the state after the step
+    prev = h_in
+    for s in range(t):
+        if prev is not None:
+            hs[:, s] += abar[:, s] * prev
+        prev = hs[:, s]
+    y = (hs @ c_row.swapaxes(-1, -2)).reshape(nb, t, h, p)
 
-    # pairwise decay factors: prod_{r=s+1..t} abar_r = exp(cum_t - cum_s), s <= t
-    seg = tz.add(
-        tz.reshape(cum, (bsz, L, 1, h)), tz.neg(tz.reshape(cum, (bsz, 1, L, h)))
-    )  # [B, t, s, H]
-    keep = np.tril(np.ones((L, L), dtype=bool)).reshape(1, L, L, 1)
-    decay = tz.exp(tz.where_mask(seg, keep, _MASK_FILL))  # 0 above the diagonal
+    def vjp(gy, gh):
+        if gy is None:
+            gs = np.zeros_like(hs)
+            gC = np.zeros(C.shape)
+        else:
+            gs = gy.reshape(nb, t, g, hpg, p, 1) * c_row
+            gC = (gy.reshape(nb, t, g, 1, hpg * p) @ hs.reshape(nb, t, g, hpg * p, n))
+        if gh is not None:
+            gs[:, -1] += gh.reshape(nb, g, hpg, p, n)
+        for s in range(t - 1, 0, -1):  # the recurrence in reverse
+            gs[:, s - 1] += abar[:, s] * gs[:, s]
+        # gs is now each state's total gradient, which is also its input's
+        gabar = np.zeros((nb, t, g, hpg))
+        gabar[:, 1:] = (gs[:, 1:] * hs[:, :-1]).sum(axis=(-1, -2))
+        gh0 = np.zeros((nb, h, p, n))
+        if h_in is not None:
+            gabar[:, 0] = (gs[:, 0] * h_in).sum(axis=(-1, -2))
+            gh0 = (abar[:, 0] * gs[:, 0]).reshape(nb, h, p, n)
+        v = (gs @ b_row.swapaxes(-1, -2)).reshape(nb, t, h, p)
+        gB = cx.reshape(nb, t, g, 1, hpg * p) @ gs.reshape(nb, t, g, hpg * p, n)
+        gz = (gabar * abar[..., 0, 0]).reshape(nb, t, h)
+        gdt, ga = _zoh_grads(gz, (v * x).sum(axis=-1), dt, a, zoh)
+        return gdt, ga, gB.reshape(B.shape), gC.reshape(C.shape), v * zoh[1][..., None], gh0
 
-    # readout-coupling grams per group: gram[b,g,t,s] = C_t . B_s
-    c_g = tz.transpose(p_.C, (0, 2, 1, 3))  # [B,G,L,N]
-    b_g = tz.transpose(p_.B, (0, 2, 3, 1))  # [B,G,N,L]
-    gram = tz.matmul(c_g, b_g)  # [B,G,L,L]
+    return y, hs[:, -1].reshape(nb, h, p, n), vjp
 
-    # combine (expanding groups to heads): coef[b,h,t,s]
-    decay_h = tz.transpose(decay, (0, 3, 1, 2))  # [B,H,t,s]
-    scale_s = tz.reshape(tz.transpose(coef_in, (0, 2, 1)), (bsz, h, 1, L))
-    mixed = tz.mul(
-        tz.reshape(gram, (bsz, g, 1, L, L)),
-        tz.reshape(tz.mul(decay_h, scale_s), (bsz, g, hpg, L, L)),
-    )
-    coef = tz.reshape(mixed, (bsz, h, L, L))
 
-    x_h = tz.transpose(p_.x, (0, 2, 1, 3))  # [B,H,L,P]
-    y = tz.matmul(coef, x_h)  # [B,H,L,P] intra-block contributions
+def _pad_rows(v: np.ndarray, rows: int) -> np.ndarray:
+    """v [nb, T, ...] with zero rows appended along T up to ``rows``."""
+    extra = rows - v.shape[1]
+    if not extra:
+        return v
+    return np.concatenate([v, np.zeros((v.shape[0], extra) + v.shape[2:], v.dtype)], axis=1)
 
-    cum_last = cum[:, L - 1, :]  # [B,H]
 
-    # y_state[b,h,t,p] = sum_n C_head[b,t,h,n] exp(cum_t) h_in[b,h,p,n]
-    expcum = tz.exp(cum)  # [B,L,H], <= 1
-    ce = tz.reshape(
-        tz.mul(
-            tz.reshape(p_.C, (bsz, L, g, 1, n)),
-            tz.reshape(expcum, (bsz, L, g, hpg, 1)),
-        ),
-        (bsz, L, h, n),
-    )
-    y_state = tz.matmul(
-        tz.transpose(ce, (0, 2, 1, 3)),  # [B,H,L,N]
-        tz.transpose(h_in, (0, 1, 3, 2)),  # [B,H,N,P]
-    )
-    y = tz.add(y, y_state)
+def _chunked(dt, a, B, C, x, h0, chunk_len, exact):
+    """The chunked algorithm over batched arrays -> (y [nb,T,H,P],
+    h_final [nb,H,P,N], vjp).
 
-    # block-final state: h_out = exp(cum_last) h_in + sum_s decay(L-1,s) bbar_s (x) x_s
-    tail = tz.exp(
-        tz.add(tz.reshape(cum_last, (bsz, 1, h)), tz.neg(cum))
-    )  # [B,L,H], prod_{r=s+1..L-1}
-    w = tz.reshape(
-        tz.mul(
-            tz.reshape(p_.B, (bsz, L, g, 1, n)),
-            tz.reshape(tz.mul(tail, coef_in), (bsz, L, g, hpg, 1)),
-        ),
-        (bsz, L, h, n),
-    )
-    h_out = tz.matmul(
-        tz.transpose(p_.x, (0, 2, 3, 1)),  # [B,H,P,L]
-        tz.transpose(w, (0, 2, 1, 3)),  # [B,H,L,N]
-    )  # [B,H,P,N]
-    h_out = tz.add(h_out, tz.mul(tz.reshape(tz.exp(cum_last), (bsz, h, 1, 1)), h_in))
+    T is padded to whole chunks with rows of z = coef = B = C = x = 0 (decay
+    1, no input), so every chunk is processed at once: per-head arrays are
+    [nb, chunk, group, head in group, L, ...] and group rows carry a
+    broadcast head axis of 1.
+    """
+    nb, t, h = dt.shape
+    g, n = B.shape[2], B.shape[3]
+    p, hpg = x.shape[3], h // g
+    L = min(chunk_len, t)
+    nc = -(-t // L)
+    tp = nc * L
+    zoh = discretize_zoh(dt, a, exact)
 
-    return tz.transpose(y, (0, 2, 1, 3)), h_out
+    def heads(v):  # [nb, T, H, *k] -> [nb, nc, G, hpg, L, *k], contiguous
+        k = v.shape[3:]
+        v = _pad_rows(v, tp).reshape((nb, nc, L, g, hpg) + k)
+        return np.ascontiguousarray(v.transpose((0, 1, 3, 4, 2) + tuple(range(5, 5 + len(k)))))
+
+    def rows(v):  # [nb, T, G, N] -> [nb, nc, G, 1, L, N], contiguous
+        v = _pad_rows(v, tp).reshape(nb, nc, L, g, 1, n)
+        return np.ascontiguousarray(v.transpose(0, 1, 3, 4, 2, 5))
+
+    def unheads(v):  # inverse of heads, padding dropped
+        k = v.shape[5:]
+        v = v.transpose((0, 1, 4, 2, 3) + tuple(range(5, 5 + len(k))))
+        return v.reshape((nb, tp, h) + k)[:, :t]
+
+    def unrows(v):  # inverse of rows after summing the head axis
+        return v[:, :, :, 0].transpose(0, 1, 3, 2, 4).reshape(nb, tp, g, n)[:, :t]
+
+    cum = np.cumsum(heads(zoh[0]), axis=-1)  # log decay from the chunk start
+    coef = heads(zoh[1])
+    b_c, c_c, x_c = rows(B), rows(C), heads(x)
+
+    # intra-chunk: y_t = sum_{s<=t} C_t.B_s exp(cum_t - cum_s) coef_s x_s
+    # (in place on the [.., L, L] arrays: fresh large temporaries cost page faults)
+    decay = cum[..., :, None] - cum[..., None, :]
+    np.minimum(decay, 0.0, out=decay)  # the masked upper triangle stays finite
+    np.exp(decay, out=decay)
+    decay *= np.tri(L)
+    cb = c_c @ b_c.swapaxes(-1, -2)  # [.., 1, L(t), L(s)]
+    mix = cb * decay
+    mix *= coef[..., None, :]
+    y = mix @ x_c
+
+    # each chunk's own contribution to the state at its end, from zero
+    decay_end = np.exp(cum[..., -1:] - cum)  # prod_{r=s+1..L-1} abar_r
+    w = decay_end * coef
+    xw = x_c * w[..., None]
+    local = xw.swapaxes(-1, -2) @ b_c  # [.., P, N]
+
+    # the state entering each chunk, carried in float64
+    decay_chunk = np.exp(cum[..., -1])  # [nb, nc, G, hpg]
+    states = np.zeros((nb, nc + 1, g, hpg, p, n))
+    if h0 is not None:
+        states[:, 0] = h0.reshape(nb, g, hpg, p, n)
+    for c in range(nc):
+        states[:, c + 1] = decay_chunk[:, c, ..., None, None] * states[:, c] + local[:, c]
+    decay_in = np.exp(cum)  # prod_{r<=t} abar_r within the chunk
+    y_state = c_c @ states[:, :nc].swapaxes(-1, -2)
+    y_state *= decay_in[..., None]
+    y += y_state
+    y = unheads(y)
+
+    def vjp(gy, gh):
+        if gy is None:
+            gcum, gcoef = np.zeros(cum.shape), np.zeros(coef.shape)
+            gx, gB, gC = np.zeros(x_c.shape), np.zeros(b_c.shape), np.zeros(c_c.shape)
+            gstates = np.zeros(local.shape)
+        else:
+            gy_c = heads(gy)
+            gcum = (gy_c * y_state).sum(axis=-1)
+            # y_state = decay_in * (C @ state^T); gstates reaches each entering state
+            g_raw = gy_c * decay_in[..., None]
+            gstates = g_raw.swapaxes(-1, -2) @ c_c
+            gC = (g_raw @ states[:, :nc]).sum(axis=3, keepdims=True)
+            # y_intra = mix @ x with mix = cb * decay * coef_s
+            gx = mix.swapaxes(-1, -2) @ gy_c
+            gmix = gy_c @ x_c.swapaxes(-1, -2)
+            gmix *= decay
+            gseg = gmix * coef[..., None, :]
+            gcb = gseg.sum(axis=3, keepdims=True)
+            gseg *= cb  # d/d(cum_t - cum_s)
+            gcum += gseg.sum(axis=-1) - gseg.sum(axis=-2)
+            gmix *= cb
+            gcoef = gmix.sum(axis=-2)
+            gC += gcb @ b_c
+            gB = gcb.swapaxes(-1, -2) @ c_c
+        # the carry in reverse: glocal[c] is the gradient of the state leaving chunk c
+        nxt = np.zeros(local.shape[:1] + local.shape[2:]) if gh is None else \
+            gh.reshape(nb, g, hpg, p, n)
+        glocal = np.empty(local.shape)
+        for c in range(nc - 1, -1, -1):
+            glocal[:, c] = nxt
+            nxt = decay_chunk[:, c, ..., None, None] * nxt + gstates[:, c]
+        gcum[..., -1] += (glocal * states[:, :nc]).sum(axis=(-1, -2)) * decay_chunk
+        # local = (x * w)^T @ B with w = decay_end * coef
+        gxw = (glocal @ b_c.swapaxes(-1, -2)).swapaxes(-1, -2)  # [.., L, P]
+        gB += (xw @ glocal).sum(axis=3, keepdims=True)
+        gw = (x_c * gxw).sum(axis=-1)
+        gxw *= w[..., None]
+        gx += gxw
+        gcoef += gw * decay_end
+        gwd = gw * w
+        gcum[..., -1] += gwd.sum(axis=-1)
+        gcum -= gwd
+        gz = np.flip(np.cumsum(np.flip(gcum, -1), axis=-1), -1)  # cum = cumsum(z)
+        gdt, ga = _zoh_grads(unheads(gz), unheads(gcoef), dt, a, zoh)
+        return gdt, ga, unrows(gB), unrows(gC), unheads(gx), nxt.reshape(nb, h, p, n)
+
+    return y, states[:, nc].reshape(nb, h, p, n), vjp
 
 
 def count_flops(

@@ -3,7 +3,10 @@
 numpy holds the data; this module owns the graph. Each differentiable
 primitive records one vector-Jacobian closure per input that needs a
 gradient, and ``backward`` on a scalar walks the tape once in reverse
-topological order, accumulating into ``.grad``.
+topological order, accumulating into ``.grad``. The one multi-gradient op,
+``fused``, records a kernel whose single adjoint returns every input's
+gradient at once (the selective scans of ``mac.ssd``): it runs once per
+output gradient and each input's tape entry takes its share.
 
 Two float widths are supported: float64 (the default, used by all oracle,
 equivalence and gradient tests) and float32 (training speed). NaN/Inf
@@ -195,6 +198,23 @@ def _node(data: np.ndarray, pairs: Sequence[tuple[Tensor, Callable]], op: str) -
         out._pairs = ()
         out.requires_grad = False
     return out
+
+
+def fused(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable, op: str) -> Tensor:
+    """Record an op whose one ``vjp(g)`` returns every parent's gradient, in
+    ``parents`` order. It runs once per output gradient; each parent's tape
+    entry then takes its own share."""
+    memo: list = [None, None]
+
+    def share(i):
+        def take(g):
+            if memo[0] is not g:
+                memo[:] = [g, list(vjp(g))]
+            grad, memo[1][i] = memo[1][i], None
+            return grad
+        return take
+
+    return _node(data, [(p, share(i)) for i, p in enumerate(parents)], op)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

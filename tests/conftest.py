@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mac import checkpoint
 from mac import tensor as tz
 
 
@@ -58,3 +59,26 @@ def check_gradients(fn, leaves, eps: float = 1e-4, tol: float = 1e-4) -> float:
         leaf.grad = None
     assert worst < tol, f"gradient mismatch: max rel err {worst:.3e}"
     return worst
+
+
+def fail_writes_part_way(monkeypatch) -> None:
+    """Make every file ``checkpoint`` opens stop part-way through its first
+    write, as a full disk would."""
+
+    class FailsPartWay:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    real_open = open
+    monkeypatch.setattr(checkpoint, "open", lambda p, mode: FailsPartWay(real_open(p, mode)),
+                        raising=False)

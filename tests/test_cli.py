@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mac import cli, config as configmod
@@ -52,11 +51,17 @@ class TestBasics:
         assert err.startswith("error_code=config")
 
     def test_bad_model_dims_exit_2(self, tmp_path, capsys):
-        for setting, key in (("model.n_groups=0", "model.n_groups"),
-                             ("model.n_groups=3", "model.n_groups"),
-                             ("model.conv_width=0", "model.conv_width")):
-            code, _, err = run_cli(["train", "--set", setting, "--out", str(tmp_path / "run")],
-                                   capsys)
+        custom = ["model.preset=custom"]
+        for settings, key in ((["model.n_groups=0"], "model.n_groups"),
+                              (["model.n_groups=3"], "model.n_groups"),
+                              (["model.conv_width=0"], "model.conv_width"),
+                              (custom + ["model.n_layers=0"], "model.n_layers"),
+                              (custom + ["model.n_heads=0", "model.d_model=0"], "model.n_heads"),
+                              (custom + ["model.head_dim=0", "model.d_model=0"], "model.head_dim"),
+                              (custom + ["model.n_heads=0", "model.d_model=0"], "model.d_model")):
+            setting = " ".join(settings)
+            args = [a for s in settings for a in ("--set", s)]
+            code, _, err = run_cli(["train"] + args + ["--out", str(tmp_path / "run")], capsys)
             assert code == 2, setting
             assert err.startswith("error_code=config") and key in err, err
         assert not (tmp_path / "run").exists()

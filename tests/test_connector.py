@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from mac import connector
 from mac import tensor as tz
 from mac.audio import AudioTokenGrid
 from mac.connector import ConnectorConfig, ConnectorMlp, connect, mlp_forward

@@ -1,5 +1,6 @@
 """eRank, covariance, cosine similarity, state distances, scaling bench."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from mac.diagnostics import (
 )
 from mac.tensor import ContractError
 
+from conftest import fail_writes_part_way
 from test_pipeline import tiny_captioner
 
 ERANK_211 = 2.8284271247461900976033774484194  # exp(0.5 ln2 + 0.5 ln4) = 2^1.5
@@ -299,3 +301,19 @@ class TestCsvEmission:
         content = Path(path).read_text()
         assert "T,wall_time_s,analytic_flops" in content
         assert "fitted_slope" in content
+
+    def test_failed_write_keeps_previous_csv(self, tmp_path, monkeypatch):
+        bench, grid = str(tmp_path / "bench.csv"), str(tmp_path / "grid.csv")
+        diagnostics.write_bench_csv(bench, [(32, 0.001, 1000)], 1.02)
+        diagnostics.write_grid_csv(grid, "erank", {("nano", "concatenation"): 3.25})
+        before = {p: Path(p).read_bytes() for p in (bench, grid)}
+
+        fail_writes_part_way(monkeypatch)
+        with pytest.raises(OSError, match="no space"):
+            diagnostics.write_bench_csv(bench, [(32, 0.5, 1000), (64, 1.0, 2000)], 1.0)
+        with pytest.raises(OSError, match="no space"):
+            diagnostics.write_grid_csv(grid, "erank", {("small", "time_major"): 4.0})
+        monkeypatch.undo()
+
+        assert {p: Path(p).read_bytes() for p in (bench, grid)} == before
+        assert sorted(os.listdir(tmp_path)) == ["bench.csv", "grid.csv"]

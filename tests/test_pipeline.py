@@ -12,6 +12,8 @@ from mac.pipeline import Captioner, Sample
 from mac.tensor import ContractError
 from mac.vocab import Vocab, VocabError
 
+from conftest import fail_writes_part_way
+
 
 def tiny_cfg(**over) -> configmod.Config:
     base = {
@@ -41,29 +43,6 @@ def tiny_captioner(**over) -> tuple[Captioner, list[Sample], list[Sample]]:
     train, evl = pipeline.corpus_samples(cfg)
     vocab = pipeline.build_vocab_for(cfg, train, evl)
     return Captioner(cfg, vocab), train, evl
-
-
-def fail_writes_part_way(monkeypatch) -> None:
-    """Make every file ``checkpoint`` opens stop part-way through its first
-    write, as a full disk would."""
-
-    class FailsPartWay:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def write(self, data):
-            self.fh.write(data[: len(data) // 2])
-            raise OSError("no space left on device")
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-    real_open = open
-    monkeypatch.setattr(checkpoint, "open", lambda p, mode: FailsPartWay(real_open(p, mode)),
-                        raising=False)
 
 
 class TestVocab:

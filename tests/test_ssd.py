@@ -7,6 +7,7 @@ from mac import ssd
 from mac import tensor as tz
 from mac.tensor import ContractError, Tensor
 
+import ssd_oracle
 from conftest import check_gradients, rel_err
 
 E_NEG1 = 0.3678794411714423215955237701614609
@@ -38,42 +39,48 @@ def scalar_params(abar, bcoef, c, xs):
 
 class TestDiscretizeZoh:
     def test_exact_scalar_case(self):
-        abar, bbar = ssd.discretize_zoh(
-            Tensor([[1.0]]), Tensor([-1.0]), Tensor([[[1.0]]]), exact=True
-        )
-        assert abs(abar.item() - E_NEG1) < 1e-15
-        assert abs(bbar.item() - ONE_MINUS_E_NEG1) < 1e-15
+        z, coef, _, _ = ssd.discretize_zoh(np.array([[1.0]]), np.array([-1.0]), exact=True)
+        assert abs(np.exp(z).item() - E_NEG1) < 1e-15
+        assert abs(coef.item() - ONE_MINUS_E_NEG1) < 1e-15
 
     def test_vanishing_decay_limit(self):
         # dt*a -> 0 takes the series branch: abar -> 1, bbar -> dt*B
-        dt, a, b = Tensor([[0.5]]), Tensor([-1e-9]), Tensor([[[3.0]]])
-        abar, bbar = ssd.discretize_zoh(dt, a, b, exact=True)
-        assert abs(abar.item() - 1.0) < 1e-9
-        assert abs(bbar.item() - 1.5) < 1e-9
+        z, coef, _, _ = ssd.discretize_zoh(np.array([[0.5]]), np.array([-1e-9]), exact=True)
+        assert abs(np.exp(z).item() - 1.0) < 1e-9
+        assert abs(coef.item() * 3.0 - 1.5) < 1e-9
 
     def test_simplified_mode(self):
-        abar, bbar = ssd.discretize_zoh(
-            Tensor([[0.5]]), Tensor([-2.0]), Tensor([[[3.0]]]), exact=False
-        )
-        assert abs(abar.item() - E_NEG1) < 1e-15
-        assert abs(bbar.item() - 1.5) < 1e-15
+        z, coef, _, _ = ssd.discretize_zoh(np.array([[0.5]]), np.array([-2.0]), exact=False)
+        assert abs(np.exp(z).item() - E_NEG1) < 1e-15
+        assert abs(coef.item() * 3.0 - 1.5) < 1e-15
 
     def test_exact_mode_series_matches_expm1_oracle(self):
         # both branches of phi(z) = (e^z - 1)/z against the stable oracle
-        b = Tensor([[[1.0]]])
         for a_val, tol in ((-9.9e-7, 1e-12), (-1.1e-6, 1e-9), (-0.3, 1e-12)):
-            got = ssd.discretize_zoh(Tensor([[1.0]]), Tensor([a_val]), b, exact=True)[1].item()
+            got = ssd.discretize_zoh(np.array([[1.0]]), np.array([a_val]), exact=True)[1].item()
             expect = np.expm1(a_val) / a_val
             assert abs(got - expect) < tol, a_val
 
-    def test_group_expansion_shapes(self):
+    def test_outputs_take_dt_shape(self):
         rng = np.random.default_rng(0)
-        abar, bbar = ssd.discretize_zoh(
-            Tensor(rng.uniform(0.1, 1.0, (5, 4))),
-            Tensor(-rng.uniform(0.5, 2.0, 4)),
-            Tensor(rng.standard_normal((5, 2, 3))),
-        )
-        assert abar.shape == (5, 4) and bbar.shape == (5, 4, 3)
+        dt, a = rng.uniform(0.1, 1.0, (2, 5, 4)), -rng.uniform(0.5, 2.0, 4)
+        for exact in (False, True):
+            for out in ssd.discretize_zoh(dt, a, exact):
+                assert out.shape == (2, 5, 4)
+
+    def test_partials_match_finite_differences(self):
+        # z = dt*a in both branches of the exact rule, and the simplified rule
+        dt = np.array([[0.5, 1.0, 2.0, 0.7]])
+        a = np.array([-1e-8, -3e-7, -0.4, -2.0])
+        eps = 1e-6
+        for exact in (False, True):
+            _, _, d_dt, d_a = ssd.discretize_zoh(dt, a, exact)
+            num_dt = (ssd.discretize_zoh(dt + eps, a, exact)[1]
+                      - ssd.discretize_zoh(dt - eps, a, exact)[1]) / (2 * eps)
+            num_a = (ssd.discretize_zoh(dt, a + eps * 1e-3, exact)[1]
+                     - ssd.discretize_zoh(dt, a - eps * 1e-3, exact)[1]) / (2 * eps * 1e-3)
+            assert rel_err(d_dt, num_dt) < 1e-6, exact
+            assert rel_err(d_a, num_a) < 1e-6, exact
 
 
 class TestScanRecurrent:
@@ -281,16 +288,18 @@ class TestProperties:
         bmat = Tensor(rng.standard_normal((t, g, n)), requires_grad=True)
         cmat = Tensor(rng.standard_normal((t, g, n)), requires_grad=True)
         x = Tensor(rng.standard_normal((t, h, p)), requires_grad=True)
+        h0 = Tensor(rng.standard_normal((h, p, n)), requires_grad=True)
         w = Tensor(rng.standard_normal((t, h, p)))
-        leaves = [dt_raw, log_a, bmat, cmat, x]
+        w_state = Tensor(rng.standard_normal((h, p, n)))
+        leaves = [dt_raw, log_a, bmat, cmat, x, h0]
 
         def loss_for(mode):
             def fn():
                 params = ssd.SelectiveParams(
                     dt=tz.softplus(dt_raw), a=tz.neg(tz.exp(log_a)), B=bmat, C=cmat, x=x
                 )
-                y, _ = ssd.scan(params, mode, chunk_len=3)
-                return tz.tsum(tz.mul(y, w))
+                y, final = ssd.scan(params, mode, chunk_len=3, initial=ssd.ScanState(h0))
+                return tz.add(tz.tsum(tz.mul(y, w)), tz.tsum(tz.mul(final.h, w_state)))
             return fn
 
         grads = {}
@@ -301,8 +310,93 @@ class TestProperties:
             assert rel_err(grads["recurrent"][leaf], grads["chunked"][leaf]) < 1e-9
             assert rel_err(grads["recurrent"][leaf], grads["convolutional"][leaf]) < 1e-9
 
-        tz.zero_grad(leaves)
-        check_gradients(loss_for("chunked"), leaves)
+        for mode in ("chunked", "recurrent"):
+            tz.zero_grad(leaves)
+            check_gradients(loss_for(mode), leaves)
+
+
+def scan_leaves(rng, t, h, p, g, n, batch=None, dtype=np.float64, series_head=False):
+    """dt, a, B, C, x and an initial state as leaves that need gradients."""
+    lead = () if batch is None else (batch,)
+    a = -np.exp(rng.standard_normal(h))
+    if series_head:
+        a[0] = -1e-8  # dt*a of head 0 in the series branch of the exact rule
+    values = (np.log1p(np.exp(rng.standard_normal(lead + (t, h)))), a,
+              rng.standard_normal(lead + (t, g, n)), rng.standard_normal(lead + (t, g, n)),
+              rng.standard_normal(lead + (t, h, p)), rng.standard_normal(lead + (h, p, n)))
+    return [Tensor(v, requires_grad=True, dtype=dtype) for v in values]
+
+
+def scan_loss(impl, leaves, mode, on, exact=False):
+    """(y, final state, loss) of one scan at chunk_len 4; ``on`` picks y, the
+    state or both."""
+    dt, a, bmat, cmat, x, h0 = leaves
+    params = ssd.SelectiveParams(dt=dt, a=a, B=bmat, C=cmat, x=x)
+    initial = None if h0 is None else ssd.ScanState(h0, 2)
+    y, final = impl.scan(params, mode, chunk_len=4, initial=initial, exact_zoh=exact)
+    rng = np.random.default_rng(99)
+    terms = []
+    if on in ("y", "both"):
+        terms.append(tz.tsum(tz.mul(y, Tensor(rng.standard_normal(y.shape), dtype=y.dtype))))
+    if on in ("state", "both"):
+        w = Tensor(rng.standard_normal(final.h.shape), dtype=final.h.dtype)
+        terms.append(tz.tsum(tz.mul(final.h, w)))
+    loss = terms[0] if len(terms) == 1 else tz.add(terms[0], terms[1])
+    return y, final, loss
+
+
+class TestKernelsMatchOracle:
+    """The numpy kernels and their adjoints against the composed-Tensor scans."""
+
+    @pytest.mark.parametrize("mode", ssd.MODES)
+    @pytest.mark.parametrize("g", (1, 2))
+    @pytest.mark.parametrize("batch", (None, 3))
+    @pytest.mark.parametrize("exact", (False, True))
+    def test_outputs_and_all_gradients(self, mode, g, batch, exact):
+        rng = np.random.default_rng(17)
+        # T = 11 is not a multiple of chunk_len = 4
+        leaves = scan_leaves(rng, t=11, h=4, p=3, g=g, n=5, batch=batch, series_head=exact)
+        for initial in (True, False):
+            use = leaves if initial else leaves[:5] + [None]
+            for on in ("y", "state", "both"):
+                got, expect = [], []
+                for impl, out in ((ssd, got), (ssd_oracle, expect)):
+                    tz.zero_grad(leaves)
+                    y, final, loss = scan_loss(impl, use, mode, on, exact)
+                    grads = loss.backward()
+                    # C does not reach the final state: the tape has no gradient for it
+                    out.extend([y.data, final.h.data] + [grads.get(v, np.zeros(v.shape))
+                                                         for v in use if v is not None])
+                    assert final.step_index == (13 if initial else 11)
+                for i, (a, b) in enumerate(zip(got, expect)):
+                    assert a.shape == b.shape
+                    assert rel_err(a, b) < 1e-10, (initial, on, i)
+
+    @pytest.mark.parametrize("mode", ssd.MODES)
+    def test_float32_outputs_and_gradients(self, mode):
+        rng = np.random.default_rng(18)
+        leaves = scan_leaves(rng, t=9, h=4, p=3, g=2, n=5, batch=2, dtype=np.float32)
+        with tz.using_dtype(np.float32):
+            y, final, loss = scan_loss(ssd, leaves, mode, "both")
+            grads = loss.backward()
+        assert y.dtype == np.float32 and final.h.dtype == np.float32
+        assert all(grads[v].dtype == np.float32 for v in leaves)
+
+    @pytest.mark.parametrize("mode", ssd.MODES)
+    def test_one_call_records_two_tape_nodes(self, mode):
+        rng = np.random.default_rng(19)
+        for t, chunk_len, batch in ((1, 4, None), (11, 4, 2), (40, 3, None), (40, 16, 2)):
+            leaves = scan_leaves(rng, t=t, h=4, p=3, g=2, n=5, batch=batch)
+            params = ssd.SelectiveParams(*leaves[:5])
+            y, final = ssd.scan(params, mode, chunk_len=chunk_len,
+                                initial=ssd.ScanState(leaves[5]))
+            recorded, todo = set(), [y, final.h]
+            while todo:
+                node = todo.pop()
+                if node._pairs and id(node) not in recorded:
+                    recorded.add(id(node))
+                    todo.extend(parent for parent, _ in node._pairs)
+            assert len(recorded) == 2, (t, chunk_len, batch)
 
 
 class TestDispatch:

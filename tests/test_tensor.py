@@ -6,7 +6,7 @@ import pytest
 from mac import tensor as tz
 from mac.tensor import ContractError, ShapeError, Tensor
 
-from conftest import check_gradients, rel_err
+from conftest import check_gradients
 
 # ln(1 + e^-3) at 40-digit precision
 SOFTPLUS_NEG3 = 0.04858735157374205875892591985469
