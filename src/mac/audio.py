@@ -1,9 +1,9 @@
 """Audio ingestion: RIFF/WAVE decoding, mel front-end, CNN patch encoder.
 
-The decode path is waveform -> 128-bin log-mel -> strided patch encoder,
-producing a (time x frequency x channels) token grid. Precomputed grids can
-also be loaded from the tensor container, bypassing the signal path, so
-externally dumped encoder features slot straight into the connector.
+The decode path is waveform -> 128-bin log-mel -> first-layer patch rows
+-> strided patch encoder. The encoder takes a whole batch, the patch rows of
+B clips concatenated, and produces tokens [B, T_a, F_a, d_enc]: a (time x
+frequency x channels) grid per clip.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import checkpoint
 from . import tensor as tz
 from .tensor import ContractError, ShapeError, Tensor
 
@@ -201,7 +200,8 @@ class EncoderConfig:
 
     patches[i] = (time stride, freq stride) of layer i; channels lists the
     hidden widths, and the final layer projects to d_enc. The grid geometry
-    is mel (mel_frames x mel_bins) reduced by the stride products.
+    is mel (mel_frames x mel_bins) reduced by the stride products; every
+    layer's strides must divide its input.
     """
 
     d_enc: int = 64
@@ -216,6 +216,13 @@ class EncoderConfig:
                 f"need {len(self.channels) + 1} patch sizes for "
                 f"{len(self.channels)} hidden layers, got {len(self.patches)}"
             )
+        t, f = self.mel_frames, self.mel_bins
+        for i, (pt, pf) in enumerate(self.patches):
+            if t % pt or f % pf:
+                raise ShapeError(
+                    f"encoder layer {i}: input {t}x{f} not divisible by patch {pt}x{pf}"
+                )
+            t, f = t // pt, f // pf
 
     @property
     def grid_t(self) -> int:
@@ -230,37 +237,6 @@ class EncoderConfig:
         for _, pf in self.patches:
             f //= pf
         return f
-
-
-def paper_geometry_config() -> EncoderConfig:
-    """64 x 8 grid of 768-dim tokens (the reference front-end geometry)."""
-    return EncoderConfig(d_enc=768, channels=(16, 32, 64),
-                         patches=((2, 2), (2, 2), (2, 2), (2, 2)))
-
-
-@dataclass
-class AudioTokenGrid:
-    """Encoder output as (time x frequency x channels) before flattening.
-
-    Flattening order is fixed and time-major: token index = t * grid_f + f.
-    """
-
-    tokens: Tensor
-
-    @property
-    def grid_t(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def grid_f(self) -> int:
-        return self.tokens.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.tokens.shape[2]
-
-    def flat(self) -> Tensor:
-        return tz.reshape(self.tokens, (self.grid_t * self.grid_f, self.dim))
 
 
 class CnnEncoder:
@@ -284,61 +260,54 @@ class CnnEncoder:
         return out
 
 
-def encode(mel: MelSpec, encoder: CnnEncoder, frozen: bool = False) -> AudioTokenGrid:
-    """Run the patch stack over a mel image -> AudioTokenGrid.
 
-    ``frozen`` evaluates off the tape, so no gradient can reach encoder
-    weights (the encoder-frozen training ablation).
+
+def patch_rows(mel: MelSpec, cfg: EncoderConfig) -> np.ndarray:
+    """One clip's mel image cut into the first layer's patches -> [N, pt * pf].
+
+    Rows run over patches time-major, (t, f) -> t * (mel_bins // pf) + f;
+    each row holds its patch's pixels in (time, frequency) order.
+    """
+    if mel.frames.shape != (cfg.mel_frames, cfg.mel_bins):
+        raise ShapeError(
+            f"mel {mel.frames.shape} does not match encoder input "
+            f"({cfg.mel_frames}, {cfg.mel_bins})"
+        )
+    pt, pf = cfg.patches[0]
+    t, f = cfg.mel_frames // pt, cfg.mel_bins // pf
+    return mel.frames.reshape(t, pt, f, pf).transpose(0, 2, 1, 3).reshape(t * f, pt * pf)
+
+
+def encode(rows, encoder: CnnEncoder, frozen: bool = False) -> Tensor:
+    """Run the patch stack over B clips -> tokens [B, T_a, F_a, d_enc].
+
+    ``rows`` is the clips' ``patch_rows``, concatenated. ``frozen``
+    evaluates off the tape, so no gradient can reach encoder weights (the
+    encoder-frozen training ablation).
     """
     if frozen:
         with tz.no_grad():
-            return _encode_impl(mel, encoder)
-    return _encode_impl(mel, encoder)
+            return _encode_impl(rows, encoder)
+    return _encode_impl(rows, encoder)
 
 
-def _encode_impl(mel: MelSpec, encoder: CnnEncoder) -> AudioTokenGrid:
-    t, f = mel.frames.shape
-    x = tz.reshape(Tensor(mel.frames), (t, f, 1))
-    for i, ((pt, pf), (w, b)) in enumerate(zip(encoder.cfg.patches, encoder.layers)):
-        t, f, c = x.shape
-        if t % pt or f % pf:
-            raise ShapeError(
-                f"encoder layer {i}: input {t}x{f} not divisible by patch {pt}x{pf}"
-            )
-        x = tz.reshape(x, (t // pt, pt, f // pf, pf, c))
-        x = tz.transpose(x, (0, 2, 1, 3, 4))
-        x = tz.reshape(x, (t // pt * (f // pf), pt * pf * c))
-        x = tz.add(tz.matmul(x, w), b)
+def _encode_impl(rows, encoder: CnnEncoder) -> Tensor:
+    cfg = encoder.cfg
+    t, f = cfg.mel_frames, cfg.mel_bins
+    pt, pf = cfg.patches[0]
+    per_clip = (t // pt) * (f // pf)
+    x = Tensor(rows)
+    if x.ndim != 2 or x.shape[0] % per_clip or x.shape[1] != pt * pf:
+        raise ShapeError(f"patch rows {x.shape} are not whole clips of {per_clip}x{pt * pf}")
+    b = x.shape[0] // per_clip
+    for i, ((pt, pf), (w, bias)) in enumerate(zip(cfg.patches, encoder.layers)):
+        if i:  # cut the previous layer's [B * t * f, c] output into this layer's patches
+            c = x.shape[1]
+            x = tz.reshape(x, (b, t // pt, pt, f // pf, pf, c))
+            x = tz.transpose(x, (0, 1, 3, 2, 4, 5))
+            x = tz.reshape(x, (b * (t // pt) * (f // pf), pt * pf * c))
+        x = tz.add(tz.matmul(x, w), bias)
         if i < len(encoder.layers) - 1:
             x = tz.relu(x)
-        x = tz.reshape(x, (t // pt, f // pf, w.shape[1]))
-    return AudioTokenGrid(x)
-
-
-# -- precomputed feature grids ------------------------------------------------
-
-_FEATURE_KEYS = ("grid_t", "grid_f", "dim")
-
-
-def save_features(path: str, grid: AudioTokenGrid) -> None:
-    checkpoint.save(
-        path,
-        {"tokens": grid.tokens.data},
-        meta={"grid_t": str(grid.grid_t), "grid_f": str(grid.grid_f), "dim": str(grid.dim)},
-    )
-
-
-def load_features(path: str) -> AudioTokenGrid:
-    tensors, _, meta = checkpoint.load(path)
-    for key in _FEATURE_KEYS:
-        if key not in meta:
-            raise checkpoint.CheckpointError(f"feature file missing metadata key {key!r}")
-    if "tokens" not in tensors:
-        raise checkpoint.CheckpointError("feature file missing 'tokens' tensor")
-    shape = (int(meta["grid_t"]), int(meta["grid_f"]), int(meta["dim"]))
-    tokens = tensors["tokens"]
-    if tokens.shape != shape:
-        raise checkpoint.CheckpointError(
-            f"feature tensor shape {tokens.shape} does not match metadata {shape}"
-        )
-    return AudioTokenGrid(Tensor(tokens))
+        t, f = t // pt, f // pf
+    return tz.reshape(x, (b, t, f, x.shape[1]))

@@ -95,18 +95,6 @@ def lora_apply(base: Tensor, adapter: LoraAdapter | None, x: Tensor) -> Tensor:
     return tz.add(y, tz.mul(delta, adapter.scale))
 
 
-def lora_merge(base: Tensor, adapter: LoraAdapter) -> Tensor:
-    """Fold an adapter into a plain weight matrix: base + scale * down @ up."""
-    if base.shape[0] != adapter.down.shape[0] or base.shape[1] != adapter.up.shape[1]:
-        raise ShapeError(
-            f"merge extents disagree: base {base.shape}, "
-            f"down {adapter.down.shape}, up {adapter.up.shape}"
-        )
-    with tz.no_grad():
-        merged = tz.add(base, tz.mul(tz.matmul(adapter.down, adapter.up), adapter.scale))
-    return Tensor(merged.data.copy())
-
-
 class LoraLinear:
     """Frozen base matrix with an optional trainable low-rank adapter."""
 

@@ -46,9 +46,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("infer", help="caption one clip with a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--wav", help="input WAV file")
-    src.add_argument("--features", help="precomputed feature grid file")
+    p.add_argument("--wav", required=True, help="input WAV file")
     p.add_argument("--prompt", help="defaults to the checkpoint's caption prompt")
     p.add_argument("--max-len", type=int, default=24)
 
@@ -169,8 +167,7 @@ def _cmd_infer(args) -> int:
 
     cap = pipeline.load_captioner(args.checkpoint)
     prompt = args.prompt if args.prompt is not None else cap.cfg["data.prompt"]
-    audio = {"wav": args.wav} if args.wav else {"features": args.features}
-    sample = pipeline.Sample(audio=audio, prompt=prompt)
+    sample = pipeline.Sample(audio={"wav": args.wav}, prompt=prompt)
     print(pipeline.generate_greedy(cap, sample, max_len=args.max_len))
     return 0
 
@@ -179,6 +176,7 @@ def _cmd_diagnose(args) -> int:
     import numpy as np
 
     from . import diagnostics, pipeline, synth
+    from . import tensor as tz
 
     def dataset_samples(cap):
         if args.dataset == "synthetic":
@@ -192,16 +190,9 @@ def _cmd_diagnose(args) -> int:
 
     if args.metric == "state-dist":
         cap = pipeline.load_captioner(args.checkpoint[0])
-        samples = dataset_samples(cap)
-        import csv as csvmod
-
-        with open(args.out, "w", newline="") as fh:
-            writer = csvmod.writer(fh)
-            writer.writerow(["sample", "position", "distance"])
-            for i, s in enumerate(samples):
-                mean_d, _ = diagnostics.state_update_distances(cap, s)
-                for t, d in enumerate(mean_d):
-                    writer.writerow([i, t + 1, f"{d:.6f}"])
+        distances = [diagnostics.state_update_distances(cap, s)[0]
+                     for s in dataset_samples(cap)]
+        diagnostics.write_state_csv(args.out, distances)
         print(args.out)
         return 0
 
@@ -209,12 +200,12 @@ def _cmd_diagnose(args) -> int:
     for ck in args.checkpoint:
         cap = pipeline.load_captioner(ck)
         samples = dataset_samples(cap)
-        import mac.tensor as tz
-
+        size = cap.cfg["train.batch_size"]
         with tz.no_grad():
-            token_rows = np.concatenate(
-                [cap.audio_grid(s).flat().data for s in samples], axis=0
-            )
+            token_rows = np.concatenate([
+                cap.audio_tokens(samples[i : i + size]).data.reshape(-1, cap.enc_cfg.d_enc)
+                for i in range(0, len(samples), size)
+            ])
         feats = diagnostics.FeatureMatrix(token_rows, source=ck)
         model = cap.cfg["model.preset"]
         variant = cap.cfg["connector.variant"]

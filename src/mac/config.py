@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks import LmConfig
+from .connector import VARIANTS
 from .ssd import MODES
 
 
@@ -45,8 +46,7 @@ SCHEMA: dict[str, Field] = {
     "audio.d_enc": Field(64, "int"),
     "audio.channels": Field("16,32,64", "str", help="hidden widths of the patch stack"),
     "audio.patches": Field("8x4,4x2,2x2,1x1", "str", help="per-layer time x freq strides"),
-    "connector.variant": Field("concatenation", "str",
-                               ("concatenation", "time_major", "frequency_major")),
+    "connector.variant": Field("concatenation", "str", VARIANTS),
     "connector.hidden_mult": Field(4, "int"),
     "connector.sep_position": Field("prefix", "str", ("prefix", "suffix")),
     "train.seed": Field(0, "int"),

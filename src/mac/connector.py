@@ -1,17 +1,22 @@
 """Grid-to-embedding connectors: three layouts plus a two-layer MLP.
 
-Given an encoder grid of (T_a x F_a) tokens, the connector produces the
-audio embedding sequence fed to the language model:
+``connect`` maps a batch of encoder grids, tokens [B, T_a, F_a, d_enc], to
+the audio segment of the LLM input, an ``EmbeddingSequence`` of
+[B, L_a, d_model]. Each layout is an index map over one clip's time-major
+token rows (t * F_a + f), with ``SEP`` marking a separator slot; the map is
+built in one place, ``ConnectorConfig.positions``:
 
-- ``concatenation``: each time step's F_a tokens are concatenated along
-  the channel axis and compressed by the MLP -> T_a embeddings.
-- ``time_major``: tokens ordered (t outer, f inner), each mapped by the
-  MLP, with one separator embedding after every time step
-  -> T_a * (F_a + 1) embeddings.
-- ``frequency_major``: tokens ordered (f outer, t inner), one separator
-  per frequency band -> (T_a + 1) * F_a embeddings.
+- ``concatenation``: row t is time step t's F_a tokens concatenated along
+  the channel axis and compressed by the MLP; the map is the identity, so
+  the layout is a reshape -> T_a embeddings.
+- ``time_major``: every token mapped by the MLP, then gathered (t outer,
+  f inner) with one separator after every time step -> T_a * (F_a + 1).
+- ``frequency_major``: gathered (f outer, t inner) with one separator per
+  frequency band, before or after it (``sep_position``) -> (T_a + 1) * F_a.
 
-The separator is the trainable embedding of the reserved "&&" token.
+The gather reads from [mapped rows of all B clips; separator row], so a
+whole batch is one ``tz.embedding``. The separator is the trainable
+embedding of the reserved "&&" token.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .audio import AudioTokenGrid
 from .tensor import ContractError, ShapeError, Tensor
 
 VARIANTS = ("concatenation", "time_major", "frequency_major")
@@ -30,6 +34,9 @@ SEG_AUDIO = "audio"
 SEG_SEPARATOR = "separator"
 SEG_PROMPT = "prompt"
 SEG_CAPTION = "caption"
+SEG_PAD = "pad"
+
+SEP = -1  # the separator's slot in a layout's index map
 
 
 @dataclass
@@ -54,30 +61,39 @@ class ConnectorConfig:
             return self.grid_f * self.d_enc
         return self.d_enc
 
-    @property
-    def out_length(self) -> int:
+    def positions(self) -> np.ndarray:
+        """One clip's audio positions -> [L_a] indices into its MLP output
+        rows, ``SEP`` where the separator goes."""
+        t_a, f_a = self.grid_t, self.grid_f
         if self.variant == "concatenation":
-            return self.grid_t
+            return np.arange(t_a)
+        grid = np.arange(t_a * f_a).reshape(t_a, f_a)
         if self.variant == "time_major":
-            return self.grid_t * (self.grid_f + 1)
-        return (self.grid_t + 1) * self.grid_f  # frequency_major
+            return np.concatenate([grid, np.full((t_a, 1), SEP)], axis=1).reshape(-1)
+        bands, seps = grid.T, np.full((f_a, 1), SEP)
+        parts = [seps, bands] if self.sep_position == "prefix" else [bands, seps]
+        return np.concatenate(parts, axis=1).reshape(-1)
 
 
 @dataclass
 class EmbeddingSequence:
-    """Model-dimension embedding rows with per-position segment labels."""
+    """A batch of model-dimension embedding rows with per-position labels.
 
-    vectors: Tensor  # [L, d_model]
-    segments: list[str]
+    Rows are right-padded to a common length L; ``segments`` reads
+    ``SEG_PAD`` past each row's end.
+    """
+
+    vectors: Tensor  # [B, L, d_model]
+    segments: np.ndarray  # [B, L] object array of SEG_* labels
 
     def __post_init__(self):
-        if self.vectors.shape[0] != len(self.segments):
+        if self.vectors.shape[:2] != self.segments.shape:
             raise ShapeError(
-                f"{self.vectors.shape[0]} vectors but {len(self.segments)} segment labels"
+                f"vectors {self.vectors.shape} but segment labels {self.segments.shape}"
             )
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return self.segments.shape[1]
 
 
 class ConnectorMlp:
@@ -101,43 +117,25 @@ def mlp_forward(x: Tensor, mlp: ConnectorMlp) -> Tensor:
     return tz.add(tz.matmul(h, mlp.w2), mlp.b2)
 
 
-def connect(grid: AudioTokenGrid, cfg: ConnectorConfig, mlp: ConnectorMlp,
+def connect(tokens: Tensor, cfg: ConnectorConfig, mlp: ConnectorMlp,
             sep_embedding: Tensor) -> EmbeddingSequence:
-    """Map an encoder grid to the audio segment of the LLM input sequence."""
-    if (grid.grid_t, grid.grid_f, grid.dim) != (cfg.grid_t, cfg.grid_f, cfg.d_enc):
+    """Map encoder tokens [B, T_a, F_a, d_enc] to the audio segment of the
+    LLM input sequence, [B, L_a, d_model]."""
+    if tokens.ndim != 4 or tokens.shape[1:] != (cfg.grid_t, cfg.grid_f, cfg.d_enc):
         raise ShapeError(
-            f"grid {grid.grid_t}x{grid.grid_f}x{grid.dim} does not match connector "
-            f"config {cfg.grid_t}x{cfg.grid_f}x{cfg.d_enc}"
+            f"tokens {tokens.shape} do not match connector config "
+            f"[B, {cfg.grid_t}, {cfg.grid_f}, {cfg.d_enc}]"
         )
     if sep_embedding.shape != (cfg.d_model,):
         raise ShapeError(f"separator embedding {sep_embedding.shape}, expected ({cfg.d_model},)")
-    t_a, f_a = cfg.grid_t, cfg.grid_f
-
+    b = tokens.shape[0]
+    pos = cfg.positions()
+    labels = np.where(pos == SEP, SEG_SEPARATOR, SEG_AUDIO).astype(object)
+    segments = np.broadcast_to(labels, (b, pos.size))
+    rows = cfg.grid_t if cfg.variant == "concatenation" else cfg.grid_t * cfg.grid_f
+    mapped = mlp_forward(tz.reshape(tokens, (b * rows, cfg.mlp_in)), mlp)
     if cfg.variant == "concatenation":
-        rows = tz.reshape(grid.tokens, (t_a, f_a * cfg.d_enc))
-        return EmbeddingSequence(mlp_forward(rows, mlp), [SEG_AUDIO] * t_a)
-
-    sep_row = tz.reshape(sep_embedding, (1, cfg.d_model))
-
-    if cfg.variant == "time_major":
-        mapped = mlp_forward(tz.reshape(grid.tokens, (t_a * f_a, cfg.d_enc)), mlp)
-        parts, segments = [], []
-        for t in range(t_a):
-            parts.append(mapped[t * f_a : (t + 1) * f_a, :])
-            parts.append(sep_row)
-            segments.extend([SEG_AUDIO] * f_a + [SEG_SEPARATOR])
-        return EmbeddingSequence(tz.concat(parts, axis=0), segments)
-
-    # frequency_major: f outer, t inner; one separator slot per band
-    by_band = tz.reshape(tz.transpose(grid.tokens, (1, 0, 2)), (f_a * t_a, cfg.d_enc))
-    mapped = mlp_forward(by_band, mlp)
-    parts, segments = [], []
-    for f in range(f_a):
-        band = mapped[f * t_a : (f + 1) * t_a, :]
-        if cfg.sep_position == "prefix":
-            parts.extend([sep_row, band])
-            segments.extend([SEG_SEPARATOR] + [SEG_AUDIO] * t_a)
-        else:
-            parts.extend([band, sep_row])
-            segments.extend([SEG_AUDIO] * t_a + [SEG_SEPARATOR])
-    return EmbeddingSequence(tz.concat(parts, axis=0), segments)
+        return EmbeddingSequence(tz.reshape(mapped, (b, rows, cfg.d_model)), segments)
+    table = tz.concat([mapped, tz.reshape(sep_embedding, (1, cfg.d_model))], axis=0)
+    index = np.where(pos == SEP, b * rows, pos + rows * np.arange(b)[:, None])
+    return EmbeddingSequence(tz.embedding(table, index), segments)

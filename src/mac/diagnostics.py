@@ -23,6 +23,7 @@ import numpy as np
 
 from . import checkpoint, ssd
 from . import tensor as tz
+from .connector import SEG_AUDIO, SEG_SEPARATOR
 from .tensor import ContractError, Tensor
 
 ZERO_NORM_EPS = 1e-12
@@ -121,12 +122,12 @@ def state_update_distances(captioner, sample, per_head_mean: bool | None = None)
         per_head_mean = captioner.cfg["diag.state_metric"] == "per_head_mean"
     lm = captioner.lm
     with tz.no_grad():
-        seq, _, _ = captioner.build_sequence(sample, mode="infer")
-        n_audio = sum(1 for s in seq.segments if s in ("audio", "separator"))
+        seq, _, _ = captioner.build_sequence([sample], mode="infer")
+        n_audio = int(np.isin(seq.segments[0], (SEG_AUDIO, SEG_SEPARATOR)).sum())
         states = None
         trajectory = []  # per position: [n_layers, H, P, N]
         for t in range(n_audio):
-            step = tz.reshape(seq.vectors[t : t + 1], (1, 1, lm.cfg.d_model))
+            step = seq.vectors[:, t : t + 1]
             _, states = lm.forward(step, mode="recurrent", states=states, return_states=True)
             trajectory.append(np.stack([st.ssm.h.data[0] for st in states]))
     if n_audio < 2:
@@ -197,6 +198,14 @@ def write_bench_csv(path: str, rows: list[tuple[int, float, int]], slope: float)
     _write_csv(path, [["T", "wall_time_s", "analytic_flops"]]
                + [[t, f"{wall:.6f}", flops] for t, wall, flops in rows]
                + [["fitted_slope", f"{slope:.4f}", ""]])
+
+
+def write_state_csv(path: str, distances: list[np.ndarray]) -> None:
+    """One row per sample and audio position t >= 1: the update distance
+    between positions t-1 and t."""
+    _write_csv(path, [["sample", "position", "distance"]]
+               + [[i, t + 1, f"{d:.6f}"] for i, row in enumerate(distances)
+                  for t, d in enumerate(row)])
 
 
 def _write_csv(path: str, rows: list[list]) -> None:

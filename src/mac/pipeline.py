@@ -1,12 +1,16 @@
 """Training and inference pipeline: samples, sequences, steps, persistence.
 
-The sequence contract: training consumes [audio, prompt, caption] embedding
-rows with next-token targets defined only over caption positions (plus the
-closing <eos>); inference consumes [audio, prompt] and decodes greedily,
-either by full re-forwarding or by carrying per-block streaming state.
-Streaming decode takes many rows at once: rows with equal prefix lengths
-share one prefill and then one recurrent step per token, and a row that has
-finished keeps stepping, unrecorded, until its whole group is done.
+The sequence contract, for a batch of B samples: ``build_sequence`` returns
+one padded batch, an ``EmbeddingSequence`` of [B, L, D] with segment labels
+[B, L], plus targets and a loss mask of [B, L]. Row r is [audio, prompt,
+caption] in train mode and [audio, prompt] in infer mode; every row's audio
+segment has the same length, and past a row's end the vectors are zero and
+labelled "pad". Next-token targets are defined only over caption positions
+(plus the closing <eos>), so padding never carries loss. Inference decodes
+greedily, either by full re-forwarding or by carrying per-block streaming
+state. Streaming decode takes many rows at once: rows with equal prefix
+lengths share one prefill and then one recurrent step per token, and a row
+that has finished keeps stepping, unrecorded, until its whole group is done.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from . import audio as audiomod
 from . import blocks, checkpoint, connector, optim, synth
 from . import config as configmod
 from . import tensor as tz
-from .connector import SEG_CAPTION, SEG_PROMPT, EmbeddingSequence
+from .connector import SEG_CAPTION, SEG_PAD, SEG_PROMPT, EmbeddingSequence
 from .tensor import ContractError, Tensor
 from .vocab import Vocab
 
@@ -45,9 +49,13 @@ def _cache_put(cache: OrderedDict, key: str, value) -> None:
         cache.popitem(last=False)
 
 
+def _clip_key(sample: "Sample") -> str:
+    return repr(sorted(sample.audio.items()))
+
+
 @dataclass
 class Sample:
-    """One training/eval item; audio is a wav path, feature path, or clip spec."""
+    """One training/eval item; audio is a wav path or a synthetic clip spec."""
 
     audio: dict
     prompt: str
@@ -55,10 +63,10 @@ class Sample:
     label: str | None = None
 
     def __post_init__(self):
-        keys = set(self.audio) & {"wav", "features", "synthetic"}
+        keys = set(self.audio) & {"wav", "synthetic"}
         if len(keys) != 1:
             raise ContractError(
-                f"sample audio must have exactly one of wav/features/synthetic, got {self.audio}"
+                f"sample audio must have exactly one of wav/synthetic, got {self.audio}"
             )
 
 
@@ -104,8 +112,10 @@ class Captioner:
         )
         self.scan_mode = v["model.scan_mode"]
         self.chunk_len = v["model.chunk_len"]
-        self._grid_cache: OrderedDict[str, audiomod.AudioTokenGrid] = OrderedDict()
-        self._mel_cache: OrderedDict[str, audiomod.MelSpec] = OrderedDict()
+        # per clip: encoder grid [T_a, F_a, d_enc] (frozen encoder only), and
+        # the mel image as first-layer patch rows
+        self._grid_cache: OrderedDict[str, np.ndarray] = OrderedDict()
+        self._mel_cache: OrderedDict[str, np.ndarray] = OrderedDict()
 
     # -- parameters ---------------------------------------------------------
 
@@ -137,34 +147,50 @@ class Captioner:
 
     # -- audio path -----------------------------------------------------------
 
-    def audio_grid(self, sample: Sample) -> audiomod.AudioTokenGrid:
-        if "features" in sample.audio:
-            return audiomod.load_features(sample.audio["features"])
-        frozen = not self.cfg["train.encoder_trainable"]
-        key = repr(sorted(sample.audio.items()))
-        grid = _cache_get(self._grid_cache, key) if frozen else None
-        if grid is not None:
-            return grid
-        # the mel image depends only on the clip, never on weights
-        mel = _cache_get(self._mel_cache, key)
-        if mel is None:
-            if "wav" in sample.audio:
-                wave = audiomod.load_wav(sample.audio["wav"])
-            else:
-                wave = Tensor(synth.render(sample.audio["synthetic"]))
-            mel = audiomod.melspectrogram(wave).pad_to(self.enc_cfg.mel_frames)
-            _cache_put(self._mel_cache, key, mel)
-        grid = audiomod.encode(mel, self.encoder, frozen=frozen)
-        if frozen:
-            _cache_put(self._grid_cache, key, grid)
-        return grid
+    def audio_tokens(self, samples: list[Sample]) -> Tensor:
+        """Encoder tokens [B, T_a, F_a, d_enc] of the samples' clips.
+
+        A trainable encoder runs once over the whole batch. A frozen one
+        keeps each clip's grid: hits are reused and the misses are encoded
+        together, off the tape.
+        """
+        if self.cfg["train.encoder_trainable"]:
+            return audiomod.encode(self._patch_rows(samples), self.encoder)
+        keys = [_clip_key(s) for s in samples]
+        grids = {key: _cache_get(self._grid_cache, key) for key in keys}
+        todo = {key: s for key, s in zip(keys, samples) if grids[key] is None}
+        if todo:
+            fresh = audiomod.encode(self._patch_rows(list(todo.values())), self.encoder,
+                                    frozen=True)
+            for key, grid in zip(todo, fresh.data):
+                grids[key] = grid.copy()
+                _cache_put(self._grid_cache, key, grids[key])
+        return Tensor(np.stack([grids[key] for key in keys]))
+
+    def _patch_rows(self, samples: list[Sample]) -> np.ndarray:
+        """The clips' first-layer patch rows, concatenated. Each clip's rows
+        are cached: the mel image depends only on the clip, never on weights."""
+        parts = []
+        for sample in samples:
+            key = _clip_key(sample)
+            rows = _cache_get(self._mel_cache, key)
+            if rows is None:
+                if "wav" in sample.audio:
+                    wave = audiomod.load_wav(sample.audio["wav"])
+                else:
+                    wave = Tensor(synth.render(sample.audio["synthetic"]))
+                mel = audiomod.melspectrogram(wave).pad_to(self.enc_cfg.mel_frames)
+                rows = audiomod.patch_rows(mel, self.enc_cfg)
+                _cache_put(self._mel_cache, key, rows)
+            parts.append(rows)
+        return np.concatenate(parts)
 
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
-        """Token table rows, with the reserved "&&" row replaced by the
-        trainable separator embedding."""
+        """Token table rows [..., D] for ids [...], with the reserved "&&" row
+        replaced by the trainable separator embedding."""
         ids = np.asarray(ids, dtype=np.int64)
         base = tz.embedding(self.lm.embedding, ids)
-        sep_mask = (ids == self.vocab.sep_id).astype(base.dtype)[:, None]
+        sep_mask = (ids == self.vocab.sep_id).astype(base.dtype)[..., None]
         if sep_mask.any():
             sep_row = tz.reshape(self.sep_embedding, (1, self.lm_cfg.d_model))
             base = tz.add(tz.mul(base, 1.0 - sep_mask), tz.mul(sep_row, Tensor(sep_mask)))
@@ -172,73 +198,57 @@ class Captioner:
 
     # -- sequence building ------------------------------------------------------
 
-    def build_sequence(self, sample: Sample, mode: str = "train"):
-        """-> (EmbeddingSequence, targets [L] int64, loss mask [L] float).
+    def build_sequence(self, samples: list[Sample], mode: str = "train"):
+        """-> (EmbeddingSequence [B, L], targets [B, L] int64, loss mask [B, L] float).
 
-        Train layout: [E_audio, E_prompt, E_caption]; position i is trained
-        to predict position i+1's token over the caption span plus <eos>,
-        so exactly len(caption)+1 positions carry loss. Inference layout
-        drops the caption and returns empty targets.
+        Train rows: [E_audio, E_prompt, E_caption]; position i is trained to
+        predict position i+1's token over the caption span plus <eos>, so
+        exactly len(caption)+1 positions of a row carry loss. Infer rows drop
+        the caption and have no targets. L is the longest row; shorter rows
+        end in zero vectors labelled "pad".
         """
-        aud = connector.connect(self.audio_grid(sample), self.conn_cfg, self.mlp,
-                                self.sep_embedding)
-        prompt_ids = self.vocab.encode(sample.prompt)
-        parts = [aud.vectors, self.embed_tokens(prompt_ids)]
-        segments = list(aud.segments) + [SEG_PROMPT] * len(prompt_ids)
-
-        if mode == "infer":
-            vectors = tz.concat(parts, axis=0)
-            length = len(segments)
-            return (
-                EmbeddingSequence(vectors, segments),
-                np.zeros(length, dtype=np.int64),
-                np.zeros(length, dtype=np.float64),
-            )
-        if mode != "train":
+        if mode not in ("train", "infer"):
             raise ContractError(f"unknown sequence mode {mode!r}")
-        if not sample.caption:
-            raise ContractError("training sample has an empty caption")
+        prompts = [self.vocab.encode(s.prompt) for s in samples]
+        captions = [[] for _ in samples]
+        if mode == "train":
+            if not all(s.caption for s in samples):
+                raise ContractError("training sample has an empty caption")
+            captions = [self.vocab.encode(s.caption) for s in samples]
 
-        cap_ids = self.vocab.encode(sample.caption)
-        parts.append(self.embed_tokens(cap_ids))
-        segments += [SEG_CAPTION] * len(cap_ids)
-        vectors = tz.concat(parts, axis=0)
-
-        length = len(segments)
-        targets = np.zeros(length, dtype=np.int64)
-        mask = np.zeros(length, dtype=np.float64)
-        first = length - len(cap_ids) - 1  # last prompt position predicts word 1
-        chain = cap_ids + [self.vocab.eos_id]
-        for i, tok in enumerate(chain):
-            targets[first + i] = tok
-            mask[first + i] = 1.0
+        aud = connector.connect(self.audio_tokens(samples), self.conn_cfg, self.mlp,
+                                self.sep_embedding)
+        l_a = len(aud)
+        ends = np.array([len(p) + len(c) for p, c in zip(prompts, captions)])
+        length = l_a + int(ends.max())
+        ids = np.full((len(samples), length - l_a), self.vocab.pad_id, dtype=np.int64)
+        segments = np.full((len(samples), length), SEG_PAD, dtype=object)
+        segments[:, :l_a] = aud.segments
+        targets = np.zeros((len(samples), length), dtype=np.int64)
+        mask = np.zeros((len(samples), length), dtype=np.float64)
+        for r, (prompt, caption) in enumerate(zip(prompts, captions)):
+            ids[r, : ends[r]] = prompt + caption
+            first = l_a + len(prompt)
+            segments[r, l_a:first] = SEG_PROMPT
+            segments[r, first : first + len(caption)] = SEG_CAPTION
+            if caption:  # the last prompt position predicts word 1
+                targets[r, first - 1 : first + len(caption)] = caption + [self.vocab.eos_id]
+                mask[r, first - 1 : first + len(caption)] = 1.0
+        live = np.arange(length - l_a) < ends[:, None]
+        tokens = tz.where_mask(self.embed_tokens(ids), live[..., None], 0.0)
+        vectors = tz.concat([aud.vectors, tokens], axis=1)
         return EmbeddingSequence(vectors, segments), targets, mask
 
     # -- forward ------------------------------------------------------------
 
     def batch_forward(self, samples: list[Sample], mode: str = "train"):
-        """Pad sequences to a common length, stack, and run the LM once.
+        """Build one padded batch and run the LM once over it.
 
-        -> (logits [B, L, V], targets [B, L], mask [B, L])
+        -> (logits [B, L, V], targets [B, L], mask [B, L], the EmbeddingSequence)
         """
-        return self._forward_built([self.build_sequence(s, mode) for s in samples])
-
-    def _forward_built(self, built: list) -> tuple[Tensor, np.ndarray, np.ndarray]:
-        """``batch_forward`` on sequences ``build_sequence`` already made."""
-        length = max(len(seq.segments) for seq, _, _ in built)
-        rows, targets, masks = [], [], []
-        for seq, tgt, msk in built:
-            pad = length - len(seq.segments)
-            vec = seq.vectors
-            if pad:
-                vec = tz.concat([vec, tz.zeros((pad, self.lm_cfg.d_model), dtype=vec.dtype)],
-                                axis=0)
-            rows.append(tz.reshape(vec, (1, length, self.lm_cfg.d_model)))
-            targets.append(np.pad(tgt, (0, pad)))
-            masks.append(np.pad(msk, (0, pad)))
-        embs = tz.concat(rows, axis=0)
-        logits = self.lm.forward(embs, mode=self.scan_mode, chunk_len=self.chunk_len)
-        return logits, np.stack(targets), np.stack(masks)
+        seq, targets, mask = self.build_sequence(samples, mode)
+        logits = self.lm.forward(seq.vectors, mode=self.scan_mode, chunk_len=self.chunk_len)
+        return logits, targets, mask, seq
 
     # -- persistence ------------------------------------------------------------
 
@@ -303,7 +313,7 @@ def train_step(state: TrainState, batch: list[Sample]) -> float:
     """One optimizer step of mean masked cross-entropy over the batch."""
     cap = state.captioner
     state.optimizer.zero_grad()
-    logits, targets, mask = cap.batch_forward(batch, mode="train")
+    logits, targets, mask, _ = cap.batch_forward(batch, mode="train")
     loss = tz.cross_entropy(logits, targets, mask)
     value = loss.item()
     if not np.isfinite(value):
@@ -322,14 +332,14 @@ def _write_divergence_dump(state: TrainState, value: float) -> str | None:
         return None
     os.makedirs(state.dump_dir, exist_ok=True)
     path = os.path.join(state.dump_dir, f"diverged_step{state.step}.txt")
-    with open(path, "w") as fh:
-        fh.write(f"loss={value} step={state.step}\n")
-        fh.write("recent_losses=" + ",".join(f"{x:.6g}" for x in state.loss_history[-20:]) + "\n")
-        for name, t in sorted(state.optimizer.params.items()):
-            fh.write(f"param {name} |w|max={np.abs(t.data).max():.6g}")
-            if t.grad is not None:
-                fh.write(f" |g|max={np.abs(t.grad).max():.6g}")
-            fh.write("\n")
+    lines = [f"loss={value} step={state.step}",
+             "recent_losses=" + ",".join(f"{x:.6g}" for x in state.loss_history[-20:])]
+    for name, t in sorted(state.optimizer.params.items()):
+        line = f"param {name} |w|max={np.abs(t.data).max():.6g}"
+        if t.grad is not None:
+            line += f" |g|max={np.abs(t.grad).max():.6g}"
+        lines.append(line)
+    checkpoint.write_atomic(path, "".join(f"{line}\n" for line in lines).encode("utf-8"))
     return path
 
 
@@ -348,9 +358,9 @@ def generate_greedy(captioner: Captioner, sample: Sample, max_len: int = 24,
     if max_len <= 0:
         return ""
     with tz.no_grad():
-        seq, _, _ = captioner.build_sequence(sample, mode="infer")
+        seq, _, _ = captioner.build_sequence([sample], mode="infer")
         if streaming:
-            ids = _decode_streaming(captioner, [seq.vectors], max_len)[0]
+            ids = _decode_streaming(captioner, seq.vectors, [len(seq)], max_len)[0]
         else:
             ids = _decode_full(captioner, seq.vectors, max_len)
     return _caption_text(captioner, ids)
@@ -360,54 +370,51 @@ def _caption_text(cap: Captioner, ids: list[int]) -> str:
     return " ".join(cap.vocab.words[i] for i in ids if i != cap.vocab.eos_id)
 
 
-def _decode_streaming(cap: Captioner, prefixes: list[Tensor], max_len: int) -> list[list[int]]:
-    """Greedy ids for each [L_i, D] prefix, in input order.
+def _decode_streaming(cap: Captioner, embs: Tensor, lengths, max_len: int) -> list[list[int]]:
+    """Greedy ids for each row of embs [B, L, D], decoded from the row's
+    first ``lengths[r]`` positions; in row order.
 
-    Prefixes of one length form a group, so no row is padded: one prefill,
-    then one recurrent step per token for all its rows. A row stops
+    Rows with one prefix length form a group, so no row is padded: one
+    prefill, then one recurrent step per token for all its rows. A row stops
     recording at <eos> or max_len but keeps stepping until the group is
     done; each row's state has a fixed size, so a step over all rows costs
     little more than one over the live rows, and the states are never
     compacted.
     """
-    out: list[list[int]] = [[] for _ in prefixes]
+    out: list[list[int]] = [[] for _ in lengths]
     if max_len <= 0:
         return out
     groups: dict[int, list[int]] = {}
-    for i, prefix in enumerate(prefixes):
-        groups.setdefault(prefix.shape[0], []).append(i)
-    for rows in groups.values():
-        embs = tz.concat([tz.reshape(prefixes[i], (1,) + prefixes[i].shape) for i in rows],
-                         axis=0)
-        logits, states = cap.lm.forward(embs, mode=cap.scan_mode, chunk_len=cap.chunk_len,
-                                        return_states=True)
+    for r, length in enumerate(lengths):
+        groups.setdefault(int(length), []).append(r)
+    for length, rows in groups.items():
+        logits, states = cap.lm.forward(Tensor(embs.data[rows, :length]), mode=cap.scan_mode,
+                                        chunk_len=cap.chunk_len, return_states=True)
         done = [False] * len(rows)
         while True:
             nxt = logits.data[:, -1].argmax(axis=-1)
-            for r, i in enumerate(rows):
-                if not done[r]:
-                    out[i].append(int(nxt[r]))
-                    done[r] = nxt[r] == cap.vocab.eos_id or len(out[i]) >= max_len
+            for j, r in enumerate(rows):
+                if not done[j]:
+                    out[r].append(int(nxt[j]))
+                    done[j] = nxt[j] == cap.vocab.eos_id or len(out[r]) >= max_len
             if all(done):
                 break
-            emb = tz.reshape(cap.embed_tokens(nxt), (len(rows), 1, cap.lm_cfg.d_model))
-            logits, states = cap.lm.forward(emb, mode="recurrent", states=states,
-                                            return_states=True)
+            logits, states = cap.lm.forward(cap.embed_tokens(nxt[:, None]), mode="recurrent",
+                                            states=states, return_states=True)
     return out
 
 
 def _decode_full(cap: Captioner, prefix: Tensor, max_len: int) -> list[int]:
-    """Greedy ids for one [L, D] prefix, re-forwarding every step (the oracle)."""
+    """Greedy ids for one prefix [1, L, D], re-forwarding every step (the oracle)."""
     ids: list[int] = []
-    current = tz.reshape(prefix, (1,) + prefix.shape)
+    current = prefix
     while True:
         logits = cap.lm.forward(current, mode=cap.scan_mode, chunk_len=cap.chunk_len)
         nxt = int(np.argmax(logits.data[0, -1]))
         ids.append(nxt)
         if nxt == cap.vocab.eos_id or len(ids) >= max_len:
             return ids
-        emb = tz.reshape(cap.embed_tokens(np.array([nxt])), (1, 1, cap.lm_cfg.d_model))
-        current = tz.concat([current, emb], axis=1)
+        current = tz.concat([current, cap.embed_tokens(np.array([[nxt]]))], axis=1)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -435,19 +442,17 @@ def token_f1(generated: str, reference: str) -> float:
 def evaluate(captioner: Captioner, samples: list[Sample], max_len: int | None = None):
     """-> (teacher-forced token accuracy, mean caption F1, exact-match rate).
 
-    Each sample's train-mode sequence is built once. Its rows give the
-    teacher-forced logits, and their [audio, prompt] part is the prefix the
-    captions are decoded from, all samples at once: rows are grouped by
-    prefix length and stepped together, past <eos>, until a group is done.
+    The train-mode batch is built once. It gives the teacher-forced logits,
+    and each row's [audio, prompt] part is the prefix its caption is decoded
+    from, all rows at once: rows are grouped by prefix length and stepped
+    together, past <eos>, until a group is done.
     """
     if max_len is None:
         max_len = captioner.cfg["train.max_caption_len"]
     with tz.no_grad():
-        built = [captioner.build_sequence(s, mode="train") for s in samples]
-        logits, targets, mask = captioner._forward_built(built)
-        # the first loss position is the last prompt position
-        prefixes = [seq.vectors[: int(np.flatnonzero(msk)[0]) + 1] for seq, _, msk in built]
-        decoded = _decode_streaming(captioner, prefixes, max_len)
+        logits, targets, mask, seq = captioner.batch_forward(samples, mode="train")
+        # a row's first loss position is its last prompt position
+        decoded = _decode_streaming(captioner, seq.vectors, mask.argmax(axis=1) + 1, max_len)
     pred = logits.data.argmax(axis=-1)
     hits = float(((pred == targets) * (mask > 0)).sum())
     token_acc = hits / float((mask > 0).sum())

@@ -188,9 +188,9 @@ def _finish(params: SelectiveParams, initial: ScanState | None, y: np.ndarray,
         y, h_final = y[0], h_final[0]
     dtype = params.x.dtype
     y = tz.fused(y.astype(dtype, copy=False), parents,
-                 lambda g: grads(g.reshape(y_shape), None), "scan")
+                 lambda g: grads(g.reshape(y_shape), None))
     h_final = tz.fused(h_final.astype(dtype, copy=False), parents,
-                       lambda g: grads(None, g.reshape(h_shape)), "scan_state")
+                       lambda g: grads(None, g.reshape(h_shape)))
     start = initial.step_index if initial is not None else 0
     return y, ScanState(h_final, start + y_shape[1])
 

@@ -9,8 +9,7 @@ gradient at once (the selective scans of ``mac.ssd``): it runs once per
 output gradient and each input's tape entry takes its share.
 
 Two float widths are supported: float64 (the default, used by all oracle,
-equivalence and gradient tests) and float32 (training speed). NaN/Inf
-detection is gated behind a debug flag so it costs nothing in normal runs.
+equivalence and gradient tests) and float32 (training speed).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class ContractError(ValueError):
 
 _default_dtype = np.float64
 _grad_enabled = True
-_debug_checks = False
 
 
 def set_default_dtype(dtype) -> None:
@@ -40,22 +38,6 @@ def set_default_dtype(dtype) -> None:
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
     _default_dtype = dtype.type
-
-
-def default_dtype():
-    return _default_dtype
-
-
-@contextmanager
-def using_dtype(dtype):
-    """Temporarily switch the default float width."""
-    global _default_dtype
-    prev = _default_dtype
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        _default_dtype = prev
 
 
 @contextmanager
@@ -68,17 +50,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle finiteness checking of every op result (debug mode)."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
-
-
-def _check_finite(data: np.ndarray, where: str) -> None:
-    if _debug_checks and not np.all(np.isfinite(data)):
-        raise FloatingPointError(f"non-finite values produced by {where}")
 
 
 class Tensor:
@@ -104,7 +75,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         # (parent, vjp) pairs; vjp maps the output gradient to the parent's
         self._pairs: tuple = ()
-        _check_finite(arr, "Tensor()")
 
     # -- metadata ----------------------------------------------------------
 
@@ -184,9 +154,8 @@ def _ensure(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data: np.ndarray, pairs: Sequence[tuple[Tensor, Callable]], op: str) -> Tensor:
+def _node(data: np.ndarray, pairs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
     """Wrap an op result, recording vjp closures for parents that need them."""
-    _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -200,7 +169,7 @@ def _node(data: np.ndarray, pairs: Sequence[tuple[Tensor, Callable]], op: str) -
     return out
 
 
-def fused(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable, op: str) -> Tensor:
+def fused(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     """Record an op whose one ``vjp(g)`` returns every parent's gradient, in
     ``parents`` order. It runs once per output gradient; each parent's tape
     entry then takes its own share."""
@@ -214,7 +183,7 @@ def fused(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable, op: str) -
             return grad
         return take
 
-    return _node(data, [(p, share(i)) for i, p in enumerate(parents)], op)
+    return _node(data, [(p, share(i)) for i, p in enumerate(parents)])
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -238,7 +207,6 @@ def add(a, b) -> Tensor:
     return _node(
         a.data + b.data,
         [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(g, b.shape))],
-        "add",
     )
 
 
@@ -250,7 +218,6 @@ def mul(a, b) -> Tensor:
             (a, lambda g: _unbroadcast(g * b.data, a.shape)),
             (b, lambda g: _unbroadcast(g * a.data, b.shape)),
         ],
-        "mul",
     )
 
 
@@ -263,31 +230,30 @@ def div(a, b) -> Tensor:
             (a, lambda g: _unbroadcast(g * inv, a.shape)),
             (b, lambda g: _unbroadcast(-g * a.data * inv * inv, b.shape)),
         ],
-        "div",
     )
 
 
 def neg(a) -> Tensor:
     a = _ensure(a)
-    return _node(-a.data, [(a, lambda g: -g)], "neg")
+    return _node(-a.data, [(a, lambda g: -g)])
 
 
 def power(a, exponent: float) -> Tensor:
     a = _ensure(a)
     e = float(exponent)
     out = a.data**e
-    return _node(out, [(a, lambda g: g * e * a.data ** (e - 1.0))], "power")
+    return _node(out, [(a, lambda g: g * e * a.data ** (e - 1.0))])
 
 
 def exp(a) -> Tensor:
     a = _ensure(a)
     out = np.exp(a.data)
-    return _node(out, [(a, lambda g: g * out)], "exp")
+    return _node(out, [(a, lambda g: g * out)])
 
 
 def log(a) -> Tensor:
     a = _ensure(a)
-    return _node(np.log(a.data), [(a, lambda g: g / a.data)], "log")
+    return _node(np.log(a.data), [(a, lambda g: g / a.data)])
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -303,7 +269,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(a) -> Tensor:
     a = _ensure(a)
     s = _sigmoid(a.data)
-    return _node(s, [(a, lambda g: g * s * (1.0 - s))], "sigmoid")
+    return _node(s, [(a, lambda g: g * s * (1.0 - s))])
 
 
 def silu(a) -> Tensor:
@@ -312,14 +278,13 @@ def silu(a) -> Tensor:
     return _node(
         a.data * s,
         [(a, lambda g: g * s * (1.0 + a.data * (1.0 - s)))],
-        "silu",
     )
 
 
 def relu(a) -> Tensor:
     a = _ensure(a)
     out = np.maximum(a.data, 0.0)
-    return _node(out, [(a, lambda g: g * (a.data > 0))], "relu")
+    return _node(out, [(a, lambda g: g * (a.data > 0))])
 
 
 def softplus(a) -> Tensor:
@@ -328,7 +293,7 @@ def softplus(a) -> Tensor:
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     s = _sigmoid(x)
-    return _node(out, [(a, lambda g: g * s)], "softplus")
+    return _node(out, [(a, lambda g: g * s)])
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -346,7 +311,7 @@ def gelu(a) -> Tensor:
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
         return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
 
-    return _node(out, [(a, vjp)], "gelu")
+    return _node(out, [(a, vjp)])
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -358,7 +323,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     def vjp(g):
         return s * (g - (g * s).sum(axis=axis, keepdims=True))
 
-    return _node(s, [(a, vjp)], "softmax")
+    return _node(s, [(a, vjp)])
 
 
 # -- reductions -----------------------------------------------------------
@@ -377,7 +342,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         return np.broadcast_to(g, a.shape).copy()
 
-    return _node(np.asarray(out), [(a, vjp)], "sum")
+    return _node(np.asarray(out), [(a, vjp)])
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -396,7 +361,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _ensure(a)
     shape = tuple(shape)
-    return _node(a.data.reshape(shape), [(a, lambda g: g.reshape(a.shape))], "reshape")
+    return _node(a.data.reshape(shape), [(a, lambda g: g.reshape(a.shape))])
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -405,7 +370,7 @@ def transpose(a, axes=None) -> Tensor:
         axes = tuple(reversed(range(a.ndim)))
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    return _node(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))], "transpose")
+    return _node(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -414,7 +379,6 @@ def broadcast_to(a, shape) -> Tensor:
     return _node(
         np.broadcast_to(a.data, shape).copy(),
         [(a, lambda g: _unbroadcast(g, a.shape))],
-        "broadcast_to",
     )
 
 
@@ -428,7 +392,7 @@ def take(a, index) -> Tensor:
         buf[index] = g
         return buf
 
-    return _node(np.array(out, copy=True), [(a, vjp)], "take")
+    return _node(np.array(out, copy=True), [(a, vjp)])
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -449,14 +413,14 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 
         return vjp
 
-    return _node(data, [(p, make_vjp(i)) for i, p in enumerate(parts)], "concat")
+    return _node(data, [(p, make_vjp(i)) for i, p in enumerate(parts)])
 
 
 def cast(a, dtype) -> Tensor:
     a = _ensure(a)
     dtype = np.dtype(dtype)
     src = a.data.dtype
-    return _node(a.data.astype(dtype), [(a, lambda g: g.astype(src))], "cast")
+    return _node(a.data.astype(dtype), [(a, lambda g: g.astype(src))])
 
 
 def where_mask(a, keep: np.ndarray, fill: float) -> Tensor:
@@ -464,7 +428,7 @@ def where_mask(a, keep: np.ndarray, fill: float) -> Tensor:
     a = _ensure(a)
     keep = np.asarray(keep, dtype=bool)
     out = np.where(keep, a.data, a.data.dtype.type(fill))
-    return _node(out, [(a, lambda g: np.where(keep, g, 0.0))], "where_mask")
+    return _node(out, [(a, lambda g: np.where(keep, g, 0.0))])
 
 
 def cumsum(a, axis: int) -> Tensor:
@@ -474,7 +438,7 @@ def cumsum(a, axis: int) -> Tensor:
     def vjp(g):
         return np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis)
 
-    return _node(out, [(a, vjp)], "cumsum")
+    return _node(out, [(a, vjp)])
 
 
 # -- contractions ------------------------------------------------------------
@@ -507,7 +471,7 @@ def matmul(a, b) -> Tensor:
             )
         return np.matmul(np.swapaxes(a.data, -1, -2), g)
 
-    return _node(out, [(a, vjp_a), (b, vjp_b)], "matmul")
+    return _node(out, [(a, vjp_a), (b, vjp_b)])
 
 
 def embedding(table, ids: np.ndarray) -> Tensor:
@@ -521,7 +485,7 @@ def embedding(table, ids: np.ndarray) -> Tensor:
         np.add.at(buf, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
         return buf
 
-    return _node(out, [(table, vjp)], "embedding")
+    return _node(out, [(table, vjp)])
 
 
 def conv1d_depthwise_causal(x, weight, bias, prefix) -> Tensor:
@@ -571,7 +535,7 @@ def conv1d_depthwise_causal(x, weight, bias, prefix) -> Tensor:
 
         pairs.append((bias_t, vjp_b))
 
-    return _node(out, pairs, "conv1d")
+    return _node(out, pairs)
 
 
 def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
@@ -608,7 +572,7 @@ def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray | None = None) -
         p *= (m / total)[:, None]
         return (g * p).reshape(logits.shape)
 
-    return _node(np.asarray(loss, dtype=z.dtype), [(logits, vjp)], "cross_entropy")
+    return _node(np.asarray(loss, dtype=z.dtype), [(logits, vjp)])
 
 
 def rms_norm(x, weight, eps: float = 1e-5) -> Tensor:

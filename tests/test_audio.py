@@ -1,27 +1,27 @@
-"""WAV decoding, mel front-end, patch encoder, feature persistence."""
+"""WAV decoding, mel front-end, patch encoder."""
 
 import struct
 
 import numpy as np
 import pytest
 
-from mac import audio, checkpoint
+from mac import audio
 from mac import tensor as tz
 from mac.audio import (
-    AudioTokenGrid,
     CnnEncoder,
     EncoderConfig,
     MelSpec,
     WavFormatError,
     encode,
-    load_features,
     load_wav,
     melspectrogram,
+    patch_rows,
     read_wav_bytes,
-    save_features,
     write_wav,
 )
-from mac.tensor import ShapeError, Tensor
+from mac.tensor import ShapeError
+
+import frontend_oracle
 
 
 def wav_bytes(samples: np.ndarray, rate=16000, channels=1, prepend_chunks=b"",
@@ -180,90 +180,92 @@ class TestMel:
         assert cropped.frames.shape == (10, 128)
 
 
+def encode_mels(mels, enc, frozen=False):
+    """Encode mel images [T, F] as one batch."""
+    rows = np.concatenate([patch_rows(MelSpec(m), enc.cfg) for m in mels])
+    return encode(rows, enc, frozen=frozen)
+
+
 class TestEncoder:
     def test_desk_grid_is_16_by_8(self):
         cfg = EncoderConfig()
         assert (cfg.grid_t, cfg.grid_f) == (16, 8)
         enc = CnnEncoder(cfg, np.random.default_rng(0))
-        mel = MelSpec(np.random.default_rng(1).standard_normal((1024, 128)))
+        mel = np.random.default_rng(1).standard_normal((1024, 128))
         with tz.no_grad():
-            grid = encode(mel, enc)
-        assert (grid.grid_t, grid.grid_f, grid.dim) == (16, 8, 64)
+            tokens = encode_mels([mel, mel, mel], enc)
+        assert tokens.shape == (3, 16, 8, 64)
 
     def test_paper_geometry_512_tokens(self):
-        cfg = audio.paper_geometry_config()
+        # the reference front-end geometry: a 64 x 8 grid of 768-dim tokens
+        cfg = EncoderConfig(d_enc=768, channels=(16, 32, 64),
+                            patches=((2, 2), (2, 2), (2, 2), (2, 2)))
         assert (cfg.grid_t, cfg.grid_f, cfg.d_enc) == (64, 8, 768)
         enc = CnnEncoder(cfg, np.random.default_rng(2))
-        mel = MelSpec(np.random.default_rng(3).standard_normal((1024, 128)))
+        mel = np.random.default_rng(3).standard_normal((1024, 128))
         with tz.no_grad():
-            grid = encode(mel, enc)
-        assert grid.grid_t * grid.grid_f == 512
-        assert grid.flat().shape == (512, 768)
+            tokens = encode_mels([mel], enc)
+        assert tokens.shape == (1, 64, 8, 768)
+        assert tokens.data.reshape(-1, 768).shape == (512, 768)
 
     def test_indivisible_geometry_rejected(self):
-        enc = CnnEncoder(EncoderConfig(), np.random.default_rng(4))
-        mel = MelSpec(np.zeros((1000, 128)))  # 1000 not divisible by 64
         with pytest.raises(ShapeError, match="not divisible"):
-            encode(mel, enc)
+            EncoderConfig(mel_frames=1000)  # 1000 not divisible by 8 * 4 * 2
+        with pytest.raises(ShapeError, match="layer 1: input 128x32 not divisible by patch 3x2"):
+            EncoderConfig(patches=((8, 4), (3, 2), (2, 2), (1, 1)))
+        enc = CnnEncoder(EncoderConfig(), np.random.default_rng(4))
+        with pytest.raises(ShapeError, match="does not match encoder input"):
+            patch_rows(MelSpec(np.zeros((1000, 128))), enc.cfg)
+        with pytest.raises(ShapeError, match="not whole clips"):
+            encode(np.zeros((4096 + 1, 32)), enc)
 
     def test_frozen_blocks_gradients(self):
         enc = CnnEncoder(EncoderConfig(), np.random.default_rng(5))
         for t in enc.parameters().values():
             t.requires_grad = True
-        mel = MelSpec(np.random.default_rng(6).standard_normal((1024, 128)))
-        grid = encode(mel, enc, frozen=True)
-        assert not grid.tokens.requires_grad
-        grid = encode(mel, enc, frozen=False)
-        loss = tz.tsum(grid.tokens)
+        mel = np.random.default_rng(6).standard_normal((1024, 128))
+        tokens = encode_mels([mel, mel], enc, frozen=True)
+        assert not tokens.requires_grad
+        tokens = encode_mels([mel, mel], enc, frozen=False)
+        loss = tz.tsum(tokens)
         grads = loss.backward()
         assert enc.layers[0][0] in grads
 
     def test_deterministic_for_fixed_weights(self):
         enc = CnnEncoder(EncoderConfig(), np.random.default_rng(7))
-        mel = MelSpec(np.random.default_rng(8).standard_normal((1024, 128)))
+        mel = np.random.default_rng(8).standard_normal((1024, 128))
         with tz.no_grad():
-            a = encode(mel, enc).tokens.data
-            b = encode(mel, enc).tokens.data
+            a = encode_mels([mel], enc).data
+            b = encode_mels([mel], enc).data
         assert np.array_equal(a, b)
 
     def test_flatten_order_time_major(self):
-        tokens = np.arange(3 * 2 * 1, dtype=float).reshape(3, 2, 1)
-        grid = AudioTokenGrid(Tensor(tokens))
-        flat = grid.flat().data[:, 0]
-        np.testing.assert_array_equal(flat, [0, 1, 2, 3, 4, 5])  # index = t*F + f
+        # patch rows run (t outer, f inner), each holding its pixels (time, freq)
+        cfg = EncoderConfig(d_enc=1, channels=(1, 1, 1), mel_frames=4, mel_bins=6,
+                            patches=((2, 3), (1, 1), (1, 1), (1, 1)))
+        frames = np.arange(24, dtype=float).reshape(4, 6)
+        rows = patch_rows(MelSpec(frames), cfg)
+        np.testing.assert_array_equal(rows, [[0, 1, 2, 6, 7, 8], [3, 4, 5, 9, 10, 11],
+                                             [12, 13, 14, 18, 19, 20],
+                                             [15, 16, 17, 21, 22, 23]])
 
-
-class TestFeatureFiles:
-    def test_round_trip_bit_identical(self, tmp_path):
-        grid = AudioTokenGrid(Tensor(np.random.default_rng(9).standard_normal((4, 2, 6))))
-        path = str(tmp_path / "feat.ckpt")
-        save_features(path, grid)
-        back = load_features(path)
-        assert np.array_equal(back.tokens.data, grid.tokens.data)
-
-    def test_missing_metadata_rejected(self, tmp_path):
-        path = str(tmp_path / "bad.ckpt")
-        checkpoint.save(path, {"tokens": np.zeros((2, 2, 2))}, meta={"grid_t": "2"})
-        with pytest.raises(checkpoint.CheckpointError, match="grid_f"):
-            load_features(path)
-
-    def test_wrong_shape_rejected(self, tmp_path):
-        path = str(tmp_path / "bad2.ckpt")
-        checkpoint.save(path, {"tokens": np.zeros((2, 2, 2))},
-                        meta={"grid_t": "2", "grid_f": "2", "dim": "5"})
-        with pytest.raises(checkpoint.CheckpointError, match="does not match"):
-            load_features(path)
-
-    def test_external_paper_grid_flows_through_connector(self, tmp_path):
-        from mac import connector
-
-        rng = np.random.default_rng(10)
-        path = str(tmp_path / "ext.ckpt")
-        save_features(path, AudioTokenGrid(Tensor(rng.standard_normal((64, 8, 768)))))
-        grid = load_features(path)
-        cfg = connector.ConnectorConfig(variant="concatenation", d_enc=768,
-                                        grid_t=64, grid_f=8, d_model=32)
-        mlp = connector.ConnectorMlp(cfg, rng)
-        with tz.no_grad():
-            seq = connector.connect(grid, cfg, mlp, tz.zeros((32,)))
-        assert len(seq) == 64 and cfg.mlp_in == 6144
+    def test_batch_equals_clip_by_clip_oracle(self):
+        # every clip's tokens equal the per-clip encoder's, bit for bit, at any
+        # position in the batch; the weight gradients agree to rounding
+        enc = CnnEncoder(EncoderConfig(), np.random.default_rng(9))
+        for t in enc.parameters().values():
+            t.requires_grad = True
+        mels = [np.random.default_rng(10 + i).standard_normal((1024, 128)) for i in range(3)]
+        tokens = encode_mels(mels, enc)
+        weights = np.random.default_rng(13).standard_normal(tokens.shape)
+        batch_grads = tz.tsum(tz.mul(tokens, weights)).backward()
+        tz.zero_grad(enc.parameters().values())
+        grids = [frontend_oracle.encode(MelSpec(m), enc) for m in mels]
+        for i, grid in enumerate(grids):
+            assert np.array_equal(tokens.data[i], grid.tokens.data)
+        clip_grads = tz.tsum(tz.concat([
+            tz.mul(grid.tokens, weights[i]) for i, grid in enumerate(grids)
+        ], axis=0)).backward()
+        for t in enc.parameters().values():
+            err = np.abs(batch_grads[t] - clip_grads[t]).max() / np.abs(clip_grads[t]).max()
+            assert err <= 1e-12

@@ -170,38 +170,6 @@ class TestLora:
         with pytest.raises(ContractError):
             blocks.lora_apply(tz.zeros((3, 3)), ad, tz.zeros((2, 3)))
 
-    def test_merge_equivalence(self):
-        rng = np.random.default_rng(21)
-        base = Tensor(rng.standard_normal((9, 5)))
-        ad = LoraAdapter.init(9, 5, 8, rng)
-        ad.up.data[:] = rng.standard_normal(ad.up.shape)
-        x = Tensor(rng.standard_normal((4, 9)))
-        with tz.no_grad():
-            via_adapter = blocks.lora_apply(base, ad, x).data
-            merged = blocks.lora_merge(base, ad)
-            via_merged = tz.matmul(x, merged).data
-        assert np.abs(via_adapter - via_merged).max() <= 1e-10
-
-    def test_merge_zero_adapter_preserves_base(self):
-        rng = np.random.default_rng(22)
-        base = Tensor(rng.standard_normal((6, 4)))
-        ad = LoraAdapter.init(6, 4, 3, rng)
-        np.testing.assert_array_equal(blocks.lora_merge(base, ad).data, base.data)
-
-    def test_merge_then_subtract_recovers_base(self):
-        rng = np.random.default_rng(23)
-        base = Tensor(rng.standard_normal((6, 4)))
-        ad = LoraAdapter.init(6, 4, 2, rng)
-        ad.up.data[:] = rng.standard_normal(ad.up.shape)
-        merged = blocks.lora_merge(base, ad)
-        recon = merged.data - ad.scale * (ad.down.data @ ad.up.data)
-        assert np.abs(recon - base.data).max() <= 1e-12
-
-    def test_merge_extent_mismatch(self):
-        ad = LoraAdapter.init(6, 4, 2, np.random.default_rng(0))
-        with pytest.raises(ShapeError):
-            blocks.lora_merge(tz.zeros((5, 4)), ad)
-
     def test_base_receives_no_gradient_through_lora(self):
         rng = np.random.default_rng(24)
         base = Tensor(rng.standard_normal((5, 5)))  # frozen: requires_grad False

@@ -172,6 +172,26 @@ class TestTrainInferDiagnose:
         assert len(lines) >= 2  # tiny grid has 2 audio positions -> 1 distance
         assert float(lines[1].split(",")[2]) >= 0.0
 
+    def test_state_dist_replaces_existing_csv_whole(self, trained, tmp_path, capsys):
+        sd_csv = tmp_path / "sd.csv"
+        sd_csv.write_text("stale,row,here\n" * 500)
+        code, _, _ = run_cli(["diagnose", "state-dist", "--checkpoint",
+                              os.path.join(trained, "final.ckpt"), "--n", "2",
+                              "--out", str(sd_csv)], capsys)
+        assert code == 0
+        lines = sd_csv.read_text().splitlines()
+        assert lines[0] == "sample,position,distance"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]  # 1 distance each
+        assert os.listdir(tmp_path) == ["sd.csv"]
+
+    def test_infer_requires_wav(self, trained, capsys):
+        code, _, err = run_cli(["infer", "--checkpoint",
+                                os.path.join(trained, "final.ckpt")], capsys)
+        assert code == 1 and "--wav" in err
+        code, _, err = run_cli(["infer", "--checkpoint", os.path.join(trained, "final.ckpt"),
+                                "--wav", "clip.wav", "--features", "grid.ckpt"], capsys)
+        assert code == 1 and "unrecognized arguments: --features" in err
+
 
 class TestBench:
     def test_bench_csv_and_slope(self, tmp_path, capsys):

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from mac import tensor as tz
-from mac.audio import AudioTokenGrid
-from mac.connector import ConnectorConfig, ConnectorMlp, connect, mlp_forward
+from mac.connector import VARIANTS, ConnectorConfig, ConnectorMlp, connect, mlp_forward
 from mac.tensor import ContractError, ShapeError, Tensor
 
+import frontend_oracle
 from conftest import check_gradients
 
 
-def make_grid(rng, t, f, d) -> AudioTokenGrid:
-    return AudioTokenGrid(Tensor(rng.standard_normal((t, f, d))))
+def make_grid(rng, t, f, d, b=1) -> Tensor:
+    """Encoder tokens [b, t, f, d]."""
+    return Tensor(rng.standard_normal((b, t, f, d)))
 
 
 def build(variant, t=4, f=3, d_enc=5, d_model=8, **over):
@@ -30,7 +31,7 @@ class TestLengths:
         with tz.no_grad():
             seq = connect(make_grid(rng, 64, 8, 768), cfg, mlp, tz.zeros((16,)))
         assert len(seq) == 64
-        assert all(s == "audio" for s in seq.segments)
+        assert (seq.segments == "audio").all()
 
     def test_paper_geometry_time_major(self):
         rng = np.random.default_rng(2)
@@ -52,16 +53,17 @@ class TestLengths:
         grid = make_grid(rng, 1, 1, 6)
         with tz.no_grad():
             seq = connect(grid, cfg, mlp, tz.zeros((8,)))
-            direct = mlp_forward(tz.reshape(grid.tokens, (1, 6)), mlp)
+            direct = mlp_forward(tz.reshape(grid, (1, 6)), mlp)
         assert len(seq) == 1
-        np.testing.assert_array_equal(seq.vectors.data, direct.data)
+        np.testing.assert_array_equal(seq.vectors.data[0], direct.data)
 
     def test_length_formulas_random_geometries(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             t = int(rng.integers(1, 65))
             f = int(rng.integers(1, 65))
-            grid = make_grid(rng, t, f, 3)
+            b = int(rng.integers(1, 4))
+            grid = make_grid(rng, t, f, 3, b)
             for variant, expect in (
                 ("concatenation", t),
                 ("time_major", t * (f + 1)),
@@ -70,13 +72,17 @@ class TestLengths:
                 cfg, mlp = build(variant, t=t, f=f, d_enc=3, d_model=4)
                 with tz.no_grad():
                     seq = connect(grid, cfg, mlp, tz.zeros((4,)))
-                assert len(seq) == expect == cfg.out_length, (variant, t, f)
+                assert len(seq) == expect, (variant, t, f)
+                assert seq.vectors.shape == (b, expect, 4)
+                assert seq.segments.shape == (b, expect)
 
     def test_geometry_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         cfg, mlp = build("concatenation", t=4, f=3, d_enc=5)
-        with pytest.raises(ShapeError, match="does not match"):
+        with pytest.raises(ShapeError, match="do not match"):
             connect(make_grid(rng, 4, 2, 5), cfg, mlp, tz.zeros((8,)))
+        with pytest.raises(ShapeError, match="do not match"):
+            connect(make_grid(rng, 4, 3, 5)[0], cfg, mlp, tz.zeros((8,)))
 
 
 class TestSeparators:
@@ -86,12 +92,13 @@ class TestSeparators:
         cfg, mlp = build("time_major", t=t, f=f, d_enc=4)
         sep = Tensor(np.full(8, 7.25))
         with tz.no_grad():
-            seq = connect(make_grid(rng, t, f, 4), cfg, mlp, sep)
-        for pos, label in enumerate(seq.segments):
-            should_be_sep = pos % (f + 1) == f
-            assert (label == "separator") == should_be_sep
-            if should_be_sep:
-                np.testing.assert_array_equal(seq.vectors.data[pos], sep.data)
+            seq = connect(make_grid(rng, t, f, 4, b=2), cfg, mlp, sep)
+        for row in range(2):
+            for pos, label in enumerate(seq.segments[row]):
+                should_be_sep = pos % (f + 1) == f
+                assert (label == "separator") == should_be_sep
+                if should_be_sep:
+                    np.testing.assert_array_equal(seq.vectors.data[row, pos], sep.data)
 
     def test_frequency_major_prefix_and_suffix(self):
         rng = np.random.default_rng(9)
@@ -102,14 +109,14 @@ class TestSeparators:
         cfg, mlp = build("frequency_major", t=t, f=f, d_enc=4, sep_position="prefix")
         with tz.no_grad():
             seq = connect(grid, cfg, mlp, sep)
-        assert [i for i, s in enumerate(seq.segments) if s == "separator"] == [
+        assert [i for i, s in enumerate(seq.segments[0]) if s == "separator"] == [
             b * (t + 1) for b in range(f)
         ]
 
         cfg2, mlp2 = build("frequency_major", t=t, f=f, d_enc=4, sep_position="suffix")
         with tz.no_grad():
             seq2 = connect(grid, cfg2, mlp2, sep)
-        assert [i for i, s in enumerate(seq2.segments) if s == "separator"] == [
+        assert [i for i, s in enumerate(seq2.segments[0]) if s == "separator"] == [
             b * (t + 1) + t for b in range(f)
         ]
         assert len(seq) == len(seq2) == (t + 1) * f
@@ -127,9 +134,9 @@ class TestSeparators:
         with tz.no_grad():
             seq_b = connect(grid, cfg_b, mlp, sep)
             seq_c = connect(grid, cfg_c, mlp, sep)
-        rows_b = [tuple(v) for v, s in zip(seq_b.vectors.data, seq_b.segments)
+        rows_b = [tuple(v) for v, s in zip(seq_b.vectors.data[0], seq_b.segments[0])
                   if s == "audio"]
-        rows_c = [tuple(v) for v, s in zip(seq_c.vectors.data, seq_c.segments)
+        rows_c = [tuple(v) for v, s in zip(seq_c.vectors.data[0], seq_c.segments[0])
                   if s == "audio"]
         assert sorted(rows_b) == sorted(rows_c)
 
@@ -141,6 +148,42 @@ class TestSeparators:
             a = connect(grid, cfg, mlp, tz.zeros((8,))).vectors.data
             b = connect(grid, cfg, mlp, tz.zeros((8,))).vectors.data
         assert np.array_equal(a, b)
+
+
+class TestBatchMatchesOracle:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("sep_position", ["prefix", "suffix"])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_rows_labels_and_gradients(self, variant, sep_position, b):
+        # every clip's rows and labels equal the per-clip connector's exactly;
+        # the gradients of the MLP, the separator and the tokens agree to rounding
+        rng = np.random.default_rng(17)
+        t, f = 5, 3
+        cfg, mlp = build(variant, t=t, f=f, d_enc=4, sep_position=sep_position)
+        grid = make_grid(rng, t, f, 4, b)
+        sep = Tensor(rng.standard_normal(8))
+        leaves = list(mlp.parameters().values()) + [sep, grid]
+        for leaf in leaves:
+            leaf.requires_grad = True
+        seq = connect(grid, cfg, mlp, sep)
+        weights = rng.standard_normal(seq.vectors.shape)
+        batch_grads = tz.tsum(tz.mul(seq.vectors, weights)).backward()
+        tz.zero_grad(leaves)
+
+        clips = [frontend_oracle.connect(frontend_oracle.AudioTokenGrid(grid[i]), cfg, mlp, sep)
+                 for i in range(b)]
+        for i, (vectors, segments) in enumerate(clips):
+            assert np.array_equal(seq.vectors.data[i], vectors.data)
+            assert list(seq.segments[i]) == segments
+        oracle = tz.tsum(tz.concat([tz.mul(vectors, weights[i])
+                                    for i, (vectors, _) in enumerate(clips)], axis=0))
+        oracle_grads = oracle.backward()
+        for leaf in leaves:
+            if leaf is sep and variant == "concatenation":
+                assert sep not in batch_grads and sep not in oracle_grads
+                continue
+            scale = np.abs(oracle_grads[leaf]).max()
+            assert np.abs(batch_grads[leaf] - oracle_grads[leaf]).max() <= 1e-12 * scale
 
 
 class TestMlp:

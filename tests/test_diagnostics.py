@@ -191,9 +191,9 @@ class TestStateDistances:
         mean_d, per_layer = state_update_distances(cap, sample)
 
         with tz.no_grad():
-            seq, _, _ = cap.build_sequence(sample, mode="infer")
+            seq, _, _ = cap.build_sequence([sample], mode="infer")
         blk = cap.lm.blocks[0]
-        x = seq.vectors.data[None, :, :]
+        x = seq.vectors.data
         w = x / np.sqrt((x**2).mean(-1, keepdims=True) + 1e-5) * blk.res_norm.data
 
         def lora_mat(proj):
@@ -220,7 +220,7 @@ class TestStateDistances:
         dt = np.logaddexp(0.0, dt_raw + blk.dt_bias.data)
         a = -np.exp(blk.log_a.data)
 
-        n_audio = sum(1 for s in seq.segments if s in ("audio", "separator"))
+        n_audio = sum(1 for s in seq.segments[0] if s in ("audio", "separator"))
         h = np.zeros((cfg.n_heads, cfg.head_dim, cfg.d_state))
         prev = h.copy()
         dists = []
@@ -269,9 +269,8 @@ class TestScalingBench:
     def test_decode_state_size_independent_of_history(self):
         cap, train, _ = tiny_captioner()
         with tz.no_grad():
-            seq, _, _ = cap.build_sequence(train[0], mode="infer")
-            embs = tz.reshape(seq.vectors, (1,) + seq.vectors.shape)
-            _, states = cap.lm.forward(embs, mode="chunked", return_states=True)
+            seq, _, _ = cap.build_sequence(train[:1], mode="infer")
+            _, states = cap.lm.forward(seq.vectors, mode="chunked", return_states=True)
             sizes_after_prefill = [s.ssm.h.size + s.conv_tail.size for s in states]
             for _ in range(7):
                 step = tz.zeros((1, 1, cap.lm_cfg.d_model))
@@ -302,18 +301,31 @@ class TestCsvEmission:
         assert "T,wall_time_s,analytic_flops" in content
         assert "fitted_slope" in content
 
+    def test_state_csv_replaces_existing_file_whole(self, tmp_path):
+        path = tmp_path / "state.csv"
+        path.write_text("stale,row,here\n" * 500)
+        diagnostics.write_state_csv(str(path), [np.array([0.5, 0.25]), np.zeros(0),
+                                                np.array([1.0])])
+        assert path.read_text().splitlines() == [
+            "sample,position,distance", "0,1,0.500000", "0,2,0.250000", "2,1,1.000000"]
+        assert os.listdir(tmp_path) == ["state.csv"]
+
     def test_failed_write_keeps_previous_csv(self, tmp_path, monkeypatch):
         bench, grid = str(tmp_path / "bench.csv"), str(tmp_path / "grid.csv")
+        state = str(tmp_path / "state.csv")
         diagnostics.write_bench_csv(bench, [(32, 0.001, 1000)], 1.02)
         diagnostics.write_grid_csv(grid, "erank", {("nano", "concatenation"): 3.25})
-        before = {p: Path(p).read_bytes() for p in (bench, grid)}
+        diagnostics.write_state_csv(state, [np.array([0.5])])
+        before = {p: Path(p).read_bytes() for p in (bench, grid, state)}
 
         fail_writes_part_way(monkeypatch)
         with pytest.raises(OSError, match="no space"):
             diagnostics.write_bench_csv(bench, [(32, 0.5, 1000), (64, 1.0, 2000)], 1.0)
         with pytest.raises(OSError, match="no space"):
             diagnostics.write_grid_csv(grid, "erank", {("small", "time_major"): 4.0})
+        with pytest.raises(OSError, match="no space"):
+            diagnostics.write_state_csv(state, [np.array([0.25, 0.125])])
         monkeypatch.undo()
 
-        assert {p: Path(p).read_bytes() for p in (bench, grid)} == before
-        assert sorted(os.listdir(tmp_path)) == ["bench.csv", "grid.csv"]
+        assert {p: Path(p).read_bytes() for p in (bench, grid, state)} == before
+        assert sorted(os.listdir(tmp_path)) == ["bench.csv", "grid.csv", "state.csv"]

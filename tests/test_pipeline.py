@@ -105,18 +105,20 @@ class TestConfig:
 class TestSequenceBuilding:
     def test_segment_order_audio_prompt_caption(self):
         cap, train, _ = tiny_captioner()
-        seq, _, _ = cap.build_sequence(train[0], mode="train")
-        order = {"audio": 0, "separator": 0, "prompt": 1, "caption": 2}
-        ranks = [order[s] for s in seq.segments]
-        assert ranks == sorted(ranks)
-        assert seq.segments[0] in ("audio", "separator")
-        assert seq.segments[-1] == "caption"
+        seq, _, _ = cap.build_sequence(train, mode="train")
+        order = {"audio": 0, "separator": 0, "prompt": 1, "caption": 2, "pad": 3}
+        for row in seq.segments:
+            ranks = [order[s] for s in row]
+            assert ranks == sorted(ranks)
+            assert row[0] in ("audio", "separator")
+            assert "caption" in row
+        assert (seq.segments[:, -1] == "caption").any()
 
     def test_mask_counts_caption_plus_eos(self):
         cap, train, _ = tiny_captioner()
-        for s in train:
-            _, _, mask = cap.build_sequence(s, mode="train")
-            assert int(mask.sum()) == len(cap.vocab.encode(s.caption)) + 1
+        _, _, mask = cap.build_sequence(train, mode="train")
+        assert [int(m) for m in mask.sum(axis=1)] == [
+            len(cap.vocab.encode(s.caption)) + 1 for s in train]
 
     def test_prompt_tokenizes_deterministically(self):
         cap, _, _ = tiny_captioner()
@@ -126,19 +128,19 @@ class TestSequenceBuilding:
 
     def test_infer_mode_has_no_targets(self):
         cap, train, _ = tiny_captioner()
-        seq, targets, mask = cap.build_sequence(train[0], mode="infer")
-        assert mask.sum() == 0
-        assert all(s in ("audio", "separator", "prompt") for s in seq.segments)
+        seq, targets, mask = cap.build_sequence(train[:1], mode="infer")
+        assert mask.sum() == 0 and targets.shape == mask.shape == (1, len(seq))
+        assert all(s in ("audio", "separator", "prompt") for s in seq.segments[0])
 
     def test_empty_caption_rejected_in_train_mode(self):
         cap, train, _ = tiny_captioner()
         bad = Sample(audio=train[0].audio, prompt=train[0].prompt, caption="")
         with pytest.raises(ContractError, match="empty caption"):
-            cap.build_sequence(bad, mode="train")
+            cap.build_sequence([train[1], bad], mode="train")
 
     def test_loss_mask_ignores_prompt_positions(self):
         cap, train, _ = tiny_captioner()
-        logits, targets, mask = cap.batch_forward(train[:2], mode="train")
+        logits, targets, mask, _ = cap.batch_forward(train[:2], mode="train")
         loss_a = tz.cross_entropy(logits, targets, mask).item()
         perturbed = targets.copy()
         perturbed[mask == 0] = 1  # scribble over every unmasked position
@@ -148,14 +150,14 @@ class TestSequenceBuilding:
     def test_teacher_forcing_matches_streaming_forward(self):
         cap, train, _ = tiny_captioner()
         with tz.no_grad():
-            logits, targets, mask = cap.batch_forward(train[:1], mode="train")
+            logits, targets, mask, _ = cap.batch_forward(train[:1], mode="train")
             batch_loss = tz.cross_entropy(logits, targets, mask).item()
 
-            seq, t2, m2 = cap.build_sequence(train[0], mode="train")
+            seq, t2, m2 = cap.build_sequence(train[:1], mode="train")
             states = None
             step_logits = []
-            for t in range(len(seq.segments)):
-                emb = tz.reshape(seq.vectors[t : t + 1, :], (1, 1, cap.lm_cfg.d_model))
+            for t in range(len(seq)):
+                emb = seq.vectors[:, t : t + 1]
                 out, states = cap.lm.forward(emb, mode="recurrent", states=states,
                                              return_states=True)
                 step_logits.append(out.data[0, 0])
@@ -167,8 +169,8 @@ class TestSequenceBuilding:
     def test_separator_token_uses_trainable_embedding(self):
         cap, train, _ = tiny_captioner(**{"connector.variant": "time_major"})
         cap.sep_embedding.data[:] = 123.0
-        seq, _, _ = cap.build_sequence(train[0], mode="infer")
-        sep_rows = [v for v, s in zip(seq.vectors.data, seq.segments) if s == "separator"]
+        seq, _, _ = cap.build_sequence(train[:1], mode="infer")
+        sep_rows = [v for v, s in zip(seq.vectors.data[0], seq.segments[0]) if s == "separator"]
         assert sep_rows and all(np.all(r == 123.0) for r in sep_rows)
         # "&&" inside plain text resolves to the same trainable row
         emb = cap.embed_tokens(np.array([cap.vocab.sep_id]))
@@ -210,19 +212,32 @@ class TestTraining:
         cap, train, evl = tiny_captioner(**{"train.encoder_trainable": "false"})
         clips = train + evl
         monkeypatch.setattr(pipeline, "CACHE_ENTRIES", 3)
-        misses = []
-        real_mel = pipeline.audiomod.melspectrogram
+        misses, encoded = [], []
+        real_mel, real_encode = pipeline.audiomod.melspectrogram, pipeline.audiomod.encode
         monkeypatch.setattr(pipeline.audiomod, "melspectrogram",
                             lambda wave: misses.append(1) or real_mel(wave))
-        for s in clips[:3] + clips[:1] + clips[3:5]:  # clip 0 used again, so clip 1 goes
-            cap.audio_grid(s)
+
+        def encode(rows, encoder, frozen=False):
+            out = real_encode(rows, encoder, frozen)
+            encoded.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(pipeline.audiomod, "encode", encode)
+        # clip 0 is used again, so clip 1 goes first, then clip 2
+        for batch in (clips[:3], clips[:1], clips[3:5]):
+            assert cap.audio_tokens(batch).shape[0] == len(batch)
         assert len(cap._grid_cache) == len(cap._mel_cache) == 3
         assert len(misses) == 5
-        cap.audio_grid(clips[0])  # kept: the last use made it recent
-        assert len(misses) == 5
-        cap.audio_grid(clips[1])  # evicted first, so rebuilt
-        assert len(misses) == 6
+        assert encoded == [3, 2]  # the misses of a batch are encoded together
+        cap.audio_tokens(clips[:1])  # kept: the last use made it recent
+        assert len(misses) == 5 and encoded == [3, 2]
+        tokens = cap.audio_tokens([clips[1], clips[0], clips[1]])  # 1 was evicted: rebuilt once
+        assert len(misses) == 6 and encoded == [3, 2, 1]
+        assert np.array_equal(tokens.data[0], tokens.data[2])
         assert len(cap._grid_cache) == len(cap._mel_cache) == 3
+        # a batch larger than the caches still gets every clip's tokens
+        tokens = cap.audio_tokens(clips[:5])
+        assert tokens.shape[0] == 5 and len(cap._grid_cache) == 3
 
     def test_frozen_encoder_weights_bit_invariant(self):
         cap, train, _ = tiny_captioner(**{"train.encoder_trainable": "false"})
@@ -242,6 +257,31 @@ class TestTraining:
                 pipeline.train_step(state, train)
         assert err.value.dump_path and os.path.exists(err.value.dump_path)
 
+    def test_divergence_dump_replaces_existing_file_whole(self, tmp_path, monkeypatch):
+        cap, train, _ = tiny_captioner()
+        state = pipeline.make_train_state(cap, dump_dir=str(tmp_path))
+        stale = tmp_path / "diverged_step0.txt"
+        stale.write_text("stale line\n" * 500)
+        cap.mlp.w1.data[:] = np.inf
+
+        fail_writes_part_way(monkeypatch)  # a failed dump keeps the previous file
+        with pytest.raises(OSError, match="no space"):
+            with np.errstate(invalid="ignore", over="ignore"):
+                pipeline.train_step(state, train)
+        monkeypatch.undo()
+        assert stale.read_text() == "stale line\n" * 500
+        assert os.listdir(tmp_path) == ["diverged_step0.txt"]
+
+        with pytest.raises(pipeline.TrainingDiverged) as err:
+            with np.errstate(invalid="ignore", over="ignore"):
+                pipeline.train_step(state, train)
+        assert err.value.dump_path == str(stale)
+        lines = stale.read_text().splitlines()
+        assert lines[0] == "loss=nan step=0" and lines[1] == "recent_losses="
+        assert len(lines) == 2 + len(state.optimizer.params)
+        assert all(line.startswith("param ") for line in lines[2:])
+        assert os.listdir(tmp_path) == ["diverged_step0.txt"]
+
 
 def mixed_prompt_samples(cap: Captioner, samples: list[Sample]) -> list[Sample]:
     """Each sample under both configured prompts, which differ in token count."""
@@ -256,22 +296,23 @@ class TestGeneration:
         cap, train, _ = tiny_captioner()
         assert pipeline.generate_greedy(cap, train[0], max_len=0) == ""
         with tz.no_grad():
-            seq, _, _ = cap.build_sequence(train[0], mode="infer")
-        assert pipeline._decode_streaming(cap, [seq.vectors, seq.vectors], 0) == [[], []]
+            seq, _, _ = cap.build_sequence(train[:2], mode="infer")
+        assert pipeline._decode_streaming(cap, seq.vectors, [len(seq)] * 2, 0) == [[], []]
 
     def test_batched_streaming_equals_full_per_row(self):
         max_len = 8
         for mode in ssd.MODES:
             cap, train, _ = tiny_captioner(**{"model.scan_mode": mode})
             with tz.no_grad():
-                prefixes = [cap.build_sequence(s, mode="infer")[0].vectors
-                            for s in mixed_prompt_samples(cap, train)]
-                batched = pipeline._decode_streaming(cap, prefixes, max_len)
-                oracle = [pipeline._decode_full(cap, p, max_len) for p in prefixes]
+                seq, _, _ = cap.build_sequence(mixed_prompt_samples(cap, train), mode="infer")
+                ends = (seq.segments != "pad").sum(axis=1)
+                batched = pipeline._decode_streaming(cap, seq.vectors, ends, max_len)
+                oracle = [pipeline._decode_full(cap, seq.vectors[r : r + 1, :end], max_len)
+                          for r, end in enumerate(ends)]
             assert batched == oracle, mode
             # the list covers two prefix lengths, rows ending at <eos> before
             # max_len and rows cut at max_len
-            assert len({p.shape[0] for p in prefixes}) == 2
+            assert len(set(ends)) == 2
             eos = cap.vocab.eos_id
             assert any(ids[-1] == eos and len(ids) < max_len for ids in batched), mode
             assert any(ids[-1] != eos and len(ids) == max_len for ids in batched), mode
@@ -285,7 +326,7 @@ class TestGeneration:
             for s in samples[::3]:
                 s.caption = pipeline.generate_greedy(cap, s, max_len=8) or s.caption
             with tz.no_grad():
-                logits, targets, mask = cap.batch_forward(samples)
+                logits, targets, mask, _ = cap.batch_forward(samples)
             hits = ((logits.data.argmax(axis=-1) == targets) * (mask > 0)).sum()
             gens = [pipeline.generate_greedy(cap, s, max_len=8, streaming=False)
                     for s in samples]
@@ -321,8 +362,8 @@ class TestCheckpoint:
         cap.save(path)
         back = pipeline.load_captioner(path)
         with tz.no_grad():
-            a, _, _ = cap.batch_forward(train[:2])
-            b, _, _ = back.batch_forward(train[:2])
+            a = cap.batch_forward(train[:2])[0]
+            b = back.batch_forward(train[:2])[0]
         assert np.array_equal(a.data, b.data)
 
     def test_corrupted_payload_is_integrity_error(self, tmp_path):
@@ -352,8 +393,8 @@ class TestCheckpoint:
         fresh = Captioner(cap.cfg, cap.vocab)  # same seed -> same frozen base
         fresh.load_tensors(path, subset_ok=True)
         with tz.no_grad():
-            a, _, _ = cap.batch_forward(train[:2])
-            b, _, _ = fresh.batch_forward(train[:2])
+            a = cap.batch_forward(train[:2])[0]
+            b = fresh.batch_forward(train[:2])[0]
         assert np.array_equal(a.data, b.data)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):

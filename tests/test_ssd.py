@@ -8,7 +8,7 @@ from mac import tensor as tz
 from mac.tensor import ContractError, Tensor
 
 import ssd_oracle
-from conftest import check_gradients, rel_err
+from conftest import check_gradients, rel_err, using_dtype
 
 E_NEG1 = 0.3678794411714423215955237701614609
 ONE_MINUS_E_NEG1 = 0.6321205588285576784044762298385391
@@ -204,7 +204,7 @@ class TestScanChunked:
 
     def test_float32_inputs_carry_state_in_float64(self):
         rng = np.random.default_rng(8)
-        with tz.using_dtype(np.float32):
+        with using_dtype(np.float32):
             params = ssd.SelectiveParams(
                 dt=tz.softplus(Tensor(rng.standard_normal((40, 4)), dtype=np.float32)),
                 a=tz.neg(tz.exp(Tensor(rng.standard_normal(4), dtype=np.float32))),
@@ -376,7 +376,7 @@ class TestKernelsMatchOracle:
     def test_float32_outputs_and_gradients(self, mode):
         rng = np.random.default_rng(18)
         leaves = scan_leaves(rng, t=9, h=4, p=3, g=2, n=5, batch=2, dtype=np.float32)
-        with tz.using_dtype(np.float32):
+        with using_dtype(np.float32):
             y, final, loss = scan_loss(ssd, leaves, mode, "both")
             grads = loss.backward()
         assert y.dtype == np.float32 and final.h.dtype == np.float32
