@@ -53,7 +53,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("diagnose", help="representation diagnostics CSVs")
     p.add_argument("metric", choices=["erank", "cosine", "state-dist"])
     p.add_argument("--checkpoint", action="append", required=True,
-                   help="checkpoint(s); each contributes one table cell")
+                   help="checkpoint; erank and cosine take it repeated (one table cell "
+                        "per model and connector variant), state-dist exactly once")
     p.add_argument("--dataset", default="synthetic",
                    help="'synthetic' or a manifest.jsonl path")
     p.add_argument("--n", type=int, default=8, help="number of clips to analyze")
@@ -189,6 +190,9 @@ def _cmd_diagnose(args) -> int:
                                 caption=r.get("caption")) for r in records]
 
     if args.metric == "state-dist":
+        if len(args.checkpoint) != 1:
+            raise UsageError(f"diagnose state-dist takes one --checkpoint, "
+                             f"got {len(args.checkpoint)}")
         cap = pipeline.load_captioner(args.checkpoint[0])
         distances = [diagnostics.state_update_distances(cap, s)[0]
                      for s in dataset_samples(cap)]

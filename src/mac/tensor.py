@@ -14,6 +14,7 @@ equivalence and gradient tests) and float32 (training speed).
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -221,28 +222,9 @@ def mul(a, b) -> Tensor:
     )
 
 
-def div(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
-    inv = 1.0 / b.data
-    return _node(
-        a.data * inv,
-        [
-            (a, lambda g: _unbroadcast(g * inv, a.shape)),
-            (b, lambda g: _unbroadcast(-g * a.data * inv * inv, b.shape)),
-        ],
-    )
-
-
 def neg(a) -> Tensor:
     a = _ensure(a)
     return _node(-a.data, [(a, lambda g: -g)])
-
-
-def power(a, exponent: float) -> Tensor:
-    a = _ensure(a)
-    e = float(exponent)
-    out = a.data**e
-    return _node(out, [(a, lambda g: g * e * a.data ** (e - 1.0))])
 
 
 def exp(a) -> Tensor:
@@ -256,20 +238,12 @@ def log(a) -> Tensor:
     return _node(np.log(a.data), [(a, lambda g: g / a.data)])
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # stable in both tails
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(a) -> Tensor:
-    a = _ensure(a)
-    s = _sigmoid(a.data)
-    return _node(s, [(a, lambda g: g * s * (1.0 - s))])
+def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function, stable in both tails; ``e`` is exp(-|x|) if known."""
+    if e is None:
+        e = np.exp(-np.abs(x))
+    r = 1.0 / (1.0 + e)
+    return np.where(x >= 0, r, e * r)
 
 
 def silu(a) -> Tensor:
@@ -288,42 +262,32 @@ def relu(a) -> Tensor:
 
 
 def softplus(a) -> Tensor:
-    """ln(1 + e^x), evaluated as x + ln(1 + e^-x) for x > 0 to avoid overflow."""
+    """ln(1 + e^x), evaluated as max(x, 0) + ln(1 + e^-|x|) to avoid overflow;
+    its slope, the sigmoid, reuses the same e^-|x|."""
     a = _ensure(a)
     x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    s = _sigmoid(x)
+    e = np.exp(-np.abs(x))
+    out = np.maximum(x, 0.0) + np.log1p(e)
+    s = _sigmoid(x, e)
     return _node(out, [(a, lambda g: g * s)])
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a) -> Tensor:
     """tanh-approximation GELU: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
     a = _ensure(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
 
     return _node(out, [(a, vjp)])
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = _ensure(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        return s * (g - (g * s).sum(axis=axis, keepdims=True))
-
-    return _node(s, [(a, vjp)])
 
 
 # -- reductions -----------------------------------------------------------
@@ -343,16 +307,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         return np.broadcast_to(g, a.shape).copy()
 
     return _node(np.asarray(out), [(a, vjp)])
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _ensure(a)
-    if axis is None:
-        n = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.shape[ax] for ax in axes]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 # -- shape ops --------------------------------------------------------------
@@ -576,10 +530,23 @@ def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray | None = None) -
 
 
 def rms_norm(x, weight, eps: float = 1e-5) -> Tensor:
-    """Root-mean-square normalization over the last axis, scaled by weight."""
-    x = _ensure(x)
-    scale = power(add(tmean(mul(x, x), axis=-1, keepdims=True), eps), -0.5)
-    return mul(mul(x, scale), weight)
+    """Root-mean-square normalization over the last axis, scaled by weight.
+
+    One tape node: with r = 1/sqrt(mean(x^2) + eps) and xhat = x r, the
+    adjoints are gx = r (g w - xhat mean(g w xhat)) and gw = sum of g xhat.
+    """
+    x, weight = _ensure(x), _ensure(weight)
+    r = 1.0 / np.sqrt(np.mean(x.data * x.data, axis=-1, keepdims=True) + eps)
+    xhat = x.data * r
+
+    def vjp_x(g):
+        gw = g * weight.data
+        return r * (gw - xhat * np.mean(gw * xhat, axis=-1, keepdims=True))
+
+    return _node(
+        xhat * weight.data,
+        [(x, vjp_x), (weight, lambda g: _unbroadcast(g * xhat, weight.shape))],
+    )
 
 
 # -- constructors -----------------------------------------------------------

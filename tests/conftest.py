@@ -74,6 +74,17 @@ def check_gradients(fn, leaves, eps: float = 1e-4, tol: float = 1e-4) -> float:
     return worst
 
 
+def recorded_nodes(*outputs: tz.Tensor) -> int:
+    """Number of tape nodes (ops that recorded a parent) the outputs reach."""
+    recorded, todo = set(), list(outputs)
+    while todo:
+        node = todo.pop()
+        if node._pairs and id(node) not in recorded:
+            recorded.add(id(node))
+            todo.extend(parent for parent, _ in node._pairs)
+    return len(recorded)
+
+
 def fail_writes_part_way(monkeypatch) -> None:
     """Make every file ``checkpoint`` opens stop part-way through its first
     write, as a full disk would."""

@@ -1,7 +1,8 @@
 """Composed-``Tensor`` selective scans: the test oracle of ``mac.ssd``.
 
 These are the scans ``mac.ssd`` ran before its numpy kernels with
-hand-written adjoints, kept verbatim: every step is a taped ``Tensor`` op, so
+hand-written adjoints, kept verbatim but for one quotient, now a product with
+``power(b, -1)`` from ``tensor_oracle``: every step is a taped ``Tensor`` op, so
 their outputs and gradients come from the generic autograd tape alone. They
 take and return the same ``SelectiveParams`` / ``ScanState`` as ``mac.ssd``.
 """
@@ -13,6 +14,8 @@ import numpy as np
 from mac import tensor as tz
 from mac.ssd import DEFAULT_CHUNK, ScanState, SelectiveParams
 from mac.tensor import ContractError, ShapeError, Tensor
+
+from tensor_oracle import power
 
 # Finite stand-in for -inf in masked log-decay entries: exp() underflows to
 # exactly 0.0 without tripping the debug finiteness checks.
@@ -43,8 +46,8 @@ def _input_coef(dt: Tensor, z: Tensor, exact: bool) -> Tensor:
     zd = z.data
     small = np.abs(zd) < 1e-6
     # phi(z) = (e^z - 1)/z, with a Taylor branch where cancellation bites
-    phi_exact = tz.div(tz.add(tz.exp(tz.where_mask(z, ~small, 1.0)), -1.0),
-                       tz.where_mask(z, ~small, 1.0))
+    phi_exact = tz.mul(tz.add(tz.exp(tz.where_mask(z, ~small, 1.0)), -1.0),
+                       power(tz.where_mask(z, ~small, 1.0), -1.0))
     phi_taylor = tz.add(tz.add(1.0, tz.mul(z, 0.5)), tz.mul(tz.mul(z, z), 1.0 / 6.0))
     keep = Tensor(np.where(small, 0.0, 1.0).astype(zd.dtype))
     phi = tz.add(tz.mul(phi_exact, keep), tz.mul(phi_taylor, tz.add(1.0, tz.neg(keep))))

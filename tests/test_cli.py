@@ -184,6 +184,15 @@ class TestTrainInferDiagnose:
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1"]  # 1 distance each
         assert os.listdir(tmp_path) == ["sd.csv"]
 
+    def test_state_dist_rejects_more_than_one_checkpoint(self, trained, tmp_path, capsys):
+        ck = os.path.join(trained, "final.ckpt")
+        sd_csv = tmp_path / "sd.csv"
+        code, _, err = run_cli(["diagnose", "state-dist", "--checkpoint", ck,
+                                "--checkpoint", ck, "--n", "1", "--out", str(sd_csv)], capsys)
+        assert code == 1
+        assert err.startswith("error_code=usage") and "--checkpoint" in err
+        assert not sd_csv.exists()
+
     def test_infer_requires_wav(self, trained, capsys):
         code, _, err = run_cli(["infer", "--checkpoint",
                                 os.path.join(trained, "final.ckpt")], capsys)

@@ -8,7 +8,7 @@ from mac import tensor as tz
 from mac.tensor import ContractError, Tensor
 
 import ssd_oracle
-from conftest import check_gradients, rel_err, using_dtype
+from conftest import check_gradients, recorded_nodes, rel_err, using_dtype
 
 E_NEG1 = 0.3678794411714423215955237701614609
 ONE_MINUS_E_NEG1 = 0.6321205588285576784044762298385391
@@ -390,13 +390,7 @@ class TestKernelsMatchOracle:
             params = ssd.SelectiveParams(*leaves[:5])
             y, final = ssd.scan(params, mode, chunk_len=chunk_len,
                                 initial=ssd.ScanState(leaves[5]))
-            recorded, todo = set(), [y, final.h]
-            while todo:
-                node = todo.pop()
-                if node._pairs and id(node) not in recorded:
-                    recorded.add(id(node))
-                    todo.extend(parent for parent, _ in node._pairs)
-            assert len(recorded) == 2, (t, chunk_len, batch)
+            assert recorded_nodes(y, final.h) == 2, (t, chunk_len, batch)
 
 
 class TestDispatch:
