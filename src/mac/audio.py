@@ -260,8 +260,6 @@ class CnnEncoder:
         return out
 
 
-
-
 def patch_rows(mel: MelSpec, cfg: EncoderConfig) -> np.ndarray:
     """One clip's mel image cut into the first layer's patches -> [N, pt * pf].
 
@@ -278,20 +276,13 @@ def patch_rows(mel: MelSpec, cfg: EncoderConfig) -> np.ndarray:
     return mel.frames.reshape(t, pt, f, pf).transpose(0, 2, 1, 3).reshape(t * f, pt * pf)
 
 
-def encode(rows, encoder: CnnEncoder, frozen: bool = False) -> Tensor:
+def encode(rows, encoder: CnnEncoder) -> Tensor:
     """Run the patch stack over B clips -> tokens [B, T_a, F_a, d_enc].
 
-    ``rows`` is the clips' ``patch_rows``, concatenated. ``frozen``
-    evaluates off the tape, so no gradient can reach encoder weights (the
-    encoder-frozen training ablation).
+    ``rows`` is the clips' ``patch_rows``, concatenated. A frozen encoder is
+    the caller's ``tz.no_grad()`` around this call: off the tape, no
+    gradient can reach the encoder weights.
     """
-    if frozen:
-        with tz.no_grad():
-            return _encode_impl(rows, encoder)
-    return _encode_impl(rows, encoder)
-
-
-def _encode_impl(rows, encoder: CnnEncoder) -> Tensor:
     cfg = encoder.cfg
     t, f = cfg.mel_frames, cfg.mel_bins
     pt, pf = cfg.patches[0]

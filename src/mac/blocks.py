@@ -58,30 +58,22 @@ class LmConfig:
 
 @dataclass
 class LoraAdapter:
-    """Low-rank update (alpha/rank) * down @ up with alpha fixed at 2*rank."""
+    """Low-rank update scale * down @ up; the scale is alpha/rank with alpha
+    fixed at 2*rank, so it is 2 at every rank."""
 
-    rank: int
     down: Tensor
     up: Tensor
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.rank <= 0:
-            raise ContractError(f"LoRA rank must be positive, got {self.rank}")
-        if self.alpha == 0.0:
-            self.alpha = 2.0 * self.rank
-
-    @property
-    def scale(self) -> float:
-        return self.alpha / self.rank
+    scale = 2.0
 
     @staticmethod
     def init(d_in: int, d_out: int, rank: int, rng: np.random.Generator) -> "LoraAdapter":
+        if rank <= 0:
+            raise ContractError(f"LoRA rank must be positive, got {rank}")
         # down gets a small random start, up starts at zero so the adapted
         # projection is exactly the base projection at initialization
         down = Tensor(rng.standard_normal((d_in, rank)) / np.sqrt(d_in))
         up = tz.zeros((rank, d_out))
-        return LoraAdapter(rank=rank, down=down, up=up)
+        return LoraAdapter(down=down, up=up)
 
 
 def lora_apply(base: Tensor, adapter: LoraAdapter | None, x: Tensor) -> Tensor:
@@ -89,8 +81,6 @@ def lora_apply(base: Tensor, adapter: LoraAdapter | None, x: Tensor) -> Tensor:
     y = tz.matmul(x, base)
     if adapter is None:
         return y
-    if adapter.rank <= 0:
-        raise ContractError("LoRA rank must be positive")
     delta = tz.matmul(tz.matmul(x, adapter.down), adapter.up)
     return tz.add(y, tz.mul(delta, adapter.scale))
 
@@ -115,9 +105,9 @@ class LoraLinear:
 
 @dataclass
 class BlockState:
-    """Streaming state of one block: scan state + conv tail (last K-1 inputs)."""
+    """Streaming state of one block: scan state h + conv tail (last K-1 inputs)."""
 
-    ssm: ssd.ScanState
+    ssm: Tensor
     conv_tail: Tensor
 
 

@@ -54,7 +54,8 @@ def build_parser() -> _Parser:
     p.add_argument("metric", choices=["erank", "cosine", "state-dist"])
     p.add_argument("--checkpoint", action="append", required=True,
                    help="checkpoint; erank and cosine take it repeated (one table cell "
-                        "per model and connector variant), state-dist exactly once")
+                        "per model and connector variant, at most one checkpoint each), "
+                        "state-dist exactly once")
     p.add_argument("--dataset", default="synthetic",
                    help="'synthetic' or a manifest.jsonl path")
     p.add_argument("--n", type=int, default=8, help="number of clips to analyze")
@@ -201,8 +202,14 @@ def _cmd_diagnose(args) -> int:
         return 0
 
     cells: dict[tuple[str, str], float] = {}
+    owners: dict[tuple[str, str], str] = {}
     for ck in args.checkpoint:
         cap = pipeline.load_captioner(ck)
+        cell = (cap.cfg["model.preset"], cap.cfg["connector.variant"])
+        if cell in owners:
+            raise UsageError(f"--checkpoint {owners[cell]} and {ck} both fill the cell "
+                             f"model {cell[0]}, connector {cell[1]}; pass one of them")
+        owners[cell] = ck
         samples = dataset_samples(cap)
         size = cap.cfg["train.batch_size"]
         with tz.no_grad():
@@ -210,14 +217,11 @@ def _cmd_diagnose(args) -> int:
                 cap.audio_tokens(samples[i : i + size]).data.reshape(-1, cap.enc_cfg.d_enc)
                 for i in range(0, len(samples), size)
             ])
-        feats = diagnostics.FeatureMatrix(token_rows, source=ck)
-        model = cap.cfg["model.preset"]
-        variant = cap.cfg["connector.variant"]
+        feats = diagnostics.FeatureMatrix(token_rows)
         if args.metric == "erank":
-            cells[(model, variant)] = diagnostics.erank_of_tokens(
-                feats, on=cap.cfg["diag.erank_on"])
+            cells[cell] = diagnostics.erank_of_tokens(feats)
         else:
-            cells[(model, variant)] = diagnostics.mean_pairwise_cosine(feats)
+            cells[cell] = diagnostics.mean_pairwise_cosine(feats)
     diagnostics.write_grid_csv(args.out, args.metric, cells)
     print(args.out)
     return 0

@@ -70,8 +70,6 @@ SCHEMA: dict[str, Field] = {
     "data.n_eval": Field(4, "int"),
     "data.prompt": Field("Write an audio caption describing the sound", "str"),
     "data.classify_prompt": Field("Classify audio event in the clip", "str"),
-    "diag.state_metric": Field("frobenius", "str", ("frobenius", "per_head_mean")),
-    "diag.erank_on": Field("covariance", "str", ("covariance", "centered")),
 }
 
 

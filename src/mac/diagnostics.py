@@ -4,10 +4,12 @@ Analyses over a matrix of audio tokens (rows = tokens):
 
 - normalized covariance: mean outer product of unit-normalized centered
   tokens (trace 1 by construction)
-- eRank: exp of the Shannon entropy of the normalized singular-value
-  distribution, a feature-diversity proxy in [1, min(N, d)]
+- eRank of the tokens: exp of the Shannon entropy of the normalized
+  singular-value distribution of their normalized covariance, a
+  feature-diversity proxy in [1, min(N, d)]
 - mean pairwise cosine similarity over unordered token pairs
-- per-step hidden-state update distances of adjacent audio positions
+- per-step hidden-state update distances of adjacent audio positions, the
+  Frobenius norm of each layer's state difference
 - wall-clock + analytic-FLOP scaling of the scan modes over sequence length
 """
 
@@ -31,10 +33,9 @@ ZERO_NORM_EPS = 1e-12
 
 @dataclass
 class FeatureMatrix:
-    """Audio tokens as rows, plus a provenance tag for table emission."""
+    """Audio tokens as rows."""
 
     rows: np.ndarray  # [N_tok, d]
-    source: str = ""
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64)
@@ -84,15 +85,9 @@ def erank(matrix: np.ndarray) -> float:
     return float(np.exp(-(p * np.log(p)).sum()))
 
 
-def erank_of_tokens(feats: FeatureMatrix, on: str = "covariance") -> float:
-    """eRank of the normalized covariance (default) or of the raw centered
-    token matrix (the alternative reading, kept behind a flag)."""
-    if on == "covariance":
-        return erank(normalized_covariance(feats))
-    if on == "centered":
-        centered = feats.rows - feats.rows.mean(axis=0)
-        return erank(centered)
-    raise ContractError(f"unknown erank basis {on!r}")
+def erank_of_tokens(feats: FeatureMatrix) -> float:
+    """eRank of the tokens' normalized covariance."""
+    return erank(normalized_covariance(feats))
 
 
 def mean_pairwise_cosine(feats: FeatureMatrix) -> float:
@@ -109,17 +104,13 @@ def mean_pairwise_cosine(feats: FeatureMatrix) -> float:
 # -- state tracing --------------------------------------------------------------
 
 
-def state_update_distances(captioner, sample, per_head_mean: bool | None = None):
-    """Distances ||h_t - h_{t-1}|| of adjacent audio positions.
+def state_update_distances(captioner, sample):
+    """Frobenius distances ||h_t - h_{t-1}|| of adjacent audio positions.
 
     Streams the audio span of the [audio, prompt] sequence through the LM
-    one position at a time, carrying the per-block states, and reduces each
-    per-layer state difference by Frobenius norm (default) or by the mean
-    of per-head norms. Returns (mean over layers [L_a-1], per-layer
-    [n_layers, L_a-1]).
+    one position at a time, carrying the per-block states. Returns (mean
+    over layers [L_a-1], per-layer [n_layers, L_a-1]).
     """
-    if per_head_mean is None:
-        per_head_mean = captioner.cfg["diag.state_metric"] == "per_head_mean"
     lm = captioner.lm
     with tz.no_grad():
         seq, _, _ = captioner.build_sequence([sample], mode="infer")
@@ -129,14 +120,11 @@ def state_update_distances(captioner, sample, per_head_mean: bool | None = None)
         for t in range(n_audio):
             step = seq.vectors[:, t : t + 1]
             _, states = lm.forward(step, mode="recurrent", states=states, return_states=True)
-            trajectory.append(np.stack([st.ssm.h.data[0] for st in states]))
+            trajectory.append(np.stack([st.ssm.data[0] for st in states]))
     if n_audio < 2:
         return np.zeros(0), np.zeros((len(lm.blocks), 0))
     diff = np.diff(np.stack(trajectory, axis=1), axis=1)  # [n_layers, L_a-1, H, P, N]
-    if per_head_mean:
-        per_layer = np.sqrt((diff**2).sum(axis=(3, 4))).mean(axis=2)
-    else:
-        per_layer = np.sqrt((diff**2).sum(axis=(2, 3, 4)))
+    per_layer = np.sqrt((diff**2).sum(axis=(2, 3, 4)))
     return per_layer.mean(axis=0), per_layer
 
 

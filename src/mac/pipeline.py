@@ -160,8 +160,8 @@ class Captioner:
         grids = {key: _cache_get(self._grid_cache, key) for key in keys}
         todo = {key: s for key, s in zip(keys, samples) if grids[key] is None}
         if todo:
-            fresh = audiomod.encode(self._patch_rows(list(todo.values())), self.encoder,
-                                    frozen=True)
+            with tz.no_grad():
+                fresh = audiomod.encode(self._patch_rows(list(todo.values())), self.encoder)
             for key, grid in zip(todo, fresh.data):
                 grids[key] = grid.copy()
                 _cache_put(self._grid_cache, key, grids[key])
@@ -279,7 +279,10 @@ class Captioner:
 def load_captioner(path: str) -> Captioner:
     """Rebuild a Captioner from a full checkpoint (config + vocab + tensors)."""
     _, config_text, meta = checkpoint.load(path)
-    cfg = configmod.parse_text(config_text)
+    try:
+        cfg = configmod.parse_text(config_text)
+    except configmod.ConfigError as exc:
+        raise configmod.ConfigError(f"{path}: {exc}") from exc
     words = [meta[f"vocab.{i}"] for i in range(sum(1 for k in meta if k.startswith("vocab.")))]
     model = Captioner(cfg, Vocab(words))
     model.load_tensors(path, subset_ok=meta.get("kind") == "adapters")

@@ -7,7 +7,8 @@ The underlying transform, per head, is the linear recurrence
 
 with per-token step sizes ``dt`` (positive), a per-head negative decay rate
 ``a`` (scalar-times-identity state matrix), and input-dependent coupling
-rows B_t / readout rows C_t shared across heads within a group.
+rows B_t / readout rows C_t shared across heads within a group. It is
+discretized by the Mamba-2 rule (SSD): abar = exp(dt*a), bbar = dt*B.
 
 Two algorithms compute it, under three mode names (``MODES``) that produce
 identical outputs and final states:
@@ -18,19 +19,19 @@ identical outputs and final states:
 - ``scan_convolutional``  the chunked algorithm with one chunk of length T:
                           the full lower-triangular semiseparable operator
 
-All three share one contract, ``(params, ..., initial, exact_zoh) ->
-(y, ScanState)``, and ``scan`` dispatches on the mode name. Every mode takes
-an ``initial`` state; none means a zero state. Feeding the returned state
-back as ``initial`` of a later call equals one uninterrupted scan
+All three share one contract, ``(params, ..., initial) -> (y, h)``, and
+``scan`` dispatches on the mode name. ``initial`` and ``h`` are state
+tensors [H, P, N]; no initial state is a zero state. Feeding the returned
+``h`` back as ``initial`` of a later call equals one uninterrupted scan
 (streaming contract).
 
 Each algorithm is one numpy forward plus one hand-written adjoint that
 returns the gradients of dt, a, B, C, x and the initial state together. A
-call records two tape nodes, y and the final state (``tz.fused``); the
-adjoint of the chunked scan has the forward's chunk structure, with the
-cross-chunk carry run in reverse, and the adjoint of the recurrence is the
-recurrence run backwards. The scans composed from taped ``Tensor`` ops that
-these kernels replaced are kept in the test suite as their oracle.
+call records two tape nodes, y and h (``tz.fused``); the adjoint of the
+chunked scan has the forward's chunk structure, with the cross-chunk carry
+run in reverse, and the adjoint of the recurrence is the recurrence run
+backwards. The scans composed from taped ``Tensor`` ops that these kernels
+replaced are kept in the test suite as their oracle.
 
 Shapes are written unbatched ([T, ...]) below; every function also accepts
 one extra leading batch axis. The kernels themselves are batched only: an
@@ -49,8 +50,6 @@ from .tensor import ContractError, ShapeError, Tensor
 
 DEFAULT_CHUNK = 16
 MODES = ("recurrent", "chunked", "convolutional")
-# |dt*a| below this takes the series branch of the exact ZOH rule
-_SERIES_BELOW = 1e-6
 
 
 @dataclass
@@ -105,44 +104,22 @@ class SelectiveParams:
             raise ContractError("a must be strictly negative")
 
 
-@dataclass
-class ScanState:
-    """Carried hidden state: h [H, P, N] (or [B, H, P, N]) plus step counter."""
+def discretize_zoh(dt: np.ndarray, a: np.ndarray):
+    """The Mamba-2 discretization of (a, B) with step sizes dt.
 
-    h: Tensor
-    step_index: int = 0
-
-
-def discretize_zoh(dt: np.ndarray, a: np.ndarray, exact: bool = False):
-    """Zero-order-hold discretization of (a, B) with step sizes dt.
-
-    Arrays in, arrays out: dt [.., T, H], a [H]. Returns
-    ``(z, coef, dcoef_ddt, dcoef_da)``, each of dt's shape: the log decay
-    z = dt*a (abar = exp(z)), the per-head scalar ``coef`` with
-    bbar = coef * B (B's group row for the head), and coef's partial
-    derivatives in dt and in a. The default uses the Mamba-2 simplification
-    coef = dt; ``exact=True`` applies the full scalar ZOH rule
-    coef = phi(z) dt with phi(z) = (e^z - 1)/z, switching to the series
-    1 + z/2 + z^2/6 near z = 0 where the closed form cancels.
+    Arrays in, arrays out: dt [.., T, H], a [H]. Returns ``(z, coef)``, each
+    of dt's shape: the log decay z = dt*a (abar = exp(z)) and the per-head
+    scalar coef = dt with bbar = coef * B (B's group row for the head).
     """
-    z = dt * a
-    if not exact:
-        return z, dt, np.ones_like(dt), np.zeros_like(dt)
-    small = np.abs(z) < _SERIES_BELOW
-    zs = np.where(small, 1.0, z)
-    em1 = np.expm1(zs)
-    phi = np.where(small, 1.0 + z * 0.5 + z * z / 6.0, em1 / zs)
-    dphi = np.where(small, 0.5 + z / 3.0, (em1 + 1.0 - phi) / zs)
-    return z, phi * dt, phi + dphi * z, dphi * dt * dt
+    return dt * a, dt
 
 
-def _zoh_grads(gz: np.ndarray, gcoef: np.ndarray, dt: np.ndarray, a: np.ndarray, zoh):
+def _zoh_grads(gz: np.ndarray, gcoef: np.ndarray, dt: np.ndarray, a: np.ndarray):
     """Gradients of (dt, a) from those of discretize_zoh's z and coef."""
-    _, _, dcoef_ddt, dcoef_da = zoh
-    return gz * a + gcoef * dcoef_ddt, (gz * dt + gcoef * dcoef_da).sum(axis=(0, 1))
+    return gz * a + gcoef, (gz * dt).sum(axis=(0, 1))
 
 
-def _lift(params: SelectiveParams, initial: ScanState | None):
+def _lift(params: SelectiveParams, initial: Tensor | None):
     """Validate, then lift one call to the batched arrays the kernels run on.
 
     Returns ((dt, a, B, C, x) with a batch axis, h0 [B, H, P, N] or None for
@@ -161,23 +138,22 @@ def _lift(params: SelectiveParams, initial: ScanState | None):
         return arrays, None, was_batched
     shape = (bsz, h, x.shape[3], B.shape[3])
     expected = shape if was_batched else shape[1:]
-    if initial.h.shape != expected:
-        raise ShapeError(f"initial state shape {initial.h.shape}, expected {expected}")
-    return arrays, initial.h.data.reshape(shape), was_batched
+    if initial.shape != expected:
+        raise ShapeError(f"initial state shape {initial.shape}, expected {expected}")
+    return arrays, initial.data.reshape(shape), was_batched
 
 
-def _finish(params: SelectiveParams, initial: ScanState | None, y: np.ndarray,
+def _finish(params: SelectiveParams, initial: Tensor | None, y: np.ndarray,
             h_final: np.ndarray, vjp, was_batched: bool):
     """Record y and the final state, both batched arrays, as the call's two
-    tape nodes -> (y, final ScanState) in the caller's batching, the step
-    counter advanced.
+    tape nodes -> (y, h) in the caller's batching.
 
     ``vjp(gy, gh)`` is the kernel's adjoint: batched gradients of
     (dt, a, B, C, x, h0) for output gradients gy and gh, either None.
     """
     parents = [params.dt, params.a, params.B, params.C, params.x]
     if initial is not None:
-        parents.append(initial.h)
+        parents.append(initial)
 
     def grads(gy, gh):
         return [gv.reshape(p.shape).astype(p.dtype, copy=False)
@@ -191,43 +167,29 @@ def _finish(params: SelectiveParams, initial: ScanState | None, y: np.ndarray,
                  lambda g: grads(g.reshape(y_shape), None))
     h_final = tz.fused(h_final.astype(dtype, copy=False), parents,
                        lambda g: grads(None, g.reshape(h_shape)))
-    start = initial.step_index if initial is not None else 0
-    return y, ScanState(h_final, start + y_shape[1])
+    return y, h_final
 
 
-def scan(
-    params: SelectiveParams,
-    mode: str = "chunked",
-    chunk_len: int = DEFAULT_CHUNK,
-    initial: ScanState | None = None,
-    exact_zoh: bool = False,
-):
-    """Run the scan of ``mode`` (one of ``MODES``) -> (y, final_state)."""
+def scan(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
+         initial: Tensor | None = None):
+    """Run the scan of ``mode`` (one of ``MODES``) -> (y, final state h)."""
     if mode == "recurrent":
-        return scan_recurrent(params, initial=initial, exact_zoh=exact_zoh)
+        return scan_recurrent(params, initial=initial)
     if mode == "chunked":
-        return scan_chunked(params, chunk_len=chunk_len, initial=initial, exact_zoh=exact_zoh)
+        return scan_chunked(params, chunk_len=chunk_len, initial=initial)
     if mode == "convolutional":
-        return scan_convolutional(params, initial=initial, exact_zoh=exact_zoh)
+        return scan_convolutional(params, initial=initial)
     raise ContractError(f"unknown scan mode {mode!r}")
 
 
-def scan_recurrent(
-    params: SelectiveParams,
-    initial: ScanState | None = None,
-    exact_zoh: bool = False,
-):
-    """Step-by-step evaluation of the recurrence -> (y [.., T, H, P], final_state)."""
+def scan_recurrent(params: SelectiveParams, initial: Tensor | None = None):
+    """Step-by-step evaluation of the recurrence -> (y [.., T, H, P], h [.., H, P, N])."""
     arrays, h0, was_batched = _lift(params, initial)
-    y, h_final, vjp = _recurrent(*arrays, h0, exact_zoh)
+    y, h_final, vjp = _recurrent(*arrays, h0)
     return _finish(params, initial, y, h_final, vjp, was_batched)
 
 
-def scan_convolutional(
-    params: SelectiveParams,
-    initial: ScanState | None = None,
-    exact_zoh: bool = False,
-):
+def scan_convolutional(params: SelectiveParams, initial: Tensor | None = None):
     """Whole-sequence evaluation through the semiseparable operator.
 
     For time-invariant parameters this is convolution by the kernel
@@ -237,15 +199,11 @@ def scan_convolutional(
     That operator is one chunk of the chunked algorithm, so this is
     ``scan_chunked`` with ``chunk_len = T``: O(T^2), any initial state.
     """
-    return scan_chunked(params, chunk_len=params.dims()[0], initial=initial, exact_zoh=exact_zoh)
+    return scan_chunked(params, chunk_len=params.dims()[0], initial=initial)
 
 
-def scan_chunked(
-    params: SelectiveParams,
-    chunk_len: int = DEFAULT_CHUNK,
-    initial: ScanState | None = None,
-    exact_zoh: bool = False,
-):
+def scan_chunked(params: SelectiveParams, chunk_len: int = DEFAULT_CHUNK,
+                 initial: Tensor | None = None):
     """Chunked evaluation: semiseparable matmuls inside each chunk, state
     carried across chunk boundaries by the recurrence.
 
@@ -256,13 +214,13 @@ def scan_chunked(
     if chunk_len < 1:
         raise ContractError(f"chunk_len must be >= 1, got {chunk_len}")
     if chunk_len == 1:
-        return scan_recurrent(params, initial=initial, exact_zoh=exact_zoh)
+        return scan_recurrent(params, initial=initial)
     arrays, h0, was_batched = _lift(params, initial)
-    y, h_final, vjp = _chunked(*arrays, h0, chunk_len, exact_zoh)
+    y, h_final, vjp = _chunked(*arrays, h0, chunk_len)
     return _finish(params, initial, y, h_final, vjp, was_batched)
 
 
-def _recurrent(dt, a, B, C, x, h0, exact):
+def _recurrent(dt, a, B, C, x, h0):
     """The recurrence over batched arrays -> (y [nb,T,H,P], h_final [nb,H,P,N], vjp).
 
     Heads are laid out as (group, head in group) so B/C rows broadcast.
@@ -270,9 +228,9 @@ def _recurrent(dt, a, B, C, x, h0, exact):
     nb, t, h = dt.shape
     g, n = B.shape[2], B.shape[3]
     p, hpg = x.shape[3], h // g
-    zoh = discretize_zoh(dt, a, exact)
-    abar = np.exp(zoh[0]).reshape(nb, t, g, hpg, 1, 1)
-    cx = (x * zoh[1][..., None]).reshape(nb, t, g, hpg, p, 1)
+    z, coef = discretize_zoh(dt, a)
+    abar = np.exp(z).reshape(nb, t, g, hpg, 1, 1)
+    cx = (x * coef[..., None]).reshape(nb, t, g, hpg, p, 1)
     b_row = B.reshape(nb, t, g, 1, 1, n)
     c_row = C.reshape(nb, t, g, 1, 1, n)
     h_in = None if h0 is None else h0.reshape(nb, g, hpg, p, n)
@@ -306,8 +264,8 @@ def _recurrent(dt, a, B, C, x, h0, exact):
         v = (gs @ b_row.swapaxes(-1, -2)).reshape(nb, t, h, p)
         gB = cx.reshape(nb, t, g, 1, hpg * p) @ gs.reshape(nb, t, g, hpg * p, n)
         gz = (gabar * abar[..., 0, 0]).reshape(nb, t, h)
-        gdt, ga = _zoh_grads(gz, (v * x).sum(axis=-1), dt, a, zoh)
-        return gdt, ga, gB.reshape(B.shape), gC.reshape(C.shape), v * zoh[1][..., None], gh0
+        gdt, ga = _zoh_grads(gz, (v * x).sum(axis=-1), dt, a)
+        return gdt, ga, gB.reshape(B.shape), gC.reshape(C.shape), v * coef[..., None], gh0
 
     return y, hs[:, -1].reshape(nb, h, p, n), vjp
 
@@ -320,7 +278,7 @@ def _pad_rows(v: np.ndarray, rows: int) -> np.ndarray:
     return np.concatenate([v, np.zeros((v.shape[0], extra) + v.shape[2:], v.dtype)], axis=1)
 
 
-def _chunked(dt, a, B, C, x, h0, chunk_len, exact):
+def _chunked(dt, a, B, C, x, h0, chunk_len):
     """The chunked algorithm over batched arrays -> (y [nb,T,H,P],
     h_final [nb,H,P,N], vjp).
 
@@ -335,7 +293,6 @@ def _chunked(dt, a, B, C, x, h0, chunk_len, exact):
     L = min(chunk_len, t)
     nc = -(-t // L)
     tp = nc * L
-    zoh = discretize_zoh(dt, a, exact)
 
     def heads(v):  # [nb, T, H, *k] -> [nb, nc, G, hpg, L, *k], contiguous
         k = v.shape[3:]
@@ -354,8 +311,9 @@ def _chunked(dt, a, B, C, x, h0, chunk_len, exact):
     def unrows(v):  # inverse of rows after summing the head axis
         return v[:, :, :, 0].transpose(0, 1, 3, 2, 4).reshape(nb, tp, g, n)[:, :t]
 
-    cum = np.cumsum(heads(zoh[0]), axis=-1)  # log decay from the chunk start
-    coef = heads(zoh[1])
+    z, coef = discretize_zoh(dt, a)
+    cum = np.cumsum(heads(z), axis=-1)  # log decay from the chunk start
+    coef = heads(coef)
     b_c, c_c, x_c = rows(B), rows(C), heads(x)
 
     # intra-chunk: y_t = sum_{s<=t} C_t.B_s exp(cum_t - cum_s) coef_s x_s
@@ -431,7 +389,7 @@ def _chunked(dt, a, B, C, x, h0, chunk_len, exact):
         gcum[..., -1] += gwd.sum(axis=-1)
         gcum -= gwd
         gz = np.flip(np.cumsum(np.flip(gcum, -1), axis=-1), -1)  # cum = cumsum(z)
-        gdt, ga = _zoh_grads(unheads(gz), unheads(gcoef), dt, a, zoh)
+        gdt, ga = _zoh_grads(unheads(gz), unheads(gcoef), dt, a)
         return gdt, ga, unrows(gB), unrows(gC), unheads(gx), nxt.reshape(nb, h, p, n)
 
     return y, states[:, nc].reshape(nb, h, p, n), vjp

@@ -14,8 +14,6 @@ import numpy as np
 
 from .audio import CLIP_SECONDS, SAMPLE_RATE, write_wav
 
-KINDS = ("tone", "chirp", "noise", "clicks", "overlap")
-
 
 def _pitch_class(freq: float) -> str:
     if freq < 350:

@@ -203,8 +203,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # -- elementwise ----------------------------------------------------------
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a Python scalar takes the other's dtype, so
+    fp32 stays fp32."""
+    if isinstance(a, (int, float)) and isinstance(b, Tensor):
+        return Tensor(np.asarray(a, dtype=b.dtype)), b
+    if isinstance(b, (int, float)) and isinstance(a, Tensor):
+        return a, Tensor(np.asarray(b, dtype=a.dtype))
+    return _ensure(a), _ensure(b)
+
+
 def add(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
+    a, b = _operands(a, b)
     return _node(
         a.data + b.data,
         [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(g, b.shape))],
@@ -212,7 +222,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
+    a, b = _operands(a, b)
     return _node(
         a.data * b.data,
         [
@@ -290,25 +300,6 @@ def gelu(a) -> Tensor:
     return _node(out, [(a, vjp)])
 
 
-# -- reductions -----------------------------------------------------------
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _ensure(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, a.shape).copy()
-        if not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            axes = tuple(ax % a.ndim for ax in axes)
-            g = np.expand_dims(g, axes)
-        return np.broadcast_to(g, a.shape).copy()
-
-    return _node(np.asarray(out), [(a, vjp)])
-
-
 # -- shape ops --------------------------------------------------------------
 
 
@@ -325,15 +316,6 @@ def transpose(a, axes=None) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     return _node(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
-
-
-def broadcast_to(a, shape) -> Tensor:
-    a = _ensure(a)
-    shape = tuple(shape)
-    return _node(
-        np.broadcast_to(a.data, shape).copy(),
-        [(a, lambda g: _unbroadcast(g, a.shape))],
-    )
 
 
 def take(a, index) -> Tensor:
@@ -370,29 +352,12 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _node(data, [(p, make_vjp(i)) for i, p in enumerate(parts)])
 
 
-def cast(a, dtype) -> Tensor:
-    a = _ensure(a)
-    dtype = np.dtype(dtype)
-    src = a.data.dtype
-    return _node(a.data.astype(dtype), [(a, lambda g: g.astype(src))])
-
-
 def where_mask(a, keep: np.ndarray, fill: float) -> Tensor:
     """Replace entries where ``keep`` is False by ``fill``; no grad flows there."""
     a = _ensure(a)
     keep = np.asarray(keep, dtype=bool)
     out = np.where(keep, a.data, a.data.dtype.type(fill))
     return _node(out, [(a, lambda g: np.where(keep, g, 0.0))])
-
-
-def cumsum(a, axis: int) -> Tensor:
-    a = _ensure(a)
-    out = np.cumsum(a.data, axis=axis)
-
-    def vjp(g):
-        return np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis)
-
-    return _node(out, [(a, vjp)])
 
 
 # -- contractions ------------------------------------------------------------

@@ -45,10 +45,6 @@ class Vocab:
         return 0
 
     @property
-    def bos_id(self) -> int:
-        return 1
-
-    @property
     def eos_id(self) -> int:
         return 2
 

@@ -47,16 +47,8 @@ class AudioTokenGrid:
         return tz.reshape(self.tokens, (self.grid_t * self.grid_f, self.dim))
 
 
-def encode(mel: audiomod.MelSpec, encoder: audiomod.CnnEncoder,
-           frozen: bool = False) -> AudioTokenGrid:
+def encode(mel: audiomod.MelSpec, encoder: audiomod.CnnEncoder) -> AudioTokenGrid:
     """Run the patch stack over one mel image -> AudioTokenGrid."""
-    if frozen:
-        with tz.no_grad():
-            return _encode_impl(mel, encoder)
-    return _encode_impl(mel, encoder)
-
-
-def _encode_impl(mel: audiomod.MelSpec, encoder: audiomod.CnnEncoder) -> AudioTokenGrid:
     t, f = mel.frames.shape
     x = tz.reshape(Tensor(mel.frames), (t, f, 1))
     for i, ((pt, pf), (w, b)) in enumerate(zip(encoder.cfg.patches, encoder.layers)):
@@ -126,7 +118,10 @@ def audio_grid(cap, sample) -> AudioTokenGrid:
         else:
             wave = Tensor(synth.render(sample.audio["synthetic"]))
         _MELS[key] = audiomod.melspectrogram(wave).pad_to(cap.enc_cfg.mel_frames)
-    return encode(_MELS[key], cap.encoder, frozen=not cap.cfg["train.encoder_trainable"])
+    if cap.cfg["train.encoder_trainable"]:
+        return encode(_MELS[key], cap.encoder)
+    with tz.no_grad():  # a frozen encoder runs off the tape
+        return encode(_MELS[key], cap.encoder)
 
 
 def embed_tokens(cap, ids) -> Tensor:

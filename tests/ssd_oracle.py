@@ -1,10 +1,10 @@
 """Composed-``Tensor`` selective scans: the test oracle of ``mac.ssd``.
 
 These are the scans ``mac.ssd`` ran before its numpy kernels with
-hand-written adjoints, kept verbatim but for one quotient, now a product with
-``power(b, -1)`` from ``tensor_oracle``: every step is a taped ``Tensor`` op, so
-their outputs and gradients come from the generic autograd tape alone. They
-take and return the same ``SelectiveParams`` / ``ScanState`` as ``mac.ssd``.
+hand-written adjoints: every step is a taped ``Tensor`` op, so their outputs
+and gradients come from the generic autograd tape alone. They keep the
+``mac.ssd`` contract: ``SelectiveParams`` and an optional initial state
+tensor in, ``(y, h)`` out.
 """
 
 from __future__ import annotations
@@ -12,46 +12,24 @@ from __future__ import annotations
 import numpy as np
 
 from mac import tensor as tz
-from mac.ssd import DEFAULT_CHUNK, ScanState, SelectiveParams
+from mac.ssd import DEFAULT_CHUNK, SelectiveParams
 from mac.tensor import ContractError, ShapeError, Tensor
 
-from tensor_oracle import power
+from tensor_oracle import cast, cumsum, tsum
 
 # Finite stand-in for -inf in masked log-decay entries: exp() underflows to
 # exactly 0.0 without tripping the debug finiteness checks.
 _MASK_FILL = -1e9
 
 
-def discretize_zoh(dt: Tensor, a: Tensor, B: Tensor, exact: bool = False):
-    """Zero-order-hold discretization of (a, B) with step sizes dt.
+def discretize_zoh(dt: Tensor, a: Tensor, B: Tensor):
+    """The Mamba-2 discretization of (a, B) with step sizes dt.
 
     Returns (abar, bbar) where abar = exp(dt*a) has dt's shape [.., T, H] and
-    bbar [.., T, H, N] couples inputs into the state. The default uses the
-    Mamba-2 simplification bbar = dt * B; ``exact=True`` applies the full
-    scalar ZOH rule bbar = ((dt*a)^-1 (exp(dt*a) - 1)) * dt * B, with a
-    series fallback near dt*a = 0 where the closed form cancels.
+    bbar = dt * B [.., T, H, N] couples inputs into the state.
     """
     dt, a, B = tz._ensure(dt), tz._ensure(a), tz._ensure(B)
-    z = tz.mul(dt, a)
-    abar = tz.exp(z)
-    coef = _input_coef(dt, z, exact)
-    bbar = _expand_groups(coef, B)
-    return abar, bbar
-
-
-def _input_coef(dt: Tensor, z: Tensor, exact: bool) -> Tensor:
-    """Per-head scalar multiplying B_t: dt (simplified) or phi(z)*dt (exact ZOH)."""
-    if not exact:
-        return dt
-    zd = z.data
-    small = np.abs(zd) < 1e-6
-    # phi(z) = (e^z - 1)/z, with a Taylor branch where cancellation bites
-    phi_exact = tz.mul(tz.add(tz.exp(tz.where_mask(z, ~small, 1.0)), -1.0),
-                       power(tz.where_mask(z, ~small, 1.0), -1.0))
-    phi_taylor = tz.add(tz.add(1.0, tz.mul(z, 0.5)), tz.mul(tz.mul(z, z), 1.0 / 6.0))
-    keep = Tensor(np.where(small, 0.0, 1.0).astype(zd.dtype))
-    phi = tz.add(tz.mul(phi_exact, keep), tz.mul(phi_taylor, tz.add(1.0, tz.neg(keep))))
-    return tz.mul(phi, dt)
+    return tz.exp(tz.mul(dt, a)), _expand_groups(dt, B)
 
 
 def _expand_groups(coef: Tensor, B: Tensor) -> Tensor:
@@ -65,7 +43,7 @@ def _expand_groups(coef: Tensor, B: Tensor) -> Tensor:
     return tz.reshape(tz.mul(c, b), lead + (t, h, n))
 
 
-def _lift(params: SelectiveParams, initial: ScanState | None):
+def _lift(params: SelectiveParams, initial: Tensor | None):
     """Validate, then lift one call to the batched form the kernels run on.
 
     Returns (params with a batch axis, h0 [B, H, P, N], was_batched); h0 is
@@ -84,51 +62,40 @@ def _lift(params: SelectiveParams, initial: ScanState | None):
     if initial is None:
         return params, tz.zeros(shape, dtype=params.x.dtype), was_batched
     expected = shape if was_batched else shape[1:]
-    if initial.h.shape != expected:
-        raise ShapeError(f"initial state shape {initial.h.shape}, expected {expected}")
-    h0 = initial.h if was_batched else tz.reshape(initial.h, shape)
+    if initial.shape != expected:
+        raise ShapeError(f"initial state shape {initial.shape}, expected {expected}")
+    h0 = initial if was_batched else tz.reshape(initial, shape)
     return params, h0, was_batched
 
 
-def _finish(y: Tensor, hstate: Tensor, initial: ScanState | None, was_batched: bool):
-    """(y, final ScanState) back in the caller's batching, step counter advanced."""
-    start = initial.step_index if initial is not None else 0
-    final = ScanState(hstate, start + y.shape[1])
+def _finish(y: Tensor, hstate: Tensor, was_batched: bool):
+    """(y, h) back in the caller's batching."""
     if not was_batched:
         y = tz.reshape(y, y.shape[1:])
-        final.h = tz.reshape(hstate, hstate.shape[1:])
-    return y, final
+        hstate = tz.reshape(hstate, hstate.shape[1:])
+    return y, hstate
 
 
-def scan(
-    params: SelectiveParams,
-    mode: str = "chunked",
-    chunk_len: int = DEFAULT_CHUNK,
-    initial: ScanState | None = None,
-    exact_zoh: bool = False,
-):
-    """Run the scan of ``mode`` (one of ``MODES``) -> (y, final_state)."""
+def scan(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
+         initial: Tensor | None = None):
+    """Run the scan of ``mode`` (one of ``MODES``) -> (y, final state h)."""
     if mode == "recurrent":
-        return scan_recurrent(params, initial=initial, exact_zoh=exact_zoh)
+        return scan_recurrent(params, initial=initial)
     if mode == "chunked":
-        return scan_chunked(params, chunk_len=chunk_len, initial=initial, exact_zoh=exact_zoh)
+        return scan_chunked(params, chunk_len=chunk_len, initial=initial)
     if mode == "convolutional":
-        return scan_convolutional(params, initial=initial, exact_zoh=exact_zoh)
+        return scan_convolutional(params, initial=initial)
     raise ContractError(f"unknown scan mode {mode!r}")
 
 
-def scan_recurrent(
-    params: SelectiveParams,
-    initial: ScanState | None = None,
-    exact_zoh: bool = False,
-):
-    """Step-by-step evaluation of the recurrence -> (y [.., T, H, P], final_state)."""
+def scan_recurrent(params: SelectiveParams, initial: Tensor | None = None):
+    """Step-by-step evaluation of the recurrence -> (y [.., T, H, P], h [.., H, P, N])."""
     p_, hstate, was_batched = _lift(params, initial)
     bsz, t, h = p_.dt.shape
     n = p_.B.shape[3]
     p = p_.x.shape[3]
 
-    abar, rb = discretize_zoh(p_.dt, p_.a, p_.B, exact=exact_zoh)  # [B,T,H], [B,T,H,N]
+    abar, rb = discretize_zoh(p_.dt, p_.a, p_.B)  # [B,T,H], [B,T,H,N]
     c_head = _expand_groups(tz.ones((bsz, t, h)), p_.C)  # [B, T, H, N]
 
     ys = []
@@ -139,18 +106,14 @@ def scan_recurrent(
             tz.reshape(p_.x[:, step, :, :], (bsz, h, p, 1)),
         )
         hstate = tz.add(tz.mul(decay, hstate), inject)
-        y_t = tz.tsum(
+        y_t = tsum(
             tz.mul(tz.reshape(c_head[:, step, :, :], (bsz, h, 1, n)), hstate), axis=-1
         )
         ys.append(tz.reshape(y_t, (bsz, 1, h, p)))
-    return _finish(tz.concat(ys, axis=1), hstate, initial, was_batched)
+    return _finish(tz.concat(ys, axis=1), hstate, was_batched)
 
 
-def scan_convolutional(
-    params: SelectiveParams,
-    initial: ScanState | None = None,
-    exact_zoh: bool = False,
-):
+def scan_convolutional(params: SelectiveParams, initial: Tensor | None = None):
     """Whole-sequence evaluation through the semiseparable operator.
 
     For time-invariant parameters this is convolution by the kernel
@@ -160,15 +123,11 @@ def scan_convolutional(
     That operator is one chunk of the chunked algorithm, so this is
     ``scan_chunked`` with ``chunk_len = T``: O(T^2), any initial state.
     """
-    return scan_chunked(params, chunk_len=params.dims()[0], initial=initial, exact_zoh=exact_zoh)
+    return scan_chunked(params, chunk_len=params.dims()[0], initial=initial)
 
 
-def scan_chunked(
-    params: SelectiveParams,
-    chunk_len: int = DEFAULT_CHUNK,
-    initial: ScanState | None = None,
-    exact_zoh: bool = False,
-):
+def scan_chunked(params: SelectiveParams, chunk_len: int = DEFAULT_CHUNK,
+                 initial: Tensor | None = None):
     """Chunked evaluation: semiseparable matmuls inside each chunk, state
     carried across chunk boundaries by the recurrence.
 
@@ -179,7 +138,7 @@ def scan_chunked(
     if chunk_len < 1:
         raise ContractError(f"chunk_len must be >= 1, got {chunk_len}")
     if chunk_len == 1:
-        return scan_recurrent(params, initial=initial, exact_zoh=exact_zoh)
+        return scan_recurrent(params, initial=initial)
     p_, hstate, was_batched = _lift(params, initial)
     t = p_.dt.shape[1]
     in_dtype = p_.x.dtype
@@ -193,17 +152,17 @@ def scan_chunked(
             C=p_.C[:, lo:hi, :, :],
             x=p_.x[:, lo:hi, :, :],
         )
-        y_c, hstate = _semiseparable_block(piece, hstate, exact_zoh=exact_zoh)
-        hstate = tz.cast(hstate, np.float64)  # cross-chunk carry at full width
+        y_c, hstate = _semiseparable_block(piece, hstate)
+        hstate = cast(hstate, np.float64)  # cross-chunk carry at full width
         if y_c.dtype != in_dtype:
-            y_c = tz.cast(y_c, in_dtype)
+            y_c = cast(y_c, in_dtype)
         ys.append(y_c)
     if hstate.dtype != in_dtype:
-        hstate = tz.cast(hstate, in_dtype)
-    return _finish(tz.concat(ys, axis=1), hstate, initial, was_batched)
+        hstate = cast(hstate, in_dtype)
+    return _finish(tz.concat(ys, axis=1), hstate, was_batched)
 
 
-def _semiseparable_block(p_: SelectiveParams, h_in: Tensor, exact_zoh: bool):
+def _semiseparable_block(p_: SelectiveParams, h_in: Tensor):
     """One dense lower-triangular block over a full (sub)sequence.
 
     p_ is batched: dt [B,L,H], B/C [B,L,G,N], x [B,L,H,P]; h_in [B,H,P,N] is
@@ -214,8 +173,8 @@ def _semiseparable_block(p_: SelectiveParams, h_in: Tensor, exact_zoh: bool):
     hpg = h // g
 
     z = tz.mul(p_.dt, p_.a)  # [B,L,H] log decay per step
-    cum = tz.cumsum(z, axis=1)  # [B,L,H] inclusive log decay from block start
-    coef_in = _input_coef(p_.dt, z, exact_zoh)  # [B,L,H]
+    cum = cumsum(z, axis=1)  # [B,L,H] inclusive log decay from block start
+    coef_in = p_.dt  # [B,L,H], bbar = dt * B
 
     # pairwise decay factors: prod_{r=s+1..t} abar_r = exp(cum_t - cum_s), s <= t
     seg = tz.add(

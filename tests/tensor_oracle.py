@@ -4,6 +4,10 @@
 kernel with a closed-form adjoint, kept verbatim together with the
 ``power`` and ``tmean`` primitives it is built from, so its outputs and
 gradients come from the generic autograd tape alone.
+
+``tsum``, ``broadcast_to``, ``cast`` and ``cumsum`` are taped primitives
+that only the tests and the composed scans of ``ssd_oracle`` use: scalar
+losses, and the oracle's cross-chunk carry and cumulative log decay.
 """
 
 from __future__ import annotations
@@ -12,6 +16,48 @@ import numpy as np
 
 from mac import tensor as tz
 from mac.tensor import Tensor
+
+
+def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = tz._ensure(a)
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def vjp(g):
+        if axis is None:
+            return np.broadcast_to(g, a.shape).copy()
+        if not keepdims:
+            axes = axis if isinstance(axis, tuple) else (axis,)
+            axes = tuple(ax % a.ndim for ax in axes)
+            g = np.expand_dims(g, axes)
+        return np.broadcast_to(g, a.shape).copy()
+
+    return tz._node(np.asarray(out), [(a, vjp)])
+
+
+def broadcast_to(a, shape) -> Tensor:
+    a = tz._ensure(a)
+    shape = tuple(shape)
+    return tz._node(
+        np.broadcast_to(a.data, shape).copy(),
+        [(a, lambda g: tz._unbroadcast(g, a.shape))],
+    )
+
+
+def cast(a, dtype) -> Tensor:
+    a = tz._ensure(a)
+    dtype = np.dtype(dtype)
+    src = a.data.dtype
+    return tz._node(a.data.astype(dtype), [(a, lambda g: g.astype(src))])
+
+
+def cumsum(a, axis: int) -> Tensor:
+    a = tz._ensure(a)
+    out = np.cumsum(a.data, axis=axis)
+
+    def vjp(g):
+        return np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis)
+
+    return tz._node(out, [(a, vjp)])
 
 
 def power(a, exponent: float) -> Tensor:
@@ -28,7 +74,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         n = int(np.prod([a.shape[ax] for ax in axes]))
-    return tz.mul(tz.tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return tz.mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def rms_norm(x, weight, eps: float = 1e-5) -> Tensor:

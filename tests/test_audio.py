@@ -22,6 +22,7 @@ from mac.audio import (
 from mac.tensor import ShapeError
 
 import frontend_oracle
+from tensor_oracle import tsum
 
 
 def wav_bytes(samples: np.ndarray, rate=16000, channels=1, prepend_chunks=b"",
@@ -180,10 +181,10 @@ class TestMel:
         assert cropped.frames.shape == (10, 128)
 
 
-def encode_mels(mels, enc, frozen=False):
+def encode_mels(mels, enc):
     """Encode mel images [T, F] as one batch."""
     rows = np.concatenate([patch_rows(MelSpec(m), enc.cfg) for m in mels])
-    return encode(rows, enc, frozen=frozen)
+    return encode(rows, enc)
 
 
 class TestEncoder:
@@ -224,10 +225,11 @@ class TestEncoder:
         for t in enc.parameters().values():
             t.requires_grad = True
         mel = np.random.default_rng(6).standard_normal((1024, 128))
-        tokens = encode_mels([mel, mel], enc, frozen=True)
+        with tz.no_grad():  # freezing the encoder is the caller's no_grad
+            tokens = encode_mels([mel, mel], enc)
         assert not tokens.requires_grad
-        tokens = encode_mels([mel, mel], enc, frozen=False)
-        loss = tz.tsum(tokens)
+        tokens = encode_mels([mel, mel], enc)
+        loss = tsum(tokens)
         grads = loss.backward()
         assert enc.layers[0][0] in grads
 
@@ -258,12 +260,12 @@ class TestEncoder:
         mels = [np.random.default_rng(10 + i).standard_normal((1024, 128)) for i in range(3)]
         tokens = encode_mels(mels, enc)
         weights = np.random.default_rng(13).standard_normal(tokens.shape)
-        batch_grads = tz.tsum(tz.mul(tokens, weights)).backward()
+        batch_grads = tsum(tz.mul(tokens, weights)).backward()
         tz.zero_grad(enc.parameters().values())
         grids = [frontend_oracle.encode(MelSpec(m), enc) for m in mels]
         for i, grid in enumerate(grids):
             assert np.array_equal(tokens.data[i], grid.tokens.data)
-        clip_grads = tz.tsum(tz.concat([
+        clip_grads = tsum(tz.concat([
             tz.mul(grid.tokens, weights[i]) for i, grid in enumerate(grids)
         ], axis=0)).backward()
         for t in enc.parameters().values():

@@ -10,6 +10,7 @@ from mac.blocks import LmConfig, LoraAdapter, MambaBlock, SsmLm
 from mac.tensor import ContractError, ShapeError, Tensor
 
 from conftest import check_gradients
+from tensor_oracle import tsum
 
 TINY = dict(n_layers=2, d_model=24, n_heads=3, head_dim=8, d_state=6, vocab_size=13)
 
@@ -73,7 +74,7 @@ class TestBlockForward:
         def fn():
             # pre-norm applied the way the residual stack does
             y, _ = blk.forward(tz.rms_norm(x, blk.res_norm), mode="chunked", chunk_len=2)
-            return tz.tsum(tz.mul(y, w))
+            return tsum(tz.mul(y, w))
 
         worst = check_gradients(fn, leaves, tol=1e-4)
         assert worst < 1e-4
@@ -160,15 +161,21 @@ class TestLora:
     def test_alpha_over_rank_is_two(self):
         for r in (1, 2, 8, 64, 256):
             ad = LoraAdapter.init(10, 12, r, np.random.default_rng(r))
-            assert ad.alpha == 2 * r and ad.scale == 2.0
+            assert ad.down.shape == (10, r) and ad.up.shape == (r, 12) and ad.scale == 2.0
 
     def test_rank_must_be_positive(self):
-        with pytest.raises(ContractError):
-            LoraAdapter(rank=0, down=tz.zeros((3, 1)), up=tz.zeros((1, 3)))
-        ad = LoraAdapter.init(3, 3, 1, np.random.default_rng(0))
-        ad.rank = -2
-        with pytest.raises(ContractError):
-            blocks.lora_apply(tz.zeros((3, 3)), ad, tz.zeros((2, 3)))
+        for r in (0, -2):
+            with pytest.raises(ContractError):
+                LoraAdapter.init(3, 3, r, np.random.default_rng(0))
+
+    def test_fp32_lora_apply_stays_fp32(self):
+        rng = np.random.default_rng(31)
+        ad = LoraAdapter.init(5, 4, 2, rng)
+        ad.down = Tensor(ad.down.data, dtype=np.float32)
+        ad.up = Tensor(rng.standard_normal((2, 4)), dtype=np.float32)
+        base = Tensor(rng.standard_normal((5, 4)), dtype=np.float32)
+        x = Tensor(rng.standard_normal((3, 5)), dtype=np.float32)
+        assert blocks.lora_apply(base, ad, x).dtype == np.float32
 
     def test_base_receives_no_gradient_through_lora(self):
         rng = np.random.default_rng(24)
@@ -177,7 +184,7 @@ class TestLora:
         ad.down.requires_grad = True
         ad.up.requires_grad = True
         x = Tensor(rng.standard_normal((3, 5)))
-        loss = tz.tsum(blocks.lora_apply(base, ad, x))
+        loss = tsum(blocks.lora_apply(base, ad, x))
         grads = loss.backward()
         assert base not in grads and ad.up in grads and ad.down in grads
 
@@ -197,7 +204,7 @@ class TestLora:
         for _ in range(20):
             opt.zero_grad()
             x = Tensor(rng.standard_normal((1, 5, 24)))
-            loss = tz.tsum(tz.mul(lm.forward(x), 0.01))
+            loss = tsum(tz.mul(lm.forward(x), 0.01))
             loss.backward()
             opt.step()
         for name, before in frozen.items():

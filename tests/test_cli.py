@@ -1,13 +1,14 @@
 """CLI surface: subcommands, exit codes, error prefixes, determinism."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from mac import cli, config as configmod
+from mac import checkpoint, cli, config as configmod
 
 TINY_OVERRIDES = [
     "--set", "model.preset=custom",
@@ -192,6 +193,35 @@ class TestTrainInferDiagnose:
         assert code == 1
         assert err.startswith("error_code=usage") and "--checkpoint" in err
         assert not sd_csv.exists()
+
+    def test_erank_and_cosine_reject_two_checkpoints_in_one_cell(self, trained, tmp_path,
+                                                                  capsys):
+        # both checkpoints share (model.preset, connector.variant): one cell, two values
+        ck = os.path.join(trained, "final.ckpt")
+        other = str(tmp_path / "other.ckpt")
+        shutil.copyfile(ck, other)
+        for metric in ("erank", "cosine"):
+            out_csv = tmp_path / f"{metric}.csv"
+            code, _, err = run_cli(["diagnose", metric, "--checkpoint", ck, "--checkpoint",
+                                    other, "--n", "2", "--out", str(out_csv)], capsys)
+            assert code == 1
+            assert err.startswith("error_code=usage") and ck in err and other in err
+            assert not out_csv.exists()
+
+    def test_bad_checkpoint_config_exit_2_names_file_line_and_key(self, trained, tmp_path,
+                                                                  capsys):
+        tensors, config_text, meta = checkpoint.load(os.path.join(trained, "final.ckpt"))
+        bad = str(tmp_path / "old.ckpt")
+        checkpoint.save(bad, tensors, config_text=config_text + "\ndiag.state_metric = frobenius",
+                        meta=meta)
+        line = len(config_text.splitlines()) + 1
+        for args in (["infer", "--checkpoint", bad, "--wav", "clip.wav"],
+                     ["diagnose", "erank", "--checkpoint", bad, "--n", "1",
+                      "--out", str(tmp_path / "erank.csv")]):
+            code, _, err = run_cli(args, capsys)
+            assert code == 2
+            assert err.startswith(f"error_code=config {bad}: line {line}: "
+                                  f"unknown config key 'diag.state_metric'")
 
     def test_infer_requires_wav(self, trained, capsys):
         code, _, err = run_cli(["infer", "--checkpoint",

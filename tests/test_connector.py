@@ -9,6 +9,7 @@ from mac.tensor import ContractError, ShapeError, Tensor
 
 import frontend_oracle
 from conftest import check_gradients
+from tensor_oracle import tsum
 
 
 def make_grid(rng, t, f, d, b=1) -> Tensor:
@@ -167,7 +168,7 @@ class TestBatchMatchesOracle:
             leaf.requires_grad = True
         seq = connect(grid, cfg, mlp, sep)
         weights = rng.standard_normal(seq.vectors.shape)
-        batch_grads = tz.tsum(tz.mul(seq.vectors, weights)).backward()
+        batch_grads = tsum(tz.mul(seq.vectors, weights)).backward()
         tz.zero_grad(leaves)
 
         clips = [frontend_oracle.connect(frontend_oracle.AudioTokenGrid(grid[i]), cfg, mlp, sep)
@@ -175,8 +176,8 @@ class TestBatchMatchesOracle:
         for i, (vectors, segments) in enumerate(clips):
             assert np.array_equal(seq.vectors.data[i], vectors.data)
             assert list(seq.segments[i]) == segments
-        oracle = tz.tsum(tz.concat([tz.mul(vectors, weights[i])
-                                    for i, (vectors, _) in enumerate(clips)], axis=0))
+        oracle = tsum(tz.concat([tz.mul(vectors, weights[i])
+                                 for i, (vectors, _) in enumerate(clips)], axis=0))
         oracle_grads = oracle.backward()
         for leaf in leaves:
             if leaf is sep and variant == "concatenation":
@@ -219,7 +220,7 @@ class TestMlp:
         x = Tensor(np.random.default_rng(14).standard_normal((5, 6)))
         w = Tensor(np.random.default_rng(15).standard_normal((5, 4)))
         leaves = list(mlp.parameters().values()) + [x]
-        check_gradients(lambda: tz.tsum(tz.mul(mlp_forward(x, mlp), w)), leaves)
+        check_gradients(lambda: tsum(tz.mul(mlp_forward(x, mlp), w)), leaves)
 
     def test_input_dim_mismatch(self):
         cfg, mlp = build("concatenation", t=2, f=2, d_enc=3)

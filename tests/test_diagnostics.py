@@ -120,14 +120,13 @@ class TestErank:
             values.append(erank_of_tokens(feats))
         assert abs(np.mean(values) - 8.0) / 8.0 < 0.10
 
-    def test_erank_of_tokens_centered_flag(self):
+    def test_erank_of_tokens_is_of_the_normalized_covariance(self):
         rng = np.random.default_rng(5)
         feats = FeatureMatrix(rng.standard_normal((40, 6)))
-        on_cov = erank_of_tokens(feats, on="covariance")
-        on_raw = erank_of_tokens(feats, on="centered")
-        assert on_cov != pytest.approx(on_raw)
-        with pytest.raises(ContractError):
-            erank_of_tokens(feats, on="other")
+        on_cov = erank_of_tokens(feats)
+        assert on_cov == erank(normalized_covariance(feats))
+        # the centered token matrix itself is a different basis
+        assert on_cov != pytest.approx(erank(feats.rows - feats.rows.mean(axis=0)))
 
 
 class TestCosine:
@@ -236,13 +235,6 @@ class TestStateDistances:
             prev = h.copy()
         np.testing.assert_allclose(per_layer[0], dists, atol=1e-10)
 
-    def test_per_head_mean_option(self):
-        cap, train, _ = tiny_captioner()
-        d_frob, _ = state_update_distances(cap, train[0], per_head_mean=False)
-        d_head, _ = state_update_distances(cap, train[0], per_head_mean=True)
-        assert d_frob.shape == d_head.shape
-        assert not np.allclose(d_frob, d_head)
-
 
 class TestScalingBench:
     def test_flop_ratio_is_exactly_two(self):
@@ -271,12 +263,12 @@ class TestScalingBench:
         with tz.no_grad():
             seq, _, _ = cap.build_sequence(train[:1], mode="infer")
             _, states = cap.lm.forward(seq.vectors, mode="chunked", return_states=True)
-            sizes_after_prefill = [s.ssm.h.size + s.conv_tail.size for s in states]
+            sizes_after_prefill = [s.ssm.size + s.conv_tail.size for s in states]
             for _ in range(7):
                 step = tz.zeros((1, 1, cap.lm_cfg.d_model))
                 _, states = cap.lm.forward(step, mode="recurrent", states=states,
                                            return_states=True)
-            sizes_after_decode = [s.ssm.h.size + s.conv_tail.size for s in states]
+            sizes_after_decode = [s.ssm.size + s.conv_tail.size for s in states]
         assert sizes_after_prefill == sizes_after_decode
 
 

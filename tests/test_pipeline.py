@@ -48,8 +48,8 @@ def tiny_captioner(**over) -> tuple[Captioner, list[Sample], list[Sample]]:
 class TestVocab:
     def test_specials_have_fixed_ids(self):
         v = Vocab.build(["hello world"])
-        assert v.pad_id == 0 and v.bos_id == 1 and v.eos_id == 2 and v.sep_id == 3
-        assert v.words[3] == "&&"
+        assert v.pad_id == 0 and v.eos_id == 2 and v.sep_id == 3
+        assert v.words[:4] == ["<pad>", "<bos>", "<eos>", "&&"]
 
     def test_round_trip_identity(self):
         v = Vocab.build(["a steady low tone hums", "sharp clicks"])
@@ -217,8 +217,8 @@ class TestTraining:
         monkeypatch.setattr(pipeline.audiomod, "melspectrogram",
                             lambda wave: misses.append(1) or real_mel(wave))
 
-        def encode(rows, encoder, frozen=False):
-            out = real_encode(rows, encoder, frozen)
+        def encode(rows, encoder):
+            out = real_encode(rows, encoder)
             encoded.append(out.shape[0])
             return out
 

@@ -9,9 +9,9 @@ from mac.tensor import ContractError, Tensor
 
 import ssd_oracle
 from conftest import check_gradients, recorded_nodes, rel_err, using_dtype
+from tensor_oracle import tsum
 
 E_NEG1 = 0.3678794411714423215955237701614609
-ONE_MINUS_E_NEG1 = 0.6321205588285576784044762298385391
 
 
 def random_params(rng, t=16, h=4, p=16, g=1, n=16, batch=None):
@@ -38,49 +38,45 @@ def scalar_params(abar, bcoef, c, xs):
 
 
 class TestDiscretizeZoh:
-    def test_exact_scalar_case(self):
-        z, coef, _, _ = ssd.discretize_zoh(np.array([[1.0]]), np.array([-1.0]), exact=True)
-        assert abs(np.exp(z).item() - E_NEG1) < 1e-15
-        assert abs(coef.item() - ONE_MINUS_E_NEG1) < 1e-15
-
-    def test_vanishing_decay_limit(self):
-        # dt*a -> 0 takes the series branch: abar -> 1, bbar -> dt*B
-        z, coef, _, _ = ssd.discretize_zoh(np.array([[0.5]]), np.array([-1e-9]), exact=True)
-        assert abs(np.exp(z).item() - 1.0) < 1e-9
-        assert abs(coef.item() * 3.0 - 1.5) < 1e-9
-
-    def test_simplified_mode(self):
-        z, coef, _, _ = ssd.discretize_zoh(np.array([[0.5]]), np.array([-2.0]), exact=False)
+    def test_mamba2_rule(self):
+        z, coef = ssd.discretize_zoh(np.array([[0.5]]), np.array([-2.0]))
         assert abs(np.exp(z).item() - E_NEG1) < 1e-15
         assert abs(coef.item() * 3.0 - 1.5) < 1e-15
 
-    def test_exact_mode_series_matches_expm1_oracle(self):
-        # both branches of phi(z) = (e^z - 1)/z against the stable oracle
-        for a_val, tol in ((-9.9e-7, 1e-12), (-1.1e-6, 1e-9), (-0.3, 1e-12)):
-            got = ssd.discretize_zoh(np.array([[1.0]]), np.array([a_val]), exact=True)[1].item()
-            expect = np.expm1(a_val) / a_val
-            assert abs(got - expect) < tol, a_val
+    def test_vanishing_decay_limit(self):
+        # dt*a -> 0: abar -> 1, bbar -> dt*B
+        z, coef = ssd.discretize_zoh(np.array([[0.5]]), np.array([-1e-9]))
+        assert abs(np.exp(z).item() - 1.0) < 1e-9
+        assert abs(coef.item() * 3.0 - 1.5) < 1e-15
 
     def test_outputs_take_dt_shape(self):
         rng = np.random.default_rng(0)
         dt, a = rng.uniform(0.1, 1.0, (2, 5, 4)), -rng.uniform(0.5, 2.0, 4)
-        for exact in (False, True):
-            for out in ssd.discretize_zoh(dt, a, exact):
-                assert out.shape == (2, 5, 4)
+        for out in ssd.discretize_zoh(dt, a):
+            assert out.shape == (2, 5, 4)
 
-    def test_partials_match_finite_differences(self):
-        # z = dt*a in both branches of the exact rule, and the simplified rule
-        dt = np.array([[0.5, 1.0, 2.0, 0.7]])
-        a = np.array([-1e-8, -3e-7, -0.4, -2.0])
+    def test_adjoint_matches_finite_differences(self):
+        # the gradients of (dt, a) for output gradients (gz, gcoef)
+        rng = np.random.default_rng(1)
+        dt, a = rng.uniform(0.1, 1.0, (2, 5, 4)), -rng.uniform(0.5, 2.0, 4)
+        gz, gcoef = rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 5, 4))
+
+        def loss(dt, a):
+            z, coef = ssd.discretize_zoh(dt, a)
+            return (gz * z).sum() + (gcoef * coef).sum()
+
+        gdt, ga = ssd._zoh_grads(gz, gcoef, dt, a)
         eps = 1e-6
-        for exact in (False, True):
-            _, _, d_dt, d_a = ssd.discretize_zoh(dt, a, exact)
-            num_dt = (ssd.discretize_zoh(dt + eps, a, exact)[1]
-                      - ssd.discretize_zoh(dt - eps, a, exact)[1]) / (2 * eps)
-            num_a = (ssd.discretize_zoh(dt, a + eps * 1e-3, exact)[1]
-                     - ssd.discretize_zoh(dt, a - eps * 1e-3, exact)[1]) / (2 * eps * 1e-3)
-            assert rel_err(d_dt, num_dt) < 1e-6, exact
-            assert rel_err(d_a, num_a) < 1e-6, exact
+        for idx in np.ndindex(dt.shape):
+            step = np.zeros_like(dt)
+            step[idx] = eps
+            num = (loss(dt + step, a) - loss(dt - step, a)) / (2 * eps)
+            assert abs(gdt[idx] - num) < 1e-7
+        for k in range(a.size):
+            step = np.zeros_like(a)
+            step[k] = eps
+            num = (loss(dt, a + step) - loss(dt, a - step)) / (2 * eps)
+            assert abs(ga[k] - num) < 1e-7
 
 
 class TestScanRecurrent:
@@ -88,7 +84,7 @@ class TestScanRecurrent:
         params = scalar_params(abar=0.5, bcoef=1.0, c=1.0, xs=[1.0, 1.0, 1.0])
         y, final = ssd.scan_recurrent(params)
         np.testing.assert_allclose(y.data.reshape(-1), [1.0, 1.5, 1.75], atol=1e-15)
-        assert final.step_index == 3
+        np.testing.assert_allclose(final.data.reshape(-1), [1.75], atol=1e-15)
 
     def test_zero_input_coupling(self):
         params = scalar_params(abar=0.5, bcoef=0.0, c=1.0, xs=[1.0, 2.0, 3.0])
@@ -147,13 +143,12 @@ class TestScanConvolutional:
         # a carried state enters the single chunk like any other
         rng = np.random.default_rng(16)
         params = random_params(rng, t=11, g=2, n=6, p=5, batch=2)
-        init = ssd.ScanState(Tensor(rng.standard_normal((2, 4, 5, 6))), 3)
+        init = Tensor(rng.standard_normal((2, 4, 5, 6)))
         with tz.no_grad():
             expect, ef = ssd.scan_recurrent(params, initial=init)
             got, gf = ssd.scan_convolutional(params, initial=init)
         assert np.abs(got.data - expect.data).max() <= 1e-10
-        assert np.abs(gf.h.data - ef.h.data).max() <= 1e-10
-        assert gf.step_index == ef.step_index == 14
+        assert np.abs(gf.data - ef.data).max() <= 1e-10
 
 
 class TestScanChunked:
@@ -165,9 +160,8 @@ class TestScanChunked:
             y_chunk, final = ssd.scan_chunked(params, chunk_len=12)
             y_rec, final_rec = ssd.scan_recurrent(params)
         assert np.abs(y_chunk.data - y_conv.data).max() <= 1e-12
-        assert np.abs(final.h.data - final_rec.h.data).max() <= 1e-10
-        assert np.abs(final_conv.h.data - final_rec.h.data).max() <= 1e-10
-        assert final_conv.step_index == final_rec.step_index == 12
+        assert np.abs(final.data - final_rec.data).max() <= 1e-10
+        assert np.abs(final_conv.data - final_rec.data).max() <= 1e-10
 
     def test_chunk_len_one_is_recurrent_path(self):
         rng = np.random.default_rng(4)
@@ -176,7 +170,7 @@ class TestScanChunked:
             y1, f1 = ssd.scan_chunked(params, chunk_len=1)
             y2, f2 = ssd.scan_recurrent(params)
         np.testing.assert_array_equal(y1.data, y2.data)
-        np.testing.assert_array_equal(f1.h.data, f2.h.data)
+        np.testing.assert_array_equal(f1.data, f2.data)
 
     def test_random_chunked_matches_recurrent(self):
         rng = np.random.default_rng(5)
@@ -185,17 +179,17 @@ class TestScanChunked:
             expect, ef = ssd.scan_recurrent(params)
             got, gf = ssd.scan_chunked(params, chunk_len=16)
         assert np.abs(got.data - expect.data).max() <= 1e-8
-        assert np.abs(gf.h.data - ef.h.data).max() <= 1e-8
+        assert np.abs(gf.data - ef.data).max() <= 1e-8
 
     def test_ragged_tail_and_initial_state(self):
         rng = np.random.default_rng(6)
         params = random_params(rng, t=23)
-        init = ssd.ScanState(Tensor(rng.standard_normal((4, 16, 16))), 5)
+        init = Tensor(rng.standard_normal((4, 16, 16)))
         with tz.no_grad():
-            expect, _ = ssd.scan_recurrent(params, initial=init)
-            got, final = ssd.scan_chunked(params, chunk_len=7, initial=init)
+            expect, ef = ssd.scan_recurrent(params, initial=init)
+            got, gf = ssd.scan_chunked(params, chunk_len=7, initial=init)
         assert np.abs(got.data - expect.data).max() <= 1e-8
-        assert final.step_index == 28
+        assert np.abs(gf.data - ef.data).max() <= 1e-8
 
     def test_chunk_len_zero_rejected(self):
         rng = np.random.default_rng(7)
@@ -214,7 +208,7 @@ class TestScanChunked:
             )
             with tz.no_grad():
                 y, final = ssd.scan_chunked(params, chunk_len=8)
-        assert y.dtype == np.float32 and final.h.dtype == np.float32
+        assert y.dtype == np.float32 and final.dtype == np.float32
 
 
 class TestProperties:
@@ -231,19 +225,6 @@ class TestProperties:
             assert np.abs(y_rec.data - y_conv.data).max() <= 1e-8, f"case {case}"
             assert np.abs(y_rec.data - y_chunk.data).max() <= 1e-8, f"case {case}"
 
-    def test_exact_zoh_mode_equivalence(self):
-        rng = np.random.default_rng(10)
-        params = random_params(rng, t=31)
-        with tz.no_grad():
-            y_rec, _ = ssd.scan_recurrent(params, exact_zoh=True)
-            y_conv, _ = ssd.scan_convolutional(params, exact_zoh=True)
-            y_chunk, _ = ssd.scan_chunked(params, chunk_len=8, exact_zoh=True)
-        assert np.abs(y_rec.data - y_conv.data).max() <= 1e-8
-        assert np.abs(y_rec.data - y_chunk.data).max() <= 1e-8
-        # exact mode deviates from the simplified rule (phi(z) != 1)
-        y_simple, _ = ssd.scan_recurrent(params)
-        assert np.abs(y_simple.data - y_rec.data).max() > 1e-4
-
     def test_batched_matches_unbatched(self):
         rng = np.random.default_rng(11)
         batched = random_params(rng, t=21, batch=3)
@@ -255,7 +236,7 @@ class TestProperties:
                 )
                 ys, fs = ssd.scan_chunked(single, chunk_len=8)
                 assert np.abs(yb.data[i] - ys.data).max() <= 1e-12
-                assert np.abs(fb.h.data[i] - fs.h.data).max() <= 1e-12
+                assert np.abs(fb.data[i] - fs.data).max() <= 1e-12
 
     def test_stability_no_state_explosion(self):
         rng = np.random.default_rng(12)
@@ -268,7 +249,7 @@ class TestProperties:
                 step = ssd.SelectiveParams(params.dt[s : s + 1], params.a, params.B[s : s + 1],
                                            params.C[s : s + 1], params.x[s : s + 1])
                 _, final = ssd.scan_recurrent(step, initial=final)
-                peak = max(peak, np.abs(final.h.data).max())
+                peak = max(peak, np.abs(final.data).max())
             abar = np.exp(params.dt.data * params.a.data)
             bbar_x = (
                 params.dt.data[:, :, None, None]
@@ -278,7 +259,7 @@ class TestProperties:
         worst_decay = abar.max()
         bound = np.abs(bbar_x).max() / (1.0 - worst_decay)
         assert peak <= bound + 1e-9
-        assert np.isfinite(final.h.data).all() and final.step_index == t
+        assert np.isfinite(final.data).all()
 
     def test_gradients_match_across_modes_and_fd(self):
         rng = np.random.default_rng(13)
@@ -298,8 +279,8 @@ class TestProperties:
                 params = ssd.SelectiveParams(
                     dt=tz.softplus(dt_raw), a=tz.neg(tz.exp(log_a)), B=bmat, C=cmat, x=x
                 )
-                y, final = ssd.scan(params, mode, chunk_len=3, initial=ssd.ScanState(h0))
-                return tz.add(tz.tsum(tz.mul(y, w)), tz.tsum(tz.mul(final.h, w_state)))
+                y, final = ssd.scan(params, mode, chunk_len=3, initial=h0)
+                return tz.add(tsum(tz.mul(y, w)), tsum(tz.mul(final, w_state)))
             return fn
 
         grads = {}
@@ -315,32 +296,31 @@ class TestProperties:
             check_gradients(loss_for(mode), leaves)
 
 
-def scan_leaves(rng, t, h, p, g, n, batch=None, dtype=np.float64, series_head=False):
+def scan_leaves(rng, t, h, p, g, n, batch=None, dtype=np.float64, slow_head=False):
     """dt, a, B, C, x and an initial state as leaves that need gradients."""
     lead = () if batch is None else (batch,)
     a = -np.exp(rng.standard_normal(h))
-    if series_head:
-        a[0] = -1e-8  # dt*a of head 0 in the series branch of the exact rule
+    if slow_head:
+        a[0] = -1e-8  # head 0 hardly decays: abar = exp(dt*a) within 1e-7 of 1
     values = (np.log1p(np.exp(rng.standard_normal(lead + (t, h)))), a,
               rng.standard_normal(lead + (t, g, n)), rng.standard_normal(lead + (t, g, n)),
               rng.standard_normal(lead + (t, h, p)), rng.standard_normal(lead + (h, p, n)))
     return [Tensor(v, requires_grad=True, dtype=dtype) for v in values]
 
 
-def scan_loss(impl, leaves, mode, on, exact=False):
+def scan_loss(impl, leaves, mode, on):
     """(y, final state, loss) of one scan at chunk_len 4; ``on`` picks y, the
     state or both."""
     dt, a, bmat, cmat, x, h0 = leaves
     params = ssd.SelectiveParams(dt=dt, a=a, B=bmat, C=cmat, x=x)
-    initial = None if h0 is None else ssd.ScanState(h0, 2)
-    y, final = impl.scan(params, mode, chunk_len=4, initial=initial, exact_zoh=exact)
+    y, final = impl.scan(params, mode, chunk_len=4, initial=h0)
     rng = np.random.default_rng(99)
     terms = []
     if on in ("y", "both"):
-        terms.append(tz.tsum(tz.mul(y, Tensor(rng.standard_normal(y.shape), dtype=y.dtype))))
+        terms.append(tsum(tz.mul(y, Tensor(rng.standard_normal(y.shape), dtype=y.dtype))))
     if on in ("state", "both"):
-        w = Tensor(rng.standard_normal(final.h.shape), dtype=final.h.dtype)
-        terms.append(tz.tsum(tz.mul(final.h, w)))
+        w = Tensor(rng.standard_normal(final.shape), dtype=final.dtype)
+        terms.append(tsum(tz.mul(final, w)))
     loss = terms[0] if len(terms) == 1 else tz.add(terms[0], terms[1])
     return y, final, loss
 
@@ -351,23 +331,22 @@ class TestKernelsMatchOracle:
     @pytest.mark.parametrize("mode", ssd.MODES)
     @pytest.mark.parametrize("g", (1, 2))
     @pytest.mark.parametrize("batch", (None, 3))
-    @pytest.mark.parametrize("exact", (False, True))
-    def test_outputs_and_all_gradients(self, mode, g, batch, exact):
+    @pytest.mark.parametrize("slow_head", (False, True))
+    def test_outputs_and_all_gradients(self, mode, g, batch, slow_head):
         rng = np.random.default_rng(17)
         # T = 11 is not a multiple of chunk_len = 4
-        leaves = scan_leaves(rng, t=11, h=4, p=3, g=g, n=5, batch=batch, series_head=exact)
+        leaves = scan_leaves(rng, t=11, h=4, p=3, g=g, n=5, batch=batch, slow_head=slow_head)
         for initial in (True, False):
             use = leaves if initial else leaves[:5] + [None]
             for on in ("y", "state", "both"):
                 got, expect = [], []
                 for impl, out in ((ssd, got), (ssd_oracle, expect)):
                     tz.zero_grad(leaves)
-                    y, final, loss = scan_loss(impl, use, mode, on, exact)
+                    y, final, loss = scan_loss(impl, use, mode, on)
                     grads = loss.backward()
                     # C does not reach the final state: the tape has no gradient for it
-                    out.extend([y.data, final.h.data] + [grads.get(v, np.zeros(v.shape))
-                                                         for v in use if v is not None])
-                    assert final.step_index == (13 if initial else 11)
+                    out.extend([y.data, final.data] + [grads.get(v, np.zeros(v.shape))
+                                                       for v in use if v is not None])
                 for i, (a, b) in enumerate(zip(got, expect)):
                     assert a.shape == b.shape
                     assert rel_err(a, b) < 1e-10, (initial, on, i)
@@ -379,7 +358,7 @@ class TestKernelsMatchOracle:
         with using_dtype(np.float32):
             y, final, loss = scan_loss(ssd, leaves, mode, "both")
             grads = loss.backward()
-        assert y.dtype == np.float32 and final.h.dtype == np.float32
+        assert y.dtype == np.float32 and final.dtype == np.float32
         assert all(grads[v].dtype == np.float32 for v in leaves)
 
     @pytest.mark.parametrize("mode", ssd.MODES)
@@ -388,9 +367,8 @@ class TestKernelsMatchOracle:
         for t, chunk_len, batch in ((1, 4, None), (11, 4, 2), (40, 3, None), (40, 16, 2)):
             leaves = scan_leaves(rng, t=t, h=4, p=3, g=2, n=5, batch=batch)
             params = ssd.SelectiveParams(*leaves[:5])
-            y, final = ssd.scan(params, mode, chunk_len=chunk_len,
-                                initial=ssd.ScanState(leaves[5]))
-            assert recorded_nodes(y, final.h) == 2, (t, chunk_len, batch)
+            y, final = ssd.scan(params, mode, chunk_len=chunk_len, initial=leaves[5])
+            assert recorded_nodes(y, final) == 2, (t, chunk_len, batch)
 
 
 class TestDispatch:

@@ -11,6 +11,7 @@ from mac.tensor import ContractError, ShapeError, Tensor
 
 import tensor_oracle
 from conftest import check_gradients, recorded_nodes, rel_err, using_dtype
+from tensor_oracle import broadcast_to, cast, cumsum, tsum
 
 # ln(1 + e^-3) at 40-digit precision
 SOFTPLUS_NEG3 = 0.04858735157374205875892591985469
@@ -34,7 +35,7 @@ class TestMatmul:
         b = Tensor(rng.standard_normal((4, 2)))
         w = rng.standard_normal((3, 2))
         worst = check_gradients(
-            lambda: tz.tsum(tz.mul(tz.matmul(a, b), Tensor(w))), [a, b]
+            lambda: tsum(tz.mul(tz.matmul(a, b), Tensor(w))), [a, b]
         )
         assert worst < 1e-6
 
@@ -49,8 +50,8 @@ class TestMatmul:
         bb = Tensor(rng.standard_normal((5, 4, 2)))
         np.testing.assert_allclose(tz.matmul(a, b2).data, a.data @ b2.data)
         np.testing.assert_allclose(tz.matmul(a, bb).data, a.data @ bb.data)
-        check_gradients(lambda: tz.tsum(tz.mul(tz.matmul(a, b2), 0.3)), [a, b2])
-        check_gradients(lambda: tz.tsum(tz.mul(tz.matmul(a, bb), 0.3)), [a, bb])
+        check_gradients(lambda: tsum(tz.mul(tz.matmul(a, b2), 0.3)), [a, b2])
+        check_gradients(lambda: tsum(tz.mul(tz.matmul(a, bb), 0.3)), [a, bb])
 
 
 class TestSoftplus:
@@ -99,7 +100,7 @@ class TestActivationAccuracy:
             got = {
                 "silu": tz.silu(x).data,
                 "softplus": tz.softplus(x).data,
-                "softplus slope": tz.tsum(tz.softplus(x)).backward()[x],
+                "softplus slope": tsum(tz.softplus(x)).backward()[x],
                 "gelu": tz.gelu(x).data,
             }
         bound = ACTIVATION_ULPS * float(np.finfo(dtype).eps)
@@ -113,14 +114,14 @@ class TestActivationAccuracy:
 class TestBackward:
     def test_quadratic_form(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
-        loss = tz.tsum(tz.mul(w, w))
+        loss = tsum(tz.mul(w, w))
         grads = loss.backward()
         np.testing.assert_allclose(grads[w], [2.0, 4.0])
 
     def test_unused_leaf_gets_no_entry_and_zero_grad(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         u = Tensor([5.0], requires_grad=True)
-        loss = tz.tsum(tz.mul(w, w))
+        loss = tsum(tz.mul(w, w))
         grads = loss.backward()
         assert u not in grads and u.grad is None
 
@@ -138,8 +139,8 @@ class TestBackward:
 
     def test_grad_accumulates_across_backward_calls(self):
         w = Tensor([2.0], requires_grad=True)
-        tz.tsum(tz.mul(w, w)).backward()
-        tz.tsum(tz.mul(w, w)).backward()
+        tsum(tz.mul(w, w)).backward()
+        tsum(tz.mul(w, w)).backward()
         np.testing.assert_allclose(w.grad, [8.0])
 
 
@@ -150,36 +151,36 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(2)
         for op in (tz.exp, tz.silu, tz.softplus, tz.gelu, tz.relu, tz.neg):
             x = Tensor(rng.standard_normal((3, 5)) * 0.8 + 0.3)
-            check_gradients(lambda op=op, x=x: tz.tsum(tz.mul(op(x), 0.7)), [x])
+            check_gradients(lambda op=op, x=x: tsum(tz.mul(op(x), 0.7)), [x])
 
     def test_log_and_oracle_power(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.uniform(0.5, 2.0, (4, 3)))
-        check_gradients(lambda: tz.tsum(tz.log(x)), [x])
-        check_gradients(lambda: tz.tsum(tensor_oracle.power(x, -0.5)), [x])
-        check_gradients(lambda: tz.tsum(tensor_oracle.power(x, -1.0)), [x])
+        check_gradients(lambda: tsum(tz.log(x)), [x])
+        check_gradients(lambda: tsum(tensor_oracle.power(x, -0.5)), [x])
+        check_gradients(lambda: tsum(tensor_oracle.power(x, -1.0)), [x])
 
     def test_broadcast_binary(self):
         rng = np.random.default_rng(4)
         a = Tensor(rng.standard_normal((4, 1, 3)))
         b = Tensor(rng.standard_normal((1, 5, 3)))
-        check_gradients(lambda: tz.tsum(tz.mul(tz.add(a, b), tz.mul(a, b))), [a, b])
+        check_gradients(lambda: tsum(tz.mul(tz.add(a, b), tz.mul(a, b))), [a, b])
 
     def test_reductions_and_shape_ops(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.standard_normal((2, 3, 4)))
         w = Tensor(rng.standard_normal((2, 4, 3)))
-        check_gradients(lambda: tz.tsum(tz.mul(tensor_oracle.tmean(x, axis=1), 2.0)), [x])
+        check_gradients(lambda: tsum(tz.mul(tensor_oracle.tmean(x, axis=1), 2.0)), [x])
         check_gradients(
-            lambda: tz.tsum(tz.mul(tz.transpose(x, (0, 2, 1)), w)), [x, w]
+            lambda: tsum(tz.mul(tz.transpose(x, (0, 2, 1)), w)), [x, w]
         )
-        check_gradients(lambda: tz.tsum(tz.mul(tz.reshape(x, (6, 4)), 0.5)), [x])
-        check_gradients(lambda: tz.tsum(tz.mul(x[:, 1:, :2], 3.0)), [x])
+        check_gradients(lambda: tsum(tz.mul(tz.reshape(x, (6, 4)), 0.5)), [x])
+        check_gradients(lambda: tsum(tz.mul(x[:, 1:, :2], 3.0)), [x])
         check_gradients(
-            lambda: tz.tsum(tz.mul(tz.concat([x, x], axis=2), 0.25)), [x]
+            lambda: tsum(tz.mul(tz.concat([x, x], axis=2), 0.25)), [x]
         )
         check_gradients(
-            lambda: tz.tsum(tz.mul(tz.broadcast_to(tz.reshape(x, (2, 3, 4, 1)), (2, 3, 4, 5)), 0.1)),
+            lambda: tsum(tz.mul(broadcast_to(tz.reshape(x, (2, 3, 4, 1)), (2, 3, 4, 5)), 0.1)),
             [x],
         )
 
@@ -187,7 +188,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((3, 6)))
         scale = Tensor(rng.standard_normal((3, 6)))
-        check_gradients(lambda: tz.tsum(tz.mul(tz.cumsum(x, axis=1), scale)), [x])
+        check_gradients(lambda: tsum(tz.mul(cumsum(x, axis=1), scale)), [x])
 
     def test_where_mask(self):
         rng = np.random.default_rng(8)
@@ -195,14 +196,14 @@ class TestPrimitiveGradients:
         keep = np.tril(np.ones((5, 5), dtype=bool))
         out = tz.where_mask(x, keep, -7.0)
         assert np.all(out.data[~keep] == -7.0)
-        check_gradients(lambda: tz.tsum(tz.mul(tz.where_mask(x, keep, 0.0), 2.0)), [x])
+        check_gradients(lambda: tsum(tz.mul(tz.where_mask(x, keep, 0.0), 2.0)), [x])
 
     def test_embedding(self):
         rng = np.random.default_rng(9)
         table = Tensor(rng.standard_normal((7, 4)))
         ids = np.array([[1, 1, 3], [0, 6, 1]])
         w = Tensor(rng.standard_normal((2, 3, 4)))
-        check_gradients(lambda: tz.tsum(tz.mul(tz.embedding(table, ids), w)), [table])
+        check_gradients(lambda: tsum(tz.mul(tz.embedding(table, ids), w)), [table])
 
     def test_conv1d_depthwise_causal(self):
         rng = np.random.default_rng(10)
@@ -223,12 +224,12 @@ class TestPrimitiveGradients:
         np.testing.assert_allclose(out, expect, atol=1e-14)
 
         check_gradients(
-            lambda: tz.tsum(tz.mul(tz.conv1d_depthwise_causal(x, w, b, cold), scale)),
+            lambda: tsum(tz.mul(tz.conv1d_depthwise_causal(x, w, b, cold), scale)),
             [x, w, b],
         )
         warm = Tensor(rng.standard_normal((2, 3, 3)))
         check_gradients(
-            lambda: tz.tsum(tz.mul(tz.conv1d_depthwise_causal(x, w, b, warm), scale)),
+            lambda: tsum(tz.mul(tz.conv1d_depthwise_causal(x, w, b, warm), scale)),
             [x, w, b, warm],
         )
 
@@ -283,7 +284,7 @@ class TestPrimitiveGradients:
         out = tz.rms_norm(x, w).data
         expect = x.data / np.sqrt((x.data**2).mean(-1, keepdims=True) + 1e-5) * w.data
         np.testing.assert_allclose(out, expect, atol=1e-12)
-        check_gradients(lambda: tz.tsum(tz.mul(tz.rms_norm(x, w), 0.3)), [x, w])
+        check_gradients(lambda: tsum(tz.mul(tz.rms_norm(x, w), 0.3)), [x, w])
 
 
 class TestRmsNormKernel:
@@ -299,7 +300,7 @@ class TestRmsNormKernel:
                    dtype=dtype)
         probe = Tensor(rng.standard_normal(shape), dtype=dtype)
         out = norm(x, w)
-        grads = tz.tsum(tz.mul(out, probe)).backward()
+        grads = tsum(tz.mul(out, probe)).backward()
         return out.data, grads[x], grads.get(w)
 
     @pytest.mark.parametrize("shape", [(3, 5, 8), (8,)])
@@ -358,9 +359,19 @@ class TestInvariants:
             assert y.dtype == np.float32
         assert tz.zeros((1,)).dtype == np.float64
 
+    def test_python_scalar_takes_the_tensor_dtype(self):
+        x = Tensor(np.linspace(-1, 1, 4), dtype=np.float32, requires_grad=True)
+        for out in (tz.mul(x, 0.5), tz.mul(0.5, x), tz.add(x, 1), tz.add(-1.5, x)):
+            assert out.dtype == np.float32
+        assert tsum(tz.mul(x, 0.5)).backward()[x].dtype == np.float32
+        # fp64 results are what numpy gives for the plain arrays
+        v = np.random.default_rng(16).standard_normal(5)
+        assert np.array_equal(tz.mul(Tensor(v), 0.1).data, v * 0.1)
+        assert np.array_equal(tz.add(1e-5, Tensor(v)).data, 1e-5 + v)
+
     def test_cast_round_trip_through_graph(self):
         x = Tensor(np.linspace(-1, 1, 5), requires_grad=True)
-        y = tz.tsum(tz.mul(tz.cast(tz.cast(x, np.float32), np.float64), 2.0))
+        y = tsum(tz.mul(cast(cast(x, np.float32), np.float64), 2.0))
         grads = y.backward()
         assert grads[x].dtype == np.float64
         np.testing.assert_allclose(grads[x], 2.0)
@@ -374,7 +385,7 @@ class TestOptim:
         opt = optim.AdamW({"w": w}, lr=0.1)
         for _ in range(200):
             opt.zero_grad()
-            tz.tsum(tz.mul(w, w)).backward()
+            tsum(tz.mul(w, w)).backward()
             opt.step()
         assert np.abs(w.data).max() < 1e-2
 
@@ -382,7 +393,7 @@ class TestOptim:
         from mac import optim
 
         w = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        tz.tsum(tz.mul(w, w)).backward()  # grad (6, 8), norm 10
+        tsum(tz.mul(w, w)).backward()  # grad (6, 8), norm 10
         norm = optim.clip_grad_norm({"w": w}, 1.0)
         assert abs(norm - 10.0) < 1e-12
         assert abs(np.linalg.norm(w.grad) - 1.0) < 1e-9
