@@ -106,13 +106,13 @@ def fit_length(samples: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def load_wav(path: str, clip_seconds: float = CLIP_SECONDS) -> Tensor:
+def load_wav(path: str) -> Tensor:
     """Decode, resample to 16 kHz, and crop/pad to the clip length."""
     with open(path, "rb") as fh:
         blob = fh.read()
     samples, rate = read_wav_bytes(blob)
     samples = resample_linear(samples, rate, SAMPLE_RATE)
-    return Tensor(fit_length(samples, int(round(clip_seconds * SAMPLE_RATE))))
+    return Tensor(fit_length(samples, int(round(CLIP_SECONDS * SAMPLE_RATE))))
 
 
 def write_wav(path: str, samples: np.ndarray, rate: int = SAMPLE_RATE) -> None:
@@ -133,9 +133,6 @@ def write_wav(path: str, samples: np.ndarray, rate: int = SAMPLE_RATE) -> None:
 @dataclass
 class MelSpec:
     frames: np.ndarray  # [T_mel, MEL_BINS], log power
-    sample_rate: int = SAMPLE_RATE
-    hop: int = STFT_HOP
-    win: int = STFT_WIN
 
     def pad_to(self, n_frames: int) -> "MelSpec":
         """Crop or extend with the log floor so exactly n_frames remain."""
@@ -146,7 +143,7 @@ class MelSpec:
             frames = np.full((n_frames, self.frames.shape[1]), np.log(LOG_FLOOR),
                              dtype=self.frames.dtype)
             frames[:t] = self.frames
-        return MelSpec(frames, self.sample_rate, self.hop, self.win)
+        return MelSpec(frames)
 
 
 def hertz_to_mel(f):
@@ -157,13 +154,12 @@ def mel_to_hertz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int = MEL_BINS, n_fft: int = STFT_NFFT,
-                   sample_rate: int = SAMPLE_RATE) -> np.ndarray:
-    """Triangular filters on a uniform mel grid -> [n_mels, n_fft//2 + 1]."""
-    edges = mel_to_hertz(np.linspace(0.0, hertz_to_mel(sample_rate / 2), n_mels + 2))
-    freqs = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
-    bank = np.zeros((n_mels, freqs.size))
-    for i in range(n_mels):
+def mel_filterbank() -> np.ndarray:
+    """Triangular filters on a uniform mel grid -> [MEL_BINS, STFT_NFFT//2 + 1]."""
+    edges = mel_to_hertz(np.linspace(0.0, hertz_to_mel(SAMPLE_RATE / 2), MEL_BINS + 2))
+    freqs = np.arange(STFT_NFFT // 2 + 1) * (SAMPLE_RATE / STFT_NFFT)
+    bank = np.zeros((MEL_BINS, freqs.size))
+    for i in range(MEL_BINS):
         lo, center, hi = edges[i], edges[i + 1], edges[i + 2]
         rising = (freqs - lo) / max(center - lo, 1e-9)
         falling = (hi - freqs) / max(hi - center, 1e-9)
@@ -171,14 +167,16 @@ def mel_filterbank(n_mels: int = MEL_BINS, n_fft: int = STFT_NFFT,
     return bank
 
 
-def melspectrogram(waveform, sample_rate: int = SAMPLE_RATE) -> MelSpec:
-    """STFT (win=400, hop=160, Hann) -> 128 mel bins -> log(x + 1e-6)."""
+_MEL_BANK = mel_filterbank()
+
+
+def melspectrogram(waveform) -> MelSpec:
+    """16 kHz samples -> STFT (win=400, hop=160, Hann) -> 128 mel bins
+    -> log(x + 1e-6)."""
     samples = waveform.data if isinstance(waveform, Tensor) else np.asarray(waveform)
     samples = samples.astype(np.float64)
     if samples.size == 0:
         raise ContractError("melspectrogram of empty waveform")
-    if sample_rate != SAMPLE_RATE:
-        raise ContractError(f"expected {SAMPLE_RATE} Hz input, got {sample_rate}")
     if samples.size < STFT_WIN:
         samples = fit_length(samples, STFT_WIN)
 
@@ -187,7 +185,7 @@ def melspectrogram(waveform, sample_rate: int = SAMPLE_RATE) -> MelSpec:
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(STFT_WIN) / STFT_WIN)
     frames = samples[idx] * window
     spec = np.abs(np.fft.rfft(frames, n=STFT_NFFT, axis=1)) ** 2
-    mel = spec @ mel_filterbank().T
+    mel = spec @ _MEL_BANK.T
     return MelSpec(np.log(mel + LOG_FLOOR))
 
 
@@ -204,23 +202,24 @@ class EncoderConfig:
     layer's strides must divide its input.
     """
 
-    d_enc: int = 64
-    channels: tuple[int, ...] = (16, 32, 64)
-    patches: tuple[tuple[int, int], ...] = ((8, 4), (4, 2), (2, 2), (1, 1))
-    mel_frames: int = 1024
+    d_enc: int
+    channels: tuple[int, ...]
+    patches: tuple[tuple[int, int], ...]
+    mel_frames: int
     mel_bins: int = MEL_BINS
 
     def __post_init__(self):
         if len(self.patches) != len(self.channels) + 1:
             raise ShapeError(
-                f"need {len(self.channels) + 1} patch sizes for "
-                f"{len(self.channels)} hidden layers, got {len(self.patches)}"
+                f"{len(self.channels)} hidden channels need "
+                f"{len(self.channels) + 1} patches, got {len(self.patches)}"
             )
         t, f = self.mel_frames, self.mel_bins
         for i, (pt, pf) in enumerate(self.patches):
             if t % pt or f % pf:
                 raise ShapeError(
-                    f"encoder layer {i}: input {t}x{f} not divisible by patch {pt}x{pf}"
+                    f"encoder layer {i}: input {t}x{f} (from mel_frames x mel_bins "
+                    f"{self.mel_frames}x{self.mel_bins}) not divisible by patches[{i}] {pt}x{pf}"
                 )
             t, f = t // pt, f // pf
 

@@ -24,36 +24,32 @@ from .tensor import ContractError, ShapeError, Tensor
 
 @dataclass
 class LmConfig:
-    n_layers: int = 4
-    d_model: int = 64
-    n_heads: int = 4
-    head_dim: int = 16
-    d_state: int = 16
-    n_groups: int = 1
-    vocab_size: int = 512
-    tie_embeddings: bool = True
-    conv_width: int = 4
+    """The LM's shape; its width is n_heads * head_dim, both outside and
+    inside a block."""
+
+    n_layers: int
+    n_heads: int
+    head_dim: int
+    d_state: int
+    n_groups: int
+    vocab_size: int
+    conv_width: int
 
     def __post_init__(self):
-        if self.d_model != self.n_heads * self.head_dim:
-            raise ShapeError(
-                f"d_model {self.d_model} must equal n_heads*head_dim "
-                f"{self.n_heads}*{self.head_dim}"
-            )
         if self.n_heads % self.n_groups != 0:
             raise ShapeError(f"n_heads {self.n_heads} not divisible by n_groups {self.n_groups}")
 
     @property
-    def d_inner(self) -> int:
+    def d_model(self) -> int:
         return self.n_heads * self.head_dim
 
     @property
     def conv_dim(self) -> int:
-        return self.d_inner + 2 * self.n_groups * self.d_state
+        return self.d_model + 2 * self.n_groups * self.d_state
 
     @property
     def d_in_proj(self) -> int:
-        return 2 * self.d_inner + 2 * self.n_groups * self.d_state + self.n_heads
+        return 2 * self.d_model + 2 * self.n_groups * self.d_state + self.n_heads
 
 
 @dataclass
@@ -124,13 +120,9 @@ class MambaBlock:
         self.dt_bias = Tensor(np.log(np.expm1(dt0)))
         self.log_a = Tensor(np.log(rng.uniform(1.0, 16.0, cfg.n_heads)))
         self.skip = tz.ones((cfg.n_heads,))
-        self.gate_norm = tz.ones((cfg.d_inner,))
+        self.gate_norm = tz.ones((d,))
         self.out_proj = LoraLinear(
-            Tensor(
-                rng.standard_normal((cfg.d_inner, d))
-                / np.sqrt(cfg.d_inner)
-                / np.sqrt(2.0 * cfg.n_layers)
-            )
+            Tensor(rng.standard_normal((d, d)) / np.sqrt(d) / np.sqrt(2.0 * cfg.n_layers))
         )
 
     def parameters(self) -> dict[str, Tensor]:
@@ -166,7 +158,7 @@ class MambaBlock:
         if x.ndim != 3 or x.shape[-1] != cfg.d_model:
             raise ShapeError(f"block input {x.shape}, expected [B, T, {cfg.d_model}]")
         b, t, _ = x.shape
-        di, gn, k = cfg.d_inner, cfg.n_groups * cfg.d_state, cfg.conv_width
+        di, gn, k = cfg.d_model, cfg.n_groups * cfg.d_state, cfg.conv_width
 
         proj = self.in_proj(x)
         z = proj[:, :, :di]
@@ -201,7 +193,8 @@ class MambaBlock:
 
 
 class SsmLm:
-    """Residual stack of blocks with RMS pre-norm, final norm, and LM head.
+    """Residual stack of blocks with RMS pre-norm, final norm, and an LM
+    head tied to the token table.
 
     The input is a sequence of model-dimension embedding vectors, so audio
     embeddings can bypass the token table entirely.
@@ -213,23 +206,13 @@ class SsmLm:
         self.embedding = Tensor(rng.standard_normal((cfg.vocab_size, d)) / np.sqrt(d))
         self.blocks = [MambaBlock(cfg, rng) for _ in range(cfg.n_layers)]
         self.final_norm = tz.ones((d,))
-        self.lm_head = None
-        if not cfg.tie_embeddings:
-            self.lm_head = Tensor(rng.standard_normal((d, cfg.vocab_size)) / np.sqrt(d))
 
     def parameters(self) -> dict[str, Tensor]:
         out = {"embedding": self.embedding, "final_norm": self.final_norm}
-        if self.lm_head is not None:
-            out["lm_head"] = self.lm_head
         for i, blk in enumerate(self.blocks):
             for k, v in blk.parameters().items():
                 out[f"blocks.{i}.{k}"] = v
         return out
-
-    def head_matrix(self) -> Tensor:
-        if self.lm_head is not None:
-            return self.lm_head
-        return tz.transpose(self.embedding, (1, 0))
 
     def forward(
         self,
@@ -254,7 +237,7 @@ class SsmLm:
             new_states.append(ns)
             x = tz.add(x, y)
         x = tz.rms_norm(x, self.final_norm)
-        logits = tz.matmul(x, self.head_matrix())
+        logits = tz.matmul(x, tz.transpose(self.embedding, (1, 0)))
         return (logits, new_states) if return_states else logits
 
     __call__ = forward
@@ -264,7 +247,7 @@ def attach_lora(lm: SsmLm, rank: int, rng: np.random.Generator) -> None:
     """Attach fresh adapters to in_proj and out_proj of every block."""
     for blk in lm.blocks:
         blk.in_proj.adapter = LoraAdapter.init(blk.cfg.d_model, blk.cfg.d_in_proj, rank, rng)
-        blk.out_proj.adapter = LoraAdapter.init(blk.cfg.d_inner, blk.cfg.d_model, rank, rng)
+        blk.out_proj.adapter = LoraAdapter.init(blk.cfg.d_model, blk.cfg.d_model, rank, rng)
 
 
 def lora_parameters(lm: SsmLm) -> dict[str, Tensor]:

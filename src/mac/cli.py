@@ -48,14 +48,15 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--wav", required=True, help="input WAV file")
     p.add_argument("--prompt", help="defaults to the checkpoint's caption prompt")
-    p.add_argument("--max-len", type=int, default=24)
+    p.add_argument("--max-len", type=int,
+                   help="defaults to the checkpoint's train.max_caption_len")
 
     p = sub.add_parser("diagnose", help="representation diagnostics CSVs")
     p.add_argument("metric", choices=["erank", "cosine", "state-dist"])
     p.add_argument("--checkpoint", action="append", required=True,
                    help="checkpoint; erank and cosine take it repeated (one table cell "
-                        "per model and connector variant, at most one checkpoint each), "
-                        "state-dist exactly once")
+                        "per model size, layers x width, and connector variant, at most "
+                        "one checkpoint each), state-dist exactly once")
     p.add_argument("--dataset", default="synthetic",
                    help="'synthetic' or a manifest.jsonl path")
     p.add_argument("--n", type=int, default=8, help="number of clips to analyze")
@@ -169,8 +170,9 @@ def _cmd_infer(args) -> int:
 
     cap = pipeline.load_captioner(args.checkpoint)
     prompt = args.prompt if args.prompt is not None else cap.cfg["data.prompt"]
+    max_len = args.max_len if args.max_len is not None else cap.cfg["train.max_caption_len"]
     sample = pipeline.Sample(audio={"wav": args.wav}, prompt=prompt)
-    print(pipeline.generate_greedy(cap, sample, max_len=args.max_len))
+    print(pipeline.generate_greedy(cap, sample, max_len=max_len))
     return 0
 
 
@@ -205,7 +207,7 @@ def _cmd_diagnose(args) -> int:
     owners: dict[tuple[str, str], str] = {}
     for ck in args.checkpoint:
         cap = pipeline.load_captioner(ck)
-        cell = (cap.cfg["model.preset"], cap.cfg["connector.variant"])
+        cell = (f"{cap.lm_cfg.n_layers}x{cap.lm_cfg.d_model}", cap.cfg["connector.variant"])
         if cell in owners:
             raise UsageError(f"--checkpoint {owners[cell]} and {ck} both fill the cell "
                              f"model {cell[0]}, connector {cell[1]}; pass one of them")

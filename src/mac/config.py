@@ -4,15 +4,26 @@ Files are plain text: one ``section.key = value`` per line, ``#`` comments,
 blank lines ignored. Every key is schema-checked; unknown keys and type or
 choice violations are collected and reported together. Overrides use the
 same ``key=value`` syntax and apply after the file parse.
+
+The ``model.*``, ``audio.*`` and ``connector.*`` keys are the one source of
+the model's settings: ``model_configs`` turns them into the typed configs
+the model is built from. ``validate`` checks each key's range, then builds
+those configs, so their own checks report as config errors that name the
+keys. A model's size is its depth and width, the model width being
+``n_heads * head_dim``: nano (the defaults) is 4 layers of 4 heads x 16,
+small is 8 layers of 8 heads x 16.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
+from .audio import EncoderConfig
 from .blocks import LmConfig
-from .connector import VARIANTS
-from .ssd import MODES
+from .connector import VARIANTS, ConnectorConfig
+from .ssd import DEFAULT_CHUNK, MODES
+from .tensor import ContractError, ShapeError
 
 
 class ConfigError(ValueError):
@@ -28,17 +39,14 @@ class Field:
 
 
 SCHEMA: dict[str, Field] = {
-    "model.preset": Field("nano", "str", ("nano", "small", "custom"),
-                          "size family; custom reads the explicit dims below"),
-    "model.n_layers": Field(4, "int", help="block count (custom preset)"),
-    "model.d_model": Field(64, "int", help="model width (custom preset)"),
-    "model.n_heads": Field(4, "int"),
-    "model.head_dim": Field(16, "int"),
+    "model.n_layers": Field(4, "int", help="block count; nano 4, small 8"),
+    "model.n_heads": Field(4, "int", help="SSM heads; nano 4, small 8"),
+    "model.head_dim": Field(16, "int", help="channels per head; nano and small 16 "
+                                            "(model width = n_heads * head_dim)"),
     "model.d_state": Field(16, "int"),
     "model.n_groups": Field(1, "int"),
-    "model.tie_embeddings": Field(True, "bool"),
     "model.scan_mode": Field("chunked", "str", MODES),
-    "model.chunk_len": Field(16, "int"),
+    "model.chunk_len": Field(DEFAULT_CHUNK, "int"),
     "model.lora_rank": Field(8, "int"),
     "model.conv_width": Field(4, "int"),
     "model.max_vocab": Field(512, "int"),
@@ -178,102 +186,81 @@ def dump(cfg: Config) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_patches(text: str) -> tuple[tuple[int, int], ...]:
+def _parse_patches(text: str) -> tuple[tuple[int, int], ...]:
     out = []
     for piece in text.split(","):
         t, sep, f = piece.strip().partition("x")
-        if not sep:
-            raise ConfigError(f"bad patch entry {piece!r}; expected TxF")
         try:
+            if not sep:
+                raise ValueError(piece)
             out.append((int(t), int(f)))
         except ValueError as exc:
-            raise ConfigError(f"bad patch entry {piece!r}") from exc
+            raise ConfigError(f"audio.patches: bad entry {piece!r}; expected TxF") from exc
     return tuple(out)
 
 
-def parse_channels(text: str) -> tuple[int, ...]:
+def _parse_channels(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
     try:
         return tuple(int(c) for c in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad channels list {text!r}") from exc
+        raise ConfigError(f"audio.channels: bad list {text!r}") from exc
+
+
+# the keys that must be >= 1; every other check is a typed config's own
+_AT_LEAST_ONE = (
+    "model.n_layers", "model.n_heads", "model.head_dim", "model.d_state", "model.n_groups",
+    "model.chunk_len", "model.lora_rank", "model.conv_width", "audio.mel_frames",
+    "audio.d_enc", "connector.hidden_mult", "train.batch_size", "train.steps_per_epoch",
+    "train.max_caption_len", "data.n_train",
+)
 
 
 def validate(cfg: Config) -> list[str]:
-    """All cross-field checks; returns the full list of problems."""
-    errors = []
+    """Per-key range checks, then the typed configs' own checks on the model
+    they describe; returns the full list of problems."""
     v = cfg.values
-    if v["model.preset"] == "custom" and v["model.d_model"] != v["model.n_heads"] * v["model.head_dim"]:
-        errors.append(
-            f"model.d_model {v['model.d_model']} != n_heads*head_dim "
-            f"{v['model.n_heads']}*{v['model.head_dim']}"
-        )
-    if v["model.preset"] == "custom":
-        for key in ("model.n_layers", "model.n_heads", "model.head_dim", "model.d_model"):
-            if v[key] < 1:
-                errors.append(f"{key} must be >= 1")
-    if v["model.chunk_len"] < 1:
-        errors.append("model.chunk_len must be >= 1")
-    if v["model.lora_rank"] < 1:
-        errors.append("model.lora_rank must be >= 1")
-    for key in ("train.lr_stage1", "train.lr_stage2"):
-        if v[key] <= 0:
-            errors.append(f"{key} must be positive")
-    for key in ("train.batch_size", "train.steps_per_epoch", "data.n_train",
-                "train.max_caption_len", "audio.d_enc", "connector.hidden_mult",
-                "model.n_groups", "model.conv_width", "model.d_state"):
-        if v[key] < 1:
-            errors.append(f"{key} must be >= 1")
-    n_heads = _PRESETS.get(v["model.preset"], {}).get("n_heads", v["model.n_heads"])
-    if v["model.n_groups"] >= 1 and n_heads % v["model.n_groups"]:
-        errors.append(f"model.n_groups {v['model.n_groups']} does not divide n_heads {n_heads}")
+    errors = [f"{key} must be >= 1" for key in _AT_LEAST_ONE if v[key] < 1]
+    errors += [f"{key} must be positive" for key in ("train.lr_stage1", "train.lr_stage2")
+               if v[key] <= 0]
     if v["data.source"] == "manifest" and not v["data.manifest"]:
         errors.append("data.manifest required when data.source = manifest")
-    try:
-        patches = parse_patches(v["audio.patches"])
-        channels = parse_channels(v["audio.channels"])
-        if len(patches) != len(channels) + 1:
-            errors.append(
-                f"audio.patches needs {len(channels) + 1} entries for "
-                f"{len(channels)} hidden channels, got {len(patches)}"
-            )
-        t_prod = 1
-        f_prod = 1
-        for pt, pf in patches:
-            t_prod *= pt
-            f_prod *= pf
-        if v["audio.mel_frames"] % t_prod:
-            errors.append(f"audio.mel_frames {v['audio.mel_frames']} not divisible by "
-                          f"time stride product {t_prod}")
-        if 128 % f_prod:
-            errors.append(f"mel bins 128 not divisible by freq stride product {f_prod}")
-    except ConfigError as exc:
-        errors.append(str(exc))
+    if not errors:
+        try:
+            model_configs(cfg, v["model.max_vocab"])
+        except ConfigError as exc:
+            errors.append(str(exc))
     return errors
 
 
-_PRESETS = {
-    "nano": dict(n_layers=4, d_model=64, n_heads=4, head_dim=16),
-    "small": dict(n_layers=8, d_model=128, n_heads=8, head_dim=16),
-}
+# typed-config field -> the key that sets it
+_LM_KEYS = {"n_layers": "model.n_layers", "n_heads": "model.n_heads",
+            "head_dim": "model.head_dim", "d_state": "model.d_state",
+            "n_groups": "model.n_groups", "conv_width": "model.conv_width"}
+_ENCODER_KEYS = {"d_enc": "audio.d_enc", "channels": "audio.channels",
+                 "patches": "audio.patches", "mel_frames": "audio.mel_frames"}
+_CONNECTOR_KEYS = {"variant": "connector.variant", "hidden_mult": "connector.hidden_mult",
+                   "sep_position": "connector.sep_position"}
+_PARSERS = {"audio.channels": _parse_channels, "audio.patches": _parse_patches}
 
 
-def resolve_lm_config(cfg: Config, vocab_size: int) -> LmConfig:
-    v = cfg.values
-    dims = dict(
-        n_layers=v["model.n_layers"],
-        d_model=v["model.d_model"],
-        n_heads=v["model.n_heads"],
-        head_dim=v["model.head_dim"],
-    )
-    if v["model.preset"] != "custom":
-        dims.update(_PRESETS[v["model.preset"]])
-    return LmConfig(
-        d_state=v["model.d_state"],
-        n_groups=v["model.n_groups"],
-        vocab_size=vocab_size,
-        tie_embeddings=v["model.tie_embeddings"],
-        conv_width=v["model.conv_width"],
-        **dims,
-    )
+def _typed(kind, keys: dict[str, str], cfg: Config, **derived):
+    """``kind`` built from its keys' values plus ``derived`` fields. Its own
+    checks become a ConfigError naming the keys of the fields it mentions."""
+    values = {field: _PARSERS.get(key, lambda raw: raw)(cfg[key]) for field, key in keys.items()}
+    try:
+        return kind(**values, **derived)
+    except (ShapeError, ContractError) as exc:
+        named = [key for field, key in keys.items() if re.search(rf"\b{field}\b", str(exc))]
+        raise ConfigError(f"{', '.join(named or keys.values())}: {exc}") from exc
+
+
+def model_configs(cfg: Config, vocab_size: int) -> tuple[LmConfig, EncoderConfig, ConnectorConfig]:
+    """The typed configs of the model ``cfg`` describes, for a vocabulary of
+    ``vocab_size`` words; the only place config values become model shapes."""
+    lm = _typed(LmConfig, _LM_KEYS, cfg, vocab_size=vocab_size)
+    enc = _typed(EncoderConfig, _ENCODER_KEYS, cfg)
+    conn = _typed(ConnectorConfig, _CONNECTOR_KEYS, cfg, d_enc=enc.d_enc, grid_t=enc.grid_t,
+                  grid_f=enc.grid_f, d_model=lm.d_model)
+    return lm, enc, conn

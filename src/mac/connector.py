@@ -41,13 +41,13 @@ SEP = -1  # the separator's slot in a layout's index map
 
 @dataclass
 class ConnectorConfig:
-    variant: str = "concatenation"
-    d_enc: int = 64
-    grid_t: int = 16
-    grid_f: int = 8
-    d_model: int = 64
-    hidden_mult: int = 4
-    sep_position: str = "prefix"  # frequency_major bands: separator before/after
+    variant: str
+    d_enc: int
+    grid_t: int
+    grid_f: int
+    d_model: int
+    hidden_mult: int
+    sep_position: str  # frequency_major bands: separator before/after
 
     def __post_init__(self):
         if self.variant not in VARIANTS:

@@ -83,29 +83,11 @@ class Captioner:
         self.cfg = cfg
         self.vocab = vocab
         v = cfg.values
+        self.lm_cfg, self.enc_cfg, self.conn_cfg = configmod.model_configs(cfg, len(vocab))
         rng = np.random.default_rng(v["train.seed"])
-
-        self.lm_cfg = configmod.resolve_lm_config(cfg, len(vocab))
         self.lm = blocks.SsmLm(self.lm_cfg, rng)
         blocks.attach_lora(self.lm, v["model.lora_rank"], rng)
-
-        self.enc_cfg = audiomod.EncoderConfig(
-            d_enc=v["audio.d_enc"],
-            channels=configmod.parse_channels(v["audio.channels"]),
-            patches=configmod.parse_patches(v["audio.patches"]),
-            mel_frames=v["audio.mel_frames"],
-        )
         self.encoder = audiomod.CnnEncoder(self.enc_cfg, rng)
-
-        self.conn_cfg = connector.ConnectorConfig(
-            variant=v["connector.variant"],
-            d_enc=self.enc_cfg.d_enc,
-            grid_t=self.enc_cfg.grid_t,
-            grid_f=self.enc_cfg.grid_f,
-            d_model=self.lm_cfg.d_model,
-            hidden_mult=v["connector.hidden_mult"],
-            sep_position=v["connector.sep_position"],
-        )
         self.mlp = connector.ConnectorMlp(self.conn_cfg, rng)
         self.sep_embedding = Tensor(
             rng.standard_normal(self.lm_cfg.d_model) / np.sqrt(self.lm_cfg.d_model)
@@ -252,18 +234,16 @@ class Captioner:
 
     # -- persistence ------------------------------------------------------------
 
-    def save(self, path: str, trainable_only: bool = False) -> None:
-        params = self.trainable_parameters() if trainable_only else self.named_parameters()
-        tensors = {k: t.data for k, t in params.items()}
+    def save(self, path: str) -> None:
+        tensors = {k: t.data for k, t in self.named_parameters().items()}
         meta = {f"vocab.{i}": w for i, w in enumerate(self.vocab.words)}
-        meta["kind"] = "adapters" if trainable_only else "full"
         checkpoint.save(path, tensors, config_text=configmod.dump(self.cfg), meta=meta)
 
-    def load_tensors(self, path: str, subset_ok: bool = False) -> None:
+    def load_tensors(self, path: str) -> None:
         tensors, _, _ = checkpoint.load(path)
         params = self.named_parameters()
         missing = set(params) - set(tensors)
-        if missing and not subset_ok:
+        if missing:
             raise checkpoint.CheckpointError(f"checkpoint missing tensors: {sorted(missing)[:4]}...")
         for name, arr in tensors.items():
             if name not in params:
@@ -277,7 +257,7 @@ class Captioner:
 
 
 def load_captioner(path: str) -> Captioner:
-    """Rebuild a Captioner from a full checkpoint (config + vocab + tensors)."""
+    """Rebuild a Captioner from a checkpoint (config + vocab + tensors)."""
     _, config_text, meta = checkpoint.load(path)
     try:
         cfg = configmod.parse_text(config_text)
@@ -285,7 +265,7 @@ def load_captioner(path: str) -> Captioner:
         raise configmod.ConfigError(f"{path}: {exc}") from exc
     words = [meta[f"vocab.{i}"] for i in range(sum(1 for k in meta if k.startswith("vocab.")))]
     model = Captioner(cfg, Vocab(words))
-    model.load_tensors(path, subset_ok=meta.get("kind") == "adapters")
+    model.load_tensors(path)
     return model
 
 
@@ -349,7 +329,7 @@ def _write_divergence_dump(state: TrainState, value: float) -> str | None:
 # -- greedy decoding -------------------------------------------------------------
 
 
-def generate_greedy(captioner: Captioner, sample: Sample, max_len: int = 24,
+def generate_greedy(captioner: Captioner, sample: Sample, max_len: int,
                     streaming: bool = True) -> str:
     """Argmax decoding until <eos> or max_len tokens.
 
@@ -370,7 +350,7 @@ def generate_greedy(captioner: Captioner, sample: Sample, max_len: int = 24,
 
 
 def _caption_text(cap: Captioner, ids: list[int]) -> str:
-    return " ".join(cap.vocab.words[i] for i in ids if i != cap.vocab.eos_id)
+    return cap.vocab.decode([i for i in ids if i != cap.vocab.eos_id])
 
 
 def _decode_streaming(cap: Captioner, embs: Tensor, lengths, max_len: int) -> list[list[int]]:
@@ -506,7 +486,7 @@ def build_vocab_for(cfg: configmod.Config, train: list[Sample], eval_: list[Samp
     return Vocab.build(texts, max_size=cfg["model.max_vocab"])
 
 
-def run_experiment(cfg: configmod.Config, out_dir: str, tag: str = "") -> list[dict]:
+def run_experiment(cfg: configmod.Config, out_dir: str) -> list[dict]:
     """Full train/eval schedule; emits metrics.csv and final checkpoint.
 
     Stages: optional classification-prompt warmup, then two caption stages
@@ -544,7 +524,7 @@ def run_experiment(cfg: configmod.Config, out_dir: str, tag: str = "") -> list[d
                 token_acc, f1, _ = evaluate(cap, eval_ if eval_ else pool)
                 rows.append({
                     "epoch": epoch,
-                    "stage": stage_name if not tag else f"{stage_name}:{tag}",
+                    "stage": stage_name,
                     "loss": float(np.mean(losses)),
                     "token_acc": token_acc,
                     "caption_f1": f1,

@@ -26,9 +26,9 @@ def _pitch_class(freq: float) -> str:
 _COUNT_WORDS = {2: "two", 3: "three", 4: "four", 5: "five"}
 
 
-def render(spec: dict, clip_seconds: float = CLIP_SECONDS) -> np.ndarray:
+def render(spec: dict) -> np.ndarray:
     """Render a clip spec to a float waveform in [-1, 1]."""
-    n = int(round(clip_seconds * SAMPLE_RATE))
+    n = int(round(CLIP_SECONDS * SAMPLE_RATE))
     t = np.arange(n) / SAMPLE_RATE
     kind = spec["kind"]
     rng = np.random.default_rng(int(spec.get("seed", 0)))
@@ -37,7 +37,7 @@ def render(spec: dict, clip_seconds: float = CLIP_SECONDS) -> np.ndarray:
         wave = 0.5 * np.sin(2 * np.pi * spec["freq"] * t)
     elif kind == "chirp":
         f0, f1 = spec["freq_start"], spec["freq_end"]
-        phase = 2 * np.pi * (f0 * t + (f1 - f0) / (2 * clip_seconds) * t * t)
+        phase = 2 * np.pi * (f0 * t + (f1 - f0) / (2 * CLIP_SECONDS) * t * t)
         wave = 0.5 * np.sin(phase)
     elif kind == "noise":
         wave = np.zeros(n)
@@ -157,15 +157,25 @@ def write_corpus(out_dir: str, n: int, seed: int = 0) -> str:
     return manifest_path
 
 
+class ManifestError(ValueError):
+    """A manifest line that is not a clip record; names the file and line."""
+
+
 def read_manifest(path: str) -> list[dict]:
+    """The records of a JSONL manifest, each ``wav`` resolved against the
+    manifest's directory."""
     base = os.path.dirname(os.path.abspath(path))
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            if "wav" in rec:
-                rec["wav"] = os.path.join(base, rec["wav"])
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ManifestError(f"{path} line {lineno}: not JSON ({exc.msg})") from exc
+            if not isinstance(rec, dict) or "wav" not in rec:
+                raise ManifestError(f"{path} line {lineno}: record has no 'wav' path")
+            rec["wav"] = os.path.join(base, rec["wav"])
             records.append(rec)
     return records

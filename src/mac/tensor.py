@@ -88,10 +88,6 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -108,7 +104,7 @@ class Tensor:
         """Reverse-mode pass from a scalar; returns {leaf: gradient}.
 
         Gradients accumulate additively across uses and across successive
-        ``backward`` calls (clear with ``zero_grad`` between steps).
+        ``backward`` calls (the optimizer's ``zero_grad`` clears them between steps).
         """
         if self.shape != ():
             raise ContractError(
@@ -241,11 +237,6 @@ def exp(a) -> Tensor:
     a = _ensure(a)
     out = np.exp(a.data)
     return _node(out, [(a, lambda g: g * out)])
-
-
-def log(a) -> Tensor:
-    a = _ensure(a)
-    return _node(np.log(a.data), [(a, lambda g: g / a.data)])
 
 
 def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
@@ -523,8 +514,3 @@ def zeros(shape, requires_grad: bool = False, dtype=None) -> Tensor:
 
 def ones(shape, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype or _default_dtype), requires_grad)
-
-
-def zero_grad(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None

@@ -28,6 +28,12 @@ def using_dtype(dtype):
         tz.set_default_dtype(prev)
 
 
+def zero_grad(params) -> None:
+    """Drop the accumulated gradient of every tensor in ``params``."""
+    for p in params:
+        p.grad = None
+
+
 def rel_err(a, b, floor: float = 1e-4) -> float:
     """Max elementwise relative error with an absolute floor for tiny values."""
     a = np.asarray(a, dtype=np.float64)

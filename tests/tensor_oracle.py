@@ -5,9 +5,10 @@ kernel with a closed-form adjoint, kept verbatim together with the
 ``power`` and ``tmean`` primitives it is built from, so its outputs and
 gradients come from the generic autograd tape alone.
 
-``tsum``, ``broadcast_to``, ``cast`` and ``cumsum`` are taped primitives
-that only the tests and the composed scans of ``ssd_oracle`` use: scalar
-losses, and the oracle's cross-chunk carry and cumulative log decay.
+``tsum``, ``broadcast_to``, ``cast``, ``cumsum`` and ``log`` are taped
+primitives that only the tests and the composed scans of ``ssd_oracle`` use:
+scalar losses, the oracle's cross-chunk carry and cumulative log decay, and
+gradchecks.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ def cumsum(a, axis: int) -> Tensor:
     return tz._node(out, [(a, vjp)])
 
 
+def log(a) -> Tensor:
+    a = tz._ensure(a)
+    return tz._node(np.log(a.data), [(a, lambda g: g / a.data)])
+
+
 def power(a, exponent: float) -> Tensor:
     a = tz._ensure(a)
     e = float(exponent)
@@ -70,7 +76,7 @@ def power(a, exponent: float) -> Tensor:
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = tz._ensure(a)
     if axis is None:
-        n = a.size
+        n = a.data.size
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         n = int(np.prod([a.shape[ax] for ax in axes]))

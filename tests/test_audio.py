@@ -1,11 +1,13 @@
 """WAV decoding, mel front-end, patch encoder."""
 
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
 from mac import audio
+from mac import config as configmod
 from mac import tensor as tz
 from mac.audio import (
     CnnEncoder,
@@ -22,6 +24,7 @@ from mac.audio import (
 from mac.tensor import ShapeError
 
 import frontend_oracle
+from conftest import zero_grad
 from tensor_oracle import tsum
 
 
@@ -181,6 +184,12 @@ class TestMel:
         assert cropped.frames.shape == (10, 128)
 
 
+def desk_encoder(**over) -> EncoderConfig:
+    """The default config's encoder, with the given fields replaced."""
+    enc_cfg = configmod.model_configs(configmod.Config(), vocab_size=16)[1]
+    return dataclasses.replace(enc_cfg, **over)
+
+
 def encode_mels(mels, enc):
     """Encode mel images [T, F] as one batch."""
     rows = np.concatenate([patch_rows(MelSpec(m), enc.cfg) for m in mels])
@@ -189,7 +198,7 @@ def encode_mels(mels, enc):
 
 class TestEncoder:
     def test_desk_grid_is_16_by_8(self):
-        cfg = EncoderConfig()
+        cfg = desk_encoder()
         assert (cfg.grid_t, cfg.grid_f) == (16, 8)
         enc = CnnEncoder(cfg, np.random.default_rng(0))
         mel = np.random.default_rng(1).standard_normal((1024, 128))
@@ -199,8 +208,7 @@ class TestEncoder:
 
     def test_paper_geometry_512_tokens(self):
         # the reference front-end geometry: a 64 x 8 grid of 768-dim tokens
-        cfg = EncoderConfig(d_enc=768, channels=(16, 32, 64),
-                            patches=((2, 2), (2, 2), (2, 2), (2, 2)))
+        cfg = desk_encoder(d_enc=768, patches=((2, 2), (2, 2), (2, 2), (2, 2)))
         assert (cfg.grid_t, cfg.grid_f, cfg.d_enc) == (64, 8, 768)
         enc = CnnEncoder(cfg, np.random.default_rng(2))
         mel = np.random.default_rng(3).standard_normal((1024, 128))
@@ -211,17 +219,18 @@ class TestEncoder:
 
     def test_indivisible_geometry_rejected(self):
         with pytest.raises(ShapeError, match="not divisible"):
-            EncoderConfig(mel_frames=1000)  # 1000 not divisible by 8 * 4 * 2
-        with pytest.raises(ShapeError, match="layer 1: input 128x32 not divisible by patch 3x2"):
-            EncoderConfig(patches=((8, 4), (3, 2), (2, 2), (1, 1)))
-        enc = CnnEncoder(EncoderConfig(), np.random.default_rng(4))
+            desk_encoder(mel_frames=1000)  # 1000 not divisible by 8 * 4 * 2
+        with pytest.raises(ShapeError, match=r"layer 1: input 128x32 .* not divisible by "
+                                             r"patches\[1\] 3x2"):
+            desk_encoder(patches=((8, 4), (3, 2), (2, 2), (1, 1)))
+        enc = CnnEncoder(desk_encoder(), np.random.default_rng(4))
         with pytest.raises(ShapeError, match="does not match encoder input"):
             patch_rows(MelSpec(np.zeros((1000, 128))), enc.cfg)
         with pytest.raises(ShapeError, match="not whole clips"):
             encode(np.zeros((4096 + 1, 32)), enc)
 
     def test_frozen_blocks_gradients(self):
-        enc = CnnEncoder(EncoderConfig(), np.random.default_rng(5))
+        enc = CnnEncoder(desk_encoder(), np.random.default_rng(5))
         for t in enc.parameters().values():
             t.requires_grad = True
         mel = np.random.default_rng(6).standard_normal((1024, 128))
@@ -234,7 +243,7 @@ class TestEncoder:
         assert enc.layers[0][0] in grads
 
     def test_deterministic_for_fixed_weights(self):
-        enc = CnnEncoder(EncoderConfig(), np.random.default_rng(7))
+        enc = CnnEncoder(desk_encoder(), np.random.default_rng(7))
         mel = np.random.default_rng(8).standard_normal((1024, 128))
         with tz.no_grad():
             a = encode_mels([mel], enc).data
@@ -254,14 +263,14 @@ class TestEncoder:
     def test_batch_equals_clip_by_clip_oracle(self):
         # every clip's tokens equal the per-clip encoder's, bit for bit, at any
         # position in the batch; the weight gradients agree to rounding
-        enc = CnnEncoder(EncoderConfig(), np.random.default_rng(9))
+        enc = CnnEncoder(desk_encoder(), np.random.default_rng(9))
         for t in enc.parameters().values():
             t.requires_grad = True
         mels = [np.random.default_rng(10 + i).standard_normal((1024, 128)) for i in range(3)]
         tokens = encode_mels(mels, enc)
         weights = np.random.default_rng(13).standard_normal(tokens.shape)
         batch_grads = tsum(tz.mul(tokens, weights)).backward()
-        tz.zero_grad(enc.parameters().values())
+        zero_grad(enc.parameters().values())
         grids = [frontend_oracle.encode(MelSpec(m), enc) for m in mels]
         for i, grid in enumerate(grids):
             assert np.array_equal(tokens.data[i], grid.tokens.data)

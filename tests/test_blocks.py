@@ -12,7 +12,7 @@ from mac.tensor import ContractError, ShapeError, Tensor
 from conftest import check_gradients
 from tensor_oracle import tsum
 
-TINY = dict(n_layers=2, d_model=24, n_heads=3, head_dim=8, d_state=6, vocab_size=13)
+TINY = dict(n_layers=2, n_heads=3, head_dim=8, d_state=6, n_groups=1, vocab_size=13, conv_width=4)
 
 
 def tiny_lm(seed=0, **over) -> SsmLm:
@@ -64,7 +64,7 @@ class TestBlockForward:
 
     def test_block_gradcheck_every_parameter(self):
         # full finite-difference sweep of one block's parameters
-        cfg = LmConfig(n_layers=1, d_model=6, n_heads=2, head_dim=3, d_state=2,
+        cfg = LmConfig(n_layers=1, n_heads=2, head_dim=3, d_state=2, n_groups=1,
                        vocab_size=5, conv_width=3)
         blk = MambaBlock(cfg, np.random.default_rng(6))
         x = Tensor(np.random.default_rng(7).standard_normal((1, 5, 6)))
@@ -91,10 +91,14 @@ class TestLmForward:
 
     def test_tied_embeddings_head_is_transpose(self):
         lm = tiny_lm(seed=11)
-        assert lm.lm_head is None
-        np.testing.assert_array_equal(lm.head_matrix().data, lm.embedding.data.T)
-        untied = tiny_lm(seed=11, tie_embeddings=False)
-        assert untied.lm_head is not None
+        assert [k for k in lm.parameters() if not k.startswith("blocks.")] == [
+            "embedding", "final_norm"]
+        for blk in lm.blocks:  # gate z = 0: every block adds zero to the residual
+            blk.in_proj.base.data[:] = 0.0
+        x = Tensor(np.random.default_rng(30).standard_normal((1, 4, 24)))
+        with tz.no_grad():
+            want = tz.matmul(tz.rms_norm(x, lm.final_norm), Tensor(lm.embedding.data.T))
+            np.testing.assert_array_equal(lm.forward(x).data, want.data)
 
     def test_mode_invariance_of_logits(self):
         lm = tiny_lm(seed=12)
@@ -214,22 +218,23 @@ class TestLora:
         def adapter_count(rank):
             lm = tiny_lm(seed=28)
             blocks.attach_lora(lm, rank=rank, rng=np.random.default_rng(29))
-            return sum(t.size for t in blocks.lora_parameters(lm).values())
+            return sum(t.data.size for t in blocks.lora_parameters(lm).values())
 
         assert adapter_count(256) == 32 * adapter_count(8)
 
 
 class TestConfigAndStubs:
     def test_dims_invariant(self):
-        with pytest.raises(ShapeError):
-            LmConfig(n_layers=1, d_model=65, n_heads=4, head_dim=16)
+        cfg = LmConfig(**{**TINY, "n_heads": 4, "head_dim": 16, "n_groups": 2})
+        assert cfg.d_model == 64
+        with pytest.raises(ShapeError, match="n_groups"):
+            LmConfig(**{**TINY, "n_heads": 4, "n_groups": 3})
 
-    def test_presets(self):
-        def preset(name):
-            cfg = configmod.apply_overrides(configmod.Config(), [f"model.preset={name}"])
-            return configmod.resolve_lm_config(cfg, vocab_size=50)
+    def test_nano_and_small_sizes(self):
+        def size(*overrides):
+            cfg = configmod.apply_overrides(configmod.Config(), list(overrides))
+            lm_cfg = configmod.model_configs(cfg, vocab_size=50)[0]
+            return lm_cfg.n_layers, lm_cfg.n_heads, lm_cfg.head_dim, lm_cfg.d_model
 
-        nano, small = preset("nano"), preset("small")
-        assert (nano.n_layers, nano.d_model) == (4, 64)
-        assert (small.n_layers, small.d_model) == (8, 128)
-        assert small.d_model == small.n_heads * small.head_dim
+        assert size() == (4, 4, 16, 64)  # nano, the defaults
+        assert size("model.n_layers=8", "model.n_heads=8") == (8, 8, 16, 128)  # small

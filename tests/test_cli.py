@@ -11,9 +11,7 @@ import pytest
 from mac import checkpoint, cli, config as configmod
 
 TINY_OVERRIDES = [
-    "--set", "model.preset=custom",
     "--set", "model.n_layers=2",
-    "--set", "model.d_model=32",
     "--set", "model.n_heads=4",
     "--set", "model.head_dim=8",
     "--set", "model.d_state=8",
@@ -52,14 +50,12 @@ class TestBasics:
         assert err.startswith("error_code=config")
 
     def test_bad_model_dims_exit_2(self, tmp_path, capsys):
-        custom = ["model.preset=custom"]
         for settings, key in ((["model.n_groups=0"], "model.n_groups"),
                               (["model.n_groups=3"], "model.n_groups"),
                               (["model.conv_width=0"], "model.conv_width"),
-                              (custom + ["model.n_layers=0"], "model.n_layers"),
-                              (custom + ["model.n_heads=0", "model.d_model=0"], "model.n_heads"),
-                              (custom + ["model.head_dim=0", "model.d_model=0"], "model.head_dim"),
-                              (custom + ["model.n_heads=0", "model.d_model=0"], "model.d_model")):
+                              (["model.n_layers=0"], "model.n_layers"),
+                              (["model.n_heads=0"], "model.n_heads"),
+                              (["model.head_dim=0"], "model.head_dim")):
             setting = " ".join(settings)
             args = [a for s in settings for a in ("--set", s)]
             code, _, err = run_cli(["train"] + args + ["--out", str(tmp_path / "run")], capsys)
@@ -77,7 +73,7 @@ class TestBasics:
     def test_interrupt_exit_3_claims_no_flush(self, tmp_path, capsys, monkeypatch):
         from mac import pipeline
 
-        def interrupted(cfg, out_dir, tag=""):
+        def interrupted(cfg, out_dir):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(pipeline, "run_experiment", interrupted)
@@ -92,7 +88,7 @@ class TestBasics:
         proc = subprocess.run([sys.executable, "-m", "mac.cli", "dump-config"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
-        assert "model.preset" in proc.stdout
+        assert "model.n_layers = 4" in proc.stdout
 
 
 class TestMakeData:
@@ -143,6 +139,26 @@ class TestTrainInferDiagnose:
         assert code == 0
         assert out.strip()  # a caption string on stdout
 
+    def test_infer_max_len_defaults_to_the_checkpoint_caption_length(self, trained, tmp_path,
+                                                                     capsys):
+        from mac import synth
+        from mac.audio import write_wav
+
+        wav = str(tmp_path / "query.wav")
+        write_wav(wav, synth.render({"kind": "noise", "bursts": 3, "seed": 1}))
+        tensors, config_text, meta = checkpoint.load(os.path.join(trained, "final.ckpt"))
+        short = str(tmp_path / "short.ckpt")
+        checkpoint.save(short, tensors, meta=meta, config_text=config_text.replace(
+            "train.max_caption_len = 24", "train.max_caption_len = 2"))
+        for extra, most in (([], 2), (["--max-len", "1"], 1), (["--max-len", "30"], 30)):
+            code, out, _ = run_cli(["infer", "--checkpoint", short, "--wav", wav] + extra,
+                                   capsys)
+            assert code == 0
+            assert 0 < len(out.split()) <= most, (extra, out)
+        code, out, _ = run_cli(["infer", "--checkpoint", os.path.join(trained, "final.ckpt"),
+                                "--wav", wav], capsys)
+        assert len(out.split()) > 2  # the trained checkpoint's 24 lets the caption run on
+
     def test_diagnose_erank_grid_csv(self, trained, tmp_path, capsys):
         out_csv = str(tmp_path / "erank.csv")
         code, stdout, _ = run_cli([
@@ -153,7 +169,7 @@ class TestTrainInferDiagnose:
         assert code == 0
         lines = Path(out_csv).read_text().splitlines()
         assert lines[0].startswith("model,erank(")
-        assert lines[1].startswith("custom,")
+        assert lines[1].startswith("2x32,")  # n_layers x (n_heads * head_dim)
 
     def test_diagnose_cosine_and_state_dist(self, trained, tmp_path, capsys):
         ck = os.path.join(trained, "final.ckpt")
@@ -196,7 +212,7 @@ class TestTrainInferDiagnose:
 
     def test_erank_and_cosine_reject_two_checkpoints_in_one_cell(self, trained, tmp_path,
                                                                   capsys):
-        # both checkpoints share (model.preset, connector.variant): one cell, two values
+        # both checkpoints share (model size, connector.variant): one cell, two values
         ck = os.path.join(trained, "final.ckpt")
         other = str(tmp_path / "other.ckpt")
         shutil.copyfile(ck, other)
@@ -208,12 +224,16 @@ class TestTrainInferDiagnose:
             assert err.startswith("error_code=usage") and ck in err and other in err
             assert not out_csv.exists()
 
+    @pytest.mark.parametrize("key, value", [("diag.state_metric", "frobenius"),
+                                            ("model.preset", "nano"),
+                                            ("model.d_model", "64"),
+                                            ("model.tie_embeddings", "true")])
     def test_bad_checkpoint_config_exit_2_names_file_line_and_key(self, trained, tmp_path,
-                                                                  capsys):
+                                                                  capsys, key, value):
+        # keys that no longer exist: a checkpoint that lists one is refused
         tensors, config_text, meta = checkpoint.load(os.path.join(trained, "final.ckpt"))
         bad = str(tmp_path / "old.ckpt")
-        checkpoint.save(bad, tensors, config_text=config_text + "\ndiag.state_metric = frobenius",
-                        meta=meta)
+        checkpoint.save(bad, tensors, config_text=config_text + f"\n{key} = {value}", meta=meta)
         line = len(config_text.splitlines()) + 1
         for args in (["infer", "--checkpoint", bad, "--wav", "clip.wav"],
                      ["diagnose", "erank", "--checkpoint", bad, "--n", "1",
@@ -221,7 +241,7 @@ class TestTrainInferDiagnose:
             code, _, err = run_cli(args, capsys)
             assert code == 2
             assert err.startswith(f"error_code=config {bad}: line {line}: "
-                                  f"unknown config key 'diag.state_metric'")
+                                  f"unknown config key '{key}'")
 
     def test_infer_requires_wav(self, trained, capsys):
         code, _, err = run_cli(["infer", "--checkpoint",

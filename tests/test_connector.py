@@ -8,7 +8,7 @@ from mac.connector import VARIANTS, ConnectorConfig, ConnectorMlp, connect, mlp_
 from mac.tensor import ContractError, ShapeError, Tensor
 
 import frontend_oracle
-from conftest import check_gradients
+from conftest import check_gradients, zero_grad
 from tensor_oracle import tsum
 
 
@@ -17,9 +17,9 @@ def make_grid(rng, t, f, d, b=1) -> Tensor:
     return Tensor(rng.standard_normal((b, t, f, d)))
 
 
-def build(variant, t=4, f=3, d_enc=5, d_model=8, **over):
-    cfg = ConnectorConfig(variant=variant, d_enc=d_enc, grid_t=t, grid_f=f,
-                          d_model=d_model, **over)
+def build(variant, t=4, f=3, d_enc=5, d_model=8, hidden_mult=4, sep_position="prefix"):
+    cfg = ConnectorConfig(variant=variant, d_enc=d_enc, grid_t=t, grid_f=f, d_model=d_model,
+                          hidden_mult=hidden_mult, sep_position=sep_position)
     mlp = ConnectorMlp(cfg, np.random.default_rng(0))
     return cfg, mlp
 
@@ -129,8 +129,7 @@ class TestSeparators:
         t, f = 6, 4
         grid = make_grid(rng, t, f, 5)
         cfg_b, mlp = build("time_major", t=t, f=f, d_enc=5)
-        cfg_c = ConnectorConfig(variant="frequency_major", d_enc=5, grid_t=t,
-                                grid_f=f, d_model=8)
+        cfg_c, _ = build("frequency_major", t=t, f=f, d_enc=5)
         sep = Tensor(np.zeros(8))
         with tz.no_grad():
             seq_b = connect(grid, cfg_b, mlp, sep)
@@ -169,7 +168,7 @@ class TestBatchMatchesOracle:
         seq = connect(grid, cfg, mlp, sep)
         weights = rng.standard_normal(seq.vectors.shape)
         batch_grads = tsum(tz.mul(seq.vectors, weights)).backward()
-        tz.zero_grad(leaves)
+        zero_grad(leaves)
 
         clips = [frontend_oracle.connect(frontend_oracle.AudioTokenGrid(grid[i]), cfg, mlp, sep)
                  for i in range(b)]
@@ -199,9 +198,7 @@ class TestMlp:
         # scaled identity through the first layer, inverse scale after GELU:
         # for x > 0 and c large, gelu(c x)/c ~ x
         d = 6
-        cfg = ConnectorConfig(variant="time_major", d_enc=d, grid_t=1, grid_f=1,
-                              d_model=d, hidden_mult=4)
-        mlp = ConnectorMlp(cfg, np.random.default_rng(12))
+        _, mlp = build("time_major", t=1, f=1, d_enc=d, d_model=d)  # every weight set below
         c = 10.0
         w1 = np.zeros((d, 4 * d))
         w1[:, :d] = c * np.eye(d)
@@ -231,11 +228,11 @@ class TestMlp:
 class TestConfig:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ContractError):
-            ConnectorConfig(variant="qformer")
+            build("qformer")
 
     def test_bad_sep_position_rejected(self):
         with pytest.raises(ContractError):
-            ConnectorConfig(sep_position="middle")
+            build("frequency_major", sep_position="middle")
 
     def test_sep_embedding_shape_checked(self):
         rng = np.random.default_rng(16)

@@ -202,7 +202,7 @@ class TestStateDistances:
 
         proj = w @ lora_mat(blk.in_proj)
         cfg = cap.lm_cfg
-        di, gn = cfg.d_inner, cfg.n_groups * cfg.d_state
+        di, gn = cfg.d_model, cfg.n_groups * cfg.d_state
         xbc = proj[:, :, di : di + cfg.conv_dim]
         dt_raw = proj[:, :, di + cfg.conv_dim :]
         padded = np.concatenate(
@@ -263,12 +263,12 @@ class TestScalingBench:
         with tz.no_grad():
             seq, _, _ = cap.build_sequence(train[:1], mode="infer")
             _, states = cap.lm.forward(seq.vectors, mode="chunked", return_states=True)
-            sizes_after_prefill = [s.ssm.size + s.conv_tail.size for s in states]
+            sizes_after_prefill = [s.ssm.data.size + s.conv_tail.data.size for s in states]
             for _ in range(7):
                 step = tz.zeros((1, 1, cap.lm_cfg.d_model))
                 _, states = cap.lm.forward(step, mode="recurrent", states=states,
                                            return_states=True)
-            sizes_after_decode = [s.ssm.size + s.conv_tail.size for s in states]
+            sizes_after_decode = [s.ssm.data.size + s.conv_tail.data.size for s in states]
         assert sizes_after_prefill == sizes_after_decode
 
 

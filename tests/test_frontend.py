@@ -9,6 +9,7 @@ from mac.connector import VARIANTS
 from mac.pipeline import Sample
 
 import frontend_oracle as oracle
+from conftest import zero_grad
 from test_pipeline import tiny_captioner
 
 LAYOUTS = [(v, p) for v in VARIANTS for p in ("prefix", "suffix")]
@@ -29,10 +30,10 @@ def captioner_and_samples(variant, sep_position="prefix", trainable="true"):
 
 def gradients(cap, logits, targets, mask) -> dict:
     params = cap.trainable_parameters()
-    tz.zero_grad(params.values())
+    zero_grad(params.values())
     tz.cross_entropy(logits, targets, mask).backward()
     grads = {k: p.grad for k, p in params.items()}
-    tz.zero_grad(params.values())
+    zero_grad(params.values())
     return grads
 
 

@@ -1,6 +1,7 @@
 """Tokenizer, config, sequence building, training, decoding, persistence."""
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,7 @@ from conftest import fail_writes_part_way
 
 def tiny_cfg(**over) -> configmod.Config:
     base = {
-        "model.preset": "custom",
         "model.n_layers": "2",
-        "model.d_model": "32",
         "model.n_heads": "4",
         "model.head_dim": "8",
         "model.d_state": "8",
@@ -36,6 +35,19 @@ def tiny_cfg(**over) -> configmod.Config:
     }
     base.update({k: str(v) for k, v in over.items()})
     return configmod.apply_overrides(configmod.Config(), [f"{k}={v}" for k, v in base.items()])
+
+
+# a valid non-default value for each key that shapes the model
+MODEL_KEY_VALUES = {
+    "model.n_layers": "2", "model.n_heads": "2", "model.head_dim": "8",
+    "model.d_state": "8", "model.n_groups": "2", "model.conv_width": "2",
+    "model.lora_rank": "4", "audio.mel_frames": "512", "audio.d_enc": "32",
+    "audio.channels": "8,16,32", "audio.patches": "8x4,4x2,2x2,2x1",
+    "connector.variant": "time_major", "connector.hidden_mult": "2",
+    "connector.sep_position": "suffix",
+}
+# the other model keys: how the model runs and the vocabulary cap, not its shape
+RUN_KEYS = ("model.scan_mode", "model.chunk_len", "model.max_vocab")
 
 
 def tiny_captioner(**over) -> tuple[Captioner, list[Sample], list[Sample]]:
@@ -94,8 +106,34 @@ class TestConfig:
     def test_cross_field_validation(self):
         with pytest.raises(configmod.ConfigError, match="not divisible"):
             configmod.parse_text("audio.mel_frames = 100\n")
-        with pytest.raises(configmod.ConfigError, match="d_model"):
-            configmod.parse_text("model.preset = custom\nmodel.d_model = 60\n")
+        with pytest.raises(configmod.ConfigError, match="model.n_groups"):
+            configmod.parse_text("model.n_heads = 6\nmodel.n_groups = 4\n")
+
+    def test_every_model_key_takes_effect(self):
+        # each key that shapes the model, set alone to a valid non-default value,
+        # changes the typed configs or the parameter shapes, and the dumped
+        # config rebuilds the same model
+        keys = [k for k in configmod.SCHEMA if k.split(".")[0] in ("model", "audio", "connector")]
+        assert sorted(keys) == sorted([*MODEL_KEY_VALUES, *RUN_KEYS])
+        vocab = Vocab.build(["a steady tone"])
+
+        def built(cfg):
+            params = Captioner(cfg, vocab).named_parameters()
+            return configmod.model_configs(cfg, len(vocab)), {k: t.data for k, t in params.items()}
+
+        def shapes(params):
+            return {k: a.shape for k, a in params.items()}
+
+        base_typed, base_params = built(configmod.Config())
+        for key, value in MODEL_KEY_VALUES.items():
+            cfg = configmod.apply_overrides(configmod.Config(), [f"{key}={value}"])
+            assert cfg[key] != configmod.SCHEMA[key].default, key
+            typed, params = built(cfg)
+            assert typed != base_typed or shapes(params) != shapes(base_params), key
+            typed_again, params_again = built(configmod.parse_text(configmod.dump(cfg)))
+            assert typed_again == typed, key
+            assert shapes(params_again) == shapes(params), key
+            assert all(np.array_equal(params_again[k], a) for k, a in params.items()), key
 
     def test_values_with_spaces_survive(self):
         cfg = configmod.parse_text('data.prompt = Write an audio caption describing the sound\n')
@@ -382,21 +420,6 @@ class TestCheckpoint:
         with pytest.raises(checkpoint.CheckpointError, match="version"):
             checkpoint.load(path)
 
-    def test_adapter_checkpoint_loads_over_fresh_base(self, tmp_path):
-        cap, train, _ = tiny_captioner()
-        state = pipeline.make_train_state(cap)
-        for _ in range(5):
-            pipeline.train_step(state, train)
-        path = str(tmp_path / "adapters.ckpt")
-        cap.save(path, trainable_only=True)
-
-        fresh = Captioner(cap.cfg, cap.vocab)  # same seed -> same frozen base
-        fresh.load_tensors(path, subset_ok=True)
-        with tz.no_grad():
-            a = cap.batch_forward(train[:2])[0]
-            b = fresh.batch_forward(train[:2])[0]
-        assert np.array_equal(a.data, b.data)
-
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = str(tmp_path / "model.ckpt")
         checkpoint.save(path, {"w": np.arange(16, dtype=np.float64)}, meta={"kind": "full"})
@@ -477,6 +500,20 @@ class TestExperiment:
 
 
 class TestSynthCorpus:
+    def test_manifest_line_that_is_not_json_names_file_and_line(self, tmp_path):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text('{"wav": "a.wav", "caption": "a tone"}\n\n{"wav": "b.wav",\n')
+        where = re.escape(str(manifest))
+        with pytest.raises(synth.ManifestError, match=f"{where} line 3: not JSON"):
+            synth.read_manifest(str(manifest))
+
+    def test_manifest_record_without_wav_names_file_and_line(self, tmp_path):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text('{"wav": "a.wav", "caption": "a tone"}\n{"caption": "a chirp"}\n')
+        where = re.escape(str(manifest))
+        with pytest.raises(synth.ManifestError, match=f"{where} line 2: record has no 'wav'"):
+            synth.read_manifest(str(manifest))
+
     def test_deterministic(self):
         a = synth.make_corpus(10, seed=4)
         b = synth.make_corpus(10, seed=4)

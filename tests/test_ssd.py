@@ -8,7 +8,7 @@ from mac import tensor as tz
 from mac.tensor import ContractError, Tensor
 
 import ssd_oracle
-from conftest import check_gradients, recorded_nodes, rel_err, using_dtype
+from conftest import check_gradients, recorded_nodes, rel_err, using_dtype, zero_grad
 from tensor_oracle import tsum
 
 E_NEG1 = 0.3678794411714423215955237701614609
@@ -285,14 +285,14 @@ class TestProperties:
 
         grads = {}
         for mode in ssd.MODES:
-            tz.zero_grad(leaves)
+            zero_grad(leaves)
             grads[mode] = loss_for(mode)().backward()
         for leaf in leaves:
             assert rel_err(grads["recurrent"][leaf], grads["chunked"][leaf]) < 1e-9
             assert rel_err(grads["recurrent"][leaf], grads["convolutional"][leaf]) < 1e-9
 
         for mode in ("chunked", "recurrent"):
-            tz.zero_grad(leaves)
+            zero_grad(leaves)
             check_gradients(loss_for(mode), leaves)
 
 
@@ -341,7 +341,7 @@ class TestKernelsMatchOracle:
             for on in ("y", "state", "both"):
                 got, expect = [], []
                 for impl, out in ((ssd, got), (ssd_oracle, expect)):
-                    tz.zero_grad(leaves)
+                    zero_grad(leaves)
                     y, final, loss = scan_loss(impl, use, mode, on)
                     grads = loss.backward()
                     # C does not reach the final state: the tape has no gradient for it
