@@ -209,6 +209,8 @@ class EncoderConfig:
     mel_bins: int = MEL_BINS
 
     def __post_init__(self):
+        if any(c < 1 for c in self.channels):
+            raise ShapeError(f"channels must all be >= 1, got {list(self.channels)}")
         if len(self.patches) != len(self.channels) + 1:
             raise ShapeError(
                 f"{len(self.channels)} hidden channels need "

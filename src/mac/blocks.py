@@ -2,10 +2,20 @@
 
 Block dataflow (residual added by the caller / the stack):
 
-    in_proj -> [gate z | conv channels | step-size raw]
-    conv channels -> depthwise causal conv -> silu -> [head inputs | B | C]
-    selective scan (any mode) + per-head skip
-    y * silu(z) -> RMS norm -> out_proj
+    in_proj (LoRA) -> [gate z | conv channels | step-size raw]
+    conv channels -> depthwise causal conv                      (tape op)
+    mixer: silu -> [head inputs | B | C], dt = softplus(raw + bias),
+           a = -exp(log_a), selective scan (any mode) + per-head skip,
+           y * silu(z) -> RMS norm                      (one fused node)
+    -> out_proj (LoRA)
+
+The mixer is one numpy forward and one hand-written adjoint (``_mixer``)
+that runs the scan through ``ssd.kernel``; it records two tape nodes, its
+output and the final scan state. Under ``no_grad`` the same code is the
+streaming decode step. A LoRA projection is one matmul by the merged weight
+``base + scale * down @ up``. A training forward thus records a fixed
+number of nodes per block, whatever the batch and sequence length. The
+composed block these kernels replaced is the test suite's oracle.
 
 The base projection weights stay frozen during fine-tuning; low-rank
 adapters on in_proj and out_proj carry the trainable update.
@@ -73,12 +83,26 @@ class LoraAdapter:
 
 
 def lora_apply(base: Tensor, adapter: LoraAdapter | None, x: Tensor) -> Tensor:
-    """x @ base plus the scaled low-rank update; base receives no gradient."""
-    y = tz.matmul(x, base)
+    """x @ (base + scale * down @ up): one matmul by the merged weight.
+
+    One tape node. The adapter's gradients go through its rank-r factors;
+    a frozen base (``requires_grad`` False) receives no gradient.
+    """
     if adapter is None:
-        return y
-    delta = tz.matmul(tz.matmul(x, adapter.down), adapter.up)
-    return tz.add(y, tz.mul(delta, adapter.scale))
+        return tz.matmul(x, base)
+    down, up, scale = adapter.down.data, adapter.up.data, adapter.scale
+    weight = base.data + scale * (down @ up)
+    if x.shape[-1] != weight.shape[0]:
+        raise ShapeError(f"LoRA input {x.shape} does not match weight {weight.shape}")
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        x2 = x.data.reshape(-1, x.shape[-1])
+        return [(g2 @ weight.T).reshape(x.shape),
+                x2.T @ g2 if base.requires_grad else None,
+                scale * (x2.T @ (g2 @ up.T)), scale * ((x2 @ down).T @ g2)]
+
+    return tz.fused(x.data @ weight, [x, base, adapter.down, adapter.up], vjp)
 
 
 class LoraLinear:
@@ -158,31 +182,17 @@ class MambaBlock:
         if x.ndim != 3 or x.shape[-1] != cfg.d_model:
             raise ShapeError(f"block input {x.shape}, expected [B, T, {cfg.d_model}]")
         b, t, _ = x.shape
-        di, gn, k = cfg.d_model, cfg.n_groups * cfg.d_state, cfg.conv_width
+        di, k = cfg.d_model, cfg.conv_width
 
         proj = self.in_proj(x)
-        z = proj[:, :, :di]
         xbc_raw = proj[:, :, di : di + cfg.conv_dim]
-        dt_raw = proj[:, :, di + cfg.conv_dim :]
-
         if state is None:
-            prefix, initial = tz.zeros((b, k - 1, cfg.conv_dim), dtype=xbc_raw.dtype), None
+            prefix, initial = tz.zeros((b, k - 1, cfg.conv_dim), dtype=proj.dtype), None
         else:
             prefix, initial = state.conv_tail, state.ssm
-        xbc = tz.silu(tz.conv1d_depthwise_causal(xbc_raw, self.conv_w, self.conv_b, prefix))
-        xs = tz.reshape(xbc[:, :, :di], (b, t, cfg.n_heads, cfg.head_dim))
-        bmat = tz.reshape(xbc[:, :, di : di + gn], (b, t, cfg.n_groups, cfg.d_state))
-        cmat = tz.reshape(xbc[:, :, di + gn :], (b, t, cfg.n_groups, cfg.d_state))
-
-        dt = tz.softplus(tz.add(dt_raw, self.dt_bias))
-        a = tz.neg(tz.exp(self.log_a))
-        params = ssd.SelectiveParams(dt=dt, a=a, B=bmat, C=cmat, x=xs)
-        y, final = ssd.scan(params, mode, chunk_len, initial=initial)
-
-        y = tz.add(y, tz.mul(xs, tz.reshape(self.skip, (1, 1, cfg.n_heads, 1))))
-        y = tz.reshape(y, (b, t, di))
-        gated = tz.mul(y, tz.silu(z))
-        out = self.out_proj(tz.rms_norm(gated, self.gate_norm))
+        conv = tz.conv1d_depthwise_causal(xbc_raw, self.conv_w, self.conv_b, prefix)
+        mixed, final = _mixer(self, proj, conv, mode, chunk_len, initial)
+        out = self.out_proj(mixed)
 
         # the last K-1 rows of [prefix, x], built from at most K-1 rows of x
         tail_src = tz.concat([prefix, xbc_raw[:, max(t - (k - 1), 0) :, :]], axis=1)
@@ -190,6 +200,82 @@ class MambaBlock:
         return out, BlockState(ssm=final, conv_tail=new_tail)
 
     __call__ = forward
+
+
+def _silu_slope(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d silu(v)/dv = s (1 + v (1 - s)) from v and its sigmoid s, as a new array."""
+    out = 1.0 - s
+    out *= v
+    out += 1.0
+    out *= s
+    return out
+
+
+def _mixer(blk: MambaBlock, proj: Tensor, conv: Tensor, mode: str, chunk_len: int,
+           initial: Tensor | None) -> tuple[Tensor, Tensor]:
+    """The block interior from the conv output to the out_proj input.
+
+    proj [B, T, d_in_proj] is the in_proj output (its gate z and step-size
+    columns are read here), conv [B, T, conv_dim] the causal conv output.
+    -> (RMS-normed gated output [B, T, D], final scan state [B, H, P, N]),
+    two tape nodes with one adjoint. The forward keeps what the adjoint
+    reads (both sigmoids, the skip-added scan output, the norm's r and
+    xhat) and recomputes only products of them.
+    """
+    cfg = blk.cfg
+    b, t, _ = conv.shape
+    di, gn, h, p = cfg.d_model, cfg.n_groups * cfg.d_state, cfg.n_heads, cfg.head_dim
+    pre, zg = conv.data, proj.data[..., :di]
+    s_pre = tz._sigmoid(pre)
+    xbc = pre * s_pre
+    xs = xbc[..., :di].reshape(b, t, h, p)
+    dt, s_dt = tz._softplus(proj.data[..., di + cfg.conv_dim :] + blk.dt_bias.data)
+    a = -np.exp(blk.log_a.data)
+    params = ssd.SelectiveParams(
+        dt=Tensor(dt), a=Tensor(a), x=Tensor(xs),
+        B=Tensor(xbc[..., di : di + gn].reshape(b, t, cfg.n_groups, cfg.d_state)),
+        C=Tensor(xbc[..., di + gn :].reshape(b, t, cfg.n_groups, cfg.d_state)))
+    y, h_end, scan_vjp = ssd.kernel(params, mode, chunk_len, initial)
+    skip = blk.skip.data[:, None]
+    y = (y.astype(xs.dtype, copy=False) + xs * skip).reshape(b, t, di)
+    s_z = tz._sigmoid(zg)
+    out, r, xhat = tz._rms_norm(y * (zg * s_z), blk.gate_norm.data)
+
+    parents = [proj, conv, blk.dt_bias, blk.log_a, blk.skip, blk.gate_norm]
+    if initial is not None:
+        parents.append(initial)
+
+    def vjp(g_out, g_h):
+        if g_out is None:
+            gy, g_z = None, 0.0
+            g_norm, g_skip = np.zeros(di), np.zeros(h)
+        else:
+            gy = tz._rms_norm_grad(g_out, blk.gate_norm.data, r, xhat)  # of y * silu(z)
+            g_norm = (g_out * xhat).sum(axis=(0, 1)) if blk.gate_norm.requires_grad else None
+            g_z = _silu_slope(zg, s_z)
+            g_z *= gy
+            g_z *= y
+            gy *= zg
+            gy *= s_z
+            gy = gy.reshape(b, t, h, p)
+            g_skip = (gy * xs).sum(axis=(0, 1, 3)) if blk.skip.requires_grad else None
+        gdt, ga, gB, gC, gx, gh0 = scan_vjp(gy, g_h)
+        if gy is not None:
+            gx += gy * skip
+        g_pre = np.concatenate([gx.reshape(b, t, di), gB.reshape(b, t, gn),
+                                gC.reshape(b, t, gn)], axis=-1)
+        del gy, gx, gB, gC  # a lower peak leaves less fresh heap to fault in
+        g_pre *= _silu_slope(pre, s_pre)
+        g_dt = gdt * s_dt
+        g_proj = np.zeros(proj.shape)
+        g_proj[..., :di] = g_z
+        g_proj[..., di + cfg.conv_dim :] = g_dt
+        grads = [g_proj, g_pre, g_dt.sum(axis=(0, 1)), ga * a, g_skip, g_norm, gh0]
+        return [None if gv is None else gv.reshape(q.shape).astype(q.dtype, copy=False)
+                for gv, q in zip(grads, parents)]
+
+    return (tz.fused(out, parents, lambda g: vjp(g, None)),
+            tz.fused(h_end.astype(xs.dtype, copy=False), parents, lambda g: vjp(None, g)))
 
 
 class SsmLm:

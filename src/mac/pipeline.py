@@ -463,7 +463,7 @@ def corpus_samples(cfg: configmod.Config) -> tuple[list[Sample], list[Sample]]:
             for r in records
         ]
     else:
-        records = synth.read_manifest(v["data.manifest"])
+        records = synth.read_manifest(v["data.manifest"], required=("wav", "caption"))
         if len(records) < n_train + n_eval:
             raise ContractError(
                 f"manifest has {len(records)} records, need {n_train + n_eval}"

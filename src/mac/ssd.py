@@ -20,10 +20,12 @@ identical outputs and final states:
                           the full lower-triangular semiseparable operator
 
 All three share one contract, ``(params, ..., initial) -> (y, h)``, and
-``scan`` dispatches on the mode name. ``initial`` and ``h`` are state
+``scan`` runs the mode it is given. ``initial`` and ``h`` are state
 tensors [H, P, N]; no initial state is a zero state. Feeding the returned
 ``h`` back as ``initial`` of a later call equals one uninterrupted scan
-(streaming contract).
+(streaming contract). ``kernel`` holds the one rule from mode name to
+algorithm; the block mixer of ``mac.blocks`` calls it as well, inside its
+own fused node, so a block's scan records no node of its own.
 
 Each algorithm is one numpy forward plus one hand-written adjoint that
 returns the gradients of dt, a, B, C, x and the initial state together. A
@@ -123,11 +125,10 @@ def _lift(params: SelectiveParams, initial: Tensor | None):
     """Validate, then lift one call to the batched arrays the kernels run on.
 
     Returns ((dt, a, B, C, x) with a batch axis, h0 [B, H, P, N] or None for
-    a zero state, was_batched). ``_finish`` drops the axis again.
+    a zero state). ``_finish`` drops the axis again.
     """
     params.validate()
-    was_batched = params.batched
-    lead = () if was_batched else (1,)
+    lead = () if params.batched else (1,)
     dt, B, C, x = (v.data.reshape(lead + v.shape)
                    for v in (params.dt, params.B, params.C, params.x))
     arrays = (dt, params.a.data, B, C, x)
@@ -135,22 +136,18 @@ def _lift(params: SelectiveParams, initial: Tensor | None):
     if t == 0:
         raise ShapeError("scan over an empty sequence")
     if initial is None:
-        return arrays, None, was_batched
+        return arrays, None
     shape = (bsz, h, x.shape[3], B.shape[3])
-    expected = shape if was_batched else shape[1:]
+    expected = shape if params.batched else shape[1:]
     if initial.shape != expected:
         raise ShapeError(f"initial state shape {initial.shape}, expected {expected}")
-    return arrays, initial.data.reshape(shape), was_batched
+    return arrays, initial.data.reshape(shape)
 
 
 def _finish(params: SelectiveParams, initial: Tensor | None, y: np.ndarray,
-            h_final: np.ndarray, vjp, was_batched: bool):
+            h_final: np.ndarray, vjp):
     """Record y and the final state, both batched arrays, as the call's two
-    tape nodes -> (y, h) in the caller's batching.
-
-    ``vjp(gy, gh)`` is the kernel's adjoint: batched gradients of
-    (dt, a, B, C, x, h0) for output gradients gy and gh, either None.
-    """
+    tape nodes -> (y, h) in the caller's batching."""
     parents = [params.dt, params.a, params.B, params.C, params.x]
     if initial is not None:
         parents.append(initial)
@@ -160,7 +157,7 @@ def _finish(params: SelectiveParams, initial: Tensor | None, y: np.ndarray,
                 for gv, p in zip(vjp(gy, gh), parents)]
 
     y_shape, h_shape = y.shape, h_final.shape
-    if not was_batched:
+    if not params.batched:
         y, h_final = y[0], h_final[0]
     dtype = params.x.dtype
     y = tz.fused(y.astype(dtype, copy=False), parents,
@@ -170,23 +167,39 @@ def _finish(params: SelectiveParams, initial: Tensor | None, y: np.ndarray,
     return y, h_final
 
 
+def kernel(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
+           initial: Tensor | None = None):
+    """The one rule from mode name to array kernel: validate and lift the
+    call, then run it -> batched arrays (y [nb, T, H, P], h [nb, H, P, N], vjp).
+
+    ``recurrent``, and ``chunked`` with ``chunk_len == 1``, run the
+    recurrence; ``convolutional`` runs the chunked algorithm with
+    ``chunk_len = T``. ``vjp(gy, gh)`` returns the batched gradients of
+    (dt, a, B, C, x, h0) for output gradients gy and gh, either None.
+    ``scan`` records the results on the tape; the block mixer of
+    ``mac.blocks`` runs the kernel inside its own fused node.
+    """
+    if mode not in MODES:
+        raise ContractError(f"unknown scan mode {mode!r}")
+    if mode == "chunked" and chunk_len < 1:
+        raise ContractError(f"chunk_len must be >= 1, got {chunk_len}")
+    (dt, a, B, C, x), h0 = _lift(params, initial)
+    step = {"recurrent": 1, "chunked": chunk_len, "convolutional": dt.shape[1]}[mode]
+    if step == 1:
+        return _recurrent(dt, a, B, C, x, h0)
+    return _chunked(dt, a, B, C, x, h0, step)
+
+
 def scan(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
          initial: Tensor | None = None):
     """Run the scan of ``mode`` (one of ``MODES``) -> (y, final state h)."""
-    if mode == "recurrent":
-        return scan_recurrent(params, initial=initial)
-    if mode == "chunked":
-        return scan_chunked(params, chunk_len=chunk_len, initial=initial)
-    if mode == "convolutional":
-        return scan_convolutional(params, initial=initial)
-    raise ContractError(f"unknown scan mode {mode!r}")
+    y, h_final, vjp = kernel(params, mode, chunk_len, initial)
+    return _finish(params, initial, y, h_final, vjp)
 
 
 def scan_recurrent(params: SelectiveParams, initial: Tensor | None = None):
     """Step-by-step evaluation of the recurrence -> (y [.., T, H, P], h [.., H, P, N])."""
-    arrays, h0, was_batched = _lift(params, initial)
-    y, h_final, vjp = _recurrent(*arrays, h0)
-    return _finish(params, initial, y, h_final, vjp, was_batched)
+    return scan(params, "recurrent", initial=initial)
 
 
 def scan_convolutional(params: SelectiveParams, initial: Tensor | None = None):
@@ -199,7 +212,7 @@ def scan_convolutional(params: SelectiveParams, initial: Tensor | None = None):
     That operator is one chunk of the chunked algorithm, so this is
     ``scan_chunked`` with ``chunk_len = T``: O(T^2), any initial state.
     """
-    return scan_chunked(params, chunk_len=params.dims()[0], initial=initial)
+    return scan(params, "convolutional", initial=initial)
 
 
 def scan_chunked(params: SelectiveParams, chunk_len: int = DEFAULT_CHUNK,
@@ -209,15 +222,9 @@ def scan_chunked(params: SelectiveParams, chunk_len: int = DEFAULT_CHUNK,
 
     The carried state is held in float64 even when inputs are float32 so
     cross-chunk roundoff does not compound. ``chunk_len == 1`` degenerates
-    to the recurrent path and is dispatched there.
+    to the recurrent path and runs it.
     """
-    if chunk_len < 1:
-        raise ContractError(f"chunk_len must be >= 1, got {chunk_len}")
-    if chunk_len == 1:
-        return scan_recurrent(params, initial=initial)
-    arrays, h0, was_batched = _lift(params, initial)
-    y, h_final, vjp = _chunked(*arrays, h0, chunk_len)
-    return _finish(params, initial, y, h_final, vjp, was_batched)
+    return scan(params, "chunked", chunk_len, initial)
 
 
 def _recurrent(dt, a, B, C, x, h0):
@@ -352,22 +359,28 @@ def _chunked(dt, a, B, C, x, h0, chunk_len):
             gx, gB, gC = np.zeros(x_c.shape), np.zeros(b_c.shape), np.zeros(c_c.shape)
             gstates = np.zeros(local.shape)
         else:
+            # each large temporary is dropped once used: a lower peak leaves
+            # less fresh heap to be faulted in
             gy_c = heads(gy)
             gcum = (gy_c * y_state).sum(axis=-1)
             # y_state = decay_in * (C @ state^T); gstates reaches each entering state
             g_raw = gy_c * decay_in[..., None]
             gstates = g_raw.swapaxes(-1, -2) @ c_c
             gC = (g_raw @ states[:, :nc]).sum(axis=3, keepdims=True)
+            del g_raw
             # y_intra = mix @ x with mix = cb * decay * coef_s
             gx = mix.swapaxes(-1, -2) @ gy_c
             gmix = gy_c @ x_c.swapaxes(-1, -2)
+            del gy_c
             gmix *= decay
             gseg = gmix * coef[..., None, :]
             gcb = gseg.sum(axis=3, keepdims=True)
             gseg *= cb  # d/d(cum_t - cum_s)
             gcum += gseg.sum(axis=-1) - gseg.sum(axis=-2)
+            del gseg
             gmix *= cb
             gcoef = gmix.sum(axis=-2)
+            del gmix
             gC += gcb @ b_c
             gB = gcb.swapaxes(-1, -2) @ c_c
         # the carry in reverse: glocal[c] is the gradient of the state leaving chunk c
@@ -377,6 +390,7 @@ def _chunked(dt, a, B, C, x, h0, chunk_len):
         for c in range(nc - 1, -1, -1):
             glocal[:, c] = nxt
             nxt = decay_chunk[:, c, ..., None, None] * nxt + gstates[:, c]
+        del gstates
         gcum[..., -1] += (glocal * states[:, :nc]).sum(axis=(-1, -2)) * decay_chunk
         # local = (x * w)^T @ B with w = decay_end * coef
         gxw = (glocal @ b_c.swapaxes(-1, -2)).swapaxes(-1, -2)  # [.., L, P]
@@ -384,6 +398,7 @@ def _chunked(dt, a, B, C, x, h0, chunk_len):
         gw = (x_c * gxw).sum(axis=-1)
         gxw *= w[..., None]
         gx += gxw
+        del gxw
         gcoef += gw * decay_end
         gwd = gw * w
         gcum[..., -1] += gwd.sum(axis=-1)

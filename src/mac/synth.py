@@ -161,9 +161,10 @@ class ManifestError(ValueError):
     """A manifest line that is not a clip record; names the file and line."""
 
 
-def read_manifest(path: str) -> list[dict]:
+def read_manifest(path: str, required: tuple[str, ...] = ("wav",)) -> list[dict]:
     """The records of a JSONL manifest, each ``wav`` resolved against the
-    manifest's directory."""
+    manifest's directory. Every record must carry the ``required`` keys
+    with a non-empty value (training needs a ``caption`` too)."""
     base = os.path.dirname(os.path.abspath(path))
     records = []
     with open(path) as fh:
@@ -174,8 +175,9 @@ def read_manifest(path: str) -> list[dict]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(f"{path} line {lineno}: not JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict) or "wav" not in rec:
-                raise ManifestError(f"{path} line {lineno}: record has no 'wav' path")
+            missing = [key for key in required if not isinstance(rec, dict) or not rec.get(key)]
+            if missing:
+                raise ManifestError(f"{path} line {lineno}: record has no {missing[0]!r}")
             rec["wav"] = os.path.join(base, rec["wav"])
             records.append(rec)
     return records

@@ -5,8 +5,11 @@ primitive records one vector-Jacobian closure per input that needs a
 gradient, and ``backward`` on a scalar walks the tape once in reverse
 topological order, accumulating into ``.grad``. The one multi-gradient op,
 ``fused``, records a kernel whose single adjoint returns every input's
-gradient at once (the selective scans of ``mac.ssd``): it runs once per
-output gradient and each input's tape entry takes its share.
+gradient at once (the selective scans of ``mac.ssd``, the block mixer and
+the LoRA projection of ``mac.blocks``): it runs once per output gradient
+and each input's tape entry takes its share. The array forms of the
+activations and norms (``_sigmoid``, ``_softplus``, ``_rms_norm``) are
+shared with those kernels.
 
 Two float widths are supported: float64 (the default, used by all oracle,
 equivalence and gradient tests) and float32 (training speed).
@@ -169,18 +172,24 @@ def _node(data: np.ndarray, pairs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
 def fused(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     """Record an op whose one ``vjp(g)`` returns every parent's gradient, in
     ``parents`` order. It runs once per output gradient; each parent's tape
-    entry then takes its own share."""
-    memo: list = [None, None]
+    entry then takes its own share, and the last one to take drops the
+    output gradient and the shares nobody takes."""
+    memo: list = [None, None, 0]  # output gradient, its shares, takers left
 
     def share(i):
         def take(g):
             if memo[0] is not g:
-                memo[:] = [g, list(vjp(g))]
+                memo[:] = [g, list(vjp(g)), takers]
             grad, memo[1][i] = memo[1][i], None
+            memo[2] -= 1
+            if not memo[2]:
+                memo[:] = [None, None, 0]
             return grad
         return take
 
-    return _node(data, [(p, share(i)) for i, p in enumerate(parents)])
+    out = _node(data, [(p, share(i)) for i, p in enumerate(parents)])
+    takers = len(out._pairs)
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -239,21 +248,14 @@ def exp(a) -> Tensor:
     return _node(out, [(a, lambda g: g * out)])
 
 
-def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function, stable in both tails; ``e`` is exp(-|x|) if known."""
-    if e is None:
-        e = np.exp(-np.abs(x))
-    r = 1.0 / (1.0 + e)
-    return np.where(x >= 0, r, e * r)
-
-
-def silu(a) -> Tensor:
-    a = _ensure(a)
-    s = _sigmoid(a.data)
-    return _node(
-        a.data * s,
-        [(a, lambda g: g * s * (1.0 + a.data * (1.0 - s)))],
-    )
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function 1/(1 + e^-x); where e^-x overflows the result is
+    the correct limit 0."""
+    out = np.negative(x, out=np.empty_like(x))  # an array even for 0-d x
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def relu(a) -> Tensor:
@@ -262,15 +264,16 @@ def relu(a) -> Tensor:
     return _node(out, [(a, lambda g: g * (a.data > 0))])
 
 
+def _softplus(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln(1 + e^x), evaluated as max(x, 0) + ln(1 + e^-|x|) to avoid
+    overflow, and its slope, the sigmoid."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), _sigmoid(x)
+
+
 def softplus(a) -> Tensor:
-    """ln(1 + e^x), evaluated as max(x, 0) + ln(1 + e^-|x|) to avoid overflow;
-    its slope, the sigmoid, reuses the same e^-|x|."""
     a = _ensure(a)
-    x = a.data
-    e = np.exp(-np.abs(x))
-    out = np.maximum(x, 0.0) + np.log1p(e)
-    s = _sigmoid(x, e)
-    return _node(out, [(a, lambda g: g * s)])
+    out, slope = _softplus(a.data)
+    return _node(out, [(a, lambda g: g * slope)])
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -412,19 +415,26 @@ def conv1d_depthwise_causal(x, weight, bias, prefix) -> Tensor:
     if prefix.shape != x.shape[:-2] + (k - 1, c):
         raise ShapeError(f"conv prefix shape {prefix.shape} does not match input {x.shape}")
     t = x.shape[-2]
-    xp = np.concatenate([prefix.data, x.data], axis=-2)
 
+    def padded():  # [prefix, x] along T; the tape keeps its parts, not it
+        return np.concatenate([prefix.data, x.data], axis=-2)
+
+    xp = padded()
+    xp_shape, xp_dtype = xp.shape, xp.dtype
     out = np.zeros(x.shape, dtype=x.data.dtype)
+    tap = np.empty(x.shape, np.result_type(xp, weight.data))  # one scratch array for all taps
     for i in range(k):
-        out += weight.data[i] * xp[..., i : i + t, :]
+        out += np.multiply(xp[..., i : i + t, :], weight.data[i], out=tap)
 
     def vjp_xp(g):
-        buf = np.zeros_like(xp)
+        buf = np.zeros(xp_shape, xp_dtype)
+        tap = np.empty(g.shape, np.result_type(g, weight.data))
         for i in range(k):
-            buf[..., i : i + t, :] += g * weight.data[i]
+            buf[..., i : i + t, :] += np.multiply(g, weight.data[i], out=tap)
         return buf
 
     def vjp_w(g):
+        xp = padded()
         dw = np.empty_like(weight.data)
         flat_axes = tuple(range(g.ndim - 1))
         for i in range(k):
@@ -485,23 +495,50 @@ def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray | None = None) -
     return _node(np.asarray(loss, dtype=z.dtype), [(logits, vjp)])
 
 
-def rms_norm(x, weight, eps: float = 1e-5) -> Tensor:
+_RMS_EPS = 1e-5
+
+
+def _mean_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """mean(a * b) over the last axis, kept as an axis of 1, without the
+    product array."""
+    out = np.einsum("...i,...i->...", a, b)[..., None]
+    out /= a.shape[-1]
+    return out
+
+
+def _rms_norm(x: np.ndarray, w: np.ndarray, eps: float = _RMS_EPS):
+    """-> (x r w, r, xhat = x r) with r = 1/sqrt(mean(x^2) + eps) over the
+    last axis; r and xhat are what ``_rms_norm_grad`` needs."""
+    r = _mean_last(x, x)
+    r += eps
+    np.sqrt(r, out=r)
+    np.reciprocal(r, out=r)
+    xhat = x * r
+    return xhat * w, r, xhat
+
+
+def _rms_norm_grad(g: np.ndarray, w: np.ndarray, r: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+    """Gradient of ``_rms_norm``'s input x for output gradient g:
+    r (g w - xhat mean(g w xhat))."""
+    gw = g * w
+    out = xhat * _mean_last(gw, xhat)
+    np.subtract(gw, out, out=out)
+    out *= r
+    return out
+
+
+def rms_norm(x, weight, eps: float = _RMS_EPS) -> Tensor:
     """Root-mean-square normalization over the last axis, scaled by weight.
 
-    One tape node: with r = 1/sqrt(mean(x^2) + eps) and xhat = x r, the
-    adjoints are gx = r (g w - xhat mean(g w xhat)) and gw = sum of g xhat.
+    One tape node with the closed-form adjoints of ``_rms_norm_grad``; the
+    weight's gradient is the sum of g xhat.
     """
     x, weight = _ensure(x), _ensure(weight)
-    r = 1.0 / np.sqrt(np.mean(x.data * x.data, axis=-1, keepdims=True) + eps)
-    xhat = x.data * r
-
-    def vjp_x(g):
-        gw = g * weight.data
-        return r * (gw - xhat * np.mean(gw * xhat, axis=-1, keepdims=True))
-
+    out, r, xhat = _rms_norm(x.data, weight.data, eps)
     return _node(
-        xhat * weight.data,
-        [(x, vjp_x), (weight, lambda g: _unbroadcast(g * xhat, weight.shape))],
+        out,
+        [(x, lambda g: _rms_norm_grad(g, weight.data, r, xhat)),
+         (weight, lambda g: _unbroadcast(g * xhat, weight.shape))],
     )
 
 

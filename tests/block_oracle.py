@@ -1,0 +1,65 @@
+"""The composed Mamba block: the test oracle of ``mac.blocks``' fused kernels.
+
+This is the block ``mac.blocks`` ran before its interior became one fused
+mixer node and each LoRA projection one matmul by the merged weight, kept
+as it was: every step is a taped ``Tensor`` op (slices, ``silu``,
+``softplus``, the scan of ``mac.ssd``, skip, gate and ``rms_norm``), so its
+outputs and gradients come from the generic autograd tape. The scan itself
+is checked against ``ssd_oracle``.
+"""
+
+from __future__ import annotations
+
+from mac import ssd
+from mac import tensor as tz
+from mac.blocks import BlockState, LoraAdapter, MambaBlock
+from mac.tensor import Tensor
+
+from tensor_oracle import silu
+
+
+def lora_apply(base: Tensor, adapter: LoraAdapter | None, x: Tensor) -> Tensor:
+    """x @ base plus the scaled low-rank update (x @ down) @ up."""
+    y = tz.matmul(x, base)
+    if adapter is None:
+        return y
+    delta = tz.matmul(tz.matmul(x, adapter.down), adapter.up)
+    return tz.add(y, tz.mul(delta, adapter.scale))
+
+
+def block_forward(blk: MambaBlock, x: Tensor, mode: str = "chunked",
+                  chunk_len: int = ssd.DEFAULT_CHUNK,
+                  state: BlockState | None = None) -> tuple[Tensor, BlockState]:
+    """``MambaBlock.forward`` composed from taped ops: x [B, T, D] ->
+    (out [B, T, D], state after the last position)."""
+    cfg = blk.cfg
+    b, t, _ = x.shape
+    di, gn, k = cfg.d_model, cfg.n_groups * cfg.d_state, cfg.conv_width
+
+    proj = lora_apply(blk.in_proj.base, blk.in_proj.adapter, x)
+    z = proj[:, :, :di]
+    xbc_raw = proj[:, :, di : di + cfg.conv_dim]
+    dt_raw = proj[:, :, di + cfg.conv_dim :]
+
+    if state is None:
+        prefix, initial = tz.zeros((b, k - 1, cfg.conv_dim), dtype=xbc_raw.dtype), None
+    else:
+        prefix, initial = state.conv_tail, state.ssm
+    xbc = silu(tz.conv1d_depthwise_causal(xbc_raw, blk.conv_w, blk.conv_b, prefix))
+    xs = tz.reshape(xbc[:, :, :di], (b, t, cfg.n_heads, cfg.head_dim))
+    bmat = tz.reshape(xbc[:, :, di : di + gn], (b, t, cfg.n_groups, cfg.d_state))
+    cmat = tz.reshape(xbc[:, :, di + gn :], (b, t, cfg.n_groups, cfg.d_state))
+
+    dt = tz.softplus(tz.add(dt_raw, blk.dt_bias))
+    a = tz.neg(tz.exp(blk.log_a))
+    params = ssd.SelectiveParams(dt=dt, a=a, B=bmat, C=cmat, x=xs)
+    y, final = ssd.scan(params, mode, chunk_len, initial=initial)
+
+    y = tz.add(y, tz.mul(xs, tz.reshape(blk.skip, (1, 1, cfg.n_heads, 1))))
+    y = tz.reshape(y, (b, t, di))
+    gated = tz.mul(y, silu(z))
+    out = lora_apply(blk.out_proj.base, blk.out_proj.adapter, tz.rms_norm(gated, blk.gate_norm))
+
+    tail_src = tz.concat([prefix, xbc_raw[:, max(t - (k - 1), 0) :, :]], axis=1)
+    new_tail = tail_src[:, tail_src.shape[1] - (k - 1) :, :]
+    return out, BlockState(ssm=final, conv_tail=new_tail)

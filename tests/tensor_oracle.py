@@ -8,7 +8,8 @@ gradients come from the generic autograd tape alone.
 ``tsum``, ``broadcast_to``, ``cast``, ``cumsum`` and ``log`` are taped
 primitives that only the tests and the composed scans of ``ssd_oracle`` use:
 scalar losses, the oracle's cross-chunk carry and cumulative log decay, and
-gradchecks.
+gradchecks. ``silu`` is the activation the composed block of
+``block_oracle`` applies twice; the fused block mixer computes it inline.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ def cumsum(a, axis: int) -> Tensor:
 def log(a) -> Tensor:
     a = tz._ensure(a)
     return tz._node(np.log(a.data), [(a, lambda g: g / a.data)])
+
+
+def silu(a) -> Tensor:
+    a = tz._ensure(a)
+    s = tz._sigmoid(a.data)
+    return tz._node(a.data * s, [(a, lambda g: g * s * (1.0 + a.data * (1.0 - s)))])
 
 
 def power(a, exponent: float) -> Tensor:

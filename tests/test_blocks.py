@@ -9,7 +9,8 @@ from mac import tensor as tz
 from mac.blocks import LmConfig, LoraAdapter, MambaBlock, SsmLm
 from mac.tensor import ContractError, ShapeError, Tensor
 
-from conftest import check_gradients
+import block_oracle
+from conftest import check_gradients, recorded_nodes
 from tensor_oracle import tsum
 
 TINY = dict(n_layers=2, n_heads=3, head_dim=8, d_state=6, n_groups=1, vocab_size=13, conv_width=4)
@@ -78,6 +79,107 @@ class TestBlockForward:
 
         worst = check_gradients(fn, leaves, tol=1e-4)
         assert worst < 1e-4
+
+
+def _leaves(blk: MambaBlock) -> list[Tensor]:
+    """Every parameter ``MambaBlock.forward`` reads except the frozen LoRA
+    bases (the pre-norm weight is the stack's)."""
+    return [v for k, v in blk.parameters().items()
+            if not k.endswith(".base") and k != "res_norm"]
+
+
+class TestFusedBlockMatchesComposedOracle:
+    """``MambaBlock.forward`` (merged LoRA, fused mixer) against the composed
+    block of ``block_oracle``: outputs and every gradient at 1e-10 in fp64."""
+
+    CFG = dict(n_layers=2, n_heads=4, head_dim=3, d_state=5, n_groups=2, vocab_size=7)
+
+    def _block(self, width, seed):
+        cfg = LmConfig(**self.CFG, conv_width=width)
+        rng = np.random.default_rng(seed)
+        lm = SsmLm(cfg, rng)
+        blocks.attach_lora(lm, rank=3, rng=rng)
+        blk = lm.blocks[0]
+        for proj in (blk.in_proj, blk.out_proj):  # a live adapter, not the zero init
+            proj.adapter.up.data[:] = rng.standard_normal(proj.adapter.up.shape) * 0.3
+        return blk
+
+    def _run(self, forward, blk, x, mode, state, weights):
+        """Loss over the output, the final scan state and the conv tail."""
+        out, new = forward(blk, x, mode=mode, chunk_len=3, state=state)
+        loss = tz.add(tz.add(tsum(tz.mul(out, weights[0])), tsum(tz.mul(new.ssm, weights[1]))),
+                      tsum(tz.mul(new.conv_tail, weights[2])))
+        return out, new, loss
+
+    @pytest.mark.parametrize("mode", ssd.MODES)
+    @pytest.mark.parametrize("width", [4, 1])
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_outputs_and_all_gradients(self, mode, width, carried):
+        blk = self._block(width, seed=40 + width)
+        rng = np.random.default_rng(41)
+        b, t, d = 2, 7, blk.cfg.d_model
+        x = Tensor(rng.standard_normal((b, t, d)), requires_grad=True)
+        state = None
+        leaves = [x] + _leaves(blk)
+        if carried:
+            with tz.no_grad():
+                _, warm = blk.forward(Tensor(rng.standard_normal((b, 5, d))), mode="recurrent")
+            state = blocks.BlockState(ssm=Tensor(warm.ssm.data, requires_grad=True),
+                                      conv_tail=Tensor(warm.conv_tail.data, requires_grad=True))
+            leaves += [state.ssm, state.conv_tail]
+        for leaf in leaves:
+            leaf.requires_grad = True
+        with tz.no_grad():
+            probe = blk.forward(x, state=state)
+        weights = [Tensor(rng.standard_normal(v.shape))
+                   for v in (probe[0], probe[1].ssm, probe[1].conv_tail)]
+
+        results = []
+        for forward in (MambaBlock.forward, block_oracle.block_forward):
+            for leaf in leaves:
+                leaf.grad = None
+            out, new, loss = self._run(forward, blk, x, mode, state, weights)
+            grads = loss.backward()
+            results.append([out.data, new.ssm.data, new.conv_tail.data]
+                           + [grads[leaf] for leaf in leaves])
+        assert blk.in_proj.base not in grads and blk.out_proj.base not in grads
+        for fused, oracle in zip(*results):
+            assert fused.shape == oracle.shape
+            scale = max(1.0, float(np.abs(oracle).max(initial=0.0)))
+            assert np.abs(fused - oracle).max(initial=0.0) <= 1e-10 * scale
+
+    def test_fused_block_records_two_nodes_between_conv_and_out_proj(self):
+        blk = self._block(4, seed=43)
+        for leaf in _leaves(blk):
+            leaf.requires_grad = True
+        x = Tensor(np.random.default_rng(44).standard_normal((2, 6, blk.cfg.d_model)),
+                   requires_grad=True)
+        out, new = blk.forward(x)
+        # mixer output and final state; the mixer's parents are in_proj's
+        # output and the conv, so nothing else sits between them
+        mixer_out = out._pairs[0][0]
+        assert new.ssm._pairs and mixer_out is not new.ssm
+        assert [p for p, _ in mixer_out._pairs] == [p for p, _ in new.ssm._pairs]
+
+
+NODES_PER_BLOCK = 7  # pre-norm, in_proj, conv slice, conv, mixer, out_proj, residual add
+HEAD_NODES = 2  # final norm, tied head matmul
+
+
+class TestTapeBudget:
+    def test_training_forward_records_fixed_nodes_per_block(self):
+        # the LM's recorded nodes do not grow with the batch or the sequence
+        for n_layers in (1, 2):
+            lm = tiny_lm(seed=45, n_layers=n_layers)
+            blocks.attach_lora(lm, rank=2, rng=np.random.default_rng(46))
+            for t in blocks.lora_parameters(lm).values():
+                t.requires_grad = True
+            for b, t in ((1, 5), (3, 19)):
+                embs = Tensor(np.random.default_rng(47).standard_normal((b, t, 24)),
+                              requires_grad=True)
+                logits = lm.forward(embs)
+                assert recorded_nodes(logits) == NODES_PER_BLOCK * n_layers + HEAD_NODES, (
+                    n_layers, b, t)
 
 
 class TestLmForward:
@@ -213,6 +315,27 @@ class TestLora:
             opt.step()
         for name, before in frozen.items():
             assert np.array_equal(lm.parameters()[name].data, before), name
+
+    def test_merged_form_matches_three_matmuls(self):
+        # x @ (base + s down up) against x @ base + s (x @ down) @ up
+        rng = np.random.default_rng(32)
+        base = Tensor(rng.standard_normal((6, 9)))  # frozen
+        ad = LoraAdapter.init(6, 9, 3, rng)
+        ad.up = Tensor(rng.standard_normal((3, 9)))
+        x = Tensor(rng.standard_normal((2, 5, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 5, 9)))
+        ad.down.requires_grad = ad.up.requires_grad = True
+        results = []
+        for apply in (blocks.lora_apply, block_oracle.lora_apply):
+            for leaf in (x, ad.down, ad.up):
+                leaf.grad = None
+            out = apply(base, ad, x)
+            grads = tsum(tz.mul(out, w)).backward()
+            assert base not in grads and base.grad is None
+            results.append([out.data] + [grads[leaf] for leaf in (x, ad.down, ad.up)])
+        for merged, composed in zip(*results):
+            scale = max(1.0, float(np.abs(composed).max()))
+            assert np.abs(merged - composed).max() <= 1e-12 * scale
 
     def test_trainable_count_scales_linearly_in_rank(self):
         def adapter_count(rank):

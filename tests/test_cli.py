@@ -64,6 +64,14 @@ class TestBasics:
         assert not (tmp_path / "run").exists()
         configmod.apply_overrides(configmod.Config(), ["model.conv_width=1"])  # still valid
 
+    def test_nonpositive_encoder_width_exit_2(self, tmp_path, capsys):
+        for channels in ("0,16,16", "-4,16,16", "8,16,0"):
+            code, _, err = run_cli(["train", "--set", f"audio.channels={channels}",
+                                    "--out", str(tmp_path / "run")], capsys)
+            assert code == 2, channels
+            assert err.startswith("error_code=config") and "audio.channels" in err, err
+        assert not (tmp_path / "run").exists()
+
     def test_runtime_error_exit_3(self, capsys):
         code, _, err = run_cli(["infer", "--checkpoint", "/nonexistent.ckpt",
                                 "--wav", "/nonexistent.wav"], capsys)
@@ -170,6 +178,22 @@ class TestTrainInferDiagnose:
         lines = Path(out_csv).read_text().splitlines()
         assert lines[0].startswith("model,erank(")
         assert lines[1].startswith("2x32,")  # n_layers x (n_heads * head_dim)
+
+    def test_diagnose_reads_a_manifest_without_captions(self, trained, tmp_path, capsys):
+        import json
+
+        from mac import synth
+
+        manifest = Path(synth.write_corpus(str(tmp_path / "corpus"), 3, seed=2))
+        records = [json.loads(line) for line in manifest.read_text().splitlines()]
+        manifest.write_text("".join(json.dumps({"wav": r["wav"]}) + "\n" for r in records))
+        out_csv = str(tmp_path / "erank.csv")
+        code, _, err = run_cli(["diagnose", "erank",
+                                "--checkpoint", os.path.join(trained, "final.ckpt"),
+                                "--dataset", str(manifest), "--n", "3", "--out", out_csv],
+                               capsys)
+        assert code == 0, err
+        assert Path(out_csv).read_text().splitlines()[1].startswith("2x32,")
 
     def test_diagnose_cosine_and_state_dist(self, trained, tmp_path, capsys):
         ck = os.path.join(trained, "final.ckpt")

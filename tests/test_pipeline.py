@@ -1,5 +1,6 @@
 """Tokenizer, config, sequence building, training, decoding, persistence."""
 
+import json
 import os
 import re
 from pathlib import Path
@@ -497,6 +498,23 @@ class TestExperiment:
         state = pipeline.make_train_state(cap)
         loss = pipeline.train_step(state, train)
         assert np.isfinite(loss)
+
+
+    def test_training_manifest_record_without_caption_names_file_and_line(self, tmp_path):
+        manifest = Path(synth.write_corpus(str(tmp_path / "corpus"), 3, seed=0))
+        lines = manifest.read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["caption"]
+        lines[1] = json.dumps(record)
+        manifest.write_text("\n".join(lines) + "\n")
+        cfg = tiny_cfg(**{"data.source": "manifest", "data.manifest": str(manifest),
+                          "data.n_train": 2, "data.n_eval": 1})
+        where = re.escape(str(manifest))
+        with pytest.raises(synth.ManifestError, match=f"{where} line 2: record has no 'caption'"):
+            pipeline.corpus_samples(cfg)
+        # reading it for inference still works: only training needs captions
+        assert [r.get("caption") is None for r in synth.read_manifest(str(manifest))] == [
+            False, True, False]
 
 
 class TestSynthCorpus:
