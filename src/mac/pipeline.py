@@ -279,6 +279,8 @@ class TrainState:
     step: int = 0
     loss_history: list[float] = field(default_factory=list)
     dump_dir: str | None = None
+    # the last step's leaf gradients by parameter name, before clipping
+    last_grads: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def make_train_state(captioner: Captioner, dump_dir: str | None = None) -> TrainState:
@@ -293,7 +295,14 @@ def make_train_state(captioner: Captioner, dump_dir: str | None = None) -> Train
 
 
 def train_step(state: TrainState, batch: list[Sample]) -> float:
-    """One optimizer step of mean masked cross-entropy over the batch."""
+    """One optimizer step of mean masked cross-entropy over the batch.
+
+    The step's leaf gradients stay in ``state.last_grads`` until the next
+    step's backward has made its own. Allocated last, they lie at the top of
+    the heap; freed at ``zero_grad``, they would let glibc hand the tape's
+    memory under them back to the OS, and the next forward would fault it
+    all in again: nearly every minor page fault of a warm time_major step.
+    """
     cap = state.captioner
     state.optimizer.zero_grad()
     logits, targets, mask, _ = cap.batch_forward(batch, mode="train")
@@ -302,7 +311,9 @@ def train_step(state: TrainState, batch: list[Sample]) -> float:
     if not np.isfinite(value):
         path = _write_divergence_dump(state, value)
         raise TrainingDiverged(f"non-finite loss {value} at step {state.step}", path)
-    loss.backward()
+    leaves = loss.backward()
+    state.last_grads = {name: leaves[p] for name, p in sorted(state.optimizer.params.items())
+                        if p in leaves}
     optim.clip_grad_norm(state.optimizer.params, cap.cfg["train.clip_norm"])
     state.optimizer.step()
     state.step += 1
@@ -311,6 +322,9 @@ def train_step(state: TrainState, batch: list[Sample]) -> float:
 
 
 def _write_divergence_dump(state: TrainState, value: float) -> str | None:
+    """Write the loss, recent losses and each trainable parameter's largest
+    |weight| and, if it had one, its last finished step's largest pre-clip
+    |gradient|; None when the state has no dump directory."""
     if state.dump_dir is None:
         return None
     os.makedirs(state.dump_dir, exist_ok=True)
@@ -319,8 +333,9 @@ def _write_divergence_dump(state: TrainState, value: float) -> str | None:
              "recent_losses=" + ",".join(f"{x:.6g}" for x in state.loss_history[-20:])]
     for name, t in sorted(state.optimizer.params.items()):
         line = f"param {name} |w|max={np.abs(t.data).max():.6g}"
-        if t.grad is not None:
-            line += f" |g|max={np.abs(t.grad).max():.6g}"
+        g = state.last_grads.get(name)
+        if g is not None:
+            line += f" |g|max={np.abs(g).max():.6g}"
         lines.append(line)
     checkpoint.write_atomic(path, "".join(f"{line}\n" for line in lines).encode("utf-8"))
     return path

@@ -313,16 +313,17 @@ def transpose(a, axes=None) -> Tensor:
 
 
 def take(a, index) -> Tensor:
-    """Basic (slice/integer) indexing with scatter-style gradient."""
+    """Basic (slice/integer) indexing with scatter-style gradient. The
+    result is a view of ``a``'s data, as tensors are not mutated."""
     a = _ensure(a)
-    out = a.data[index]
+    out = np.asarray(a.data[index])  # a full integer index gives a scalar
 
     def vjp(g):
         buf = np.zeros_like(a.data)
         buf[index] = g
         return buf
 
-    return _node(np.array(out, copy=True), [(a, vjp)])
+    return _node(out, [(a, vjp)])
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -448,7 +449,7 @@ def conv1d_depthwise_causal(x, weight, bias, prefix) -> Tensor:
     ]
     if bias is not None:
         bias_t = _ensure(bias)
-        out = out + bias_t.data
+        out += bias_t.data
 
         def vjp_b(g):
             return g.reshape(-1, c).sum(axis=0)

@@ -1,8 +1,12 @@
 """Tokenizer, config, sequence building, training, decoding, persistence."""
 
+import gc
 import json
 import os
+import platform
 import re
+import resource
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +324,77 @@ class TestTraining:
         assert len(lines) == 2 + len(state.optimizer.params)
         assert all(line.startswith("param ") for line in lines[2:])
         assert os.listdir(tmp_path) == ["diverged_step0.txt"]
+
+    def test_divergence_dump_reports_the_last_steps_gradients(self, tmp_path):
+        cap, train, _ = tiny_captioner()
+        state = pipeline.make_train_state(cap, dump_dir=str(tmp_path))
+        w1 = cap.mlp.w1.data.copy()
+
+        def diverge() -> dict[str, str]:
+            cap.mlp.w1.data[:] = np.inf
+            with pytest.raises(pipeline.TrainingDiverged) as err:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    pipeline.train_step(state, train)
+            cap.mlp.w1.data[:] = w1
+            lines = Path(err.value.dump_path).read_text().splitlines()
+            assert lines[0] == f"loss=nan step={state.step}"
+            return {line.split()[1]: line for line in lines[2:]}
+
+        assert not any("|g|max=" in line for line in diverge().values())  # step 0: none yet
+        pipeline.train_step(state, train)
+        had_grad = {n for n, p in state.optimizer.params.items() if p.grad is not None}
+        assert had_grad and had_grad != set(state.optimizer.params)  # sep_embedding gets none
+        lines = diverge()
+        assert set(lines) == set(state.optimizer.params)
+        assert {name for name, line in lines.items() if "|g|max=" in line} == had_grad
+        for name in had_grad:
+            kept = np.abs(state.last_grads[name]).max()
+            assert lines[name].endswith(f" |g|max={kept:.6g}"), lines[name]
+
+
+class TestStepMemory:
+    """A training step keeps its leaf gradients until the next backward."""
+
+    @pytest.mark.parametrize("variant", ["concatenation", "time_major"])
+    def test_kept_gradients_are_one_generation_of_pre_clip_leaves(self, variant):
+        cap, train, _ = tiny_captioner(**{"connector.variant": variant,
+                                          "train.clip_norm": "1e-3"})
+        state = pipeline.make_train_state(cap)
+        params = state.optimizer.params
+        pipeline.train_step(state, train)
+        kept = state.last_grads
+        assert set(kept) == {n for n, p in params.items() if p.grad is not None}
+        assert set(kept) <= set(cap.trainable_parameters())
+        assert ("sep_embedding" in kept) == (variant != "concatenation")
+        # kept before clipping: the optimizer stepped on the clipped ones
+        assert grads_norm(kept) > 10 * 1e-3
+        assert abs(grads_norm({n: params[n].grad for n in kept}) - 1e-3) < 1e-9
+        refs = [weakref.ref(g) for g in kept.values()]
+        del kept
+        pipeline.train_step(state, train)
+        gc.collect()
+        assert all(r() is None for r in refs)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="counts what glibc's allocator returns to the OS")
+    def test_warm_time_major_step_takes_few_page_faults(self):
+        cfg = configmod.apply_overrides(configmod.Config(), ["connector.variant=time_major"])
+        train, evl = pipeline.corpus_samples(cfg)
+        assert len(train) == 8
+        state = pipeline.make_train_state(Captioner(cfg, pipeline.build_vocab_for(cfg, train, evl)))
+        for _ in range(2):  # fills the mel cache and the optimizer moments
+            pipeline.train_step(state, train)
+        faults = []
+        for _ in range(4):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            pipeline.train_step(state, train)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert min(faults) < 1000, faults
+
+
+def grads_norm(grads: dict) -> float:
+    """Global L2 norm of a name -> gradient array mapping."""
+    return float(np.sqrt(sum((g.astype(np.float64) ** 2).sum() for g in grads.values())))
 
 
 def mixed_prompt_samples(cap: Captioner, samples: list[Sample]) -> list[Sample]:

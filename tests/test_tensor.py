@@ -369,6 +369,16 @@ class TestInvariants:
         assert np.array_equal(tz.mul(Tensor(v), 0.1).data, v * 0.1)
         assert np.array_equal(tz.add(1e-5, Tensor(v)).data, 1e-5 + v)
 
+    def test_take_returns_a_view(self):
+        x = Tensor(np.random.default_rng(17).standard_normal((2, 3, 4)), requires_grad=True)
+        y = x[:, 1:, :2]
+        assert np.shares_memory(y.data, x.data)
+        np.testing.assert_array_equal(y.data, x.data[:, 1:, :2])
+        expected = np.zeros(x.shape)
+        expected[:, 1:, :2] = 3.0
+        np.testing.assert_array_equal(tsum(tz.mul(y, 3.0)).backward()[x], expected)
+        assert x[1, 2, 3].data.shape == ()  # a full integer index gives a 0-d array
+
     def test_cast_round_trip_through_graph(self):
         x = Tensor(np.linspace(-1, 1, 5), requires_grad=True)
         y = tsum(tz.mul(cast(cast(x, np.float32), np.float64), 2.0))
@@ -397,6 +407,19 @@ class TestOptim:
         norm = optim.clip_grad_norm({"w": w}, 1.0)
         assert abs(norm - 10.0) < 1e-12
         assert abs(np.linalg.norm(w.grad) - 1.0) < 1e-9
+
+    def test_clip_scales_a_shared_gradient_once(self):
+        from mac import optim
+
+        # equal-shape operands of an add get one gradient array between them
+        a = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        tsum(tz.add(a, b)).backward()
+        assert a.grad is b.grad
+        norm = optim.clip_grad_norm({"a": a, "b": b}, 1.0)  # grads (1, 1) twice, norm 2
+        assert abs(norm - 2.0) < 1e-12
+        np.testing.assert_allclose(a.grad, 0.5, rtol=1e-9)
+        np.testing.assert_allclose(b.grad, 0.5, rtol=1e-9)
 
     def test_optimizer_skips_missing_grads(self):
         from mac import optim
