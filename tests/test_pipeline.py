@@ -385,7 +385,7 @@ class TestStepMemory:
         for _ in range(2):  # fills the mel cache and the optimizer moments
             pipeline.train_step(state, train)
         faults = []
-        for _ in range(4):
+        for _ in range(5):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             pipeline.train_step(state, train)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
