@@ -5,14 +5,16 @@ Block dataflow (residual added by the caller / the stack):
     in_proj (LoRA) -> [gate z | conv channels | step-size raw]
     conv channels -> depthwise causal conv                      (tape op)
     mixer: silu -> [head inputs | B | C], dt = softplus(raw + bias),
-           a = -exp(log_a), selective scan (any mode) + per-head skip,
+           a = -exp(log_a), selective scan + per-head skip,
            y * silu(z) -> RMS norm                      (one fused node)
     -> out_proj (LoRA)
 
 The mixer is one numpy forward and one hand-written adjoint (``_mixer``)
 that runs the scan through ``ssd.kernel``; it records two tape nodes, its
-output and the final scan state. Under ``no_grad`` the same code is the
-streaming decode step. A LoRA projection is one matmul by the merged weight
+output and the final scan state. The kernel picks the algorithm from the
+sequence length: a one-token step runs the recurrence, a longer sequence
+the chunked scan. Under ``no_grad`` the same code is the streaming decode
+step. A LoRA projection is one matmul by the merged weight
 ``base + scale * down @ up``. A training forward thus records a fixed
 number of nodes per block, whatever the batch and sequence length. The
 composed block these kernels replaced is the test suite's oracle.
@@ -165,13 +167,7 @@ class MambaBlock:
             out[f"out_proj.{k}"] = v
         return out
 
-    def forward(
-        self,
-        x: Tensor,
-        mode: str = "chunked",
-        chunk_len: int = ssd.DEFAULT_CHUNK,
-        state: BlockState | None = None,
-    ) -> tuple[Tensor, BlockState]:
+    def forward(self, x: Tensor, state: BlockState | None = None) -> tuple[Tensor, BlockState]:
         """x: [B, T, D] -> (out [B, T, D], state after the last position).
 
         The residual is added by the caller. Passing the returned state back
@@ -191,7 +187,7 @@ class MambaBlock:
         else:
             prefix, initial = state.conv_tail, state.ssm
         conv = tz.conv1d_depthwise_causal(xbc_raw, self.conv_w, self.conv_b, prefix)
-        mixed, final = _mixer(self, proj, conv, mode, chunk_len, initial)
+        mixed, final = _mixer(self, proj, conv, initial)
         out = self.out_proj(mixed)
 
         # the last K-1 rows of [prefix, x], built from at most K-1 rows of x
@@ -211,7 +207,7 @@ def _silu_slope(v: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mixer(blk: MambaBlock, proj: Tensor, conv: Tensor, mode: str, chunk_len: int,
+def _mixer(blk: MambaBlock, proj: Tensor, conv: Tensor,
            initial: Tensor | None) -> tuple[Tensor, Tensor]:
     """The block interior from the conv output to the out_proj input.
 
@@ -235,7 +231,7 @@ def _mixer(blk: MambaBlock, proj: Tensor, conv: Tensor, mode: str, chunk_len: in
         dt=Tensor(dt), a=Tensor(a), x=Tensor(xs),
         B=Tensor(xbc[..., di : di + gn].reshape(b, t, cfg.n_groups, cfg.d_state)),
         C=Tensor(xbc[..., di + gn :].reshape(b, t, cfg.n_groups, cfg.d_state)))
-    y, h_end, scan_vjp = ssd.kernel(params, mode, chunk_len, initial)
+    y, h_end, scan_vjp = ssd.kernel(params, initial=initial)
     skip = blk.skip.data[:, None]
     y = (y.astype(xs.dtype, copy=False) + xs * skip).reshape(b, t, di)
     s_z = tz._sigmoid(zg)
@@ -300,14 +296,8 @@ class SsmLm:
                 out[f"blocks.{i}.{k}"] = v
         return out
 
-    def forward(
-        self,
-        embs: Tensor,
-        mode: str = "chunked",
-        chunk_len: int = ssd.DEFAULT_CHUNK,
-        states: list[BlockState] | None = None,
-        return_states: bool = False,
-    ):
+    def forward(self, embs: Tensor, states: list[BlockState] | None = None,
+                return_states: bool = False):
         """embs: [B, T, D] -> logits [B, T, vocab], or (logits, per-block
         states) with ``return_states``; ``states`` continues a sequence."""
         if embs.ndim != 3 or embs.shape[-1] != self.cfg.d_model:
@@ -318,8 +308,7 @@ class SsmLm:
         new_states = []
         for i, blk in enumerate(self.blocks):
             st = states[i] if states is not None else None
-            y, ns = blk.forward(tz.rms_norm(x, blk.res_norm), mode=mode,
-                                chunk_len=chunk_len, state=st)
+            y, ns = blk.forward(tz.rms_norm(x, blk.res_norm), state=st)
             new_states.append(ns)
             x = tz.add(x, y)
         x = tz.rms_norm(x, self.final_norm)

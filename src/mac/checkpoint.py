@@ -19,6 +19,7 @@ previous one or the complete new one.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -50,7 +51,7 @@ def save(
     blobs = []
     offset = 0
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name])
+        arr = np.asarray(tensors[name], order="C")  # keeps a 0-d array 0-d
         tag = _dtype_tag(arr.dtype)
         raw = arr.astype(_DTYPES[tag], copy=False).tobytes()
         shape = ",".join(str(n) for n in arr.shape) if arr.ndim else "-"
@@ -88,34 +89,49 @@ def write_atomic(path: str, data: bytes) -> None:
 
 
 def load(path: str) -> tuple[dict[str, np.ndarray], str, dict[str, str]]:
+    """-> (tensors, config text, meta) of the checkpoint at ``path``. Every
+    error is a CheckpointError naming the file and the header, the manifest
+    line or the payload."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _parse(blob)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+
+
+def _parse(blob: bytes) -> tuple[dict[str, np.ndarray], str, dict[str, str]]:
     nl = blob.find(b"\n")
     if nl < 0:
-        raise CheckpointError("missing header line")
+        raise CheckpointError("header: missing header line")
     header = blob[:nl].decode("ascii", errors="replace").split()
     if len(header) != 3 or header[0] != MAGIC:
-        raise CheckpointError(f"bad magic in header: {header!r}")
+        raise CheckpointError(f"header: bad magic: {header!r}")
     if header[1] != str(VERSION):
-        raise CheckpointError(f"unsupported format version {header[1]} (expected {VERSION})")
-    try:
-        man_len = int(header[2])
-    except ValueError as exc:
-        raise CheckpointError(f"bad manifest length {header[2]!r}") from exc
+        raise CheckpointError(f"header: unsupported format version {header[1]} "
+                              f"(expected {VERSION})")
+    man_len = _count(header[2], "header: manifest length")
 
     man_start = nl + 1
     if len(blob) < man_start + man_len:
-        raise CheckpointError("truncated manifest")
-    manifest = blob[man_start : man_start + man_len].decode("utf-8")
+        raise CheckpointError(f"header: truncated manifest: {man_len} bytes announced, "
+                              f"{len(blob) - man_start} present")
+    manifest = blob[man_start : man_start + man_len]
     payload = blob[man_start + man_len :]
+    try:
+        text = manifest.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = manifest.count(b"\n", 0, exc.start) + 1
+        raise CheckpointError(f"manifest line {line}: not UTF-8 text") from exc
 
     tensors: dict[str, np.ndarray] = {}
     config_lines: list[str] = []
     meta: dict[str, str] = {}
     expected_end = 0
-    for lineno, line in enumerate(manifest.splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
+        where = f"manifest line {lineno}"
         kind, _, rest = line.partition(" ")
         if kind == "meta":
             key, _, value = rest.partition(" ")
@@ -125,28 +141,40 @@ def load(path: str) -> tuple[dict[str, np.ndarray], str, dict[str, str]]:
         elif kind == "tensor":
             parts = rest.split()
             if len(parts) != 5:
-                raise CheckpointError(f"manifest line {lineno}: malformed tensor entry")
+                raise CheckpointError(f"{where}: malformed tensor entry")
             name, tag, shape_s, off_s, nbytes_s = parts
             if tag not in _DTYPES:
-                raise CheckpointError(f"manifest line {lineno}: unknown dtype {tag}")
-            shape = () if shape_s == "-" else tuple(int(n) for n in shape_s.split(","))
-            off, nbytes = int(off_s), int(nbytes_s)
+                raise CheckpointError(f"{where}: unknown dtype {tag}")
+            shape = () if shape_s == "-" else tuple(
+                _count(n, f"{where}: {name} shape") for n in shape_s.split(","))
+            off = _count(off_s, f"{where}: {name} offset")
+            nbytes = _count(nbytes_s, f"{where}: {name} size")
             dt = _DTYPES[tag]
-            if int(np.prod(shape, dtype=np.int64)) * dt.itemsize != nbytes:
+            if math.prod(shape) * dt.itemsize != nbytes:
                 raise CheckpointError(
-                    f"integrity error: {name} shape {shape} does not match {nbytes} bytes"
+                    f"{where}: integrity error: {name} shape {shape} does not match "
+                    f"{nbytes} bytes"
                 )
             if off + nbytes > len(payload):
                 raise CheckpointError(
-                    f"integrity error: {name} extends past payload "
+                    f"{where}: integrity error: {name} extends past payload "
                     f"({off}+{nbytes} > {len(payload)})"
                 )
             tensors[name] = np.frombuffer(payload[off : off + nbytes], dtype=dt).reshape(shape).copy()
             expected_end = max(expected_end, off + nbytes)
         else:
-            raise CheckpointError(f"manifest line {lineno}: unknown entry kind {kind!r}")
+            raise CheckpointError(f"{where}: unknown entry kind {kind!r}")
     if expected_end != len(payload):
         raise CheckpointError(
-            f"integrity error: payload has {len(payload)} bytes, manifest covers {expected_end}"
+            f"payload: integrity error: {len(payload)} bytes, manifest covers {expected_end}"
         )
     return tensors, "\n".join(config_lines), meta
+
+
+def _count(text: str, what: str) -> int:
+    """``text`` as a non-negative decimal integer, or a CheckpointError
+    naming ``what``. 18 digits are more than any file needs and fewer than
+    ``int`` refuses."""
+    if text.isascii() and text.isdigit() and len(text) <= 18:
+        return int(text)
+    raise CheckpointError(f"{what} {text!r} is not a non-negative integer")

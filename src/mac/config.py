@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .audio import EncoderConfig
 from .blocks import LmConfig
 from .connector import VARIANTS, ConnectorConfig
-from .ssd import DEFAULT_CHUNK, MODES
 from .tensor import ContractError, ShapeError
 
 
@@ -45,8 +44,6 @@ SCHEMA: dict[str, Field] = {
                                             "(model width = n_heads * head_dim)"),
     "model.d_state": Field(16, "int"),
     "model.n_groups": Field(1, "int"),
-    "model.scan_mode": Field("chunked", "str", MODES),
-    "model.chunk_len": Field(DEFAULT_CHUNK, "int"),
     "model.lora_rank": Field(8, "int"),
     "model.conv_width": Field(4, "int"),
     "model.max_vocab": Field(512, "int"),
@@ -147,8 +144,17 @@ def parse_text(text: str) -> Config:
 
 
 def parse_file(path: str) -> Config:
-    with open(path) as fh:
-        return parse_text(fh.read())
+    """The config in the file at ``path``, read as UTF-8; every error names
+    the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return parse_text(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: line {line}: byte {exc.start}: not UTF-8 text") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def apply_overrides(cfg: Config, overrides: list[str]) -> Config:
@@ -211,8 +217,8 @@ def _parse_channels(text: str) -> tuple[int, ...]:
 # the keys that must be >= 1; every other check is a typed config's own
 _AT_LEAST_ONE = (
     "model.n_layers", "model.n_heads", "model.head_dim", "model.d_state", "model.n_groups",
-    "model.chunk_len", "model.lora_rank", "model.conv_width", "audio.mel_frames",
-    "audio.d_enc", "connector.hidden_mult", "train.batch_size", "train.steps_per_epoch",
+    "model.lora_rank", "model.conv_width", "audio.mel_frames", "audio.d_enc",
+    "connector.hidden_mult", "train.batch_size", "train.steps_per_epoch",
     "train.max_caption_len", "data.n_train",
 )
 

@@ -119,7 +119,7 @@ def state_update_distances(captioner, sample):
         trajectory = []  # per position: [n_layers, H, P, N]
         for t in range(n_audio):
             step = seq.vectors[:, t : t + 1]
-            _, states = lm.forward(step, mode="recurrent", states=states, return_states=True)
+            _, states = lm.forward(step, states=states, return_states=True)
             trajectory.append(np.stack([st.ssm.data[0] for st in states]))
     if n_audio < 2:
         return np.zeros(0), np.zeros((len(lm.blocks), 0))
@@ -143,7 +143,7 @@ def _random_params(rng: np.random.Generator, t: int, h: int, p: int, g: int, n: 
 
 def scaling_bench(lengths: list[int], mode: str = "recurrent",
                   n: int = 16, h: int = 4, p: int = 16, g: int = 1,
-                  chunk_len: int = ssd.DEFAULT_CHUNK, repeats: int = 3, seed: int = 0):
+                  repeats: int = 3, seed: int = 0):
     """Time one forward scan per length; returns (rows, fitted slope).
 
     rows: (T, best wall seconds, analytic FLOPs). The slope is the log-log
@@ -155,15 +155,15 @@ def scaling_bench(lengths: list[int], mode: str = "recurrent",
     rows = []
     with tz.no_grad():
         warm = _random_params(rng, min(lengths), h, p, g, n)
-        ssd.scan(warm, mode, chunk_len)
+        ssd.scan(warm, mode)
         for t in lengths:
             params = _random_params(rng, t, h, p, g, n)
             best = np.inf
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                ssd.scan(params, mode, chunk_len)
+                ssd.scan(params, mode)
                 best = min(best, time.perf_counter() - t0)
-            rows.append((t, best, ssd.count_flops(t, n, h, p, mode, g, chunk_len)))
+            rows.append((t, best, ssd.count_flops(t, n, h, p, mode, g)))
     xs = np.log([r[0] for r in rows])
     ys = np.log([r[1] for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])

@@ -92,8 +92,6 @@ class Captioner:
         self.sep_embedding = Tensor(
             rng.standard_normal(self.lm_cfg.d_model) / np.sqrt(self.lm_cfg.d_model)
         )
-        self.scan_mode = v["model.scan_mode"]
-        self.chunk_len = v["model.chunk_len"]
         # per clip: encoder grid [T_a, F_a, d_enc] (frozen encoder only), and
         # the mel image as first-layer patch rows
         self._grid_cache: OrderedDict[str, np.ndarray] = OrderedDict()
@@ -229,7 +227,7 @@ class Captioner:
         -> (logits [B, L, V], targets [B, L], mask [B, L], the EmbeddingSequence)
         """
         seq, targets, mask = self.build_sequence(samples, mode)
-        logits = self.lm.forward(seq.vectors, mode=self.scan_mode, chunk_len=self.chunk_len)
+        logits = self.lm.forward(seq.vectors)
         return logits, targets, mask, seq
 
     # -- persistence ------------------------------------------------------------
@@ -386,8 +384,7 @@ def _decode_streaming(cap: Captioner, embs: Tensor, lengths, max_len: int) -> li
     for r, length in enumerate(lengths):
         groups.setdefault(int(length), []).append(r)
     for length, rows in groups.items():
-        logits, states = cap.lm.forward(Tensor(embs.data[rows, :length]), mode=cap.scan_mode,
-                                        chunk_len=cap.chunk_len, return_states=True)
+        logits, states = cap.lm.forward(Tensor(embs.data[rows, :length]), return_states=True)
         done = [False] * len(rows)
         while True:
             nxt = logits.data[:, -1].argmax(axis=-1)
@@ -397,8 +394,8 @@ def _decode_streaming(cap: Captioner, embs: Tensor, lengths, max_len: int) -> li
                     done[j] = nxt[j] == cap.vocab.eos_id or len(out[r]) >= max_len
             if all(done):
                 break
-            logits, states = cap.lm.forward(cap.embed_tokens(nxt[:, None]), mode="recurrent",
-                                            states=states, return_states=True)
+            logits, states = cap.lm.forward(cap.embed_tokens(nxt[:, None]), states=states,
+                                            return_states=True)
     return out
 
 
@@ -407,7 +404,7 @@ def _decode_full(cap: Captioner, prefix: Tensor, max_len: int) -> list[int]:
     ids: list[int] = []
     current = prefix
     while True:
-        logits = cap.lm.forward(current, mode=cap.scan_mode, chunk_len=cap.chunk_len)
+        logits = cap.lm.forward(current)
         nxt = int(np.argmax(logits.data[0, -1]))
         ids.append(nxt)
         if nxt == cap.vocab.eos_id or len(ids) >= max_len:

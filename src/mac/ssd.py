@@ -23,9 +23,12 @@ All three share one contract, ``(params, ..., initial) -> (y, h)``, and
 ``scan`` runs the mode it is given. ``initial`` and ``h`` are state
 tensors [H, P, N]; no initial state is a zero state. Feeding the returned
 ``h`` back as ``initial`` of a later call equals one uninterrupted scan
-(streaming contract). ``kernel`` holds the one rule from mode name to
-algorithm; the block mixer of ``mac.blocks`` calls it as well, inside its
-own fused node, so a block's scan records no node of its own.
+(streaming contract). ``kernel`` holds the one rule from mode name and T
+to algorithm: the chunk length is capped at T, and a chunk length of 1 runs
+the recurrence. The block mixer of ``mac.blocks`` calls it with the default
+mode inside its own fused node, so a block's scan records no node of its
+own, a one-token decode step runs the recurrence and a longer sequence
+runs in chunks of ``DEFAULT_CHUNK``.
 
 Each algorithm is one numpy forward plus one hand-written adjoint that
 returns the gradients of dt, a, B, C, x and the initial state together. A
@@ -172,22 +175,30 @@ def kernel(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFA
     """The one rule from mode name to array kernel: validate and lift the
     call, then run it -> batched arrays (y [nb, T, H, P], h [nb, H, P, N], vjp).
 
-    ``recurrent``, and ``chunked`` with ``chunk_len == 1``, run the
-    recurrence; ``convolutional`` runs the chunked algorithm with
-    ``chunk_len = T``. ``vjp(gy, gh)`` returns the batched gradients of
+    ``recurrent`` asks for a chunk length of 1, ``chunked`` for
+    ``chunk_len`` and ``convolutional`` for T. The chunk length run is that
+    one capped at T, and a chunk length of 1 runs the recurrence. So the
+    block mixer of ``mac.blocks``, which always calls the default
+    (``chunked``, ``DEFAULT_CHUNK``), runs a one-token decode step as the
+    recurrence and a longer sequence in chunks of ``DEFAULT_CHUNK``. The
+    other modes serve ``scan`` and its wrappers: ``mac bench --mode`` and
+    the tests. ``vjp(gy, gh)`` returns the batched gradients of
     (dt, a, B, C, x, h0) for output gradients gy and gh, either None.
-    ``scan`` records the results on the tape; the block mixer of
-    ``mac.blocks`` runs the kernel inside its own fused node.
     """
+    (dt, a, B, C, x), h0 = _lift(params, initial)
+    step = _chunk_len(mode, chunk_len, dt.shape[1])
+    if step == 1:
+        return _recurrent(dt, a, B, C, x, h0)
+    return _chunked(dt, a, B, C, x, h0, step)
+
+
+def _chunk_len(mode: str, chunk_len: int, t: int) -> int:
+    """The chunk length a scan of T = ``t`` runs; 1 is the recurrence."""
     if mode not in MODES:
         raise ContractError(f"unknown scan mode {mode!r}")
     if mode == "chunked" and chunk_len < 1:
         raise ContractError(f"chunk_len must be >= 1, got {chunk_len}")
-    (dt, a, B, C, x), h0 = _lift(params, initial)
-    step = {"recurrent": 1, "chunked": chunk_len, "convolutional": dt.shape[1]}[mode]
-    if step == 1:
-        return _recurrent(dt, a, B, C, x, h0)
-    return _chunked(dt, a, B, C, x, h0, step)
+    return min({"recurrent": 1, "chunked": chunk_len, "convolutional": t}[mode], t)
 
 
 def scan(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
@@ -221,8 +232,8 @@ def scan_chunked(params: SelectiveParams, chunk_len: int = DEFAULT_CHUNK,
     carried across chunk boundaries by the recurrence.
 
     The carried state is held in float64 even when inputs are float32 so
-    cross-chunk roundoff does not compound. ``chunk_len == 1`` degenerates
-    to the recurrent path and runs it.
+    cross-chunk roundoff does not compound. A chunk length of 1, given or
+    capped by T = 1, degenerates to the recurrent path and runs it.
     """
     return scan(params, "chunked", chunk_len, initial)
 
@@ -285,9 +296,9 @@ def _pad_rows(v: np.ndarray, rows: int) -> np.ndarray:
     return np.concatenate([v, np.zeros((v.shape[0], extra) + v.shape[2:], v.dtype)], axis=1)
 
 
-def _chunked(dt, a, B, C, x, h0, chunk_len):
-    """The chunked algorithm over batched arrays -> (y [nb,T,H,P],
-    h_final [nb,H,P,N], vjp).
+def _chunked(dt, a, B, C, x, h0, L):
+    """The chunked algorithm over batched arrays, in chunks of length
+    L <= T -> (y [nb,T,H,P], h_final [nb,H,P,N], vjp).
 
     T is padded to whole chunks with rows of z = coef = B = C = x = 0 (decay
     1, no input), so every chunk is processed at once: per-head arrays are
@@ -297,7 +308,6 @@ def _chunked(dt, a, B, C, x, h0, chunk_len):
     nb, t, h = dt.shape
     g, n = B.shape[2], B.shape[3]
     p, hpg = x.shape[3], h // g
-    L = min(chunk_len, t)
     nc = -(-t // L)
     tp = nc * L
 
@@ -421,30 +431,18 @@ def count_flops(
 ) -> int:
     """Analytic floating-point operation count of one forward scan.
 
-    Counts multiplies and adds of the dominant terms of each mode as
-    implemented above (exp counted as one op). The recurrent count is exactly
-    linear in T; the chunked count is linear whenever chunk_len divides T.
+    Counts multiplies and adds of the dominant terms of the algorithm
+    ``kernel`` runs for ``mode`` at this T (exp counted as one op), by the
+    same rule: a chunk length capped at T, and 1 for the recurrence. The
+    recurrent count is exactly linear in T; the chunked count is linear
+    whenever chunk_len divides T.
     """
     if min(t, n, h, p, g) < 1:
         raise ContractError("dimensions must be positive")
-    if mode == "recurrent":
-        per_step = 5 * h * p * n + h * n + 2 * h
-        return t * per_step
-    if mode == "chunked":
-        if chunk_len < 1:
-            raise ContractError("chunk_len must be >= 1")
-        if chunk_len == 1:
-            return count_flops(t, n, h, p, "recurrent", g)
-        total = 0
-        lo = 0
-        while lo < t:
-            length = min(chunk_len, t - lo)
-            total += _block_flops(length, n, h, p, g)
-            lo += length
-        return total
-    if mode == "convolutional":
-        return count_flops(t, n, h, p, "chunked", g, chunk_len=t)
-    raise ContractError(f"unknown mode {mode!r}")
+    step = _chunk_len(mode, chunk_len, t)
+    if step == 1:
+        return t * (5 * h * p * n + h * n + 2 * h)
+    return sum(_block_flops(min(step, t - lo), n, h, p, g) for lo in range(0, t, step))
 
 
 def _block_flops(length: int, n: int, h: int, p: int, g: int) -> int:

@@ -163,21 +163,34 @@ class ManifestError(ValueError):
 
 def read_manifest(path: str, required: tuple[str, ...] = ("wav",)) -> list[dict]:
     """The records of a JSONL manifest, each ``wav`` resolved against the
-    manifest's directory. Every record must carry the ``required`` keys
-    with a non-empty value (training needs a ``caption`` too)."""
+    manifest's directory. Every record must carry the ``required`` keys,
+    each a non-empty string (training needs a ``caption`` too). The file is
+    read as UTF-8; every error names the file and line."""
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
+    offset = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            where = f"{path} line {lineno}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ManifestError(f"{where}: byte {offset + exc.start}: "
+                                    f"not UTF-8 text") from exc
+            offset += len(raw)
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ManifestError(f"{path} line {lineno}: not JSON ({exc.msg})") from exc
-            missing = [key for key in required if not isinstance(rec, dict) or not rec.get(key)]
-            if missing:
-                raise ManifestError(f"{path} line {lineno}: record has no {missing[0]!r}")
+                raise ManifestError(f"{where}: not JSON ({exc.msg})") from exc
+            for key in required:
+                value = rec.get(key) if isinstance(rec, dict) else None
+                if value is None or value == "":
+                    raise ManifestError(f"{where}: record has no {key!r}")
+                if not isinstance(value, str):
+                    raise ManifestError(f"{where}: record's {key!r} is "
+                                        f"{type(value).__name__}, not a string")
             rec["wav"] = os.path.join(base, rec["wav"])
             records.append(rec)
     return records

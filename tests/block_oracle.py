@@ -27,8 +27,7 @@ def lora_apply(base: Tensor, adapter: LoraAdapter | None, x: Tensor) -> Tensor:
     return tz.add(y, tz.mul(delta, adapter.scale))
 
 
-def block_forward(blk: MambaBlock, x: Tensor, mode: str = "chunked",
-                  chunk_len: int = ssd.DEFAULT_CHUNK,
+def block_forward(blk: MambaBlock, x: Tensor,
                   state: BlockState | None = None) -> tuple[Tensor, BlockState]:
     """``MambaBlock.forward`` composed from taped ops: x [B, T, D] ->
     (out [B, T, D], state after the last position)."""
@@ -53,7 +52,7 @@ def block_forward(blk: MambaBlock, x: Tensor, mode: str = "chunked",
     dt = tz.softplus(tz.add(dt_raw, blk.dt_bias))
     a = tz.neg(tz.exp(blk.log_a))
     params = ssd.SelectiveParams(dt=dt, a=a, B=bmat, C=cmat, x=xs)
-    y, final = ssd.scan(params, mode, chunk_len, initial=initial)
+    y, final = ssd.scan(params, initial=initial)
 
     y = tz.add(y, tz.mul(xs, tz.reshape(blk.skip, (1, 1, cfg.n_heads, 1))))
     y = tz.reshape(y, (b, t, di))

@@ -184,5 +184,5 @@ def pad_and_stack(built: list) -> tuple[Tensor, np.ndarray, np.ndarray]:
 def batch_forward(cap, samples, mode: str = "train"):
     """-> (logits [B, L, V], targets [B, L], mask [B, L])."""
     embs, targets, mask = pad_and_stack([build_sequence(cap, s, mode) for s in samples])
-    logits = cap.lm.forward(embs, mode=cap.scan_mode, chunk_len=cap.chunk_len)
+    logits = cap.lm.forward(embs)
     return logits, targets, mask

@@ -13,6 +13,9 @@ import block_oracle
 from conftest import check_gradients, recorded_nodes
 from tensor_oracle import tsum
 
+# T = 1 (the recurrence), one partial chunk, and more than one chunk with
+# the last one padded
+LENGTHS = (1, 7, 37)
 TINY = dict(n_layers=2, n_heads=3, head_dim=8, d_state=6, n_groups=1, vocab_size=13, conv_width=4)
 
 
@@ -47,16 +50,19 @@ class TestBlockForward:
             assert delta[:t].max(initial=0.0) == 0.0, f"leak before position {t}"
             assert delta[t] > 0.0
 
-    def test_scan_mode_equivalence(self):
+    @pytest.mark.parametrize("t", LENGTHS)
+    def test_whole_sequence_equals_one_token_steps(self, t):
+        # a whole sequence runs the chunked scan (t > 1), each step the recurrence
         lm = tiny_lm(seed=4)
         blk = lm.blocks[0]
-        x = Tensor(np.random.default_rng(5).standard_normal((2, 11, 24)))
+        x = Tensor(np.random.default_rng(5).standard_normal((2, t, 24)))
         with tz.no_grad():
-            rec = blk.forward(x, mode="recurrent")[0].data
-            chk = blk.forward(x, mode="chunked", chunk_len=4)[0].data
-            conv = blk.forward(x, mode="convolutional")[0].data
-        assert np.abs(rec - chk).max() <= 1e-8
-        assert np.abs(rec - conv).max() <= 1e-8
+            whole = blk.forward(x)[0].data
+            state, steps = None, []
+            for i in range(t):
+                out, state = blk.forward(x[:, i : i + 1, :], state=state)
+                steps.append(out.data)
+        assert np.abs(whole - np.concatenate(steps, axis=1)).max() <= 1e-8
 
     def test_shape_contract(self):
         lm = tiny_lm()
@@ -64,17 +70,19 @@ class TestBlockForward:
             lm.blocks[0].forward(Tensor(np.zeros((2, 5, 7))))
 
     def test_block_gradcheck_every_parameter(self):
-        # full finite-difference sweep of one block's parameters
+        # full finite-difference sweep of one block's parameters, over two
+        # chunks of the scan, the second one padded
         cfg = LmConfig(n_layers=1, n_heads=2, head_dim=3, d_state=2, n_groups=1,
                        vocab_size=5, conv_width=3)
         blk = MambaBlock(cfg, np.random.default_rng(6))
-        x = Tensor(np.random.default_rng(7).standard_normal((1, 5, 6)))
-        w = Tensor(np.random.default_rng(8).standard_normal((1, 5, 6)))
+        t = ssd.DEFAULT_CHUNK + 3
+        x = Tensor(np.random.default_rng(7).standard_normal((1, t, 6)))
+        w = Tensor(np.random.default_rng(8).standard_normal((1, t, 6)))
         leaves = list(blk.parameters().values())
 
         def fn():
             # pre-norm applied the way the residual stack does
-            y, _ = blk.forward(tz.rms_norm(x, blk.res_norm), mode="chunked", chunk_len=2)
+            y, _ = blk.forward(tz.rms_norm(x, blk.res_norm))
             return tsum(tz.mul(y, w))
 
         worst = check_gradients(fn, leaves, tol=1e-4)
@@ -104,26 +112,26 @@ class TestFusedBlockMatchesComposedOracle:
             proj.adapter.up.data[:] = rng.standard_normal(proj.adapter.up.shape) * 0.3
         return blk
 
-    def _run(self, forward, blk, x, mode, state, weights):
+    def _run(self, forward, blk, x, state, weights):
         """Loss over the output, the final scan state and the conv tail."""
-        out, new = forward(blk, x, mode=mode, chunk_len=3, state=state)
+        out, new = forward(blk, x, state=state)
         loss = tz.add(tz.add(tsum(tz.mul(out, weights[0])), tsum(tz.mul(new.ssm, weights[1]))),
                       tsum(tz.mul(new.conv_tail, weights[2])))
         return out, new, loss
 
-    @pytest.mark.parametrize("mode", ssd.MODES)
+    @pytest.mark.parametrize("t", LENGTHS)
     @pytest.mark.parametrize("width", [4, 1])
     @pytest.mark.parametrize("carried", [False, True])
-    def test_outputs_and_all_gradients(self, mode, width, carried):
+    def test_outputs_and_all_gradients(self, t, width, carried):
         blk = self._block(width, seed=40 + width)
         rng = np.random.default_rng(41)
-        b, t, d = 2, 7, blk.cfg.d_model
+        b, d = 2, blk.cfg.d_model
         x = Tensor(rng.standard_normal((b, t, d)), requires_grad=True)
         state = None
         leaves = [x] + _leaves(blk)
         if carried:
             with tz.no_grad():
-                _, warm = blk.forward(Tensor(rng.standard_normal((b, 5, d))), mode="recurrent")
+                _, warm = blk.forward(Tensor(rng.standard_normal((b, 5, d))))
             state = blocks.BlockState(ssm=Tensor(warm.ssm.data, requires_grad=True),
                                       conv_tail=Tensor(warm.conv_tail.data, requires_grad=True))
             leaves += [state.ssm, state.conv_tail]
@@ -138,7 +146,7 @@ class TestFusedBlockMatchesComposedOracle:
         for forward in (MambaBlock.forward, block_oracle.block_forward):
             for leaf in leaves:
                 leaf.grad = None
-            out, new, loss = self._run(forward, blk, x, mode, state, weights)
+            out, new, loss = self._run(forward, blk, x, state, weights)
             grads = loss.backward()
             results.append([out.data, new.ssm.data, new.conv_tail.data]
                            + [grads[leaf] for leaf in leaves])
@@ -202,15 +210,17 @@ class TestLmForward:
             want = tz.matmul(tz.rms_norm(x, lm.final_norm), Tensor(lm.embedding.data.T))
             np.testing.assert_array_equal(lm.forward(x).data, want.data)
 
-    def test_mode_invariance_of_logits(self):
+    def test_prefix_logits_agree_on_both_sides_of_the_scan_rule(self):
+        # a prefix of 1 runs the recurrence, the others chunk differently
+        # from the whole sequence (one partial chunk, one chunk, one
+        # padded chunk more)
         lm = tiny_lm(seed=12)
-        x = Tensor(np.random.default_rng(13).standard_normal((2, 9, 24)))
+        x = Tensor(np.random.default_rng(13).standard_normal((2, 37, 24)))
         with tz.no_grad():
-            rec = lm.forward(x, mode="recurrent").data
-            chk = lm.forward(x, mode="chunked", chunk_len=4).data
-            conv = lm.forward(x, mode="convolutional").data
-        assert np.abs(rec - chk).max() <= 1e-8
-        assert np.abs(rec - conv).max() <= 1e-8
+            whole = lm.forward(x).data
+            for t in (1, 9, ssd.DEFAULT_CHUNK, ssd.DEFAULT_CHUNK + 1):
+                err = np.abs(lm.forward(x[:, :t, :]).data - whole[:, :t]).max()
+                assert err <= 1e-8, t
 
     def test_causality_of_logits(self):
         lm = tiny_lm(seed=14)
@@ -228,29 +238,26 @@ class TestLmForward:
 
     def test_streaming_prefill_plus_steps_equals_full(self):
         # logits, not tokens, so a wrong carried state cannot hide behind an
-        # argmax; every scan mode prefills and then continues the carried
-        # state over pieces of 2 and 3 positions (below and at K-1 for conv
-        # width 4; width 1 carries no conv tail), over two rows of one batch,
-        # before the 1-token recurrent steps
-        x = Tensor(np.random.default_rng(17).standard_normal((2, 12, 24)))
+        # argmax. The sequence, fed whole, runs three chunks, the last one
+        # padded; fed in uneven pieces it continues the carried state over a
+        # 1-token or a partial-chunk prefill, pieces of 2 and 3 positions
+        # (below and at K-1 for conv width 4; width 1 carries no conv tail)
+        # and one of 19 (a chunk and a padded one), over two rows of one
+        # batch, and then 1-token steps
+        x = Tensor(np.random.default_rng(17).standard_normal((2, 40, 24)))
         for width in (4, 1):
             lm = tiny_lm(seed=16, conv_width=width)
             with tz.no_grad():
-                full = lm.forward(x, mode="recurrent").data
-                for mode in ssd.MODES:
-                    part, states = lm.forward(x[:, :5, :], mode=mode, chunk_len=3,
-                                              return_states=True)
-                    chunks = [part.data]
-                    for lo, hi in ((5, 7), (7, 10)):
-                        out, states = lm.forward(x[:, lo:hi, :], mode=mode, chunk_len=3,
-                                                 states=states, return_states=True)
-                        chunks.append(out.data)
-                    for t in range(10, 12):
-                        out, states = lm.forward(x[:, t : t + 1, :], mode="recurrent",
-                                                 states=states, return_states=True)
+                full = lm.forward(x).data
+                for first in (1, 5):
+                    states, chunks = None, []
+                    for lo, hi in ((0, first), (first, 7), (7, 9), (9, 12), (12, 31),
+                                   *((t, t + 1) for t in range(31, 40))):
+                        out, states = lm.forward(x[:, lo:hi, :], states=states,
+                                                 return_states=True)
                         chunks.append(out.data)
                     err = np.abs(np.concatenate(chunks, axis=1) - full).max()
-                    assert err <= 1e-10, (width, mode)
+                    assert err <= 1e-10, (width, first)
 
 
 class TestLora:

@@ -72,6 +72,15 @@ class TestBasics:
             assert err.startswith("error_code=config") and "audio.channels" in err, err
         assert not (tmp_path / "run").exists()
 
+    def test_config_file_that_is_not_utf8_exit_2_names_file_and_byte(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"train.seed = 3\ndata.prompt = caf\xe9\n")
+        code, _, err = run_cli(["train", "--config", str(path), "--out",
+                                str(tmp_path / "run")], capsys)
+        assert code == 2
+        assert err.startswith(f"error_code=config {path}: line 2: byte 32: not UTF-8 text")
+        assert not (tmp_path / "run").exists()
+
     def test_runtime_error_exit_3(self, capsys):
         code, _, err = run_cli(["infer", "--checkpoint", "/nonexistent.ckpt",
                                 "--wav", "/nonexistent.wav"], capsys)
@@ -266,6 +275,22 @@ class TestTrainInferDiagnose:
             assert code == 2
             assert err.startswith(f"error_code=config {bad}: line {line}: "
                                   f"unknown config key '{key}'")
+
+    def test_checkpoint_with_the_dropped_scan_keys_exit_2(self, trained, tmp_path, capsys):
+        # the model's config once listed model.scan_mode and model.chunk_len
+        # after model.n_groups; such a checkpoint is refused, not read with
+        # the keys ignored
+        tensors, config_text, meta = checkpoint.load(os.path.join(trained, "final.ckpt"))
+        lines = config_text.splitlines()
+        at = lines.index("model.n_groups = 1") + 1
+        lines[at:at] = ["model.scan_mode = chunked", "model.chunk_len = 16"]
+        old = str(tmp_path / "old.ckpt")
+        checkpoint.save(old, tensors, config_text="\n".join(lines), meta=meta)
+        code, _, err = run_cli(["infer", "--checkpoint", old, "--wav", "clip.wav"], capsys)
+        assert code == 2
+        assert err.startswith(f"error_code=config {old}: line {at + 1}: "
+                              f"unknown config key 'model.scan_mode'; line {at + 2}: "
+                              f"unknown config key 'model.chunk_len'")
 
     def test_infer_requires_wav(self, trained, capsys):
         code, _, err = run_cli(["infer", "--checkpoint",

@@ -262,12 +262,11 @@ class TestScalingBench:
         cap, train, _ = tiny_captioner()
         with tz.no_grad():
             seq, _, _ = cap.build_sequence(train[:1], mode="infer")
-            _, states = cap.lm.forward(seq.vectors, mode="chunked", return_states=True)
+            _, states = cap.lm.forward(seq.vectors, return_states=True)
             sizes_after_prefill = [s.ssm.data.size + s.conv_tail.data.size for s in states]
             for _ in range(7):
                 step = tz.zeros((1, 1, cap.lm_cfg.d_model))
-                _, states = cap.lm.forward(step, mode="recurrent", states=states,
-                                           return_states=True)
+                _, states = cap.lm.forward(step, states=states, return_states=True)
             sizes_after_decode = [s.ssm.data.size + s.conv_tail.data.size for s in states]
         assert sizes_after_prefill == sizes_after_decode
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mac import checkpoint, config as configmod, pipeline, ssd, synth
+from mac import checkpoint, config as configmod, pipeline, synth
 from mac import tensor as tz
 from mac.pipeline import Captioner, Sample
 from mac.tensor import ContractError
@@ -51,8 +51,8 @@ MODEL_KEY_VALUES = {
     "connector.variant": "time_major", "connector.hidden_mult": "2",
     "connector.sep_position": "suffix",
 }
-# the other model keys: how the model runs and the vocabulary cap, not its shape
-RUN_KEYS = ("model.scan_mode", "model.chunk_len", "model.max_vocab")
+# the other model key: the vocabulary cap, not the model's shape
+RUN_KEYS = ("model.max_vocab",)
 
 
 def tiny_captioner(**over) -> tuple[Captioner, list[Sample], list[Sample]]:
@@ -93,11 +93,11 @@ class TestConfig:
             configmod.parse_text("model.flux_capacitor = 9")
 
     def test_type_and_choice_errors_listed_exhaustively(self):
-        text = "model.n_layers = soup\nmodel.scan_mode = warp\n"
+        text = "model.n_layers = soup\nconnector.variant = warp\n"
         with pytest.raises(configmod.ConfigError) as err:
             configmod.parse_text(text)
         msg = str(err.value)
-        assert "n_layers" in msg and "scan_mode" in msg
+        assert "n_layers" in msg and "connector.variant" in msg
 
     def test_overrides_apply_after_file(self):
         cfg = configmod.parse_text("train.seed = 5\n")
@@ -201,8 +201,7 @@ class TestSequenceBuilding:
             step_logits = []
             for t in range(len(seq)):
                 emb = seq.vectors[:, t : t + 1]
-                out, states = cap.lm.forward(emb, mode="recurrent", states=states,
-                                             return_states=True)
+                out, states = cap.lm.forward(emb, states=states, return_states=True)
                 step_logits.append(out.data[0, 0])
             stream_loss = tz.cross_entropy(
                 tz.Tensor(np.stack(step_logits)), t2, m2
@@ -397,6 +396,11 @@ def grads_norm(grads: dict) -> float:
     return float(np.sqrt(sum((g.astype(np.float64) ** 2).sum() for g in grads.values())))
 
 
+# layouts whose tiny-config prefixes are one partial scan chunk (8-9
+# positions) and more than one chunk (24-25)
+PREFIX_VARIANTS = ("concatenation", "time_major")
+
+
 def mixed_prompt_samples(cap: Captioner, samples: list[Sample]) -> list[Sample]:
     """Each sample under both configured prompts, which differ in token count."""
     return [Sample(audio=s.audio, prompt=p, caption=c)
@@ -414,26 +418,31 @@ class TestGeneration:
         assert pipeline._decode_streaming(cap, seq.vectors, [len(seq)] * 2, 0) == [[], []]
 
     def test_batched_streaming_equals_full_per_row(self):
+        # prefixes of 8/9 positions (concatenation: one partial chunk) and of
+        # 24/25 (time_major: a chunk and a padded one), plus two rows cut to
+        # 1 position, whose prefill runs the recurrence
         max_len = 8
-        for mode in ssd.MODES:
-            cap, train, _ = tiny_captioner(**{"model.scan_mode": mode})
+        for variant in PREFIX_VARIANTS:
+            cap, train, _ = tiny_captioner(**{"connector.variant": variant})
             with tz.no_grad():
                 seq, _, _ = cap.build_sequence(mixed_prompt_samples(cap, train), mode="infer")
-                ends = (seq.segments != "pad").sum(axis=1)
-                batched = pipeline._decode_streaming(cap, seq.vectors, ends, max_len)
-                oracle = [pipeline._decode_full(cap, seq.vectors[r : r + 1, :end], max_len)
-                          for r, end in enumerate(ends)]
-            assert batched == oracle, mode
+                ends = [int(e) for e in (seq.segments != "pad").sum(axis=1)]
+                embs = tz.Tensor(np.concatenate([seq.vectors.data, seq.vectors.data[:2]]))
+                lengths = ends + [1, 1]
+                batched = pipeline._decode_streaming(cap, embs, lengths, max_len)
+                oracle = [pipeline._decode_full(cap, embs[r : r + 1, :end], max_len)
+                          for r, end in enumerate(lengths)]
+            assert batched == oracle, variant
             # the list covers two prefix lengths, rows ending at <eos> before
             # max_len and rows cut at max_len
             assert len(set(ends)) == 2
             eos = cap.vocab.eos_id
-            assert any(ids[-1] == eos and len(ids) < max_len for ids in batched), mode
-            assert any(ids[-1] != eos and len(ids) == max_len for ids in batched), mode
+            assert any(ids[-1] == eos and len(ids) < max_len for ids in batched), variant
+            assert any(ids[-1] != eos and len(ids) == max_len for ids in batched), variant
 
     def test_evaluate_equals_per_sample_oracle(self):
-        for mode in ssd.MODES:
-            cap, train, evl = tiny_captioner(**{"model.scan_mode": mode})
+        for variant in PREFIX_VARIANTS:
+            cap, train, evl = tiny_captioner(**{"connector.variant": variant})
             samples = mixed_prompt_samples(cap, train + evl)
             # give some samples the caption the model produces, so the exact
             # and F1 terms are not all zero
@@ -448,19 +457,18 @@ class TestGeneration:
             oracle = (float(hits) / float((mask > 0).sum()),
                       float(np.mean([pipeline.token_f1(g, r) for g, r in zip(gens, refs)])),
                       float(np.mean([g == r for g, r in zip(gens, refs)])))
-            assert pipeline.evaluate(cap, samples, max_len=8) == oracle, mode
-            assert 0.0 < oracle[2] < 1.0, mode
+            assert pipeline.evaluate(cap, samples, max_len=8) == oracle, variant
+            assert 0.0 < oracle[2] < 1.0, variant
 
     def test_streaming_equals_full_recompute(self):
-        # every scan mode prefills the stream itself, convolutional included
-        for mode in ssd.MODES:
+        for variant in PREFIX_VARIANTS:
             for seed in (0, 1, 2):
                 cap, train, _ = tiny_captioner(**{"train.seed": str(seed),
-                                                  "model.scan_mode": mode})
+                                                  "connector.variant": variant})
                 for s in train[:2]:
                     a = pipeline.generate_greedy(cap, s, max_len=10, streaming=True)
                     b = pipeline.generate_greedy(cap, s, max_len=10, streaming=False)
-                    assert a == b, (mode, seed)
+                    assert a == b, (variant, seed)
 
     def test_token_f1(self):
         assert pipeline.token_f1("a b c", "a b c") == 1.0
@@ -514,12 +522,13 @@ class TestCheckpoint:
 
     def test_meta_and_config_round_trip(self, tmp_path):
         path = str(tmp_path / "meta.ckpt")
-        checkpoint.save(path, {"w": np.ones(2)}, config_text="a.b = 1\nc.d = x",
-                        meta={"kind": "full"})
+        checkpoint.save(path, {"w": np.ones(2), "s": np.float64(3.0)},
+                        config_text="a.b = 1\nc.d = x", meta={"kind": "full"})
         tensors, cfg_text, meta = checkpoint.load(path)
         assert cfg_text == "a.b = 1\nc.d = x"
         assert meta["kind"] == "full"
         np.testing.assert_array_equal(tensors["w"], np.ones(2))
+        assert tensors["s"].shape == () and tensors["s"] == 3.0  # 0-d stays 0-d
 
 
 class TestExperiment:
@@ -606,6 +615,19 @@ class TestSynthCorpus:
         where = re.escape(str(manifest))
         with pytest.raises(synth.ManifestError, match=f"{where} line 2: record has no 'wav'"):
             synth.read_manifest(str(manifest))
+
+    @pytest.mark.parametrize("line, message", [
+        (b'{"wav": 5, "caption": "a tone"}', "record's 'wav' is int, not a string"),
+        (b'{"wav": "b.wav", "caption": ["a", "tone"]}', "record's 'caption' is list, not a string"),
+        (b'{"wav": "b.wav", "caption": ""}', "record has no 'caption'"),
+        (b'{"wav": "b\xe9.wav", "caption": "a tone"}', "byte 48: not UTF-8 text"),
+    ])
+    def test_manifest_record_faults_name_file_and_line(self, tmp_path, line, message):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_bytes(b'{"wav": "a.wav", "caption": "a tone"}\n' + line + b"\n")
+        where = re.escape(str(manifest))
+        with pytest.raises(synth.ManifestError, match=f"{where} line 2: {re.escape(message)}"):
+            synth.read_manifest(str(manifest), required=("wav", "caption"))
 
     def test_deterministic(self):
         a = synth.make_corpus(10, seed=4)
