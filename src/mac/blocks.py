@@ -228,10 +228,10 @@ def _mixer(blk: MambaBlock, proj: Tensor, conv: Tensor,
     dt, s_dt = tz._softplus(proj.data[..., di + cfg.conv_dim :] + blk.dt_bias.data)
     a = -np.exp(blk.log_a.data)
     params = ssd.SelectiveParams(
-        dt=Tensor(dt), a=Tensor(a), x=Tensor(xs),
-        B=Tensor(xbc[..., di : di + gn].reshape(b, t, cfg.n_groups, cfg.d_state)),
-        C=Tensor(xbc[..., di + gn :].reshape(b, t, cfg.n_groups, cfg.d_state)))
-    y, h_end, scan_vjp = ssd.kernel(params, initial=initial)
+        dt=dt, a=a, x=xs,
+        B=xbc[..., di : di + gn].reshape(b, t, cfg.n_groups, cfg.d_state),
+        C=xbc[..., di + gn :].reshape(b, t, cfg.n_groups, cfg.d_state))
+    y, h_end, scan_vjp = ssd.kernel(params, initial=None if initial is None else initial.data)
     skip = blk.skip.data[:, None]
     y = (y.astype(xs.dtype, copy=False) + xs * skip).reshape(b, t, di)
     s_z = tz._sigmoid(zg)

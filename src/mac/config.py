@@ -16,6 +16,7 @@ small is 8 layers of 8 heads x 16.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -63,7 +64,7 @@ SCHEMA: dict[str, Field] = {
     "train.lr_stage2": Field(1e-4, "float", help="default schedule: stage1 / 10"),
     "train.batch_size": Field(8, "int"),
     "train.weight_decay": Field(0.01, "float"),
-    "train.clip_norm": Field(1.0, "float"),
+    "train.clip_norm": Field(1.0, "float", help="global gradient-norm cap; 0 turns it off"),
     "train.beta1": Field(0.9, "float"),
     "train.beta2": Field(0.95, "float"),
     "train.encoder_trainable": Field(True, "bool"),
@@ -214,7 +215,8 @@ def _parse_channels(text: str) -> tuple[int, ...]:
         raise ConfigError(f"audio.channels: bad list {text!r}") from exc
 
 
-# the keys that must be >= 1; every other check is a typed config's own
+# the int keys that must be >= 1; the float keys' ranges are in validate,
+# every other check is a typed config's own
 _AT_LEAST_ONE = (
     "model.n_layers", "model.n_heads", "model.head_dim", "model.d_state", "model.n_groups",
     "model.lora_rank", "model.conv_width", "audio.mel_frames", "audio.d_enc",
@@ -228,8 +230,13 @@ def validate(cfg: Config) -> list[str]:
     they describe; returns the full list of problems."""
     v = cfg.values
     errors = [f"{key} must be >= 1" for key in _AT_LEAST_ONE if v[key] < 1]
-    errors += [f"{key} must be positive" for key in ("train.lr_stage1", "train.lr_stage2")
-               if v[key] <= 0]
+    # each float range is written so that NaN fails it
+    errors += [f"{key} must be finite and > 0, got {v[key]}"
+               for key in ("train.lr_stage1", "train.lr_stage2") if not 0 < v[key] < math.inf]
+    errors += [f"{key} must be finite and >= 0, got {v[key]}"
+               for key in ("train.clip_norm", "train.weight_decay") if not 0 <= v[key] < math.inf]
+    errors += [f"{key} must be in [0, 1), got {v[key]}"
+               for key in ("train.beta1", "train.beta2") if not 0 <= v[key] < 1]
     if v["data.source"] == "manifest" and not v["data.manifest"]:
         errors.append("data.manifest required when data.source = manifest")
     if not errors:

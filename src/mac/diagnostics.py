@@ -26,7 +26,7 @@ import numpy as np
 from . import checkpoint, ssd
 from . import tensor as tz
 from .connector import SEG_AUDIO, SEG_SEPARATOR
-from .tensor import ContractError, Tensor
+from .tensor import ContractError
 
 ZERO_NORM_EPS = 1e-12
 
@@ -133,11 +133,11 @@ def state_update_distances(captioner, sample):
 
 def _random_params(rng: np.random.Generator, t: int, h: int, p: int, g: int, n: int):
     return ssd.SelectiveParams(
-        dt=tz.softplus(Tensor(rng.standard_normal((t, h)))),
-        a=tz.neg(tz.exp(Tensor(rng.standard_normal(h) * 0.5))),
-        B=Tensor(rng.standard_normal((t, g, n))),
-        C=Tensor(rng.standard_normal((t, g, n))),
-        x=Tensor(rng.standard_normal((t, h, p))),
+        dt=tz._softplus(rng.standard_normal((t, h)))[0],
+        a=-np.exp(rng.standard_normal(h) * 0.5),
+        B=rng.standard_normal((t, g, n)),
+        C=rng.standard_normal((t, g, n)),
+        x=rng.standard_normal((t, h, p)),
     )
 
 
@@ -153,17 +153,15 @@ def scaling_bench(lengths: list[int], mode: str = "recurrent",
         raise ContractError("lengths must be sorted ascending")
     rng = np.random.default_rng(seed)
     rows = []
-    with tz.no_grad():
-        warm = _random_params(rng, min(lengths), h, p, g, n)
-        ssd.scan(warm, mode)
-        for t in lengths:
-            params = _random_params(rng, t, h, p, g, n)
-            best = np.inf
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                ssd.scan(params, mode)
-                best = min(best, time.perf_counter() - t0)
-            rows.append((t, best, ssd.count_flops(t, n, h, p, mode, g)))
+    ssd.scan(_random_params(rng, min(lengths), h, p, g, n), mode)  # warm-up
+    for t in lengths:
+        params = _random_params(rng, t, h, p, g, n)
+        best = np.inf
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            ssd.scan(params, mode)
+            best = min(best, time.perf_counter() - t0)
+        rows.append((t, best, ssd.count_flops(t, n, h, p, mode, g)))
     xs = np.log([r[0] for r in rows])
     ys = np.log([r[1] for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])

@@ -237,33 +237,30 @@ class Captioner:
         meta = {f"vocab.{i}": w for i, w in enumerate(self.vocab.words)}
         checkpoint.save(path, tensors, config_text=configmod.dump(self.cfg), meta=meta)
 
-    def load_tensors(self, path: str) -> None:
-        tensors, _, _ = checkpoint.load(path)
-        params = self.named_parameters()
-        missing = set(params) - set(tensors)
-        if missing:
-            raise checkpoint.CheckpointError(f"checkpoint missing tensors: {sorted(missing)[:4]}...")
-        for name, arr in tensors.items():
-            if name not in params:
-                raise checkpoint.CheckpointError(f"checkpoint has unknown tensor {name!r}")
-            if params[name].shape != arr.shape:
-                raise checkpoint.CheckpointError(
-                    f"tensor {name}: shape {arr.shape} does not match model {params[name].shape}"
-                )
-            params[name].data = arr.astype(params[name].dtype)
-        self._grid_cache.clear()
-
 
 def load_captioner(path: str) -> Captioner:
-    """Rebuild a Captioner from a checkpoint (config + vocab + tensors)."""
-    _, config_text, meta = checkpoint.load(path)
+    """Rebuild a Captioner from one read of a checkpoint (config, vocab and
+    tensors); every error names the file."""
+    tensors, config_text, meta = checkpoint.load(path)
     try:
         cfg = configmod.parse_text(config_text)
     except configmod.ConfigError as exc:
         raise configmod.ConfigError(f"{path}: {exc}") from exc
     words = [meta[f"vocab.{i}"] for i in range(sum(1 for k in meta if k.startswith("vocab.")))]
     model = Captioner(cfg, Vocab(words))
-    model.load_tensors(path)
+    params = model.named_parameters()
+    missing = sorted(set(params) - set(tensors))
+    if missing:
+        more = f" and {len(missing) - 4} more" if len(missing) > 4 else ""
+        raise checkpoint.CheckpointError(f"{path}: missing tensors {missing[:4]}{more}")
+    for name, arr in tensors.items():
+        if name not in params:
+            raise checkpoint.CheckpointError(f"{path}: unknown tensor {name!r}")
+        if params[name].shape != arr.shape:
+            raise checkpoint.CheckpointError(
+                f"{path}: tensor {name}: shape {arr.shape} does not match model "
+                f"{params[name].shape}")
+        params[name].data = arr.astype(params[name].dtype)
     return model
 
 

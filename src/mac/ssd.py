@@ -19,29 +19,30 @@ identical outputs and final states:
 - ``scan_convolutional``  the chunked algorithm with one chunk of length T:
                           the full lower-triangular semiseparable operator
 
-All three share one contract, ``(params, ..., initial) -> (y, h)``, and
-``scan`` runs the mode it is given. ``initial`` and ``h`` are state
-tensors [H, P, N]; no initial state is a zero state. Feeding the returned
-``h`` back as ``initial`` of a later call equals one uninterrupted scan
-(streaming contract). ``kernel`` holds the one rule from mode name and T
-to algorithm: the chunk length is capped at T, and a chunk length of 1 runs
-the recurrence. The block mixer of ``mac.blocks`` calls it with the default
-mode inside its own fused node, so a block's scan records no node of its
-own, a one-token decode step runs the recurrence and a longer sequence
-runs in chunks of ``DEFAULT_CHUNK``.
+This module is arrays in, arrays out: ``SelectiveParams`` holds numpy
+arrays, the initial state is an array [H, P, N] or None for a zero state,
+and every scan returns arrays ``(y, h)``. Feeding the returned ``h`` back
+as ``initial`` of a later call equals one uninterrupted scan (streaming
+contract). ``kernel`` holds the one rule from mode name and T to
+algorithm: the chunk length is capped at T, and a chunk length of 1 runs
+the recurrence. ``scan`` runs the kernel of the mode it is given and drops
+its adjoint; the three ``scan_*`` wrappers name the modes.
 
 Each algorithm is one numpy forward plus one hand-written adjoint that
-returns the gradients of dt, a, B, C, x and the initial state together. A
-call records two tape nodes, y and h (``tz.fused``); the adjoint of the
-chunked scan has the forward's chunk structure, with the cross-chunk carry
-run in reverse, and the adjoint of the recurrence is the recurrence run
-backwards. The scans composed from taped ``Tensor`` ops that these kernels
-replaced are kept in the test suite as their oracle.
+returns the gradients of dt, a, B, C, x and the initial state together:
+the chunked scan's has the forward's chunk structure with the cross-chunk
+carry run in reverse, the recurrence's is the recurrence run backwards.
+Nothing here records on the autograd tape. The block mixer of
+``mac.blocks``, the one caller that differentiates a scan, calls ``kernel``
+with the default mode inside its own fused node, so a one-token decode
+step runs the recurrence and a longer sequence runs in chunks of
+``DEFAULT_CHUNK``. The scans composed from taped ``Tensor`` ops that these
+kernels replaced are the test suite's oracle.
 
 Shapes are written unbatched ([T, ...]) below; every function also accepts
 one extra leading batch axis. The kernels themselves are batched only: an
-unbatched call is lifted once on entry (``_lift``) and dropped once on exit
-(``_finish``).
+unbatched call is lifted once on entry (``_lift``), and ``scan`` drops the
+axis again on exit.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as tz
-from .tensor import ContractError, ShapeError, Tensor
+from .tensor import ContractError, ShapeError
 
 DEFAULT_CHUNK = 16
 MODES = ("recurrent", "chunked", "convolutional")
@@ -71,11 +71,11 @@ class SelectiveParams:
     shared across the batch.
     """
 
-    dt: Tensor
-    a: Tensor
-    B: Tensor
-    C: Tensor
-    x: Tensor
+    dt: np.ndarray
+    a: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    x: np.ndarray
 
     @property
     def batched(self) -> bool:
@@ -103,9 +103,9 @@ class SelectiveParams:
 
     def validate(self) -> None:
         self.dims()
-        if np.any(self.dt.data <= 0):
+        if np.any(self.dt <= 0):
             raise ContractError("dt must be strictly positive")
-        if np.any(self.a.data >= 0):
+        if np.any(self.a >= 0):
             raise ContractError("a must be strictly negative")
 
 
@@ -124,17 +124,16 @@ def _zoh_grads(gz: np.ndarray, gcoef: np.ndarray, dt: np.ndarray, a: np.ndarray)
     return gz * a + gcoef, (gz * dt).sum(axis=(0, 1))
 
 
-def _lift(params: SelectiveParams, initial: Tensor | None):
+def _lift(params: SelectiveParams, initial: np.ndarray | None):
     """Validate, then lift one call to the batched arrays the kernels run on.
 
     Returns ((dt, a, B, C, x) with a batch axis, h0 [B, H, P, N] or None for
-    a zero state). ``_finish`` drops the axis again.
+    a zero state).
     """
     params.validate()
     lead = () if params.batched else (1,)
-    dt, B, C, x = (v.data.reshape(lead + v.shape)
-                   for v in (params.dt, params.B, params.C, params.x))
-    arrays = (dt, params.a.data, B, C, x)
+    dt, B, C, x = (v.reshape(lead + v.shape) for v in (params.dt, params.B, params.C, params.x))
+    arrays = (dt, params.a, B, C, x)
     bsz, t, h = dt.shape
     if t == 0:
         raise ShapeError("scan over an empty sequence")
@@ -144,34 +143,11 @@ def _lift(params: SelectiveParams, initial: Tensor | None):
     expected = shape if params.batched else shape[1:]
     if initial.shape != expected:
         raise ShapeError(f"initial state shape {initial.shape}, expected {expected}")
-    return arrays, initial.data.reshape(shape)
-
-
-def _finish(params: SelectiveParams, initial: Tensor | None, y: np.ndarray,
-            h_final: np.ndarray, vjp):
-    """Record y and the final state, both batched arrays, as the call's two
-    tape nodes -> (y, h) in the caller's batching."""
-    parents = [params.dt, params.a, params.B, params.C, params.x]
-    if initial is not None:
-        parents.append(initial)
-
-    def grads(gy, gh):
-        return [gv.reshape(p.shape).astype(p.dtype, copy=False)
-                for gv, p in zip(vjp(gy, gh), parents)]
-
-    y_shape, h_shape = y.shape, h_final.shape
-    if not params.batched:
-        y, h_final = y[0], h_final[0]
-    dtype = params.x.dtype
-    y = tz.fused(y.astype(dtype, copy=False), parents,
-                 lambda g: grads(g.reshape(y_shape), None))
-    h_final = tz.fused(h_final.astype(dtype, copy=False), parents,
-                       lambda g: grads(None, g.reshape(h_shape)))
-    return y, h_final
+    return arrays, initial.reshape(shape)
 
 
 def kernel(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
-           initial: Tensor | None = None):
+           initial: np.ndarray | None = None):
     """The one rule from mode name to array kernel: validate and lift the
     call, then run it -> batched arrays (y [nb, T, H, P], h [nb, H, P, N], vjp).
 
@@ -202,18 +178,22 @@ def _chunk_len(mode: str, chunk_len: int, t: int) -> int:
 
 
 def scan(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
-         initial: Tensor | None = None):
-    """Run the scan of ``mode`` (one of ``MODES``) -> (y, final state h)."""
-    y, h_final, vjp = kernel(params, mode, chunk_len, initial)
-    return _finish(params, initial, y, h_final, vjp)
+         initial: np.ndarray | None = None):
+    """Run the scan of ``mode`` (one of ``MODES``) -> (y, final state h),
+    arrays of the inputs' dtype in the caller's batching."""
+    y, h_final, _ = kernel(params, mode, chunk_len, initial)
+    if not params.batched:
+        y, h_final = y[0], h_final[0]
+    dtype = params.x.dtype
+    return y.astype(dtype, copy=False), h_final.astype(dtype, copy=False)
 
 
-def scan_recurrent(params: SelectiveParams, initial: Tensor | None = None):
+def scan_recurrent(params: SelectiveParams, initial: np.ndarray | None = None):
     """Step-by-step evaluation of the recurrence -> (y [.., T, H, P], h [.., H, P, N])."""
     return scan(params, "recurrent", initial=initial)
 
 
-def scan_convolutional(params: SelectiveParams, initial: Tensor | None = None):
+def scan_convolutional(params: SelectiveParams, initial: np.ndarray | None = None):
     """Whole-sequence evaluation through the semiseparable operator.
 
     For time-invariant parameters this is convolution by the kernel
@@ -227,7 +207,7 @@ def scan_convolutional(params: SelectiveParams, initial: Tensor | None = None):
 
 
 def scan_chunked(params: SelectiveParams, chunk_len: int = DEFAULT_CHUNK,
-                 initial: Tensor | None = None):
+                 initial: np.ndarray | None = None):
     """Chunked evaluation: semiseparable matmuls inside each chunk, state
     carried across chunk boundaries by the recurrence.
 

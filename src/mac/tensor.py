@@ -5,11 +5,11 @@ primitive records one vector-Jacobian closure per input that needs a
 gradient, and ``backward`` on a scalar walks the tape once in reverse
 topological order, accumulating into ``.grad``. The one multi-gradient op,
 ``fused``, records a kernel whose single adjoint returns every input's
-gradient at once (the selective scans of ``mac.ssd``, the block mixer and
-the LoRA projection of ``mac.blocks``): it runs once per output gradient
-and each input's tape entry takes its share. The array forms of the
-activations and norms (``_sigmoid``, ``_softplus``, ``_rms_norm``) are
-shared with those kernels.
+gradient at once (the block mixer of ``mac.blocks``, whose adjoint runs
+the scan kernels of ``mac.ssd``, and its LoRA projection): it runs once per
+output gradient and each input's tape entry takes its share. The array
+forms of the activations and norms (``_sigmoid``, ``_softplus``,
+``_rms_norm``) are shared with those kernels.
 
 Two float widths are supported: float64 (the default, used by all oracle,
 equivalence and gradient tests) and float32 (training speed).
@@ -237,17 +237,6 @@ def mul(a, b) -> Tensor:
     )
 
 
-def neg(a) -> Tensor:
-    a = _ensure(a)
-    return _node(-a.data, [(a, lambda g: -g)])
-
-
-def exp(a) -> Tensor:
-    a = _ensure(a)
-    out = np.exp(a.data)
-    return _node(out, [(a, lambda g: g * out)])
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function 1/(1 + e^-x); where e^-x overflows the result is
     the correct limit 0."""
@@ -268,12 +257,6 @@ def _softplus(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ln(1 + e^x), evaluated as max(x, 0) + ln(1 + e^-|x|) to avoid
     overflow, and its slope, the sigmoid."""
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), _sigmoid(x)
-
-
-def softplus(a) -> Tensor:
-    a = _ensure(a)
-    out, slope = _softplus(a.data)
-    return _node(out, [(a, lambda g: g * slope)])
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

@@ -3,19 +3,20 @@
 This is the block ``mac.blocks`` ran before its interior became one fused
 mixer node and each LoRA projection one matmul by the merged weight, kept
 as it was: every step is a taped ``Tensor`` op (slices, ``silu``,
-``softplus``, the scan of ``mac.ssd``, skip, gate and ``rms_norm``), so its
-outputs and gradients come from the generic autograd tape. The scan itself
-is checked against ``ssd_oracle``.
+``softplus``, the scan, skip, gate and ``rms_norm``), so its outputs and
+gradients come from the generic autograd tape. The scan is ``mac.ssd``'s
+kernel, recorded on the tape by ``ssd_oracle.taped_scan``; the kernel
+itself is checked against ``ssd_oracle``'s composed scans.
 """
 
 from __future__ import annotations
 
-from mac import ssd
 from mac import tensor as tz
 from mac.blocks import BlockState, LoraAdapter, MambaBlock
 from mac.tensor import Tensor
 
-from tensor_oracle import silu
+from ssd_oracle import TapedParams, taped_scan
+from tensor_oracle import exp, neg, silu, softplus
 
 
 def lora_apply(base: Tensor, adapter: LoraAdapter | None, x: Tensor) -> Tensor:
@@ -49,10 +50,9 @@ def block_forward(blk: MambaBlock, x: Tensor,
     bmat = tz.reshape(xbc[:, :, di : di + gn], (b, t, cfg.n_groups, cfg.d_state))
     cmat = tz.reshape(xbc[:, :, di + gn :], (b, t, cfg.n_groups, cfg.d_state))
 
-    dt = tz.softplus(tz.add(dt_raw, blk.dt_bias))
-    a = tz.neg(tz.exp(blk.log_a))
-    params = ssd.SelectiveParams(dt=dt, a=a, B=bmat, C=cmat, x=xs)
-    y, final = ssd.scan(params, initial=initial)
+    dt = softplus(tz.add(dt_raw, blk.dt_bias))
+    a = neg(exp(blk.log_a))
+    y, final = taped_scan(TapedParams(dt=dt, a=a, B=bmat, C=cmat, x=xs), initial=initial)
 
     y = tz.add(y, tz.mul(xs, tz.reshape(blk.skip, (1, 1, cfg.n_heads, 1))))
     y = tz.reshape(y, (b, t, di))

@@ -1,21 +1,32 @@
-"""Composed-``Tensor`` selective scans: the test oracle of ``mac.ssd``.
+"""Composed-``Tensor`` selective scans: the test oracle of ``mac.ssd``,
+and the kernel recorded on the tape.
 
-These are the scans ``mac.ssd`` ran before its numpy kernels with
-hand-written adjoints: every step is a taped ``Tensor`` op, so their outputs
-and gradients come from the generic autograd tape alone. They keep the
-``mac.ssd`` contract: ``SelectiveParams`` and an optional initial state
-tensor in, ``(y, h)`` out.
+``scan`` and its three modes are the scans ``mac.ssd`` ran before its numpy
+kernels with hand-written adjoints: every step is a taped ``Tensor`` op, so
+their outputs and gradients come from the generic autograd tape alone.
+
+``mac.ssd`` itself is arrays in, arrays out, and only the block mixer
+records it on the tape. ``taped_scan`` records ``ssd.kernel`` the same way
+for the tests that differentiate a scan on its own: two ``tz.fused`` nodes,
+y and the final state, whose adjoint is the kernel's.
+
+Both take ``TapedParams``, the ``SelectiveParams`` fields as tensors, and an
+optional initial state tensor, and return ``(y, h)`` tensors in the
+caller's batching.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from mac import ssd
 from mac import tensor as tz
 from mac.ssd import DEFAULT_CHUNK, SelectiveParams
 from mac.tensor import ContractError, ShapeError, Tensor
 
-from tensor_oracle import cast, cumsum, tsum
+from tensor_oracle import cast, cumsum, exp, neg, tsum
 
 # Finite stand-in for -inf in masked log-decay entries: exp() underflows to
 # exactly 0.0 without tripping the debug finiteness checks.
@@ -29,7 +40,7 @@ def discretize_zoh(dt: Tensor, a: Tensor, B: Tensor):
     bbar = dt * B [.., T, H, N] couples inputs into the state.
     """
     dt, a, B = tz._ensure(dt), tz._ensure(a), tz._ensure(B)
-    return tz.exp(tz.mul(dt, a)), _expand_groups(dt, B)
+    return exp(tz.mul(dt, a)), _expand_groups(dt, B)
 
 
 def _expand_groups(coef: Tensor, B: Tensor) -> Tensor:
@@ -43,20 +54,62 @@ def _expand_groups(coef: Tensor, B: Tensor) -> Tensor:
     return tz.reshape(tz.mul(c, b), lead + (t, h, n))
 
 
-def _lift(params: SelectiveParams, initial: Tensor | None):
+@dataclass
+class TapedParams:
+    """``SelectiveParams`` with tensors for fields, so a loss can reach them."""
+
+    dt: Tensor
+    a: Tensor
+    B: Tensor
+    C: Tensor
+    x: Tensor
+
+    def arrays(self) -> SelectiveParams:
+        return SelectiveParams(dt=self.dt.data, a=self.a.data, B=self.B.data,
+                               C=self.C.data, x=self.x.data)
+
+
+def taped_scan(params: TapedParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
+               initial: Tensor | None = None):
+    """``ssd.scan`` on the tape: ``ssd.kernel`` recorded as two fused nodes,
+    y and the final state, that share the kernel's adjoint."""
+    arrays = params.arrays()
+    y, h_final, vjp = ssd.kernel(arrays, mode, chunk_len,
+                                 None if initial is None else initial.data)
+    parents = [params.dt, params.a, params.B, params.C, params.x]
+    if initial is not None:
+        parents.append(initial)
+
+    def grads(gy, gh):
+        return [gv.reshape(p.shape).astype(p.dtype, copy=False)
+                for gv, p in zip(vjp(gy, gh), parents)]
+
+    y_shape, h_shape = y.shape, h_final.shape
+    if not arrays.batched:
+        y, h_final = y[0], h_final[0]
+    dtype = params.x.dtype
+    y = tz.fused(y.astype(dtype, copy=False), parents,
+                 lambda g: grads(g.reshape(y_shape), None))
+    h_final = tz.fused(h_final.astype(dtype, copy=False), parents,
+                       lambda g: grads(None, g.reshape(h_shape)))
+    return y, h_final
+
+
+def _lift(params: TapedParams, initial: Tensor | None):
     """Validate, then lift one call to the batched form the kernels run on.
 
     Returns (params with a batch axis, h0 [B, H, P, N], was_batched); h0 is
     zeros when ``initial`` is None. ``_finish`` drops the axis again.
     """
-    params.validate()
-    was_batched = params.batched
+    arrays = params.arrays()
+    arrays.validate()
+    was_batched = arrays.batched
     if not was_batched:
         def lift(v):
             return tz.reshape(v, (1,) + v.shape)
 
-        params = SelectiveParams(dt=lift(params.dt), a=params.a, B=lift(params.B),
-                                 C=lift(params.C), x=lift(params.x))
+        params = TapedParams(dt=lift(params.dt), a=params.a, B=lift(params.B),
+                             C=lift(params.C), x=lift(params.x))
     bsz, _, h = params.dt.shape
     shape = (bsz, h, params.x.shape[3], params.B.shape[3])
     if initial is None:
@@ -76,7 +129,7 @@ def _finish(y: Tensor, hstate: Tensor, was_batched: bool):
     return y, hstate
 
 
-def scan(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
+def scan(params: TapedParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
          initial: Tensor | None = None):
     """Run the scan of ``mode`` (one of ``MODES``) -> (y, final state h)."""
     if mode == "recurrent":
@@ -88,7 +141,7 @@ def scan(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFAUL
     raise ContractError(f"unknown scan mode {mode!r}")
 
 
-def scan_recurrent(params: SelectiveParams, initial: Tensor | None = None):
+def scan_recurrent(params: TapedParams, initial: Tensor | None = None):
     """Step-by-step evaluation of the recurrence -> (y [.., T, H, P], h [.., H, P, N])."""
     p_, hstate, was_batched = _lift(params, initial)
     bsz, t, h = p_.dt.shape
@@ -113,7 +166,7 @@ def scan_recurrent(params: SelectiveParams, initial: Tensor | None = None):
     return _finish(tz.concat(ys, axis=1), hstate, was_batched)
 
 
-def scan_convolutional(params: SelectiveParams, initial: Tensor | None = None):
+def scan_convolutional(params: TapedParams, initial: Tensor | None = None):
     """Whole-sequence evaluation through the semiseparable operator.
 
     For time-invariant parameters this is convolution by the kernel
@@ -123,10 +176,10 @@ def scan_convolutional(params: SelectiveParams, initial: Tensor | None = None):
     That operator is one chunk of the chunked algorithm, so this is
     ``scan_chunked`` with ``chunk_len = T``: O(T^2), any initial state.
     """
-    return scan_chunked(params, chunk_len=params.dims()[0], initial=initial)
+    return scan_chunked(params, chunk_len=params.arrays().dims()[0], initial=initial)
 
 
-def scan_chunked(params: SelectiveParams, chunk_len: int = DEFAULT_CHUNK,
+def scan_chunked(params: TapedParams, chunk_len: int = DEFAULT_CHUNK,
                  initial: Tensor | None = None):
     """Chunked evaluation: semiseparable matmuls inside each chunk, state
     carried across chunk boundaries by the recurrence.
@@ -145,7 +198,7 @@ def scan_chunked(params: SelectiveParams, chunk_len: int = DEFAULT_CHUNK,
     ys = []
     for lo in range(0, t, chunk_len):
         hi = min(lo + chunk_len, t)
-        piece = SelectiveParams(
+        piece = TapedParams(
             dt=p_.dt[:, lo:hi, :],
             a=p_.a,
             B=p_.B[:, lo:hi, :, :],
@@ -162,7 +215,7 @@ def scan_chunked(params: SelectiveParams, chunk_len: int = DEFAULT_CHUNK,
     return _finish(tz.concat(ys, axis=1), hstate, was_batched)
 
 
-def _semiseparable_block(p_: SelectiveParams, h_in: Tensor):
+def _semiseparable_block(p_: TapedParams, h_in: Tensor):
     """One dense lower-triangular block over a full (sub)sequence.
 
     p_ is batched: dt [B,L,H], B/C [B,L,G,N], x [B,L,H,P]; h_in [B,H,P,N] is
@@ -178,10 +231,10 @@ def _semiseparable_block(p_: SelectiveParams, h_in: Tensor):
 
     # pairwise decay factors: prod_{r=s+1..t} abar_r = exp(cum_t - cum_s), s <= t
     seg = tz.add(
-        tz.reshape(cum, (bsz, L, 1, h)), tz.neg(tz.reshape(cum, (bsz, 1, L, h)))
+        tz.reshape(cum, (bsz, L, 1, h)), neg(tz.reshape(cum, (bsz, 1, L, h)))
     )  # [B, t, s, H]
     keep = np.tril(np.ones((L, L), dtype=bool)).reshape(1, L, L, 1)
-    decay = tz.exp(tz.where_mask(seg, keep, _MASK_FILL))  # 0 above the diagonal
+    decay = exp(tz.where_mask(seg, keep, _MASK_FILL))  # 0 above the diagonal
 
     # readout-coupling grams per group: gram[b,g,t,s] = C_t . B_s
     c_g = tz.transpose(p_.C, (0, 2, 1, 3))  # [B,G,L,N]
@@ -203,7 +256,7 @@ def _semiseparable_block(p_: SelectiveParams, h_in: Tensor):
     cum_last = cum[:, L - 1, :]  # [B,H]
 
     # y_state[b,h,t,p] = sum_n C_head[b,t,h,n] exp(cum_t) h_in[b,h,p,n]
-    expcum = tz.exp(cum)  # [B,L,H], <= 1
+    expcum = exp(cum)  # [B,L,H], <= 1
     ce = tz.reshape(
         tz.mul(
             tz.reshape(p_.C, (bsz, L, g, 1, n)),
@@ -218,8 +271,8 @@ def _semiseparable_block(p_: SelectiveParams, h_in: Tensor):
     y = tz.add(y, y_state)
 
     # block-final state: h_out = exp(cum_last) h_in + sum_s decay(L-1,s) bbar_s (x) x_s
-    tail = tz.exp(
-        tz.add(tz.reshape(cum_last, (bsz, 1, h)), tz.neg(cum))
+    tail = exp(
+        tz.add(tz.reshape(cum_last, (bsz, 1, h)), neg(cum))
     )  # [B,L,H], prod_{r=s+1..L-1}
     w = tz.reshape(
         tz.mul(
@@ -232,6 +285,6 @@ def _semiseparable_block(p_: SelectiveParams, h_in: Tensor):
         tz.transpose(p_.x, (0, 2, 3, 1)),  # [B,H,P,L]
         tz.transpose(w, (0, 2, 1, 3)),  # [B,H,L,N]
     )  # [B,H,P,N]
-    h_out = tz.add(h_out, tz.mul(tz.reshape(tz.exp(cum_last), (bsz, h, 1, 1)), h_in))
+    h_out = tz.add(h_out, tz.mul(tz.reshape(exp(cum_last), (bsz, h, 1, 1)), h_in))
 
     return tz.transpose(y, (0, 2, 1, 3)), h_out

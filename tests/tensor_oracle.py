@@ -8,8 +8,9 @@ gradients come from the generic autograd tape alone.
 ``tsum``, ``broadcast_to``, ``cast``, ``cumsum`` and ``log`` are taped
 primitives that only the tests and the composed scans of ``ssd_oracle`` use:
 scalar losses, the oracle's cross-chunk carry and cumulative log decay, and
-gradchecks. ``silu`` is the activation the composed block of
-``block_oracle`` applies twice; the fused block mixer computes it inline.
+gradchecks. ``silu``, ``softplus``, ``exp`` and ``neg`` are the activations
+the composed block of ``block_oracle`` applies and the composed scans
+discretize with; the fused block mixer computes them inline on arrays.
 """
 
 from __future__ import annotations
@@ -65,6 +66,23 @@ def cumsum(a, axis: int) -> Tensor:
 def log(a) -> Tensor:
     a = tz._ensure(a)
     return tz._node(np.log(a.data), [(a, lambda g: g / a.data)])
+
+
+def neg(a) -> Tensor:
+    a = tz._ensure(a)
+    return tz._node(-a.data, [(a, lambda g: -g)])
+
+
+def exp(a) -> Tensor:
+    a = tz._ensure(a)
+    out = np.exp(a.data)
+    return tz._node(out, [(a, lambda g: g * out)])
+
+
+def softplus(a) -> Tensor:
+    a = tz._ensure(a)
+    out, slope = tz._softplus(a.data)
+    return tz._node(out, [(a, lambda g: g * slope)])
 
 
 def silu(a) -> Tensor:

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, error prefixes, determinism."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -63,6 +64,22 @@ class TestBasics:
             assert err.startswith("error_code=config") and key in err, err
         assert not (tmp_path / "run").exists()
         configmod.apply_overrides(configmod.Config(), ["model.conv_width=1"])  # still valid
+
+    def test_float_out_of_range_exit_2_names_key(self, tmp_path, capsys):
+        for setting in ("train.lr_stage1=nan", "train.lr_stage1=inf", "train.lr_stage1=0",
+                        "train.lr_stage2=nan", "train.lr_stage2=-1e-4", "train.clip_norm=nan",
+                        "train.clip_norm=-1", "train.clip_norm=inf", "train.weight_decay=-1",
+                        "train.weight_decay=nan", "train.beta1=2", "train.beta1=-0.1",
+                        "train.beta2=1", "train.beta2=nan"):
+            code, _, err = run_cli(["train", "--set", setting, "--out", str(tmp_path / "run")],
+                                   capsys)
+            assert code == 2, setting
+            assert err.startswith(f"error_code=config {setting.split('=')[0]} must be"), err
+        assert not (tmp_path / "run").exists()
+        # the closed ends stay valid: 0 turns clipping and weight decay off
+        configmod.apply_overrides(configmod.Config(), ["train.clip_norm=0",
+                                                       "train.weight_decay=0", "train.beta1=0",
+                                                       "train.beta2=0.999"])
 
     def test_nonpositive_encoder_width_exit_2(self, tmp_path, capsys):
         for channels in ("0,16,16", "-4,16,16", "8,16,0"):
@@ -291,6 +308,35 @@ class TestTrainInferDiagnose:
         assert err.startswith(f"error_code=config {old}: line {at + 1}: "
                               f"unknown config key 'model.scan_mode'; line {at + 2}: "
                               f"unknown config key 'model.chunk_len'")
+
+    @pytest.mark.parametrize("fault, message", [
+        ("rename", r"missing tensors \['lm\.blocks\.0\.skip'\]"),
+        ("drop", r"missing tensors \['lm\.blocks\.0\.conv\.bias', .*\] and 1 more"),
+        ("extra", r"unknown tensor 'lm\.extra'"),
+        ("reshape", r"tensor lm\.blocks\.0\.skip: shape \(1, 4\) does not match model "
+                    r"\(4,\)"),
+    ])
+    def test_checkpoint_tensor_faults_read_once_and_name_the_file(
+            self, trained, tmp_path, capsys, monkeypatch, fault, message):
+        tensors, config_text, meta = checkpoint.load(os.path.join(trained, "final.ckpt"))
+        skip = tensors["lm.blocks.0.skip"]
+        if fault == "rename":
+            tensors["lm.blocks.0.skipp"] = tensors.pop("lm.blocks.0.skip")
+        elif fault == "drop":
+            for name in sorted(k for k in tensors if k.startswith("lm.blocks.0."))[:5]:
+                del tensors[name]
+        elif fault == "extra":
+            tensors["lm.extra"] = skip
+        else:
+            tensors["lm.blocks.0.skip"] = skip.reshape(1, -1)
+        bad = str(tmp_path / "bad.ckpt")
+        checkpoint.save(bad, tensors, config_text=config_text, meta=meta)
+        reads, load = [], checkpoint.load
+        monkeypatch.setattr(checkpoint, "load", lambda path: reads.append(path) or load(path))
+        code, _, err = run_cli(["infer", "--checkpoint", bad, "--wav", "clip.wav"], capsys)
+        assert code == 3 and reads == [bad]
+        assert re.fullmatch(f"error_code=runtime CheckpointError: {re.escape(bad)}: {message}\n",
+                            err), err
 
     def test_infer_requires_wav(self, trained, capsys):
         code, _, err = run_cli(["infer", "--checkpoint",

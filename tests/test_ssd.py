@@ -8,20 +8,21 @@ from mac import tensor as tz
 from mac.tensor import ContractError, Tensor
 
 import ssd_oracle
-from conftest import check_gradients, recorded_nodes, rel_err, using_dtype, zero_grad
-from tensor_oracle import tsum
+from conftest import check_gradients, rel_err, using_dtype, zero_grad
+from ssd_oracle import TapedParams, taped_scan
+from tensor_oracle import exp, neg, softplus, tsum
 
 E_NEG1 = 0.3678794411714423215955237701614609
 
 
-def random_params(rng, t=16, h=4, p=16, g=1, n=16, batch=None):
+def random_params(rng, t=16, h=4, p=16, g=1, n=16, batch=None, dtype=np.float64):
     lead = () if batch is None else (batch,)
     return ssd.SelectiveParams(
-        dt=tz.softplus(Tensor(rng.standard_normal(lead + (t, h)))),
-        a=tz.neg(tz.exp(Tensor(rng.standard_normal(h)))),
-        B=Tensor(rng.standard_normal(lead + (t, g, n))),
-        C=Tensor(rng.standard_normal(lead + (t, g, n))),
-        x=Tensor(rng.standard_normal(lead + (t, h, p))),
+        dt=tz._softplus(rng.standard_normal(lead + (t, h)).astype(dtype))[0],
+        a=-np.exp(rng.standard_normal(h).astype(dtype)),
+        B=rng.standard_normal(lead + (t, g, n)).astype(dtype),
+        C=rng.standard_normal(lead + (t, g, n)).astype(dtype),
+        x=rng.standard_normal(lead + (t, h, p)).astype(dtype),
     )
 
 
@@ -29,11 +30,11 @@ def scalar_params(abar, bcoef, c, xs):
     """1-head 1-dim chain with prescribed abar/bbar via dt=1, a=ln(abar), B=bbar."""
     t = len(xs)
     return ssd.SelectiveParams(
-        dt=tz.ones((t, 1)),
-        a=Tensor(np.array([np.log(abar)])),
-        B=Tensor(np.full((t, 1, 1), bcoef)),
-        C=Tensor(np.full((t, 1, 1), c)),
-        x=Tensor(np.asarray(xs, dtype=float).reshape(t, 1, 1)),
+        dt=np.ones((t, 1)),
+        a=np.array([np.log(abar)]),
+        B=np.full((t, 1, 1), bcoef),
+        C=np.full((t, 1, 1), c),
+        x=np.asarray(xs, dtype=float).reshape(t, 1, 1),
     )
 
 
@@ -83,38 +84,37 @@ class TestScanRecurrent:
     def test_hand_unrolled_chain(self):
         params = scalar_params(abar=0.5, bcoef=1.0, c=1.0, xs=[1.0, 1.0, 1.0])
         y, final = ssd.scan_recurrent(params)
-        np.testing.assert_allclose(y.data.reshape(-1), [1.0, 1.5, 1.75], atol=1e-15)
-        np.testing.assert_allclose(final.data.reshape(-1), [1.75], atol=1e-15)
+        np.testing.assert_allclose(y.reshape(-1), [1.0, 1.5, 1.75], atol=1e-15)
+        np.testing.assert_allclose(final.reshape(-1), [1.75], atol=1e-15)
 
     def test_zero_input_coupling(self):
         params = scalar_params(abar=0.5, bcoef=0.0, c=1.0, xs=[1.0, 2.0, 3.0])
         y, _ = ssd.scan_recurrent(params)
-        np.testing.assert_array_equal(y.data, np.zeros_like(y.data))
+        np.testing.assert_array_equal(y, np.zeros_like(y))
 
     def test_split_scan_invariance(self):
         rng = np.random.default_rng(1)
         params = random_params(rng, t=20)
-        with tz.no_grad():
-            full, _ = ssd.scan_recurrent(params)
-            for k in (1, 7, 13, 19):
-                head = ssd.SelectiveParams(params.dt[:k], params.a, params.B[:k],
-                                           params.C[:k], params.x[:k])
-                tail = ssd.SelectiveParams(params.dt[k:], params.a, params.B[k:],
-                                           params.C[k:], params.x[k:])
-                y1, carry = ssd.scan_recurrent(head)
-                y2, _ = ssd.scan_recurrent(tail, initial=carry)
-                joined = np.concatenate([y1.data, y2.data], axis=0)
-                assert np.abs(joined - full.data).max() <= 1e-12
+        full, _ = ssd.scan_recurrent(params)
+        for k in (1, 7, 13, 19):
+            head = ssd.SelectiveParams(params.dt[:k], params.a, params.B[:k],
+                                       params.C[:k], params.x[:k])
+            tail = ssd.SelectiveParams(params.dt[k:], params.a, params.B[k:],
+                                       params.C[k:], params.x[k:])
+            y1, carry = ssd.scan_recurrent(head)
+            y2, _ = ssd.scan_recurrent(tail, initial=carry)
+            joined = np.concatenate([y1, y2], axis=0)
+            assert np.abs(joined - full).max() <= 1e-12
 
     def test_rejects_nonpositive_dt(self):
         params = scalar_params(0.5, 1.0, 1.0, [1.0])
-        params.dt = Tensor([[0.0]])
+        params.dt = np.array([[0.0]])
         with pytest.raises(ContractError, match="dt"):
             ssd.scan_recurrent(params)
 
     def test_rejects_nonnegative_a(self):
         params = scalar_params(0.5, 1.0, 1.0, [1.0])
-        params.a = Tensor([0.1])
+        params.a = np.array([0.1])
         with pytest.raises(ContractError, match="a"):
             ssd.scan_recurrent(params)
 
@@ -124,72 +124,66 @@ class TestScanConvolutional:
         # impulse input reads out the kernel (C bbar, C abar bbar, ...)
         params = scalar_params(abar=0.5, bcoef=1.0, c=1.0, xs=[1.0, 0.0, 0.0])
         y, _ = ssd.scan_convolutional(params)
-        np.testing.assert_allclose(y.data.reshape(-1), [1.0, 0.5, 0.25], atol=1e-15)
+        np.testing.assert_allclose(y.reshape(-1), [1.0, 0.5, 0.25], atol=1e-15)
 
     def test_zero_input(self):
         params = scalar_params(abar=0.7, bcoef=1.0, c=1.0, xs=[0.0, 0.0, 0.0, 0.0])
         y, _ = ssd.scan_convolutional(params)
-        np.testing.assert_array_equal(y.data, np.zeros_like(y.data))
+        np.testing.assert_array_equal(y, np.zeros_like(y))
 
     def test_matches_recurrent_oracle_time_varying(self):
         rng = np.random.default_rng(2)
         params = random_params(rng, t=17, g=2, n=6, p=5)
-        with tz.no_grad():
-            expect, _ = ssd.scan_recurrent(params)
-            got, _ = ssd.scan_convolutional(params)
-        assert np.abs(got.data - expect.data).max() <= 1e-10
+        expect, _ = ssd.scan_recurrent(params)
+        got, _ = ssd.scan_convolutional(params)
+        assert np.abs(got - expect).max() <= 1e-10
 
     def test_nonzero_initial_state_matches_recurrent(self):
         # a carried state enters the single chunk like any other
         rng = np.random.default_rng(16)
         params = random_params(rng, t=11, g=2, n=6, p=5, batch=2)
-        init = Tensor(rng.standard_normal((2, 4, 5, 6)))
-        with tz.no_grad():
-            expect, ef = ssd.scan_recurrent(params, initial=init)
-            got, gf = ssd.scan_convolutional(params, initial=init)
-        assert np.abs(got.data - expect.data).max() <= 1e-10
-        assert np.abs(gf.data - ef.data).max() <= 1e-10
+        init = rng.standard_normal((2, 4, 5, 6))
+        expect, ef = ssd.scan_recurrent(params, initial=init)
+        got, gf = ssd.scan_convolutional(params, initial=init)
+        assert np.abs(got - expect).max() <= 1e-10
+        assert np.abs(gf - ef).max() <= 1e-10
 
 
 class TestScanChunked:
     def test_single_chunk_equals_convolutional_with_carry(self):
         rng = np.random.default_rng(3)
         params = random_params(rng, t=12)
-        with tz.no_grad():
-            y_conv, final_conv = ssd.scan_convolutional(params)
-            y_chunk, final = ssd.scan_chunked(params, chunk_len=12)
-            y_rec, final_rec = ssd.scan_recurrent(params)
-        assert np.abs(y_chunk.data - y_conv.data).max() <= 1e-12
-        assert np.abs(final.data - final_rec.data).max() <= 1e-10
-        assert np.abs(final_conv.data - final_rec.data).max() <= 1e-10
+        y_conv, final_conv = ssd.scan_convolutional(params)
+        y_chunk, final = ssd.scan_chunked(params, chunk_len=12)
+        y_rec, final_rec = ssd.scan_recurrent(params)
+        assert np.abs(y_chunk - y_conv).max() <= 1e-12
+        assert np.abs(final - final_rec).max() <= 1e-10
+        assert np.abs(final_conv - final_rec).max() <= 1e-10
 
     def test_chunk_len_one_is_recurrent_path(self):
         rng = np.random.default_rng(4)
         params = random_params(rng, t=9)
-        with tz.no_grad():
-            y1, f1 = ssd.scan_chunked(params, chunk_len=1)
-            y2, f2 = ssd.scan_recurrent(params)
-        np.testing.assert_array_equal(y1.data, y2.data)
-        np.testing.assert_array_equal(f1.data, f2.data)
+        y1, f1 = ssd.scan_chunked(params, chunk_len=1)
+        y2, f2 = ssd.scan_recurrent(params)
+        np.testing.assert_array_equal(y1, y2)
+        np.testing.assert_array_equal(f1, f2)
 
     def test_random_chunked_matches_recurrent(self):
         rng = np.random.default_rng(5)
         params = random_params(rng, t=64)
-        with tz.no_grad():
-            expect, ef = ssd.scan_recurrent(params)
-            got, gf = ssd.scan_chunked(params, chunk_len=16)
-        assert np.abs(got.data - expect.data).max() <= 1e-8
-        assert np.abs(gf.data - ef.data).max() <= 1e-8
+        expect, ef = ssd.scan_recurrent(params)
+        got, gf = ssd.scan_chunked(params, chunk_len=16)
+        assert np.abs(got - expect).max() <= 1e-8
+        assert np.abs(gf - ef).max() <= 1e-8
 
     def test_ragged_tail_and_initial_state(self):
         rng = np.random.default_rng(6)
         params = random_params(rng, t=23)
-        init = Tensor(rng.standard_normal((4, 16, 16)))
-        with tz.no_grad():
-            expect, ef = ssd.scan_recurrent(params, initial=init)
-            got, gf = ssd.scan_chunked(params, chunk_len=7, initial=init)
-        assert np.abs(got.data - expect.data).max() <= 1e-8
-        assert np.abs(gf.data - ef.data).max() <= 1e-8
+        init = rng.standard_normal((4, 16, 16))
+        expect, ef = ssd.scan_recurrent(params, initial=init)
+        got, gf = ssd.scan_chunked(params, chunk_len=7, initial=init)
+        assert np.abs(got - expect).max() <= 1e-8
+        assert np.abs(gf - ef).max() <= 1e-8
 
     def test_chunk_len_zero_rejected(self):
         rng = np.random.default_rng(7)
@@ -198,16 +192,8 @@ class TestScanChunked:
 
     def test_float32_inputs_carry_state_in_float64(self):
         rng = np.random.default_rng(8)
-        with using_dtype(np.float32):
-            params = ssd.SelectiveParams(
-                dt=tz.softplus(Tensor(rng.standard_normal((40, 4)), dtype=np.float32)),
-                a=tz.neg(tz.exp(Tensor(rng.standard_normal(4), dtype=np.float32))),
-                B=Tensor(rng.standard_normal((40, 1, 16)), dtype=np.float32),
-                C=Tensor(rng.standard_normal((40, 1, 16)), dtype=np.float32),
-                x=Tensor(rng.standard_normal((40, 4, 16)), dtype=np.float32),
-            )
-            with tz.no_grad():
-                y, final = ssd.scan_chunked(params, chunk_len=8)
+        params = random_params(rng, t=40, dtype=np.float32)
+        y, final = ssd.scan_chunked(params, chunk_len=8)
         assert y.dtype == np.float32 and final.dtype == np.float32
 
 
@@ -218,48 +204,45 @@ class TestProperties:
             t = int(rng.integers(1, 65))
             g = int(rng.choice([1, 2]))
             params = random_params(rng, t=t, g=g, n=8, p=6, h=4)
-            with tz.no_grad():
-                y_rec, _ = ssd.scan_recurrent(params)
-                y_conv, _ = ssd.scan_convolutional(params)
-                y_chunk, _ = ssd.scan_chunked(params, chunk_len=16)
-            assert np.abs(y_rec.data - y_conv.data).max() <= 1e-8, f"case {case}"
-            assert np.abs(y_rec.data - y_chunk.data).max() <= 1e-8, f"case {case}"
+            y_rec, _ = ssd.scan_recurrent(params)
+            y_conv, _ = ssd.scan_convolutional(params)
+            y_chunk, _ = ssd.scan_chunked(params, chunk_len=16)
+            assert np.abs(y_rec - y_conv).max() <= 1e-8, f"case {case}"
+            assert np.abs(y_rec - y_chunk).max() <= 1e-8, f"case {case}"
 
     def test_batched_matches_unbatched(self):
         rng = np.random.default_rng(11)
         batched = random_params(rng, t=21, batch=3)
-        with tz.no_grad():
-            yb, fb = ssd.scan_chunked(batched, chunk_len=8)
-            for i in range(3):
-                single = ssd.SelectiveParams(
-                    batched.dt[i], batched.a, batched.B[i], batched.C[i], batched.x[i]
-                )
-                ys, fs = ssd.scan_chunked(single, chunk_len=8)
-                assert np.abs(yb.data[i] - ys.data).max() <= 1e-12
-                assert np.abs(fb.data[i] - fs.data).max() <= 1e-12
+        yb, fb = ssd.scan_chunked(batched, chunk_len=8)
+        for i in range(3):
+            single = ssd.SelectiveParams(
+                batched.dt[i], batched.a, batched.B[i], batched.C[i], batched.x[i]
+            )
+            ys, fs = ssd.scan_chunked(single, chunk_len=8)
+            assert np.abs(yb[i] - ys).max() <= 1e-12
+            assert np.abs(fb[i] - fs).max() <= 1e-12
 
     def test_stability_no_state_explosion(self):
         rng = np.random.default_rng(12)
         t = 4096
         params = random_params(rng, t=t, h=2, p=3, n=4)
-        with tz.no_grad():
-            # step one token at a time so every intermediate state is seen
-            final, peak = None, 0.0
-            for s in range(t):
-                step = ssd.SelectiveParams(params.dt[s : s + 1], params.a, params.B[s : s + 1],
-                                           params.C[s : s + 1], params.x[s : s + 1])
-                _, final = ssd.scan_recurrent(step, initial=final)
-                peak = max(peak, np.abs(final.data).max())
-            abar = np.exp(params.dt.data * params.a.data)
-            bbar_x = (
-                params.dt.data[:, :, None, None]
-                * params.B.data[:, 0][:, None, None, :]
-                * params.x.data[:, :, :, None]
-            )
+        # step one token at a time so every intermediate state is seen
+        final, peak = None, 0.0
+        for s in range(t):
+            step = ssd.SelectiveParams(params.dt[s : s + 1], params.a, params.B[s : s + 1],
+                                       params.C[s : s + 1], params.x[s : s + 1])
+            _, final = ssd.scan_recurrent(step, initial=final)
+            peak = max(peak, np.abs(final).max())
+        abar = np.exp(params.dt * params.a)
+        bbar_x = (
+            params.dt[:, :, None, None]
+            * params.B[:, 0][:, None, None, :]
+            * params.x[:, :, :, None]
+        )
         worst_decay = abar.max()
         bound = np.abs(bbar_x).max() / (1.0 - worst_decay)
         assert peak <= bound + 1e-9
-        assert np.isfinite(final.data).all()
+        assert np.isfinite(final).all()
 
     def test_gradients_match_across_modes_and_fd(self):
         rng = np.random.default_rng(13)
@@ -276,10 +259,8 @@ class TestProperties:
 
         def loss_for(mode):
             def fn():
-                params = ssd.SelectiveParams(
-                    dt=tz.softplus(dt_raw), a=tz.neg(tz.exp(log_a)), B=bmat, C=cmat, x=x
-                )
-                y, final = ssd.scan(params, mode, chunk_len=3, initial=h0)
+                params = TapedParams(dt=softplus(dt_raw), a=neg(exp(log_a)), B=bmat, C=cmat, x=x)
+                y, final = taped_scan(params, mode, chunk_len=3, initial=h0)
                 return tz.add(tsum(tz.mul(y, w)), tsum(tz.mul(final, w_state)))
             return fn
 
@@ -308,12 +289,11 @@ def scan_leaves(rng, t, h, p, g, n, batch=None, dtype=np.float64, slow_head=Fals
     return [Tensor(v, requires_grad=True, dtype=dtype) for v in values]
 
 
-def scan_loss(impl, leaves, mode, on):
-    """(y, final state, loss) of one scan at chunk_len 4; ``on`` picks y, the
-    state or both."""
+def scan_loss(scan, leaves, mode, on):
+    """(y, final state, loss) of one taped scan at chunk_len 4; ``on`` picks
+    y, the state or both."""
     dt, a, bmat, cmat, x, h0 = leaves
-    params = ssd.SelectiveParams(dt=dt, a=a, B=bmat, C=cmat, x=x)
-    y, final = impl.scan(params, mode, chunk_len=4, initial=h0)
+    y, final = scan(TapedParams(dt=dt, a=a, B=bmat, C=cmat, x=x), mode, chunk_len=4, initial=h0)
     rng = np.random.default_rng(99)
     terms = []
     if on in ("y", "both"):
@@ -326,7 +306,8 @@ def scan_loss(impl, leaves, mode, on):
 
 
 class TestKernelsMatchOracle:
-    """The numpy kernels and their adjoints against the composed-Tensor scans."""
+    """The numpy kernels and their adjoints, recorded by ``taped_scan``,
+    against the composed-Tensor scans."""
 
     @pytest.mark.parametrize("mode", ssd.MODES)
     @pytest.mark.parametrize("g", (1, 2))
@@ -340,9 +321,9 @@ class TestKernelsMatchOracle:
             use = leaves if initial else leaves[:5] + [None]
             for on in ("y", "state", "both"):
                 got, expect = [], []
-                for impl, out in ((ssd, got), (ssd_oracle, expect)):
+                for scan, out in ((taped_scan, got), (ssd_oracle.scan, expect)):
                     zero_grad(leaves)
-                    y, final, loss = scan_loss(impl, use, mode, on)
+                    y, final, loss = scan_loss(scan, use, mode, on)
                     grads = loss.backward()
                     # C does not reach the final state: the tape has no gradient for it
                     out.extend([y.data, final.data] + [grads.get(v, np.zeros(v.shape))
@@ -356,19 +337,34 @@ class TestKernelsMatchOracle:
         rng = np.random.default_rng(18)
         leaves = scan_leaves(rng, t=9, h=4, p=3, g=2, n=5, batch=2, dtype=np.float32)
         with using_dtype(np.float32):
-            y, final, loss = scan_loss(ssd, leaves, mode, "both")
+            y, final, loss = scan_loss(taped_scan, leaves, mode, "both")
             grads = loss.backward()
         assert y.dtype == np.float32 and final.dtype == np.float32
         assert all(grads[v].dtype == np.float32 for v in leaves)
 
+
+
+class TestArrayContract:
+    """``mac.ssd`` is arrays in, arrays out, and records nothing on the tape."""
+
     @pytest.mark.parametrize("mode", ssd.MODES)
-    def test_one_call_records_two_tape_nodes(self, mode):
+    @pytest.mark.parametrize("batch", (None, 2))
+    def test_scans_return_arrays_and_record_nothing(self, monkeypatch, mode, batch):
+        nodes = []
+        monkeypatch.setattr(tz, "_node", lambda *args: nodes.append(args))
         rng = np.random.default_rng(19)
-        for t, chunk_len, batch in ((1, 4, None), (11, 4, 2), (40, 3, None), (40, 16, 2)):
-            leaves = scan_leaves(rng, t=t, h=4, p=3, g=2, n=5, batch=batch)
-            params = ssd.SelectiveParams(*leaves[:5])
-            y, final = ssd.scan(params, mode, chunk_len=chunk_len, initial=leaves[5])
-            assert recorded_nodes(y, final) == 2, (t, chunk_len, batch)
+        lead = () if batch is None else (batch,)
+        params = random_params(rng, t=11, h=4, p=3, g=2, n=5, batch=batch)
+        initial = rng.standard_normal(lead + (4, 3, 5))
+        wrapper = {"recurrent": lambda: ssd.scan_recurrent(params, initial=initial),
+                   "chunked": lambda: ssd.scan_chunked(params, 4, initial=initial),
+                   "convolutional": lambda: ssd.scan_convolutional(params, initial=initial)}
+        assert tz._grad_enabled
+        for call in (wrapper[mode], lambda: ssd.scan(params, mode, 4, initial)):
+            y, final = call()
+            assert type(y) is np.ndarray and type(final) is np.ndarray
+            assert y.shape == lead + (11, 4, 3) and final.shape == lead + (4, 3, 5)
+        assert nodes == []
 
 
 class TestDispatch:
