@@ -31,6 +31,25 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, cap)
 
 
+def _positive_int(text: str) -> int:
+    """An integer >= 1; anything else is a usage error that names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
+def _lengths(text: str) -> list[int]:
+    """A sorted, non-empty comma-separated list of integers >= 1."""
+    lengths = [_positive_int(x) for x in text.split(",") if x.strip()]
+    if not lengths or lengths != sorted(lengths):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a sorted, non-empty list")
+    return lengths
+
+
 def build_parser() -> _Parser:
     from .ssd import MODES
 
@@ -59,18 +78,19 @@ def build_parser() -> _Parser:
                         "one checkpoint each), state-dist exactly once")
     p.add_argument("--dataset", default="synthetic",
                    help="'synthetic' or a manifest.jsonl path")
-    p.add_argument("--n", type=int, default=8, help="number of clips to analyze")
+    p.add_argument("--n", type=_positive_int, default=8, help="number of clips to analyze")
     p.add_argument("--out", default="diagnostics.csv")
 
     p = sub.add_parser("bench", help="scaling benchmark of the scan kernels")
     p.add_argument("--mode", default="recurrent", choices=MODES)
-    p.add_argument("--lengths", default="256,512,1024,2048,4096,8192")
+    p.add_argument("--lengths", type=_lengths, default="256,512,1024,2048,4096,8192",
+                   help="sorted scan lengths T >= 1, comma-separated")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="bench.csv")
 
     p = sub.add_parser("make-data", help="generate the synthetic captioned corpus")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--n", type=_positive_int, default=32)
     p.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("dump-config", help="print the validated default config")
@@ -128,10 +148,7 @@ def _dispatch(args) -> int:
     if args.command == "bench":
         from . import diagnostics
 
-        lengths = [int(x) for x in args.lengths.split(",") if x.strip()]
-        if lengths != sorted(lengths) or not lengths:
-            raise UsageError("--lengths must be a sorted, non-empty list")
-        rows, slope = diagnostics.scaling_bench(lengths, mode=args.mode, seed=args.seed)
+        rows, slope = diagnostics.scaling_bench(args.lengths, mode=args.mode, seed=args.seed)
         diagnostics.write_bench_csv(args.out, rows, slope)
         for t, wall, flops in rows:
             print(f"T={t:<6d} time={wall:.6f}s flops={flops}")

@@ -246,8 +246,11 @@ def load_captioner(path: str) -> Captioner:
         cfg = configmod.parse_text(config_text)
     except configmod.ConfigError as exc:
         raise configmod.ConfigError(f"{path}: {exc}") from exc
-    words = [meta[f"vocab.{i}"] for i in range(sum(1 for k in meta if k.startswith("vocab.")))]
-    model = Captioner(cfg, Vocab(words))
+    keys = [f"vocab.{i}" for i in range(sum(1 for k in meta if k.startswith("vocab.")))]
+    gaps = [k for k in keys if k not in meta]
+    if gaps:
+        raise checkpoint.CheckpointError(f"{path}: vocabulary entry {gaps[0]!r} is missing")
+    model = Captioner(cfg, Vocab([meta[k] for k in keys]))
     params = model.named_parameters()
     missing = sorted(set(params) - set(tensors))
     if missing:

@@ -28,10 +28,11 @@ algorithm: the chunk length is capped at T, and a chunk length of 1 runs
 the recurrence. ``scan`` runs the kernel of the mode it is given and drops
 its adjoint; the three ``scan_*`` wrappers name the modes.
 
-Each algorithm is one numpy forward plus one hand-written adjoint that
-returns the gradients of dt, a, B, C, x and the initial state together:
-the chunked scan's has the forward's chunk structure with the cross-chunk
-carry run in reverse, the recurrence's is the recurrence run backwards.
+The chunked algorithm is one numpy forward plus the one hand-written
+adjoint, which returns the gradients of dt, a, B, C, x and the initial
+state together, with the cross-chunk carry run in reverse. The recurrence
+is forward only: its gradient is the chunked adjoint at chunk length 1,
+and no training path reaches it (a training sequence is >= 2 tokens).
 Nothing here records on the autograd tape. The block mixer of
 ``mac.blocks``, the one caller that differentiates a scan, calls ``kernel``
 with the default mode inside its own fused node, so a one-token decode
@@ -159,13 +160,16 @@ def kernel(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFA
     recurrence and a longer sequence in chunks of ``DEFAULT_CHUNK``. The
     other modes serve ``scan`` and its wrappers: ``mac bench --mode`` and
     the tests. ``vjp(gy, gh)`` returns the batched gradients of
-    (dt, a, B, C, x, h0) for output gradients gy and gh, either None.
+    (dt, a, B, C, x, h0) for output gradients gy and gh, either None. The
+    recurrence's is the chunked adjoint at chunk length 1, the same
+    transform, built only when called: a decode step does no extra work.
     """
     (dt, a, B, C, x), h0 = _lift(params, initial)
     step = _chunk_len(mode, chunk_len, dt.shape[1])
-    if step == 1:
-        return _recurrent(dt, a, B, C, x, h0)
-    return _chunked(dt, a, B, C, x, h0, step)
+    if step > 1:
+        return _chunked(dt, a, B, C, x, h0, step)
+    return (*_recurrent(dt, a, B, C, x, h0),
+            lambda gy, gh: _chunked(dt, a, B, C, x, h0, 1)[2](gy, gh))
 
 
 def _chunk_len(mode: str, chunk_len: int, t: int) -> int:
@@ -219,9 +223,9 @@ def scan_chunked(params: SelectiveParams, chunk_len: int = DEFAULT_CHUNK,
 
 
 def _recurrent(dt, a, B, C, x, h0):
-    """The recurrence over batched arrays -> (y [nb,T,H,P], h_final [nb,H,P,N], vjp).
-
-    Heads are laid out as (group, head in group) so B/C rows broadcast.
+    """The recurrence over batched arrays -> (y [nb,T,H,P], h_final [nb,H,P,N]),
+    forward only. Heads are laid out as (group, head in group) so B/C rows
+    broadcast.
     """
     nb, t, h = dt.shape
     g, n = B.shape[2], B.shape[3]
@@ -231,41 +235,15 @@ def _recurrent(dt, a, B, C, x, h0):
     cx = (x * coef[..., None]).reshape(nb, t, g, hpg, p, 1)
     b_row = B.reshape(nb, t, g, 1, 1, n)
     c_row = C.reshape(nb, t, g, 1, 1, n)
-    h_in = None if h0 is None else h0.reshape(nb, g, hpg, p, n)
 
     hs = cx * b_row  # each step's input, then (in place) the state after the step
-    prev = h_in
+    prev = None if h0 is None else h0.reshape(nb, g, hpg, p, n)
     for s in range(t):
         if prev is not None:
             hs[:, s] += abar[:, s] * prev
         prev = hs[:, s]
     y = (hs @ c_row.swapaxes(-1, -2)).reshape(nb, t, h, p)
-
-    def vjp(gy, gh):
-        if gy is None:
-            gs = np.zeros_like(hs)
-            gC = np.zeros(C.shape)
-        else:
-            gs = gy.reshape(nb, t, g, hpg, p, 1) * c_row
-            gC = (gy.reshape(nb, t, g, 1, hpg * p) @ hs.reshape(nb, t, g, hpg * p, n))
-        if gh is not None:
-            gs[:, -1] += gh.reshape(nb, g, hpg, p, n)
-        for s in range(t - 1, 0, -1):  # the recurrence in reverse
-            gs[:, s - 1] += abar[:, s] * gs[:, s]
-        # gs is now each state's total gradient, which is also its input's
-        gabar = np.zeros((nb, t, g, hpg))
-        gabar[:, 1:] = (gs[:, 1:] * hs[:, :-1]).sum(axis=(-1, -2))
-        gh0 = np.zeros((nb, h, p, n))
-        if h_in is not None:
-            gabar[:, 0] = (gs[:, 0] * h_in).sum(axis=(-1, -2))
-            gh0 = (abar[:, 0] * gs[:, 0]).reshape(nb, h, p, n)
-        v = (gs @ b_row.swapaxes(-1, -2)).reshape(nb, t, h, p)
-        gB = cx.reshape(nb, t, g, 1, hpg * p) @ gs.reshape(nb, t, g, hpg * p, n)
-        gz = (gabar * abar[..., 0, 0]).reshape(nb, t, h)
-        gdt, ga = _zoh_grads(gz, (v * x).sum(axis=-1), dt, a)
-        return gdt, ga, gB.reshape(B.shape), gC.reshape(C.shape), v * coef[..., None], gh0
-
-    return y, hs[:, -1].reshape(nb, h, p, n), vjp
+    return y, hs[:, -1].reshape(nb, h, p, n)
 
 
 def _pad_rows(v: np.ndarray, rows: int) -> np.ndarray:

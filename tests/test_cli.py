@@ -360,3 +360,26 @@ class TestBench:
         code, _, err = run_cli(["bench", "--lengths", "64,32"], capsys)
         assert code == 1
         assert "error_code=usage" in err
+
+    @pytest.mark.parametrize("lengths, bad", [("64,abc", "'abc'"), ("0,64", "'0'"),
+                                              ("64,-1", "'-1'"), (",", "','")])
+    def test_lengths_must_be_integers_at_least_one(self, tmp_path, capsys, lengths, bad):
+        out_csv = tmp_path / "bench.csv"
+        code, _, err = run_cli(["bench", "--lengths", lengths, "--out", str(out_csv)], capsys)
+        assert code == 1
+        assert err.startswith(f"error_code=usage argument --lengths: {bad}")
+        assert not out_csv.exists()
+
+
+class TestClipCount:
+    @pytest.mark.parametrize("command", ["erank", "cosine", "state-dist", "make-data"])
+    @pytest.mark.parametrize("n", ["0", "-3", "two"])
+    def test_n_below_one_is_usage_error(self, tmp_path, capsys, command, n):
+        out = tmp_path / "out"
+        # checked before any checkpoint is read, so none need exist
+        args = (["make-data"] if command == "make-data" else
+                ["diagnose", command, "--checkpoint", str(tmp_path / "m.ckpt")])
+        code, _, err = run_cli(args + ["--n", n, "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith(f"error_code=usage argument --n: '{n}' is not an integer >= 1")
+        assert not out.exists()

@@ -5,7 +5,8 @@ import json
 import os
 import platform
 import re
-import resource
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -351,6 +352,24 @@ class TestTraining:
             assert lines[name].endswith(f" |g|max={kept:.6g}"), lines[name]
 
 
+# prints the minor page faults of each of five warm time_major train steps
+WARM_STEP_FAULTS = """
+import resource
+from mac import config as configmod, pipeline
+cfg = configmod.apply_overrides(configmod.Config(), ["connector.variant=time_major"])
+train, evl = pipeline.corpus_samples(cfg)
+assert len(train) == 8
+state = pipeline.make_train_state(
+    pipeline.Captioner(cfg, pipeline.build_vocab_for(cfg, train, evl)))
+for _ in range(2):  # fills the mel cache and the optimizer moments
+    pipeline.train_step(state, train)
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pipeline.train_step(state, train)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestStepMemory:
     """A training step keeps its leaf gradients until the next backward."""
 
@@ -377,17 +396,14 @@ class TestStepMemory:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="counts what glibc's allocator returns to the OS")
     def test_warm_time_major_step_takes_few_page_faults(self):
-        cfg = configmod.apply_overrides(configmod.Config(), ["connector.variant=time_major"])
-        train, evl = pipeline.corpus_samples(cfg)
-        assert len(train) == 8
-        state = pipeline.make_train_state(Captioner(cfg, pipeline.build_vocab_for(cfg, train, evl)))
-        for _ in range(2):  # fills the mel cache and the optimizer moments
-            pipeline.train_step(state, train)
-        faults = []
-        for _ in range(5):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            pipeline.train_step(state, train)
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        # in a fresh interpreter, so heap state left by earlier tests cannot
+        # reach the count
+        flags = ["-W", "error"] + (["-X", "dev"] if sys.flags.dev_mode else [])
+        proc = subprocess.run([sys.executable, *flags, "-c", WARM_STEP_FAULTS],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        faults = [int(f) for f in proc.stdout.split()]
+        assert len(faults) == 5, proc.stdout
         assert min(faults) < 1000, faults
 
 
@@ -487,6 +503,17 @@ class TestCheckpoint:
             a = cap.batch_forward(train[:2])[0]
             b = back.batch_forward(train[:2])[0]
         assert np.array_equal(a.data, b.data)
+
+    def test_vocabulary_gap_is_checkpoint_error(self, tmp_path):
+        cap, _, _ = tiny_captioner()
+        path = str(tmp_path / "gap.ckpt")
+        cap.save(path)
+        tensors, config_text, meta = checkpoint.load(path)
+        del meta["vocab.1"]
+        checkpoint.save(path, tensors, config_text=config_text, meta=meta)
+        with pytest.raises(checkpoint.CheckpointError,
+                           match=f"{re.escape(path)}: vocabulary entry 'vocab.1' is missing"):
+            pipeline.load_captioner(path)
 
     def test_corrupted_payload_is_integrity_error(self, tmp_path):
         path = str(tmp_path / "trunc.ckpt")

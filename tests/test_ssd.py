@@ -314,23 +314,25 @@ class TestKernelsMatchOracle:
     @pytest.mark.parametrize("batch", (None, 3))
     @pytest.mark.parametrize("slow_head", (False, True))
     def test_outputs_and_all_gradients(self, mode, g, batch, slow_head):
-        rng = np.random.default_rng(17)
-        # T = 11 is not a multiple of chunk_len = 4
-        leaves = scan_leaves(rng, t=11, h=4, p=3, g=g, n=5, batch=batch, slow_head=slow_head)
-        for initial in (True, False):
-            use = leaves if initial else leaves[:5] + [None]
-            for on in ("y", "state", "both"):
-                got, expect = [], []
-                for scan, out in ((taped_scan, got), (ssd_oracle.scan, expect)):
-                    zero_grad(leaves)
-                    y, final, loss = scan_loss(scan, use, mode, on)
-                    grads = loss.backward()
-                    # C does not reach the final state: the tape has no gradient for it
-                    out.extend([y.data, final.data] + [grads.get(v, np.zeros(v.shape))
-                                                       for v in use if v is not None])
-                for i, (a, b) in enumerate(zip(got, expect)):
-                    assert a.shape == b.shape
-                    assert rel_err(a, b) < 1e-10, (initial, on, i)
+        # T = 11 is not a multiple of chunk_len = 4; at T = 1 every mode runs
+        # the recurrence forward with the chunked adjoint at chunk length 1
+        for t in (11, 1):
+            rng = np.random.default_rng(17)
+            leaves = scan_leaves(rng, t=t, h=4, p=3, g=g, n=5, batch=batch, slow_head=slow_head)
+            for initial in (True, False):
+                use = leaves if initial else leaves[:5] + [None]
+                for on in ("y", "state", "both"):
+                    got, expect = [], []
+                    for scan, out in ((taped_scan, got), (ssd_oracle.scan, expect)):
+                        zero_grad(leaves)
+                        y, final, loss = scan_loss(scan, use, mode, on)
+                        grads = loss.backward()
+                        # C does not reach the final state: the tape has no gradient for it
+                        out.extend([y.data, final.data] + [grads.get(v, np.zeros(v.shape))
+                                                           for v in use if v is not None])
+                    for i, (a, b) in enumerate(zip(got, expect)):
+                        assert a.shape == b.shape
+                        assert rel_err(a, b) < 1e-10, (t, initial, on, i)
 
     @pytest.mark.parametrize("mode", ssd.MODES)
     def test_float32_outputs_and_gradients(self, mode):
@@ -342,6 +344,21 @@ class TestKernelsMatchOracle:
         assert y.dtype == np.float32 and final.dtype == np.float32
         assert all(grads[v].dtype == np.float32 for v in leaves)
 
+    @pytest.mark.parametrize("mode", ssd.MODES)
+    def test_one_token_adjoint_is_built_only_when_called(self, monkeypatch, mode):
+        calls, chunked = [], ssd._chunked
+
+        def counted(*args):
+            calls.append(args[-1])  # the chunk length
+            return chunked(*args)
+
+        monkeypatch.setattr(ssd, "_chunked", counted)
+        rng = np.random.default_rng(20)
+        params = random_params(rng, t=1, h=4, p=3, g=2, n=5, batch=2)
+        y, h_final, vjp = ssd.kernel(params, mode, 4, rng.standard_normal((2, 4, 3, 5)))
+        assert calls == []
+        grads = vjp(np.ones(y.shape), np.ones(h_final.shape))
+        assert calls == [1] and len(grads) == 6
 
 
 class TestArrayContract:
