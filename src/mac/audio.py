@@ -23,6 +23,7 @@ STFT_WIN = 400
 STFT_HOP = 160
 STFT_NFFT = 512
 LOG_FLOOR = 1e-6
+STFT_BLOCK = 64  # frames per rfft call in melspectrogram
 
 
 class WavFormatError(ValueError):
@@ -168,25 +169,36 @@ def mel_filterbank() -> np.ndarray:
 
 
 _MEL_BANK = mel_filterbank()
+_HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(STFT_WIN) / STFT_WIN)
 
 
 def melspectrogram(waveform) -> MelSpec:
-    """16 kHz samples -> STFT (win=400, hop=160, Hann) -> 128 mel bins
-    -> log(x + 1e-6)."""
+    """1-D 16 kHz samples -> STFT (win=400, hop=160, Hann) -> 128 mel bins
+    -> log(x + 1e-6).
+
+    The power spectrum is computed STFT_BLOCK frames at a time into one
+    [n_frames, STFT_NFFT//2 + 1] array, so no whole-clip frame matrix or
+    complex spectrum is ever made; the mel bank is then applied to all
+    frames in one matmul, and the floor and log are taken in place.
+    """
     samples = waveform.data if isinstance(waveform, Tensor) else np.asarray(waveform)
-    samples = samples.astype(np.float64)
+    if samples.ndim != 1:
+        raise ShapeError(f"melspectrogram needs a 1-D waveform, got shape {samples.shape}")
+    samples = samples.astype(np.float64, copy=False)
     if samples.size == 0:
         raise ContractError("melspectrogram of empty waveform")
     if samples.size < STFT_WIN:
         samples = fit_length(samples, STFT_WIN)
 
-    n_frames = 1 + (samples.size - STFT_WIN) // STFT_HOP
-    idx = np.arange(STFT_WIN)[None, :] + STFT_HOP * np.arange(n_frames)[:, None]
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(STFT_WIN) / STFT_WIN)
-    frames = samples[idx] * window
-    spec = np.abs(np.fft.rfft(frames, n=STFT_NFFT, axis=1)) ** 2
-    mel = spec @ _MEL_BANK.T
-    return MelSpec(np.log(mel + LOG_FLOOR))
+    frames = np.lib.stride_tricks.sliding_window_view(samples, STFT_WIN)[::STFT_HOP]
+    power = np.empty((frames.shape[0], STFT_NFFT // 2 + 1))
+    for lo in range(0, frames.shape[0], STFT_BLOCK):
+        hi = lo + STFT_BLOCK
+        spec = np.fft.rfft(frames[lo:hi] * _HANN, n=STFT_NFFT, axis=1)
+        np.square(np.abs(spec), out=power[lo:hi])
+    mel = power @ _MEL_BANK.T
+    mel += LOG_FLOOR
+    return MelSpec(np.log(mel, out=mel))
 
 
 # -- CNN patch encoder --------------------------------------------------------

@@ -16,8 +16,10 @@ sequence length: a one-token step runs the recurrence, a longer sequence
 the chunked scan. Under ``no_grad`` the same code is the streaming decode
 step. A LoRA projection is one matmul by the merged weight
 ``base + scale * down @ up``. A training forward thus records a fixed
-number of nodes per block, whatever the batch and sequence length. The
-composed block these kernels replaced is the test suite's oracle.
+number of nodes per block, whatever the batch and sequence length. A
+decode call merges each weight once, on entering ``merged_lora``, and
+every step inside reuses it. The composed block these kernels replaced
+is the test suite's oracle.
 
 The base projection weights stay frozen during fine-tuning; low-rank
 adapters on in_proj and out_proj carry the trainable update.
@@ -25,7 +27,8 @@ adapters on in_proj and out_proj carry the trainable update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,10 +70,12 @@ class LmConfig:
 @dataclass
 class LoraAdapter:
     """Low-rank update scale * down @ up; the scale is alpha/rank with alpha
-    fixed at 2*rank, so it is 2 at every rank."""
+    fixed at 2*rank, so it is 2 at every rank. ``merged`` holds the merged
+    weight inside ``merged_lora`` and is None everywhere else."""
 
     down: Tensor
     up: Tensor
+    merged: np.ndarray | None = field(default=None, repr=False, compare=False)
     scale = 2.0
 
     @staticmethod
@@ -84,16 +89,22 @@ class LoraAdapter:
         return LoraAdapter(down=down, up=up)
 
 
+def _merged_weight(base: Tensor, adapter: LoraAdapter) -> np.ndarray:
+    """base + scale * down @ up, the weight an adapted projection multiplies by."""
+    return base.data + adapter.scale * (adapter.down.data @ adapter.up.data)
+
+
 def lora_apply(base: Tensor, adapter: LoraAdapter | None, x: Tensor) -> Tensor:
     """x @ (base + scale * down @ up): one matmul by the merged weight.
 
     One tape node. The adapter's gradients go through its rank-r factors;
-    a frozen base (``requires_grad`` False) receives no gradient.
+    a frozen base (``requires_grad`` False) receives no gradient. Inside
+    ``merged_lora`` the weight merged on entry is used as it is.
     """
     if adapter is None:
         return tz.matmul(x, base)
     down, up, scale = adapter.down.data, adapter.up.data, adapter.scale
-    weight = base.data + scale * (down @ up)
+    weight = adapter.merged if adapter.merged is not None else _merged_weight(base, adapter)
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"LoRA input {x.shape} does not match weight {weight.shape}")
 
@@ -323,6 +334,27 @@ def attach_lora(lm: SsmLm, rank: int, rng: np.random.Generator) -> None:
     for blk in lm.blocks:
         blk.in_proj.adapter = LoraAdapter.init(blk.cfg.d_model, blk.cfg.d_in_proj, rank, rng)
         blk.out_proj.adapter = LoraAdapter.init(blk.cfg.d_model, blk.cfg.d_model, rank, rng)
+
+
+@contextmanager
+def merged_lora(lm: SsmLm):
+    """Inference with every LoRA projection of ``lm`` merged once.
+
+    Enters ``tz.no_grad()`` and sets each adapter's merged weight on entry,
+    so a projection inside is one matmul however many forwards run. The
+    weights are cleared on exit, also when the body raises, so a training
+    step never sees one.
+    """
+    projs = [proj for blk in lm.blocks for proj in (blk.in_proj, blk.out_proj)
+             if proj.adapter is not None]
+    with tz.no_grad():
+        try:
+            for proj in projs:
+                proj.adapter.merged = _merged_weight(proj.base, proj.adapter)
+            yield
+        finally:
+            for proj in projs:
+                proj.adapter.merged = None
 
 
 def lora_parameters(lm: SsmLm) -> dict[str, Tensor]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import checkpoint, ssd
+from . import blocks, checkpoint, ssd
 from . import tensor as tz
 from .connector import SEG_AUDIO, SEG_SEPARATOR
 from .tensor import ContractError
@@ -108,11 +108,12 @@ def state_update_distances(captioner, sample):
     """Frobenius distances ||h_t - h_{t-1}|| of adjacent audio positions.
 
     Streams the audio span of the [audio, prompt] sequence through the LM
-    one position at a time, carrying the per-block states. Returns (mean
+    one position at a time, carrying the per-block states, with each LoRA
+    projection merged once for the whole span. Returns (mean
     over layers [L_a-1], per-layer [n_layers, L_a-1]).
     """
     lm = captioner.lm
-    with tz.no_grad():
+    with blocks.merged_lora(lm):
         seq, _, _ = captioner.build_sequence([sample], mode="infer")
         n_audio = int(np.isin(seq.segments[0], (SEG_AUDIO, SEG_SEPARATOR)).sum())
         states = None

@@ -375,7 +375,8 @@ def _decode_streaming(cap: Captioner, embs: Tensor, lengths, max_len: int) -> li
     recording at <eos> or max_len but keeps stepping until the group is
     done; each row's state has a fixed size, so a step over all rows costs
     little more than one over the live rows, and the states are never
-    compacted.
+    compacted. Each LoRA projection is merged once for the whole call
+    (``blocks.merged_lora``), so a step is one matmul per projection.
     """
     out: list[list[int]] = [[] for _ in lengths]
     if max_len <= 0:
@@ -383,19 +384,20 @@ def _decode_streaming(cap: Captioner, embs: Tensor, lengths, max_len: int) -> li
     groups: dict[int, list[int]] = {}
     for r, length in enumerate(lengths):
         groups.setdefault(int(length), []).append(r)
-    for length, rows in groups.items():
-        logits, states = cap.lm.forward(Tensor(embs.data[rows, :length]), return_states=True)
-        done = [False] * len(rows)
-        while True:
-            nxt = logits.data[:, -1].argmax(axis=-1)
-            for j, r in enumerate(rows):
-                if not done[j]:
-                    out[r].append(int(nxt[j]))
-                    done[j] = nxt[j] == cap.vocab.eos_id or len(out[r]) >= max_len
-            if all(done):
-                break
-            logits, states = cap.lm.forward(cap.embed_tokens(nxt[:, None]), states=states,
-                                            return_states=True)
+    with blocks.merged_lora(cap.lm):
+        for length, rows in groups.items():
+            logits, states = cap.lm.forward(Tensor(embs.data[rows, :length]), return_states=True)
+            done = [False] * len(rows)
+            while True:
+                nxt = logits.data[:, -1].argmax(axis=-1)
+                for j, r in enumerate(rows):
+                    if not done[j]:
+                        out[r].append(int(nxt[j]))
+                        done[j] = nxt[j] == cap.vocab.eos_id or len(out[r]) >= max_len
+                if all(done):
+                    break
+                logits, states = cap.lm.forward(cap.embed_tokens(nxt[:, None]), states=states,
+                                                return_states=True)
     return out
 
 

@@ -174,6 +174,8 @@ def fused(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     ``parents`` order. It runs once per output gradient; each parent's tape
     entry then takes its own share, and the last one to take drops the
     output gradient and the shares nobody takes."""
+    if not _grad_enabled:
+        return _node(data, ())
     memo: list = [None, None, 0]  # output gradient, its shares, takers left
 
     def share(i):

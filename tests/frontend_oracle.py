@@ -3,9 +3,10 @@
 Each clip is turned into a mel image, encoded, connected, embedded and padded
 on its own, as the front-end did before it took whole batches: one encoder
 pass per clip, one slice per time step or frequency band in the connector,
-and a pad-and-concatenate loop over the built sequences. It reads the
-weights of a ``Captioner`` and shares no cache with it; it keeps its own
-mel images, which depend on the clip alone. ``test_frontend.py``
+and a pad-and-concatenate loop over the built sequences. Its mel image is
+the whole-clip STFT that the blocked ``audio.melspectrogram`` replaced. It
+reads the weights of a ``Captioner`` and shares no cache with it; it keeps
+its own mel images, which depend on the clip alone. ``test_frontend.py``
 compares the batch path against it.
 """
 
@@ -20,6 +21,21 @@ from mac import synth
 from mac import tensor as tz
 from mac.connector import SEG_AUDIO, SEG_CAPTION, SEG_PROMPT, SEG_SEPARATOR, mlp_forward
 from mac.tensor import ContractError, ShapeError, Tensor
+
+
+def melspectrogram(waveform) -> audiomod.MelSpec:
+    """Log-mel of 1-D samples from one whole-clip frame matrix and spectrum."""
+    samples = waveform.data if isinstance(waveform, Tensor) else np.asarray(waveform)
+    samples = samples.astype(np.float64)
+    if samples.size < audiomod.STFT_WIN:
+        samples = audiomod.fit_length(samples, audiomod.STFT_WIN)
+    win, hop = audiomod.STFT_WIN, audiomod.STFT_HOP
+    n_frames = 1 + (samples.size - win) // hop
+    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win) / win)
+    spec = np.abs(np.fft.rfft(samples[idx] * window, n=audiomod.STFT_NFFT, axis=1)) ** 2
+    mel = spec @ audiomod.mel_filterbank().T
+    return audiomod.MelSpec(np.log(mel + audiomod.LOG_FLOOR))
 
 
 @dataclass
@@ -117,7 +133,7 @@ def audio_grid(cap, sample) -> AudioTokenGrid:
             wave = audiomod.load_wav(sample.audio["wav"])
         else:
             wave = Tensor(synth.render(sample.audio["synthetic"]))
-        _MELS[key] = audiomod.melspectrogram(wave).pad_to(cap.enc_cfg.mel_frames)
+        _MELS[key] = melspectrogram(wave).pad_to(cap.enc_cfg.mel_frames)
     if cap.cfg["train.encoder_trainable"]:
         return encode(_MELS[key], cap.encoder)
     with tz.no_grad():  # a frozen encoder runs off the tape

@@ -1,6 +1,7 @@
 """WAV decoding, mel front-end, patch encoder."""
 
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from mac import audio
 from mac import config as configmod
+from mac import synth
 from mac import tensor as tz
 from mac.audio import (
     CnnEncoder,
@@ -174,6 +176,35 @@ class TestMel:
     def test_empty_waveform_rejected(self):
         with pytest.raises(tz.ContractError):
             melspectrogram(np.zeros(0))
+
+    @pytest.mark.parametrize("n", [
+        audio.STFT_WIN - 1,  # zero-padded to one frame
+        audio.STFT_WIN,  # one frame
+        audio.STFT_WIN + (audio.STFT_BLOCK - 1) * audio.STFT_HOP,  # one whole block
+        audio.STFT_WIN + audio.STFT_BLOCK * audio.STFT_HOP,  # a block and one frame
+        160000,  # the 10 s clip: 998 frames, a partial last block
+    ])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
+    def test_blocked_stft_equals_whole_clip_oracle(self, n, dtype):
+        wave = np.random.default_rng(n).standard_normal(n)
+        if dtype is np.int16:
+            wave = wave * 3000.0
+        wave = wave.astype(dtype)
+        got = melspectrogram(wave).frames
+        assert got.shape == (1 + (max(n, audio.STFT_WIN) - audio.STFT_WIN) // audio.STFT_HOP, 128)
+        assert np.array_equal(got, frontend_oracle.melspectrogram(wave).frames)
+
+    @pytest.mark.parametrize("kind", ["tone", "chirp", "noise", "clicks", "overlap"])
+    def test_synthetic_clip_equals_whole_clip_oracle(self, kind):
+        spec = next(r["spec"] for r in synth.make_corpus(8, seed=1) if r["spec"]["kind"] == kind)
+        wave = tz.Tensor(synth.render(spec))
+        assert np.array_equal(melspectrogram(wave).frames,
+                              frontend_oracle.melspectrogram(wave).frames)
+
+    @pytest.mark.parametrize("shape", [(16000, 2), (1, 16000), ()])
+    def test_waveform_that_is_not_1d_is_shape_error(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            melspectrogram(np.zeros(shape))
 
     def test_pad_to(self):
         mel = melspectrogram(np.zeros(16000))

@@ -187,11 +187,15 @@ class TestStateDistances:
         # pure-numpy re-derivation of one block's recurrence
         cap, train, _ = tiny_captioner(**{"model.n_layers": "1"})
         sample = train[0]
+        blk = cap.lm.blocks[0]
+        # a nonzero up, so the LoRA merge the trace runs under shows
+        up = blk.in_proj.adapter.up
+        up.data[:] = 0.1 * np.random.default_rng(5).standard_normal(up.shape)
         mean_d, per_layer = state_update_distances(cap, sample)
+        assert blk.in_proj.adapter.merged is None and blk.out_proj.adapter.merged is None
 
         with tz.no_grad():
             seq, _, _ = cap.build_sequence([sample], mode="infer")
-        blk = cap.lm.blocks[0]
         x = seq.vectors.data
         w = x / np.sqrt((x**2).mean(-1, keepdims=True) + 1e-5) * blk.res_norm.data
 

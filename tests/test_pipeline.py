@@ -425,6 +425,22 @@ def mixed_prompt_samples(cap: Captioner, samples: list[Sample]) -> list[Sample]:
                          (cap.cfg["data.classify_prompt"], s.label))]
 
 
+LAYOUTS = ("concatenation", "time_major", "frequency_major")
+
+
+def move_adapters(cap: Captioner, seed: int) -> None:
+    """Give every LoRA ``up`` seeded nonzero values, so each merged weight
+    differs from its base (a fresh adapter's ``up`` is zero)."""
+    rng = np.random.default_rng(seed)
+    for name, t in pipeline.blocks.lora_parameters(cap.lm).items():
+        if name.endswith("lora.up"):
+            t.data[:] = 0.1 * rng.standard_normal(t.shape)
+
+
+def adapters(cap: Captioner) -> list:
+    return [proj.adapter for blk in cap.lm.blocks for proj in (blk.in_proj, blk.out_proj)]
+
+
 class TestGeneration:
     def test_max_len_zero_empty(self):
         cap, train, _ = tiny_captioner()
@@ -440,6 +456,7 @@ class TestGeneration:
         max_len = 8
         for variant in PREFIX_VARIANTS:
             cap, train, _ = tiny_captioner(**{"connector.variant": variant})
+            move_adapters(cap, 1)
             with tz.no_grad():
                 seq, _, _ = cap.build_sequence(mixed_prompt_samples(cap, train), mode="infer")
                 ends = [int(e) for e in (seq.segments != "pad").sum(axis=1)]
@@ -459,6 +476,7 @@ class TestGeneration:
     def test_evaluate_equals_per_sample_oracle(self):
         for variant in PREFIX_VARIANTS:
             cap, train, evl = tiny_captioner(**{"connector.variant": variant})
+            move_adapters(cap, 2)
             samples = mixed_prompt_samples(cap, train + evl)
             # give some samples the caption the model produces, so the exact
             # and F1 terms are not all zero
@@ -477,10 +495,14 @@ class TestGeneration:
             assert 0.0 < oracle[2] < 1.0, variant
 
     def test_streaming_equals_full_recompute(self):
-        for variant in PREFIX_VARIANTS:
+        # streaming merges each adapter once per call; the full re-forward
+        # merges in every projection, so moved adapters make the two differ
+        # wherever the merged weight does
+        for variant in LAYOUTS:
             for seed in (0, 1, 2):
                 cap, train, _ = tiny_captioner(**{"train.seed": str(seed),
                                                   "connector.variant": variant})
+                move_adapters(cap, seed)
                 for s in train[:2]:
                     a = pipeline.generate_greedy(cap, s, max_len=10, streaming=True)
                     b = pipeline.generate_greedy(cap, s, max_len=10, streaming=False)
@@ -491,6 +513,66 @@ class TestGeneration:
         assert pipeline.token_f1("a b", "c d") == 0.0
         assert pipeline.token_f1("", "a") == 0.0
         assert pipeline.token_f1("a x", "a y") == pytest.approx(0.5)
+
+
+class TestMergedDecode:
+    """A decode call merges each LoRA projection once; nothing outlives it."""
+
+    def test_no_merged_weight_after_evaluate_or_generate(self):
+        cap, train, evl = tiny_captioner()
+        move_adapters(cap, 0)
+        pipeline.evaluate(cap, train + evl, max_len=6)
+        assert all(a.merged is None for a in adapters(cap))
+        pipeline.generate_greedy(cap, train[0], max_len=6)
+        assert all(a.merged is None for a in adapters(cap))
+
+    def test_no_merged_weight_after_a_step_raises(self, monkeypatch):
+        cap, train, _ = tiny_captioner()
+        real_forward = cap.lm.forward
+        merged_in_step = []
+
+        def forward(embs, states=None, return_states=False):
+            if states is not None:  # a 1-token step, inside the merge
+                merged_in_step.append(all(a.merged is not None for a in adapters(cap)))
+                raise RuntimeError("step failed")
+            return real_forward(embs, states=states, return_states=return_states)
+
+        monkeypatch.setattr(cap.lm, "forward", forward)
+        with pytest.raises(RuntimeError, match="step failed"):
+            pipeline.generate_greedy(cap, train[0], max_len=6)
+        assert merged_in_step == [True]
+        assert all(a.merged is None for a in adapters(cap))
+        assert tz._grad_enabled
+
+    def test_training_after_evaluate_is_bit_identical(self):
+        runs = []
+        for evaluate_first in (False, True):
+            cap, train, evl = tiny_captioner()
+            move_adapters(cap, 4)
+            if evaluate_first:
+                pipeline.evaluate(cap, evl, max_len=6)
+            state = pipeline.make_train_state(cap)
+            losses = [pipeline.train_step(state, train) for _ in range(3)]
+            up = {n: g for n, g in state.last_grads.items() if n.endswith("lora.up")}
+            assert up and all(np.abs(g).max() > 0 for g in up.values())
+            runs.append((losses, {n: p.data.copy() for n, p in state.optimizer.params.items()}))
+        (losses_a, params_a), (losses_b, params_b) = runs
+        assert losses_a == losses_b
+        assert all(np.array_equal(params_a[n], params_b[n]) for n in params_a)
+
+    @pytest.mark.parametrize("max_len", [1, 4, 12])
+    def test_one_merge_per_projection_per_call(self, monkeypatch, max_len):
+        cap, train, _ = tiny_captioner()
+        merges = []
+        real_merge = pipeline.blocks._merged_weight
+        monkeypatch.setattr(pipeline.blocks, "_merged_weight",
+                            lambda base, adapter: merges.append(1) or real_merge(base, adapter))
+        with tz.no_grad():
+            seq, _, _ = cap.build_sequence(mixed_prompt_samples(cap, train), mode="infer")
+        lengths = [int(e) for e in (seq.segments != "pad").sum(axis=1)]
+        assert len(set(lengths)) == 2  # two prefill groups in one call
+        pipeline._decode_streaming(cap, seq.vectors, lengths, max_len)
+        assert len(merges) == 2 * cap.cfg["model.n_layers"]
 
 
 class TestCheckpoint:
