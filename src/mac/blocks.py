@@ -3,7 +3,7 @@
 Block dataflow (residual added by the caller / the stack):
 
     in_proj (LoRA) -> [gate z | conv channels | step-size raw]
-    conv channels -> depthwise causal conv                      (tape op)
+    conv channels -> depthwise causal conv, and its next tail  (tape ops)
     mixer: silu -> [head inputs | B | C], dt = softplus(raw + bias),
            a = -exp(log_a), selective scan + per-head skip,
            y * silu(z) -> RMS norm                      (one fused node)
@@ -14,11 +14,14 @@ that runs the scan through ``ssd.kernel``; it records two tape nodes, its
 output and the final scan state. The kernel picks the algorithm from the
 sequence length: a one-token step runs the recurrence, a longer sequence
 the chunked scan. Under ``no_grad`` the same code is the streaming decode
-step. A LoRA projection is one matmul by the merged weight
-``base + scale * down @ up``. A training forward thus records a fixed
-number of nodes per block, whatever the batch and sequence length. A
-decode call merges each weight once, on entering ``merged_lora``, and
-every step inside reuses it. The composed block these kernels replaced
+step: the recurrence for one token is one update per head, and the conv
+takes the next conv tail from its own padded [tail, x], so a step costs a
+fixed number of numpy calls per block. A state is never written in place:
+each step returns new arrays. A LoRA projection is one matmul by the
+merged weight ``base + scale * down @ up``. A training forward thus
+records a fixed number of nodes per block, whatever the batch and
+sequence length. A decode call merges each weight once, on entering
+``merged_lora``, and every step inside reuses it. The composed block these kernels replaced
 is the test suite's oracle.
 
 The base projection weights stay frozen during fine-tuning; low-rank
@@ -188,23 +191,17 @@ class MambaBlock:
         cfg = self.cfg
         if x.ndim != 3 or x.shape[-1] != cfg.d_model:
             raise ShapeError(f"block input {x.shape}, expected [B, T, {cfg.d_model}]")
-        b, t, _ = x.shape
-        di, k = cfg.d_model, cfg.conv_width
+        b, di, k = x.shape[0], cfg.d_model, cfg.conv_width
 
         proj = self.in_proj(x)
-        xbc_raw = proj[:, :, di : di + cfg.conv_dim]
         if state is None:
             prefix, initial = tz.zeros((b, k - 1, cfg.conv_dim), dtype=proj.dtype), None
         else:
             prefix, initial = state.conv_tail, state.ssm
-        conv = tz.conv1d_depthwise_causal(xbc_raw, self.conv_w, self.conv_b, prefix)
+        conv, tail = tz.conv1d_depthwise_causal(proj[:, :, di : di + cfg.conv_dim],
+                                                self.conv_w, self.conv_b, prefix)
         mixed, final = _mixer(self, proj, conv, initial)
-        out = self.out_proj(mixed)
-
-        # the last K-1 rows of [prefix, x], built from at most K-1 rows of x
-        tail_src = tz.concat([prefix, xbc_raw[:, max(t - (k - 1), 0) :, :]], axis=1)
-        new_tail = tail_src[:, tail_src.shape[1] - (k - 1) :, :]
-        return out, BlockState(ssm=final, conv_tail=new_tail)
+        return self.out_proj(mixed), BlockState(ssm=final, conv_tail=tail)
 
     __call__ = forward
 
@@ -226,8 +223,9 @@ def _mixer(blk: MambaBlock, proj: Tensor, conv: Tensor,
     columns are read here), conv [B, T, conv_dim] the causal conv output.
     -> (RMS-normed gated output [B, T, D], final scan state [B, H, P, N]),
     two tape nodes with one adjoint. The forward keeps what the adjoint
-    reads (both sigmoids, the skip-added scan output, the norm's r and
-    xhat) and recomputes only products of them.
+    reads (the silu and gate sigmoids, softplus' input, the skip-added scan
+    output, the norm's r and xhat) and recomputes only products of them and
+    softplus' slope, which only the adjoint reads.
     """
     cfg = blk.cfg
     b, t, _ = conv.shape
@@ -236,7 +234,8 @@ def _mixer(blk: MambaBlock, proj: Tensor, conv: Tensor,
     s_pre = tz._sigmoid(pre)
     xbc = pre * s_pre
     xs = xbc[..., :di].reshape(b, t, h, p)
-    dt, s_dt = tz._softplus(proj.data[..., di + cfg.conv_dim :] + blk.dt_bias.data)
+    dt_pre = proj.data[..., di + cfg.conv_dim :] + blk.dt_bias.data
+    dt = tz._softplus(dt_pre)
     a = -np.exp(blk.log_a.data)
     params = ssd.SelectiveParams(
         dt=dt, a=a, x=xs,
@@ -273,7 +272,7 @@ def _mixer(blk: MambaBlock, proj: Tensor, conv: Tensor,
                                 gC.reshape(b, t, gn)], axis=-1)
         del gy, gx, gB, gC  # a lower peak leaves less fresh heap to fault in
         g_pre *= _silu_slope(pre, s_pre)
-        g_dt = gdt * s_dt
+        g_dt = gdt * tz._sigmoid(dt_pre)  # softplus' slope, from the forward's input
         g_proj = np.zeros(proj.shape)
         g_proj[..., :di] = g_z
         g_proj[..., di + cfg.conv_dim :] = g_dt

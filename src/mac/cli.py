@@ -67,8 +67,9 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--wav", required=True, help="input WAV file")
     p.add_argument("--prompt", help="defaults to the checkpoint's caption prompt")
-    p.add_argument("--max-len", type=int,
-                   help="defaults to the checkpoint's train.max_caption_len")
+    p.add_argument("--max-len", type=_positive_int,
+                   help="most caption tokens; defaults to the checkpoint's "
+                        "train.max_caption_len")
 
     p = sub.add_parser("diagnose", help="representation diagnostics CSVs")
     p.add_argument("metric", choices=["erank", "cosine", "state-dist"])

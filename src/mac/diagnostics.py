@@ -134,7 +134,7 @@ def state_update_distances(captioner, sample):
 
 def _random_params(rng: np.random.Generator, t: int, h: int, p: int, g: int, n: int):
     return ssd.SelectiveParams(
-        dt=tz._softplus(rng.standard_normal((t, h)))[0],
+        dt=tz._softplus(rng.standard_normal((t, h))),
         a=-np.exp(rng.standard_normal(h) * 0.5),
         B=rng.standard_normal((t, g, n)),
         C=rng.standard_normal((t, g, n)),

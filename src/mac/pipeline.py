@@ -277,8 +277,10 @@ class TrainState:
     step: int = 0
     loss_history: list[float] = field(default_factory=list)
     dump_dir: str | None = None
-    # the last step's leaf gradients by parameter name, before clipping
+    # the last step's leaf gradients by parameter name and their global L2
+    # norm, both before clipping; None before the first step
     last_grads: dict[str, np.ndarray] = field(default_factory=dict)
+    last_grad_norm: float | None = None
 
 
 def make_train_state(captioner: Captioner, dump_dir: str | None = None) -> TrainState:
@@ -312,7 +314,8 @@ def train_step(state: TrainState, batch: list[Sample]) -> float:
     leaves = loss.backward()
     state.last_grads = {name: leaves[p] for name, p in sorted(state.optimizer.params.items())
                         if p in leaves}
-    optim.clip_grad_norm(state.optimizer.params, cap.cfg["train.clip_norm"])
+    state.last_grad_norm = optim.clip_grad_norm(state.optimizer.params,
+                                                cap.cfg["train.clip_norm"])
     state.optimizer.step()
     state.step += 1
     state.loss_history.append(value)
@@ -320,15 +323,18 @@ def train_step(state: TrainState, batch: list[Sample]) -> float:
 
 
 def _write_divergence_dump(state: TrainState, value: float) -> str | None:
-    """Write the loss, recent losses and each trainable parameter's largest
-    |weight| and, if it had one, its last finished step's largest pre-clip
-    |gradient|; None when the state has no dump directory."""
+    """Write the loss, recent losses, the last finished step's pre-clip
+    gradient norm, and each trainable parameter's largest |weight| and, if it
+    had one, its largest pre-clip |gradient| in that step; None when the
+    state has no dump directory."""
     if state.dump_dir is None:
         return None
     os.makedirs(state.dump_dir, exist_ok=True)
     path = os.path.join(state.dump_dir, f"diverged_step{state.step}.txt")
     lines = [f"loss={value} step={state.step}",
              "recent_losses=" + ",".join(f"{x:.6g}" for x in state.loss_history[-20:])]
+    if state.last_grad_norm is not None:
+        lines.append(f"grad_norm={state.last_grad_norm:.6g} step={state.step - 1}")
     for name, t in sorted(state.optimizer.params.items()):
         line = f"param {name} |w|max={np.abs(t.data).max():.6g}"
         g = state.last_grads.get(name)

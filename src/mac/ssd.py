@@ -37,7 +37,10 @@ Nothing here records on the autograd tape. The block mixer of
 ``mac.blocks``, the one caller that differentiates a scan, calls ``kernel``
 with the default mode inside its own fused node, so a one-token decode
 step runs the recurrence and a longer sequence runs in chunks of
-``DEFAULT_CHUNK``. The scans composed from taped ``Tensor`` ops that these
+``DEFAULT_CHUNK``. At T = 1 the recurrence is one straight-line update per
+head with no loop, and the checks are ndarray reductions, so a decode
+step's scan is a fixed handful of numpy calls and builds no adjoint until
+one is asked for. The scans composed from taped ``Tensor`` ops that these
 kernels replaced are the test suite's oracle.
 
 Shapes are written unbatched ([T, ...]) below; every function also accepts
@@ -104,9 +107,9 @@ class SelectiveParams:
 
     def validate(self) -> None:
         self.dims()
-        if np.any(self.dt <= 0):
+        if (self.dt <= 0).any():
             raise ContractError("dt must be strictly positive")
-        if np.any(self.a >= 0):
+        if (self.a >= 0).any():
             raise ContractError("a must be strictly negative")
 
 
@@ -132,8 +135,9 @@ def _lift(params: SelectiveParams, initial: np.ndarray | None):
     a zero state).
     """
     params.validate()
-    lead = () if params.batched else (1,)
-    dt, B, C, x = (v.reshape(lead + v.shape) for v in (params.dt, params.B, params.C, params.x))
+    dt, B, C, x = params.dt, params.B, params.C, params.x
+    if not params.batched:
+        dt, B, C, x = dt[None], B[None], C[None], x[None]
     arrays = (dt, params.a, B, C, x)
     bsz, t, h = dt.shape
     if t == 0:
@@ -233,16 +237,17 @@ def _recurrent(dt, a, B, C, x, h0):
     z, coef = discretize_zoh(dt, a)
     abar = np.exp(z).reshape(nb, t, g, hpg, 1, 1)
     cx = (x * coef[..., None]).reshape(nb, t, g, hpg, p, 1)
-    b_row = B.reshape(nb, t, g, 1, 1, n)
-    c_row = C.reshape(nb, t, g, 1, 1, n)
 
-    hs = cx * b_row  # each step's input, then (in place) the state after the step
-    prev = None if h0 is None else h0.reshape(nb, g, hpg, p, n)
-    for s in range(t):
-        if prev is not None:
-            hs[:, s] += abar[:, s] * prev
-        prev = hs[:, s]
-    y = (hs @ c_row.swapaxes(-1, -2)).reshape(nb, t, h, p)
+    # each step's input, then (in place, through a view) the state after the
+    # step; a one-token decode step is the first update alone, with no loop
+    hs = cx * B.reshape(nb, t, g, 1, 1, n)
+    if h0 is not None:
+        first = hs[:, 0]
+        first += abar[:, 0] * h0.reshape(nb, g, hpg, p, n)
+    for s in range(1, t):
+        state = hs[:, s]
+        state += abar[:, s] * hs[:, s - 1]
+    y = (hs @ C.reshape(nb, t, g, 1, 1, n).swapaxes(-1, -2)).reshape(nb, t, h, p)
     return y, hs[:, -1].reshape(nb, h, p, n)
 
 

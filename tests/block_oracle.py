@@ -45,7 +45,7 @@ def block_forward(blk: MambaBlock, x: Tensor,
         prefix, initial = tz.zeros((b, k - 1, cfg.conv_dim), dtype=xbc_raw.dtype), None
     else:
         prefix, initial = state.conv_tail, state.ssm
-    xbc = silu(tz.conv1d_depthwise_causal(xbc_raw, blk.conv_w, blk.conv_b, prefix))
+    xbc = silu(tz.conv1d_depthwise_causal(xbc_raw, blk.conv_w, blk.conv_b, prefix)[0])
     xs = tz.reshape(xbc[:, :, :di], (b, t, cfg.n_heads, cfg.head_dim))
     bmat = tz.reshape(xbc[:, :, di : di + gn], (b, t, cfg.n_groups, cfg.d_state))
     cmat = tz.reshape(xbc[:, :, di + gn :], (b, t, cfg.n_groups, cfg.d_state))

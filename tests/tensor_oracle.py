@@ -81,8 +81,8 @@ def exp(a) -> Tensor:
 
 def softplus(a) -> Tensor:
     a = tz._ensure(a)
-    out, slope = tz._softplus(a.data)
-    return tz._node(out, [(a, lambda g: g * slope)])
+    slope = tz._sigmoid(a.data)
+    return tz._node(tz._softplus(a.data), [(a, lambda g: g * slope)])
 
 
 def silu(a) -> Tensor:

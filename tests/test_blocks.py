@@ -89,6 +89,50 @@ class TestBlockForward:
         assert worst < 1e-4
 
 
+class TestOneTokenStepContract:
+    """What a streaming decode step promises its caller, whatever it costs."""
+
+    def _warm(self, seed=50, b=2):
+        blk = tiny_lm(seed=seed).blocks[0]
+        rng = np.random.default_rng(seed + 1)
+        with tz.no_grad():
+            _, state = blk.forward(Tensor(rng.standard_normal((b, 5, 24))))
+        return blk, state, Tensor(rng.standard_normal((b, 1, 24)))
+
+    @pytest.mark.parametrize("part", ["conv_tail", "ssm"])
+    def test_wrong_state_shape_is_a_shape_error_naming_both_shapes(self, part):
+        blk, state, step = self._warm()
+        good = getattr(state, part).shape
+        bad = good[:-1] + (good[-1] + 1,)
+        other = (2, 1, blk.cfg.conv_dim) if part == "conv_tail" else good
+        broken = blocks.BlockState(**{"ssm": state.ssm, "conv_tail": state.conv_tail,
+                                      part: Tensor(np.zeros(bad))})
+        with tz.no_grad(), pytest.raises(ShapeError) as err:
+            blk.forward(step, state=broken)
+        assert str(bad) in str(err.value) and str(other) in str(err.value)
+
+    @pytest.mark.parametrize("name, value", [("log_a", -800.0), ("dt_bias", -800.0)])
+    def test_a_zero_decay_or_step_size_is_a_contract_error(self, name, value):
+        # log_a = -800 makes a = -exp(-800) = -0.0; dt_bias = -800 makes dt = 0
+        blk, state, step = self._warm()
+        getattr(blk, name).data[1] = value
+        with tz.no_grad(), pytest.raises(ContractError):
+            blk.forward(step, state=state)
+
+    def test_a_returned_state_is_never_changed_by_a_later_step(self):
+        blk, state, step = self._warm()
+        with tz.no_grad():
+            for _ in range(3):  # a prefill state, then states returned by steps
+                kept = [state.ssm.data.copy(), state.conv_tail.data.copy()]
+                runs = [blk.forward(step, state=state) for _ in range(2)]
+                for a, b in zip(*[[out.data, new.ssm.data, new.conv_tail.data]
+                                  for out, new in runs]):
+                    np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(state.ssm.data, kept[0])
+                np.testing.assert_array_equal(state.conv_tail.data, kept[1])
+                state = runs[0][1]
+
+
 def _leaves(blk: MambaBlock) -> list[Tensor]:
     """Every parameter ``MambaBlock.forward`` reads except the frozen LoRA
     bases (the pre-norm weight is the stack's)."""

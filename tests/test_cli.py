@@ -383,3 +383,16 @@ class TestClipCount:
         assert code == 1
         assert err.startswith(f"error_code=usage argument --n: '{n}' is not an integer >= 1")
         assert not out.exists()
+
+
+class TestCaptionLength:
+    @pytest.mark.parametrize("max_len", ["0", "-1", "many"])
+    def test_max_len_below_one_is_usage_error(self, tmp_path, capsys, max_len):
+        # checked before the checkpoint or the clip is read, so neither need exist
+        code, out, err = run_cli(["infer", "--checkpoint", str(tmp_path / "m.ckpt"),
+                                  "--wav", str(tmp_path / "a.wav"), "--max-len", max_len],
+                                 capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(
+            f"error_code=usage argument --max-len: '{max_len}' is not an integer >= 1")

@@ -338,7 +338,7 @@ class TestTraining:
             cap.mlp.w1.data[:] = w1
             lines = Path(err.value.dump_path).read_text().splitlines()
             assert lines[0] == f"loss=nan step={state.step}"
-            return {line.split()[1]: line for line in lines[2:]}
+            return {line.split()[1]: line for line in lines if line.startswith("param ")}
 
         assert not any("|g|max=" in line for line in diverge().values())  # step 0: none yet
         pipeline.train_step(state, train)
@@ -350,6 +350,22 @@ class TestTraining:
         for name in had_grad:
             kept = np.abs(state.last_grads[name]).max()
             assert lines[name].endswith(f" |g|max={kept:.6g}"), lines[name]
+
+    def test_divergence_dump_reports_the_last_steps_pre_clip_norm(self, tmp_path):
+        # a cap far below the gradient norm, so every step clips
+        cap, train, _ = tiny_captioner(**{"train.clip_norm": "1e-6"})
+        state = pipeline.make_train_state(cap, dump_dir=str(tmp_path))
+        assert state.last_grad_norm is None
+        pipeline.train_step(state, train)
+        kept = np.sqrt(sum(float((g**2).sum()) for g in state.last_grads.values()))
+        assert state.last_grad_norm == pytest.approx(kept, rel=1e-12)
+        assert state.last_grad_norm > 1e-3  # the norm before clipping, not after
+        cap.mlp.w1.data[:] = np.inf
+        with pytest.raises(pipeline.TrainingDiverged) as err:
+            with np.errstate(invalid="ignore", over="ignore"):
+                pipeline.train_step(state, train)
+        lines = Path(err.value.dump_path).read_text().splitlines()
+        assert lines[2] == f"grad_norm={state.last_grad_norm:.6g} step=0"
 
 
 # prints the minor page faults of each of five warm time_major train steps

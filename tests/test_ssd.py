@@ -18,7 +18,7 @@ E_NEG1 = 0.3678794411714423215955237701614609
 def random_params(rng, t=16, h=4, p=16, g=1, n=16, batch=None, dtype=np.float64):
     lead = () if batch is None else (batch,)
     return ssd.SelectiveParams(
-        dt=tz._softplus(rng.standard_normal(lead + (t, h)).astype(dtype))[0],
+        dt=tz._softplus(rng.standard_normal(lead + (t, h)).astype(dtype)),
         a=-np.exp(rng.standard_normal(h).astype(dtype)),
         B=rng.standard_normal(lead + (t, g, n)).astype(dtype),
         C=rng.standard_normal(lead + (t, g, n)).astype(dtype),

@@ -56,14 +56,14 @@ class TestMatmul:
 
 class TestSoftplus:
     def test_at_zero(self):
-        assert abs(tz._softplus(np.float64(0.0))[0] - LN2) < 1e-15
+        assert abs(tz._softplus(np.float64(0.0)) - LN2) < 1e-15
 
     def test_large_input_no_overflow(self):
-        out = tz._softplus(np.float64(100.0))[0]
+        out = tz._softplus(np.float64(100.0))
         assert abs(out - 100.0) < 1e-12
 
     def test_matches_extended_precision_oracle(self):
-        assert abs(tz._softplus(np.float64(-3.0))[0] - SOFTPLUS_NEG3) < 1e-12
+        assert abs(tz._softplus(np.float64(-3.0)) - SOFTPLUS_NEG3) < 1e-12
 
 
 def _sigmoid_ref(x: float) -> float:
@@ -99,8 +99,8 @@ class TestActivationAccuracy:
             x = Tensor(np.array(points, dtype=dtype), requires_grad=True)
             got = {
                 "silu": tensor_oracle.silu(x).data,
-                "softplus": tz._softplus(x.data)[0],
-                "softplus slope": tz._softplus(x.data)[1],
+                "softplus": tz._softplus(x.data),
+                "softplus slope": tz._sigmoid(x.data),
                 "gelu": tz.gelu(x).data,
             }
         bound = ACTIVATION_ULPS * float(np.finfo(dtype).eps)
@@ -212,10 +212,12 @@ class TestPrimitiveGradients:
         w = Tensor(rng.standard_normal((4, 3)))
         b = Tensor(rng.standard_normal(3))
         scale = Tensor(rng.standard_normal((2, 9, 3)))
+        tail_scale = Tensor(rng.standard_normal((2, 3, 3)))
         cold = tz.zeros((2, 3, 3))
 
         # brute-force oracle: zero-padded causal window product
-        out = tz.conv1d_depthwise_causal(x, w, b, cold).data
+        out, tail = tz.conv1d_depthwise_causal(x, w, b, cold)
+        out = out.data
         expect = np.zeros_like(x.data)
         padded = np.concatenate([np.zeros((2, 3, 3)), x.data], axis=1)
         for t in range(9):
@@ -223,26 +225,28 @@ class TestPrimitiveGradients:
                 expect[:, t, :] += w.data[k] * padded[:, t + k, :]
         expect += b.data
         np.testing.assert_allclose(out, expect, atol=1e-14)
+        np.testing.assert_array_equal(tail.data, x.data[:, -3:])
 
-        check_gradients(
-            lambda: tsum(tz.mul(tz.conv1d_depthwise_causal(x, w, b, cold), scale)),
-            [x, w, b],
-        )
+        def loss(prefix):  # through the output and the tail
+            out, tail = tz.conv1d_depthwise_causal(x, w, b, prefix)
+            return tz.add(tsum(tz.mul(out, scale)), tsum(tz.mul(tail, tail_scale)))
+
+        check_gradients(lambda: loss(cold), [x, w, b])
         warm = Tensor(rng.standard_normal((2, 3, 3)))
-        check_gradients(
-            lambda: tsum(tz.mul(tz.conv1d_depthwise_causal(x, w, b, warm), scale)),
-            [x, w, b, warm],
-        )
+        check_gradients(lambda: loss(warm), [x, w, b, warm])
+        short = x[:, :2, :]  # fewer rows than K-1: the tail keeps a prefix row
+        _, tail = tz.conv1d_depthwise_causal(short, w, b, warm)
+        np.testing.assert_array_equal(tail.data, np.concatenate([warm.data[:, 2:], short.data], 1))
 
     def test_conv1d_prefix_matches_long_sequence(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.standard_normal((1, 12, 2)))
         w = Tensor(rng.standard_normal((4, 2)))
         cold = tz.zeros((1, 3, 2))
-        full = tz.conv1d_depthwise_causal(x, w, None, cold).data
-        head = tz.conv1d_depthwise_causal(x[:, :5, :], w, None, cold).data
-        tail = tz.conv1d_depthwise_causal(x[:, 5:, :], w, None, x[:, 2:5, :]).data
-        np.testing.assert_allclose(np.concatenate([head, tail], axis=1), full, atol=1e-14)
+        full = tz.conv1d_depthwise_causal(x, w, None, cold)[0].data
+        head, carried = tz.conv1d_depthwise_causal(x[:, :5, :], w, None, cold)
+        rest = tz.conv1d_depthwise_causal(x[:, 5:, :], w, None, carried)[0].data
+        np.testing.assert_allclose(np.concatenate([head.data, rest], axis=1), full, atol=1e-14)
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(12)
