@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checkpoint
 from . import tensor as tz
 from .tensor import ContractError, ShapeError, Tensor
 
@@ -117,15 +118,15 @@ def load_wav(path: str) -> Tensor:
 
 
 def write_wav(path: str, samples: np.ndarray, rate: int = SAMPLE_RATE) -> None:
-    """Write mono PCM16; the synthetic-corpus generator and tests use this."""
+    """Write mono PCM16 atomically; the synthetic-corpus generator and tests
+    use this."""
     pcm = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
     pcm = (pcm * 32767.0).astype("<i2").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVE")
-        fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16))
-        fh.write(b"data" + struct.pack("<I", len(pcm)) + pcm)
-        if len(pcm) & 1:
-            fh.write(b"\x00")
+    checkpoint.write_atomic(path, b"".join([
+        b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVE",
+        b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16),
+        b"data" + struct.pack("<I", len(pcm)) + pcm,
+        b"\x00" * (len(pcm) & 1)]))
 
 
 # -- mel front-end -----------------------------------------------------------

@@ -117,7 +117,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error_code=config {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        # outputs are written only when a command completes, so nothing is flushed here
+        # every output file is written atomically, a corpus manifest or a run's
+        # metrics only after the work it records, so nothing is flushed here
         print("error_code=interrupted stopped before completion; nothing was flushed",
               file=sys.stderr)
         return 3

@@ -11,6 +11,9 @@ greedily, either by full re-forwarding or by carrying per-block streaming
 state. Streaming decode takes many rows at once: rows with equal prefix
 lengths share one prefill and then one recurrent step per token, and a row
 that has finished keeps stepping, unrecorded, until its whole group is done.
+``evaluate`` shares that prefill with its teacher-forced pass, which
+continues from the prefill's states over the caption span, so each prefix
+position runs through the LM once.
 """
 
 from __future__ import annotations
@@ -189,12 +192,14 @@ class Captioner:
         """
         if mode not in ("train", "infer"):
             raise ContractError(f"unknown sequence mode {mode!r}")
+        if not samples:
+            raise ContractError("cannot build a sequence from an empty batch")
         prompts = [self.vocab.encode(s.prompt) for s in samples]
         captions = [[] for _ in samples]
         if mode == "train":
-            if not all(s.caption for s in samples):
+            captions = [self.vocab.encode(s.caption or "") for s in samples]
+            if not all(captions):
                 raise ContractError("training sample has an empty caption")
-            captions = [self.vocab.encode(s.caption) for s in samples]
 
         aud = connector.connect(self.audio_tokens(samples), self.conn_cfg, self.mlp,
                                 self.sep_embedding)
@@ -372,39 +377,53 @@ def _caption_text(cap: Captioner, ids: list[int]) -> str:
     return cap.vocab.decode([i for i in ids if i != cap.vocab.eos_id])
 
 
+def _prefix_groups(lengths) -> dict[int, list[int]]:
+    """Row indices by prefix length, in row order within each group."""
+    groups: dict[int, list[int]] = {}
+    for r, length in enumerate(lengths):
+        groups.setdefault(int(length), []).append(r)
+    return groups
+
+
 def _decode_streaming(cap: Captioner, embs: Tensor, lengths, max_len: int) -> list[list[int]]:
     """Greedy ids for each row of embs [B, L, D], decoded from the row's
     first ``lengths[r]`` positions; in row order.
 
     Rows with one prefix length form a group, so no row is padded: one
-    prefill, then one recurrent step per token for all its rows. A row stops
-    recording at <eos> or max_len but keeps stepping until the group is
-    done; each row's state has a fixed size, so a step over all rows costs
-    little more than one over the live rows, and the states are never
-    compacted. Each LoRA projection is merged once for the whole call
-    (``blocks.merged_lora``), so a step is one matmul per projection.
+    prefill, then ``_greedy`` for all its rows. Each LoRA projection is
+    merged once for the whole call (``blocks.merged_lora``), so a step is
+    one matmul per projection.
     """
     out: list[list[int]] = [[] for _ in lengths]
+    with blocks.merged_lora(cap.lm):
+        for length, rows in _prefix_groups(lengths).items():
+            logits, states = cap.lm.forward(Tensor(embs.data[rows, :length]), return_states=True)
+            for r, ids in zip(rows, _greedy(cap, logits, states, max_len)):
+                out[r] = ids
+    return out
+
+
+def _greedy(cap: Captioner, logits: Tensor, states: list, max_len: int) -> list[list[int]]:
+    """Greedy ids for each row, continuing from the prefix's logits [n, T, V]
+    and the per-block states after it: one recurrent step per token for all
+    rows. A row stops recording at <eos> or max_len but keeps stepping until
+    every row is done; each row's state has a fixed size, so a step over all
+    rows costs little more than one over the live rows, and the states are
+    never compacted."""
+    out: list[list[int]] = [[] for _ in range(logits.shape[0])]
     if max_len <= 0:
         return out
-    groups: dict[int, list[int]] = {}
-    for r, length in enumerate(lengths):
-        groups.setdefault(int(length), []).append(r)
-    with blocks.merged_lora(cap.lm):
-        for length, rows in groups.items():
-            logits, states = cap.lm.forward(Tensor(embs.data[rows, :length]), return_states=True)
-            done = [False] * len(rows)
-            while True:
-                nxt = logits.data[:, -1].argmax(axis=-1)
-                for j, r in enumerate(rows):
-                    if not done[j]:
-                        out[r].append(int(nxt[j]))
-                        done[j] = nxt[j] == cap.vocab.eos_id or len(out[r]) >= max_len
-                if all(done):
-                    break
-                logits, states = cap.lm.forward(cap.embed_tokens(nxt[:, None]), states=states,
-                                                return_states=True)
-    return out
+    done = [False] * len(out)
+    while True:
+        nxt = logits.data[:, -1].argmax(axis=-1)
+        for j, ids in enumerate(out):
+            if not done[j]:
+                ids.append(int(nxt[j]))
+                done[j] = nxt[j] == cap.vocab.eos_id or len(ids) >= max_len
+        if all(done):
+            return out
+        logits, states = cap.lm.forward(cap.embed_tokens(nxt[:, None]), states=states,
+                                        return_states=True)
 
 
 def _decode_full(cap: Captioner, prefix: Tensor, max_len: int) -> list[int]:
@@ -445,19 +464,33 @@ def token_f1(generated: str, reference: str) -> float:
 def evaluate(captioner: Captioner, samples: list[Sample], max_len: int | None = None):
     """-> (teacher-forced token accuracy, mean caption F1, exact-match rate).
 
-    The train-mode batch is built once. It gives the teacher-forced logits,
-    and each row's [audio, prompt] part is the prefix its caption is decoded
-    from, all rows at once: rows are grouped by prefix length and stepped
-    together, past <eos>, until a group is done.
+    The train-mode batch is built once; its rows are grouped by prefix
+    length ([audio, prompt]) and each group has one prefill. Its last logit
+    scores the first loss target; the teacher-forced pass continues from its
+    states over the rest of the group's padded rows, and the captions are
+    decoded from its last logits and states (``_greedy``). Each LoRA
+    projection is merged once for the whole call.
     """
     if max_len is None:
         max_len = captioner.cfg["train.max_caption_len"]
-    with tz.no_grad():
-        logits, targets, mask, seq = captioner.batch_forward(samples, mode="train")
+    lm = captioner.lm
+    hits = 0.0
+    decoded: list[list[int]] = [[] for _ in samples]
+    with blocks.merged_lora(lm):
+        seq, targets, mask = captioner.build_sequence(samples, mode="train")
         # a row's first loss position is its last prompt position
-        decoded = _decode_streaming(captioner, seq.vectors, mask.argmax(axis=1) + 1, max_len)
-    pred = logits.data.argmax(axis=-1)
-    hits = float(((pred == targets) * (mask > 0)).sum())
+        first, spans = mask.argmax(axis=1), mask.sum(axis=1).astype(np.int64)
+        for start, rows in _prefix_groups(first).items():
+            stop = start + int(spans[rows].max())
+            logits, states = lm.forward(Tensor(seq.vectors.data[rows, : start + 1]),
+                                        return_states=True)
+            rest = lm.forward(Tensor(seq.vectors.data[rows, start + 1 : stop]), states=states)
+            pred = np.concatenate([logits.data[:, -1:].argmax(axis=-1),
+                                   rest.data.argmax(axis=-1)], axis=1)
+            hits += float(((pred == targets[rows, start:stop])
+                           * (mask[rows, start:stop] > 0)).sum())
+            for r, ids in zip(rows, _greedy(captioner, logits, states, max_len)):
+                decoded[r] = ids
     token_acc = hits / float((mask > 0).sum())
     f1s, exact = [], []
     for s, ids in zip(samples, decoded):

@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 
+from . import checkpoint
 from .audio import CLIP_SECONDS, SAMPLE_RATE, write_wav
 
 
@@ -140,20 +141,25 @@ def make_corpus(n: int, seed: int = 0) -> list[dict]:
 
 
 def write_corpus(out_dir: str, n: int, seed: int = 0) -> str:
-    """Render clips to WAV files plus a JSONL manifest; returns manifest path."""
+    """Render clips to WAV files plus a JSONL manifest; returns manifest path.
+
+    Every file is written atomically and the manifest last, so an
+    interrupted run leaves no manifest naming a missing or partial clip,
+    and an earlier manifest in ``out_dir`` stays as it was.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    lines = []
+    for i, rec in enumerate(make_corpus(n, seed)):
+        wav_name = f"clip_{i:04d}.wav"
+        write_wav(os.path.join(out_dir, wav_name), render(rec["spec"]))
+        lines.append(json.dumps({
+            "wav": wav_name,
+            "spec": rec["spec"],
+            "caption": rec["caption"],
+            "label": rec["label"],
+        }) + "\n")
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    records = make_corpus(n, seed)
-    with open(manifest_path, "w") as fh:
-        for i, rec in enumerate(records):
-            wav_name = f"clip_{i:04d}.wav"
-            write_wav(os.path.join(out_dir, wav_name), render(rec["spec"]))
-            fh.write(json.dumps({
-                "wav": wav_name,
-                "spec": rec["spec"],
-                "caption": rec["caption"],
-                "label": rec["label"],
-            }) + "\n")
+    checkpoint.write_atomic(manifest_path, "".join(lines).encode("utf-8"))
     return manifest_path
 
 

@@ -176,11 +176,26 @@ class TestSequenceBuilding:
         assert mask.sum() == 0 and targets.shape == mask.shape == (1, len(seq))
         assert all(s in ("audio", "separator", "prompt") for s in seq.segments[0])
 
+    def test_empty_batch_is_contract_error(self):
+        cap, _, _ = tiny_captioner()
+        move_adapters(cap, 0)
+        for mode in ("train", "infer"):
+            with pytest.raises(ContractError, match="empty batch"):
+                cap.build_sequence([], mode=mode)
+        with pytest.raises(ContractError, match="empty batch"):
+            pipeline.evaluate(cap, [])
+        assert all(a.merged is None for a in adapters(cap))
+        assert tz._grad_enabled
+
     def test_empty_caption_rejected_in_train_mode(self):
         cap, train, _ = tiny_captioner()
         bad = Sample(audio=train[0].audio, prompt=train[0].prompt, caption="")
         with pytest.raises(ContractError, match="empty caption"):
             cap.build_sequence([train[1], bad], mode="train")
+        # a caption of whitespace has no tokens either, so no loss position
+        bad.caption = " \t"
+        with pytest.raises(ContractError, match="empty caption"):
+            pipeline.evaluate(cap, [train[1], bad])
 
     def test_loss_mask_ignores_prompt_positions(self):
         cap, train, _ = tiny_captioner()
@@ -490,7 +505,7 @@ class TestGeneration:
             assert any(ids[-1] != eos and len(ids) == max_len for ids in batched), variant
 
     def test_evaluate_equals_per_sample_oracle(self):
-        for variant in PREFIX_VARIANTS:
+        for variant in LAYOUTS:
             cap, train, evl = tiny_captioner(**{"connector.variant": variant})
             move_adapters(cap, 2)
             samples = mixed_prompt_samples(cap, train + evl)
@@ -509,6 +524,8 @@ class TestGeneration:
                       float(np.mean([g == r for g, r in zip(gens, refs)])))
             assert pipeline.evaluate(cap, samples, max_len=8) == oracle, variant
             assert 0.0 < oracle[2] < 1.0, variant
+            # nothing to decode still scores the teacher-forced tokens
+            assert pipeline.evaluate(cap, samples, max_len=0) == (oracle[0], 0.0, 0.0), variant
 
     def test_streaming_equals_full_recompute(self):
         # streaming merges each adapter once per call; the full re-forward
@@ -589,6 +606,30 @@ class TestMergedDecode:
         assert len(set(lengths)) == 2  # two prefill groups in one call
         pipeline._decode_streaming(cap, seq.vectors, lengths, max_len)
         assert len(merges) == 2 * cap.cfg["model.n_layers"]
+
+    def test_evaluate_prefills_each_prefix_once_and_merges_once(self, monkeypatch):
+        cap, train, evl = tiny_captioner()
+        move_adapters(cap, 3)
+        samples = mixed_prompt_samples(cap, train + evl)
+        merges, cold = [], []
+        real_merge, real_forward = pipeline.blocks._merged_weight, pipeline.blocks.SsmLm.forward
+
+        def forward(lm, embs, states=None, return_states=False):
+            if states is None:  # a pass that starts at position 0
+                cold.append(embs.shape[:2])
+            return real_forward(lm, embs, states=states, return_states=return_states)
+
+        monkeypatch.setattr(pipeline.blocks, "_merged_weight",
+                            lambda base, adapter: merges.append(1) or real_merge(base, adapter))
+        monkeypatch.setattr(pipeline.blocks.SsmLm, "forward", forward)
+        pipeline.evaluate(cap, samples, max_len=6)
+        assert len(merges) == 2 * cap.cfg["model.n_layers"]
+        with tz.no_grad():
+            _, _, mask = cap.build_sequence(samples)
+        prefixes = mask.argmax(axis=1) + 1
+        assert len(set(prefixes)) == 2  # two prefill groups in one call
+        assert sorted(cold) == sorted((int((prefixes == p).sum()), int(p))
+                                      for p in set(prefixes))
 
 
 class TestCheckpoint:
@@ -753,6 +794,29 @@ class TestSynthCorpus:
         where = re.escape(str(manifest))
         with pytest.raises(synth.ManifestError, match=f"{where} line 2: {re.escape(message)}"):
             synth.read_manifest(str(manifest), required=("wav", "caption"))
+
+    def test_interrupted_write_leaves_no_manifest_or_the_earlier_one(self, tmp_path,
+                                                                      monkeypatch):
+        real_render = synth.render
+        calls = []
+
+        def render(spec):
+            calls.append(spec)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real_render(spec)
+
+        done = Path(synth.write_corpus(str(tmp_path / "done"), 4, seed=0))
+        before = done.read_bytes()
+        monkeypatch.setattr(synth, "render", render)
+        with pytest.raises(KeyboardInterrupt):
+            synth.write_corpus(str(tmp_path / "fresh"), 4, seed=1)
+        assert sorted(os.listdir(tmp_path / "fresh")) == ["clip_0000.wav", "clip_0001.wav"]
+        calls.clear()
+        with pytest.raises(KeyboardInterrupt):
+            synth.write_corpus(str(done.parent), 4, seed=1)
+        assert done.read_bytes() == before
+        assert not [n for n in os.listdir(done.parent) if n.endswith(".tmp")]
 
     def test_deterministic(self):
         a = synth.make_corpus(10, seed=4)
