@@ -118,7 +118,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except KeyboardInterrupt:
         # every output file is written atomically, a corpus manifest or a run's
-        # metrics only after the work it records, so nothing is flushed here
+        # metrics only after the work it records; a corpus's clips are staged
+        # under temporary names until then, so nothing is flushed here
         print("error_code=interrupted stopped before completion; nothing was flushed",
               file=sys.stderr)
         return 3

@@ -377,27 +377,30 @@ def _caption_text(cap: Captioner, ids: list[int]) -> str:
     return cap.vocab.decode([i for i in ids if i != cap.vocab.eos_id])
 
 
-def _prefix_groups(lengths) -> dict[int, list[int]]:
-    """Row indices by prefix length, in row order within each group."""
+def _prefills(cap: Captioner, embs: Tensor, lengths):
+    """One prefill per prefix length: yields (rows, logits, states) of an LM
+    forward over the first ``length`` positions of those rows of embs
+    [B, L, D], rows in order. Grouping by length means no row is padded."""
     groups: dict[int, list[int]] = {}
     for r, length in enumerate(lengths):
         groups.setdefault(int(length), []).append(r)
-    return groups
+    for length, rows in groups.items():
+        logits, states = cap.lm.forward(Tensor(embs.data[rows, :length]), return_states=True)
+        yield rows, logits, states
 
 
 def _decode_streaming(cap: Captioner, embs: Tensor, lengths, max_len: int) -> list[list[int]]:
     """Greedy ids for each row of embs [B, L, D], decoded from the row's
     first ``lengths[r]`` positions; in row order.
 
-    Rows with one prefix length form a group, so no row is padded: one
-    prefill, then ``_greedy`` for all its rows. Each LoRA projection is
-    merged once for the whole call (``blocks.merged_lora``), so a step is
-    one matmul per projection.
+    Each prefix-length group has one prefill (``_prefills``), then
+    ``_greedy`` for all its rows. Each LoRA projection is merged once for
+    the whole call (``blocks.merged_lora``), so a step is one matmul per
+    projection.
     """
     out: list[list[int]] = [[] for _ in lengths]
     with blocks.merged_lora(cap.lm):
-        for length, rows in _prefix_groups(lengths).items():
-            logits, states = cap.lm.forward(Tensor(embs.data[rows, :length]), return_states=True)
+        for rows, logits, states in _prefills(cap, embs, lengths):
             for r, ids in zip(rows, _greedy(cap, logits, states, max_len)):
                 out[r] = ids
     return out
@@ -465,11 +468,12 @@ def evaluate(captioner: Captioner, samples: list[Sample], max_len: int | None = 
     """-> (teacher-forced token accuracy, mean caption F1, exact-match rate).
 
     The train-mode batch is built once; its rows are grouped by prefix
-    length ([audio, prompt]) and each group has one prefill. Its last logit
-    scores the first loss target; the teacher-forced pass continues from its
-    states over the rest of the group's padded rows, and the captions are
-    decoded from its last logits and states (``_greedy``). Each LoRA
-    projection is merged once for the whole call.
+    length ([audio, prompt]) and each group has one prefill (``_prefills``,
+    as in streaming decode). Its last logit scores the first loss target;
+    the teacher-forced pass continues from its states over the rest of the
+    group's padded rows, and the captions are decoded from its last logits
+    and states (``_greedy``). Each LoRA projection is merged once for the
+    whole call.
     """
     if max_len is None:
         max_len = captioner.cfg["train.max_caption_len"]
@@ -480,10 +484,9 @@ def evaluate(captioner: Captioner, samples: list[Sample], max_len: int | None = 
         seq, targets, mask = captioner.build_sequence(samples, mode="train")
         # a row's first loss position is its last prompt position
         first, spans = mask.argmax(axis=1), mask.sum(axis=1).astype(np.int64)
-        for start, rows in _prefix_groups(first).items():
+        for rows, logits, states in _prefills(captioner, seq.vectors, first + 1):
+            start = logits.shape[1] - 1
             stop = start + int(spans[rows].max())
-            logits, states = lm.forward(Tensor(seq.vectors.data[rows, : start + 1]),
-                                        return_states=True)
             rest = lm.forward(Tensor(seq.vectors.data[rows, start + 1 : stop]), states=states)
             pred = np.concatenate([logits.data[:, -1:].argmax(axis=-1),
                                    rest.data.argmax(axis=-1)], axis=1)

@@ -143,22 +143,36 @@ def make_corpus(n: int, seed: int = 0) -> list[dict]:
 def write_corpus(out_dir: str, n: int, seed: int = 0) -> str:
     """Render clips to WAV files plus a JSONL manifest; returns manifest path.
 
-    Every file is written atomically and the manifest last, so an
-    interrupted run leaves no manifest naming a missing or partial clip,
-    and an earlier manifest in ``out_dir`` stays as it was.
+    Every clip is rendered under a temporary name first. Only then is an
+    earlier manifest removed, the clips moved to their final names and the
+    new manifest written atomically. So ``out_dir`` always holds the earlier
+    manifest with the clips it names, no manifest, or the new manifest with
+    its clips; an interrupted run removes its temporary files.
     """
     os.makedirs(out_dir, exist_ok=True)
-    lines = []
-    for i, rec in enumerate(make_corpus(n, seed)):
-        wav_name = f"clip_{i:04d}.wav"
-        write_wav(os.path.join(out_dir, wav_name), render(rec["spec"]))
-        lines.append(json.dumps({
-            "wav": wav_name,
-            "spec": rec["spec"],
-            "caption": rec["caption"],
-            "label": rec["label"],
-        }) + "\n")
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
+    lines, staged = [], []
+    try:
+        for i, rec in enumerate(make_corpus(n, seed)):
+            wav_name = f"clip_{i:04d}.wav"
+            final = os.path.join(out_dir, wav_name)
+            staged.append((f"{final}.{os.getpid()}.tmp", final))
+            write_wav(staged[-1][0], render(rec["spec"]))
+            lines.append(json.dumps({
+                "wav": wav_name,
+                "spec": rec["spec"],
+                "caption": rec["caption"],
+                "label": rec["label"],
+            }) + "\n")
+        if os.path.exists(manifest_path):
+            os.remove(manifest_path)
+        for tmp, final in staged:
+            os.replace(tmp, final)
+    except BaseException:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
     checkpoint.write_atomic(manifest_path, "".join(lines).encode("utf-8"))
     return manifest_path
 

@@ -797,7 +797,7 @@ class TestSynthCorpus:
 
     def test_interrupted_write_leaves_no_manifest_or_the_earlier_one(self, tmp_path,
                                                                       monkeypatch):
-        real_render = synth.render
+        real_render, real_replace = synth.render, os.replace
         calls = []
 
         def render(spec):
@@ -806,17 +806,41 @@ class TestSynthCorpus:
                 raise KeyboardInterrupt
             return real_render(spec)
 
+        def files(path):
+            return {p.name: p.read_bytes() for p in Path(path).iterdir()}
+
         done = Path(synth.write_corpus(str(tmp_path / "done"), 4, seed=0))
-        before = done.read_bytes()
+        before = files(done.parent)
+        assert sorted(before) == ["clip_0000.wav", "clip_0001.wav", "clip_0002.wav",
+                                  "clip_0003.wav", "manifest.jsonl"]
         monkeypatch.setattr(synth, "render", render)
         with pytest.raises(KeyboardInterrupt):
             synth.write_corpus(str(tmp_path / "fresh"), 4, seed=1)
-        assert sorted(os.listdir(tmp_path / "fresh")) == ["clip_0000.wav", "clip_0001.wav"]
+        assert os.listdir(tmp_path / "fresh") == []
+        # a re-run stopped while rendering leaves the earlier corpus, clips too
         calls.clear()
         with pytest.raises(KeyboardInterrupt):
             synth.write_corpus(str(done.parent), 4, seed=1)
-        assert done.read_bytes() == before
-        assert not [n for n in os.listdir(done.parent) if n.endswith(".tmp")]
+        assert files(done.parent) == before
+        monkeypatch.setattr(synth, "render", real_render)
+
+        # one stopped while moving clips into place leaves no manifest
+        def replace(src, dst):
+            if dst.endswith("clip_0002.wav"):
+                raise KeyboardInterrupt
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(KeyboardInterrupt):
+            synth.write_corpus(str(done.parent), 4, seed=1)
+        assert sorted(files(done.parent)) == ["clip_0000.wav", "clip_0001.wav",
+                                              "clip_0002.wav", "clip_0003.wav"]
+        monkeypatch.setattr(os, "replace", real_replace)
+
+        # a finished re-run names only its own clips
+        synth.write_corpus(str(done.parent), 4, seed=1)
+        fresh = Path(synth.write_corpus(str(tmp_path / "fresh"), 4, seed=1))
+        assert files(done.parent) == files(fresh.parent) != before
 
     def test_deterministic(self):
         a = synth.make_corpus(10, seed=4)
