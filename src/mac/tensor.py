@@ -60,6 +60,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops are recorded on the tape (False inside ``no_grad``)."""
+    return _grad_enabled
+
+
 class Tensor:
     """N-dimensional real array, optionally tracked on the autograd tape.
 

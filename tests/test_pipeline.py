@@ -1,5 +1,6 @@
 """Tokenizer, config, sequence building, training, decoding, persistence."""
 
+import contextlib
 import gc
 import json
 import os
@@ -266,9 +267,16 @@ class TestTraining:
         with_enc = cap.trainable_parameters()
         assert any(k.startswith("encoder.") for k in with_enc)
 
-    def test_clip_caches_are_bounded_lru(self, monkeypatch):
-        cap, train, evl = tiny_captioner(**{"train.encoder_trainable": "false"})
-        clips = train + evl
+    @pytest.mark.parametrize("trainable", ["false", "true"])
+    def test_clip_caches_are_bounded_lru(self, monkeypatch, trainable):
+        """A frozen encoder, and a trainable one off the tape, read the same
+        bounded grid cache."""
+        cap, train, evl = tiny_captioner(**{"train.encoder_trainable": trainable})
+        with tz.no_grad() if trainable == "true" else contextlib.nullcontext():
+            self._check_bounded_lru(cap, train + evl, monkeypatch)
+
+    @staticmethod
+    def _check_bounded_lru(cap, clips, monkeypatch):
         monkeypatch.setattr(pipeline, "CACHE_ENTRIES", 3)
         misses, encoded = [], []
         real_mel, real_encode = pipeline.audiomod.melspectrogram, pipeline.audiomod.encode
@@ -296,6 +304,48 @@ class TestTraining:
         # a batch larger than the caches still gets every clip's tokens
         tokens = cap.audio_tokens(clips[:5])
         assert tokens.shape[0] == 5 and len(cap._grid_cache) == 3
+
+    def test_cached_grid_follows_an_in_place_weight_edit(self):
+        cap, train, _ = tiny_captioner(**{"train.encoder_trainable": "false"})
+        fresh, _, _ = tiny_captioner(**{"train.encoder_trainable": "false"})
+        with tz.no_grad():
+            cap.audio_tokens(train[:2])  # fills the grid cache
+            for c in (cap, fresh):
+                c.encoder.layers[0][0].data *= 2
+            assert np.array_equal(cap.audio_tokens(train[:2]).data,
+                                  fresh.audio_tokens(train[:2]).data)
+            # a NaN weight never equals its copy, so no grid outlives it
+            bias = cap.encoder.layers[1][1].data
+            kept, bias[0] = bias[0], np.nan
+            assert np.isnan(cap.audio_tokens(train[:2]).data).any()
+            bias[0] = kept
+            assert np.array_equal(cap.audio_tokens(train[:2]).data,
+                                  fresh.audio_tokens(train[:2]).data)
+
+    def test_trainable_encoder_grids_are_reused_until_a_step(self, monkeypatch, tmp_path):
+        cap, train, evl = tiny_captioner(**{"train.encoder_trainable": "true"})
+        encoded = []
+        real_encode = pipeline.audiomod.encode
+        monkeypatch.setattr(pipeline.audiomod, "encode",
+                            lambda rows, encoder: encoded.append(1) or real_encode(rows, encoder))
+
+        def fresh_evaluate(name):
+            cap.save(str(tmp_path / name))
+            return pipeline.evaluate(pipeline.load_captioner(str(tmp_path / name)), evl, 6)
+
+        first = pipeline.evaluate(cap, evl, max_len=6)
+        assert pipeline.evaluate(cap, evl, max_len=6) == first
+        assert len(encoded) == 1  # the eval clips are encoded once
+        assert fresh_evaluate("before.ckpt") == first
+        state = pipeline.make_train_state(cap)
+        pipeline.train_step(state, train)
+        encoded.clear()
+        after = pipeline.evaluate(cap, evl, max_len=6)
+        assert len(encoded) == 1  # the step changed the weights: encoded again
+        with tz.no_grad():
+            assert np.array_equal(cap.audio_tokens(evl).data,
+                                  real_encode(cap._patch_rows(evl), cap.encoder).data)
+        assert fresh_evaluate("after.ckpt") == after
 
     def test_frozen_encoder_weights_bit_invariant(self):
         cap, train, _ = tiny_captioner(**{"train.encoder_trainable": "false"})
