@@ -20,8 +20,8 @@ clips with the least recently used dropped first: the mel image, which
 depends on the clip alone, and the encoder grid. Every encode that no
 gradient can reach (tape off, or a frozen encoder) reads the grid cache:
 decoding, ``evaluate`` and the diagnostics. A cached grid is valid only
-while the encoder weights are bit-identical to those that made it; an
-optimizer step or an in-place edit of the weights clears the cache.
+while the encoder weights equal those that made it; an optimizer step or
+an in-place edit of the weights clears the cache.
 """
 
 from __future__ import annotations
@@ -103,10 +103,10 @@ class Captioner:
         self.sep_embedding = Tensor(
             rng.standard_normal(self.lm_cfg.d_model) / np.sqrt(self.lm_cfg.d_model)
         )
-        # per clip: encoder grid [T_a, F_a, d_enc], valid while the encoder
-        # weights equal _grid_weights, and the mel image as first-layer patch rows
+        # per clip: encoder grid [T_a, F_a, d_enc], valid while the flattened
+        # encoder weights equal _grid_weights, and the mel image as patch rows
         self._grid_cache: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._grid_weights = [t.data.copy() for t in self.encoder.parameters().values()]
+        self._grid_weights = np.empty(0)
         self._mel_cache: OrderedDict[str, np.ndarray] = OrderedDict()
 
     # -- parameters ---------------------------------------------------------
@@ -146,17 +146,16 @@ class Captioner:
         gradient can reach it: the tape is recording and the encoder is
         trainable. Every other call takes each clip's grid from the cache;
         the misses are encoded together, off the tape. A cached grid is
-        valid only while the encoder weights are bit-identical to the ones
-        that made it: each such call compares them with a kept copy and
-        clears the cache when they differ (NaN weights always differ).
+        valid only while the encoder weights equal the ones that made it:
+        each such call compares them with a kept copy and clears the cache
+        when they differ (NaN weights always differ).
         """
         if tz.grad_enabled() and self.cfg["train.encoder_trainable"]:
             return audiomod.encode(self._patch_rows(samples), self.encoder)
-        weights = [t.data for t in self.encoder.parameters().values()]
-        if not all(w.dtype == c.dtype and np.array_equal(w, c)
-                   for w, c in zip(weights, self._grid_weights)):
+        weights = np.concatenate([t.data.ravel() for t in self.encoder.parameters().values()])
+        if not np.array_equal(weights, self._grid_weights):
             self._grid_cache.clear()
-            self._grid_weights = [w.copy() for w in weights]
+            self._grid_weights = weights
         keys = [_clip_key(s) for s in samples]
         grids = {key: _cache_get(self._grid_cache, key) for key in keys}
         todo = {key: s for key, s in zip(keys, samples) if grids[key] is None}
