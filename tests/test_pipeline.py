@@ -331,7 +331,8 @@ class TestTraining:
 
         def fresh_evaluate(name):
             cap.save(str(tmp_path / name))
-            return pipeline.evaluate(pipeline.load_captioner(str(tmp_path / name)), evl, 6)
+            return pipeline.evaluate(pipeline.load_captioner(str(tmp_path / name)), evl,
+                                     max_len=6)
 
         first = pipeline.evaluate(cap, evl, max_len=6)
         assert pipeline.evaluate(cap, evl, max_len=6) == first
