@@ -9,7 +9,7 @@ frequency x channels) grid per clip.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -211,8 +211,9 @@ class EncoderConfig:
 
     patches[i] = (time stride, freq stride) of layer i; channels lists the
     hidden widths, and the final layer projects to d_enc. The grid geometry
-    is mel (mel_frames x mel_bins) reduced by the stride products; every
-    layer's strides must divide its input.
+    grid_t x grid_f is mel (mel_frames x mel_bins) reduced by the stride
+    products, worked out once at construction; every layer's strides must
+    divide its input.
     """
 
     d_enc: int
@@ -220,6 +221,8 @@ class EncoderConfig:
     patches: tuple[tuple[int, int], ...]
     mel_frames: int
     mel_bins: int = MEL_BINS
+    grid_t: int = field(init=False)
+    grid_f: int = field(init=False)
 
     def __post_init__(self):
         if any(c < 1 for c in self.channels):
@@ -237,20 +240,7 @@ class EncoderConfig:
                     f"{self.mel_frames}x{self.mel_bins}) not divisible by patches[{i}] {pt}x{pf}"
                 )
             t, f = t // pt, f // pf
-
-    @property
-    def grid_t(self) -> int:
-        t = self.mel_frames
-        for pt, _ in self.patches:
-            t //= pt
-        return t
-
-    @property
-    def grid_f(self) -> int:
-        f = self.mel_bins
-        for _, pf in self.patches:
-            f //= pf
-        return f
+        self.grid_t, self.grid_f = t, f
 
 
 class CnnEncoder:

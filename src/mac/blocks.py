@@ -355,13 +355,3 @@ def merged_lora(lm: SsmLm):
             for proj in projs:
                 proj.adapter.merged = None
 
-
-def lora_parameters(lm: SsmLm) -> dict[str, Tensor]:
-    out = {}
-    for i, blk in enumerate(lm.blocks):
-        for proj_name, proj in (("in_proj", blk.in_proj), ("out_proj", blk.out_proj)):
-            if proj.adapter is not None:
-                out[f"blocks.{i}.{proj_name}.lora.down"] = proj.adapter.down
-                out[f"blocks.{i}.{proj_name}.lora.up"] = proj.adapter.up
-    return out
-

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .audio import EncoderConfig
 from .blocks import LmConfig
@@ -247,20 +247,15 @@ def validate(cfg: Config) -> list[str]:
     return errors
 
 
-# typed-config field -> the key that sets it
-_LM_KEYS = {"n_layers": "model.n_layers", "n_heads": "model.n_heads",
-            "head_dim": "model.head_dim", "d_state": "model.d_state",
-            "n_groups": "model.n_groups", "conv_width": "model.conv_width"}
-_ENCODER_KEYS = {"d_enc": "audio.d_enc", "channels": "audio.channels",
-                 "patches": "audio.patches", "mel_frames": "audio.mel_frames"}
-_CONNECTOR_KEYS = {"variant": "connector.variant", "hidden_mult": "connector.hidden_mult",
-                   "sep_position": "connector.sep_position"}
 _PARSERS = {"audio.channels": _parse_channels, "audio.patches": _parse_patches}
 
 
-def _typed(kind, keys: dict[str, str], cfg: Config, **derived):
-    """``kind`` built from its keys' values plus ``derived`` fields. Its own
-    checks become a ConfigError naming the keys of the fields it mentions."""
+def _typed(kind, section: str, cfg: Config, **derived):
+    """``kind`` built from ``derived`` plus, for each init field that has a
+    key ``section.field``, that key's value. Its own checks become a
+    ConfigError naming the keys of the fields it mentions."""
+    keys = {f.name: f"{section}.{f.name}" for f in fields(kind)
+            if f.init and f"{section}.{f.name}" in SCHEMA}
     values = {field: _PARSERS.get(key, lambda raw: raw)(cfg[key]) for field, key in keys.items()}
     try:
         return kind(**values, **derived)
@@ -272,8 +267,8 @@ def _typed(kind, keys: dict[str, str], cfg: Config, **derived):
 def model_configs(cfg: Config, vocab_size: int) -> tuple[LmConfig, EncoderConfig, ConnectorConfig]:
     """The typed configs of the model ``cfg`` describes, for a vocabulary of
     ``vocab_size`` words; the only place config values become model shapes."""
-    lm = _typed(LmConfig, _LM_KEYS, cfg, vocab_size=vocab_size)
-    enc = _typed(EncoderConfig, _ENCODER_KEYS, cfg)
-    conn = _typed(ConnectorConfig, _CONNECTOR_KEYS, cfg, d_enc=enc.d_enc, grid_t=enc.grid_t,
+    lm = _typed(LmConfig, "model", cfg, vocab_size=vocab_size)
+    enc = _typed(EncoderConfig, "audio", cfg)
+    conn = _typed(ConnectorConfig, "connector", cfg, d_enc=enc.d_enc, grid_t=enc.grid_t,
                   grid_f=enc.grid_f, d_model=lm.d_model)
     return lm, enc, conn

@@ -113,28 +113,22 @@ class Captioner:
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = {"sep_embedding": self.sep_embedding}
-        for k, t in self.lm.parameters().items():
-            out[f"lm.{k}"] = t
-        for k, t in self.encoder.parameters().items():
-            out[f"encoder.{k}"] = t
-        for k, t in self.mlp.parameters().items():
-            out[f"connector.{k}"] = t
+        for prefix, part in (("lm", self.lm), ("encoder", self.encoder), ("connector", self.mlp)):
+            for k, t in part.parameters().items():
+                out[f"{prefix}.{k}"] = t
         return out
 
     def trainable_parameters(self) -> dict[str, Tensor]:
         """Exactly: LoRA adapters, connector, separator embedding, and the
         encoder when ``train.encoder_trainable``. Everything else is frozen
         in place."""
-        chosen = {"sep_embedding": self.sep_embedding}
-        for k, t in blocks.lora_parameters(self.lm).items():
-            chosen[f"lm.{k}"] = t
-        for k, t in self.mlp.parameters().items():
-            chosen[f"connector.{k}"] = t
-        if self.cfg["train.encoder_trainable"]:
-            for k, t in self.encoder.parameters().items():
-                chosen[f"encoder.{k}"] = t
+        encoder = self.cfg["train.encoder_trainable"]
+        chosen = {}
         for name, t in self.named_parameters().items():
-            t.requires_grad = name in chosen
+            t.requires_grad = (name == "sep_embedding" or name.startswith("connector.")
+                               or ".lora." in name or (encoder and name.startswith("encoder.")))
+            if t.requires_grad:
+                chosen[name] = t
         return chosen
 
     # -- audio path -----------------------------------------------------------

@@ -514,8 +514,8 @@ def move_adapters(cap: Captioner, seed: int) -> None:
     """Give every LoRA ``up`` seeded nonzero values, so each merged weight
     differs from its base (a fresh adapter's ``up`` is zero)."""
     rng = np.random.default_rng(seed)
-    for name, t in pipeline.blocks.lora_parameters(cap.lm).items():
-        if name.endswith("lora.up"):
+    for name, t in cap.lm.parameters().items():
+        if name.endswith(".lora.up"):
             t.data[:] = 0.1 * rng.standard_normal(t.shape)
 
 
