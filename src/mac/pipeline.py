@@ -21,7 +21,9 @@ depends on the clip alone, and the encoder grid. Every encode that no
 gradient can reach (tape off, or a frozen encoder) reads the grid cache:
 decoding, ``evaluate`` and the diagnostics. A cached grid is valid only
 while the encoder weights equal those that made it; an optimizer step or
-an in-place edit of the weights clears the cache.
+an in-place edit of the weights clears the cache. Only the encode that a
+gradient reaches (tape on, trainable encoder) fills the mel cache, the one
+path that reads a clip's mel again; the others read it but keep no miss.
 """
 
 from __future__ import annotations
@@ -104,7 +106,8 @@ class Captioner:
             rng.standard_normal(self.lm_cfg.d_model) / np.sqrt(self.lm_cfg.d_model)
         )
         # per clip: encoder grid [T_a, F_a, d_enc], valid while the flattened
-        # encoder weights equal _grid_weights, and the mel image as patch rows
+        # encoder weights equal _grid_weights, filled off the tape; and the
+        # mel image as patch rows, filled only by the encode on the tape
         self._grid_cache: OrderedDict[str, np.ndarray] = OrderedDict()
         self._grid_weights = np.empty(0)
         self._mel_cache: OrderedDict[str, np.ndarray] = OrderedDict()
@@ -138,14 +141,15 @@ class Captioner:
 
         The encoder runs on the tape, once over the whole batch, only when a
         gradient can reach it: the tape is recording and the encoder is
-        trainable. Every other call takes each clip's grid from the cache;
-        the misses are encoded together, off the tape. A cached grid is
-        valid only while the encoder weights equal the ones that made it:
-        each such call compares them with a kept copy and clears the cache
-        when they differ (NaN weights always differ).
+        trainable; that call also keeps its clips' mel rows. Every other
+        call takes each clip's grid from the cache; the misses are encoded
+        together, off the tape, and their mel rows are not kept. A cached
+        grid is valid only while the encoder weights equal the ones that
+        made it: each such call compares them with a kept copy and clears
+        the cache when they differ (NaN weights always differ).
         """
         if tz.grad_enabled() and self.cfg["train.encoder_trainable"]:
-            return audiomod.encode(self._patch_rows(samples), self.encoder)
+            return audiomod.encode(self._patch_rows(samples, keep=True), self.encoder)
         weights = np.concatenate([t.data.ravel() for t in self.encoder.parameters().values()])
         if not np.array_equal(weights, self._grid_weights):
             self._grid_cache.clear()
@@ -155,15 +159,17 @@ class Captioner:
         todo = {key: s for key, s in zip(keys, samples) if grids[key] is None}
         if todo:
             with tz.no_grad():
-                fresh = audiomod.encode(self._patch_rows(list(todo.values())), self.encoder)
+                fresh = audiomod.encode(self._patch_rows(list(todo.values()), keep=False),
+                                        self.encoder)
             for key, grid in zip(todo, fresh.data):
                 grids[key] = grid.copy()
                 _cache_put(self._grid_cache, key, grids[key])
         return Tensor(np.stack([grids[key] for key in keys]))
 
-    def _patch_rows(self, samples: list[Sample]) -> np.ndarray:
-        """The clips' first-layer patch rows, concatenated. Each clip's rows
-        are cached: the mel image depends only on the clip, never on weights."""
+    def _patch_rows(self, samples: list[Sample], keep: bool) -> np.ndarray:
+        """The clips' first-layer patch rows, concatenated. A clip's rows are
+        read from the mel cache (the mel image depends only on the clip,
+        never on weights); a miss's rows are cached only with ``keep``."""
         parts = []
         for sample in samples:
             key = _clip_key(sample)
@@ -175,7 +181,8 @@ class Captioner:
                     wave = Tensor(synth.render(sample.audio["synthetic"]))
                 mel = audiomod.melspectrogram(wave).pad_to(self.enc_cfg.mel_frames)
                 rows = audiomod.patch_rows(mel, self.enc_cfg)
-                _cache_put(self._mel_cache, key, rows)
+                if keep:
+                    _cache_put(self._mel_cache, key, rows)
             parts.append(rows)
         return np.concatenate(parts)
 

@@ -76,8 +76,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_pairs")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
         arr = np.asarray(data)
         if dtype is not None:
             arr = arr.astype(dtype)
@@ -297,10 +295,8 @@ def reshape(a, shape) -> Tensor:
     return _node(a.data.reshape(shape), [(a, lambda g: g.reshape(a.shape))])
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a, axes) -> Tensor:
     a = _ensure(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
     axes = tuple(axes)
     inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return _node(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
@@ -466,7 +462,7 @@ def conv1d_depthwise_causal(x, weight, bias, prefix) -> tuple[Tensor, Tensor]:
                                            (prefix, lambda g: vjp_tail(g)[..., : k - 1, :])])
 
 
-def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray | None = None) -> Tensor:
+def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     """Mean next-token cross-entropy over masked positions.
 
     logits: [..., V]; targets: integer ids with logits' leading shape;
@@ -480,10 +476,7 @@ def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray | None = None) -
         raise ShapeError(
             f"cross_entropy targets {np.shape(targets)} do not match logits {logits.shape}"
         )
-    if mask is None:
-        m = np.ones(z.shape[0], dtype=z.dtype)
-    else:
-        m = np.asarray(mask, dtype=z.dtype).reshape(-1)
+    m = np.asarray(mask, dtype=z.dtype).reshape(-1)
     total = m.sum()
     if total <= 0:
         raise ContractError("cross_entropy: mask selects no positions")

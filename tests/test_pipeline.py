@@ -267,17 +267,22 @@ class TestTraining:
         with_enc = cap.trainable_parameters()
         assert any(k.startswith("encoder.") for k in with_enc)
 
-    @pytest.mark.parametrize("trainable", ["false", "true"])
-    def test_clip_caches_are_bounded_lru(self, monkeypatch, trainable):
+    @pytest.mark.parametrize("trainable, tape", [("false", True), ("true", False), ("true", True)],
+                             ids=["false", "true", "tape"])
+    def test_clip_caches_are_bounded_lru(self, monkeypatch, trainable, tape):
         """A frozen encoder, and a trainable one off the tape, read the same
-        bounded grid cache."""
+        bounded grid cache and keep no mel rows; a trainable encoder on the
+        tape keeps the mel rows in the same bounded way and no grid."""
         cap, train, evl = tiny_captioner(**{"train.encoder_trainable": trainable})
-        with tz.no_grad() if trainable == "true" else contextlib.nullcontext():
-            self._check_bounded_lru(cap, train + evl, monkeypatch)
+        with contextlib.nullcontext() if tape else tz.no_grad():
+            self._check_bounded_lru(cap, train + evl, monkeypatch,
+                                    on_tape=tape and trainable == "true")
 
     @staticmethod
-    def _check_bounded_lru(cap, clips, monkeypatch):
+    def _check_bounded_lru(cap, clips, monkeypatch, on_tape):
         monkeypatch.setattr(pipeline, "CACHE_ENTRIES", 3)
+        kept, unused = ((cap._mel_cache, cap._grid_cache) if on_tape
+                        else (cap._grid_cache, cap._mel_cache))
         misses, encoded = [], []
         real_mel, real_encode = pipeline.audiomod.melspectrogram, pipeline.audiomod.encode
         monkeypatch.setattr(pipeline.audiomod, "melspectrogram",
@@ -288,22 +293,27 @@ class TestTraining:
             encoded.append(out.shape[0])
             return out
 
+        def order(*indices):
+            return [pipeline._clip_key(clips[i]) for i in indices]
+
         monkeypatch.setattr(pipeline.audiomod, "encode", encode)
         # clip 0 is used again, so clip 1 goes first, then clip 2
         for batch in (clips[:3], clips[:1], clips[3:5]):
             assert cap.audio_tokens(batch).shape[0] == len(batch)
-        assert len(cap._grid_cache) == len(cap._mel_cache) == 3
+        assert list(kept) == order(0, 3, 4) and not unused
         assert len(misses) == 5
-        assert encoded == [3, 2]  # the misses of a batch are encoded together
+        # off the tape the misses of a batch are encoded together; on the
+        # tape every call encodes its whole batch
+        assert encoded == ([3, 1, 2] if on_tape else [3, 2])
         cap.audio_tokens(clips[:1])  # kept: the last use made it recent
-        assert len(misses) == 5 and encoded == [3, 2]
+        assert len(misses) == 5 and encoded == ([3, 1, 2, 1] if on_tape else [3, 2])
         tokens = cap.audio_tokens([clips[1], clips[0], clips[1]])  # 1 was evicted: rebuilt once
-        assert len(misses) == 6 and encoded == [3, 2, 1]
+        assert len(misses) == 6 and encoded == ([3, 1, 2, 1, 3] if on_tape else [3, 2, 1])
         assert np.array_equal(tokens.data[0], tokens.data[2])
-        assert len(cap._grid_cache) == len(cap._mel_cache) == 3
+        assert list(kept) == order(4, 0, 1) and not unused
         # a batch larger than the caches still gets every clip's tokens
         tokens = cap.audio_tokens(clips[:5])
-        assert tokens.shape[0] == 5 and len(cap._grid_cache) == 3
+        assert tokens.shape[0] == 5 and len(kept) == 3 and not unused
 
     def test_cached_grid_follows_an_in_place_weight_edit(self):
         cap, train, _ = tiny_captioner(**{"train.encoder_trainable": "false"})
@@ -345,7 +355,7 @@ class TestTraining:
         assert len(encoded) == 1  # the step changed the weights: encoded again
         with tz.no_grad():
             assert np.array_equal(cap.audio_tokens(evl).data,
-                                  real_encode(cap._patch_rows(evl), cap.encoder).data)
+                                  real_encode(cap._patch_rows(evl, keep=False), cap.encoder).data)
         assert fresh_evaluate("after.ckpt") == after
 
     def test_frozen_encoder_weights_bit_invariant(self):
