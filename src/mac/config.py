@@ -9,11 +9,11 @@ The ``model.*``, ``audio.*`` and ``connector.*`` keys are the one source of
 the model's settings: ``model_configs`` turns them into the typed configs
 the model is built from, each key ``section.field`` setting the field of
 that name (``model`` for ``LmConfig``, ``audio`` for ``EncoderConfig``,
-``connector`` for ``ConnectorConfig``). ``validate`` checks each key's range, then builds
-those configs, so their own checks report as config errors that name the
-keys. A model's size is its depth and width, the model width being
-``n_heads * head_dim``: nano (the defaults) is 4 layers of 4 heads x 16,
-small is 8 layers of 8 heads x 16.
+``connector`` for ``ConnectorConfig``). ``validate`` checks each key's
+range, then builds those configs, so their own checks report as config
+errors that name the keys. A model's size is its depth and width, the
+model width being ``n_heads * head_dim``: nano (the defaults) is 4 layers
+of 4 heads x 16, small is 8 layers of 8 heads x 16.
 """
 
 from __future__ import annotations
