@@ -3,7 +3,9 @@
 The decode path is waveform -> 128-bin log-mel -> first-layer patch rows
 -> strided patch encoder. The encoder takes a whole batch, the patch rows of
 B clips concatenated, and produces tokens [B, T_a, F_a, d_enc]: a (time x
-frequency x channels) grid per clip.
+frequency x channels) grid per clip. It is one fused tape node with a
+hand-written adjoint; the same stack composed of taped matmul, bias, ReLU
+and re-patching ops is kept in the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -283,26 +285,57 @@ def patch_rows(mel: MelSpec, cfg: EncoderConfig) -> np.ndarray:
 def encode(rows, encoder: CnnEncoder) -> Tensor:
     """Run the patch stack over B clips -> tokens [B, T_a, F_a, d_enc].
 
-    ``rows`` is the clips' ``patch_rows``, concatenated. A frozen encoder is
-    the caller's ``tz.no_grad()`` around this call: off the tape, no
-    gradient can reach the encoder weights.
+    ``rows`` is the clips' ``patch_rows``, concatenated. One tape node over
+    the encoder weights. Each layer is one matmul with the bias added and
+    ReLU taken in place; on the tape the forward keeps every layer's input
+    patch matrix and output. The adjoint walks the layers in reverse:
+    ``X.T @ g`` and ``g.sum(axis=0)`` are a layer's weight and bias
+    gradients, and ``g @ W.T``, un-patched and masked where the layer
+    below's output is not positive, is that layer's ``g``. A frozen encoder
+    is the caller's ``tz.no_grad()`` around this call: off the tape, no
+    gradient can reach the encoder weights and nothing is kept.
     """
     cfg = encoder.cfg
     t, f = cfg.mel_frames, cfg.mel_bins
     pt, pf = cfg.patches[0]
     per_clip = (t // pt) * (f // pf)
-    x = Tensor(rows)
+    x = Tensor(rows).data
     if x.ndim != 2 or x.shape[0] % per_clip or x.shape[1] != pt * pf:
         raise ShapeError(f"patch rows {x.shape} are not whole clips of {per_clip}x{pt * pf}")
     b = x.shape[0] // per_clip
+    keep = tz.grad_enabled()
+    inputs, cuts, outputs = [], [], []  # per layer: patch matrix, its 6-d cut, output
+    last = len(encoder.layers) - 1
     for i, ((pt, pf), (w, bias)) in enumerate(zip(cfg.patches, encoder.layers)):
         if i:  # cut the previous layer's [B * t * f, c] output into this layer's patches
             c = x.shape[1]
-            x = tz.reshape(x, (b, t // pt, pt, f // pf, pf, c))
-            x = tz.transpose(x, (0, 1, 3, 2, 4, 5))
-            x = tz.reshape(x, (b * (t // pt) * (f // pf), pt * pf * c))
-        x = tz.add(tz.matmul(x, w), bias)
-        if i < len(encoder.layers) - 1:
-            x = tz.relu(x)
+            x = x.reshape(b, t // pt, pt, f // pf, pf, c).transpose(0, 1, 3, 2, 4, 5)
+            cut = x.shape
+            x = x.reshape(b * (t // pt) * (f // pf), pt * pf * c)
+        if keep:
+            inputs.append(x)
+            cuts.append(cut if i else None)
+        x = x @ w.data
+        x += bias.data
+        if i < last:
+            np.maximum(x, 0.0, out=x)
+            if keep:
+                outputs.append(x)
         t, f = t // pt, f // pf
-    return tz.reshape(x, (b, t, f, x.shape[1]))
+
+    def vjp(g):
+        g = g.reshape(-1, g.shape[-1])
+        grads = []
+        for i in range(last, -1, -1):
+            w, bias = encoder.layers[i]
+            grads += [g.sum(axis=0) if bias.requires_grad else None,
+                      inputs[i].T @ g if w.requires_grad else None]
+            if i:
+                below = outputs[i - 1]
+                g = (g @ w.data.T).reshape(cuts[i]).transpose(0, 1, 3, 2, 4, 5)
+                g = g.reshape(below.shape)
+                g *= below > 0
+        return grads[::-1]
+
+    return tz.fused(x.reshape(b, t, f, x.shape[1]),
+                    [p for layer in encoder.layers for p in layer], vjp)

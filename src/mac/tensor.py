@@ -6,10 +6,11 @@ gradient, and ``backward`` on a scalar walks the tape once in reverse
 topological order, accumulating into ``.grad``. The one multi-gradient op,
 ``fused``, records a kernel whose single adjoint returns every input's
 gradient at once (the block mixer of ``mac.blocks``, whose adjoint runs
-the scan kernels of ``mac.ssd``, and its LoRA projection): it runs once per
-output gradient and each input's tape entry takes its share. The array
-forms of the activations and norms (``_sigmoid``, ``_softplus``,
-``_rms_norm``) are shared with those kernels.
+the scan kernels of ``mac.ssd``, its LoRA projection, and the patch
+encoder of ``mac.audio``): it runs once per output gradient and each
+input's tape entry takes its share. The array forms of the activations
+and norms (``_sigmoid``, ``_softplus``, ``_rms_norm``) are shared with
+those kernels.
 
 Two float widths are supported: float64 (the default, used by all oracle,
 equivalence and gradient tests) and float32 (``train.precision=fp32``).
@@ -256,12 +257,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
-def relu(a) -> Tensor:
-    a = _ensure(a)
-    out = np.maximum(a.data, 0.0)
-    return _node(out, [(a, lambda g: g * (a.data > 0))])
-
-
 def _softplus(x: np.ndarray) -> np.ndarray:
     """ln(1 + e^x), evaluated as max(x, 0) + ln(1 + e^-|x|) to avoid
     overflow. Its slope is ``_sigmoid(x)``, left to the adjoint that needs it."""
@@ -272,16 +267,37 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a) -> Tensor:
-    """tanh-approximation GELU: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
+    """tanh-approximation GELU: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
+
+    One tape node. The forward computes the tanh's argument in one scratch
+    array, takes the tanh in place and keeps it with x and 0.5 x; the
+    adjoint builds its factor in place from them.
+    """
     a = _ensure(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = x * x  # the tanh's argument, then the tanh
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    half = 0.5 * x
+    out = t + 1.0
+    out *= half
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+        slope = x * x  # d inner / dx = c (1 + 3 * 0.044715 x^2)
+        slope *= 3 * 0.044715
+        slope += 1.0
+        slope *= _GELU_C
+        factor = t * t  # 0.5 x (1 - t^2) d inner / dx + 0.5 (1 + t)
+        np.subtract(1.0, factor, out=factor)
+        factor *= half
+        factor *= slope
+        np.add(t, 1.0, out=slope)
+        slope *= 0.5
+        factor += slope
+        return np.multiply(g, factor, out=factor if factor.dtype == g.dtype else None)
 
     return _node(out, [(a, vjp)])
 

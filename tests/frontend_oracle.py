@@ -8,6 +8,10 @@ the whole-clip STFT that the blocked ``audio.melspectrogram`` replaced. It
 reads the weights of a ``Captioner`` and shares no cache with it; it keeps
 its own mel images, which depend on the clip alone. ``test_frontend.py``
 compares the batch path against it.
+
+``encode_batch`` is the batch encoder as a composition of taped ops, one
+node per matmul, bias, ReLU and re-patching: the oracle of the one fused node
+that ``audio.encode`` records.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from mac import synth
 from mac import tensor as tz
 from mac.connector import SEG_AUDIO, SEG_CAPTION, SEG_PROMPT, SEG_SEPARATOR, mlp_forward
 from mac.tensor import ContractError, ShapeError, Tensor
+from tensor_oracle import relu
 
 
 def melspectrogram(waveform) -> audiomod.MelSpec:
@@ -78,9 +83,37 @@ def encode(mel: audiomod.MelSpec, encoder: audiomod.CnnEncoder) -> AudioTokenGri
         x = tz.reshape(x, (t // pt * (f // pf), pt * pf * c))
         x = tz.add(tz.matmul(x, w), b)
         if i < len(encoder.layers) - 1:
-            x = tz.relu(x)
+            x = relu(x)
         x = tz.reshape(x, (t // pt, f // pf, w.shape[1]))
     return AudioTokenGrid(x)
+
+
+def encode_batch(rows, encoder: audiomod.CnnEncoder) -> Tensor:
+    """Run the patch stack over B clips -> tokens [B, T_a, F_a, d_enc].
+
+    ``rows`` is the clips' ``patch_rows``, concatenated. A frozen encoder is
+    the caller's ``tz.no_grad()`` around this call: off the tape, no
+    gradient can reach the encoder weights.
+    """
+    cfg = encoder.cfg
+    t, f = cfg.mel_frames, cfg.mel_bins
+    pt, pf = cfg.patches[0]
+    per_clip = (t // pt) * (f // pf)
+    x = Tensor(rows)
+    if x.ndim != 2 or x.shape[0] % per_clip or x.shape[1] != pt * pf:
+        raise ShapeError(f"patch rows {x.shape} are not whole clips of {per_clip}x{pt * pf}")
+    b = x.shape[0] // per_clip
+    for i, ((pt, pf), (w, bias)) in enumerate(zip(cfg.patches, encoder.layers)):
+        if i:  # cut the previous layer's [B * t * f, c] output into this layer's patches
+            c = x.shape[1]
+            x = tz.reshape(x, (b, t // pt, pt, f // pf, pf, c))
+            x = tz.transpose(x, (0, 1, 3, 2, 4, 5))
+            x = tz.reshape(x, (b * (t // pt) * (f // pf), pt * pf * c))
+        x = tz.add(tz.matmul(x, w), bias)
+        if i < len(encoder.layers) - 1:
+            x = relu(x)
+        t, f = t // pt, f // pf
+    return tz.reshape(x, (b, t, f, x.shape[1]))
 
 
 def connect(grid: AudioTokenGrid, cfg, mlp, sep_embedding: Tensor) -> tuple[Tensor, list[str]]:

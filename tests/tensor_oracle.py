@@ -5,6 +5,9 @@ kernel with a closed-form adjoint, kept verbatim together with the
 ``power`` and ``tmean`` primitives it is built from, so its outputs and
 gradients come from the generic autograd tape alone.
 
+``relu`` is the activation the composed patch encoder of ``frontend_oracle``
+applies; the fused ``audio.encode`` takes it in place on arrays.
+
 ``tsum``, ``broadcast_to``, ``cast``, ``cumsum`` and ``log`` are taped
 primitives that only the tests and the composed scans of ``ssd_oracle`` use:
 scalar losses, the oracle's cross-chunk carry and cumulative log decay, and
@@ -77,6 +80,12 @@ def exp(a) -> Tensor:
     a = tz._ensure(a)
     out = np.exp(a.data)
     return tz._node(out, [(a, lambda g: g * out)])
+
+
+def relu(a) -> Tensor:
+    a = tz._ensure(a)
+    out = np.maximum(a.data, 0.0)
+    return tz._node(out, [(a, lambda g: g * (a.data > 0))])
 
 
 def softplus(a) -> Tensor:

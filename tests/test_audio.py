@@ -26,7 +26,7 @@ from mac.audio import (
 from mac.tensor import ShapeError
 
 import frontend_oracle
-from conftest import zero_grad
+from conftest import check_gradients, recorded_nodes, zero_grad
 from tensor_oracle import tsum
 
 
@@ -311,3 +311,77 @@ class TestEncoder:
         for t in enc.parameters().values():
             err = np.abs(batch_grads[t] - clip_grads[t]).max() / np.abs(clip_grads[t]).max()
             assert err <= 1e-12
+
+
+def trained_encode(fn, enc, rows, upstream):
+    """Tokens of ``fn(rows, enc)`` and the gradient of every encoder weight
+    under the loss sum(tokens * upstream), in ``parameters()`` order."""
+    params = list(enc.parameters().values())
+    for t in params:
+        t.requires_grad = True
+        t.grad = None
+    tokens = fn(rows, enc)
+    grads = tsum(tz.mul(tokens, upstream)).backward()
+    return tokens.data, [grads[t] for t in params]
+
+
+def clip_rows(cfg, n, seed):
+    """The first-layer patch rows of n random mel images, concatenated."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([patch_rows(MelSpec(rng.standard_normal((cfg.mel_frames, cfg.mel_bins))),
+                                      cfg) for _ in range(n)])
+
+
+class TestFusedEncoder:
+    """``encode`` is one tape node whose tokens and gradients equal, bit for
+    bit, those of the composed oracle ``frontend_oracle.encode_batch``."""
+
+    @pytest.mark.parametrize("geometry, batch", [("desk", 1), ("desk", 3), ("desk", 8),
+                                                 ("paper", 1)])
+    def test_tokens_and_gradients_equal_composed_oracle(self, geometry, batch):
+        cfg = desk_encoder() if geometry == "desk" else desk_encoder(
+            d_enc=768, patches=((2, 2), (2, 2), (2, 2), (2, 2)))
+        enc = CnnEncoder(cfg, np.random.default_rng(3101))
+        rows = clip_rows(cfg, batch, 3102)
+        # a non-uniform upstream gradient reaches every token differently
+        upstream = np.random.default_rng(3103).standard_normal(
+            (batch, cfg.grid_t, cfg.grid_f, cfg.d_enc))
+        tokens, grads = trained_encode(encode, enc, rows, upstream)
+        want_tokens, want_grads = trained_encode(frontend_oracle.encode_batch, enc, rows,
+                                                 upstream)
+        assert np.array_equal(tokens, want_tokens)
+        assert len(grads) == 8
+        for got, want in zip(grads, want_grads):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_gradients_match_central_differences(self):
+        # two hidden layers, and every layer's patch strides more than one pixel
+        cfg = EncoderConfig(d_enc=3, channels=(2, 3), mel_frames=8, mel_bins=8,
+                            patches=((2, 2), (2, 1), (1, 2)))
+        enc = CnnEncoder(cfg, np.random.default_rng(3111))
+        # nonzero biases: with zero ones a unit whose patch is all zeros
+        # (every input below its ReLU) sits exactly on the ReLU's kink
+        for _, bias in enc.layers:
+            bias.data[:] = np.random.default_rng(3114).uniform(0.1, 0.5, bias.shape)
+        rows = clip_rows(cfg, 2, 3112)
+        upstream = np.random.default_rng(3113).standard_normal((2, 2, 2, 3))
+        check_gradients(lambda: tsum(tz.mul(encode(rows, enc), upstream)),
+                        list(enc.parameters().values()))
+
+    def test_one_call_records_one_tape_node(self):
+        enc = CnnEncoder(desk_encoder(), np.random.default_rng(3121))
+        for t in enc.parameters().values():
+            t.requires_grad = True
+        tokens = encode(clip_rows(enc.cfg, 2, 3122), enc)
+        assert tokens.requires_grad
+        assert recorded_nodes(tokens) == 1
+
+    def test_off_the_tape_records_nothing(self):
+        enc = CnnEncoder(desk_encoder(), np.random.default_rng(3131))
+        for t in enc.parameters().values():
+            t.requires_grad = True
+        rows = clip_rows(enc.cfg, 2, 3132)
+        with tz.no_grad():
+            tokens = encode(rows, enc)
+        assert not tokens.requires_grad and recorded_nodes(tokens) == 0
+        assert np.array_equal(tokens.data, encode(rows, enc).data)
