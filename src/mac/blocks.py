@@ -3,26 +3,35 @@
 Block dataflow (residual added by the caller / the stack):
 
     in_proj (LoRA) -> [gate z | conv channels | step-size raw]
-    conv channels -> depthwise causal conv, and its next tail  (tape ops)
-    mixer: silu -> [head inputs | B | C], dt = softplus(raw + bias),
-           a = -exp(log_a), selective scan + per-head skip,
-           y * silu(z) -> RMS norm                      (one fused node)
-    -> out_proj (LoRA)
+    conv channels -> depthwise causal conv, and its next tail
+    silu -> [head inputs | B | C], dt = softplus(raw + bias),
+    a = -exp(log_a), selective scan + per-head skip,
+    y * silu(z) -> RMS norm -> out_proj (LoRA)
 
-The mixer is one numpy forward and one hand-written adjoint (``_mixer``)
-that runs the scan through ``ssd.kernel``; it records two tape nodes, its
-output and the final scan state. The kernel picks the algorithm from the
-sequence length: a one-token step runs the recurrence, a longer sequence
-the chunked scan. Under ``no_grad`` the same code is the streaming decode
-step: the recurrence for one token is one update per head, and the conv
+``MambaBlock.forward`` runs all of it as one numpy forward with one
+hand-written adjoint, recorded as one fused tape node per output: the block
+output, the final scan state and the conv tail, so gradients also flow
+through carried states. Its array kernels are ``lora_apply`` (one matmul by
+the merged weight ``base + scale * down @ up``), ``tz.conv1d_depthwise_causal``
+and ``ssd.kernel``, which picks the scan from the sequence length: a
+one-token step runs the recurrence, a longer sequence the chunked scan.
+
+The node keeps only what its adjoint cannot rebuild in one elementwise pass
+from arrays it already holds: the in_proj output, the conv output, the
+skip-added scan output y, the gate norm's r (one entry per row) and the
+scan's own arrays. The adjoint rebuilds the sigmoids, the gate norm's xhat
+and the out_proj input by the forward's own operations, so every result is
+the same as when they were kept, and it writes in_proj's output gradient
+into one buffer. A training forward thus records three nodes per block
+(pre-norm, block, residual add), whatever the batch and sequence length.
+
+Under ``no_grad`` the same function is the streaming decode step and keeps
+nothing: the recurrence for one token is one update per head, and the conv
 takes the next conv tail from its own padded [tail, x], so a step costs a
 fixed number of numpy calls per block. A state is never written in place:
-each step returns new arrays. A LoRA projection is one matmul by the
-merged weight ``base + scale * down @ up``. A training forward thus
-records a fixed number of nodes per block, whatever the batch and
-sequence length. A decode call merges each weight once, on entering
-``merged_lora``, and every step inside reuses it. The composed block these kernels replaced
-is the test suite's oracle.
+each step returns new arrays. A decode call merges each weight once, on
+entering ``merged_lora``, and every step inside reuses it. The composed
+block these kernels replaced is the test suite's oracle.
 
 The base projection weights stay frozen during fine-tuning; low-rank
 adapters on in_proj and out_proj carry the trainable update.
@@ -97,28 +106,39 @@ def _merged_weight(base: Tensor, adapter: LoraAdapter) -> np.ndarray:
     return base.data + adapter.scale * (adapter.down.data @ adapter.up.data)
 
 
-def lora_apply(base: Tensor, adapter: LoraAdapter | None, x: Tensor) -> Tensor:
-    """x @ (base + scale * down @ up): one matmul by the merged weight.
+def lora_apply(base: Tensor, adapter: LoraAdapter | None,
+               x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x @ W for W = base + scale * down @ up, one matmul by the merged
+    weight (W = base without an adapter) -> (x @ W, W).
 
-    One tape node. The adapter's gradients go through its rank-r factors;
-    a frozen base (``requires_grad`` False) receives no gradient. Inside
-    ``merged_lora`` the weight merged on entry is used as it is.
+    Arrays in, arrays out: the Mamba block's fused node records it, and its
+    adjoint (``_lora_grads``) multiplies by the returned W. Inside
+    ``merged_lora`` the weight merged on entry is W as it is.
     """
     if adapter is None:
-        return tz.matmul(x, base)
-    down, up, scale = adapter.down.data, adapter.up.data, adapter.scale
-    weight = adapter.merged if adapter.merged is not None else _merged_weight(base, adapter)
+        weight = base.data
+    else:
+        weight = adapter.merged if adapter.merged is not None else _merged_weight(base, adapter)
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"LoRA input {x.shape} does not match weight {weight.shape}")
+    return x @ weight, weight
 
-    def vjp(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        x2 = x.data.reshape(-1, x.shape[-1])
-        return [(g2 @ weight.T).reshape(x.shape),
-                x2.T @ g2 if base.requires_grad else None,
-                scale * (x2.T @ (g2 @ up.T)), scale * ((x2 @ down).T @ g2)]
 
-    return tz.fused(x.data @ weight, [x, base, adapter.down, adapter.up], vjp)
+def _lora_grads(proj: "LoraLinear", weight: np.ndarray, x: np.ndarray,
+                g: np.ndarray) -> list:
+    """Gradients of ``lora_apply``'s input x and of ``proj.parameters()``
+    (base, then the adapter's down and up) for output gradient g. The
+    adapter's go through its rank-r factors; a tensor that needs none (a
+    frozen base, say) gets None."""
+    g2 = g.reshape(-1, g.shape[-1])
+    x2 = x.reshape(-1, x.shape[-1])
+    grads = [(g2 @ weight.T).reshape(x.shape), x2.T @ g2 if proj.base.requires_grad else None]
+    adapter = proj.adapter
+    if adapter is not None:
+        down, up, scale = adapter.down, adapter.up, adapter.scale
+        grads += [scale * (x2.T @ (g2 @ up.data.T)) if down.requires_grad else None,
+                  scale * ((x2 @ down.data).T @ g2) if up.requires_grad else None]
+    return grads
 
 
 class LoraLinear:
@@ -127,9 +147,6 @@ class LoraLinear:
     def __init__(self, base: Tensor, adapter: LoraAdapter | None = None):
         self.base = base
         self.adapter = adapter
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return lora_apply(self.base, self.adapter, x)
 
     def parameters(self) -> dict[str, Tensor]:
         out = {"base": self.base}
@@ -186,24 +203,126 @@ class MambaBlock:
 
         The residual is added by the caller. Passing the returned state back
         as ``state`` continues the sequence where this call stopped; no state
-        is a zero state (a cold start).
+        is a zero state (a cold start). One numpy forward and one adjoint,
+        recorded as one fused node per output (see the module docstring).
         """
         cfg = self.cfg
         if x.ndim != 3 or x.shape[-1] != cfg.d_model:
             raise ShapeError(f"block input {x.shape}, expected [B, T, {cfg.d_model}]")
-        b, di, k = x.shape[0], cfg.d_model, cfg.conv_width
+        b, t, _ = x.shape
+        di, cd, gn = cfg.d_model, cfg.conv_dim, cfg.n_groups * cfg.d_state
+        h, p, k = cfg.n_heads, cfg.head_dim, cfg.conv_width
+        in_proj, out_proj, gate_norm = self.in_proj, self.out_proj, self.gate_norm.data
 
-        proj = self.in_proj(x)
+        proj, w_in = lora_apply(in_proj.base, in_proj.adapter, x.data)
         if state is None:
-            prefix, initial = tz.zeros((b, k - 1, cfg.conv_dim), dtype=proj.dtype), None
+            prefix, initial = np.zeros((b, k - 1, cd), proj.dtype), None
         else:
-            prefix, initial = state.conv_tail, state.ssm
-        conv, tail = tz.conv1d_depthwise_causal(proj[:, :, di : di + cfg.conv_dim],
-                                                self.conv_w, self.conv_b, prefix)
-        mixed, final = _mixer(self, proj, conv, initial)
-        return self.out_proj(mixed), BlockState(ssm=final, conv_tail=tail)
+            prefix, initial = state.conv_tail.data, state.ssm.data
+        pre, tail = tz.conv1d_depthwise_causal(proj[..., di : di + cd], self.conv_w.data,
+                                               self.conv_b.data, prefix)
+        xbc = pre * tz._sigmoid(pre)
+        xs = xbc[..., :di].reshape(b, t, h, p)
+        dt = tz._softplus(proj[..., di + cd :] + self.dt_bias.data)
+        a = -np.exp(self.log_a.data)
+        params = ssd.SelectiveParams(
+            dt=dt, a=a, x=xs,
+            B=xbc[..., di : di + gn].reshape(b, t, cfg.n_groups, cfg.d_state),
+            C=xbc[..., di + gn :].reshape(b, t, cfg.n_groups, cfg.d_state))
+        y, h_end, scan_vjp = ssd.kernel(params, initial=initial)
+        skip = self.skip.data[:, None]
+        y = (y.astype(xs.dtype, copy=False) + xs * skip).reshape(b, t, di)
+        del xbc, xs, params  # the scan keeps its own chunk-layout copies
+        zg = proj[..., :di]
+        mixed, r, _ = tz._rms_norm(y * (zg * tz._sigmoid(zg)), gate_norm)
+        out, w_out = lora_apply(out_proj.base, out_proj.adapter, mixed)
+        del mixed  # rebuilt by the adjoint
+
+        out_params = list(out_proj.parameters().values())
+        parents = [x, *in_proj.parameters().values(), self.conv_w, self.conv_b, self.dt_bias,
+                   self.log_a, self.skip, self.gate_norm, *out_params]
+        if state is not None:
+            parents += [state.ssm, state.conv_tail]
+
+        def vjp(g_out, g_h, g_tail):
+            # the sigmoids, the gate norm's xhat and out_proj's input are
+            # rebuilt here from the kept proj, conv output, y and r by the
+            # forward's own operations, so every result is as if kept
+            g_mix = [None] * len(out_params)
+            g_z = g_conv = g_dt = g_a = g_skip = g_norm = gh0 = None
+            if g_tail is None:
+                gy = None
+                if g_out is not None:
+                    s_z = tz._sigmoid(zg)
+                    xhat = y * (zg * s_z)
+                    xhat *= r
+                    g_mixed, *g_mix = _lora_grads(out_proj, w_out, xhat * gate_norm, g_out)
+                    gy = tz._rms_norm_grad(g_mixed, gate_norm, r, xhat)  # of y * silu(z)
+                    if self.gate_norm.requires_grad:
+                        g_norm = (g_mixed * xhat).sum(axis=(0, 1))
+                    del g_mixed, xhat
+                    g_z = _silu_slope(zg, s_z)
+                    g_z *= gy
+                    g_z *= y
+                    gy *= zg
+                    gy *= s_z
+                    gy = gy.reshape(b, t, h, p)
+                s_pre = tz._sigmoid(pre)
+                if gy is not None and self.skip.requires_grad:
+                    xs = (pre[..., :di] * s_pre[..., :di]).reshape(b, t, h, p)
+                    g_skip = (gy * xs).sum(axis=(0, 1, 3))
+                gdt, ga, gB, gC, gx, gh0 = scan_vjp(gy, g_h)
+                if gy is not None:
+                    gx += gy * skip
+                g_conv = np.concatenate([gx.reshape(b, t, di), gB.reshape(b, t, gn),
+                                         gC.reshape(b, t, gn)], axis=-1)
+                del gy, gx, gB, gC  # a lower peak leaves less fresh heap to fault in
+                g_conv *= _silu_slope(pre, s_pre)
+                del s_pre
+                g_conv = g_conv.astype(pre.dtype, copy=False)
+                g_dt = gdt * tz._sigmoid(proj[..., di + cd :] + self.dt_bias.data)  # softplus'
+                g_a = ga * a
+            # in_proj's output gradient, one buffer; each part is added to its
+            # zeros, as the sum of the parts' separate buffers was
+            g_proj = np.zeros(proj.shape, proj.dtype)
+            g_prefix = None if state is None else np.zeros(prefix.shape, prefix.dtype)
+            if g_tail is not None:  # the tail is the last K-1 rows of [prefix, x]
+                cut = max(k - 1 - t, 0)
+                g_proj[..., t - (k - 1 - cut) :, di : di + cd] += g_tail[..., cut:, :]
+                if g_prefix is not None:
+                    g_prefix[..., t:, :] += g_tail[..., :cut, :]
+            else:
+                if g_z is not None:
+                    g_proj[..., :di] += g_z
+                g_proj[..., di + cd :] += g_dt
+                tz._conv1d_input_grad(g_conv, self.conv_w.data, g_proj[..., di : di + cd],
+                                      g_prefix)
+            grads = _lora_grads(in_proj, w_in, x.data, g_proj)
+            del g_proj
+            grads += [None if g_conv is None or not self.conv_w.requires_grad else
+                      tz._conv1d_weight_grad(g_conv, self.conv_w.data, proj[..., di : di + cd],
+                                             prefix),
+                      None if g_conv is None or not self.conv_b.requires_grad else
+                      g_conv.reshape(-1, cd).sum(axis=0),
+                      *_cast([None if g_dt is None else g_dt.sum(axis=(0, 1)), g_a, g_skip,
+                              g_norm], [self.dt_bias, self.log_a, self.skip, self.gate_norm]),
+                      *g_mix]
+            if state is not None:
+                grads += [*_cast([gh0], [state.ssm]), g_prefix]
+            return grads
+
+        return (tz.fused(out, parents, lambda g: vjp(g, None, None)),
+                BlockState(ssm=tz.fused(h_end.astype(pre.dtype, copy=False), parents,
+                                        lambda g: vjp(None, g, None)),
+                           conv_tail=tz.fused(tail, parents, lambda g: vjp(None, None, g))))
 
     __call__ = forward
+
+
+def _cast(grads: list, params: list[Tensor]) -> list:
+    """Each gradient in its tensor's shape and dtype; None stays None."""
+    return [None if g is None else g.reshape(q.shape).astype(q.dtype, copy=False)
+            for g, q in zip(grads, params)]
 
 
 def _silu_slope(v: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -213,75 +332,6 @@ def _silu_slope(v: np.ndarray, s: np.ndarray) -> np.ndarray:
     out += 1.0
     out *= s
     return out
-
-
-def _mixer(blk: MambaBlock, proj: Tensor, conv: Tensor,
-           initial: Tensor | None) -> tuple[Tensor, Tensor]:
-    """The block interior from the conv output to the out_proj input.
-
-    proj [B, T, d_in_proj] is the in_proj output (its gate z and step-size
-    columns are read here), conv [B, T, conv_dim] the causal conv output.
-    -> (RMS-normed gated output [B, T, D], final scan state [B, H, P, N]),
-    two tape nodes with one adjoint. The forward keeps what the adjoint
-    reads (the silu and gate sigmoids, softplus' input, the skip-added scan
-    output, the norm's r and xhat) and recomputes only products of them and
-    softplus' slope, which only the adjoint reads.
-    """
-    cfg = blk.cfg
-    b, t, _ = conv.shape
-    di, gn, h, p = cfg.d_model, cfg.n_groups * cfg.d_state, cfg.n_heads, cfg.head_dim
-    pre, zg = conv.data, proj.data[..., :di]
-    s_pre = tz._sigmoid(pre)
-    xbc = pre * s_pre
-    xs = xbc[..., :di].reshape(b, t, h, p)
-    dt_pre = proj.data[..., di + cfg.conv_dim :] + blk.dt_bias.data
-    dt = tz._softplus(dt_pre)
-    a = -np.exp(blk.log_a.data)
-    params = ssd.SelectiveParams(
-        dt=dt, a=a, x=xs,
-        B=xbc[..., di : di + gn].reshape(b, t, cfg.n_groups, cfg.d_state),
-        C=xbc[..., di + gn :].reshape(b, t, cfg.n_groups, cfg.d_state))
-    y, h_end, scan_vjp = ssd.kernel(params, initial=None if initial is None else initial.data)
-    skip = blk.skip.data[:, None]
-    y = (y.astype(xs.dtype, copy=False) + xs * skip).reshape(b, t, di)
-    s_z = tz._sigmoid(zg)
-    out, r, xhat = tz._rms_norm(y * (zg * s_z), blk.gate_norm.data)
-
-    parents = [proj, conv, blk.dt_bias, blk.log_a, blk.skip, blk.gate_norm]
-    if initial is not None:
-        parents.append(initial)
-
-    def vjp(g_out, g_h):
-        if g_out is None:
-            gy, g_z = None, 0.0
-            g_norm, g_skip = np.zeros(di), np.zeros(h)
-        else:
-            gy = tz._rms_norm_grad(g_out, blk.gate_norm.data, r, xhat)  # of y * silu(z)
-            g_norm = (g_out * xhat).sum(axis=(0, 1)) if blk.gate_norm.requires_grad else None
-            g_z = _silu_slope(zg, s_z)
-            g_z *= gy
-            g_z *= y
-            gy *= zg
-            gy *= s_z
-            gy = gy.reshape(b, t, h, p)
-            g_skip = (gy * xs).sum(axis=(0, 1, 3)) if blk.skip.requires_grad else None
-        gdt, ga, gB, gC, gx, gh0 = scan_vjp(gy, g_h)
-        if gy is not None:
-            gx += gy * skip
-        g_pre = np.concatenate([gx.reshape(b, t, di), gB.reshape(b, t, gn),
-                                gC.reshape(b, t, gn)], axis=-1)
-        del gy, gx, gB, gC  # a lower peak leaves less fresh heap to fault in
-        g_pre *= _silu_slope(pre, s_pre)
-        g_dt = gdt * tz._sigmoid(dt_pre)  # softplus' slope, from the forward's input
-        g_proj = np.zeros(proj.shape)
-        g_proj[..., :di] = g_z
-        g_proj[..., di + cfg.conv_dim :] = g_dt
-        grads = [g_proj, g_pre, g_dt.sum(axis=(0, 1)), ga * a, g_skip, g_norm, gh0]
-        return [None if gv is None else gv.reshape(q.shape).astype(q.dtype, copy=False)
-                for gv, q in zip(grads, parents)]
-
-    return (tz.fused(out, parents, lambda g: vjp(g, None)),
-            tz.fused(h_end.astype(xs.dtype, copy=False), parents, lambda g: vjp(None, g)))
 
 
 class SsmLm:

@@ -30,10 +30,13 @@ its adjoint; the three ``scan_*`` wrappers name the modes.
 
 The chunked algorithm is one numpy forward plus the one hand-written
 adjoint, which returns the gradients of dt, a, B, C, x and the initial
-state together, with the cross-chunk carry run in reverse. The recurrence
+state together, with the cross-chunk carry run in reverse. The forward
+keeps for it only what one elementwise pass cannot rebuild; the adjoint
+rebuilds the intra-chunk operator, x times the end-of-chunk weights and
+the readout of the entering states (see ``_chunked``). The recurrence
 is forward only: its gradient is the chunked adjoint at chunk length 1,
 and no training path reaches it (a training sequence is >= 2 tokens).
-Nothing here records on the autograd tape. The block mixer of
+Nothing here records on the autograd tape. The Mamba block of
 ``mac.blocks``, the one caller that differentiates a scan, calls ``kernel``
 with the default mode inside its own fused node, so a one-token decode
 step runs the recurrence and a longer sequence runs in chunks of
@@ -159,7 +162,7 @@ def kernel(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFA
     ``recurrent`` asks for a chunk length of 1, ``chunked`` for
     ``chunk_len`` and ``convolutional`` for T. The chunk length run is that
     one capped at T, and a chunk length of 1 runs the recurrence. So the
-    block mixer of ``mac.blocks``, which always calls the default
+    Mamba block of ``mac.blocks``, which always calls the default
     (``chunked``, ``DEFAULT_CHUNK``), runs a one-token decode step as the
     recurrence and a longer sequence in chunks of ``DEFAULT_CHUNK``. The
     other modes serve ``scan`` and its wrappers: ``mac bench --mode`` and
@@ -267,6 +270,14 @@ def _chunked(dt, a, B, C, x, h0, L):
     1, no input), so every chunk is processed at once: per-head arrays are
     [nb, chunk, group, head in group, L, ...] and group rows carry a
     broadcast head axis of 1.
+
+    For ``vjp`` the forward keeps the cumulative log decay and the decays
+    taken from it (the masked [L, L] one included), the chunk-layout coef,
+    x, B and C, C.B, the end-of-chunk weights and the carried states. The
+    adjoint rebuilds from them, by the forward's own operations, the three
+    products it does not keep: the intra-chunk operator (``mixer``), x
+    times the weights, and each position's readout of its entering state
+    (``from_states``).
     """
     nb, t, h = dt.shape
     g, n = B.shape[2], B.shape[3]
@@ -303,15 +314,19 @@ def _chunked(dt, a, B, C, x, h0, L):
     np.exp(decay, out=decay)
     decay *= np.tri(L)
     cb = c_c @ b_c.swapaxes(-1, -2)  # [.., 1, L(t), L(s)]
-    mix = cb * decay
-    mix *= coef[..., None, :]
-    y = mix @ x_c
+
+    def mixer():  # cb * decay * coef_s, the intra-chunk operator
+        mix = cb * decay
+        mix *= coef[..., None, :]
+        return mix
+
+    y = mixer() @ x_c
 
     # each chunk's own contribution to the state at its end, from zero
     decay_end = np.exp(cum[..., -1:] - cum)  # prod_{r=s+1..L-1} abar_r
     w = decay_end * coef
-    xw = x_c * w[..., None]
-    local = xw.swapaxes(-1, -2) @ b_c  # [.., P, N]
+    local = (x_c * w[..., None]).swapaxes(-1, -2) @ b_c  # [.., P, N]
+    per_chunk = local.shape  # the adjoint needs the shape, not local itself
 
     # the state entering each chunk, carried in float64
     decay_chunk = np.exp(cum[..., -1])  # [nb, nc, G, hpg]
@@ -321,28 +336,32 @@ def _chunked(dt, a, B, C, x, h0, L):
     for c in range(nc):
         states[:, c + 1] = decay_chunk[:, c, ..., None, None] * states[:, c] + local[:, c]
     decay_in = np.exp(cum)  # prod_{r<=t} abar_r within the chunk
-    y_state = c_c @ states[:, :nc].swapaxes(-1, -2)
-    y_state *= decay_in[..., None]
-    y += y_state
+
+    def from_states():  # each position's readout of the state entering its chunk
+        y_state = c_c @ states[:, :nc].swapaxes(-1, -2)
+        y_state *= decay_in[..., None]
+        return y_state
+
+    y += from_states()
     y = unheads(y)
 
     def vjp(gy, gh):
         if gy is None:
             gcum, gcoef = np.zeros(cum.shape), np.zeros(coef.shape)
             gx, gB, gC = np.zeros(x_c.shape), np.zeros(b_c.shape), np.zeros(c_c.shape)
-            gstates = np.zeros(local.shape)
+            gstates = np.zeros(per_chunk)
         else:
             # each large temporary is dropped once used: a lower peak leaves
             # less fresh heap to be faulted in
             gy_c = heads(gy)
-            gcum = (gy_c * y_state).sum(axis=-1)
+            gcum = (gy_c * from_states()).sum(axis=-1)
             # y_state = decay_in * (C @ state^T); gstates reaches each entering state
             g_raw = gy_c * decay_in[..., None]
             gstates = g_raw.swapaxes(-1, -2) @ c_c
             gC = (g_raw @ states[:, :nc]).sum(axis=3, keepdims=True)
             del g_raw
             # y_intra = mix @ x with mix = cb * decay * coef_s
-            gx = mix.swapaxes(-1, -2) @ gy_c
+            gx = mixer().swapaxes(-1, -2) @ gy_c
             gmix = gy_c @ x_c.swapaxes(-1, -2)
             del gy_c
             gmix *= decay
@@ -357,9 +376,9 @@ def _chunked(dt, a, B, C, x, h0, L):
             gC += gcb @ b_c
             gB = gcb.swapaxes(-1, -2) @ c_c
         # the carry in reverse: glocal[c] is the gradient of the state leaving chunk c
-        nxt = np.zeros(local.shape[:1] + local.shape[2:]) if gh is None else \
+        nxt = np.zeros(per_chunk[:1] + per_chunk[2:]) if gh is None else \
             gh.reshape(nb, g, hpg, p, n)
-        glocal = np.empty(local.shape)
+        glocal = np.empty(per_chunk)
         for c in range(nc - 1, -1, -1):
             glocal[:, c] = nxt
             nxt = decay_chunk[:, c, ..., None, None] * nxt + gstates[:, c]
@@ -367,7 +386,7 @@ def _chunked(dt, a, B, C, x, h0, L):
         gcum[..., -1] += (glocal * states[:, :nc]).sum(axis=(-1, -2)) * decay_chunk
         # local = (x * w)^T @ B with w = decay_end * coef
         gxw = (glocal @ b_c.swapaxes(-1, -2)).swapaxes(-1, -2)  # [.., L, P]
-        gB += (xw @ glocal).sum(axis=3, keepdims=True)
+        gB += ((x_c * w[..., None]) @ glocal).sum(axis=3, keepdims=True)
         gw = (x_c * gxw).sum(axis=-1)
         gxw *= w[..., None]
         gx += gxw

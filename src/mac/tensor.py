@@ -5,12 +5,14 @@ primitive records one vector-Jacobian closure per input that needs a
 gradient, and ``backward`` on a scalar walks the tape once in reverse
 topological order, accumulating into ``.grad``. The one multi-gradient op,
 ``fused``, records a kernel whose single adjoint returns every input's
-gradient at once (the block mixer of ``mac.blocks``, whose adjoint runs
-the scan kernels of ``mac.ssd``, its LoRA projection, and the patch
-encoder of ``mac.audio``): it runs once per output gradient and each
-input's tape entry takes its share. The array forms of the activations
-and norms (``_sigmoid``, ``_softplus``, ``_rms_norm``) are shared with
-those kernels.
+gradient at once. Its users are the Mamba block of ``mac.blocks`` (in_proj,
+conv, scan of ``mac.ssd`` and out_proj, one node per output) and the patch
+encoder of ``mac.audio``. The adjoint runs once per output gradient, each
+input's tape entry takes its share, and a share of None reaches no
+gradient. The array forms of the activations, norms and the causal conv
+(``_sigmoid``, ``_softplus``, ``_rms_norm``, ``conv1d_depthwise_causal``
+and its adjoints) are shared with those kernels; ``rms_norm`` keeps its
+per-row r and rebuilds xhat in the adjoint.
 
 Two float widths are supported: float64 (the default, used by all oracle,
 equivalence and gradient tests) and float32 (``train.precision=fp32``).
@@ -144,8 +146,9 @@ class Tensor:
             if g is None:
                 continue
             for parent, vjp in node._pairs:
-                pg = vjp(g)
-                parent.grad = pg if parent.grad is None else parent.grad + pg
+                pg = vjp(g)  # None: this output gradient does not reach the parent
+                if pg is not None:
+                    parent.grad = pg if parent.grad is None else parent.grad + pg
             if not node._pairs and node.requires_grad:
                 leaves[node] = node.grad
             if node is not self and node._pairs:
@@ -408,74 +411,69 @@ def embedding(table, ids: np.ndarray) -> Tensor:
     return _node(out, [(table, vjp)])
 
 
-def conv1d_depthwise_causal(x, weight, bias, prefix) -> tuple[Tensor, Tensor]:
-    """Per-channel causal convolution along the second-to-last axis.
+def conv1d_depthwise_causal(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
+                            prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel causal convolution along the second-to-last axis, on arrays.
 
     x: [..., T, C]; weight: [K, C]; bias [C] or None; ``prefix`` [..., K-1, C]
     holds the K-1 inputs before x (zeros for a cold causal start, the carried
     tail when streaming). Output position t sees inputs t-K+1 .. t.
 
-    -> (output [..., T, C], tail [..., K-1, C]), two tape nodes. The tail
-    is the last K-1 rows of [prefix, x]: the ``prefix`` of a call on the
-    inputs that follow x.
+    -> (output [..., T, C], tail [..., K-1, C]). The tail is the last K-1
+    rows of [prefix, x]: the ``prefix`` of a call on the inputs that follow
+    x. It records nothing on the tape: the Mamba block's fused node runs it
+    and its adjoints (``_conv1d_input_grad``, ``_conv1d_weight_grad``).
     """
-    x, weight, prefix = _ensure(x), _ensure(weight), _ensure(prefix)
     k, c = weight.shape
     if x.shape[-1] != c:
         raise ShapeError(f"conv channels disagree: x {x.shape} vs weight {weight.shape}")
     if prefix.shape != x.shape[:-2] + (k - 1, c):
         raise ShapeError(f"conv prefix shape {prefix.shape} does not match input {x.shape}")
     t = x.shape[-2]
-
-    def padded():  # [prefix, x] along T; the tape keeps its parts, not it
-        return np.concatenate([prefix.data, x.data], axis=-2)
-
-    xp = padded()
-    xp_shape, xp_dtype = xp.shape, xp.dtype
-    w = weight.data
-    out = np.multiply(xp[..., :t, :], w[0], out=np.empty(x.shape, x.dtype))
+    xp = np.concatenate([prefix, x], axis=-2)
+    out = np.multiply(xp[..., :t, :], weight[0], out=np.empty(x.shape, x.dtype))
     if k > 1:
-        tap = np.empty(x.shape, np.result_type(xp, w))  # one scratch array for the taps
+        tap = np.empty(x.shape, np.result_type(xp, weight))  # one scratch array for the taps
         for i in range(1, k):
-            out += np.multiply(xp[..., i : i + t, :], w[i], out=tap)
+            out += np.multiply(xp[..., i : i + t, :], weight[i], out=tap)
     tail = xp[..., t:, :].copy()  # a copy, so the tail does not hold all of xp
-
-    def vjp_xp(g):
-        buf = np.zeros(xp_shape, xp_dtype)
-        tap = np.empty(g.shape, np.result_type(g, w))
-        for i in range(k):
-            buf[..., i : i + t, :] += np.multiply(g, w[i], out=tap)
-        return buf
-
-    def vjp_w(g):
-        xp = padded()
-        dw = np.empty_like(w)
-        flat_axes = tuple(range(g.ndim - 1))
-        for i in range(k):
-            dw[i] = (g * xp[..., i : i + t, :]).sum(axis=flat_axes)
-        return dw
-
-    def vjp_tail(g):
-        buf = np.zeros(xp_shape, xp_dtype)
-        buf[..., t:, :] = g
-        return buf
-
-    pairs: list[tuple[Tensor, Callable]] = [
-        (x, lambda g: vjp_xp(g)[..., k - 1 :, :]),
-        (weight, vjp_w),
-        (prefix, lambda g: vjp_xp(g)[..., : k - 1, :]),
-    ]
     if bias is not None:
-        bias_t = _ensure(bias)
-        out += bias_t.data
+        out += bias
+    return out, tail
 
-        def vjp_b(g):
-            return g.reshape(-1, c).sum(axis=0)
 
-        pairs.append((bias_t, vjp_b))
+def _conv1d_input_grad(g: np.ndarray, weight: np.ndarray, gx: np.ndarray,
+                       gprefix: np.ndarray | None) -> None:
+    """Add the gradients of ``conv1d_depthwise_causal``'s x and prefix for
+    output gradient g [..., T, C] into gx [..., T, C] and, unless it is
+    None, gprefix [..., K-1, C]. Tap by tap in order, each sum starting from
+    the caller's zeros, with no padded buffer: output row s of tap i reads
+    row s + i of [prefix, x]."""
+    k, t = weight.shape[0], g.shape[-2]
+    tap = np.empty(g.shape, np.result_type(g, weight))
+    for i in range(k):
+        lo = min(k - 1 - i, t)  # the first output row of tap i that reads x
+        gx[..., : t - lo, :] += np.multiply(g[..., lo:, :], weight[i], out=tap[..., lo:, :])
+        if gprefix is not None:
+            gprefix[..., i : i + lo, :] += np.multiply(g[..., :lo, :], weight[i],
+                                                       out=tap[..., :lo, :])
 
-    return _node(out, pairs), _node(tail, [(x, lambda g: vjp_tail(g)[..., k - 1 :, :]),
-                                           (prefix, lambda g: vjp_tail(g)[..., : k - 1, :])])
+
+def _conv1d_weight_grad(g: np.ndarray, weight: np.ndarray, x: np.ndarray,
+                        prefix: np.ndarray) -> np.ndarray:
+    """Gradient of ``conv1d_depthwise_causal``'s weight for output gradient
+    g: row i sums g times the inputs tap i reads, [prefix, x] shifted by i,
+    with no padded copy of the input."""
+    k, t = weight.shape[0], g.shape[-2]
+    tap = np.empty(g.shape, np.result_type(g, x))
+    dw = np.empty_like(weight)
+    flat_axes = tuple(range(g.ndim - 1))
+    for i in range(k):
+        lo = min(k - 1 - i, t)  # output rows of tap i that read the prefix
+        np.multiply(g[..., :lo, :], prefix[..., i : i + lo, :], out=tap[..., :lo, :])
+        np.multiply(g[..., lo:, :], x[..., : t - lo, :], out=tap[..., lo:, :])
+        dw[i] = tap.sum(axis=flat_axes)
+    return dw
 
 
 def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -545,14 +543,15 @@ def rms_norm(x, weight, eps: float = _RMS_EPS) -> Tensor:
     """Root-mean-square normalization over the last axis, scaled by weight.
 
     One tape node with the closed-form adjoints of ``_rms_norm_grad``; the
-    weight's gradient is the sum of g xhat.
+    weight's gradient is the sum of g xhat. The node keeps r, one entry per
+    row, and not xhat: each adjoint rebuilds xhat = x r from the input.
     """
     x, weight = _ensure(x), _ensure(weight)
-    out, r, xhat = _rms_norm(x.data, weight.data, eps)
+    out, r, _ = _rms_norm(x.data, weight.data, eps)
     return _node(
         out,
-        [(x, lambda g: _rms_norm_grad(g, weight.data, r, xhat)),
-         (weight, lambda g: _unbroadcast(g * xhat, weight.shape))],
+        [(x, lambda g: _rms_norm_grad(g, weight.data, r, x.data * r)),
+         (weight, lambda g: _unbroadcast(g * (x.data * r), weight.shape))],
     )
 
 

@@ -1,12 +1,13 @@
 """The composed Mamba block: the test oracle of ``mac.blocks``' fused kernels.
 
-This is the block ``mac.blocks`` ran before its interior became one fused
-mixer node and each LoRA projection one matmul by the merged weight, kept
-as it was: every step is a taped ``Tensor`` op (slices, ``silu``,
-``softplus``, the scan, skip, gate and ``rms_norm``), so its outputs and
-gradients come from the generic autograd tape. The scan is ``mac.ssd``'s
-kernel, recorded on the tape by ``ssd_oracle.taped_scan``; the kernel
-itself is checked against ``ssd_oracle``'s composed scans.
+This is the block ``mac.blocks`` ran before it became one fused node and
+each LoRA projection one matmul by the merged weight, kept as it was: every
+step is a taped ``Tensor`` op (the LoRA matmuls, slices, the composed conv
+of ``tensor_oracle``, ``silu``, ``softplus``, the scan, skip, gate and
+``rms_norm``), so its outputs and gradients come from the generic autograd
+tape. The scan is ``mac.ssd``'s kernel, recorded on the tape by
+``ssd_oracle.taped_scan``; the kernel itself is checked against
+``ssd_oracle``'s composed scans.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from mac.blocks import BlockState, LoraAdapter, MambaBlock
 from mac.tensor import Tensor
 
 from ssd_oracle import TapedParams, taped_scan
-from tensor_oracle import exp, neg, silu, softplus
+from tensor_oracle import conv1d_depthwise_causal, exp, neg, silu, softplus
 
 
 def lora_apply(base: Tensor, adapter: LoraAdapter | None, x: Tensor) -> Tensor:
@@ -45,7 +46,7 @@ def block_forward(blk: MambaBlock, x: Tensor,
         prefix, initial = tz.zeros((b, k - 1, cfg.conv_dim), dtype=xbc_raw.dtype), None
     else:
         prefix, initial = state.conv_tail, state.ssm
-    xbc = silu(tz.conv1d_depthwise_causal(xbc_raw, blk.conv_w, blk.conv_b, prefix)[0])
+    xbc = silu(conv1d_depthwise_causal(xbc_raw, blk.conv_w, blk.conv_b, prefix)[0])
     xs = tz.reshape(xbc[:, :, :di], (b, t, cfg.n_heads, cfg.head_dim))
     bmat = tz.reshape(xbc[:, :, di : di + gn], (b, t, cfg.n_groups, cfg.d_state))
     cmat = tz.reshape(xbc[:, :, di + gn :], (b, t, cfg.n_groups, cfg.d_state))

@@ -5,7 +5,7 @@ and the kernel recorded on the tape.
 kernels with hand-written adjoints: every step is a taped ``Tensor`` op, so
 their outputs and gradients come from the generic autograd tape alone.
 
-``mac.ssd`` itself is arrays in, arrays out, and only the block mixer
+``mac.ssd`` itself is arrays in, arrays out, and only the Mamba block
 records it on the tape. ``taped_scan`` records ``ssd.kernel`` the same way
 for the tests that differentiate a scan on its own: two ``tz.fused`` nodes,
 y and the final state, whose adjoint is the kernel's.

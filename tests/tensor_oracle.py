@@ -8,12 +8,17 @@ gradients come from the generic autograd tape alone.
 ``relu`` is the activation the composed patch encoder of ``frontend_oracle``
 applies; the fused ``audio.encode`` takes it in place on arrays.
 
+``conv1d_depthwise_causal`` is the causal conv composed from taped slices,
+products and sums, the oracle of ``mac.tensor``'s array kernel of that name
+and of its adjoints, which the fused Mamba block runs; ``block_oracle``
+applies it.
+
 ``tsum``, ``broadcast_to``, ``cast``, ``cumsum`` and ``log`` are taped
 primitives that only the tests and the composed scans of ``ssd_oracle`` use:
 scalar losses, the oracle's cross-chunk carry and cumulative log decay, and
 gradchecks. ``silu``, ``softplus``, ``exp`` and ``neg`` are the activations
 the composed block of ``block_oracle`` applies and the composed scans
-discretize with; the fused block mixer computes them inline on arrays.
+discretize with; the fused Mamba block computes them inline on arrays.
 """
 
 from __future__ import annotations
@@ -122,3 +127,18 @@ def rms_norm(x, weight, eps: float = 1e-5) -> Tensor:
     x = tz._ensure(x)
     scale = power(tz.add(tmean(tz.mul(x, x), axis=-1, keepdims=True), eps), -0.5)
     return tz.mul(tz.mul(x, scale), weight)
+
+
+def conv1d_depthwise_causal(x, weight, bias, prefix) -> tuple[Tensor, Tensor]:
+    """x [..., T, C], weight [K, C], bias [C] or None, prefix [..., K-1, C]
+    -> (output [..., T, C], tail [..., K-1, C]): one product per tap over
+    [prefix, x], and the last K-1 rows of [prefix, x]."""
+    weight = tz._ensure(weight)
+    xp = tz.concat([prefix, x], axis=-2)
+    k, t = weight.shape[0], x.shape[-2]
+    out = tz.mul(xp[..., :t, :], weight[0])
+    for i in range(1, k):
+        out = tz.add(out, tz.mul(xp[..., i : i + t, :], weight[i]))
+    if bias is not None:
+        out = tz.add(out, bias)
+    return out, xp[..., t:, :]

@@ -141,8 +141,8 @@ def _leaves(blk: MambaBlock) -> list[Tensor]:
 
 
 class TestFusedBlockMatchesComposedOracle:
-    """``MambaBlock.forward`` (merged LoRA, fused mixer) against the composed
-    block of ``block_oracle``: outputs and every gradient at 1e-10 in fp64."""
+    """``MambaBlock.forward`` (one fused node) against the composed block of
+    ``block_oracle``: outputs and every gradient at 1e-10 in fp64."""
 
     CFG = dict(n_layers=2, n_heads=4, head_dim=3, d_state=5, n_groups=2, vocab_size=7)
 
@@ -200,21 +200,29 @@ class TestFusedBlockMatchesComposedOracle:
             scale = max(1.0, float(np.abs(oracle).max(initial=0.0)))
             assert np.abs(fused - oracle).max(initial=0.0) <= 1e-10 * scale
 
-    def test_fused_block_records_two_nodes_between_conv_and_out_proj(self):
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_fused_block_records_one_node_per_output(self, carried):
         blk = self._block(4, seed=43)
         for leaf in _leaves(blk):
             leaf.requires_grad = True
-        x = Tensor(np.random.default_rng(44).standard_normal((2, 6, blk.cfg.d_model)),
-                   requires_grad=True)
-        out, new = blk.forward(x)
-        # mixer output and final state; the mixer's parents are in_proj's
-        # output and the conv, so nothing else sits between them
-        mixer_out = out._pairs[0][0]
-        assert new.ssm._pairs and mixer_out is not new.ssm
-        assert [p for p, _ in mixer_out._pairs] == [p for p, _ in new.ssm._pairs]
+        rng = np.random.default_rng(44)
+        x = Tensor(rng.standard_normal((2, 6, blk.cfg.d_model)), requires_grad=True)
+        state = None
+        if carried:
+            with tz.no_grad():
+                _, warm = blk.forward(Tensor(rng.standard_normal((2, 5, blk.cfg.d_model))))
+            state = blocks.BlockState(ssm=Tensor(warm.ssm.data, requires_grad=True),
+                                      conv_tail=Tensor(warm.conv_tail.data, requires_grad=True))
+        out, new = blk.forward(x, state=state)
+        # output, final scan state and conv tail: each one node whose parents
+        # are the block input, the trainable parameters and the carried state
+        want = [x] + _leaves(blk) + ([state.ssm, state.conv_tail] if carried else [])
+        for node in (out, new.ssm, new.conv_tail):
+            assert recorded_nodes(node) == 1
+            assert {id(p) for p, _ in node._pairs} == {id(v) for v in want}
 
 
-NODES_PER_BLOCK = 7  # pre-norm, in_proj, conv slice, conv, mixer, out_proj, residual add
+NODES_PER_BLOCK = 3  # pre-norm, block, residual add
 HEAD_NODES = 2  # final norm, tied head matmul
 
 
@@ -332,19 +340,21 @@ class TestLora:
         ad.down = Tensor(ad.down.data, dtype=np.float32)
         ad.up = Tensor(rng.standard_normal((2, 4)), dtype=np.float32)
         base = Tensor(rng.standard_normal((5, 4)), dtype=np.float32)
-        x = Tensor(rng.standard_normal((3, 5)), dtype=np.float32)
-        assert blocks.lora_apply(base, ad, x).dtype == np.float32
+        x = rng.standard_normal((3, 5)).astype(np.float32)
+        out, weight = blocks.lora_apply(base, ad, x)
+        assert out.dtype == weight.dtype == np.float32
 
     def test_base_receives_no_gradient_through_lora(self):
-        rng = np.random.default_rng(24)
-        base = Tensor(rng.standard_normal((5, 5)))  # frozen: requires_grad False
-        ad = LoraAdapter.init(5, 5, 2, rng)
-        ad.down.requires_grad = True
-        ad.up.requires_grad = True
-        x = Tensor(rng.standard_normal((3, 5)))
-        loss = tsum(blocks.lora_apply(base, ad, x))
-        grads = loss.backward()
-        assert base not in grads and ad.up in grads and ad.down in grads
+        lm = tiny_lm(seed=24)
+        blocks.attach_lora(lm, rank=2, rng=np.random.default_rng(24))
+        blk = lm.blocks[0]
+        adapters = [blk.in_proj.adapter, blk.out_proj.adapter]
+        for ad in adapters:  # the bases stay frozen: requires_grad False
+            ad.down.requires_grad = ad.up.requires_grad = True
+        x = Tensor(np.random.default_rng(25).standard_normal((1, 5, 24)))
+        grads = tsum(blk.forward(x)[0]).backward()
+        assert blk.in_proj.base not in grads and blk.out_proj.base not in grads
+        assert all(t in grads for ad in adapters for t in (ad.down, ad.up))
 
     def test_frozen_base_bit_invariant_under_training(self):
         lm = tiny_lm(seed=25)
@@ -369,22 +379,22 @@ class TestLora:
             assert np.array_equal(lm.parameters()[name].data, before), name
 
     def test_merged_form_matches_three_matmuls(self):
-        # x @ (base + s down up) against x @ base + s (x @ down) @ up
+        # x @ (base + s down up) and its adjoint against x @ base + s (x @ down) @ up
         rng = np.random.default_rng(32)
         base = Tensor(rng.standard_normal((6, 9)))  # frozen
         ad = LoraAdapter.init(6, 9, 3, rng)
         ad.up = Tensor(rng.standard_normal((3, 9)))
         x = Tensor(rng.standard_normal((2, 5, 6)), requires_grad=True)
-        w = Tensor(rng.standard_normal((2, 5, 9)))
+        w = rng.standard_normal((2, 5, 9))
         ad.down.requires_grad = ad.up.requires_grad = True
-        results = []
-        for apply in (blocks.lora_apply, block_oracle.lora_apply):
-            for leaf in (x, ad.down, ad.up):
-                leaf.grad = None
-            out = apply(base, ad, x)
-            grads = tsum(tz.mul(out, w)).backward()
-            assert base not in grads and base.grad is None
-            results.append([out.data] + [grads[leaf] for leaf in (x, ad.down, ad.up)])
+        out, weight = blocks.lora_apply(base, ad, x.data)
+        gx, gbase, gdown, gup = blocks._lora_grads(blocks.LoraLinear(base, ad), weight, x.data, w)
+        assert gbase is None
+        oracle = block_oracle.lora_apply(base, ad, x)
+        grads = tsum(tz.mul(oracle, Tensor(w))).backward()
+        assert base not in grads and base.grad is None
+        results = [[out, gx, gdown, gup],
+                   [oracle.data] + [grads[leaf] for leaf in (x, ad.down, ad.up)]]
         for merged, composed in zip(*results):
             scale = max(1.0, float(np.abs(composed).max()))
             assert np.abs(merged - composed).max() <= 1e-12 * scale

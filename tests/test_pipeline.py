@@ -8,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -444,6 +445,9 @@ class TestTraining:
         assert lines[2] == f"grad_norm={state.last_grad_norm:.6g} step=0"
 
 
+LAYOUTS = ("concatenation", "time_major", "frequency_major")
+
+
 # prints the minor page faults of each of five warm time_major train steps
 WARM_STEP_FAULTS = """
 import resource
@@ -498,6 +502,26 @@ class TestStepMemory:
         assert len(faults) == 5, proc.stdout
         assert min(faults) < 1000, faults
 
+    # bytes a tiny training forward leaves alive for backward, by layout:
+    # 1.75, 2.62 and 2.76 MB here; blocks that kept their sigmoids, gate-norm
+    # output and scan products held 2.31, 3.58 and 3.81 MB
+    HELD_BYTES = {"concatenation": 2.0e6, "time_major": 3.0e6, "frequency_major": 3.2e6}
+
+    @pytest.mark.parametrize("variant", LAYOUTS)
+    def test_a_training_forward_holds_a_bounded_tape(self, variant):
+        cap, train, _ = tiny_captioner(**{"connector.variant": variant})
+        cap.trainable_parameters()
+        cap.batch_forward(train)  # fills the mel cache, which is not the tape
+        tracemalloc.start()
+        try:
+            logits, targets, mask, _ = cap.batch_forward(train)
+            loss = tz.cross_entropy(logits, targets, mask)
+            held = tracemalloc.get_traced_memory()[0]  # what backward would walk
+        finally:
+            tracemalloc.stop()
+        assert loss.requires_grad
+        assert held < self.HELD_BYTES[variant], held
+
 
 def grads_norm(grads: dict) -> float:
     """Global L2 norm of a name -> gradient array mapping."""
@@ -517,7 +541,6 @@ def mixed_prompt_samples(cap: Captioner, samples: list[Sample]) -> list[Sample]:
                          (cap.cfg["data.classify_prompt"], s.label))]
 
 
-LAYOUTS = ("concatenation", "time_major", "frequency_major")
 
 
 def move_adapters(cap: Captioner, seed: int) -> None:
@@ -531,6 +554,56 @@ def move_adapters(cap: Captioner, seed: int) -> None:
 
 def adapters(cap: Captioner) -> list:
     return [proj.adapter for blk in cap.lm.blocks for proj in (blk.in_proj, blk.out_proj)]
+
+
+class TestCaptionerGradient:
+    """``train_step``'s loss differentiated through the whole captioner: the
+    encoder (on the tape when trainable), connector and its gather, the
+    separator rows and the "&&" token blend, sequence building, every
+    block, the tied head and the masked cross-entropy, against central
+    differences."""
+
+    EPS = 1e-5  # central-difference step
+    # an error is relative to max(|reverse|, |numeric|, FLOOR): below the
+    # floor the rounding of the loss (about 1e-16 / EPS) is the error
+    FLOOR = 1e-5
+    TOL = 1e-4
+    COORDS = 3  # sampled coordinates of each trainable tensor
+
+    @pytest.mark.parametrize("variant", LAYOUTS)
+    @pytest.mark.parametrize("encoder", ["true", "false"])
+    def test_reverse_mode_matches_central_differences(self, variant, encoder):
+        cap, train, _ = tiny_captioner(**{"connector.variant": variant,
+                                          "train.encoder_trainable": encoder})
+        move_adapters(cap, seed=7)  # with up = 0 every LoRA down's gradient is 0
+        params = cap.trainable_parameters()
+        assert any(n.startswith("encoder.") for n in params) == (encoder == "true")
+        # a "&&" in a prompt puts the separator blend on every layout's tape
+        batch = [Sample(audio=train[0].audio, prompt="&& " + train[0].prompt,
+                        caption=train[0].caption), train[1]]
+
+        def loss():
+            logits, targets, mask, _ = cap.batch_forward(batch)
+            return tz.cross_entropy(logits, targets, mask)
+
+        grads = loss().backward()
+        rng = np.random.default_rng(8)
+        errors = {}
+        for name, t in params.items():
+            reverse = grads[t].reshape(-1)
+            flat = t.data.reshape(-1)
+            for i in rng.choice(flat.size, size=min(self.COORDS, flat.size), replace=False):
+                orig = flat[i]
+                flat[i] = orig + self.EPS
+                up = loss().item()
+                flat[i] = orig - self.EPS
+                down = loss().item()
+                flat[i] = orig
+                numeric = (up - down) / (2 * self.EPS)
+                scale = max(abs(reverse[i]), abs(numeric), self.FLOOR)
+                errors[f"{name}[{i}]"] = abs(reverse[i] - numeric) / scale
+        worst = max(errors, key=errors.get)
+        assert errors[worst] < self.TOL, (worst, errors[worst])
 
 
 class TestGeneration:

@@ -208,6 +208,40 @@ class TestPrimitiveGradients:
 
     def test_conv1d_depthwise_causal(self):
         rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 9, 3))
+        w = rng.standard_normal((4, 3))
+        b = rng.standard_normal(3)
+        cold = np.zeros((2, 3, 3))
+
+        # brute-force oracle: zero-padded causal window product
+        out, tail = tz.conv1d_depthwise_causal(x, w, b, cold)
+        expect = np.zeros_like(x)
+        padded = np.concatenate([cold, x], axis=1)
+        for t in range(9):
+            for k in range(4):
+                expect[:, t, :] += w[k] * padded[:, t + k, :]
+        expect += b
+        np.testing.assert_allclose(out, expect, atol=1e-14)
+        np.testing.assert_array_equal(tail, x[:, -3:])
+
+        warm = rng.standard_normal((2, 3, 3))
+        short = x[:, :2, :]  # fewer rows than K-1: the tail keeps a prefix row
+        _, tail = tz.conv1d_depthwise_causal(short, w, b, warm)
+        np.testing.assert_array_equal(tail, np.concatenate([warm[:, 2:], short], 1))
+
+    def test_conv1d_prefix_matches_long_sequence(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((1, 12, 2))
+        w = rng.standard_normal((4, 2))
+        cold = np.zeros((1, 3, 2))
+        full = tz.conv1d_depthwise_causal(x, w, None, cold)[0]
+        head, carried = tz.conv1d_depthwise_causal(x[:, :5, :], w, None, cold)
+        rest = tz.conv1d_depthwise_causal(x[:, 5:, :], w, None, carried)[0]
+        np.testing.assert_allclose(np.concatenate([head, rest], axis=1), full, atol=1e-14)
+
+    def test_conv1d_oracle_gradients(self):
+        # the composed conv the array kernel's adjoints are checked against
+        rng = np.random.default_rng(10)
         x = Tensor(rng.standard_normal((2, 9, 3)))
         w = Tensor(rng.standard_normal((4, 3)))
         b = Tensor(rng.standard_normal(3))
@@ -215,38 +249,35 @@ class TestPrimitiveGradients:
         tail_scale = Tensor(rng.standard_normal((2, 3, 3)))
         cold = tz.zeros((2, 3, 3))
 
-        # brute-force oracle: zero-padded causal window product
-        out, tail = tz.conv1d_depthwise_causal(x, w, b, cold)
-        out = out.data
-        expect = np.zeros_like(x.data)
-        padded = np.concatenate([np.zeros((2, 3, 3)), x.data], axis=1)
-        for t in range(9):
-            for k in range(4):
-                expect[:, t, :] += w.data[k] * padded[:, t + k, :]
-        expect += b.data
-        np.testing.assert_allclose(out, expect, atol=1e-14)
-        np.testing.assert_array_equal(tail.data, x.data[:, -3:])
-
         def loss(prefix):  # through the output and the tail
-            out, tail = tz.conv1d_depthwise_causal(x, w, b, prefix)
+            out, tail = tensor_oracle.conv1d_depthwise_causal(x, w, b, prefix)
             return tz.add(tsum(tz.mul(out, scale)), tsum(tz.mul(tail, tail_scale)))
 
         check_gradients(lambda: loss(cold), [x, w, b])
         warm = Tensor(rng.standard_normal((2, 3, 3)))
         check_gradients(lambda: loss(warm), [x, w, b, warm])
-        short = x[:, :2, :]  # fewer rows than K-1: the tail keeps a prefix row
-        _, tail = tz.conv1d_depthwise_causal(short, w, b, warm)
-        np.testing.assert_array_equal(tail.data, np.concatenate([warm.data[:, 2:], short.data], 1))
+        out, tail = tensor_oracle.conv1d_depthwise_causal(x, w, b, warm)
+        want = tz.conv1d_depthwise_causal(x.data, w.data, b.data, warm.data)
+        np.testing.assert_allclose(out.data, want[0], atol=1e-14)
+        np.testing.assert_array_equal(tail.data, want[1])
 
-    def test_conv1d_prefix_matches_long_sequence(self):
-        rng = np.random.default_rng(11)
-        x = Tensor(rng.standard_normal((1, 12, 2)))
-        w = Tensor(rng.standard_normal((4, 2)))
-        cold = tz.zeros((1, 3, 2))
-        full = tz.conv1d_depthwise_causal(x, w, None, cold)[0].data
-        head, carried = tz.conv1d_depthwise_causal(x[:, :5, :], w, None, cold)
-        rest = tz.conv1d_depthwise_causal(x[:, 5:, :], w, None, carried)[0].data
-        np.testing.assert_allclose(np.concatenate([head.data, rest], axis=1), full, atol=1e-14)
+    # T = 1 and 2 are shorter than the K-1 = 3 prefix rows
+    @pytest.mark.parametrize("t", [1, 2, 9])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_conv1d_adjoints_match_the_composed_oracle(self, t, warm):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((2, t, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        prefix = Tensor(rng.standard_normal((2, 3, 3)) if warm else np.zeros((2, 3, 3)),
+                        requires_grad=True)
+        g = rng.standard_normal((2, t, 3))
+        out, _ = tensor_oracle.conv1d_depthwise_causal(x, w, None, prefix)
+        grads = tsum(tz.mul(out, Tensor(g))).backward()
+        gx, gprefix = np.zeros(x.shape), np.zeros(prefix.shape)
+        tz._conv1d_input_grad(g, w.data, gx, gprefix)
+        gw = tz._conv1d_weight_grad(g, w.data, x.data, prefix.data)
+        for got, leaf in ((gx, x), (gprefix, prefix), (gw, w)):
+            assert rel_err(got, grads[leaf]) < 1e-12
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(12)
