@@ -10,7 +10,8 @@ Library layout:
 - ``mac.audio``       WAV reader, mel front-end, CNN patch encoder
 - ``mac.synth``       synthetic captioned-audio corpus generator
 - ``mac.connector``   grid-to-embedding connectors (3 layouts + separators)
-- ``mac.pipeline``    tokenizer, sequence building, training, greedy decoding
+- ``mac.vocab``       word-level tokenizer with reserved special tokens
+- ``mac.pipeline``    sequence building, training, greedy decoding, evaluation
 - ``mac.checkpoint``  manifest+payload tensor container
 - ``mac.config``      validated key=value configuration
 - ``mac.diagnostics`` eRank / cosine / state-distance / scaling analyses

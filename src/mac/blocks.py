@@ -33,8 +33,12 @@ each step returns new arrays. A decode call merges each weight once, on
 entering ``merged_lora``, and every step inside reuses it. The composed
 block these kernels replaced is the test suite's oracle.
 
-The base projection weights stay frozen during fine-tuning; low-rank
-adapters on in_proj and out_proj carry the trainable update.
+The node differentiates only what fine-tuning trains: its parents are the
+block input, the down/up factors of the in_proj and out_proj adapters and a
+carried state when one is passed. The base projections, the conv weight and
+bias, ``dt_bias``, ``log_a``, ``skip`` and ``gate_norm`` stay frozen, as
+``Captioner.trainable_parameters`` leaves them: the node reads them as
+constants, so no gradient reaches them even where one is asked for.
 """
 
 from __future__ import annotations
@@ -124,17 +128,15 @@ def lora_apply(base: Tensor, adapter: LoraAdapter | None,
     return x @ weight, weight
 
 
-def _lora_grads(proj: "LoraLinear", weight: np.ndarray, x: np.ndarray,
+def _lora_grads(adapter: LoraAdapter | None, weight: np.ndarray, x: np.ndarray,
                 g: np.ndarray) -> list:
-    """Gradients of ``lora_apply``'s input x and of ``proj.parameters()``
-    (base, then the adapter's down and up) for output gradient g. The
-    adapter's go through its rank-r factors; a tensor that needs none (a
-    frozen base, say) gets None."""
+    """Gradients of ``lora_apply``'s input x and, with an adapter, of its
+    down and up factors, for output gradient g. A frozen factor gets None;
+    the base weight is a constant and gets none."""
     g2 = g.reshape(-1, g.shape[-1])
-    x2 = x.reshape(-1, x.shape[-1])
-    grads = [(g2 @ weight.T).reshape(x.shape), x2.T @ g2 if proj.base.requires_grad else None]
-    adapter = proj.adapter
+    grads = [(g2 @ weight.T).reshape(x.shape)]
     if adapter is not None:
+        x2 = x.reshape(-1, x.shape[-1])
         down, up, scale = adapter.down, adapter.up, adapter.scale
         grads += [scale * (x2.T @ (g2 @ up.data.T)) if down.requires_grad else None,
                   scale * ((x2 @ down.data).T @ g2) if up.requires_grad else None]
@@ -224,9 +226,8 @@ class MambaBlock:
         xbc = pre * tz._sigmoid(pre)
         xs = xbc[..., :di].reshape(b, t, h, p)
         dt = tz._softplus(proj[..., di + cd :] + self.dt_bias.data)
-        a = -np.exp(self.log_a.data)
         params = ssd.SelectiveParams(
-            dt=dt, a=a, x=xs,
+            dt=dt, a=-np.exp(self.log_a.data), x=xs,
             B=xbc[..., di : di + gn].reshape(b, t, cfg.n_groups, cfg.d_state),
             C=xbc[..., di + gn :].reshape(b, t, cfg.n_groups, cfg.d_state))
         y, h_end, scan_vjp = ssd.kernel(params, initial=initial)
@@ -238,28 +239,25 @@ class MambaBlock:
         out, w_out = lora_apply(out_proj.base, out_proj.adapter, mixed)
         del mixed  # rebuilt by the adjoint
 
-        out_params = list(out_proj.parameters().values())
-        parents = [x, *in_proj.parameters().values(), self.conv_w, self.conv_b, self.dt_bias,
-                   self.log_a, self.skip, self.gate_norm, *out_params]
-        if state is not None:
-            parents += [state.ssm, state.conv_tail]
+        in_lora, out_lora = ([] if lin.adapter is None else [lin.adapter.down, lin.adapter.up]
+                             for lin in (in_proj, out_proj))
+        carried = [] if state is None else [state.ssm, state.conv_tail]
+        parents = [x, *in_lora, *out_lora, *carried]  # the frozen weights are constants
 
         def vjp(g_out, g_h, g_tail):
             # the sigmoids, the gate norm's xhat and out_proj's input are
             # rebuilt here from the kept proj, conv output, y and r by the
             # forward's own operations, so every result is as if kept
-            g_mix = [None] * len(out_params)
-            g_z = g_conv = g_dt = g_a = g_skip = g_norm = gh0 = None
+            g_mix = [None] * len(out_lora)
+            g_z = g_conv = g_dt = gh0 = None
             if g_tail is None:
                 gy = None
                 if g_out is not None:
                     s_z = tz._sigmoid(zg)
                     xhat = y * (zg * s_z)
                     xhat *= r
-                    g_mixed, *g_mix = _lora_grads(out_proj, w_out, xhat * gate_norm, g_out)
+                    g_mixed, *g_mix = _lora_grads(out_proj.adapter, w_out, xhat * gate_norm, g_out)
                     gy = tz._rms_norm_grad(g_mixed, gate_norm, r, xhat)  # of y * silu(z)
-                    if self.gate_norm.requires_grad:
-                        g_norm = (g_mixed * xhat).sum(axis=(0, 1))
                     del g_mixed, xhat
                     g_z = _silu_slope(zg, s_z)
                     g_z *= gy
@@ -267,21 +265,15 @@ class MambaBlock:
                     gy *= zg
                     gy *= s_z
                     gy = gy.reshape(b, t, h, p)
-                s_pre = tz._sigmoid(pre)
-                if gy is not None and self.skip.requires_grad:
-                    xs = (pre[..., :di] * s_pre[..., :di]).reshape(b, t, h, p)
-                    g_skip = (gy * xs).sum(axis=(0, 1, 3))
-                gdt, ga, gB, gC, gx, gh0 = scan_vjp(gy, g_h)
+                gdt, gB, gC, gx, gh0 = scan_vjp(gy, g_h)
                 if gy is not None:
                     gx += gy * skip
                 g_conv = np.concatenate([gx.reshape(b, t, di), gB.reshape(b, t, gn),
                                          gC.reshape(b, t, gn)], axis=-1)
                 del gy, gx, gB, gC  # a lower peak leaves less fresh heap to fault in
-                g_conv *= _silu_slope(pre, s_pre)
-                del s_pre
+                g_conv *= _silu_slope(pre, tz._sigmoid(pre))
                 g_conv = g_conv.astype(pre.dtype, copy=False)
                 g_dt = gdt * tz._sigmoid(proj[..., di + cd :] + self.dt_bias.data)  # softplus'
-                g_a = ga * a
             # in_proj's output gradient, one buffer; each part is added to its
             # zeros, as the sum of the parts' separate buffers was
             g_proj = np.zeros(proj.shape, proj.dtype)
@@ -297,19 +289,9 @@ class MambaBlock:
                 g_proj[..., di + cd :] += g_dt
                 tz._conv1d_input_grad(g_conv, self.conv_w.data, g_proj[..., di : di + cd],
                                       g_prefix)
-            grads = _lora_grads(in_proj, w_in, x.data, g_proj)
-            del g_proj
-            grads += [None if g_conv is None or not self.conv_w.requires_grad else
-                      tz._conv1d_weight_grad(g_conv, self.conv_w.data, proj[..., di : di + cd],
-                                             prefix),
-                      None if g_conv is None or not self.conv_b.requires_grad else
-                      g_conv.reshape(-1, cd).sum(axis=0),
-                      *_cast([None if g_dt is None else g_dt.sum(axis=(0, 1)), g_a, g_skip,
-                              g_norm], [self.dt_bias, self.log_a, self.skip, self.gate_norm]),
-                      *g_mix]
-            if state is not None:
-                grads += [*_cast([gh0], [state.ssm]), g_prefix]
-            return grads
+            g_state = [] if state is None else [
+                None if gh0 is None else gh0.astype(state.ssm.dtype, copy=False), g_prefix]
+            return [*_lora_grads(in_proj.adapter, w_in, x.data, g_proj), *g_mix, *g_state]
 
         return (tz.fused(out, parents, lambda g: vjp(g, None, None)),
                 BlockState(ssm=tz.fused(h_end.astype(pre.dtype, copy=False), parents,
@@ -317,12 +299,6 @@ class MambaBlock:
                            conv_tail=tz.fused(tail, parents, lambda g: vjp(None, None, g))))
 
     __call__ = forward
-
-
-def _cast(grads: list, params: list[Tensor]) -> list:
-    """Each gradient in its tensor's shape and dtype; None stays None."""
-    return [None if g is None else g.reshape(q.shape).astype(q.dtype, copy=False)
-            for g, q in zip(grads, params)]
 
 
 def _silu_slope(v: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ Manifest lines (order-preserving):
     tensor <name> <f4|f8> <dim0,dim1,...> <offset> <nbytes>
 
 Round trips are bit-identical; offsets, sizes and shape products are
-validated on load. Saves are atomic: the file at ``path`` is either the
-previous one or the complete new one.
+validated on load, and a tensor name or meta key may appear only once.
+Saves are atomic: the file at ``path`` is either the previous one or the
+complete new one.
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ def _parse(blob: bytes) -> tuple[dict[str, np.ndarray], str, dict[str, str]]:
         kind, _, rest = line.partition(" ")
         if kind == "meta":
             key, _, value = rest.partition(" ")
+            if key in meta:
+                raise CheckpointError(f"{where}: repeated meta key {key!r}")
             meta[key] = value
         elif kind == "config":
             config_lines.append(rest)
@@ -143,6 +146,8 @@ def _parse(blob: bytes) -> tuple[dict[str, np.ndarray], str, dict[str, str]]:
             if len(parts) != 5:
                 raise CheckpointError(f"{where}: malformed tensor entry")
             name, tag, shape_s, off_s, nbytes_s = parts
+            if name in tensors:
+                raise CheckpointError(f"{where}: repeated tensor {name!r}")
             if tag not in _DTYPES:
                 raise CheckpointError(f"{where}: unknown dtype {tag}")
             shape = () if shape_s == "-" else tuple(

@@ -565,7 +565,9 @@ def run_experiment(cfg: configmod.Config, out_dir: str) -> list[dict]:
 
     Stages: optional classification-prompt warmup, then two caption stages
     with the second learning rate a tenth of the first by default.
-    Deterministic under a fixed seed in fp64 precision.
+    Deterministic under a fixed seed in fp64 precision at a fixed BLAS
+    thread count: the last bits of a loss move with the count, which ``mac``
+    takes from ``MAC_NUM_THREADS`` (every core when it is unset).
     """
     os.makedirs(out_dir, exist_ok=True)
     v = cfg.values

@@ -29,13 +29,15 @@ the recurrence. ``scan`` runs the kernel of the mode it is given and drops
 its adjoint; the three ``scan_*`` wrappers name the modes.
 
 The chunked algorithm is one numpy forward plus the one hand-written
-adjoint, which returns the gradients of dt, a, B, C, x and the initial
-state together, with the cross-chunk carry run in reverse. The forward
-keeps for it only what one elementwise pass cannot rebuild; the adjoint
-rebuilds the intra-chunk operator, x times the end-of-chunk weights and
-the readout of the entering states (see ``_chunked``). The recurrence
-is forward only: its gradient is the chunked adjoint at chunk length 1,
-and no training path reaches it (a training sequence is >= 2 tokens).
+adjoint, which returns the gradients of dt, B, C, x and the initial state
+together, with the cross-chunk carry run in reverse. ``a`` is a constant
+of the scan: the block's ``log_a`` is frozen, so nothing differentiates it.
+The forward keeps for the adjoint only what one elementwise pass cannot
+rebuild; the adjoint rebuilds the intra-chunk operator, x times the
+end-of-chunk weights and the readout of the entering states (see
+``_chunked``). The recurrence is forward only: its gradient is the chunked
+adjoint at chunk length 1, and no training path reaches it (a training
+sequence is >= 2 tokens).
 Nothing here records on the autograd tape. The Mamba block of
 ``mac.blocks``, the one caller that differentiates a scan, calls ``kernel``
 with the default mode inside its own fused node, so a one-token decode
@@ -116,21 +118,6 @@ class SelectiveParams:
             raise ContractError("a must be strictly negative")
 
 
-def discretize_zoh(dt: np.ndarray, a: np.ndarray):
-    """The Mamba-2 discretization of (a, B) with step sizes dt.
-
-    Arrays in, arrays out: dt [.., T, H], a [H]. Returns ``(z, coef)``, each
-    of dt's shape: the log decay z = dt*a (abar = exp(z)) and the per-head
-    scalar coef = dt with bbar = coef * B (B's group row for the head).
-    """
-    return dt * a, dt
-
-
-def _zoh_grads(gz: np.ndarray, gcoef: np.ndarray, dt: np.ndarray, a: np.ndarray):
-    """Gradients of (dt, a) from those of discretize_zoh's z and coef."""
-    return gz * a + gcoef, (gz * dt).sum(axis=(0, 1))
-
-
 def _lift(params: SelectiveParams, initial: np.ndarray | None):
     """Validate, then lift one call to the batched arrays the kernels run on.
 
@@ -167,7 +154,7 @@ def kernel(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFA
     recurrence and a longer sequence in chunks of ``DEFAULT_CHUNK``. The
     other modes serve ``scan`` and its wrappers: ``mac bench --mode`` and
     the tests. ``vjp(gy, gh)`` returns the batched gradients of
-    (dt, a, B, C, x, h0) for output gradients gy and gh, either None. The
+    (dt, B, C, x, h0) for output gradients gy and gh, either None. The
     recurrence's is the chunked adjoint at chunk length 1, the same
     transform, built only when called: a decode step does no extra work.
     """
@@ -237,9 +224,8 @@ def _recurrent(dt, a, B, C, x, h0):
     nb, t, h = dt.shape
     g, n = B.shape[2], B.shape[3]
     p, hpg = x.shape[3], h // g
-    z, coef = discretize_zoh(dt, a)
-    abar = np.exp(z).reshape(nb, t, g, hpg, 1, 1)
-    cx = (x * coef[..., None]).reshape(nb, t, g, hpg, p, 1)
+    abar = np.exp(dt * a).reshape(nb, t, g, hpg, 1, 1)
+    cx = (x * dt[..., None]).reshape(nb, t, g, hpg, p, 1)
 
     # each step's input, then (in place, through a view) the state after the
     # step; a one-token decode step is the first update alone, with no loop
@@ -266,18 +252,18 @@ def _chunked(dt, a, B, C, x, h0, L):
     """The chunked algorithm over batched arrays, in chunks of length
     L <= T -> (y [nb,T,H,P], h_final [nb,H,P,N], vjp).
 
-    T is padded to whole chunks with rows of z = coef = B = C = x = 0 (decay
-    1, no input), so every chunk is processed at once: per-head arrays are
+    T is padded to whole chunks with rows of dt = B = C = x = 0 (decay 1,
+    no input), so every chunk is processed at once: per-head arrays are
     [nb, chunk, group, head in group, L, ...] and group rows carry a
     broadcast head axis of 1.
 
     For ``vjp`` the forward keeps the cumulative log decay and the decays
-    taken from it (the masked [L, L] one included), the chunk-layout coef,
-    x, B and C, C.B, the end-of-chunk weights and the carried states. The
-    adjoint rebuilds from them, by the forward's own operations, the three
-    products it does not keep: the intra-chunk operator (``mixer``), x
-    times the weights, and each position's readout of its entering state
-    (``from_states``).
+    taken from it (the masked [L, L] one included), the chunk-layout dt
+    (``coef``, as bbar = coef * B), x, B and C, C.B, the end-of-chunk
+    weights and the carried states. The adjoint rebuilds from them, by the
+    forward's own operations, the three products it does not keep: the
+    intra-chunk operator (``mixer``), x times the weights, and each
+    position's readout of its entering state (``from_states``).
     """
     nb, t, h = dt.shape
     g, n = B.shape[2], B.shape[3]
@@ -302,9 +288,8 @@ def _chunked(dt, a, B, C, x, h0, L):
     def unrows(v):  # inverse of rows after summing the head axis
         return v[:, :, :, 0].transpose(0, 1, 3, 2, 4).reshape(nb, tp, g, n)[:, :t]
 
-    z, coef = discretize_zoh(dt, a)
-    cum = np.cumsum(heads(z), axis=-1)  # log decay from the chunk start
-    coef = heads(coef)
+    cum = np.cumsum(heads(dt * a), axis=-1)  # log decay from the chunk start
+    coef = heads(dt)
     b_c, c_c, x_c = rows(B), rows(C), heads(x)
 
     # intra-chunk: y_t = sum_{s<=t} C_t.B_s exp(cum_t - cum_s) coef_s x_s
@@ -396,8 +381,8 @@ def _chunked(dt, a, B, C, x, h0, L):
         gcum[..., -1] += gwd.sum(axis=-1)
         gcum -= gwd
         gz = np.flip(np.cumsum(np.flip(gcum, -1), axis=-1), -1)  # cum = cumsum(z)
-        gdt, ga = _zoh_grads(unheads(gz), unheads(gcoef), dt, a)
-        return gdt, ga, unrows(gB), unrows(gC), unheads(gx), nxt.reshape(nb, h, p, n)
+        gdt = unheads(gz) * a + unheads(gcoef)  # z = dt * a, coef = dt
+        return gdt, unrows(gB), unrows(gC), unheads(gx), nxt.reshape(nb, h, p, n)
 
     return y, states[:, nc].reshape(nb, h, p, n), vjp
 

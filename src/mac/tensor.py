@@ -9,17 +9,19 @@ gradient at once. Its users are the Mamba block of ``mac.blocks`` (in_proj,
 conv, scan of ``mac.ssd`` and out_proj, one node per output) and the patch
 encoder of ``mac.audio``. The adjoint runs once per output gradient, each
 input's tape entry takes its share, and a share of None reaches no
-gradient. The array forms of the activations, norms and the causal conv
+gradient. A fused node differentiates only its parents. The block's
+are its input, its LoRA factors and a carried state, and it reads every
+frozen block weight as a constant; the encoder's are its layer weights and
+biases. The array forms of the activations, norms and the causal conv
 (``_sigmoid``, ``_softplus``, ``_rms_norm``, ``conv1d_depthwise_causal``
-and its adjoints) are shared with those kernels; ``rms_norm`` keeps its
-per-row r and rebuilds xhat in the adjoint.
+and its input adjoint) are shared with those kernels; ``rms_norm`` keeps
+its per-row r and rebuilds xhat in the adjoint.
 
 Two float widths are supported: float64 (the default, used by all oracle,
 equivalence and gradient tests) and float32 (``train.precision=fp32``).
 float32 is not faster today: most initializers still draw float64 weights,
 so most activations and every gradient stay float64, and a float32
-training step measured about as long as a float64 one (135 against 136 ms
-on the time_major layout, 2 cores).
+training step takes about as long as a float64 one.
 """
 
 from __future__ import annotations
@@ -422,7 +424,8 @@ def conv1d_depthwise_causal(x: np.ndarray, weight: np.ndarray, bias: np.ndarray 
     -> (output [..., T, C], tail [..., K-1, C]). The tail is the last K-1
     rows of [prefix, x]: the ``prefix`` of a call on the inputs that follow
     x. It records nothing on the tape: the Mamba block's fused node runs it
-    and its adjoints (``_conv1d_input_grad``, ``_conv1d_weight_grad``).
+    and its adjoint ``_conv1d_input_grad``; the weight and bias are frozen
+    there, so no adjoint of theirs exists.
     """
     k, c = weight.shape
     if x.shape[-1] != c:
@@ -457,23 +460,6 @@ def _conv1d_input_grad(g: np.ndarray, weight: np.ndarray, gx: np.ndarray,
         if gprefix is not None:
             gprefix[..., i : i + lo, :] += np.multiply(g[..., :lo, :], weight[i],
                                                        out=tap[..., :lo, :])
-
-
-def _conv1d_weight_grad(g: np.ndarray, weight: np.ndarray, x: np.ndarray,
-                        prefix: np.ndarray) -> np.ndarray:
-    """Gradient of ``conv1d_depthwise_causal``'s weight for output gradient
-    g: row i sums g times the inputs tap i reads, [prefix, x] shifted by i,
-    with no padded copy of the input."""
-    k, t = weight.shape[0], g.shape[-2]
-    tap = np.empty(g.shape, np.result_type(g, x))
-    dw = np.empty_like(weight)
-    flat_axes = tuple(range(g.ndim - 1))
-    for i in range(k):
-        lo = min(k - 1 - i, t)  # output rows of tap i that read the prefix
-        np.multiply(g[..., :lo, :], prefix[..., i : i + lo, :], out=tap[..., :lo, :])
-        np.multiply(g[..., lo:, :], x[..., : t - lo, :], out=tap[..., lo:, :])
-        dw[i] = tap.sum(axis=flat_axes)
-    return dw
 
 
 def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray) -> Tensor:

@@ -8,7 +8,8 @@ their outputs and gradients come from the generic autograd tape alone.
 ``mac.ssd`` itself is arrays in, arrays out, and only the Mamba block
 records it on the tape. ``taped_scan`` records ``ssd.kernel`` the same way
 for the tests that differentiate a scan on its own: two ``tz.fused`` nodes,
-y and the final state, whose adjoint is the kernel's.
+y and the final state, whose adjoint is the kernel's. Their parents are dt,
+B, C, x and the initial state: the kernel reads ``a`` as a constant.
 
 Both take ``TapedParams``, the ``SelectiveParams`` fields as tensors, and an
 optional initial state tensor, and return ``(y, h)`` tensors in the
@@ -76,7 +77,7 @@ def taped_scan(params: TapedParams, mode: str = "chunked", chunk_len: int = DEFA
     arrays = params.arrays()
     y, h_final, vjp = ssd.kernel(arrays, mode, chunk_len,
                                  None if initial is None else initial.data)
-    parents = [params.dt, params.a, params.B, params.C, params.x]
+    parents = [params.dt, params.B, params.C, params.x]
     if initial is not None:
         parents.append(initial)
 

@@ -70,15 +70,21 @@ class TestBlockForward:
             lm.blocks[0].forward(Tensor(np.zeros((2, 5, 7))))
 
     def test_block_gradcheck_every_parameter(self):
-        # full finite-difference sweep of one block's parameters, over two
-        # chunks of the scan, the second one padded
+        # full finite-difference sweep of the input and every parameter the
+        # block differentiates (the pre-norm weight and live LoRA factors),
+        # over two chunks of the scan, the second one padded
         cfg = LmConfig(n_layers=1, n_heads=2, head_dim=3, d_state=2, n_groups=1,
                        vocab_size=5, conv_width=3)
-        blk = MambaBlock(cfg, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        lm = SsmLm(cfg, rng)
+        blocks.attach_lora(lm, rank=2, rng=rng)
+        blk = lm.blocks[0]
+        for proj in (blk.in_proj, blk.out_proj):  # a live adapter, not the zero init
+            proj.adapter.up.data[:] = rng.standard_normal(proj.adapter.up.shape) * 0.3
         t = ssd.DEFAULT_CHUNK + 3
         x = Tensor(np.random.default_rng(7).standard_normal((1, t, 6)))
         w = Tensor(np.random.default_rng(8).standard_normal((1, t, 6)))
-        leaves = list(blk.parameters().values())
+        leaves = [x, blk.res_norm] + _leaves(blk)
 
         def fn():
             # pre-norm applied the way the residual stack does
@@ -134,10 +140,10 @@ class TestOneTokenStepContract:
 
 
 def _leaves(blk: MambaBlock) -> list[Tensor]:
-    """Every parameter ``MambaBlock.forward`` reads except the frozen LoRA
-    bases (the pre-norm weight is the stack's)."""
-    return [v for k, v in blk.parameters().items()
-            if not k.endswith(".base") and k != "res_norm"]
+    """The parameters ``MambaBlock.forward`` differentiates: the LoRA
+    factors of in_proj and out_proj. It reads the others as constants (the
+    pre-norm weight is the stack's)."""
+    return [v for k, v in blk.parameters().items() if ".lora." in k]
 
 
 class TestFusedBlockMatchesComposedOracle:
@@ -203,7 +209,7 @@ class TestFusedBlockMatchesComposedOracle:
     @pytest.mark.parametrize("carried", [False, True])
     def test_fused_block_records_one_node_per_output(self, carried):
         blk = self._block(4, seed=43)
-        for leaf in _leaves(blk):
+        for leaf in blk.parameters().values():  # even the frozen ones: they stay constants
             leaf.requires_grad = True
         rng = np.random.default_rng(44)
         x = Tensor(rng.standard_normal((2, 6, blk.cfg.d_model)), requires_grad=True)
@@ -215,8 +221,9 @@ class TestFusedBlockMatchesComposedOracle:
                                       conv_tail=Tensor(warm.conv_tail.data, requires_grad=True))
         out, new = blk.forward(x, state=state)
         # output, final scan state and conv tail: each one node whose parents
-        # are the block input, the trainable parameters and the carried state
+        # are the block input, the 4 LoRA factors and the carried state
         want = [x] + _leaves(blk) + ([state.ssm, state.conv_tail] if carried else [])
+        assert len(_leaves(blk)) == 4
         for node in (out, new.ssm, new.conv_tail):
             assert recorded_nodes(node) == 1
             assert {id(p) for p, _ in node._pairs} == {id(v) for v in want}
@@ -388,8 +395,7 @@ class TestLora:
         w = rng.standard_normal((2, 5, 9))
         ad.down.requires_grad = ad.up.requires_grad = True
         out, weight = blocks.lora_apply(base, ad, x.data)
-        gx, gbase, gdown, gup = blocks._lora_grads(blocks.LoraLinear(base, ad), weight, x.data, w)
-        assert gbase is None
+        gx, gdown, gup = blocks._lora_grads(ad, weight, x.data, w)  # the base is a constant
         oracle = block_oracle.lora_apply(base, ad, x)
         grads = tsum(tz.mul(oracle, Tensor(w))).backward()
         assert base not in grads and base.grad is None

@@ -98,6 +98,9 @@ def test_checkpoint_mutations_fail_as_located_checkpoint_errors(tmp_path):
     (b"tensor w f8 3 0 x24", r"manifest line 2: w size 'x24' is not"),
     (b"tensor w f8 -3 0 24", r"manifest line 2: w shape '-3' is not"),
     (b"tensor w f8 3 0 24 \xff", r"manifest line 2: not UTF-8 text"),
+    # a second entry of one name would replace the first without a word
+    (b"tensor w f8 3 0 24\ntensor w f8 3 0 24", r"manifest line 3: repeated tensor 'w'"),
+    (b"tensor w f8 3 0 24\nmeta kind head", r"manifest line 3: repeated meta key 'kind'"),
 ])
 def test_checkpoint_manifest_faults_name_file_and_line(tmp_path, line, message):
     good = tmp_path / "good.ckpt"

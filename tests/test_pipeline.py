@@ -359,14 +359,24 @@ class TestTraining:
                                   real_encode(cap._patch_rows(evl, keep=False), cap.encoder).data)
         assert fresh_evaluate("after.ckpt") == after
 
-    def test_frozen_encoder_weights_bit_invariant(self):
-        cap, train, _ = tiny_captioner(**{"train.encoder_trainable": "false"})
-        before = {k: t.data.copy() for k, t in cap.encoder.parameters().items()}
+    @pytest.mark.parametrize("encoder", ["true", "false"])
+    @pytest.mark.parametrize("variant", ["concatenation", "time_major", "frequency_major"])
+    def test_frozen_encoder_weights_bit_invariant(self, variant, encoder):
+        # a step moves only what trains, and every trainable tensor gets a
+        # gradient but the separator embedding on the layout with no separators
+        cap, train, _ = tiny_captioner(**{"connector.variant": variant,
+                                          "train.encoder_trainable": encoder})
+        trainable = cap.trainable_parameters()
+        before = {k: t.data.copy() for k, t in cap.named_parameters().items()}
         state = pipeline.make_train_state(cap)
-        for _ in range(3):
-            pipeline.train_step(state, train)
-        for k, t in cap.encoder.parameters().items():
-            assert np.array_equal(t.data, before[k]), k
+        pipeline.train_step(state, train)
+        frozen = [k for k in before if k not in trainable]
+        assert any(k.startswith("encoder.") for k in frozen) == (encoder == "false")
+        for k in frozen:
+            assert np.array_equal(cap.named_parameters()[k].data, before[k]), k
+        expect = sorted(k for k in trainable
+                        if not (k == "sep_embedding" and variant == "concatenation"))
+        assert sorted(state.last_grads) == expect
 
     def test_divergence_aborts_with_dump(self, tmp_path):
         cap, train, _ = tiny_captioner()

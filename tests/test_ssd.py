@@ -39,45 +39,25 @@ def scalar_params(abar, bcoef, c, xs):
 
 
 class TestDiscretizeZoh:
+    """The Mamba-2 rule abar = exp(dt*a), bbar = dt*B, read off one scan
+    step from a state h0: y = C (abar h0 + bbar x) with C = 1."""
+
+    @staticmethod
+    def one_step(dt, a, b, x, h0):
+        params = ssd.SelectiveParams(dt=np.array([[dt]]), a=np.array([a]),
+                                     B=np.full((1, 1, 1), b), C=np.ones((1, 1, 1)),
+                                     x=np.full((1, 1, 1), x))
+        y, _ = ssd.scan_recurrent(params, initial=np.full((1, 1, 1), h0))
+        return y.item()
+
     def test_mamba2_rule(self):
-        z, coef = ssd.discretize_zoh(np.array([[0.5]]), np.array([-2.0]))
-        assert abs(np.exp(z).item() - E_NEG1) < 1e-15
-        assert abs(coef.item() * 3.0 - 1.5) < 1e-15
+        assert abs(self.one_step(0.5, -2.0, 0.0, 0.0, 1.0) - E_NEG1) < 1e-15  # abar
+        assert abs(self.one_step(0.5, -2.0, 1.0, 3.0, 0.0) - 1.5) < 1e-15  # bbar x
 
     def test_vanishing_decay_limit(self):
         # dt*a -> 0: abar -> 1, bbar -> dt*B
-        z, coef = ssd.discretize_zoh(np.array([[0.5]]), np.array([-1e-9]))
-        assert abs(np.exp(z).item() - 1.0) < 1e-9
-        assert abs(coef.item() * 3.0 - 1.5) < 1e-15
-
-    def test_outputs_take_dt_shape(self):
-        rng = np.random.default_rng(0)
-        dt, a = rng.uniform(0.1, 1.0, (2, 5, 4)), -rng.uniform(0.5, 2.0, 4)
-        for out in ssd.discretize_zoh(dt, a):
-            assert out.shape == (2, 5, 4)
-
-    def test_adjoint_matches_finite_differences(self):
-        # the gradients of (dt, a) for output gradients (gz, gcoef)
-        rng = np.random.default_rng(1)
-        dt, a = rng.uniform(0.1, 1.0, (2, 5, 4)), -rng.uniform(0.5, 2.0, 4)
-        gz, gcoef = rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 5, 4))
-
-        def loss(dt, a):
-            z, coef = ssd.discretize_zoh(dt, a)
-            return (gz * z).sum() + (gcoef * coef).sum()
-
-        gdt, ga = ssd._zoh_grads(gz, gcoef, dt, a)
-        eps = 1e-6
-        for idx in np.ndindex(dt.shape):
-            step = np.zeros_like(dt)
-            step[idx] = eps
-            num = (loss(dt + step, a) - loss(dt - step, a)) / (2 * eps)
-            assert abs(gdt[idx] - num) < 1e-7
-        for k in range(a.size):
-            step = np.zeros_like(a)
-            step[k] = eps
-            num = (loss(dt, a + step) - loss(dt, a - step)) / (2 * eps)
-            assert abs(ga[k] - num) < 1e-7
+        assert abs(self.one_step(0.5, -1e-9, 0.0, 0.0, 1.0) - 1.0) < 1e-9
+        assert abs(self.one_step(0.5, -1e-9, 1.0, 3.0, 0.0) - 1.5) < 1e-15
 
 
 class TestScanRecurrent:
@@ -248,14 +228,14 @@ class TestProperties:
         rng = np.random.default_rng(13)
         t, h, p, g, n = 7, 2, 3, 1, 4
         dt_raw = Tensor(rng.standard_normal((t, h)), requires_grad=True)
-        log_a = Tensor(rng.standard_normal(h), requires_grad=True)
+        log_a = Tensor(rng.standard_normal(h))  # a is a constant of the scan
         bmat = Tensor(rng.standard_normal((t, g, n)), requires_grad=True)
         cmat = Tensor(rng.standard_normal((t, g, n)), requires_grad=True)
         x = Tensor(rng.standard_normal((t, h, p)), requires_grad=True)
         h0 = Tensor(rng.standard_normal((h, p, n)), requires_grad=True)
         w = Tensor(rng.standard_normal((t, h, p)))
         w_state = Tensor(rng.standard_normal((h, p, n)))
-        leaves = [dt_raw, log_a, bmat, cmat, x, h0]
+        leaves = [dt_raw, bmat, cmat, x, h0]
 
         def loss_for(mode):
             def fn():
@@ -278,7 +258,9 @@ class TestProperties:
 
 
 def scan_leaves(rng, t, h, p, g, n, batch=None, dtype=np.float64, slow_head=False):
-    """dt, a, B, C, x and an initial state as leaves that need gradients."""
+    """dt, a, B, C, x and an initial state as leaves that need gradients;
+    the kernel gives one to all but a, its constant, and the composed
+    oracle to all."""
     lead = () if batch is None else (batch,)
     a = -np.exp(rng.standard_normal(h))
     if slow_head:
@@ -329,7 +311,8 @@ class TestKernelsMatchOracle:
                         grads = loss.backward()
                         # C does not reach the final state: the tape has no gradient for it
                         out.extend([y.data, final.data] + [grads.get(v, np.zeros(v.shape))
-                                                           for v in use if v is not None])
+                                                           for v in use
+                                                           if v is not None and v is not use[1]])
                     for i, (a, b) in enumerate(zip(got, expect)):
                         assert a.shape == b.shape
                         assert rel_err(a, b) < 1e-10, (t, initial, on, i)
@@ -342,7 +325,8 @@ class TestKernelsMatchOracle:
             y, final, loss = scan_loss(taped_scan, leaves, mode, "both")
             grads = loss.backward()
         assert y.dtype == np.float32 and final.dtype == np.float32
-        assert all(grads[v].dtype == np.float32 for v in leaves)
+        assert leaves[1] not in grads  # a
+        assert all(grads[v].dtype == np.float32 for v in leaves if v is not leaves[1])
 
     @pytest.mark.parametrize("mode", ssd.MODES)
     def test_one_token_adjoint_is_built_only_when_called(self, monkeypatch, mode):
@@ -358,7 +342,7 @@ class TestKernelsMatchOracle:
         y, h_final, vjp = ssd.kernel(params, mode, 4, rng.standard_normal((2, 4, 3, 5)))
         assert calls == []
         grads = vjp(np.ones(y.shape), np.ones(h_final.shape))
-        assert calls == [1] and len(grads) == 6
+        assert calls == [1] and len(grads) == 5  # dt, B, C, x, h0
 
 
 class TestArrayContract:

@@ -267,7 +267,7 @@ class TestPrimitiveGradients:
     def test_conv1d_adjoints_match_the_composed_oracle(self, t, warm):
         rng = np.random.default_rng(12)
         x = Tensor(rng.standard_normal((2, t, 3)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3)))  # frozen in the block
         prefix = Tensor(rng.standard_normal((2, 3, 3)) if warm else np.zeros((2, 3, 3)),
                         requires_grad=True)
         g = rng.standard_normal((2, t, 3))
@@ -275,8 +275,7 @@ class TestPrimitiveGradients:
         grads = tsum(tz.mul(out, Tensor(g))).backward()
         gx, gprefix = np.zeros(x.shape), np.zeros(prefix.shape)
         tz._conv1d_input_grad(g, w.data, gx, gprefix)
-        gw = tz._conv1d_weight_grad(g, w.data, x.data, prefix.data)
-        for got, leaf in ((gx, x), (gprefix, prefix), (gw, w)):
+        for got, leaf in ((gx, x), (gprefix, prefix)):
             assert rel_err(got, grads[leaf]) < 1e-12
 
     def test_cross_entropy(self):
