@@ -5,9 +5,9 @@ each LoRA projection one matmul by the merged weight, kept as it was: every
 step is a taped ``Tensor`` op (the LoRA matmuls, slices, the composed conv
 of ``tensor_oracle``, ``silu``, ``softplus``, the scan, skip, gate and
 ``rms_norm``), so its outputs and gradients come from the generic autograd
-tape. The scan is ``mac.ssd``'s kernel, recorded on the tape by
-``ssd_oracle.taped_scan``; the kernel itself is checked against
-``ssd_oracle``'s composed scans.
+tape. The scan is ``ssd_oracle.scan``, the chunked scan composed from taped
+ops, not ``mac.ssd``'s kernel: the scan adjoint inside the fused block is
+checked against the tape, never against itself.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from mac import tensor as tz
 from mac.blocks import BlockState, LoraAdapter, MambaBlock
 from mac.tensor import Tensor
 
-from ssd_oracle import TapedParams, taped_scan
+from ssd_oracle import TapedParams, scan
 from tensor_oracle import conv1d_depthwise_causal, exp, neg, silu, softplus
 
 
@@ -53,7 +53,7 @@ def block_forward(blk: MambaBlock, x: Tensor,
 
     dt = softplus(tz.add(dt_raw, blk.dt_bias))
     a = neg(exp(blk.log_a))
-    y, final = taped_scan(TapedParams(dt=dt, a=a, B=bmat, C=cmat, x=xs), initial=initial)
+    y, final = scan(TapedParams(dt=dt, a=a, B=bmat, C=cmat, x=xs), initial=initial)
 
     y = tz.add(y, tz.mul(xs, tz.reshape(blk.skip, (1, 1, cfg.n_heads, 1))))
     y = tz.reshape(y, (b, t, di))
