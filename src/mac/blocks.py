@@ -274,8 +274,9 @@ class MambaBlock:
                 g_conv *= _silu_slope(pre, tz._sigmoid(pre))
                 g_conv = g_conv.astype(pre.dtype, copy=False)
                 g_dt = gdt * tz._sigmoid(proj[..., di + cd :] + self.dt_bias.data)  # softplus'
-            # in_proj's output gradient, one buffer; each part is added to its
-            # zeros, as the sum of the parts' separate buffers was
+            # in_proj's output gradient, one buffer; each part is added to (the
+            # conv's written over) its zeros, as the sum of the parts' separate
+            # buffers was
             g_proj = np.zeros(proj.shape, proj.dtype)
             g_prefix = None if state is None else np.zeros(prefix.shape, prefix.dtype)
             if g_tail is not None:  # the tail is the last K-1 rows of [prefix, x]

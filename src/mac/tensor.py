@@ -413,6 +413,21 @@ def embedding(table, ids: np.ndarray) -> Tensor:
     return _node(out, [(table, vjp)])
 
 
+_CONV = "...tkc,kc->...tc"  # window t, tap k, channel c: each row's taps summed in order
+
+
+def _windows(a: np.ndarray, rows: int, k: int, first: int, step: int) -> np.ndarray:
+    """Read-only view [..., rows, K, C] of a C-contiguous a [..., R, C] whose
+    window r, tap i is row first + r + step * i of a. Built with the ndarray
+    constructor: ``as_strided`` and ``sliding_window_view`` cost more per
+    call than a whole one-token conv."""
+    s = a.strides
+    view = np.ndarray(a.shape[:-2] + (rows, k, a.shape[-1]), a.dtype, a, first * s[-2],
+                      s[:-1] + (step * s[-2], s[-1]))
+    view.flags.writeable = False
+    return view
+
+
 def conv1d_depthwise_causal(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
                             prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel causal convolution along the second-to-last axis, on arrays.
@@ -421,11 +436,13 @@ def conv1d_depthwise_causal(x: np.ndarray, weight: np.ndarray, bias: np.ndarray 
     holds the K-1 inputs before x (zeros for a cold causal start, the carried
     tail when streaming). Output position t sees inputs t-K+1 .. t.
 
-    -> (output [..., T, C], tail [..., K-1, C]). The tail is the last K-1
-    rows of [prefix, x]: the ``prefix`` of a call on the inputs that follow
-    x. It records nothing on the tape: the Mamba block's fused node runs it
-    and its adjoint ``_conv1d_input_grad``; the weight and bias are frozen
-    there, so no adjoint of theirs exists.
+    -> (output [..., T, C] in x's dtype, tail [..., K-1, C]). The output is
+    one ``np.einsum`` over a window view of [prefix, x], whose window t holds
+    rows t .. t+K-1, for every T; the taps of each row add in order 0..K-1.
+    The tail is the last K-1 rows of [prefix, x]: the ``prefix`` of a call on
+    the inputs that follow x. It records nothing on the tape: the Mamba
+    block's fused node runs it and its adjoint ``_conv1d_input_grad``; the
+    weight and bias are frozen there, so no adjoint of theirs exists.
     """
     k, c = weight.shape
     if x.shape[-1] != c:
@@ -434,11 +451,8 @@ def conv1d_depthwise_causal(x: np.ndarray, weight: np.ndarray, bias: np.ndarray 
         raise ShapeError(f"conv prefix shape {prefix.shape} does not match input {x.shape}")
     t = x.shape[-2]
     xp = np.concatenate([prefix, x], axis=-2)
-    out = np.multiply(xp[..., :t, :], weight[0], out=np.empty(x.shape, x.dtype))
-    if k > 1:
-        tap = np.empty(x.shape, np.result_type(xp, weight))  # one scratch array for the taps
-        for i in range(1, k):
-            out += np.multiply(xp[..., i : i + t, :], weight[i], out=tap)
+    out = np.einsum(_CONV, _windows(xp, t, k, 0, 1), weight, out=np.empty(x.shape, x.dtype),
+                    casting="same_kind")
     tail = xp[..., t:, :].copy()  # a copy, so the tail does not hold all of xp
     if bias is not None:
         out += bias
@@ -447,19 +461,18 @@ def conv1d_depthwise_causal(x: np.ndarray, weight: np.ndarray, bias: np.ndarray 
 
 def _conv1d_input_grad(g: np.ndarray, weight: np.ndarray, gx: np.ndarray,
                        gprefix: np.ndarray | None) -> None:
-    """Add the gradients of ``conv1d_depthwise_causal``'s x and prefix for
-    output gradient g [..., T, C] into gx [..., T, C] and, unless it is
-    None, gprefix [..., K-1, C]. Tap by tap in order, each sum starting from
-    the caller's zeros, with no padded buffer: output row s of tap i reads
-    row s + i of [prefix, x]."""
+    """Write the gradients of ``conv1d_depthwise_causal``'s x and prefix for
+    output gradient g [..., T, C] into gx [..., T, C] and, unless it is None,
+    gprefix [..., K-1, C]. Row r of [prefix, x] feeds output row r - i
+    through tap i, so its gradient is one ``np.einsum`` over a window view
+    of g padded with K-1 zero rows at each end, the window reversed so the
+    taps add in order 0..K-1."""
     k, t = weight.shape[0], g.shape[-2]
-    tap = np.empty(g.shape, np.result_type(g, weight))
-    for i in range(k):
-        lo = min(k - 1 - i, t)  # the first output row of tap i that reads x
-        gx[..., : t - lo, :] += np.multiply(g[..., lo:, :], weight[i], out=tap[..., lo:, :])
-        if gprefix is not None:
-            gprefix[..., i : i + lo, :] += np.multiply(g[..., :lo, :], weight[i],
-                                                       out=tap[..., :lo, :])
+    pad = np.zeros(g.shape[:-2] + (k - 1, g.shape[-1]), g.dtype)
+    win = _windows(np.concatenate([pad, g, pad], axis=-2), t + k - 1, k, k - 1, -1)
+    np.einsum(_CONV, win[..., k - 1 :, :, :], weight, out=gx, casting="same_kind")
+    if gprefix is not None:
+        np.einsum(_CONV, win[..., : k - 1, :, :], weight, out=gprefix, casting="same_kind")
 
 
 def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray) -> Tensor:

@@ -206,28 +206,30 @@ class TestPrimitiveGradients:
         w = Tensor(rng.standard_normal((2, 3, 4)))
         check_gradients(lambda: tsum(tz.mul(tz.embedding(table, ids), w)), [table])
 
-    def test_conv1d_depthwise_causal(self):
+    # K = 1 has an empty prefix; T = 1 and 2 are shorter than K-1 = 3 at K = 4
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("t", [1, 2, 9])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_conv1d_depthwise_causal(self, k, t, warm):
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((2, 9, 3))
-        w = rng.standard_normal((4, 3))
+        x = rng.standard_normal((2, t, 3))
+        w = rng.standard_normal((k, 3))
         b = rng.standard_normal(3)
-        cold = np.zeros((2, 3, 3))
+        prefix = rng.standard_normal((2, k - 1, 3)) if warm else np.zeros((2, k - 1, 3))
 
-        # brute-force oracle: zero-padded causal window product
-        out, tail = tz.conv1d_depthwise_causal(x, w, b, cold)
-        expect = np.zeros_like(x)
-        padded = np.concatenate([cold, x], axis=1)
-        for t in range(9):
-            for k in range(4):
-                expect[:, t, :] += w[k] * padded[:, t + k, :]
-        expect += b
-        np.testing.assert_allclose(out, expect, atol=1e-14)
-        np.testing.assert_array_equal(tail, x[:, -3:])
+        # bit for bit the composed conv: each row's taps add in order 0..K-1
+        out, tail = tz.conv1d_depthwise_causal(x, w, b, prefix)
+        want = tensor_oracle.conv1d_depthwise_causal(Tensor(x), Tensor(w), Tensor(b),
+                                                     Tensor(prefix))
+        np.testing.assert_array_equal(out, want[0].data)
+        np.testing.assert_array_equal(tail, want[1].data)
+        # the tail is the last K-1 rows of [prefix, x], prefix rows included when T < K-1
+        np.testing.assert_array_equal(tail, np.concatenate([prefix, x], axis=1)[:, t:])
 
-        warm = rng.standard_normal((2, 3, 3))
-        short = x[:, :2, :]  # fewer rows than K-1: the tail keeps a prefix row
-        _, tail = tz.conv1d_depthwise_causal(short, w, b, warm)
-        np.testing.assert_array_equal(tail, np.concatenate([warm[:, 2:], short], 1))
+        # the output takes x's dtype, also against float64 weights
+        out32, _ = tz.conv1d_depthwise_causal(x.astype(np.float32), w, b,
+                                              prefix.astype(np.float32))
+        assert out32.dtype == np.float32
 
     def test_conv1d_prefix_matches_long_sequence(self):
         rng = np.random.default_rng(11)
@@ -261,14 +263,15 @@ class TestPrimitiveGradients:
         np.testing.assert_allclose(out.data, want[0], atol=1e-14)
         np.testing.assert_array_equal(tail.data, want[1])
 
-    # T = 1 and 2 are shorter than the K-1 = 3 prefix rows
+    # T = 1 and 2 are shorter than the K-1 = 3 prefix rows at K = 4
+    @pytest.mark.parametrize("k", [1, 2, 4])
     @pytest.mark.parametrize("t", [1, 2, 9])
     @pytest.mark.parametrize("warm", [False, True])
-    def test_conv1d_adjoints_match_the_composed_oracle(self, t, warm):
+    def test_conv1d_adjoints_match_the_composed_oracle(self, k, t, warm):
         rng = np.random.default_rng(12)
         x = Tensor(rng.standard_normal((2, t, 3)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 3)))  # frozen in the block
-        prefix = Tensor(rng.standard_normal((2, 3, 3)) if warm else np.zeros((2, 3, 3)),
+        w = Tensor(rng.standard_normal((k, 3)))  # frozen in the block
+        prefix = Tensor(rng.standard_normal((2, k - 1, 3)) if warm else np.zeros((2, k - 1, 3)),
                         requires_grad=True)
         g = rng.standard_normal((2, t, 3))
         out, _ = tensor_oracle.conv1d_depthwise_causal(x, w, None, prefix)
@@ -276,7 +279,8 @@ class TestPrimitiveGradients:
         gx, gprefix = np.zeros(x.shape), np.zeros(prefix.shape)
         tz._conv1d_input_grad(g, w.data, gx, gprefix)
         for got, leaf in ((gx, x), (gprefix, prefix)):
-            assert rel_err(got, grads[leaf]) < 1e-12
+            assert got.shape == grads[leaf].shape
+            assert got.size == 0 or rel_err(got, grads[leaf]) < 1e-12  # K = 1: no prefix
 
     def test_cross_entropy(self):
         rng = np.random.default_rng(12)
