@@ -268,11 +268,12 @@ class MambaBlock:
                 gdt, gB, gC, gx, gh0 = scan_vjp(gy, g_h)
                 if gy is not None:
                     gx += gy * skip
-                g_conv = np.concatenate([gx.reshape(b, t, di), gB.reshape(b, t, gn),
-                                         gC.reshape(b, t, gn)], axis=-1)
+                # silu's slope times each part's gradient, in place of the slope
+                g_conv = _silu_slope(pre, tz._sigmoid(pre))
+                for lo, part in ((0, gx), (di, gB), (di + gn, gC)):
+                    part = part.reshape(b, t, -1)
+                    g_conv[..., lo : lo + part.shape[-1]] *= part
                 del gy, gx, gB, gC  # a lower peak leaves less fresh heap to fault in
-                g_conv *= _silu_slope(pre, tz._sigmoid(pre))
-                g_conv = g_conv.astype(pre.dtype, copy=False)
                 g_dt = gdt * tz._sigmoid(proj[..., di + cd :] + self.dt_bias.data)  # softplus'
             # in_proj's output gradient, one buffer; each part is added to (the
             # conv's written over) its zeros, as the sum of the parts' separate

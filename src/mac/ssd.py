@@ -240,14 +240,6 @@ def _recurrent(dt, a, B, C, x, h0):
     return y, hs[:, -1].reshape(nb, h, p, n)
 
 
-def _pad_rows(v: np.ndarray, rows: int) -> np.ndarray:
-    """v [nb, T, ...] with zero rows appended along T up to ``rows``."""
-    extra = rows - v.shape[1]
-    if not extra:
-        return v
-    return np.concatenate([v, np.zeros((v.shape[0], extra) + v.shape[2:], v.dtype)], axis=1)
-
-
 def _chunked(dt, a, B, C, x, h0, L):
     """The chunked algorithm over batched arrays, in chunks of length
     L <= T -> (y [nb,T,H,P], h_final [nb,H,P,N], vjp).
@@ -261,36 +253,37 @@ def _chunked(dt, a, B, C, x, h0, L):
     taken from it (the masked [L, L] one included), the chunk-layout dt
     (``coef``, as bbar = coef * B), x, B and C, C.B, the end-of-chunk
     weights and the carried states. The adjoint rebuilds from them, by the
-    forward's own operations, the three products it does not keep: the
-    intra-chunk operator (``mixer``), x times the weights, and each
-    position's readout of its entering state (``from_states``).
+    forward's own operations, the intra-chunk operator (``mixer``) and x
+    times the weights. Each of its multiply-then-sum reductions is one
+    ``np.einsum`` pass, and the readout of the entering states reaches cum
+    through C times the product the gradient of C already needs, so that
+    readout is not rebuilt. The cross-chunk carries run in place, forward
+    on the states and in reverse on their gradients.
     """
     nb, t, h = dt.shape
     g, n = B.shape[2], B.shape[3]
     p, hpg = x.shape[3], h // g
-    nc = -(-t // L)
-    tp = nc * L
+    nc, full = -(-t // L), t // L  # chunks, and those with no padding row
 
-    def heads(v):  # [nb, T, H, *k] -> [nb, nc, G, hpg, L, *k], contiguous
+    def chunks(v):  # [nb, T, G*m, *k] -> [nb, nc, G, m, L, *k] in one copy
         k = v.shape[3:]
-        v = _pad_rows(v, tp).reshape((nb, nc, L, g, hpg) + k)
-        return np.ascontiguousarray(v.transpose((0, 1, 3, 4, 2) + tuple(range(5, 5 + len(k)))))
+        out = np.empty((nb, nc, g, v.shape[2] // g, L) + k, v.dtype)
+        by_row = out.transpose((0, 1, 4, 2, 3) + tuple(range(5, 5 + len(k))))
+        by_row[:, :full] = v[:, : full * L].reshape(by_row[:, :full].shape)
+        if full < nc:
+            last, rest = by_row[:, full], t - full * L
+            last[:, :rest] = v[:, full * L :].reshape(last[:, :rest].shape)
+            last[:, rest:] = 0
+        return out
 
-    def rows(v):  # [nb, T, G, N] -> [nb, nc, G, 1, L, N], contiguous
-        v = _pad_rows(v, tp).reshape(nb, nc, L, g, 1, n)
-        return np.ascontiguousarray(v.transpose(0, 1, 3, 4, 2, 5))
-
-    def unheads(v):  # inverse of heads, padding dropped
+    def unchunks(v):  # inverse of chunks, padding dropped
         k = v.shape[5:]
         v = v.transpose((0, 1, 4, 2, 3) + tuple(range(5, 5 + len(k))))
-        return v.reshape((nb, tp, h) + k)[:, :t]
+        return v.reshape((nb, nc * L, -1) + k)[:, :t]
 
-    def unrows(v):  # inverse of rows after summing the head axis
-        return v[:, :, :, 0].transpose(0, 1, 3, 2, 4).reshape(nb, tp, g, n)[:, :t]
-
-    cum = np.cumsum(heads(dt * a), axis=-1)  # log decay from the chunk start
-    coef = heads(dt)
-    b_c, c_c, x_c = rows(B), rows(C), heads(x)
+    cum = np.cumsum(chunks(dt * a), axis=-1)  # log decay from the chunk start
+    coef = chunks(dt)
+    b_c, c_c, x_c = chunks(B), chunks(C), chunks(x)
 
     # intra-chunk: y_t = sum_{s<=t} C_t.B_s exp(cum_t - cum_s) coef_s x_s
     # (in place on the [.., L, L] arrays: fresh large temporaries cost page faults)
@@ -307,72 +300,76 @@ def _chunked(dt, a, B, C, x, h0, L):
 
     y = mixer() @ x_c
 
-    # each chunk's own contribution to the state at its end, from zero
+    # states[c] enters chunk c, carried in float64 and stored chunk-major so
+    # each step of the carry is contiguous: each chunk's own contribution to
+    # the state at its end, (x * w)^T @ B from zero, is written in place and
+    # the decayed entering state added to it
     decay_end = np.exp(cum[..., -1:] - cum)  # prod_{r=s+1..L-1} abar_r
     w = decay_end * coef
-    local = (x_c * w[..., None]).swapaxes(-1, -2) @ b_c  # [.., P, N]
-    per_chunk = local.shape  # the adjoint needs the shape, not local itself
-
-    # the state entering each chunk, carried in float64
+    states = np.empty((nc + 1, nb, g, hpg, p, n))
+    states[0] = 0.0 if h0 is None else h0.reshape(nb, g, hpg, p, n)
+    np.matmul((x_c * w[..., None]).swapaxes(-1, -2), b_c, out=states[1:].swapaxes(0, 1))
+    entering = states[:nc].swapaxes(0, 1)  # [nb, nc, G, hpg, P, N]
     decay_chunk = np.exp(cum[..., -1])  # [nb, nc, G, hpg]
-    states = np.zeros((nb, nc + 1, g, hpg, p, n))
-    if h0 is not None:
-        states[:, 0] = h0.reshape(nb, g, hpg, p, n)
+    step = decay_chunk.transpose(1, 0, 2, 3)[..., None, None]  # [nc, nb, G, hpg, 1, 1]
     for c in range(nc):
-        states[:, c + 1] = decay_chunk[:, c, ..., None, None] * states[:, c] + local[:, c]
+        states[c + 1] += step[c] * states[c]
     decay_in = np.exp(cum)  # prod_{r<=t} abar_r within the chunk
 
-    def from_states():  # each position's readout of the state entering its chunk
-        y_state = c_c @ states[:, :nc].swapaxes(-1, -2)
-        y_state *= decay_in[..., None]
-        return y_state
-
-    y += from_states()
-    y = unheads(y)
+    # each position's readout of the state entering its chunk
+    y_state = c_c @ entering.swapaxes(-1, -2)
+    y_state *= decay_in[..., None]
+    y += y_state
+    del y_state
+    y = unchunks(y)
 
     def vjp(gy, gh):
         if gy is None:
             gcum, gcoef = np.zeros(cum.shape), np.zeros(coef.shape)
             gx, gB, gC = np.zeros(x_c.shape), np.zeros(b_c.shape), np.zeros(c_c.shape)
-            gstates = np.zeros(per_chunk)
+            gstates = np.zeros(entering.shape)
         else:
             # each large temporary is dropped once used: a lower peak leaves
             # less fresh heap to be faulted in
-            gy_c = heads(gy)
-            gcum = (gy_c * from_states()).sum(axis=-1)
-            # y_state = decay_in * (C @ state^T); gstates reaches each entering state
+            gy_c = chunks(gy)
+            # y_state = decay_in * (C @ state^T): g_raw reaches each entering
+            # state, C and, through decay_in, cum
             g_raw = gy_c * decay_in[..., None]
             gstates = g_raw.swapaxes(-1, -2) @ c_c
-            gC = (g_raw @ states[:, :nc]).sum(axis=3, keepdims=True)
+            g_cs = g_raw @ entering  # [.., L, N]
             del g_raw
+            gC = g_cs.sum(axis=3, keepdims=True)
+            gcum = np.einsum("...ln,...ln->...l", g_cs, c_c)
+            del g_cs
             # y_intra = mix @ x with mix = cb * decay * coef_s
             gx = mixer().swapaxes(-1, -2) @ gy_c
             gmix = gy_c @ x_c.swapaxes(-1, -2)
             del gy_c
             gmix *= decay
-            gseg = gmix * coef[..., None, :]
-            gcb = gseg.sum(axis=3, keepdims=True)
-            gseg *= cb  # d/d(cum_t - cum_s)
-            gcum += gseg.sum(axis=-1) - gseg.sum(axis=-2)
-            del gseg
-            gmix *= cb
-            gcoef = gmix.sum(axis=-2)
+            gcb = np.einsum("...hts,...hs->...ts", gmix, coef)[:, :, :, None]
+            gmix *= cb  # gcoef's terms; times coef_s, d/d(cum_t - cum_s)'s
+            gcoef = np.einsum("...ts->...s", gmix)
+            gcum += np.einsum("...ts,...s->...t", gmix, coef)
             del gmix
+            gcum -= gcoef * coef
             gC += gcb @ b_c
             gB = gcb.swapaxes(-1, -2) @ c_c
-        # the carry in reverse: glocal[c] is the gradient of the state leaving chunk c
-        nxt = np.zeros(per_chunk[:1] + per_chunk[2:]) if gh is None else \
-            gh.reshape(nb, g, hpg, p, n)
-        glocal = np.empty(per_chunk)
-        for c in range(nc - 1, -1, -1):
-            glocal[:, c] = nxt
-            nxt = decay_chunk[:, c, ..., None, None] * nxt + gstates[:, c]
+        # the carry in reverse, in place, chunk-major and in the width of its
+        # terms: carry[c + 1] becomes the gradient of the state leaving chunk
+        # c and carry[0] that of h0
+        last = np.float64 if gh is None else gh
+        carry = np.empty(states.shape, np.result_type(decay_chunk, gstates, last))
+        carry[:nc] = gstates.swapaxes(0, 1)
+        carry[nc] = 0.0 if gh is None else gh.reshape(nb, g, hpg, p, n)
         del gstates
-        gcum[..., -1] += (glocal * states[:, :nc]).sum(axis=(-1, -2)) * decay_chunk
-        # local = (x * w)^T @ B with w = decay_end * coef
-        gxw = (glocal @ b_c.swapaxes(-1, -2)).swapaxes(-1, -2)  # [.., L, P]
+        for c in range(nc - 1, -1, -1):
+            carry[c] += step[c] * carry[c + 1]
+        glocal = carry[1:].swapaxes(0, 1).astype(np.float64, copy=False)  # as the states
+        gcum[..., -1] += np.einsum("...pn,...pn->...", glocal, entering) * decay_chunk
+        # the state's own term (x * w)^T @ B with w = decay_end * coef
+        gxw = b_c @ glocal.swapaxes(-1, -2)  # [.., L, P]
         gB += ((x_c * w[..., None]) @ glocal).sum(axis=3, keepdims=True)
-        gw = (x_c * gxw).sum(axis=-1)
+        gw = np.einsum("...lp,...lp->...l", x_c, gxw)
         gxw *= w[..., None]
         gx += gxw
         del gxw
@@ -381,10 +378,10 @@ def _chunked(dt, a, B, C, x, h0, L):
         gcum[..., -1] += gwd.sum(axis=-1)
         gcum -= gwd
         gz = np.flip(np.cumsum(np.flip(gcum, -1), axis=-1), -1)  # cum = cumsum(z)
-        gdt = unheads(gz) * a + unheads(gcoef)  # z = dt * a, coef = dt
-        return gdt, unrows(gB), unrows(gC), unheads(gx), nxt.reshape(nb, h, p, n)
+        gdt = unchunks(gz) * a + unchunks(gcoef)  # z = dt * a, coef = dt
+        return gdt, unchunks(gB), unchunks(gC), unchunks(gx), carry[0].reshape(nb, h, p, n)
 
-    return y, states[:, nc].reshape(nb, h, p, n), vjp
+    return y, states[nc].reshape(nb, h, p, n), vjp
 
 
 def count_flops(
