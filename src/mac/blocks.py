@@ -268,16 +268,17 @@ class MambaBlock:
                 gdt, gB, gC, gx, gh0 = scan_vjp(gy, g_h)
                 if gy is not None:
                     gx += gy * skip
-                # silu's slope times each part's gradient, in place of the slope
+                # the conv output's gradient: silu's slope, each part's
+                # gradient multiplied into its columns
                 g_conv = _silu_slope(pre, tz._sigmoid(pre))
                 for lo, part in ((0, gx), (di, gB), (di + gn, gC)):
                     part = part.reshape(b, t, -1)
                     g_conv[..., lo : lo + part.shape[-1]] *= part
                 del gy, gx, gB, gC  # a lower peak leaves less fresh heap to fault in
                 g_dt = gdt * tz._sigmoid(proj[..., di + cd :] + self.dt_bias.data)  # softplus'
-            # in_proj's output gradient, one buffer; each part is added to (the
-            # conv's written over) its zeros, as the sum of the parts' separate
-            # buffers was
+            # in_proj's output gradient, one buffer: the conv adjoint writes its
+            # part, and each other part is added to its zeros, as the sum of
+            # the parts' separate buffers was
             g_proj = np.zeros(proj.shape, proj.dtype)
             g_prefix = None if state is None else np.zeros(prefix.shape, prefix.dtype)
             if g_tail is not None:  # the tail is the last K-1 rows of [prefix, x]

@@ -33,11 +33,11 @@ adjoint, which returns the gradients of dt, B, C, x and the initial state
 together, with the cross-chunk carry run in reverse. ``a`` is a constant
 of the scan: the block's ``log_a`` is frozen, so nothing differentiates it.
 The forward keeps for the adjoint only what one elementwise pass cannot
-rebuild; the adjoint rebuilds the intra-chunk operator, x times the
-end-of-chunk weights and the readout of the entering states (see
-``_chunked``). The recurrence is forward only: its gradient is the chunked
-adjoint at chunk length 1, and no training path reaches it (a training
-sequence is >= 2 tokens).
+rebuild; the adjoint rebuilds the intra-chunk operator and x times the
+end-of-chunk weights, and takes each multiply-then-sum reduction as one
+``np.einsum`` pass (see ``_chunked``). The recurrence is forward only:
+its gradient is the chunked adjoint at chunk length 1, and no training
+path reaches it (a training sequence is >= 2 tokens).
 Nothing here records on the autograd tape. The Mamba block of
 ``mac.blocks``, the one caller that differentiates a scan, calls ``kernel``
 with the default mode inside its own fused node, so a one-token decode
@@ -255,10 +255,10 @@ def _chunked(dt, a, B, C, x, h0, L):
     weights and the carried states. The adjoint rebuilds from them, by the
     forward's own operations, the intra-chunk operator (``mixer``) and x
     times the weights. Each of its multiply-then-sum reductions is one
-    ``np.einsum`` pass, and the readout of the entering states reaches cum
-    through C times the product the gradient of C already needs, so that
-    readout is not rebuilt. The cross-chunk carries run in place, forward
-    on the states and in reverse on their gradients.
+    ``np.einsum`` pass; the readout of the entering states reaches cum as
+    C times the product that C's own gradient sums, so it is not rebuilt.
+    Both cross-chunk carries, of the states forward and of their gradients
+    in reverse, run in place on chunk-major arrays.
     """
     nb, t, h = dt.shape
     g, n = B.shape[2], B.shape[3]
@@ -311,9 +311,9 @@ def _chunked(dt, a, B, C, x, h0, L):
     np.matmul((x_c * w[..., None]).swapaxes(-1, -2), b_c, out=states[1:].swapaxes(0, 1))
     entering = states[:nc].swapaxes(0, 1)  # [nb, nc, G, hpg, P, N]
     decay_chunk = np.exp(cum[..., -1])  # [nb, nc, G, hpg]
-    step = decay_chunk.transpose(1, 0, 2, 3)[..., None, None]  # [nc, nb, G, hpg, 1, 1]
+    decay_step = decay_chunk.transpose(1, 0, 2, 3)[..., None, None]  # chunk-major
     for c in range(nc):
-        states[c + 1] += step[c] * states[c]
+        states[c + 1] += decay_step[c] * states[c]
     decay_in = np.exp(cum)  # prod_{r<=t} abar_r within the chunk
 
     # each position's readout of the state entering its chunk
@@ -347,7 +347,7 @@ def _chunked(dt, a, B, C, x, h0, L):
             del gy_c
             gmix *= decay
             gcb = np.einsum("...hts,...hs->...ts", gmix, coef)[:, :, :, None]
-            gmix *= cb  # gcoef's terms; times coef_s, d/d(cum_t - cum_s)'s
+            gmix *= cb  # now gcoef's terms; times coef_s, those of d/d(cum_t - cum_s)
             gcoef = np.einsum("...ts->...s", gmix)
             gcum += np.einsum("...ts,...s->...t", gmix, coef)
             del gmix
@@ -363,8 +363,8 @@ def _chunked(dt, a, B, C, x, h0, L):
         carry[nc] = 0.0 if gh is None else gh.reshape(nb, g, hpg, p, n)
         del gstates
         for c in range(nc - 1, -1, -1):
-            carry[c] += step[c] * carry[c + 1]
-        glocal = carry[1:].swapaxes(0, 1).astype(np.float64, copy=False)  # as the states
+            carry[c] += decay_step[c] * carry[c + 1]
+        glocal = carry[1:].swapaxes(0, 1)
         gcum[..., -1] += np.einsum("...pn,...pn->...", glocal, entering) * decay_chunk
         # the state's own term (x * w)^T @ B with w = decay_end * coef
         gxw = b_c @ glocal.swapaxes(-1, -2)  # [.., L, P]

@@ -69,10 +69,13 @@ class TestBlockForward:
         with pytest.raises(ShapeError):
             lm.blocks[0].forward(Tensor(np.zeros((2, 5, 7))))
 
-    def test_block_gradcheck_every_parameter(self):
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_block_gradcheck_every_parameter(self, carried):
         # full finite-difference sweep of the input and every parameter the
         # block differentiates (the pre-norm weight and live LoRA factors),
-        # over two chunks of the scan, the second one padded
+        # over two chunks of the scan, the second one padded; carried, the
+        # block continues a state whose scan state and conv tail are leaves
+        # too, and the loss reads the new state and tail as well
         cfg = LmConfig(n_layers=1, n_heads=2, head_dim=3, d_state=2, n_groups=1,
                        vocab_size=5, conv_width=3)
         rng = np.random.default_rng(6)
@@ -85,11 +88,23 @@ class TestBlockForward:
         x = Tensor(np.random.default_rng(7).standard_normal((1, t, 6)))
         w = Tensor(np.random.default_rng(8).standard_normal((1, t, 6)))
         leaves = [x, blk.res_norm] + _leaves(blk)
+        state = None
+        if carried:
+            with tz.no_grad():
+                _, warm = blk.forward(Tensor(rng.standard_normal((1, 5, 6))))
+            state = blocks.BlockState(ssm=Tensor(warm.ssm.data),
+                                      conv_tail=Tensor(warm.conv_tail.data))
+            leaves += [state.ssm, state.conv_tail]
+            w_ssm, w_tail = (Tensor(rng.standard_normal(v.shape)) for v in (warm.ssm, warm.conv_tail))
 
         def fn():
             # pre-norm applied the way the residual stack does
-            y, _ = blk.forward(tz.rms_norm(x, blk.res_norm))
-            return tsum(tz.mul(y, w))
+            y, new = blk.forward(tz.rms_norm(x, blk.res_norm), state=state)
+            loss = tsum(tz.mul(y, w))
+            if carried:
+                loss = tz.add(loss, tz.add(tsum(tz.mul(new.ssm, w_ssm)),
+                                           tsum(tz.mul(new.conv_tail, w_tail))))
+            return loss
 
         worst = check_gradients(fn, leaves, tol=1e-4)
         assert worst < 1e-4
