@@ -95,7 +95,8 @@ class TestBlockForward:
             state = blocks.BlockState(ssm=Tensor(warm.ssm.data),
                                       conv_tail=Tensor(warm.conv_tail.data))
             leaves += [state.ssm, state.conv_tail]
-            w_ssm, w_tail = (Tensor(rng.standard_normal(v.shape)) for v in (warm.ssm, warm.conv_tail))
+            w_ssm, w_tail = (Tensor(rng.standard_normal(v.shape))
+                             for v in (warm.ssm, warm.conv_tail))
 
         def fn():
             # pre-norm applied the way the residual stack does
