@@ -297,8 +297,7 @@ class MambaBlock:
             return [*_lora_grads(in_proj.adapter, w_in, x.data, g_proj), *g_mix, *g_state]
 
         return (tz.fused(out, parents, lambda g: vjp(g, None, None)),
-                BlockState(ssm=tz.fused(h_end.astype(pre.dtype, copy=False), parents,
-                                        lambda g: vjp(None, g, None)),
+                BlockState(ssm=tz.fused(h_end, parents, lambda g: vjp(None, g, None)),
                            conv_tail=tz.fused(tail, parents, lambda g: vjp(None, None, g))))
 
     __call__ = forward

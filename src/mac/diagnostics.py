@@ -133,12 +133,13 @@ def state_update_distances(captioner, sample):
 
 
 def _random_params(rng: np.random.Generator, t: int, h: int, p: int, g: int, n: int):
+    """A batch of one random sequence of length t."""
     return ssd.SelectiveParams(
-        dt=tz._softplus(rng.standard_normal((t, h))),
+        dt=tz._softplus(rng.standard_normal((1, t, h))),
         a=-np.exp(rng.standard_normal(h) * 0.5),
-        B=rng.standard_normal((t, g, n)),
-        C=rng.standard_normal((t, g, n)),
-        x=rng.standard_normal((t, h, p)),
+        B=rng.standard_normal((1, t, g, n)),
+        C=rng.standard_normal((1, t, g, n)),
+        x=rng.standard_normal((1, t, h, p)),
     )
 
 
@@ -154,13 +155,13 @@ def scaling_bench(lengths: list[int], mode: str = "recurrent",
         raise ContractError("lengths must be sorted ascending")
     rng = np.random.default_rng(seed)
     rows = []
-    ssd.scan(_random_params(rng, min(lengths), h, p, g, n), mode)  # warm-up
+    ssd.kernel(_random_params(rng, min(lengths), h, p, g, n), mode)  # warm-up
     for t in lengths:
         params = _random_params(rng, t, h, p, g, n)
         best = np.inf
         for _ in range(repeats):
             t0 = time.perf_counter()
-            ssd.scan(params, mode)
+            ssd.kernel(params, mode)
             best = min(best, time.perf_counter() - t0)
         rows.append((t, best, ssd.count_flops(t, n, h, p, mode, g)))
     xs = np.log([r[0] for r in rows])
@@ -199,5 +200,5 @@ def _write_csv(path: str, rows: list[list]) -> None:
     """Render the rows in memory, then swap the file in: a failed write
     leaves any previous file at ``path``."""
     text = io.StringIO()
-    csv.writer(text).writerows(rows)
+    csv.writer(text, lineterminator="\n").writerows(rows)
     checkpoint.write_atomic(path, text.getvalue().encode("utf-8"))

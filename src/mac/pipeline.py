@@ -619,7 +619,7 @@ def run_experiment(cfg: configmod.Config, out_dir: str) -> list[dict]:
 
 def write_metrics(path: str, rows: list[dict]) -> None:
     text = io.StringIO()
-    writer = csv.DictWriter(text, fieldnames=METRICS_HEADER)
+    writer = csv.DictWriter(text, fieldnames=METRICS_HEADER, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({k: _fmt(row[k]) for k in METRICS_HEADER})

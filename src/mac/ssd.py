@@ -19,14 +19,15 @@ identical outputs and final states:
 - ``scan_convolutional``  the chunked algorithm with one chunk of length T:
                           the full lower-triangular semiseparable operator
 
-This module is arrays in, arrays out: ``SelectiveParams`` holds numpy
-arrays, the initial state is an array [H, P, N] or None for a zero state,
-and every scan returns arrays ``(y, h)``. Feeding the returned ``h`` back
-as ``initial`` of a later call equals one uninterrupted scan (streaming
-contract). ``kernel`` holds the one rule from mode name and T to
+This module is arrays in, arrays out, over a batch of nb sequences:
+``SelectiveParams`` holds numpy arrays with a leading batch axis, the
+initial state is an array [nb, H, P, N] or None for a zero state, and
+``kernel``, the one entry point, returns arrays. Feeding the returned final
+state back as ``initial`` of a later call equals one uninterrupted scan
+(streaming contract). ``kernel`` holds the one rule from mode name and T to
 algorithm: the chunk length is capped at T, and a chunk length of 1 runs
-the recurrence. ``scan`` runs the kernel of the mode it is given and drops
-its adjoint; the three ``scan_*`` wrappers name the modes.
+the recurrence. The three ``scan_*`` wrappers name the modes and return
+``(y, h)`` without the adjoint.
 
 The chunked algorithm is one numpy forward plus the one hand-written
 adjoint, which returns the gradients of dt, B, C, x and the initial state
@@ -47,11 +48,6 @@ head with no loop, and the checks are ndarray reductions, so a decode
 step's scan is a fixed handful of numpy calls and builds no adjoint until
 one is asked for. The scans composed from taped ``Tensor`` ops that these
 kernels replaced are the test suite's oracle.
-
-Shapes are written unbatched ([T, ...]) below; every function also accepts
-one extra leading batch axis. The kernels themselves are batched only: an
-unbatched call is lifted once on entry (``_lift``), and ``scan`` drops the
-axis again on exit.
 """
 
 from __future__ import annotations
@@ -68,16 +64,14 @@ MODES = ("recurrent", "chunked", "convolutional")
 
 @dataclass
 class SelectiveParams:
-    """Per-layer inputs of the selective scan.
+    """Per-layer inputs of the selective scan over a batch of nb sequences.
 
-    dt: [T, H]     step sizes, strictly positive (softplus output)
-    a:  [H]        continuous-time decay rates, strictly negative
-    B:  [T, G, N]  input coupling, one row per parameter group
-    C:  [T, G, N]  output readout, one row per parameter group
-    x:  [T, H, P]  head inputs
-
-    dt, B, C and x may all carry one leading batch axis (``batched``); a is
-    shared across the batch.
+    dt: [nb, T, H]     step sizes, strictly positive (softplus output)
+    a:  [H]            continuous-time decay rates, strictly negative,
+                       shared across the batch
+    B:  [nb, T, G, N]  input coupling, one row per parameter group
+    C:  [nb, T, G, N]  output readout, one row per parameter group
+    x:  [nb, T, H, P]  head inputs
     """
 
     dt: np.ndarray
@@ -88,24 +82,26 @@ class SelectiveParams:
 
     @property
     def batched(self) -> bool:
-        return self.dt.ndim == 3
+        """Whether dt, B and x have the ranks above; ``dims`` refuses any other."""
+        return self.dt.ndim == 3 and self.B.ndim == 4 and self.x.ndim == 4
 
     def dims(self) -> tuple[int, int, int, int, int]:
         """(T, H, P, G, N) after shape validation."""
-        off = 1 if self.batched else 0
-        if self.dt.ndim != 2 + off or self.B.ndim != 3 + off or self.x.ndim != 3 + off:
+        if not self.batched:
             raise ShapeError(
-                f"inconsistent ranks: dt {self.dt.shape}, B {self.B.shape}, x {self.x.shape}"
+                f"expected dt [nb, T, H], B [nb, T, G, N] and x [nb, T, H, P], got "
+                f"dt {self.dt.shape}, B {self.B.shape}, x {self.x.shape}"
             )
-        t, h = self.dt.shape[off], self.dt.shape[off + 1]
-        g, n = self.B.shape[off + 1], self.B.shape[off + 2]
-        p = self.x.shape[off + 2]
+        nb, t, h = self.dt.shape
+        g, n = self.B.shape[2:]
+        p = self.x.shape[3]
         if self.a.shape != (h,):
             raise ShapeError(f"a has shape {self.a.shape}, expected ({h},)")
-        if self.B.shape[off] != t or self.C.shape != self.B.shape:
-            raise ShapeError(f"B/C shapes {self.B.shape}/{self.C.shape} disagree with T={t}")
-        if self.x.shape[off] != t or self.x.shape[off + 1] != h:
-            raise ShapeError(f"x shape {self.x.shape} disagrees with (T,H)=({t},{h})")
+        if self.B.shape[:2] != (nb, t) or self.C.shape != self.B.shape:
+            raise ShapeError(f"B/C shapes {self.B.shape}/{self.C.shape} disagree with "
+                             f"(nb,T)=({nb},{t})")
+        if self.x.shape[:3] != (nb, t, h):
+            raise ShapeError(f"x shape {self.x.shape} disagrees with (nb,T,H)=({nb},{t},{h})")
         if h % g != 0:
             raise ShapeError(f"heads {h} not divisible by groups {g}")
         return t, h, p, g, n
@@ -118,52 +114,41 @@ class SelectiveParams:
             raise ContractError("a must be strictly negative")
 
 
-def _lift(params: SelectiveParams, initial: np.ndarray | None):
-    """Validate, then lift one call to the batched arrays the kernels run on.
-
-    Returns ((dt, a, B, C, x) with a batch axis, h0 [B, H, P, N] or None for
-    a zero state).
-    """
-    params.validate()
-    dt, B, C, x = params.dt, params.B, params.C, params.x
-    if not params.batched:
-        dt, B, C, x = dt[None], B[None], C[None], x[None]
-    arrays = (dt, params.a, B, C, x)
-    bsz, t, h = dt.shape
-    if t == 0:
-        raise ShapeError("scan over an empty sequence")
-    if initial is None:
-        return arrays, None
-    shape = (bsz, h, x.shape[3], B.shape[3])
-    expected = shape if params.batched else shape[1:]
-    if initial.shape != expected:
-        raise ShapeError(f"initial state shape {initial.shape}, expected {expected}")
-    return arrays, initial.reshape(shape)
-
-
 def kernel(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
            initial: np.ndarray | None = None):
-    """The one rule from mode name to array kernel: validate and lift the
-    call, then run it -> batched arrays (y [nb, T, H, P], h [nb, H, P, N], vjp).
+    """The one rule from mode name to array kernel: validate the call, then
+    run it -> (y [nb, T, H, P], h [nb, H, P, N] in x's dtype, vjp).
 
-    ``recurrent`` asks for a chunk length of 1, ``chunked`` for
+    ``initial`` is the state [nb, H, P, N] entering the scan, None for a
+    zero state. ``recurrent`` asks for a chunk length of 1, ``chunked`` for
     ``chunk_len`` and ``convolutional`` for T. The chunk length run is that
     one capped at T, and a chunk length of 1 runs the recurrence. So the
     Mamba block of ``mac.blocks``, which always calls the default
     (``chunked``, ``DEFAULT_CHUNK``), runs a one-token decode step as the
     recurrence and a longer sequence in chunks of ``DEFAULT_CHUNK``. The
-    other modes serve ``scan`` and its wrappers: ``mac bench --mode`` and
-    the tests. ``vjp(gy, gh)`` returns the batched gradients of
-    (dt, B, C, x, h0) for output gradients gy and gh, either None. The
-    recurrence's is the chunked adjoint at chunk length 1, the same
-    transform, built only when called: a decode step does no extra work.
+    other modes serve the wrappers, ``mac bench --mode`` and the tests.
+    ``vjp(gy, gh)`` returns the gradients of (dt, B, C, x, h0) for output
+    gradients gy and gh, either None. The recurrence's is the chunked
+    adjoint at chunk length 1, the same transform, built only when called:
+    a decode step does no extra work.
     """
-    (dt, a, B, C, x), h0 = _lift(params, initial)
-    step = _chunk_len(mode, chunk_len, dt.shape[1])
+    params.validate()
+    dt, a, B, C, x = params.dt, params.a, params.B, params.C, params.x
+    nb, t, h = dt.shape
+    if t == 0:
+        raise ShapeError("scan over an empty sequence")
+    shape = (nb, h, x.shape[3], B.shape[3])
+    if initial is not None and initial.shape != shape:
+        raise ShapeError(f"initial state shape {initial.shape}, expected {shape}")
+    step = _chunk_len(mode, chunk_len, t)
     if step > 1:
-        return _chunked(dt, a, B, C, x, h0, step)
-    return (*_recurrent(dt, a, B, C, x, h0),
-            lambda gy, gh: _chunked(dt, a, B, C, x, h0, 1)[2](gy, gh))
+        y, h_final, vjp = _chunked(dt, a, B, C, x, initial, step)
+    else:
+        y, h_final = _recurrent(dt, a, B, C, x, initial)
+
+        def vjp(gy, gh):
+            return _chunked(dt, a, B, C, x, initial, 1)[2](gy, gh)
+    return y, h_final.astype(x.dtype, copy=False), vjp
 
 
 def _chunk_len(mode: str, chunk_len: int, t: int) -> int:
@@ -175,20 +160,9 @@ def _chunk_len(mode: str, chunk_len: int, t: int) -> int:
     return min({"recurrent": 1, "chunked": chunk_len, "convolutional": t}[mode], t)
 
 
-def scan(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
-         initial: np.ndarray | None = None):
-    """Run the scan of ``mode`` (one of ``MODES``) -> (y, final state h),
-    arrays of the inputs' dtype in the caller's batching."""
-    y, h_final, _ = kernel(params, mode, chunk_len, initial)
-    if not params.batched:
-        y, h_final = y[0], h_final[0]
-    dtype = params.x.dtype
-    return y.astype(dtype, copy=False), h_final.astype(dtype, copy=False)
-
-
 def scan_recurrent(params: SelectiveParams, initial: np.ndarray | None = None):
-    """Step-by-step evaluation of the recurrence -> (y [.., T, H, P], h [.., H, P, N])."""
-    return scan(params, "recurrent", initial=initial)
+    """Step-by-step evaluation of the recurrence -> (y [nb, T, H, P], h [nb, H, P, N])."""
+    return kernel(params, "recurrent", initial=initial)[:2]
 
 
 def scan_convolutional(params: SelectiveParams, initial: np.ndarray | None = None):
@@ -201,7 +175,7 @@ def scan_convolutional(params: SelectiveParams, initial: np.ndarray | None = Non
     That operator is one chunk of the chunked algorithm, so this is
     ``scan_chunked`` with ``chunk_len = T``: O(T^2), any initial state.
     """
-    return scan(params, "convolutional", initial=initial)
+    return kernel(params, "convolutional", initial=initial)[:2]
 
 
 def scan_chunked(params: SelectiveParams, chunk_len: int = DEFAULT_CHUNK,
@@ -213,7 +187,7 @@ def scan_chunked(params: SelectiveParams, chunk_len: int = DEFAULT_CHUNK,
     cross-chunk roundoff does not compound. A chunk length of 1, given or
     capped by T = 1, degenerates to the recurrent path and runs it.
     """
-    return scan(params, "chunked", chunk_len, initial)
+    return kernel(params, "chunked", chunk_len, initial)[:2]
 
 
 def _recurrent(dt, a, B, C, x, h0):

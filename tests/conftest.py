@@ -35,9 +35,15 @@ def zero_grad(params) -> None:
 
 
 def rel_err(a, b, floor: float = 1e-4) -> float:
-    """Max elementwise relative error with an absolute floor for tiny values."""
+    """Max elementwise relative error with an absolute floor for tiny values.
+
+    The two arrays must have the same shape; two empty arrays differ by 0.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape, f"compared shapes differ: {a.shape} and {b.shape}"
+    if a.size == 0:
+        return 0.0
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float((np.abs(a - b) / denom).max())
 

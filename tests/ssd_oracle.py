@@ -11,9 +11,9 @@ for the tests that differentiate a scan on its own: two ``tz.fused`` nodes,
 y and the final state, whose adjoint is the kernel's. Their parents are dt,
 B, C, x and the initial state: the kernel reads ``a`` as a constant.
 
-Both take ``TapedParams``, the ``SelectiveParams`` fields as tensors, and an
-optional initial state tensor, and return ``(y, h)`` tensors in the
-caller's batching.
+Both take ``TapedParams``, the ``SelectiveParams`` fields as tensors with
+their batch axis, and an optional initial state tensor [nb, H, P, N], and
+return ``(y, h)`` tensors.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from mac import ssd
 from mac import tensor as tz
 from mac.ssd import DEFAULT_CHUNK, SelectiveParams
-from mac.tensor import ContractError, ShapeError, Tensor
+from mac.tensor import ContractError, Tensor
 
 from tensor_oracle import cast, cumsum, exp, neg, tsum
 
@@ -72,62 +72,19 @@ class TapedParams:
 
 def taped_scan(params: TapedParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
                initial: Tensor | None = None):
-    """``ssd.scan`` on the tape: ``ssd.kernel`` recorded as two fused nodes,
-    y and the final state, that share the kernel's adjoint."""
-    arrays = params.arrays()
-    y, h_final, vjp = ssd.kernel(arrays, mode, chunk_len,
+    """``ssd.kernel`` on the tape, recorded as two fused nodes, y and the
+    final state, that share the kernel's adjoint."""
+    y, h_final, vjp = ssd.kernel(params.arrays(), mode, chunk_len,
                                  None if initial is None else initial.data)
     parents = [params.dt, params.B, params.C, params.x]
     if initial is not None:
         parents.append(initial)
 
     def grads(gy, gh):
-        return [gv.reshape(p.shape).astype(p.dtype, copy=False)
-                for gv, p in zip(vjp(gy, gh), parents)]
+        return [gv.astype(p.dtype, copy=False) for gv, p in zip(vjp(gy, gh), parents)]
 
-    y_shape, h_shape = y.shape, h_final.shape
-    if not arrays.batched:
-        y, h_final = y[0], h_final[0]
-    dtype = params.x.dtype
-    y = tz.fused(y.astype(dtype, copy=False), parents,
-                 lambda g: grads(g.reshape(y_shape), None))
-    h_final = tz.fused(h_final.astype(dtype, copy=False), parents,
-                       lambda g: grads(None, g.reshape(h_shape)))
-    return y, h_final
-
-
-def _lift(params: TapedParams, initial: Tensor | None):
-    """Validate, then lift one call to the batched form the kernels run on.
-
-    Returns (params with a batch axis, h0 [B, H, P, N], was_batched); h0 is
-    zeros when ``initial`` is None. ``_finish`` drops the axis again.
-    """
-    arrays = params.arrays()
-    arrays.validate()
-    was_batched = arrays.batched
-    if not was_batched:
-        def lift(v):
-            return tz.reshape(v, (1,) + v.shape)
-
-        params = TapedParams(dt=lift(params.dt), a=params.a, B=lift(params.B),
-                             C=lift(params.C), x=lift(params.x))
-    bsz, _, h = params.dt.shape
-    shape = (bsz, h, params.x.shape[3], params.B.shape[3])
-    if initial is None:
-        return params, tz.zeros(shape, dtype=params.x.dtype), was_batched
-    expected = shape if was_batched else shape[1:]
-    if initial.shape != expected:
-        raise ShapeError(f"initial state shape {initial.shape}, expected {expected}")
-    h0 = initial if was_batched else tz.reshape(initial, shape)
-    return params, h0, was_batched
-
-
-def _finish(y: Tensor, hstate: Tensor, was_batched: bool):
-    """(y, h) back in the caller's batching."""
-    if not was_batched:
-        y = tz.reshape(y, y.shape[1:])
-        hstate = tz.reshape(hstate, hstate.shape[1:])
-    return y, hstate
+    return (tz.fused(y, parents, lambda g: grads(g, None)),
+            tz.fused(h_final, parents, lambda g: grads(None, g)))
 
 
 def scan(params: TapedParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
@@ -143,28 +100,28 @@ def scan(params: TapedParams, mode: str = "chunked", chunk_len: int = DEFAULT_CH
 
 
 def scan_recurrent(params: TapedParams, initial: Tensor | None = None):
-    """Step-by-step evaluation of the recurrence -> (y [.., T, H, P], h [.., H, P, N])."""
-    p_, hstate, was_batched = _lift(params, initial)
-    bsz, t, h = p_.dt.shape
-    n = p_.B.shape[3]
-    p = p_.x.shape[3]
+    """Step-by-step evaluation of the recurrence -> (y [nb, T, H, P], h [nb, H, P, N])."""
+    bsz, t, h = params.dt.shape
+    n = params.B.shape[3]
+    p = params.x.shape[3]
+    hstate = tz.zeros((bsz, h, p, n), dtype=params.x.dtype) if initial is None else initial
 
-    abar, rb = discretize_zoh(p_.dt, p_.a, p_.B)  # [B,T,H], [B,T,H,N]
-    c_head = _expand_groups(tz.ones((bsz, t, h)), p_.C)  # [B, T, H, N]
+    abar, rb = discretize_zoh(params.dt, params.a, params.B)  # [B,T,H], [B,T,H,N]
+    c_head = _expand_groups(tz.ones((bsz, t, h)), params.C)  # [B, T, H, N]
 
     ys = []
     for step in range(t):
         decay = tz.reshape(abar[:, step, :], (bsz, h, 1, 1))
         inject = tz.mul(
             tz.reshape(rb[:, step, :, :], (bsz, h, 1, n)),
-            tz.reshape(p_.x[:, step, :, :], (bsz, h, p, 1)),
+            tz.reshape(params.x[:, step, :, :], (bsz, h, p, 1)),
         )
         hstate = tz.add(tz.mul(decay, hstate), inject)
         y_t = tsum(
             tz.mul(tz.reshape(c_head[:, step, :, :], (bsz, h, 1, n)), hstate), axis=-1
         )
         ys.append(tz.reshape(y_t, (bsz, 1, h, p)))
-    return _finish(tz.concat(ys, axis=1), hstate, was_batched)
+    return tz.concat(ys, axis=1), hstate
 
 
 def scan_convolutional(params: TapedParams, initial: Tensor | None = None):
@@ -177,7 +134,7 @@ def scan_convolutional(params: TapedParams, initial: Tensor | None = None):
     That operator is one chunk of the chunked algorithm, so this is
     ``scan_chunked`` with ``chunk_len = T``: O(T^2), any initial state.
     """
-    return scan_chunked(params, chunk_len=params.arrays().dims()[0], initial=initial)
+    return scan_chunked(params, chunk_len=params.dt.shape[1], initial=initial)
 
 
 def scan_chunked(params: TapedParams, chunk_len: int = DEFAULT_CHUNK,
@@ -193,18 +150,20 @@ def scan_chunked(params: TapedParams, chunk_len: int = DEFAULT_CHUNK,
         raise ContractError(f"chunk_len must be >= 1, got {chunk_len}")
     if chunk_len == 1:
         return scan_recurrent(params, initial=initial)
-    p_, hstate, was_batched = _lift(params, initial)
-    t = p_.dt.shape[1]
-    in_dtype = p_.x.dtype
+    bsz, t, h = params.dt.shape
+    in_dtype = params.x.dtype
+    hstate = initial
+    if hstate is None:
+        hstate = tz.zeros((bsz, h, params.x.shape[3], params.B.shape[3]), dtype=in_dtype)
     ys = []
     for lo in range(0, t, chunk_len):
         hi = min(lo + chunk_len, t)
         piece = TapedParams(
-            dt=p_.dt[:, lo:hi, :],
-            a=p_.a,
-            B=p_.B[:, lo:hi, :, :],
-            C=p_.C[:, lo:hi, :, :],
-            x=p_.x[:, lo:hi, :, :],
+            dt=params.dt[:, lo:hi, :],
+            a=params.a,
+            B=params.B[:, lo:hi, :, :],
+            C=params.C[:, lo:hi, :, :],
+            x=params.x[:, lo:hi, :, :],
         )
         y_c, hstate = _semiseparable_block(piece, hstate)
         hstate = cast(hstate, np.float64)  # cross-chunk carry at full width
@@ -213,7 +172,7 @@ def scan_chunked(params: TapedParams, chunk_len: int = DEFAULT_CHUNK,
         ys.append(y_c)
     if hstate.dtype != in_dtype:
         hstate = cast(hstate, in_dtype)
-    return _finish(tz.concat(ys, axis=1), hstate, was_batched)
+    return tz.concat(ys, axis=1), hstate
 
 
 def _semiseparable_block(p_: TapedParams, h_in: Tensor):

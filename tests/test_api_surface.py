@@ -6,7 +6,7 @@ outside its own definition. A reference is a ``Name``, an ``Attribute``
 (its ``attr``) or an import alias.
 
 A module-level function counts as referenced only through its own module:
-as an attribute of that module (``tz.matmul``, ``mac.ssd.scan``), through a
+as an attribute of that module (``tz.matmul``, ``mac.ssd.kernel``), through a
 ``from … import`` of it, or as a bare name inside its own module. So
 ``np.log`` is no reference to ``mac.tensor.log``. Classes and methods are
 matched by name alone, so a name used anywhere counts for every class or

@@ -335,6 +335,42 @@ class TestLmForward:
                     err = np.abs(np.concatenate(chunks, axis=1) - full).max()
                     assert err <= 1e-10, (width, first)
 
+    @pytest.mark.parametrize("width", [4, 1])
+    def test_streaming_gradients_equal_full(self, width):
+        # the gradients of x and of every LoRA factor through the carried
+        # states of the whole stack: the loss sum(logits * w) over one
+        # forward, and over the pieces of the streaming test above
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.standard_normal((2, 40, 24)), requires_grad=True)
+        w = rng.standard_normal((2, 40, TINY["vocab_size"]))
+        lm = tiny_lm(seed=16, conv_width=width)
+        blocks.attach_lora(lm, rank=3, rng=rng)
+        for blk in lm.blocks:
+            for proj in (blk.in_proj, blk.out_proj):  # a live adapter, not the zero init
+                proj.adapter.up.data[:] = rng.standard_normal(proj.adapter.up.shape) * 0.3
+        leaves = [x] + [v for blk in lm.blocks for v in _leaves(blk)]
+        results = []
+        for first in (None, 1, 5):
+            spans = [(0, 40)] if first is None else [
+                (0, first), (first, 7), (7, 9), (9, 12), (12, 31),
+                *((t, t + 1) for t in range(31, 40))]
+            for leaf in leaves:
+                leaf.requires_grad, leaf.grad = True, None
+            states, terms = None, []
+            for lo, hi in spans:
+                out, states = lm.forward(x[:, lo:hi, :], states=states, return_states=True)
+                terms.append(tsum(tz.mul(out, Tensor(w[:, lo:hi]))))
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = tz.add(loss, term)
+            grads = loss.backward()
+            results.append([grads[leaf] for leaf in leaves])
+        full = results[0]
+        for streamed in results[1:]:
+            for got, expect in zip(streamed, full):
+                scale = max(1.0, float(np.abs(expect).max()))
+                assert np.abs(got - expect).max() <= 1e-10 * scale
+
 
 class TestLora:
     def test_zero_init_noop_bit_identical(self):

@@ -205,6 +205,17 @@ class TestTrainInferDiagnose:
         assert lines[0].startswith("model,erank(")
         assert lines[1].startswith("2x32,")  # n_layers x (n_heads * head_dim)
 
+    def test_csv_lines_end_in_a_bare_newline(self, trained, tmp_path, capsys):
+        # a carriage return would survive in a shell's $(head -n 1 file)
+        out_csv = tmp_path / "erank.csv"
+        code, _, _ = run_cli(["diagnose", "erank",
+                              "--checkpoint", os.path.join(trained, "final.ckpt"),
+                              "--n", "2", "--out", str(out_csv)], capsys)
+        assert code == 0
+        for path in (out_csv, Path(trained, "metrics.csv")):
+            blob = path.read_bytes()
+            assert b"\r" not in blob and blob.endswith(b"\n"), path
+
     def test_diagnose_reads_a_manifest_without_captions(self, trained, tmp_path, capsys):
         import json
 

@@ -248,7 +248,7 @@ class TestScalingBench:
             )
 
     def test_rows_and_slope_on_small_lengths(self):
-        # unbatched scans, so this also runs every mode's lift at the API edge
+        # a batch of one through ``ssd.kernel``, in every mode
         for mode in ssd.MODES:
             rows, slope = scaling_bench([32, 64, 128], mode=mode, repeats=1)
             assert [r[0] for r in rows] == [32, 64, 128]

@@ -5,7 +5,7 @@ import pytest
 
 from mac import ssd
 from mac import tensor as tz
-from mac.tensor import ContractError, Tensor
+from mac.tensor import ContractError, ShapeError, Tensor
 
 import ssd_oracle
 from conftest import check_gradients, rel_err, using_dtype, zero_grad
@@ -15,26 +15,32 @@ from tensor_oracle import exp, neg, softplus, tsum
 E_NEG1 = 0.3678794411714423215955237701614609
 
 
-def random_params(rng, t=16, h=4, p=16, g=1, n=16, batch=None, dtype=np.float64):
-    lead = () if batch is None else (batch,)
+def random_params(rng, t=16, h=4, p=16, g=1, n=16, batch=1, dtype=np.float64):
     return ssd.SelectiveParams(
-        dt=tz._softplus(rng.standard_normal(lead + (t, h)).astype(dtype)),
+        dt=tz._softplus(rng.standard_normal((batch, t, h)).astype(dtype)),
         a=-np.exp(rng.standard_normal(h).astype(dtype)),
-        B=rng.standard_normal(lead + (t, g, n)).astype(dtype),
-        C=rng.standard_normal(lead + (t, g, n)).astype(dtype),
-        x=rng.standard_normal(lead + (t, h, p)).astype(dtype),
+        B=rng.standard_normal((batch, t, g, n)).astype(dtype),
+        C=rng.standard_normal((batch, t, g, n)).astype(dtype),
+        x=rng.standard_normal((batch, t, h, p)).astype(dtype),
     )
 
 
+def rows(params, lo, hi):
+    """Time steps lo:hi of every sequence in params."""
+    return ssd.SelectiveParams(params.dt[:, lo:hi], params.a, params.B[:, lo:hi],
+                               params.C[:, lo:hi], params.x[:, lo:hi])
+
+
 def scalar_params(abar, bcoef, c, xs):
-    """1-head 1-dim chain with prescribed abar/bbar via dt=1, a=ln(abar), B=bbar."""
+    """1-head 1-dim chain with prescribed abar/bbar via dt=1, a=ln(abar), B=bbar,
+    as a batch of one."""
     t = len(xs)
     return ssd.SelectiveParams(
-        dt=np.ones((t, 1)),
+        dt=np.ones((1, t, 1)),
         a=np.array([np.log(abar)]),
-        B=np.full((t, 1, 1), bcoef),
-        C=np.full((t, 1, 1), c),
-        x=np.asarray(xs, dtype=float).reshape(t, 1, 1),
+        B=np.full((1, t, 1, 1), bcoef),
+        C=np.full((1, t, 1, 1), c),
+        x=np.asarray(xs, dtype=float).reshape(1, t, 1, 1),
     )
 
 
@@ -44,10 +50,10 @@ class TestDiscretizeZoh:
 
     @staticmethod
     def one_step(dt, a, b, x, h0):
-        params = ssd.SelectiveParams(dt=np.array([[dt]]), a=np.array([a]),
-                                     B=np.full((1, 1, 1), b), C=np.ones((1, 1, 1)),
-                                     x=np.full((1, 1, 1), x))
-        y, _ = ssd.scan_recurrent(params, initial=np.full((1, 1, 1), h0))
+        params = ssd.SelectiveParams(dt=np.array([[[dt]]]), a=np.array([a]),
+                                     B=np.full((1, 1, 1, 1), b), C=np.ones((1, 1, 1, 1)),
+                                     x=np.full((1, 1, 1, 1), x))
+        y, _ = ssd.scan_recurrent(params, initial=np.full((1, 1, 1, 1), h0))
         return y.item()
 
     def test_mamba2_rule(self):
@@ -77,18 +83,14 @@ class TestScanRecurrent:
         params = random_params(rng, t=20)
         full, _ = ssd.scan_recurrent(params)
         for k in (1, 7, 13, 19):
-            head = ssd.SelectiveParams(params.dt[:k], params.a, params.B[:k],
-                                       params.C[:k], params.x[:k])
-            tail = ssd.SelectiveParams(params.dt[k:], params.a, params.B[k:],
-                                       params.C[k:], params.x[k:])
-            y1, carry = ssd.scan_recurrent(head)
-            y2, _ = ssd.scan_recurrent(tail, initial=carry)
-            joined = np.concatenate([y1, y2], axis=0)
+            y1, carry = ssd.scan_recurrent(rows(params, 0, k))
+            y2, _ = ssd.scan_recurrent(rows(params, k, 20), initial=carry)
+            joined = np.concatenate([y1, y2], axis=1)
             assert np.abs(joined - full).max() <= 1e-12
 
     def test_rejects_nonpositive_dt(self):
         params = scalar_params(0.5, 1.0, 1.0, [1.0])
-        params.dt = np.array([[0.0]])
+        params.dt = np.array([[[0.0]]])
         with pytest.raises(ContractError, match="dt"):
             ssd.scan_recurrent(params)
 
@@ -159,7 +161,7 @@ class TestScanChunked:
     def test_ragged_tail_and_initial_state(self):
         rng = np.random.default_rng(6)
         params = random_params(rng, t=23)
-        init = rng.standard_normal((4, 16, 16))
+        init = rng.standard_normal((1, 4, 16, 16))
         expect, ef = ssd.scan_recurrent(params, initial=init)
         got, gf = ssd.scan_chunked(params, chunk_len=7, initial=init)
         assert np.abs(got - expect).max() <= 1e-8
@@ -190,17 +192,16 @@ class TestProperties:
             assert np.abs(y_rec - y_conv).max() <= 1e-8, f"case {case}"
             assert np.abs(y_rec - y_chunk).max() <= 1e-8, f"case {case}"
 
-    def test_batched_matches_unbatched(self):
+    def test_each_row_matches_its_batch_of_one(self):
         rng = np.random.default_rng(11)
         batched = random_params(rng, t=21, batch=3)
         yb, fb = ssd.scan_chunked(batched, chunk_len=8)
         for i in range(3):
-            single = ssd.SelectiveParams(
-                batched.dt[i], batched.a, batched.B[i], batched.C[i], batched.x[i]
-            )
+            single = ssd.SelectiveParams(batched.dt[i : i + 1], batched.a, batched.B[i : i + 1],
+                                         batched.C[i : i + 1], batched.x[i : i + 1])
             ys, fs = ssd.scan_chunked(single, chunk_len=8)
-            assert np.abs(yb[i] - ys).max() <= 1e-12
-            assert np.abs(fb[i] - fs).max() <= 1e-12
+            assert np.abs(yb[i : i + 1] - ys).max() <= 1e-12
+            assert np.abs(fb[i : i + 1] - fs).max() <= 1e-12
 
     def test_stability_no_state_explosion(self):
         rng = np.random.default_rng(12)
@@ -209,15 +210,13 @@ class TestProperties:
         # step one token at a time so every intermediate state is seen
         final, peak = None, 0.0
         for s in range(t):
-            step = ssd.SelectiveParams(params.dt[s : s + 1], params.a, params.B[s : s + 1],
-                                       params.C[s : s + 1], params.x[s : s + 1])
-            _, final = ssd.scan_recurrent(step, initial=final)
+            _, final = ssd.scan_recurrent(rows(params, s, s + 1), initial=final)
             peak = max(peak, np.abs(final).max())
         abar = np.exp(params.dt * params.a)
         bbar_x = (
-            params.dt[:, :, None, None]
-            * params.B[:, 0][:, None, None, :]
-            * params.x[:, :, :, None]
+            params.dt[0, :, :, None, None]
+            * params.B[0, :, 0][:, None, None, :]
+            * params.x[0, :, :, :, None]
         )
         worst_decay = abar.max()
         bound = np.abs(bbar_x).max() / (1.0 - worst_decay)
@@ -227,14 +226,14 @@ class TestProperties:
     def test_gradients_match_across_modes_and_fd(self):
         rng = np.random.default_rng(13)
         t, h, p, g, n = 7, 2, 3, 1, 4
-        dt_raw = Tensor(rng.standard_normal((t, h)), requires_grad=True)
+        dt_raw = Tensor(rng.standard_normal((1, t, h)), requires_grad=True)
         log_a = Tensor(rng.standard_normal(h))  # a is a constant of the scan
-        bmat = Tensor(rng.standard_normal((t, g, n)), requires_grad=True)
-        cmat = Tensor(rng.standard_normal((t, g, n)), requires_grad=True)
-        x = Tensor(rng.standard_normal((t, h, p)), requires_grad=True)
-        h0 = Tensor(rng.standard_normal((h, p, n)), requires_grad=True)
-        w = Tensor(rng.standard_normal((t, h, p)))
-        w_state = Tensor(rng.standard_normal((h, p, n)))
+        bmat = Tensor(rng.standard_normal((1, t, g, n)), requires_grad=True)
+        cmat = Tensor(rng.standard_normal((1, t, g, n)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, t, h, p)), requires_grad=True)
+        h0 = Tensor(rng.standard_normal((1, h, p, n)), requires_grad=True)
+        w = Tensor(rng.standard_normal((1, t, h, p)))
+        w_state = Tensor(rng.standard_normal((1, h, p, n)))
         leaves = [dt_raw, bmat, cmat, x, h0]
 
         def loss_for(mode):
@@ -257,17 +256,16 @@ class TestProperties:
             check_gradients(loss_for(mode), leaves)
 
 
-def scan_leaves(rng, t, h, p, g, n, batch=None, dtype=np.float64, slow_head=False):
+def scan_leaves(rng, t, h, p, g, n, batch=1, dtype=np.float64, slow_head=False):
     """dt, a, B, C, x and an initial state as leaves that need gradients;
     the kernel gives one to all but a, its constant, and the composed
     oracle to all."""
-    lead = () if batch is None else (batch,)
     a = -np.exp(rng.standard_normal(h))
     if slow_head:
         a[0] = -1e-8  # head 0 hardly decays: abar = exp(dt*a) within 1e-7 of 1
-    values = (np.log1p(np.exp(rng.standard_normal(lead + (t, h)))), a,
-              rng.standard_normal(lead + (t, g, n)), rng.standard_normal(lead + (t, g, n)),
-              rng.standard_normal(lead + (t, h, p)), rng.standard_normal(lead + (h, p, n)))
+    values = (np.log1p(np.exp(rng.standard_normal((batch, t, h)))), a,
+              rng.standard_normal((batch, t, g, n)), rng.standard_normal((batch, t, g, n)),
+              rng.standard_normal((batch, t, h, p)), rng.standard_normal((batch, h, p, n)))
     return [Tensor(v, requires_grad=True, dtype=dtype) for v in values]
 
 
@@ -293,7 +291,7 @@ class TestKernelsMatchOracle:
 
     @pytest.mark.parametrize("mode", ssd.MODES)
     @pytest.mark.parametrize("g", (1, 2))
-    @pytest.mark.parametrize("batch", (None, 3))
+    @pytest.mark.parametrize("batch", (1, 3))
     @pytest.mark.parametrize("slow_head", (False, True))
     def test_outputs_and_all_gradients(self, mode, g, batch, slow_head):
         # T = 11 is not a multiple of chunk_len = 4; at T = 1 every mode runs
@@ -349,29 +347,57 @@ class TestArrayContract:
     """``mac.ssd`` is arrays in, arrays out, and records nothing on the tape."""
 
     @pytest.mark.parametrize("mode", ssd.MODES)
-    @pytest.mark.parametrize("batch", (None, 2))
+    @pytest.mark.parametrize("batch", (1, 2))
     def test_scans_return_arrays_and_record_nothing(self, monkeypatch, mode, batch):
         nodes = []
         monkeypatch.setattr(tz, "_node", lambda *args: nodes.append(args))
         rng = np.random.default_rng(19)
-        lead = () if batch is None else (batch,)
         params = random_params(rng, t=11, h=4, p=3, g=2, n=5, batch=batch)
-        initial = rng.standard_normal(lead + (4, 3, 5))
+        initial = rng.standard_normal((batch, 4, 3, 5))
         wrapper = {"recurrent": lambda: ssd.scan_recurrent(params, initial=initial),
                    "chunked": lambda: ssd.scan_chunked(params, 4, initial=initial),
                    "convolutional": lambda: ssd.scan_convolutional(params, initial=initial)}
         assert tz._grad_enabled
-        for call in (wrapper[mode], lambda: ssd.scan(params, mode, 4, initial)):
+        for call in (wrapper[mode], lambda: ssd.kernel(params, mode, 4, initial)[:2]):
             y, final = call()
             assert type(y) is np.ndarray and type(final) is np.ndarray
-            assert y.shape == lead + (11, 4, 3) and final.shape == lead + (4, 3, 5)
+            assert y.shape == (batch, 11, 4, 3) and final.shape == (batch, 4, 3, 5)
         assert nodes == []
+
+
+class TestMalformedInput:
+    """A scan call with the wrong shapes fails with a ``ShapeError`` that
+    names them, through the kernel and each wrapper alike."""
+
+    CALLS = {"kernel": ssd.kernel, "recurrent": ssd.scan_recurrent,
+             "chunked": ssd.scan_chunked, "convolutional": ssd.scan_convolutional}
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("drop", ("all", "x"))
+    def test_arrays_without_a_batch_axis(self, call, drop):
+        params = random_params(np.random.default_rng(21), t=5, h=4, p=3, g=2, n=6)
+        params.x = params.x[0]
+        if drop == "all":
+            params.dt, params.B, params.C = params.dt[0], params.B[0], params.C[0]
+        shapes = (params.dt.shape, params.B.shape, params.x.shape)
+        with pytest.raises(ShapeError) as info:
+            self.CALLS[call](params)
+        assert all(f"{name} {shape}" in str(info.value)
+                   for name, shape in zip(("dt", "B", "x"), shapes))
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_initial_state_without_a_batch_axis(self, call):
+        rng = np.random.default_rng(22)
+        params = random_params(rng, t=5, h=4, p=3, g=2, n=6)
+        with pytest.raises(ShapeError) as info:
+            self.CALLS[call](params, initial=rng.standard_normal((4, 3, 6)))
+        assert "(4, 3, 6)" in str(info.value) and "(1, 4, 3, 6)" in str(info.value)
 
 
 class TestDispatch:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ContractError, match="unknown scan mode"):
-            ssd.scan(random_params(np.random.default_rng(15), t=3), "fft")
+            ssd.kernel(random_params(np.random.default_rng(15), t=3), "fft")
 
 
 class TestCountFlops:
