@@ -19,11 +19,17 @@ A Captioner keeps two per-clip caches, each of at most ``CACHE_ENTRIES``
 clips with the least recently used dropped first: the mel image, which
 depends on the clip alone, and the encoder grid. Every encode that no
 gradient can reach (tape off, or a frozen encoder) reads the grid cache:
-decoding, ``evaluate`` and the diagnostics. A cached grid is valid only
-while the encoder weights equal those that made it; an optimizer step or
-an in-place edit of the weights clears the cache. Only the encode that a
-gradient reaches (tape on, trainable encoder) fills the mel cache, the one
-path that reads a clip's mel again; the others read it but keep no miss.
+decoding, ``evaluate`` and the diagnostics. It encodes its misses one clip
+at a time, each rendered, patched and encoded before the next is touched,
+so its memory does not grow with the number of misses: an ``evaluate``
+after an optimizer step misses on every eval clip. The grids equal a batch
+encode's bit for bit, since each encoder row is computed on its own. A
+cached grid is valid only while the encoder weights equal those that made
+it; an optimizer step or an in-place edit of the weights clears the cache.
+Only the encode that a gradient reaches (tape on, trainable encoder) fills
+the mel cache, the one path that reads a clip's mel again; the others read
+it but keep no miss. That encode concatenates its batch and runs one GEMM
+per layer, so the weight gradients keep their summation order.
 """
 
 from __future__ import annotations
@@ -142,14 +148,17 @@ class Captioner:
         The encoder runs on the tape, once over the whole batch, only when a
         gradient can reach it: the tape is recording and the encoder is
         trainable; that call also keeps its clips' mel rows. Every other
-        call takes each clip's grid from the cache; the misses are encoded
-        together, off the tape, and their mel rows are not kept. A cached
-        grid is valid only while the encoder weights equal the ones that
-        made it: each such call compares them with a kept copy and clears
-        the cache when they differ (NaN weights always differ).
+        call takes each clip's grid from the cache and encodes the misses
+        off the tape one clip at a time, keeping no mel rows, so no encode
+        holds more than one clip's patch rows and activations however many
+        clips miss. A cached grid is valid only while the encoder weights
+        equal the ones that made it: each such call compares them with a
+        kept copy and clears the cache when they differ (NaN weights always
+        differ).
         """
         if tz.grad_enabled() and self.cfg["train.encoder_trainable"]:
-            return audiomod.encode(self._patch_rows(samples, keep=True), self.encoder)
+            rows = np.concatenate([self._clip_rows(s, keep=True) for s in samples])
+            return audiomod.encode(rows, self.encoder)
         weights = np.concatenate([t.data.ravel() for t in self.encoder.parameters().values()])
         if not np.array_equal(weights, self._grid_weights):
             self._grid_cache.clear()
@@ -157,34 +166,29 @@ class Captioner:
         keys = [_clip_key(s) for s in samples]
         grids = {key: _cache_get(self._grid_cache, key) for key in keys}
         todo = {key: s for key, s in zip(keys, samples) if grids[key] is None}
-        if todo:
-            with tz.no_grad():
-                fresh = audiomod.encode(self._patch_rows(list(todo.values()), keep=False),
-                                        self.encoder)
-            for key, grid in zip(todo, fresh.data):
-                grids[key] = grid.copy()
+        with tz.no_grad():
+            for key, sample in todo.items():
+                grids[key] = audiomod.encode(self._clip_rows(sample, keep=False),
+                                             self.encoder).data[0]
                 _cache_put(self._grid_cache, key, grids[key])
         return Tensor(np.stack([grids[key] for key in keys]))
 
-    def _patch_rows(self, samples: list[Sample], keep: bool) -> np.ndarray:
-        """The clips' first-layer patch rows, concatenated. A clip's rows are
-        read from the mel cache (the mel image depends only on the clip,
-        never on weights); a miss's rows are cached only with ``keep``."""
-        parts = []
-        for sample in samples:
-            key = _clip_key(sample)
-            rows = _cache_get(self._mel_cache, key)
-            if rows is None:
-                if "wav" in sample.audio:
-                    wave = audiomod.load_wav(sample.audio["wav"])
-                else:
-                    wave = Tensor(synth.render(sample.audio["synthetic"]))
-                mel = audiomod.melspectrogram(wave).pad_to(self.enc_cfg.mel_frames)
-                rows = audiomod.patch_rows(mel, self.enc_cfg)
-                if keep:
-                    _cache_put(self._mel_cache, key, rows)
-            parts.append(rows)
-        return np.concatenate(parts)
+    def _clip_rows(self, sample: Sample, keep: bool) -> np.ndarray:
+        """One clip's first-layer patch rows. They are read from the mel
+        cache (the mel image depends only on the clip, never on weights); a
+        miss's rows are cached only with ``keep``."""
+        key = _clip_key(sample)
+        rows = _cache_get(self._mel_cache, key)
+        if rows is None:
+            if "wav" in sample.audio:
+                wave = audiomod.load_wav(sample.audio["wav"])
+            else:
+                wave = Tensor(synth.render(sample.audio["synthetic"]))
+            mel = audiomod.melspectrogram(wave).pad_to(self.enc_cfg.mel_frames)
+            rows = audiomod.patch_rows(mel, self.enc_cfg)
+            if keep:
+                _cache_put(self._mel_cache, key, rows)
+        return rows
 
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
         """Token table rows [..., D] for ids [...], with the reserved "&&" row

@@ -303,18 +303,20 @@ class TestTraining:
             assert cap.audio_tokens(batch).shape[0] == len(batch)
         assert list(kept) == order(0, 3, 4) and not unused
         assert len(misses) == 5
-        # off the tape the misses of a batch are encoded together; on the
-        # tape every call encodes its whole batch
-        assert encoded == ([3, 1, 2] if on_tape else [3, 2])
+        # on the tape every call encodes its whole batch; off the tape each
+        # miss is encoded once, alone, and a hit encodes nothing
+        assert encoded == ([3, 1, 2] if on_tape else [1] * 5)
         cap.audio_tokens(clips[:1])  # kept: the last use made it recent
-        assert len(misses) == 5 and encoded == ([3, 1, 2, 1] if on_tape else [3, 2])
+        assert len(misses) == 5 and encoded == ([3, 1, 2, 1] if on_tape else [1] * 5)
         tokens = cap.audio_tokens([clips[1], clips[0], clips[1]])  # 1 was evicted: rebuilt once
-        assert len(misses) == 6 and encoded == ([3, 1, 2, 1, 3] if on_tape else [3, 2, 1])
+        assert len(misses) == 6 and encoded == ([3, 1, 2, 1, 3] if on_tape else [1] * 6)
         assert np.array_equal(tokens.data[0], tokens.data[2])
         assert list(kept) == order(4, 0, 1) and not unused
         # a batch larger than the caches still gets every clip's tokens
         tokens = cap.audio_tokens(clips[:5])
         assert tokens.shape[0] == 5 and len(kept) == 3 and not unused
+        if not on_tape:  # its misses, 2 and 3, are encoded alone
+            assert len(misses) == 8 and encoded == [1] * 8
 
     def test_cached_grid_follows_an_in_place_weight_edit(self):
         cap, train, _ = tiny_captioner(**{"train.encoder_trainable": "false"})
@@ -337,27 +339,45 @@ class TestTraining:
         cap, train, evl = tiny_captioner(**{"train.encoder_trainable": "true"})
         encoded = []
         real_encode = pipeline.audiomod.encode
-        monkeypatch.setattr(pipeline.audiomod, "encode",
-                            lambda rows, encoder: encoded.append(1) or real_encode(rows, encoder))
+
+        def encode(rows, encoder):
+            out = real_encode(rows, encoder)
+            encoded.append(out.shape[0])
+            return out
 
         def fresh_evaluate(name):
             cap.save(str(tmp_path / name))
             return pipeline.evaluate(pipeline.load_captioner(str(tmp_path / name)), evl,
                                      max_len=6)
 
+        monkeypatch.setattr(pipeline.audiomod, "encode", encode)
         first = pipeline.evaluate(cap, evl, max_len=6)
         assert pipeline.evaluate(cap, evl, max_len=6) == first
-        assert len(encoded) == 1  # the eval clips are encoded once
+        assert encoded == [1] * len(evl)  # each eval clip is encoded once, alone
         assert fresh_evaluate("before.ckpt") == first
         state = pipeline.make_train_state(cap)
         pipeline.train_step(state, train)
         encoded.clear()
         after = pipeline.evaluate(cap, evl, max_len=6)
-        assert len(encoded) == 1  # the step changed the weights: encoded again
+        assert encoded == [1] * len(evl)  # the step changed the weights: encoded again
+        rows = np.concatenate([cap._clip_rows(s, keep=False) for s in evl])
         with tz.no_grad():
-            assert np.array_equal(cap.audio_tokens(evl).data,
-                                  real_encode(cap._patch_rows(evl, keep=False), cap.encoder).data)
+            assert np.array_equal(cap.audio_tokens(evl).data, real_encode(rows, cap.encoder).data)
         assert fresh_evaluate("after.ckpt") == after
+
+    @pytest.mark.parametrize("encoder", ["true", "false"])
+    def test_grids_encoded_one_by_one_equal_one_batch_encode(self, encoder):
+        # each encoder row is computed on its own, so a clip encoded alone
+        # gets the tokens it gets inside a batch, bit for bit
+        cap, train, evl = tiny_captioner(**{"train.encoder_trainable": encoder,
+                                            "data.n_train": "6"})
+        clips = train + evl
+        assert len(clips) == 8
+        rows = np.concatenate([cap._clip_rows(s, keep=False) for s in clips])
+        with tz.no_grad():
+            batch = pipeline.audiomod.encode(rows, cap.encoder).data
+            assert np.array_equal(cap.audio_tokens(clips).data, batch)  # all misses
+            assert np.array_equal(cap.audio_tokens(clips).data, batch)  # all hits
 
     @pytest.mark.parametrize("encoder", ["true", "false"])
     @pytest.mark.parametrize("variant", ["concatenation", "time_major", "frequency_major"])
@@ -477,7 +497,8 @@ for _ in range(5):
 
 
 class TestStepMemory:
-    """A training step keeps its leaf gradients until the next backward."""
+    """A training step keeps its leaf gradients until the next backward, and
+    what a forward or an off-tape encode holds stays bounded."""
 
     @pytest.mark.parametrize("variant", ["concatenation", "time_major"])
     def test_kept_gradients_are_one_generation_of_pre_clip_leaves(self, variant):
@@ -516,6 +537,37 @@ class TestStepMemory:
     # 1.75, 2.62 and 2.76 MB here; blocks that kept their sigmoids, gate-norm
     # output and scan products held 2.31, 3.58 and 3.81 MB
     HELD_BYTES = {"concatenation": 2.0e6, "time_major": 3.0e6, "frequency_major": 3.2e6}
+
+    # slack over the grids the extra clips keep, for their cache entries and
+    # keys: 4.2 kB was seen; the misses encoded as one batch held 11.9 MB more
+    GRID_CACHE_SLACK = 32 * 1024
+
+    @pytest.mark.parametrize("encoder", ["true", "false"])
+    def test_grid_cache_misses_hold_one_clip_at_a_time(self, encoder):
+        # at the nano encoder's geometry a clip's patch rows take 1 MB; 8
+        # misses may hold what 2 do plus the 6 more grids the cache keeps
+        cap, train, _ = tiny_captioner(**{"train.encoder_trainable": encoder,
+                                          "audio.mel_frames": "1024", "audio.d_enc": "64",
+                                          "audio.channels": "16,32,64"})
+        # tones differ only in pitch, so every clip's render and mel cost the same
+        clips = [Sample(audio={"synthetic": {"kind": "tone", "freq": 200.0 + 20 * i}},
+                        prompt=train[0].prompt) for i in range(11)]
+        e = cap.enc_cfg
+        grid_bytes = e.grid_t * e.grid_f * e.d_enc * np.dtype(np.float64).itemsize
+        peaks = []
+        with tz.no_grad():
+            cap.audio_tokens(clips[10:])  # a first miss, outside the measurement
+            tracemalloc.start()
+            try:
+                for batch in (clips[:2], clips[2:10]):
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    tokens = cap.audio_tokens(batch)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - before)
+                    del tokens
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 6 * grid_bytes + self.GRID_CACHE_SLACK, (peaks, grid_bytes)
 
     @pytest.mark.parametrize("variant", LAYOUTS)
     def test_a_training_forward_holds_a_bounded_tape(self, variant):
