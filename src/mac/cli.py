@@ -197,8 +197,6 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    import numpy as np
-
     from . import diagnostics, pipeline, synth
     from . import tensor as tz
 
@@ -232,14 +230,9 @@ def _cmd_diagnose(args) -> int:
             raise UsageError(f"--checkpoint {owners[cell]} and {ck} both fill the cell "
                              f"model {cell[0]}, connector {cell[1]}; pass one of them")
         owners[cell] = ck
-        samples = dataset_samples(cap)
-        size = cap.cfg["train.batch_size"]
         with tz.no_grad():
-            token_rows = np.concatenate([
-                cap.audio_tokens(samples[i : i + size]).data.reshape(-1, cap.enc_cfg.d_enc)
-                for i in range(0, len(samples), size)
-            ])
-        feats = diagnostics.FeatureMatrix(token_rows)
+            tokens = cap.audio_tokens(dataset_samples(cap)).data
+        feats = diagnostics.FeatureMatrix(tokens.reshape(-1, cap.enc_cfg.d_enc))
         if args.metric == "erank":
             cells[cell] = diagnostics.erank_of_tokens(feats)
         else:
