@@ -542,11 +542,12 @@ class TestStepMemory:
     # keys: 4.2 kB was seen; the misses encoded as one batch held 11.9 MB more
     GRID_CACHE_SLACK = 32 * 1024
 
-    @pytest.mark.parametrize("encoder", ["true", "false"])
-    def test_grid_cache_misses_hold_one_clip_at_a_time(self, encoder):
+    @pytest.mark.parametrize("trainable, tape", [("true", False), ("false", True)],
+                             ids=["off_tape", "frozen_on_tape"])
+    def test_grid_cache_misses_hold_one_clip_at_a_time(self, trainable, tape):
         # at the nano encoder's geometry a clip's patch rows take 1 MB; 8
         # misses may hold what 2 do plus the 6 more grids the cache keeps
-        cap, train, _ = tiny_captioner(**{"train.encoder_trainable": encoder,
+        cap, train, _ = tiny_captioner(**{"train.encoder_trainable": trainable,
                                           "audio.mel_frames": "1024", "audio.d_enc": "64",
                                           "audio.channels": "16,32,64"})
         # tones differ only in pitch, so every clip's render and mel cost the same
@@ -555,7 +556,7 @@ class TestStepMemory:
         e = cap.enc_cfg
         grid_bytes = e.grid_t * e.grid_f * e.d_enc * np.dtype(np.float64).itemsize
         peaks = []
-        with tz.no_grad():
+        with contextlib.nullcontext() if tape else tz.no_grad():
             cap.audio_tokens(clips[10:])  # a first miss, outside the measurement
             tracemalloc.start()
             try:
