@@ -350,7 +350,7 @@ class SsmLm:
             new_states.append(ns)
             x = tz.add(x, y)
         x = tz.rms_norm(x, self.final_norm)
-        logits = tz.matmul(x, tz.transpose(self.embedding, (1, 0)))
+        logits = tz.matmul(x, Tensor(self.embedding.data.T))  # the tied head is frozen
         return (logits, new_states) if return_states else logits
 
     __call__ = forward

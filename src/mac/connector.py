@@ -1,22 +1,24 @@
 """Grid-to-embedding connectors: three layouts plus a two-layer MLP.
 
 ``connect`` maps a batch of encoder grids, tokens [B, T_a, F_a, d_enc], to
-the audio segment of the LLM input, an ``EmbeddingSequence`` of
-[B, L_a, d_model]. Each layout is an index map over one clip's time-major
-token rows (t * F_a + f), with ``SEP`` marking a separator slot; the map is
-built in one place, ``ConnectorConfig.positions``:
+the audio segment of the LLM input: ``AudioRows``, the MLP's output rows for
+all B clips, an index map [B, L_a] into them and the segment labels. Each
+layout is an index map over one clip's time-major token rows (t * F_a + f),
+with ``SEP`` marking a separator slot; the map is built in one place,
+``ConnectorConfig.positions``:
 
 - ``concatenation``: row t is time step t's F_a tokens concatenated along
-  the channel axis and compressed by the MLP; the map is the identity, so
-  the layout is a reshape -> T_a embeddings.
-- ``time_major``: every token mapped by the MLP, then gathered (t outer,
-  f inner) with one separator after every time step -> T_a * (F_a + 1).
-- ``frequency_major``: gathered (f outer, t inner) with one separator per
+  the channel axis and compressed by the MLP; the map is the identity
+  -> T_a embeddings.
+- ``time_major``: every token mapped by the MLP, then read (t outer, f
+  inner) with one separator after every time step -> T_a * (F_a + 1).
+- ``frequency_major``: read (f outer, t inner) with one separator per
   frequency band, before or after it (``sep_position``) -> (T_a + 1) * F_a.
 
-The gather reads from [mapped rows of all B clips; separator row], so a
-whole batch is one ``tz.embedding``. The separator is the trainable
-embedding of the reserved "&&" token.
+The connector gathers nothing: ``pipeline.Captioner.build_sequence`` reads
+the whole [audio, prompt, caption, pad] sequence through one index map, in
+one ``tz.embedding`` from a table that holds these rows, the token table and
+the separator, the trainable embedding of the reserved "&&" token.
 """
 
 from __future__ import annotations
@@ -76,6 +78,20 @@ class ConnectorConfig:
 
 
 @dataclass
+class AudioRows:
+    """The audio segment of a batch: clip r's position l is row
+    ``index[r, l]`` of the MLP outputs of all B clips, or the separator
+    where it is ``SEP``."""
+
+    rows: Tensor  # [B * R, d_model]
+    index: np.ndarray  # [B, L_a] int64
+    segments: np.ndarray  # [B, L_a] object array of SEG_* labels
+
+    def __len__(self) -> int:
+        return self.index.shape[1]
+
+
+@dataclass
 class EmbeddingSequence:
     """A batch of model-dimension embedding rows with per-position labels.
 
@@ -117,25 +133,18 @@ def mlp_forward(x: Tensor, mlp: ConnectorMlp) -> Tensor:
     return tz.add(tz.matmul(h, mlp.w2), mlp.b2)
 
 
-def connect(tokens: Tensor, cfg: ConnectorConfig, mlp: ConnectorMlp,
-            sep_embedding: Tensor) -> EmbeddingSequence:
+def connect(tokens: Tensor, cfg: ConnectorConfig, mlp: ConnectorMlp) -> AudioRows:
     """Map encoder tokens [B, T_a, F_a, d_enc] to the audio segment of the
-    LLM input sequence, [B, L_a, d_model]."""
+    LLM input sequence: L_a positions per clip, read from the MLP rows."""
     if tokens.ndim != 4 or tokens.shape[1:] != (cfg.grid_t, cfg.grid_f, cfg.d_enc):
         raise ShapeError(
             f"tokens {tokens.shape} do not match connector config "
             f"[B, {cfg.grid_t}, {cfg.grid_f}, {cfg.d_enc}]"
         )
-    if sep_embedding.shape != (cfg.d_model,):
-        raise ShapeError(f"separator embedding {sep_embedding.shape}, expected ({cfg.d_model},)")
     b = tokens.shape[0]
     pos = cfg.positions()
     labels = np.where(pos == SEP, SEG_SEPARATOR, SEG_AUDIO).astype(object)
-    segments = np.broadcast_to(labels, (b, pos.size))
     rows = cfg.grid_t if cfg.variant == "concatenation" else cfg.grid_t * cfg.grid_f
     mapped = mlp_forward(tz.reshape(tokens, (b * rows, cfg.mlp_in)), mlp)
-    if cfg.variant == "concatenation":
-        return EmbeddingSequence(tz.reshape(mapped, (b, rows, cfg.d_model)), segments)
-    table = tz.concat([mapped, tz.reshape(sep_embedding, (1, cfg.d_model))], axis=0)
-    index = np.where(pos == SEP, b * rows, pos + rows * np.arange(b)[:, None])
-    return EmbeddingSequence(tz.embedding(table, index), segments)
+    index = np.where(pos == SEP, SEP, pos + rows * np.arange(b)[:, None])
+    return AudioRows(mapped, index, np.broadcast_to(labels, index.shape))

@@ -26,7 +26,7 @@ import numpy as np
 from . import blocks, checkpoint, ssd
 from . import tensor as tz
 from .connector import SEG_AUDIO, SEG_SEPARATOR
-from .tensor import ContractError
+from .tensor import ContractError, Tensor
 
 ZERO_NORM_EPS = 1e-12
 
@@ -119,7 +119,7 @@ def state_update_distances(captioner, sample):
         states = None
         trajectory = []  # per position: [n_layers, H, P, N]
         for t in range(n_audio):
-            step = seq.vectors[:, t : t + 1]
+            step = Tensor(seq.vectors.data[:, t : t + 1])
             _, states = lm.forward(step, states=states, return_states=True)
             trajectory.append(np.stack([st.ssm.data[0] for st in states]))
     if n_audio < 2:

@@ -5,8 +5,12 @@ one padded batch, an ``EmbeddingSequence`` of [B, L, D] with segment labels
 [B, L], plus targets and a loss mask of [B, L]. Row r is [audio, prompt,
 caption] in train mode and [audio, prompt] in infer mode; every row's audio
 segment has the same length, and past a row's end the vectors are zero and
-labelled "pad". Next-token targets are defined only over caption positions
-(plus the closing <eos>), so padding never carries loss. Inference decodes
+labelled "pad". The vectors are one gather through one index map [B, L]:
+each position names its row of one table, [token table; separator; zero
+row; the connector's audio rows of all B clips], so the audio layout, the
+"&&" separator tokens and the padding are indices, not taped ops.
+Next-token targets are defined only over caption positions (plus the
+closing <eos>), so padding never carries loss. Inference decodes
 greedily, either by full re-forwarding or by carrying per-block streaming
 state. Streaming decode takes many rows at once: rows with equal prefix
 lengths share one prefill and then one recurrent step per token, and a row
@@ -47,7 +51,7 @@ from . import blocks, checkpoint, connector, optim, synth
 from . import config as configmod
 from . import tensor as tz
 from .connector import SEG_CAPTION, SEG_PAD, SEG_PROMPT, EmbeddingSequence
-from .tensor import ContractError, Tensor
+from .tensor import ContractError, ShapeError, Tensor
 from .vocab import Vocab
 
 # entries kept in each of a Captioner's per-clip caches (least recently used
@@ -191,15 +195,30 @@ class Captioner:
         return rows
 
     def embed_tokens(self, ids: np.ndarray) -> Tensor:
-        """Token table rows [..., D] for ids [...], with the reserved "&&" row
-        replaced by the trainable separator embedding."""
+        """Token table rows [..., D] for ids [...]; the reserved "&&" id reads
+        the trainable separator embedding."""
+        return self._gather(self._token_rows(ids))
+
+    def _token_rows(self, ids) -> np.ndarray:
+        """Token ids -> their rows of ``_gather``'s table: "&&" reads the
+        separator, every other id its own row."""
         ids = np.asarray(ids, dtype=np.int64)
-        base = tz.embedding(self.lm.embedding, ids)
-        sep_mask = (ids == self.vocab.sep_id).astype(base.dtype)[..., None]
-        if sep_mask.any():
-            sep_row = tz.reshape(self.sep_embedding, (1, self.lm_cfg.d_model))
-            base = tz.add(tz.mul(base, 1.0 - sep_mask), tz.mul(sep_row, Tensor(sep_mask)))
-        return base
+        return np.where(ids == self.vocab.sep_id, self.lm.embedding.shape[0], ids)
+
+    def _gather(self, index: np.ndarray, audio: Tensor | None = None) -> Tensor:
+        """Rows [..., D] at index [...] of one table: the V token rows, then
+        the separator (row V), a zero row (V + 1) and the audio rows (from
+        V + 2). The separator enters the tape only when index reads it, so an
+        unread one gets no gradient and no weight decay."""
+        n, d = self.lm.embedding.shape
+        if self.sep_embedding.shape != (d,):
+            raise ShapeError(f"separator embedding {self.sep_embedding.shape}, expected ({d},)")
+        if index.max() < n:  # token rows only, as in a decode step without "&&"
+            return tz.embedding([self.lm.embedding], index)
+        sep = self.sep_embedding if (index == n).any() else Tensor(self.sep_embedding.data)
+        tables = [self.lm.embedding, tz.reshape(sep, (1, d)),
+                  tz.zeros((1, d), dtype=self.lm.embedding.dtype)]
+        return tz.embedding(tables if audio is None else tables + [audio], index)
 
     # -- sequence building ------------------------------------------------------
 
@@ -211,6 +230,10 @@ class Captioner:
         exactly len(caption)+1 positions of a row carry loss. Infer rows drop
         the caption and have no targets. L is the longest row; shorter rows
         end in zero vectors labelled "pad".
+
+        The vectors are one gather (``_gather``) through one index map: the
+        connector's audio map, the token rows ("&&" reads the separator) and
+        the zero row for padding.
         """
         if mode not in ("train", "infer"):
             raise ContractError(f"unknown sequence mode {mode!r}")
@@ -223,28 +246,25 @@ class Captioner:
             if not all(captions):
                 raise ContractError("training sample has an empty caption")
 
-        aud = connector.connect(self.audio_tokens(samples), self.conn_cfg, self.mlp,
-                                self.sep_embedding)
-        l_a = len(aud)
+        aud = connector.connect(self.audio_tokens(samples), self.conn_cfg, self.mlp)
+        l_a, n = len(aud), self.lm.embedding.shape[0]
         ends = np.array([len(p) + len(c) for p, c in zip(prompts, captions)])
         length = l_a + int(ends.max())
-        ids = np.full((len(samples), length - l_a), self.vocab.pad_id, dtype=np.int64)
+        index = np.full((len(samples), length), n + 1)  # the zero row
+        index[:, :l_a] = np.where(aud.index == connector.SEP, n, aud.index + n + 2)
         segments = np.full((len(samples), length), SEG_PAD, dtype=object)
         segments[:, :l_a] = aud.segments
         targets = np.zeros((len(samples), length), dtype=np.int64)
         mask = np.zeros((len(samples), length), dtype=np.float64)
         for r, (prompt, caption) in enumerate(zip(prompts, captions)):
-            ids[r, : ends[r]] = prompt + caption
+            index[r, l_a : l_a + ends[r]] = self._token_rows(prompt + caption)
             first = l_a + len(prompt)
             segments[r, l_a:first] = SEG_PROMPT
             segments[r, first : first + len(caption)] = SEG_CAPTION
             if caption:  # the last prompt position predicts word 1
                 targets[r, first - 1 : first + len(caption)] = caption + [self.vocab.eos_id]
                 mask[r, first - 1 : first + len(caption)] = 1.0
-        live = np.arange(length - l_a) < ends[:, None]
-        tokens = tz.where_mask(self.embed_tokens(ids), live[..., None], 0.0)
-        vectors = tz.concat([aud.vectors, tokens], axis=1)
-        return EmbeddingSequence(vectors, segments), targets, mask
+        return EmbeddingSequence(self._gather(index, aud.rows), segments), targets, mask
 
     # -- forward ------------------------------------------------------------
 

@@ -28,18 +28,34 @@ _COUNT_WORDS = {2: "two", 3: "three", 4: "four", 5: "five"}
 
 
 def render(spec: dict) -> np.ndarray:
-    """Render a clip spec to a float waveform in [-1, 1]."""
+    """Render a clip spec to a float waveform in [-1, 1], built in place:
+    no kind holds more than one more array of the clip's size."""
     n = int(round(CLIP_SECONDS * SAMPLE_RATE))
-    t = np.arange(n) / SAMPLE_RATE
     kind = spec["kind"]
     rng = np.random.default_rng(int(spec.get("seed", 0)))
 
-    if kind == "tone":
-        wave = 0.5 * np.sin(2 * np.pi * spec["freq"] * t)
+    if kind in ("tone", "overlap"):
+        wave = np.arange(n, dtype=np.float64)  # the sample times, then the phase
+        wave /= SAMPLE_RATE
+        wave *= 2 * np.pi * spec["freq"]
+        np.sin(wave, out=wave)
+        wave *= 0.5 if kind == "tone" else 0.4
+        if kind == "overlap":
+            noise = rng.standard_normal(n)
+            noise *= 0.1
+            wave += noise
     elif kind == "chirp":
+        # phase = 2 pi (f0 t + (f1 - f0) / (2 T) t^2)
         f0, f1 = spec["freq_start"], spec["freq_end"]
-        phase = 2 * np.pi * (f0 * t + (f1 - f0) / (2 * CLIP_SECONDS) * t * t)
-        wave = 0.5 * np.sin(phase)
+        t = np.arange(n, dtype=np.float64)
+        t /= SAMPLE_RATE
+        wave = t * ((f1 - f0) / (2 * CLIP_SECONDS))
+        wave *= t
+        t *= f0
+        wave += t
+        wave *= 2 * np.pi
+        np.sin(wave, out=wave)
+        wave *= 0.5
     elif kind == "noise":
         wave = np.zeros(n)
         burst = int(0.5 * SAMPLE_RATE)
@@ -52,9 +68,6 @@ def render(spec: dict) -> np.ndarray:
         decay = np.exp(-np.arange(64) / 8.0)
         for s in range(0, n - 64, period):
             wave[s : s + 64] += 0.8 * decay
-    elif kind == "overlap":
-        wave = 0.4 * np.sin(2 * np.pi * spec["freq"] * t)
-        wave += 0.1 * rng.standard_normal(n)
     else:
         raise ValueError(f"unknown clip kind {kind!r}")
 
@@ -62,7 +75,7 @@ def render(spec: dict) -> np.ndarray:
     ramp = np.linspace(0.0, 1.0, 160)
     wave[:160] *= ramp
     wave[-160:] *= ramp[::-1]
-    return np.clip(wave, -1.0, 1.0)
+    return np.clip(wave, -1.0, 1.0, out=wave)
 
 
 def caption_for(spec: dict) -> str:

@@ -6,13 +6,14 @@ gradient, and ``backward`` on a scalar walks the tape once in reverse
 topological order, accumulating into ``.grad``. The one multi-gradient op,
 ``fused``, records a kernel whose single adjoint returns every input's
 gradient at once. Its users are the Mamba block of ``mac.blocks`` (in_proj,
-conv, scan of ``mac.ssd`` and out_proj, one node per output) and the patch
-encoder of ``mac.audio``. The adjoint runs once per output gradient, each
-input's tape entry takes its share, and a share of None reaches no
-gradient. A fused node differentiates only its parents. The block's
-are its input, its LoRA factors and a carried state, and it reads every
-frozen block weight as a constant; the encoder's are its layer weights and
-biases. The array forms of the activations, norms and the causal conv
+conv, scan of ``mac.ssd`` and out_proj, one node per output), the patch
+encoder of ``mac.audio`` and ``embedding``, one gather from several tables
+(the LM input of ``mac.pipeline``). The adjoint runs once per output
+gradient, each input's tape entry takes its share, and a share of None
+reaches no gradient. A fused node differentiates only its parents. The
+block's are its input, its LoRA factors and a carried state, and it reads
+every frozen block weight as a constant; the encoder's are its layer
+weights and biases; the gather's are its tables. The array forms of the activations, norms and the causal conv
 (``_sigmoid``, ``_softplus``, ``_rms_norm``, ``conv1d_depthwise_causal``
 and its input adjoint) are shared with those kernels; ``rms_norm`` keeps
 its per-row r and rebuilds xhat in the adjoint.
@@ -157,11 +158,6 @@ class Tensor:
                 node.grad = None  # free intermediate gradients promptly
         return leaves
 
-    # -- indexing ------------------------------------------------------------
-
-    def __getitem__(self, index):
-        return take(self, index)
-
 
 def _ensure(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -241,17 +237,6 @@ def add(a, b) -> Tensor:
     )
 
 
-def mul(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    return _node(
-        a.data * b.data,
-        [
-            (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-            (b, lambda g: _unbroadcast(g * a.data, b.shape)),
-        ],
-    )
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function 1/(1 + e^-x); where e^-x overflows the result is
     the correct limit 0."""
@@ -316,27 +301,6 @@ def reshape(a, shape) -> Tensor:
     return _node(a.data.reshape(shape), [(a, lambda g: g.reshape(a.shape))])
 
 
-def transpose(a, axes) -> Tensor:
-    a = _ensure(a)
-    axes = tuple(axes)
-    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    return _node(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
-
-
-def take(a, index) -> Tensor:
-    """Basic (slice/integer) indexing with scatter-style gradient. The
-    result is a view of ``a``'s data, as tensors are not mutated."""
-    a = _ensure(a)
-    out = np.asarray(a.data[index])  # a full integer index gives a scalar
-
-    def vjp(g):
-        buf = np.zeros_like(a.data)
-        buf[index] = g
-        return buf
-
-    return _node(out, [(a, vjp)])
-
-
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = [_ensure(p) for p in parts]
     if not parts:
@@ -356,14 +320,6 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
         return vjp
 
     return _node(data, [(p, make_vjp(i)) for i, p in enumerate(parts)])
-
-
-def where_mask(a, keep: np.ndarray, fill: float) -> Tensor:
-    """Replace entries where ``keep`` is False by ``fill``; no grad flows there."""
-    a = _ensure(a)
-    keep = np.asarray(keep, dtype=bool)
-    out = np.where(keep, a.data, a.data.dtype.type(fill))
-    return _node(out, [(a, lambda g: np.where(keep, g, 0.0))])
 
 
 # -- contractions ------------------------------------------------------------
@@ -399,18 +355,21 @@ def matmul(a, b) -> Tensor:
     return _node(out, [(a, vjp_a), (b, vjp_b)])
 
 
-def embedding(table, ids: np.ndarray) -> Tensor:
-    """Row gather from an embedding table; gradient scatter-adds by id."""
-    table = _ensure(table)
+def embedding(tables: Sequence[Tensor], ids: np.ndarray) -> Tensor:
+    """Row gather from the tables stacked row-wise (the second table's rows
+    follow the first's); the gradient scatter-adds by id, and each table
+    takes its own rows of it. One node, whatever the number of tables."""
+    tables = [_ensure(t) for t in tables]
     ids = np.asarray(ids, dtype=np.int64)
-    out = table.data[ids]
+    stack = np.concatenate([t.data for t in tables]) if len(tables) > 1 else tables[0].data
+    shape, dtype = stack.shape, stack.dtype
 
     def vjp(g):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
-        return buf
+        buf = np.zeros(shape, dtype)
+        np.add.at(buf, ids.reshape(-1), g.reshape(-1, shape[-1]))
+        return np.split(buf, np.cumsum([t.shape[0] for t in tables[:-1]]))
 
-    return _node(out, [(table, vjp)])
+    return fused(stack[ids], tables, vjp)
 
 
 _CONV = "...tkc,kc->...tc"  # window t, tap k, channel c: each row's taps summed in order

@@ -41,10 +41,6 @@ class Vocab:
         return len(self.words)
 
     @property
-    def pad_id(self) -> int:
-        return 0
-
-    @property
     def eos_id(self) -> int:
         return 2
 

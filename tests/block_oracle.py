@@ -12,12 +12,14 @@ checked against the tape, never against itself.
 
 from __future__ import annotations
 
+import numpy as np
+
 from mac import tensor as tz
 from mac.blocks import BlockState, LoraAdapter, MambaBlock
 from mac.tensor import Tensor
 
 from ssd_oracle import TapedParams, scan
-from tensor_oracle import conv1d_depthwise_causal, exp, neg, silu, softplus
+from tensor_oracle import conv1d_depthwise_causal, exp, mul, neg, silu, softplus, take
 
 
 def lora_apply(base: Tensor, adapter: LoraAdapter | None, x: Tensor) -> Tensor:
@@ -26,7 +28,7 @@ def lora_apply(base: Tensor, adapter: LoraAdapter | None, x: Tensor) -> Tensor:
     if adapter is None:
         return y
     delta = tz.matmul(tz.matmul(x, adapter.down), adapter.up)
-    return tz.add(y, tz.mul(delta, adapter.scale))
+    return tz.add(y, mul(delta, adapter.scale))
 
 
 def block_forward(blk: MambaBlock, x: Tensor,
@@ -38,28 +40,28 @@ def block_forward(blk: MambaBlock, x: Tensor,
     di, gn, k = cfg.d_model, cfg.n_groups * cfg.d_state, cfg.conv_width
 
     proj = lora_apply(blk.in_proj.base, blk.in_proj.adapter, x)
-    z = proj[:, :, :di]
-    xbc_raw = proj[:, :, di : di + cfg.conv_dim]
-    dt_raw = proj[:, :, di + cfg.conv_dim :]
+    z = take(proj, np.s_[:, :, :di])
+    xbc_raw = take(proj, np.s_[:, :, di : di + cfg.conv_dim])
+    dt_raw = take(proj, np.s_[:, :, di + cfg.conv_dim :])
 
     if state is None:
         prefix, initial = tz.zeros((b, k - 1, cfg.conv_dim), dtype=xbc_raw.dtype), None
     else:
         prefix, initial = state.conv_tail, state.ssm
     xbc = silu(conv1d_depthwise_causal(xbc_raw, blk.conv_w, blk.conv_b, prefix)[0])
-    xs = tz.reshape(xbc[:, :, :di], (b, t, cfg.n_heads, cfg.head_dim))
-    bmat = tz.reshape(xbc[:, :, di : di + gn], (b, t, cfg.n_groups, cfg.d_state))
-    cmat = tz.reshape(xbc[:, :, di + gn :], (b, t, cfg.n_groups, cfg.d_state))
+    xs = tz.reshape(take(xbc, np.s_[:, :, :di]), (b, t, cfg.n_heads, cfg.head_dim))
+    bmat = tz.reshape(take(xbc, np.s_[:, :, di : di + gn]), (b, t, cfg.n_groups, cfg.d_state))
+    cmat = tz.reshape(take(xbc, np.s_[:, :, di + gn :]), (b, t, cfg.n_groups, cfg.d_state))
 
     dt = softplus(tz.add(dt_raw, blk.dt_bias))
     a = neg(exp(blk.log_a))
     y, final = scan(TapedParams(dt=dt, a=a, B=bmat, C=cmat, x=xs), initial=initial)
 
-    y = tz.add(y, tz.mul(xs, tz.reshape(blk.skip, (1, 1, cfg.n_heads, 1))))
+    y = tz.add(y, mul(xs, tz.reshape(blk.skip, (1, 1, cfg.n_heads, 1))))
     y = tz.reshape(y, (b, t, di))
-    gated = tz.mul(y, silu(z))
+    gated = mul(y, silu(z))
     out = lora_apply(blk.out_proj.base, blk.out_proj.adapter, tz.rms_norm(gated, blk.gate_norm))
 
-    tail_src = tz.concat([prefix, xbc_raw[:, max(t - (k - 1), 0) :, :]], axis=1)
-    new_tail = tail_src[:, tail_src.shape[1] - (k - 1) :, :]
+    tail_src = tz.concat([prefix, take(xbc_raw, np.s_[:, max(t - (k - 1), 0) :, :])], axis=1)
+    new_tail = take(tail_src, np.s_[:, tail_src.shape[1] - (k - 1) :, :])
     return out, BlockState(ssm=final, conv_tail=new_tail)

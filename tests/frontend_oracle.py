@@ -25,7 +25,7 @@ from mac import synth
 from mac import tensor as tz
 from mac.connector import SEG_AUDIO, SEG_CAPTION, SEG_PROMPT, SEG_SEPARATOR, mlp_forward
 from mac.tensor import ContractError, ShapeError, Tensor
-from tensor_oracle import relu
+from tensor_oracle import mul, relu, take, transpose
 
 
 def melspectrogram(waveform) -> audiomod.MelSpec:
@@ -79,7 +79,7 @@ def encode(mel: audiomod.MelSpec, encoder: audiomod.CnnEncoder) -> AudioTokenGri
                 f"encoder layer {i}: input {t}x{f} not divisible by patch {pt}x{pf}"
             )
         x = tz.reshape(x, (t // pt, pt, f // pf, pf, c))
-        x = tz.transpose(x, (0, 2, 1, 3, 4))
+        x = transpose(x, (0, 2, 1, 3, 4))
         x = tz.reshape(x, (t // pt * (f // pf), pt * pf * c))
         x = tz.add(tz.matmul(x, w), b)
         if i < len(encoder.layers) - 1:
@@ -107,7 +107,7 @@ def encode_batch(rows, encoder: audiomod.CnnEncoder) -> Tensor:
         if i:  # cut the previous layer's [B * t * f, c] output into this layer's patches
             c = x.shape[1]
             x = tz.reshape(x, (b, t // pt, pt, f // pf, pf, c))
-            x = tz.transpose(x, (0, 1, 3, 2, 4, 5))
+            x = transpose(x, (0, 1, 3, 2, 4, 5))
             x = tz.reshape(x, (b * (t // pt) * (f // pf), pt * pf * c))
         x = tz.add(tz.matmul(x, w), bias)
         if i < len(encoder.layers) - 1:
@@ -135,17 +135,17 @@ def connect(grid: AudioTokenGrid, cfg, mlp, sep_embedding: Tensor) -> tuple[Tens
         mapped = mlp_forward(tz.reshape(grid.tokens, (t_a * f_a, cfg.d_enc)), mlp)
         parts, segments = [], []
         for t in range(t_a):
-            parts.append(mapped[t * f_a : (t + 1) * f_a, :])
+            parts.append(take(mapped, np.s_[t * f_a : (t + 1) * f_a, :]))
             parts.append(sep_row)
             segments.extend([SEG_AUDIO] * f_a + [SEG_SEPARATOR])
         return tz.concat(parts, axis=0), segments
 
     # frequency_major: f outer, t inner; one separator slot per band
-    by_band = tz.reshape(tz.transpose(grid.tokens, (1, 0, 2)), (f_a * t_a, cfg.d_enc))
+    by_band = tz.reshape(transpose(grid.tokens, (1, 0, 2)), (f_a * t_a, cfg.d_enc))
     mapped = mlp_forward(by_band, mlp)
     parts, segments = [], []
     for f in range(f_a):
-        band = mapped[f * t_a : (f + 1) * t_a, :]
+        band = take(mapped, np.s_[f * t_a : (f + 1) * t_a, :])
         if cfg.sep_position == "prefix":
             parts.extend([sep_row, band])
             segments.extend([SEG_SEPARATOR] + [SEG_AUDIO] * t_a)
@@ -176,11 +176,11 @@ def audio_grid(cap, sample) -> AudioTokenGrid:
 def embed_tokens(cap, ids) -> Tensor:
     """Token table rows, with the "&&" row replaced by the separator embedding."""
     ids = np.asarray(ids, dtype=np.int64)
-    base = tz.embedding(cap.lm.embedding, ids)
+    base = tz.embedding([cap.lm.embedding], ids)
     sep_mask = (ids == cap.vocab.sep_id).astype(base.dtype)[:, None]
     if sep_mask.any():
         sep_row = tz.reshape(cap.sep_embedding, (1, cap.lm_cfg.d_model))
-        base = tz.add(tz.mul(base, 1.0 - sep_mask), tz.mul(sep_row, Tensor(sep_mask)))
+        base = tz.add(mul(base, 1.0 - sep_mask), mul(sep_row, Tensor(sep_mask)))
     return base
 
 

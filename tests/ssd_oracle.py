@@ -27,7 +27,7 @@ from mac import tensor as tz
 from mac.ssd import DEFAULT_CHUNK, SelectiveParams
 from mac.tensor import ContractError, Tensor
 
-from tensor_oracle import cast, cumsum, exp, neg, tsum
+from tensor_oracle import cast, cumsum, exp, mul, neg, take, transpose, tsum, where_mask
 
 # Finite stand-in for -inf in masked log-decay entries: exp() underflows to
 # exactly 0.0 without tripping the debug finiteness checks.
@@ -41,7 +41,7 @@ def discretize_zoh(dt: Tensor, a: Tensor, B: Tensor):
     bbar = dt * B [.., T, H, N] couples inputs into the state.
     """
     dt, a, B = tz._ensure(dt), tz._ensure(a), tz._ensure(B)
-    return exp(tz.mul(dt, a)), _expand_groups(dt, B)
+    return exp(mul(dt, a)), _expand_groups(dt, B)
 
 
 def _expand_groups(coef: Tensor, B: Tensor) -> Tensor:
@@ -52,7 +52,7 @@ def _expand_groups(coef: Tensor, B: Tensor) -> Tensor:
     lead = coef.shape[:off]
     c = tz.reshape(coef, lead + (t, g, h // g, 1))
     b = tz.reshape(B, lead + (t, g, 1, n))
-    return tz.reshape(tz.mul(c, b), lead + (t, h, n))
+    return tz.reshape(mul(c, b), lead + (t, h, n))
 
 
 @dataclass
@@ -111,14 +111,14 @@ def scan_recurrent(params: TapedParams, initial: Tensor | None = None):
 
     ys = []
     for step in range(t):
-        decay = tz.reshape(abar[:, step, :], (bsz, h, 1, 1))
-        inject = tz.mul(
-            tz.reshape(rb[:, step, :, :], (bsz, h, 1, n)),
-            tz.reshape(params.x[:, step, :, :], (bsz, h, p, 1)),
+        decay = tz.reshape(take(abar, np.s_[:, step, :]), (bsz, h, 1, 1))
+        inject = mul(
+            tz.reshape(take(rb, np.s_[:, step, :, :]), (bsz, h, 1, n)),
+            tz.reshape(take(params.x, np.s_[:, step, :, :]), (bsz, h, p, 1)),
         )
-        hstate = tz.add(tz.mul(decay, hstate), inject)
+        hstate = tz.add(mul(decay, hstate), inject)
         y_t = tsum(
-            tz.mul(tz.reshape(c_head[:, step, :, :], (bsz, h, 1, n)), hstate), axis=-1
+            mul(tz.reshape(take(c_head, np.s_[:, step, :, :]), (bsz, h, 1, n)), hstate), axis=-1
         )
         ys.append(tz.reshape(y_t, (bsz, 1, h, p)))
     return tz.concat(ys, axis=1), hstate
@@ -159,11 +159,11 @@ def scan_chunked(params: TapedParams, chunk_len: int = DEFAULT_CHUNK,
     for lo in range(0, t, chunk_len):
         hi = min(lo + chunk_len, t)
         piece = TapedParams(
-            dt=params.dt[:, lo:hi, :],
+            dt=take(params.dt, np.s_[:, lo:hi, :]),
             a=params.a,
-            B=params.B[:, lo:hi, :, :],
-            C=params.C[:, lo:hi, :, :],
-            x=params.x[:, lo:hi, :, :],
+            B=take(params.B, np.s_[:, lo:hi, :, :]),
+            C=take(params.C, np.s_[:, lo:hi, :, :]),
+            x=take(params.x, np.s_[:, lo:hi, :, :]),
         )
         y_c, hstate = _semiseparable_block(piece, hstate)
         hstate = cast(hstate, np.float64)  # cross-chunk carry at full width
@@ -185,7 +185,7 @@ def _semiseparable_block(p_: TapedParams, h_in: Tensor):
     g, n = p_.B.shape[2], p_.B.shape[3]
     hpg = h // g
 
-    z = tz.mul(p_.dt, p_.a)  # [B,L,H] log decay per step
+    z = mul(p_.dt, p_.a)  # [B,L,H] log decay per step
     cum = cumsum(z, axis=1)  # [B,L,H] inclusive log decay from block start
     coef_in = p_.dt  # [B,L,H], bbar = dt * B
 
@@ -194,39 +194,39 @@ def _semiseparable_block(p_: TapedParams, h_in: Tensor):
         tz.reshape(cum, (bsz, L, 1, h)), neg(tz.reshape(cum, (bsz, 1, L, h)))
     )  # [B, t, s, H]
     keep = np.tril(np.ones((L, L), dtype=bool)).reshape(1, L, L, 1)
-    decay = exp(tz.where_mask(seg, keep, _MASK_FILL))  # 0 above the diagonal
+    decay = exp(where_mask(seg, keep, _MASK_FILL))  # 0 above the diagonal
 
     # readout-coupling grams per group: gram[b,g,t,s] = C_t . B_s
-    c_g = tz.transpose(p_.C, (0, 2, 1, 3))  # [B,G,L,N]
-    b_g = tz.transpose(p_.B, (0, 2, 3, 1))  # [B,G,N,L]
+    c_g = transpose(p_.C, (0, 2, 1, 3))  # [B,G,L,N]
+    b_g = transpose(p_.B, (0, 2, 3, 1))  # [B,G,N,L]
     gram = tz.matmul(c_g, b_g)  # [B,G,L,L]
 
     # combine (expanding groups to heads): coef[b,h,t,s]
-    decay_h = tz.transpose(decay, (0, 3, 1, 2))  # [B,H,t,s]
-    scale_s = tz.reshape(tz.transpose(coef_in, (0, 2, 1)), (bsz, h, 1, L))
-    mixed = tz.mul(
+    decay_h = transpose(decay, (0, 3, 1, 2))  # [B,H,t,s]
+    scale_s = tz.reshape(transpose(coef_in, (0, 2, 1)), (bsz, h, 1, L))
+    mixed = mul(
         tz.reshape(gram, (bsz, g, 1, L, L)),
-        tz.reshape(tz.mul(decay_h, scale_s), (bsz, g, hpg, L, L)),
+        tz.reshape(mul(decay_h, scale_s), (bsz, g, hpg, L, L)),
     )
     coef = tz.reshape(mixed, (bsz, h, L, L))
 
-    x_h = tz.transpose(p_.x, (0, 2, 1, 3))  # [B,H,L,P]
+    x_h = transpose(p_.x, (0, 2, 1, 3))  # [B,H,L,P]
     y = tz.matmul(coef, x_h)  # [B,H,L,P] intra-block contributions
 
-    cum_last = cum[:, L - 1, :]  # [B,H]
+    cum_last = take(cum, np.s_[:, L - 1, :])  # [B,H]
 
     # y_state[b,h,t,p] = sum_n C_head[b,t,h,n] exp(cum_t) h_in[b,h,p,n]
     expcum = exp(cum)  # [B,L,H], <= 1
     ce = tz.reshape(
-        tz.mul(
+        mul(
             tz.reshape(p_.C, (bsz, L, g, 1, n)),
             tz.reshape(expcum, (bsz, L, g, hpg, 1)),
         ),
         (bsz, L, h, n),
     )
     y_state = tz.matmul(
-        tz.transpose(ce, (0, 2, 1, 3)),  # [B,H,L,N]
-        tz.transpose(h_in, (0, 1, 3, 2)),  # [B,H,N,P]
+        transpose(ce, (0, 2, 1, 3)),  # [B,H,L,N]
+        transpose(h_in, (0, 1, 3, 2)),  # [B,H,N,P]
     )
     y = tz.add(y, y_state)
 
@@ -235,16 +235,16 @@ def _semiseparable_block(p_: TapedParams, h_in: Tensor):
         tz.add(tz.reshape(cum_last, (bsz, 1, h)), neg(cum))
     )  # [B,L,H], prod_{r=s+1..L-1}
     w = tz.reshape(
-        tz.mul(
+        mul(
             tz.reshape(p_.B, (bsz, L, g, 1, n)),
-            tz.reshape(tz.mul(tail, coef_in), (bsz, L, g, hpg, 1)),
+            tz.reshape(mul(tail, coef_in), (bsz, L, g, hpg, 1)),
         ),
         (bsz, L, h, n),
     )
     h_out = tz.matmul(
-        tz.transpose(p_.x, (0, 2, 3, 1)),  # [B,H,P,L]
-        tz.transpose(w, (0, 2, 1, 3)),  # [B,H,L,N]
+        transpose(p_.x, (0, 2, 3, 1)),  # [B,H,P,L]
+        transpose(w, (0, 2, 1, 3)),  # [B,H,L,N]
     )  # [B,H,P,N]
-    h_out = tz.add(h_out, tz.mul(tz.reshape(exp(cum_last), (bsz, h, 1, 1)), h_in))
+    h_out = tz.add(h_out, mul(tz.reshape(exp(cum_last), (bsz, h, 1, 1)), h_in))
 
-    return tz.transpose(y, (0, 2, 1, 3)), h_out
+    return transpose(y, (0, 2, 1, 3)), h_out

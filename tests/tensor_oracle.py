@@ -1,5 +1,10 @@
 """Composed-``Tensor`` ops: the test oracle of ``mac.tensor``'s fused kernels.
 
+``mul``, ``transpose``, ``take`` (basic indexing) and ``where_mask`` are the
+generic taped ops the oracles compose with. ``mac`` itself builds its input
+sequence as one gather and reads its tied head as a constant, so it records
+none of them.
+
 ``rms_norm`` is the normalization ``mac.tensor`` ran before its one-node
 kernel with a closed-form adjoint, kept verbatim together with the
 ``power`` and ``tmean`` primitives it is built from, so its outputs and
@@ -27,6 +32,46 @@ import numpy as np
 
 from mac import tensor as tz
 from mac.tensor import Tensor
+
+
+def mul(a, b) -> Tensor:
+    a, b = tz._operands(a, b)
+    return tz._node(
+        a.data * b.data,
+        [
+            (a, lambda g: tz._unbroadcast(g * b.data, a.shape)),
+            (b, lambda g: tz._unbroadcast(g * a.data, b.shape)),
+        ],
+    )
+
+
+def transpose(a, axes) -> Tensor:
+    a = tz._ensure(a)
+    axes = tuple(axes)
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    return tz._node(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
+
+
+def take(a, index) -> Tensor:
+    """Basic (slice/integer) indexing with scatter-style gradient. The
+    result is a view of ``a``'s data, as tensors are not mutated."""
+    a = tz._ensure(a)
+    out = np.asarray(a.data[index])  # a full integer index gives a scalar
+
+    def vjp(g):
+        buf = np.zeros_like(a.data)
+        buf[index] = g
+        return buf
+
+    return tz._node(out, [(a, vjp)])
+
+
+def where_mask(a, keep: np.ndarray, fill: float) -> Tensor:
+    """Replace entries where ``keep`` is False by ``fill``; no grad flows there."""
+    a = tz._ensure(a)
+    keep = np.asarray(keep, dtype=bool)
+    out = np.where(keep, a.data, a.data.dtype.type(fill))
+    return tz._node(out, [(a, lambda g: np.where(keep, g, 0.0))])
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -119,14 +164,14 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         n = int(np.prod([a.shape[ax] for ax in axes]))
-    return tz.mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def rms_norm(x, weight, eps: float = 1e-5) -> Tensor:
     """Root-mean-square normalization over the last axis, scaled by weight."""
     x = tz._ensure(x)
-    scale = power(tz.add(tmean(tz.mul(x, x), axis=-1, keepdims=True), eps), -0.5)
-    return tz.mul(tz.mul(x, scale), weight)
+    scale = power(tz.add(tmean(mul(x, x), axis=-1, keepdims=True), eps), -0.5)
+    return mul(mul(x, scale), weight)
 
 
 def conv1d_depthwise_causal(x, weight, bias, prefix) -> tuple[Tensor, Tensor]:
@@ -136,9 +181,9 @@ def conv1d_depthwise_causal(x, weight, bias, prefix) -> tuple[Tensor, Tensor]:
     weight = tz._ensure(weight)
     xp = tz.concat([prefix, x], axis=-2)
     k, t = weight.shape[0], x.shape[-2]
-    out = tz.mul(xp[..., :t, :], weight[0])
+    out = mul(take(xp, np.s_[..., :t, :]), take(weight, 0))
     for i in range(1, k):
-        out = tz.add(out, tz.mul(xp[..., i : i + t, :], weight[i]))
+        out = tz.add(out, mul(take(xp, np.s_[..., i : i + t, :]), take(weight, i)))
     if bias is not None:
         out = tz.add(out, bias)
-    return out, xp[..., t:, :]
+    return out, take(xp, np.s_[..., t:, :])

@@ -27,7 +27,7 @@ from mac.tensor import ShapeError
 
 import frontend_oracle
 from conftest import check_gradients, recorded_nodes, zero_grad
-from tensor_oracle import tsum
+from tensor_oracle import mul, tsum
 
 
 def wav_bytes(samples: np.ndarray, rate=16000, channels=1, prepend_chunks=b"",
@@ -300,13 +300,13 @@ class TestEncoder:
         mels = [np.random.default_rng(10 + i).standard_normal((1024, 128)) for i in range(3)]
         tokens = encode_mels(mels, enc)
         weights = np.random.default_rng(13).standard_normal(tokens.shape)
-        batch_grads = tsum(tz.mul(tokens, weights)).backward()
+        batch_grads = tsum(mul(tokens, weights)).backward()
         zero_grad(enc.parameters().values())
         grids = [frontend_oracle.encode(MelSpec(m), enc) for m in mels]
         for i, grid in enumerate(grids):
             assert np.array_equal(tokens.data[i], grid.tokens.data)
         clip_grads = tsum(tz.concat([
-            tz.mul(grid.tokens, weights[i]) for i, grid in enumerate(grids)
+            mul(grid.tokens, weights[i]) for i, grid in enumerate(grids)
         ], axis=0)).backward()
         for t in enc.parameters().values():
             err = np.abs(batch_grads[t] - clip_grads[t]).max() / np.abs(clip_grads[t]).max()
@@ -321,7 +321,7 @@ def trained_encode(fn, enc, rows, upstream):
         t.requires_grad = True
         t.grad = None
     tokens = fn(rows, enc)
-    grads = tsum(tz.mul(tokens, upstream)).backward()
+    grads = tsum(mul(tokens, upstream)).backward()
     return tokens.data, [grads[t] for t in params]
 
 
@@ -365,7 +365,7 @@ class TestFusedEncoder:
             bias.data[:] = np.random.default_rng(3114).uniform(0.1, 0.5, bias.shape)
         rows = clip_rows(cfg, 2, 3112)
         upstream = np.random.default_rng(3113).standard_normal((2, 2, 2, 3))
-        check_gradients(lambda: tsum(tz.mul(encode(rows, enc), upstream)),
+        check_gradients(lambda: tsum(mul(encode(rows, enc), upstream)),
                         list(enc.parameters().values()))
 
     def test_one_call_records_one_tape_node(self):

@@ -11,7 +11,7 @@ from mac.tensor import ContractError, ShapeError, Tensor
 
 import block_oracle
 from conftest import check_gradients, recorded_nodes
-from tensor_oracle import tsum
+from tensor_oracle import mul, take, tsum
 
 # T = 1 (the recurrence), one partial chunk, and more than one chunk with
 # the last one padded
@@ -60,7 +60,7 @@ class TestBlockForward:
             whole = blk.forward(x)[0].data
             state, steps = None, []
             for i in range(t):
-                out, state = blk.forward(x[:, i : i + 1, :], state=state)
+                out, state = blk.forward(take(x, np.s_[:, i : i + 1, :]), state=state)
                 steps.append(out.data)
         assert np.abs(whole - np.concatenate(steps, axis=1)).max() <= 1e-8
 
@@ -101,10 +101,10 @@ class TestBlockForward:
         def fn():
             # pre-norm applied the way the residual stack does
             y, new = blk.forward(tz.rms_norm(x, blk.res_norm), state=state)
-            loss = tsum(tz.mul(y, w))
+            loss = tsum(mul(y, w))
             if carried:
-                loss = tz.add(loss, tz.add(tsum(tz.mul(new.ssm, w_ssm)),
-                                           tsum(tz.mul(new.conv_tail, w_tail))))
+                loss = tz.add(loss, tz.add(tsum(mul(new.ssm, w_ssm)),
+                                           tsum(mul(new.conv_tail, w_tail))))
             return loss
 
         worst = check_gradients(fn, leaves, tol=1e-4)
@@ -181,8 +181,8 @@ class TestFusedBlockMatchesComposedOracle:
     def _run(self, forward, blk, x, state, weights):
         """Loss over the output, the final scan state and the conv tail."""
         out, new = forward(blk, x, state=state)
-        loss = tz.add(tz.add(tsum(tz.mul(out, weights[0])), tsum(tz.mul(new.ssm, weights[1]))),
-                      tsum(tz.mul(new.conv_tail, weights[2])))
+        loss = tz.add(tz.add(tsum(mul(out, weights[0])), tsum(mul(new.ssm, weights[1]))),
+                      tsum(mul(new.conv_tail, weights[2])))
         return out, new, loss
 
     @pytest.mark.parametrize("t", LENGTHS)
@@ -295,7 +295,7 @@ class TestLmForward:
         with tz.no_grad():
             whole = lm.forward(x).data
             for t in (1, 9, ssd.DEFAULT_CHUNK, ssd.DEFAULT_CHUNK + 1):
-                err = np.abs(lm.forward(x[:, :t, :]).data - whole[:, :t]).max()
+                err = np.abs(lm.forward(take(x, np.s_[:, :t, :])).data - whole[:, :t]).max()
                 assert err <= 1e-8, t
 
     def test_causality_of_logits(self):
@@ -329,7 +329,7 @@ class TestLmForward:
                     states, chunks = None, []
                     for lo, hi in ((0, first), (first, 7), (7, 9), (9, 12), (12, 31),
                                    *((t, t + 1) for t in range(31, 40))):
-                        out, states = lm.forward(x[:, lo:hi, :], states=states,
+                        out, states = lm.forward(take(x, np.s_[:, lo:hi, :]), states=states,
                                                  return_states=True)
                         chunks.append(out.data)
                     err = np.abs(np.concatenate(chunks, axis=1) - full).max()
@@ -358,8 +358,9 @@ class TestLmForward:
                 leaf.requires_grad, leaf.grad = True, None
             states, terms = None, []
             for lo, hi in spans:
-                out, states = lm.forward(x[:, lo:hi, :], states=states, return_states=True)
-                terms.append(tsum(tz.mul(out, Tensor(w[:, lo:hi]))))
+                out, states = lm.forward(take(x, np.s_[:, lo:hi, :]), states=states,
+                                         return_states=True)
+                terms.append(tsum(mul(out, Tensor(w[:, lo:hi]))))
             loss = terms[0]
             for term in terms[1:]:
                 loss = tz.add(loss, term)
@@ -431,7 +432,7 @@ class TestLora:
         for _ in range(20):
             opt.zero_grad()
             x = Tensor(rng.standard_normal((1, 5, 24)))
-            loss = tsum(tz.mul(lm.forward(x), 0.01))
+            loss = tsum(mul(lm.forward(x), 0.01))
             loss.backward()
             opt.step()
         for name, before in frozen.items():
@@ -449,7 +450,7 @@ class TestLora:
         out, weight = blocks.lora_apply(base, ad, x.data)
         gx, gdown, gup = blocks._lora_grads(ad, weight, x.data, w)  # the base is a constant
         oracle = block_oracle.lora_apply(base, ad, x)
-        grads = tsum(tz.mul(oracle, Tensor(w))).backward()
+        grads = tsum(mul(oracle, Tensor(w))).backward()
         assert base not in grads and base.grad is None
         results = [[out, gx, gdown, gup],
                    [oracle.data] + [grads[leaf] for leaf in (x, ad.down, ad.up)]]

@@ -4,17 +4,28 @@ import numpy as np
 import pytest
 
 from mac import tensor as tz
-from mac.connector import VARIANTS, ConnectorConfig, ConnectorMlp, connect, mlp_forward
+from mac.connector import SEP, VARIANTS, ConnectorConfig, ConnectorMlp, connect, mlp_forward
 from mac.tensor import ContractError, ShapeError, Tensor
 
 import frontend_oracle
 from conftest import check_gradients, zero_grad
-from tensor_oracle import tsum
+from tensor_oracle import mul, take, tsum
+from test_pipeline import tiny_captioner
 
 
 def make_grid(rng, t, f, d, b=1) -> Tensor:
     """Encoder tokens [b, t, f, d]."""
     return Tensor(rng.standard_normal((b, t, f, d)))
+
+
+def vectors(out, sep: Tensor) -> Tensor:
+    """The audio segment [B, L_a, D] of ``connect``'s output: its rows, and
+    the separator where the index map reads ``SEP``, in one gather. The
+    separator enters the table only when some position reads it."""
+    if not (out.index == SEP).any():
+        return tz.embedding([out.rows], out.index)
+    rows = [out.rows, tz.reshape(sep, (1, sep.shape[0]))]
+    return tz.embedding(rows, np.where(out.index == SEP, out.rows.shape[0], out.index))
 
 
 def build(variant, t=4, f=3, d_enc=5, d_model=8, hidden_mult=4, sep_position="prefix"):
@@ -30,22 +41,23 @@ class TestLengths:
         cfg, mlp = build("concatenation", t=64, f=8, d_enc=768, d_model=16)
         assert cfg.mlp_in == 6144
         with tz.no_grad():
-            seq = connect(make_grid(rng, 64, 8, 768), cfg, mlp, tz.zeros((16,)))
+            seq = connect(make_grid(rng, 64, 8, 768), cfg, mlp)
         assert len(seq) == 64
         assert (seq.segments == "audio").all()
+        assert np.array_equal(seq.index, np.arange(64)[None])
 
     def test_paper_geometry_time_major(self):
         rng = np.random.default_rng(2)
         cfg, mlp = build("time_major", t=64, f=8, d_enc=16, d_model=16)
         with tz.no_grad():
-            seq = connect(make_grid(rng, 64, 8, 16), cfg, mlp, tz.zeros((16,)))
+            seq = connect(make_grid(rng, 64, 8, 16), cfg, mlp)
         assert len(seq) == 64 * (8 + 1) == 576
 
     def test_paper_geometry_frequency_major(self):
         rng = np.random.default_rng(3)
         cfg, mlp = build("frequency_major", t=64, f=8, d_enc=16, d_model=16)
         with tz.no_grad():
-            seq = connect(make_grid(rng, 64, 8, 16), cfg, mlp, tz.zeros((16,)))
+            seq = connect(make_grid(rng, 64, 8, 16), cfg, mlp)
         assert len(seq) == (64 + 1) * 8 == 520
 
     def test_degenerate_grid_single_token(self):
@@ -53,10 +65,10 @@ class TestLengths:
         cfg, mlp = build("concatenation", t=1, f=1, d_enc=6, d_model=8)
         grid = make_grid(rng, 1, 1, 6)
         with tz.no_grad():
-            seq = connect(grid, cfg, mlp, tz.zeros((8,)))
+            seq = connect(grid, cfg, mlp)
             direct = mlp_forward(tz.reshape(grid, (1, 6)), mlp)
         assert len(seq) == 1
-        np.testing.assert_array_equal(seq.vectors.data[0], direct.data)
+        np.testing.assert_array_equal(vectors(seq, tz.zeros((8,))).data[0], direct.data)
 
     def test_length_formulas_random_geometries(self):
         rng = np.random.default_rng(5)
@@ -72,18 +84,18 @@ class TestLengths:
             ):
                 cfg, mlp = build(variant, t=t, f=f, d_enc=3, d_model=4)
                 with tz.no_grad():
-                    seq = connect(grid, cfg, mlp, tz.zeros((4,)))
+                    seq = connect(grid, cfg, mlp)
                 assert len(seq) == expect, (variant, t, f)
-                assert seq.vectors.shape == (b, expect, 4)
-                assert seq.segments.shape == (b, expect)
+                assert vectors(seq, tz.zeros((4,))).shape == (b, expect, 4)
+                assert seq.index.shape == seq.segments.shape == (b, expect)
 
     def test_geometry_mismatch_rejected(self):
         rng = np.random.default_rng(6)
         cfg, mlp = build("concatenation", t=4, f=3, d_enc=5)
         with pytest.raises(ShapeError, match="do not match"):
-            connect(make_grid(rng, 4, 2, 5), cfg, mlp, tz.zeros((8,)))
+            connect(make_grid(rng, 4, 2, 5), cfg, mlp)
         with pytest.raises(ShapeError, match="do not match"):
-            connect(make_grid(rng, 4, 3, 5)[0], cfg, mlp, tz.zeros((8,)))
+            connect(Tensor(make_grid(rng, 4, 3, 5).data[0]), cfg, mlp)
 
 
 class TestSeparators:
@@ -93,34 +105,35 @@ class TestSeparators:
         cfg, mlp = build("time_major", t=t, f=f, d_enc=4)
         sep = Tensor(np.full(8, 7.25))
         with tz.no_grad():
-            seq = connect(make_grid(rng, t, f, 4, b=2), cfg, mlp, sep)
+            seq = connect(make_grid(rng, t, f, 4, b=2), cfg, mlp)
+            vecs = vectors(seq, sep).data
         for row in range(2):
             for pos, label in enumerate(seq.segments[row]):
                 should_be_sep = pos % (f + 1) == f
-                assert (label == "separator") == should_be_sep
+                assert (label == "separator") == should_be_sep == (seq.index[row, pos] == SEP)
                 if should_be_sep:
-                    np.testing.assert_array_equal(seq.vectors.data[row, pos], sep.data)
+                    np.testing.assert_array_equal(vecs[row, pos], sep.data)
 
     def test_frequency_major_prefix_and_suffix(self):
         rng = np.random.default_rng(9)
         t, f = 4, 3
         grid = make_grid(rng, t, f, 4)
-        sep = Tensor(np.full(8, -3.5))
-
         cfg, mlp = build("frequency_major", t=t, f=f, d_enc=4, sep_position="prefix")
         with tz.no_grad():
-            seq = connect(grid, cfg, mlp, sep)
+            seq = connect(grid, cfg, mlp)
         assert [i for i, s in enumerate(seq.segments[0]) if s == "separator"] == [
             b * (t + 1) for b in range(f)
         ]
 
         cfg2, mlp2 = build("frequency_major", t=t, f=f, d_enc=4, sep_position="suffix")
         with tz.no_grad():
-            seq2 = connect(grid, cfg2, mlp2, sep)
+            seq2 = connect(grid, cfg2, mlp2)
         assert [i for i, s in enumerate(seq2.segments[0]) if s == "separator"] == [
             b * (t + 1) + t for b in range(f)
         ]
         assert len(seq) == len(seq2) == (t + 1) * f
+        for out in (seq, seq2):
+            assert np.array_equal(out.index[0] == SEP, out.segments[0] == "separator")
 
     def test_b_and_c_contain_identical_token_multisets(self):
         # same per-token MLP, different order: non-separator rows must match
@@ -132,12 +145,10 @@ class TestSeparators:
         cfg_c, _ = build("frequency_major", t=t, f=f, d_enc=5)
         sep = Tensor(np.zeros(8))
         with tz.no_grad():
-            seq_b = connect(grid, cfg_b, mlp, sep)
-            seq_c = connect(grid, cfg_c, mlp, sep)
-        rows_b = [tuple(v) for v, s in zip(seq_b.vectors.data[0], seq_b.segments[0])
-                  if s == "audio"]
-        rows_c = [tuple(v) for v, s in zip(seq_c.vectors.data[0], seq_c.segments[0])
-                  if s == "audio"]
+            seq_b, seq_c = connect(grid, cfg_b, mlp), connect(grid, cfg_c, mlp)
+            vecs_b, vecs_c = vectors(seq_b, sep).data, vectors(seq_c, sep).data
+        rows_b = [tuple(v) for v, s in zip(vecs_b[0], seq_b.segments[0]) if s == "audio"]
+        rows_c = [tuple(v) for v, s in zip(vecs_c[0], seq_c.segments[0]) if s == "audio"]
         assert sorted(rows_b) == sorted(rows_c)
 
     def test_connect_is_pure(self):
@@ -145,9 +156,9 @@ class TestSeparators:
         grid = make_grid(rng, 3, 2, 4)
         cfg, mlp = build("time_major", t=3, f=2, d_enc=4)
         with tz.no_grad():
-            a = connect(grid, cfg, mlp, tz.zeros((8,))).vectors.data
-            b = connect(grid, cfg, mlp, tz.zeros((8,))).vectors.data
-        assert np.array_equal(a, b)
+            a = connect(grid, cfg, mlp)
+            b = connect(grid, cfg, mlp)
+        assert np.array_equal(a.rows.data, b.rows.data) and np.array_equal(a.index, b.index)
 
 
 class TestBatchMatchesOracle:
@@ -165,18 +176,19 @@ class TestBatchMatchesOracle:
         leaves = list(mlp.parameters().values()) + [sep, grid]
         for leaf in leaves:
             leaf.requires_grad = True
-        seq = connect(grid, cfg, mlp, sep)
-        weights = rng.standard_normal(seq.vectors.shape)
-        batch_grads = tsum(tz.mul(seq.vectors, weights)).backward()
+        seq = connect(grid, cfg, mlp)
+        vecs = vectors(seq, sep)
+        weights = rng.standard_normal(vecs.shape)
+        batch_grads = tsum(mul(vecs, weights)).backward()
         zero_grad(leaves)
 
-        clips = [frontend_oracle.connect(frontend_oracle.AudioTokenGrid(grid[i]), cfg, mlp, sep)
-                 for i in range(b)]
-        for i, (vectors, segments) in enumerate(clips):
-            assert np.array_equal(seq.vectors.data[i], vectors.data)
+        clips = [frontend_oracle.connect(frontend_oracle.AudioTokenGrid(take(grid, i)), cfg,
+                                         mlp, sep) for i in range(b)]
+        for i, (clip, segments) in enumerate(clips):
+            assert np.array_equal(vecs.data[i], clip.data)
             assert list(seq.segments[i]) == segments
-        oracle = tsum(tz.concat([tz.mul(vectors, weights[i])
-                                 for i, (vectors, _) in enumerate(clips)], axis=0))
+        oracle = tsum(tz.concat([mul(clip, weights[i])
+                                 for i, (clip, _) in enumerate(clips)], axis=0))
         oracle_grads = oracle.backward()
         for leaf in leaves:
             if leaf is sep and variant == "concatenation":
@@ -217,7 +229,7 @@ class TestMlp:
         x = Tensor(np.random.default_rng(14).standard_normal((5, 6)))
         w = Tensor(np.random.default_rng(15).standard_normal((5, 4)))
         leaves = list(mlp.parameters().values()) + [x]
-        check_gradients(lambda: tsum(tz.mul(mlp_forward(x, mlp), w)), leaves)
+        check_gradients(lambda: tsum(mul(mlp_forward(x, mlp), w)), leaves)
 
     def test_input_dim_mismatch(self):
         cfg, mlp = build("concatenation", t=2, f=2, d_enc=3)
@@ -235,7 +247,12 @@ class TestConfig:
             build("frequency_major", sep_position="middle")
 
     def test_sep_embedding_shape_checked(self):
-        rng = np.random.default_rng(16)
-        cfg, mlp = build("time_major", t=2, f=2, d_enc=3)
-        with pytest.raises(ShapeError, match="separator"):
-            connect(make_grid(rng, 2, 2, 3), cfg, mlp, tz.zeros((5,)))
+        # the separator enters the captioner's one input table, on every
+        # layout and also where no position reads it
+        for variant in VARIANTS:
+            cap, train, _ = tiny_captioner(**{"connector.variant": variant})
+            cap.sep_embedding = tz.zeros((5,))
+            with pytest.raises(ShapeError, match="separator"):
+                cap.build_sequence(train[:2])
+            with pytest.raises(ShapeError, match="separator"):
+                cap.embed_tokens(np.array([[cap.vocab.sep_id]]))

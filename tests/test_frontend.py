@@ -17,7 +17,9 @@ LAYOUTS = [(v, p) for v in VARIANTS for p in ("prefix", "suffix")]
 
 def captioner_and_samples(variant, sep_position="prefix", trainable="true"):
     """A tiny captioner and 8 distinct clips; odd ones take the shorter
-    classification prompt and label, so prompts and captions vary in length."""
+    classification prompt and label, so prompts and captions vary in length.
+    The first prompt holds a "&&", so every batch reads the separator from
+    the token side too, on every layout."""
     cap, train, _ = tiny_captioner(**{
         "connector.variant": variant, "connector.sep_position": sep_position,
         "train.encoder_trainable": trainable, "data.n_train": 8,
@@ -25,6 +27,7 @@ def captioner_and_samples(variant, sep_position="prefix", trainable="true"):
     samples = [s if i % 2 == 0 else
                Sample(audio=s.audio, prompt=cap.cfg["data.classify_prompt"], caption=s.label)
                for i, s in enumerate(train)]
+    samples[0].prompt = samples[0].prompt.replace(" ", " && ", 1)
     return cap, samples
 
 
@@ -111,6 +114,22 @@ class TestBatchShape:
             logits, targets, mask, _ = cap.batch_forward(samples[:b])
             counts.append(tape_nodes(tz.cross_entropy(logits, targets, mask)))
         assert counts[0] == counts[1] == counts[2]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_the_sequence_is_one_gather(self, variant, monkeypatch):
+        # audio rows, separators, "&&" tokens and padding are all indices of
+        # one gather; nothing joins the segments on the tape
+        cap, samples = captioner_and_samples(variant)
+        cap.trainable_parameters()
+        calls = []
+        for name in ("embedding", "concat"):
+            def counted(*args, op=getattr(tz, name), name=name, **kwargs):
+                calls.append(name)
+                return op(*args, **kwargs)
+            monkeypatch.setattr(tz, name, counted)
+        seq, _, _ = cap.build_sequence(samples)
+        assert calls == ["embedding"]
+        assert seq.vectors.requires_grad
 
     @pytest.mark.parametrize("mode", ["train", "infer"])
     def test_padded_positions_are_zero_rows_labelled_pad(self, mode):

@@ -10,7 +10,7 @@ from mac.tensor import ContractError, ShapeError, Tensor
 import ssd_oracle
 from conftest import check_gradients, rel_err, using_dtype, zero_grad
 from ssd_oracle import TapedParams, taped_scan
-from tensor_oracle import exp, neg, softplus, tsum
+from tensor_oracle import exp, mul, neg, softplus, tsum
 
 E_NEG1 = 0.3678794411714423215955237701614609
 
@@ -240,7 +240,7 @@ class TestProperties:
             def fn():
                 params = TapedParams(dt=softplus(dt_raw), a=neg(exp(log_a)), B=bmat, C=cmat, x=x)
                 y, final = taped_scan(params, mode, chunk_len=3, initial=h0)
-                return tz.add(tsum(tz.mul(y, w)), tsum(tz.mul(final, w_state)))
+                return tz.add(tsum(mul(y, w)), tsum(mul(final, w_state)))
             return fn
 
         grads = {}
@@ -277,10 +277,10 @@ def scan_loss(scan, leaves, mode, on):
     rng = np.random.default_rng(99)
     terms = []
     if on in ("y", "both"):
-        terms.append(tsum(tz.mul(y, Tensor(rng.standard_normal(y.shape), dtype=y.dtype))))
+        terms.append(tsum(mul(y, Tensor(rng.standard_normal(y.shape), dtype=y.dtype))))
     if on in ("state", "both"):
         w = Tensor(rng.standard_normal(final.shape), dtype=final.dtype)
-        terms.append(tsum(tz.mul(final, w)))
+        terms.append(tsum(mul(final, w)))
     loss = terms[0] if len(terms) == 1 else tz.add(terms[0], terms[1])
     return y, final, loss
 

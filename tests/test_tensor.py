@@ -11,7 +11,7 @@ from mac.tensor import ContractError, ShapeError, Tensor
 
 import tensor_oracle
 from conftest import check_gradients, recorded_nodes, rel_err, using_dtype
-from tensor_oracle import broadcast_to, cast, cumsum, log, tsum
+from tensor_oracle import broadcast_to, cast, cumsum, log, mul, take, transpose, tsum, where_mask
 
 # ln(1 + e^-3) at 40-digit precision
 SOFTPLUS_NEG3 = 0.04858735157374205875892591985469
@@ -35,7 +35,7 @@ class TestMatmul:
         b = Tensor(rng.standard_normal((4, 2)))
         w = rng.standard_normal((3, 2))
         worst = check_gradients(
-            lambda: tsum(tz.mul(tz.matmul(a, b), Tensor(w))), [a, b]
+            lambda: tsum(mul(tz.matmul(a, b), Tensor(w))), [a, b]
         )
         assert worst < 1e-6
 
@@ -50,8 +50,8 @@ class TestMatmul:
         bb = Tensor(rng.standard_normal((5, 4, 2)))
         np.testing.assert_allclose(tz.matmul(a, b2).data, a.data @ b2.data)
         np.testing.assert_allclose(tz.matmul(a, bb).data, a.data @ bb.data)
-        check_gradients(lambda: tsum(tz.mul(tz.matmul(a, b2), 0.3)), [a, b2])
-        check_gradients(lambda: tsum(tz.mul(tz.matmul(a, bb), 0.3)), [a, bb])
+        check_gradients(lambda: tsum(mul(tz.matmul(a, b2), 0.3)), [a, b2])
+        check_gradients(lambda: tsum(mul(tz.matmul(a, bb), 0.3)), [a, bb])
 
 
 class TestSoftplus:
@@ -114,33 +114,33 @@ class TestActivationAccuracy:
 class TestBackward:
     def test_quadratic_form(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
-        loss = tsum(tz.mul(w, w))
+        loss = tsum(mul(w, w))
         grads = loss.backward()
         np.testing.assert_allclose(grads[w], [2.0, 4.0])
 
     def test_unused_leaf_gets_no_entry_and_zero_grad(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         u = Tensor([5.0], requires_grad=True)
-        loss = tsum(tz.mul(w, w))
+        loss = tsum(mul(w, w))
         grads = loss.backward()
         assert u not in grads and u.grad is None
 
     def test_nonscalar_loss_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError, match="scalar"):
-            tz.mul(w, w).backward()
+            mul(w, w).backward()
 
     def test_each_node_contributes_once(self):
         # diamond reuse: y = 2w + 3w must give gradient exactly 5
         w = Tensor(1.5, requires_grad=True)
-        loss = tz.add(tz.mul(w, 2.0), tz.mul(w, 3.0))
+        loss = tz.add(mul(w, 2.0), mul(w, 3.0))
         grads = loss.backward()
         assert grads[w] == 5.0
 
     def test_grad_accumulates_across_backward_calls(self):
         w = Tensor([2.0], requires_grad=True)
-        tsum(tz.mul(w, w)).backward()
-        tsum(tz.mul(w, w)).backward()
+        tsum(mul(w, w)).backward()
+        tsum(mul(w, w)).backward()
         np.testing.assert_allclose(w.grad, [8.0])
 
 
@@ -152,7 +152,7 @@ class TestPrimitiveGradients:
         for op in (tensor_oracle.exp, tensor_oracle.silu, tensor_oracle.softplus, tz.gelu,
                    tensor_oracle.relu, tensor_oracle.neg):
             x = Tensor(rng.standard_normal((3, 5)) * 0.8 + 0.3)
-            check_gradients(lambda op=op, x=x: tsum(tz.mul(op(x), 0.7)), [x])
+            check_gradients(lambda op=op, x=x: tsum(mul(op(x), 0.7)), [x])
 
     def test_log_and_oracle_power(self):
         rng = np.random.default_rng(3)
@@ -165,23 +165,23 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(4)
         a = Tensor(rng.standard_normal((4, 1, 3)))
         b = Tensor(rng.standard_normal((1, 5, 3)))
-        check_gradients(lambda: tsum(tz.mul(tz.add(a, b), tz.mul(a, b))), [a, b])
+        check_gradients(lambda: tsum(mul(tz.add(a, b), mul(a, b))), [a, b])
 
     def test_reductions_and_shape_ops(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.standard_normal((2, 3, 4)))
         w = Tensor(rng.standard_normal((2, 4, 3)))
-        check_gradients(lambda: tsum(tz.mul(tensor_oracle.tmean(x, axis=1), 2.0)), [x])
+        check_gradients(lambda: tsum(mul(tensor_oracle.tmean(x, axis=1), 2.0)), [x])
         check_gradients(
-            lambda: tsum(tz.mul(tz.transpose(x, (0, 2, 1)), w)), [x, w]
+            lambda: tsum(mul(transpose(x, (0, 2, 1)), w)), [x, w]
         )
-        check_gradients(lambda: tsum(tz.mul(tz.reshape(x, (6, 4)), 0.5)), [x])
-        check_gradients(lambda: tsum(tz.mul(x[:, 1:, :2], 3.0)), [x])
+        check_gradients(lambda: tsum(mul(tz.reshape(x, (6, 4)), 0.5)), [x])
+        check_gradients(lambda: tsum(mul(take(x, np.s_[:, 1:, :2]), 3.0)), [x])
         check_gradients(
-            lambda: tsum(tz.mul(tz.concat([x, x], axis=2), 0.25)), [x]
+            lambda: tsum(mul(tz.concat([x, x], axis=2), 0.25)), [x]
         )
         check_gradients(
-            lambda: tsum(tz.mul(broadcast_to(tz.reshape(x, (2, 3, 4, 1)), (2, 3, 4, 5)), 0.1)),
+            lambda: tsum(mul(broadcast_to(tz.reshape(x, (2, 3, 4, 1)), (2, 3, 4, 5)), 0.1)),
             [x],
         )
 
@@ -189,22 +189,32 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(6)
         x = Tensor(rng.standard_normal((3, 6)))
         scale = Tensor(rng.standard_normal((3, 6)))
-        check_gradients(lambda: tsum(tz.mul(cumsum(x, axis=1), scale)), [x])
+        check_gradients(lambda: tsum(mul(cumsum(x, axis=1), scale)), [x])
 
     def test_where_mask(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.standard_normal((5, 5)))
         keep = np.tril(np.ones((5, 5), dtype=bool))
-        out = tz.where_mask(x, keep, -7.0)
+        out = where_mask(x, keep, -7.0)
         assert np.all(out.data[~keep] == -7.0)
-        check_gradients(lambda: tsum(tz.mul(tz.where_mask(x, keep, 0.0), 2.0)), [x])
+        check_gradients(lambda: tsum(mul(where_mask(x, keep, 0.0), 2.0)), [x])
 
     def test_embedding(self):
         rng = np.random.default_rng(9)
         table = Tensor(rng.standard_normal((7, 4)))
         ids = np.array([[1, 1, 3], [0, 6, 1]])
         w = Tensor(rng.standard_normal((2, 3, 4)))
-        check_gradients(lambda: tsum(tz.mul(tz.embedding(table, ids), w)), [table])
+        check_gradients(lambda: tsum(mul(tz.embedding([table], ids), w)), [table])
+        # stacked tables: rows 0-2 are the first's, 3 the frozen one's, 4-8 the last's
+        first, last = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((5, 4)))
+        frozen = Tensor(rng.standard_normal((1, 4)))
+        ids = np.array([[4, 0, 3], [8, 3, 0]])
+        out = tz.embedding([first, frozen, last], ids)
+        assert np.array_equal(out.data, np.concatenate([first.data, frozen.data, last.data])[ids])
+        check_gradients(lambda: tsum(mul(tz.embedding([first, frozen, last], ids), w)),
+                        [first, last])
+        grads = tsum(mul(tz.embedding([first, frozen, last], ids), w)).backward()
+        assert frozen not in grads and not grads[first][1:].any()
 
     # K = 1 has an empty prefix; T = 1 and 2 are shorter than K-1 = 3 at K = 4
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -253,7 +263,7 @@ class TestPrimitiveGradients:
 
         def loss(prefix):  # through the output and the tail
             out, tail = tensor_oracle.conv1d_depthwise_causal(x, w, b, prefix)
-            return tz.add(tsum(tz.mul(out, scale)), tsum(tz.mul(tail, tail_scale)))
+            return tz.add(tsum(mul(out, scale)), tsum(mul(tail, tail_scale)))
 
         check_gradients(lambda: loss(cold), [x, w, b])
         warm = Tensor(rng.standard_normal((2, 3, 3)))
@@ -275,7 +285,7 @@ class TestPrimitiveGradients:
                         requires_grad=True)
         g = rng.standard_normal((2, t, 3))
         out, _ = tensor_oracle.conv1d_depthwise_causal(x, w, None, prefix)
-        grads = tsum(tz.mul(out, Tensor(g))).backward()
+        grads = tsum(mul(out, Tensor(g))).backward()
         gx, gprefix = np.zeros(x.shape), np.zeros(prefix.shape)
         tz._conv1d_input_grad(g, w.data, gx, gprefix)
         for got, leaf in ((gx, x), (gprefix, prefix)):  # at K = 1 the prefix is empty
@@ -322,7 +332,7 @@ class TestPrimitiveGradients:
         out = tz.rms_norm(x, w).data
         expect = x.data / np.sqrt((x.data**2).mean(-1, keepdims=True) + 1e-5) * w.data
         np.testing.assert_allclose(out, expect, atol=1e-12)
-        check_gradients(lambda: tsum(tz.mul(tz.rms_norm(x, w), 0.3)), [x, w])
+        check_gradients(lambda: tsum(mul(tz.rms_norm(x, w), 0.3)), [x, w])
 
 
 class TestRmsNormKernel:
@@ -338,7 +348,7 @@ class TestRmsNormKernel:
                    dtype=dtype)
         probe = Tensor(rng.standard_normal(shape), dtype=dtype)
         out = norm(x, w)
-        grads = tsum(tz.mul(out, probe)).backward()
+        grads = tsum(mul(out, probe)).backward()
         return out.data, grads[x], grads.get(w)
 
     @pytest.mark.parametrize("shape", [(3, 5, 8), (8,)])
@@ -371,7 +381,7 @@ class TestInvariants:
         x = Tensor(rng.standard_normal((3, 4, 5)))
         back = tz.reshape(tz.reshape(x, (12, 5)), (3, 4, 5))
         np.testing.assert_array_equal(back.data, x.data)
-        back = tz.transpose(tz.transpose(x, (2, 0, 1)), (1, 2, 0))
+        back = transpose(transpose(x, (2, 0, 1)), (1, 2, 0))
         np.testing.assert_array_equal(back.data, x.data)
 
     def test_seeded_determinism_bit_identical(self):
@@ -386,7 +396,7 @@ class TestInvariants:
     def test_no_grad_suppresses_tape(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with tz.no_grad():
-            y = tz.mul(x, x)
+            y = mul(x, x)
         assert not y.requires_grad and y._pairs == ()
 
     def test_float32_mode(self):
@@ -399,27 +409,27 @@ class TestInvariants:
 
     def test_python_scalar_takes_the_tensor_dtype(self):
         x = Tensor(np.linspace(-1, 1, 4), dtype=np.float32, requires_grad=True)
-        for out in (tz.mul(x, 0.5), tz.mul(0.5, x), tz.add(x, 1), tz.add(-1.5, x)):
+        for out in (mul(x, 0.5), mul(0.5, x), tz.add(x, 1), tz.add(-1.5, x)):
             assert out.dtype == np.float32
-        assert tsum(tz.mul(x, 0.5)).backward()[x].dtype == np.float32
+        assert tsum(mul(x, 0.5)).backward()[x].dtype == np.float32
         # fp64 results are what numpy gives for the plain arrays
         v = np.random.default_rng(16).standard_normal(5)
-        assert np.array_equal(tz.mul(Tensor(v), 0.1).data, v * 0.1)
+        assert np.array_equal(mul(Tensor(v), 0.1).data, v * 0.1)
         assert np.array_equal(tz.add(1e-5, Tensor(v)).data, 1e-5 + v)
 
     def test_take_returns_a_view(self):
         x = Tensor(np.random.default_rng(17).standard_normal((2, 3, 4)), requires_grad=True)
-        y = x[:, 1:, :2]
+        y = take(x, np.s_[:, 1:, :2])
         assert np.shares_memory(y.data, x.data)
         np.testing.assert_array_equal(y.data, x.data[:, 1:, :2])
         expected = np.zeros(x.shape)
         expected[:, 1:, :2] = 3.0
-        np.testing.assert_array_equal(tsum(tz.mul(y, 3.0)).backward()[x], expected)
-        assert x[1, 2, 3].data.shape == ()  # a full integer index gives a 0-d array
+        np.testing.assert_array_equal(tsum(mul(y, 3.0)).backward()[x], expected)
+        assert take(x, (1, 2, 3)).data.shape == ()  # a full integer index gives a 0-d array
 
     def test_cast_round_trip_through_graph(self):
         x = Tensor(np.linspace(-1, 1, 5), requires_grad=True)
-        y = tsum(tz.mul(cast(cast(x, np.float32), np.float64), 2.0))
+        y = tsum(mul(cast(cast(x, np.float32), np.float64), 2.0))
         grads = y.backward()
         assert grads[x].dtype == np.float64
         np.testing.assert_allclose(grads[x], 2.0)
@@ -433,7 +443,7 @@ class TestOptim:
         opt = optim.AdamW({"w": w}, lr=0.1)
         for _ in range(200):
             opt.zero_grad()
-            tsum(tz.mul(w, w)).backward()
+            tsum(mul(w, w)).backward()
             opt.step()
         assert np.abs(w.data).max() < 1e-2
 
@@ -441,7 +451,7 @@ class TestOptim:
         from mac import optim
 
         w = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        tsum(tz.mul(w, w)).backward()  # grad (6, 8), norm 10
+        tsum(mul(w, w)).backward()  # grad (6, 8), norm 10
         norm = optim.clip_grad_norm({"w": w}, 1.0)
         assert abs(norm - 10.0) < 1e-12
         assert abs(np.linalg.norm(w.grad) - 1.0) < 1e-9
