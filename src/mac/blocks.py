@@ -37,7 +37,7 @@ The node differentiates only what fine-tuning trains: its parents are the
 block input, the down/up factors of the in_proj and out_proj adapters and a
 carried state when one is passed. The base projections, the conv weight and
 bias, ``dt_bias``, ``log_a``, ``skip`` and ``gate_norm`` stay frozen, as
-``Captioner.trainable_parameters`` leaves them: the node reads them as
+``Captioner`` flags them when it is built: the node reads them as
 constants, so no gradient reaches them even where one is asked for.
 """
 

@@ -1,8 +1,10 @@
 """Parameter updates: gradient-norm clipping and decoupled-weight-decay Adam.
 
-Both operate on a name->Tensor mapping and touch parameters in sorted-name
-order; AdamW updates ``.data`` in place, which keeps training runs
-bit-reproducible.
+Gradients are values: both take a name->array mapping, as ``train_step``
+builds it from what ``Tensor.backward`` returns, and read it in sorted-name
+order. Clipping returns new arrays and leaves its argument as it was; AdamW
+updates each parameter's ``.data`` in place and never writes a gradient,
+which keeps training runs bit-reproducible.
 """
 
 from __future__ import annotations
@@ -12,25 +14,22 @@ import numpy as np
 from .tensor import Tensor
 
 
-def global_grad_norm(params: dict[str, Tensor]) -> float:
+def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     total = 0.0
-    for name in sorted(params):
-        g = params[name].grad
-        if g is not None:
-            total += float((g.astype(np.float64) ** 2).sum())
+    for name in sorted(grads):
+        total += float((grads[name].astype(np.float64, copy=False) ** 2).sum())
     return float(np.sqrt(total))
 
 
-def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
-    norm = global_grad_norm(params)
+def clip_grad_norm(grads: dict[str, np.ndarray],
+                   max_norm: float) -> tuple[dict[str, np.ndarray], float]:
+    """-> (gradients scaled so their global L2 norm is at most max_norm, the
+    norm before scaling). Unscaled, the argument itself comes back."""
+    norm = global_grad_norm(grads)
     if max_norm > 0 and norm > max_norm:
         scale = max_norm / (norm + 1e-12)
-        for name in sorted(params):
-            p = params[name]
-            if p.grad is not None:
-                p.grad = p.grad * scale
-    return norm
+        grads = {name: grads[name] * scale for name in sorted(grads)}
+    return grads, norm
 
 
 class AdamW:
@@ -51,16 +50,18 @@ class AdamW:
         self._m = {k: np.zeros_like(v.data) for k, v in self.params.items()}
         self._v = {k: np.zeros_like(v.data) for k, v in self.params.items()}
 
-    def step(self) -> None:
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update from ``grads`` by parameter name; a parameter with no
+        entry keeps its weight and moments."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for name in sorted(self.params):
-            p = self.params[name]
-            if p.grad is None:
+            g = grads.get(name)
+            if g is None:
                 continue
-            g = p.grad
+            p = self.params[name]
             m = self._m[name]
             v = self._v[name]
             m *= b1
@@ -71,8 +72,3 @@ class AdamW:
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data -= self.lr * update
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-

@@ -121,6 +121,10 @@ class Captioner:
         self._grid_cache: OrderedDict[str, np.ndarray] = OrderedDict()
         self._grid_weights = np.empty(0)
         self._mel_cache: OrderedDict[str, np.ndarray] = OrderedDict()
+        encoder = v["train.encoder_trainable"]
+        for name, t in self.named_parameters().items():
+            t.requires_grad = (name == "sep_embedding" or name.startswith("connector.")
+                               or ".lora." in name or (encoder and name.startswith("encoder.")))
 
     # -- parameters ---------------------------------------------------------
 
@@ -133,16 +137,9 @@ class Captioner:
 
     def trainable_parameters(self) -> dict[str, Tensor]:
         """Exactly: LoRA adapters, connector, separator embedding, and the
-        encoder when ``train.encoder_trainable``. Everything else is frozen
-        in place."""
-        encoder = self.cfg["train.encoder_trainable"]
-        chosen = {}
-        for name, t in self.named_parameters().items():
-            t.requires_grad = (name == "sep_embedding" or name.startswith("connector.")
-                               or ".lora." in name or (encoder and name.startswith("encoder.")))
-            if t.requires_grad:
-                chosen[name] = t
-        return chosen
+        encoder when ``train.encoder_trainable``, as ``__init__`` flagged
+        them. Everything else is frozen in place."""
+        return {name: t for name, t in self.named_parameters().items() if t.requires_grad}
 
     # -- audio path -----------------------------------------------------------
 
@@ -344,14 +341,14 @@ def make_train_state(captioner: Captioner, dump_dir: str | None = None) -> Train
 def train_step(state: TrainState, batch: list[Sample]) -> float:
     """One optimizer step of mean masked cross-entropy over the batch.
 
-    The step's leaf gradients stay in ``state.last_grads`` until the next
-    step's backward has made its own. Allocated last, they lie at the top of
-    the heap; freed at ``zero_grad``, they would let glibc hand the tape's
-    memory under them back to the OS, and the next forward would fault it
-    all in again: nearly every minor page fault of a warm time_major step.
+    The step's leaf gradients, which clipping and the optimizer read but
+    never write, stay in ``state.last_grads`` until the next step's backward
+    has made its own. Allocated last, they lie at the top of the heap; freed
+    before the next forward, they would let glibc hand the tape's memory
+    under them back to the OS, and that forward would fault it all in again:
+    nearly every minor page fault of a warm time_major step.
     """
     cap = state.captioner
-    state.optimizer.zero_grad()
     logits, targets, mask, _ = cap.batch_forward(batch, mode="train")
     loss = tz.cross_entropy(logits, targets, mask)
     value = loss.item()
@@ -361,9 +358,9 @@ def train_step(state: TrainState, batch: list[Sample]) -> float:
     leaves = loss.backward()
     state.last_grads = {name: leaves[p] for name, p in sorted(state.optimizer.params.items())
                         if p in leaves}
-    state.last_grad_norm = optim.clip_grad_norm(state.optimizer.params,
-                                                cap.cfg["train.clip_norm"])
-    state.optimizer.step()
+    grads, state.last_grad_norm = optim.clip_grad_norm(state.last_grads,
+                                                       cap.cfg["train.clip_norm"])
+    state.optimizer.step(grads)
     state.step += 1
     state.loss_history.append(value)
     return value

@@ -3,20 +3,21 @@
 numpy holds the data; this module owns the graph. Each differentiable
 primitive records one vector-Jacobian closure per input that needs a
 gradient, and ``backward`` on a scalar walks the tape once in reverse
-topological order, accumulating into ``.grad``. The one multi-gradient op,
-``fused``, records a kernel whose single adjoint returns every input's
-gradient at once. Its users are the Mamba block of ``mac.blocks`` (in_proj,
-conv, scan of ``mac.ssd`` and out_proj, one node per output), the patch
-encoder of ``mac.audio`` and ``embedding``, one gather from several tables
-(the LM input of ``mac.pipeline``). The adjoint runs once per output
-gradient, each input's tape entry takes its share, and a share of None
-reaches no gradient. A fused node differentiates only its parents. The
-block's are its input, its LoRA factors and a carried state, and it reads
-every frozen block weight as a constant; the encoder's are its layer
-weights and biases; the gather's are its tables. The array forms of the activations, norms and the causal conv
-(``_sigmoid``, ``_softplus``, ``_rms_norm``, ``conv1d_depthwise_causal``
-and its input adjoint) are shared with those kernels; ``rms_norm`` keeps
-its per-row r and rebuilds xhat in the adjoint.
+topological order and returns each leaf's gradient; no tensor keeps one.
+The one multi-gradient op, ``fused``, records a kernel whose single adjoint
+returns every input's gradient at once. Its users are the Mamba block of
+``mac.blocks`` (in_proj, conv, scan of ``mac.ssd`` and out_proj, one node
+per output), the patch encoder of ``mac.audio`` and ``embedding``, one
+gather from several tables (the LM input of ``mac.pipeline``). The adjoint
+runs once per output gradient, each input's tape entry takes its share, and
+a share of None reaches no gradient. A fused node differentiates only its
+parents. The block's are its input, its LoRA factors and a carried state,
+and it reads every frozen block weight as a constant; the encoder's are its
+layer weights and biases; the gather's are its tables. The array forms of
+the activations, norms and the causal conv (``_sigmoid``, ``_softplus``,
+``_rms_norm``, ``conv1d_depthwise_causal`` and its input adjoint) are
+shared with those kernels; ``rms_norm`` keeps its per-row r and rebuilds
+xhat in the adjoint.
 
 Two float widths are supported: float64 (the default, used by all oracle,
 equivalence and gradient tests) and float32 (``train.precision=fp32``).
@@ -76,10 +77,11 @@ class Tensor:
 
     ``data`` is row-major (C-order) numpy storage. Tensors are treated as
     immutable once built; the only sanctioned mutation is the optimizer's
-    in-place parameter update between steps.
+    in-place parameter update between steps. A tensor holds no gradient:
+    ``backward`` returns them.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_pairs")
+    __slots__ = ("data", "requires_grad", "_pairs")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -88,7 +90,6 @@ class Tensor:
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(_default_dtype)
         self.data: np.ndarray = arr
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         # (parent, vjp) pairs; vjp maps the output gradient to the parent's
         self._pairs: tuple = ()
@@ -119,8 +120,9 @@ class Tensor:
     def backward(self) -> dict["Tensor", np.ndarray]:
         """Reverse-mode pass from a scalar; returns {leaf: gradient}.
 
-        Gradients accumulate additively across uses and across successive
-        ``backward`` calls (the optimizer's ``zero_grad`` clears them between steps).
+        A leaf used more than once gets the sum of its uses' gradients. The
+        sums are kept in a map that lives only for this walk, each node's
+        leaving it as its adjoints run, so every call stands alone.
         """
         if self.shape != ():
             raise ContractError(
@@ -142,20 +144,19 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
-        self.grad = np.ones((), dtype=self.data.dtype)
+        grads: dict[Tensor, np.ndarray] = {self: np.ones((), dtype=self.data.dtype)}
         leaves: dict[Tensor, np.ndarray] = {}
         for node in reversed(topo):
-            g = node.grad
+            g = grads.pop(node, None)
             if g is None:
                 continue
             for parent, vjp in node._pairs:
                 pg = vjp(g)  # None: this output gradient does not reach the parent
                 if pg is not None:
-                    parent.grad = pg if parent.grad is None else parent.grad + pg
+                    prev = grads.get(parent)
+                    grads[parent] = pg if prev is None else prev + pg
             if not node._pairs and node.requires_grad:
-                leaves[node] = node.grad
-            if node is not self and node._pairs:
-                node.grad = None  # free intermediate gradients promptly
+                leaves[node] = g
         return leaves
 
 
@@ -167,7 +168,6 @@ def _node(data: np.ndarray, pairs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
     """Wrap an op result, recording vjp closures for parents that need them."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     if _grad_enabled:
         live = tuple((p, f) for p, f in pairs if p.requires_grad or p._pairs)
         out._pairs = live

@@ -28,12 +28,6 @@ def using_dtype(dtype):
         tz.set_default_dtype(prev)
 
 
-def zero_grad(params) -> None:
-    """Drop the accumulated gradient of every tensor in ``params``."""
-    for p in params:
-        p.grad = None
-
-
 def rel_err(a, b, floor: float = 1e-4) -> float:
     """Max elementwise relative error with an absolute floor for tiny values.
 
@@ -72,7 +66,6 @@ def check_gradients(fn, leaves, eps: float = 1e-4, tol: float = 1e-4) -> float:
     """
     for leaf in leaves:
         leaf.requires_grad = True
-        leaf.grad = None
     loss = fn()
     grad_map = loss.backward()
     worst = 0.0
@@ -81,7 +74,6 @@ def check_gradients(fn, leaves, eps: float = 1e-4, tol: float = 1e-4) -> float:
         assert analytic is not None, "leaf did not receive a gradient"
         numeric = numeric_grad(fn, leaf, eps=eps).reshape(leaf.shape)
         worst = max(worst, rel_err(analytic, numeric))
-        leaf.grad = None
     assert worst < tol, f"gradient mismatch: max rel err {worst:.3e}"
     return worst
 

@@ -26,7 +26,7 @@ from mac.audio import (
 from mac.tensor import ShapeError
 
 import frontend_oracle
-from conftest import check_gradients, recorded_nodes, zero_grad
+from conftest import check_gradients, recorded_nodes
 from tensor_oracle import mul, tsum
 
 
@@ -301,7 +301,6 @@ class TestEncoder:
         tokens = encode_mels(mels, enc)
         weights = np.random.default_rng(13).standard_normal(tokens.shape)
         batch_grads = tsum(mul(tokens, weights)).backward()
-        zero_grad(enc.parameters().values())
         grids = [frontend_oracle.encode(MelSpec(m), enc) for m in mels]
         for i, grid in enumerate(grids):
             assert np.array_equal(tokens.data[i], grid.tokens.data)
@@ -319,7 +318,6 @@ def trained_encode(fn, enc, rows, upstream):
     params = list(enc.parameters().values())
     for t in params:
         t.requires_grad = True
-        t.grad = None
     tokens = fn(rows, enc)
     grads = tsum(mul(tokens, upstream)).backward()
     return tokens.data, [grads[t] for t in params]

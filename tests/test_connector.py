@@ -8,7 +8,7 @@ from mac.connector import SEP, VARIANTS, ConnectorConfig, ConnectorMlp, connect,
 from mac.tensor import ContractError, ShapeError, Tensor
 
 import frontend_oracle
-from conftest import check_gradients, zero_grad
+from conftest import check_gradients
 from tensor_oracle import mul, take, tsum
 from test_pipeline import tiny_captioner
 
@@ -180,7 +180,6 @@ class TestBatchMatchesOracle:
         vecs = vectors(seq, sep)
         weights = rng.standard_normal(vecs.shape)
         batch_grads = tsum(mul(vecs, weights)).backward()
-        zero_grad(leaves)
 
         clips = [frontend_oracle.connect(frontend_oracle.AudioTokenGrid(take(grid, i)), cfg,
                                          mlp, sep) for i in range(b)]

@@ -268,6 +268,19 @@ class TestTraining:
         with_enc = cap.trainable_parameters()
         assert any(k.startswith("encoder.") for k in with_enc)
 
+    @pytest.mark.parametrize("encoder", ["true", "false"])
+    def test_trainable_flags_are_set_when_built(self, encoder):
+        # a fresh captioner's taped forward records what trains, whether or
+        # not anything asked which tensors those are; asking reads the flags
+        cap, train, _ = tiny_captioner(**{"train.encoder_trainable": encoder})
+        flagged = {n for n, t in cap.named_parameters().items() if t.requires_grad}
+        logits, targets, mask, _ = cap.batch_forward(train[:2])
+        grads = tz.cross_entropy(logits, targets, mask).backward()
+        reached = {n for n, t in cap.named_parameters().items() if t in grads}
+        assert set(cap.trainable_parameters()) == flagged
+        assert reached and reached <= flagged
+        assert any(n.startswith("encoder.") for n in reached) == (encoder == "true")
+
     @pytest.mark.parametrize("trainable, tape", [("false", True), ("true", False), ("true", True)],
                              ids=["false", "true", "tape"])
     def test_clip_caches_are_bounded_lru(self, monkeypatch, trainable, tape):
@@ -449,7 +462,7 @@ class TestTraining:
 
         assert not any("|g|max=" in line for line in diverge().values())  # step 0: none yet
         pipeline.train_step(state, train)
-        had_grad = {n for n, p in state.optimizer.params.items() if p.grad is not None}
+        had_grad = set(state.last_grads)
         assert had_grad and had_grad != set(state.optimizer.params)  # sep_embedding gets none
         lines = diverge()
         assert set(lines) == set(state.optimizer.params)
@@ -501,24 +514,43 @@ class TestStepMemory:
     what a forward or an off-tape encode holds stays bounded."""
 
     @pytest.mark.parametrize("variant", ["concatenation", "time_major"])
-    def test_kept_gradients_are_one_generation_of_pre_clip_leaves(self, variant):
+    def test_kept_gradients_are_one_generation_of_pre_clip_leaves(self, variant, monkeypatch):
         cap, train, _ = tiny_captioner(**{"connector.variant": variant,
                                           "train.clip_norm": "1e-3"})
         state = pipeline.make_train_state(cap)
-        params = state.optimizer.params
+        steps = record_steps(monkeypatch)
         pipeline.train_step(state, train)
         kept = state.last_grads
-        assert set(kept) == {n for n, p in params.items() if p.grad is not None}
+        (stepped, _), = steps
+        assert set(kept) == set(stepped)
         assert set(kept) <= set(cap.trainable_parameters())
         assert ("sep_embedding" in kept) == (variant != "concatenation")
         # kept before clipping: the optimizer stepped on the clipped ones
         assert grads_norm(kept) > 10 * 1e-3
-        assert abs(grads_norm({n: params[n].grad for n in kept}) - 1e-3) < 1e-9
+        assert abs(grads_norm(stepped) - 1e-3) < 1e-9
         refs = [weakref.ref(g) for g in kept.values()]
         del kept
         pipeline.train_step(state, train)
         gc.collect()
         assert all(r() is None for r in refs)
+
+    @pytest.mark.parametrize("variant", ["concatenation", "time_major"])
+    def test_an_unclipped_step_leaves_the_kept_gradients_as_they_were(self, variant,
+                                                                     monkeypatch):
+        # unclipped, the optimizer reads the kept arrays themselves, which the
+        # divergence dump reports; an update in place would change its figures
+        cap, train, _ = tiny_captioner(**{"connector.variant": variant,
+                                          "train.clip_norm": "0"})
+        state = pipeline.make_train_state(cap)
+        steps = record_steps(monkeypatch)
+        for _ in range(2):  # the second step starts from non-zero moments
+            pipeline.train_step(state, train)
+            stepped, on_entry = steps[-1]
+            assert stepped.keys() == on_entry.keys() == state.last_grads.keys()
+            for name, g in state.last_grads.items():
+                assert stepped[name] is g, name
+                assert g.dtype == on_entry[name].dtype, name
+                assert g.tobytes() == on_entry[name].tobytes(), name
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="counts what glibc's allocator returns to the OS")
@@ -573,7 +605,6 @@ class TestStepMemory:
     @pytest.mark.parametrize("variant", LAYOUTS)
     def test_a_training_forward_holds_a_bounded_tape(self, variant):
         cap, train, _ = tiny_captioner(**{"connector.variant": variant})
-        cap.trainable_parameters()
         cap.batch_forward(train)  # fills the mel cache, which is not the tape
         tracemalloc.start()
         try:
@@ -584,6 +615,20 @@ class TestStepMemory:
             tracemalloc.stop()
         assert loss.requires_grad
         assert held < self.HELD_BYTES[variant], held
+
+
+def record_steps(monkeypatch) -> list:
+    """Wrap ``AdamW.step`` to record, per call, its argument and a copy of
+    that argument's arrays taken on entry."""
+    calls = []
+    real_step = pipeline.optim.AdamW.step
+
+    def step(self, grads):
+        calls.append((grads, {name: g.copy() for name, g in grads.items()}))
+        real_step(self, grads)
+
+    monkeypatch.setattr(pipeline.optim.AdamW, "step", step)
+    return calls
 
 
 def grads_norm(grads: dict) -> float:

@@ -8,7 +8,7 @@ from mac import tensor as tz
 from mac.tensor import ContractError, ShapeError, Tensor
 
 import ssd_oracle
-from conftest import check_gradients, rel_err, using_dtype, zero_grad
+from conftest import check_gradients, rel_err, using_dtype
 from ssd_oracle import TapedParams, taped_scan
 from tensor_oracle import exp, mul, neg, softplus, tsum
 
@@ -245,14 +245,12 @@ class TestProperties:
 
         grads = {}
         for mode in ssd.MODES:
-            zero_grad(leaves)
             grads[mode] = loss_for(mode)().backward()
         for leaf in leaves:
             assert rel_err(grads["recurrent"][leaf], grads["chunked"][leaf]) < 1e-9
             assert rel_err(grads["recurrent"][leaf], grads["convolutional"][leaf]) < 1e-9
 
         for mode in ("chunked", "recurrent"):
-            zero_grad(leaves)
             check_gradients(loss_for(mode), leaves)
 
 
@@ -304,7 +302,6 @@ class TestKernelsMatchOracle:
                 for on in ("y", "state", "both"):
                     got, expect = [], []
                     for scan, out in ((taped_scan, got), (ssd_oracle.scan, expect)):
-                        zero_grad(leaves)
                         y, final, loss = scan_loss(scan, use, mode, on)
                         grads = loss.backward()
                         # C does not reach the final state: the tape has no gradient for it

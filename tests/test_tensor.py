@@ -118,12 +118,12 @@ class TestBackward:
         grads = loss.backward()
         np.testing.assert_allclose(grads[w], [2.0, 4.0])
 
-    def test_unused_leaf_gets_no_entry_and_zero_grad(self):
+    def test_unused_leaf_gets_no_entry(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         u = Tensor([5.0], requires_grad=True)
         loss = tsum(mul(w, w))
         grads = loss.backward()
-        assert u not in grads and u.grad is None
+        assert u not in grads
 
     def test_nonscalar_loss_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
@@ -137,11 +137,18 @@ class TestBackward:
         grads = loss.backward()
         assert grads[w] == 5.0
 
-    def test_grad_accumulates_across_backward_calls(self):
+    def test_each_backward_call_stands_alone(self):
+        # two calls on one graph, whose leaf w is used twice, return equal
+        # gradients, and no tensor of the graph keeps one
         w = Tensor([2.0], requires_grad=True)
-        tsum(mul(w, w)).backward()
-        tsum(mul(w, w)).backward()
-        np.testing.assert_allclose(w.grad, [8.0])
+        x = Tensor([3.0])
+        square, scaled = mul(w, w), mul(w, x)
+        loss = tsum(tz.add(square, scaled))
+        first, second = loss.backward(), loss.backward()
+        assert list(first) == list(second) == [w]
+        np.testing.assert_array_equal(first[w], [7.0])  # 2w + x
+        np.testing.assert_array_equal(second[w], first[w])
+        assert not any(hasattr(t, "grad") for t in (w, x, square, scaled, loss))
 
 
 class TestPrimitiveGradients:
@@ -442,19 +449,21 @@ class TestOptim:
         w = Tensor(np.array([5.0, -3.0]), requires_grad=True)
         opt = optim.AdamW({"w": w}, lr=0.1)
         for _ in range(200):
-            opt.zero_grad()
-            tsum(mul(w, w)).backward()
-            opt.step()
+            opt.step({"w": tsum(mul(w, w)).backward()[w]})
         assert np.abs(w.data).max() < 1e-2
 
     def test_clip_norm_scales_to_bound(self):
         from mac import optim
 
         w = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        tsum(mul(w, w)).backward()  # grad (6, 8), norm 10
-        norm = optim.clip_grad_norm({"w": w}, 1.0)
+        grads = {"w": tsum(mul(w, w)).backward()[w]}  # (6, 8), norm 10
+        clipped, norm = optim.clip_grad_norm(grads, 1.0)
         assert abs(norm - 10.0) < 1e-12
-        assert abs(np.linalg.norm(w.grad) - 1.0) < 1e-9
+        assert abs(np.linalg.norm(clipped["w"]) - 1.0) < 1e-9
+        np.testing.assert_array_equal(grads["w"], [6.0, 8.0])  # scaled into new arrays
+        for bound in (0.0, 10.0):  # off, and not exceeded: the argument comes back
+            kept, unscaled = optim.clip_grad_norm(grads, bound)
+            assert kept is grads and unscaled == norm
 
     def test_clip_scales_a_shared_gradient_once(self):
         from mac import optim
@@ -462,17 +471,19 @@ class TestOptim:
         # equal-shape operands of an add get one gradient array between them
         a = Tensor(np.array([3.0, 4.0]), requires_grad=True)
         b = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        tsum(tz.add(a, b)).backward()
-        assert a.grad is b.grad
-        norm = optim.clip_grad_norm({"a": a, "b": b}, 1.0)  # grads (1, 1) twice, norm 2
+        grads = tsum(tz.add(a, b)).backward()
+        assert grads[a] is grads[b]
+        # grads (1, 1) twice, norm 2
+        clipped, norm = optim.clip_grad_norm({"a": grads[a], "b": grads[b]}, 1.0)
         assert abs(norm - 2.0) < 1e-12
-        np.testing.assert_allclose(a.grad, 0.5, rtol=1e-9)
-        np.testing.assert_allclose(b.grad, 0.5, rtol=1e-9)
+        np.testing.assert_allclose(clipped["a"], 0.5, rtol=1e-9)
+        np.testing.assert_allclose(clipped["b"], 0.5, rtol=1e-9)
+        np.testing.assert_array_equal(grads[a], 1.0)
 
     def test_optimizer_skips_missing_grads(self):
         from mac import optim
 
         w = Tensor(np.array([1.0]), requires_grad=True)
         before = w.data.copy()
-        optim.AdamW({"w": w}, lr=0.1).step()
+        optim.AdamW({"w": w}, lr=0.1).step({})
         np.testing.assert_array_equal(w.data, before)
