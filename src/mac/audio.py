@@ -3,9 +3,12 @@
 The decode path is waveform -> 128-bin log-mel -> first-layer patch rows
 -> strided patch encoder. The encoder takes a whole batch, the patch rows of
 B clips concatenated, and produces tokens [B, T_a, F_a, d_enc]: a (time x
-frequency x channels) grid per clip. It is one fused tape node with a
-hand-written adjoint; the same stack composed of taped matmul, bias, ReLU
-and re-patching ops is kept in the tests as its oracle.
+frequency x channels) grid per clip. The rows are in nested order, so each
+later layer's patches are runs of consecutive rows of the output below and
+every layer reads its input as a view: the one transpose is the mel
+image's, into a clip's first-layer rows. The encoder is one fused tape node with
+a hand-written adjoint; the same stack composed of taped matmul, bias, ReLU
+and reshape ops is kept in the tests as its oracle.
 """
 
 from __future__ import annotations
@@ -269,17 +272,23 @@ class CnnEncoder:
 def patch_rows(mel: MelSpec, cfg: EncoderConfig) -> np.ndarray:
     """One clip's mel image cut into the first layer's patches -> [N, pt * pf].
 
-    Rows run over patches time-major, (t, f) -> t * (mel_bins // pf) + f;
-    each row holds its patch's pixels in (time, frequency) order.
+    Rows run in nested order: the mel image, viewed as
+    [grid_t, pt_L..pt_0, grid_f, pf_L..pf_0] for the strides of layers
+    L..0, is transposed to (grid_t, grid_f, pt_L, pf_L, ..., pt_1, pf_1 |
+    pt_0, pf_0). Each row holds its patch's pixels in (time, frequency)
+    order, and every run of pt_i * pf_i consecutive rows of layer i - 1's
+    output is one patch of layer i, in (time, frequency, channel) order.
     """
     if mel.frames.shape != (cfg.mel_frames, cfg.mel_bins):
         raise ShapeError(
             f"mel {mel.frames.shape} does not match encoder input "
             f"({cfg.mel_frames}, {cfg.mel_bins})"
         )
-    pt, pf = cfg.patches[0]
-    t, f = cfg.mel_frames // pt, cfg.mel_bins // pf
-    return mel.frames.reshape(t, pt, f, pf).transpose(0, 2, 1, 3).reshape(t * f, pt * pf)
+    n = len(cfg.patches)
+    pts, pfs = zip(*reversed(cfg.patches))
+    order = [0, n + 1] + [a for i in range(n) for a in (1 + i, n + 2 + i)]
+    x = mel.frames.reshape(cfg.grid_t, *pts, cfg.grid_f, *pfs).transpose(order)
+    return x.reshape(-1, pts[-1] * pfs[-1])
 
 
 def encode(rows, encoder: CnnEncoder) -> Tensor:
@@ -287,41 +296,36 @@ def encode(rows, encoder: CnnEncoder) -> Tensor:
 
     ``rows`` is the clips' ``patch_rows``, concatenated. One tape node over
     the encoder weights. Each layer is one matmul with the bias added and
-    ReLU taken in place; on the tape the forward keeps every layer's input
-    patch matrix and output. The adjoint walks the layers in reverse:
-    ``X.T @ g`` and ``g.sum(axis=0)`` are a layer's weight and bias
-    gradients, and ``g @ W.T``, un-patched and masked where the layer
-    below's output is not positive, is that layer's ``g``. A frozen encoder
-    is the caller's ``tz.no_grad()`` around this call: off the tape, no
-    gradient can reach the encoder weights and nothing is kept.
+    ReLU taken in place. In ``patch_rows``' nested order a layer's patches
+    are runs of consecutive rows of the output below, so each layer reads
+    its input as a reshaped view of that output; on the tape the forward
+    keeps these inputs, views that share the outputs' memory. The adjoint
+    walks the layers in reverse: ``X.T @ g`` and ``g.sum(axis=0)`` are a
+    layer's weight and bias gradients, and ``g @ W.T``, masked where the
+    layer below's output is not positive and reshaped to its rows, is that
+    layer's ``g``. A frozen encoder is the caller's ``tz.no_grad()`` around
+    this call: off the tape, no gradient can reach the encoder weights and
+    nothing is kept.
     """
     cfg = encoder.cfg
-    t, f = cfg.mel_frames, cfg.mel_bins
     pt, pf = cfg.patches[0]
-    per_clip = (t // pt) * (f // pf)
+    per_clip = (cfg.mel_frames // pt) * (cfg.mel_bins // pf)
     x = Tensor(rows).data
     if x.ndim != 2 or x.shape[0] % per_clip or x.shape[1] != pt * pf:
         raise ShapeError(f"patch rows {x.shape} are not whole clips of {per_clip}x{pt * pf}")
     b = x.shape[0] // per_clip
     keep = tz.grad_enabled()
-    inputs, cuts, outputs = [], [], []  # per layer: patch matrix, its 6-d cut, output
+    inputs = []  # per layer: its patch matrix, a view of the output below
     last = len(encoder.layers) - 1
     for i, ((pt, pf), (w, bias)) in enumerate(zip(cfg.patches, encoder.layers)):
-        if i:  # cut the previous layer's [B * t * f, c] output into this layer's patches
-            c = x.shape[1]
-            x = x.reshape(b, t // pt, pt, f // pf, pf, c).transpose(0, 1, 3, 2, 4, 5)
-            cut = x.shape
-            x = x.reshape(b * (t // pt) * (f // pf), pt * pf * c)
+        if i:
+            x = x.reshape(-1, pt * pf * x.shape[1])
         if keep:
             inputs.append(x)
-            cuts.append(cut if i else None)
         x = x @ w.data
         x += bias.data
         if i < last:
             np.maximum(x, 0.0, out=x)
-            if keep:
-                outputs.append(x)
-        t, f = t // pt, f // pf
 
     def vjp(g):
         g = g.reshape(-1, g.shape[-1])
@@ -331,11 +335,10 @@ def encode(rows, encoder: CnnEncoder) -> Tensor:
             grads += [g.sum(axis=0) if bias.requires_grad else None,
                       inputs[i].T @ g if w.requires_grad else None]
             if i:
-                below = outputs[i - 1]
-                g = (g @ w.data.T).reshape(cuts[i]).transpose(0, 1, 3, 2, 4, 5)
-                g = g.reshape(below.shape)
-                g *= below > 0
+                g = g @ w.data.T
+                g *= inputs[i] > 0
+                g = g.reshape(-1, encoder.layers[i - 1][0].shape[1])
         return grads[::-1]
 
-    return tz.fused(x.reshape(b, t, f, x.shape[1]),
+    return tz.fused(x.reshape(b, cfg.grid_t, cfg.grid_f, x.shape[1]),
                     [p for layer in encoder.layers for p in layer], vjp)

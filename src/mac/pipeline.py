@@ -30,8 +30,11 @@ after an optimizer step misses on every eval clip. The grids equal a batch
 encode's bit for bit, since each encoder row is computed on its own. A
 cached grid is valid only while the encoder weights equal those that made
 it; an optimizer step or an in-place edit of the weights clears the cache.
+The mel cache holds each clip's first-layer patch rows in
+``audio.patch_rows``' nested order, made by the clip's one transpose, so
+every later encoder layer reads its patches as a view of the output below.
 Only the encode that a gradient reaches (tape on, trainable encoder) fills
-the mel cache, the one path that reads a clip's mel again; the others read
+the mel cache, the one path that reads a clip's rows again; the others read
 it but keep no miss. That encode concatenates its batch and runs one GEMM
 per layer, so the weight gradients keep their summation order.
 """
@@ -175,9 +178,10 @@ class Captioner:
         return Tensor(np.stack([grids[key] for key in keys]))
 
     def _clip_rows(self, sample: Sample, keep: bool) -> np.ndarray:
-        """One clip's first-layer patch rows. They are read from the mel
-        cache (the mel image depends only on the clip, never on weights); a
-        miss's rows are cached only with ``keep``."""
+        """One clip's first-layer patch rows, in ``audiomod.patch_rows``'
+        nested order. They are read from the mel cache (the mel image
+        depends only on the clip, never on weights); a miss's rows, one
+        transpose of its mel image, are cached only with ``keep``."""
         key = _clip_key(sample)
         rows = _cache_get(self._mel_cache, key)
         if rows is None:

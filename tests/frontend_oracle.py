@@ -10,8 +10,11 @@ its own mel images, which depend on the clip alone. ``test_frontend.py``
 compares the batch path against it.
 
 ``encode_batch`` is the batch encoder as a composition of taped ops, one
-node per matmul, bias, ReLU and re-patching: the oracle of the one fused node
-that ``audio.encode`` records.
+node per matmul, bias, ReLU and re-patching reshape: the oracle of the one
+fused node that ``audio.encode`` records. It reads ``audio.patch_rows``'
+nested row order, in which each layer's patches are runs of consecutive rows
+of the output below. ``encode`` cuts every layer's patches out of the mel
+image itself, with no nesting, and so checks that layout independently.
 """
 
 from __future__ import annotations
@@ -96,24 +99,19 @@ def encode_batch(rows, encoder: audiomod.CnnEncoder) -> Tensor:
     gradient can reach the encoder weights.
     """
     cfg = encoder.cfg
-    t, f = cfg.mel_frames, cfg.mel_bins
     pt, pf = cfg.patches[0]
-    per_clip = (t // pt) * (f // pf)
+    per_clip = (cfg.mel_frames // pt) * (cfg.mel_bins // pf)
     x = Tensor(rows)
     if x.ndim != 2 or x.shape[0] % per_clip or x.shape[1] != pt * pf:
         raise ShapeError(f"patch rows {x.shape} are not whole clips of {per_clip}x{pt * pf}")
     b = x.shape[0] // per_clip
     for i, ((pt, pf), (w, bias)) in enumerate(zip(cfg.patches, encoder.layers)):
-        if i:  # cut the previous layer's [B * t * f, c] output into this layer's patches
-            c = x.shape[1]
-            x = tz.reshape(x, (b, t // pt, pt, f // pf, pf, c))
-            x = transpose(x, (0, 1, 3, 2, 4, 5))
-            x = tz.reshape(x, (b * (t // pt) * (f // pf), pt * pf * c))
+        if i:  # in nested order a patch is pt * pf consecutive rows of the output below
+            x = tz.reshape(x, (x.shape[0] // (pt * pf), pt * pf * x.shape[1]))
         x = tz.add(tz.matmul(x, w), bias)
         if i < len(encoder.layers) - 1:
             x = relu(x)
-        t, f = t // pt, f // pf
-    return tz.reshape(x, (b, t, f, x.shape[1]))
+    return tz.reshape(x, (b, cfg.grid_t, cfg.grid_f, x.shape[1]))
 
 
 def connect(grid: AudioTokenGrid, cfg, mlp, sep_embedding: Tensor) -> tuple[Tensor, list[str]]:

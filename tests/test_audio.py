@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,10 +292,33 @@ class TestEncoder:
                                              [12, 13, 14, 18, 19, 20],
                                              [15, 16, 17, 21, 22, 23]])
 
-    def test_batch_equals_clip_by_clip_oracle(self):
-        # every clip's tokens equal the per-clip encoder's, bit for bit, at any
-        # position in the batch; the weight gradients agree to rounding
-        enc = CnnEncoder(desk_encoder(), np.random.default_rng(9))
+    def test_patch_rows_nest_each_layer_in_the_one_below(self):
+        # both layers stride in time and frequency; rows run (grid t, grid f,
+        # layer 1's dt, df | layer 0's pixels), so each run of 2 x 2 rows is
+        # one layer-1 patch in (time, freq) order
+        cfg = EncoderConfig(d_enc=1, channels=(1,), mel_frames=8, mel_bins=12,
+                            patches=((2, 3), (2, 2)))
+        assert (cfg.grid_t, cfg.grid_f) == (2, 2)
+        frames = np.arange(96, dtype=float).reshape(8, 12)
+        rows = patch_rows(MelSpec(frames), cfg)
+        np.testing.assert_array_equal(rows, [
+            [0, 1, 2, 12, 13, 14], [3, 4, 5, 15, 16, 17],  # grid (0, 0)
+            [24, 25, 26, 36, 37, 38], [27, 28, 29, 39, 40, 41],
+            [6, 7, 8, 18, 19, 20], [9, 10, 11, 21, 22, 23],  # grid (0, 1)
+            [30, 31, 32, 42, 43, 44], [33, 34, 35, 45, 46, 47],
+            [48, 49, 50, 60, 61, 62], [51, 52, 53, 63, 64, 65],  # grid (1, 0)
+            [72, 73, 74, 84, 85, 86], [75, 76, 77, 87, 88, 89],
+            [54, 55, 56, 66, 67, 68], [57, 58, 59, 69, 70, 71],  # grid (1, 1)
+            [78, 79, 80, 90, 91, 92], [81, 82, 83, 93, 94, 95]])
+
+    @pytest.mark.parametrize("patches", [None, ((2, 2),) * 4, ((2, 4), (4, 2), (2, 2), (1, 1))],
+                             ids=["desk", "paper", "mixed"])
+    def test_batch_equals_clip_by_clip_oracle(self, patches):
+        # every clip's tokens equal the per-clip encoder's, which cuts each
+        # layer out of the mel image itself, bit for bit, at any position in
+        # the batch; the weight gradients agree to rounding
+        cfg = desk_encoder() if patches is None else desk_encoder(patches=patches)
+        enc = CnnEncoder(cfg, np.random.default_rng(9))
         for t in enc.parameters().values():
             t.requires_grad = True
         mels = [np.random.default_rng(10 + i).standard_normal((1024, 128)) for i in range(3)]
@@ -351,6 +375,42 @@ class TestFusedEncoder:
         assert len(grads) == 8
         for got, want in zip(grads, want_grads):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    # bytes an encode may hold or allocate beyond its arrays' data, for the
+    # tape node, the loss and the gradient map: about 3 kB held was seen
+    MEMORY_SLACK = 64 * 1024
+
+    def test_tape_holds_the_layer_outputs_once(self):
+        # at the nano geometry, 8 clips: each layer reads the output below as
+        # a view, so the tape holds every layer's output and the tokens once
+        # (a copied patch matrix per layer held 5.2 MB more); the adjoint makes
+        # one gradient per layer output, freeing each as it goes below, and
+        # the 1-byte ReLU mask of the layer below
+        cfg = desk_encoder()
+        enc = CnnEncoder(cfg, np.random.default_rng(3141))
+        for t in enc.parameters().values():
+            t.requires_grad = True
+        rows = clip_rows(cfg, 8, 3142)
+        upstream = np.random.default_rng(3143).standard_normal(
+            (8, cfg.grid_t, cfg.grid_f, cfg.d_enc))
+        out_bytes, pixels = [], 8 * cfg.mel_frames * cfg.mel_bins
+        for (pt, pf), (w, _) in zip(cfg.patches, enc.layers):
+            pixels //= pt * pf  # one output row per patch
+            out_bytes.append(pixels * w.shape[1] * np.dtype(np.float64).itemsize)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tokens = encode(rows, enc)
+            held = tracemalloc.get_traced_memory()[0] - before
+            loss = tsum(mul(tokens, upstream))
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= sum(out_bytes) + self.MEMORY_SLACK, (held, out_bytes)
+        assert peak <= sum(out_bytes) + max(out_bytes) // 8 + self.MEMORY_SLACK, (peak, out_bytes)
 
     def test_gradients_match_central_differences(self):
         # two hidden layers, and every layer's patch strides more than one pixel
