@@ -1,14 +1,16 @@
 """Audio ingestion: RIFF/WAVE decoding, mel front-end, CNN patch encoder.
 
 The decode path is waveform -> 128-bin log-mel -> first-layer patch rows
--> strided patch encoder. The encoder takes a whole batch, the patch rows of
-B clips concatenated, and produces tokens [B, T_a, F_a, d_enc]: a (time x
-frequency x channels) grid per clip. The rows are in nested order, so each
-later layer's patches are runs of consecutive rows of the output below and
-every layer reads its input as a view: the one transpose is the mel
-image's, into a clip's first-layer rows. The encoder is one fused tape node with
-a hand-written adjoint; the same stack composed of taped matmul, bias, ReLU
-and reshape ops is kept in the tests as its oracle.
+-> strided patch encoder. The encoder takes a whole batch, one patch-row
+array per clip, and produces tokens [B, T_a, F_a, d_enc]: a (time x
+frequency x channels) grid per clip. Its first layer reads each clip's
+array in place, and the layers above run once over the batch. The rows are
+in nested order, so each later layer's patches are runs of consecutive rows
+of the output below and every layer reads its input as a view: the one
+transpose is the mel image's, into a clip's first-layer rows. The encoder
+is one fused tape node with a hand-written adjoint; the same stack composed
+of taped matmul, bias, ReLU and reshape ops is kept in the tests as its
+oracle.
 """
 
 from __future__ import annotations
@@ -294,15 +296,19 @@ def patch_rows(mel: MelSpec, cfg: EncoderConfig) -> np.ndarray:
 def encode(rows, encoder: CnnEncoder) -> Tensor:
     """Run the patch stack over B clips -> tokens [B, T_a, F_a, d_enc].
 
-    ``rows`` is the clips' ``patch_rows``, concatenated. One tape node over
-    the encoder weights. Each layer is one matmul with the bias added and
-    ReLU taken in place. In ``patch_rows``' nested order a layer's patches
-    are runs of consecutive rows of the output below, so each layer reads
-    its input as a reshaped view of that output; on the tape the forward
-    keeps these inputs, views that share the outputs' memory. The adjoint
-    walks the layers in reverse: ``X.T @ g`` and ``g.sum(axis=0)`` are a
-    layer's weight and bias gradients, and ``g @ W.T``, masked where the
-    layer below's output is not positive and reshaped to its rows, is that
+    ``rows`` holds the clips' ``patch_rows``, one array per clip. One tape
+    node over the encoder weights. The first layer writes each clip's
+    product into that clip's rows of one output; each layer above is one
+    matmul over the whole batch. Every layer adds its bias and takes ReLU in
+    place. In ``patch_rows``' nested order a layer's patches are runs of
+    consecutive rows of the output below, so each layer above the first
+    reads its input as a reshaped view of that output. On the tape the
+    forward keeps the clips' arrays themselves and these views, so it holds
+    no copy of any layer input. The adjoint walks the layers in reverse:
+    ``X.T @ g`` and ``g.sum(axis=0)`` are a layer's weight and bias
+    gradients (the first layer's weight gradient sums each clip's
+    ``X_c.T @ g_c`` in clip order), and ``g @ W.T``, masked where the layer
+    below's output is not positive and reshaped to its rows, is that
     layer's ``g``. A frozen encoder is the caller's ``tz.no_grad()`` around
     this call: off the tape, no gradient can reach the encoder weights and
     nothing is kept.
@@ -310,19 +316,27 @@ def encode(rows, encoder: CnnEncoder) -> Tensor:
     cfg = encoder.cfg
     pt, pf = cfg.patches[0]
     per_clip = (cfg.mel_frames // pt) * (cfg.mel_bins // pf)
-    x = Tensor(rows).data
-    if x.ndim != 2 or x.shape[0] % per_clip or x.shape[1] != pt * pf:
-        raise ShapeError(f"patch rows {x.shape} are not whole clips of {per_clip}x{pt * pf}")
-    b = x.shape[0] // per_clip
+    clips = [Tensor(r).data for r in rows]
+    if not clips:
+        raise ShapeError("no clips to encode")
+    for c, clip in enumerate(clips):
+        if clip.shape != (per_clip, pt * pf):
+            raise ShapeError(f"patch rows of clip {c} have shape {clip.shape}, "
+                             f"expected ({per_clip}, {pt * pf})")
     keep = tz.grad_enabled()
-    inputs = []  # per layer: its patch matrix, a view of the output below
+    w0, bias0 = encoder.layers[0]
+    x = np.empty((len(clips) * per_clip, w0.shape[1]),
+                 np.result_type(clips[0], w0.data))
+    for c, clip in enumerate(clips):
+        np.matmul(clip, w0.data, out=x[c * per_clip : (c + 1) * per_clip])
+    inputs = [None]  # per layer above the first: its patch matrix, a view of the output below
     last = len(encoder.layers) - 1
     for i, ((pt, pf), (w, bias)) in enumerate(zip(cfg.patches, encoder.layers)):
         if i:
             x = x.reshape(-1, pt * pf * x.shape[1])
-        if keep:
-            inputs.append(x)
-        x = x @ w.data
+            if keep:
+                inputs.append(x)
+            x = x @ w.data
         x += bias.data
         if i < last:
             np.maximum(x, 0.0, out=x)
@@ -330,15 +344,19 @@ def encode(rows, encoder: CnnEncoder) -> Tensor:
     def vjp(g):
         g = g.reshape(-1, g.shape[-1])
         grads = []
-        for i in range(last, -1, -1):
+        for i in range(last, 0, -1):
             w, bias = encoder.layers[i]
             grads += [g.sum(axis=0) if bias.requires_grad else None,
                       inputs[i].T @ g if w.requires_grad else None]
-            if i:
-                g = g @ w.data.T
-                g *= inputs[i] > 0
-                g = g.reshape(-1, encoder.layers[i - 1][0].shape[1])
+            g = g @ w.data.T
+            g *= inputs[i] > 0
+            g = g.reshape(-1, encoder.layers[i - 1][0].shape[1])
+        gw0 = None
+        for c, clip in enumerate(clips if w0.requires_grad else ()):
+            part = clip.T @ g[c * per_clip : (c + 1) * per_clip]
+            gw0 = part if gw0 is None else np.add(gw0, part, out=gw0)
+        grads += [g.sum(axis=0) if bias0.requires_grad else None, gw0]
         return grads[::-1]
 
-    return tz.fused(x.reshape(b, cfg.grid_t, cfg.grid_f, x.shape[1]),
+    return tz.fused(x.reshape(len(clips), cfg.grid_t, cfg.grid_f, x.shape[1]),
                     [p for layer in encoder.layers for p in layer], vjp)

@@ -23,6 +23,7 @@ the separator, the trainable embedding of the reserved "&&" token.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,11 +127,59 @@ class ConnectorMlp:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
 
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def _gelu(pre: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """tanh-approximation GELU 0.5 x (1 + t) from x and its t =
+    tanh(c (x + 0.044715 x^3))."""
+    out = t + 1.0
+    out *= 0.5 * pre
+    return out
+
+
 def mlp_forward(x: Tensor, mlp: ConnectorMlp) -> Tensor:
-    if x.shape[-1] != mlp.w1.shape[0]:
-        raise ShapeError(f"MLP input dim {x.shape[-1]} != weight dim {mlp.w1.shape[0]}")
-    h = tz.gelu(tz.add(tz.matmul(x, mlp.w1), mlp.b1))
-    return tz.add(tz.matmul(h, mlp.w2), mlp.b2)
+    """Rows [N, d_in] -> gelu(x w1 + b1) w2 + b2, [N, d_model].
+
+    One tape node. It keeps the pre-activation and its tanh, and not the
+    GELU output: the adjoint rebuilds that by the forward's own operations,
+    so every gradient is the one the composed ops would give, bit for bit.
+    """
+    if x.ndim != 2 or x.shape[1] != mlp.w1.shape[0]:
+        raise ShapeError(f"MLP input {x.shape} is not rows of the weight dim {mlp.w1.shape[0]}")
+    w1, b1, w2, b2 = mlp.w1, mlp.b1, mlp.w2, mlp.b2
+    pre = x.data @ w1.data
+    pre += b1.data
+    t = pre * pre  # the tanh's argument, then the tanh
+    t *= pre
+    t *= 0.044715
+    t += pre
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = _gelu(pre, t) @ w2.data
+    out += b2.data
+
+    def vjp(g):
+        gw2 = _gelu(pre, t).T @ g if w2.requires_grad else None
+        gb2 = g.sum(axis=0) if b2.requires_grad else None
+        gh = g @ w2.data.T
+        slope = pre * pre  # d inner / dx = c (1 + 3 * 0.044715 x^2)
+        slope *= 3 * 0.044715
+        slope += 1.0
+        slope *= _GELU_C
+        factor = t * t  # 0.5 x (1 - t^2) d inner / dx + 0.5 (1 + t)
+        np.subtract(1.0, factor, out=factor)
+        factor *= 0.5 * pre
+        factor *= slope
+        np.add(t, 1.0, out=slope)
+        slope *= 0.5
+        factor += slope
+        gpre = np.multiply(gh, factor, out=factor if factor.dtype == gh.dtype else None)
+        return [gpre @ w1.data.T if x.requires_grad else None,
+                x.data.T @ gpre if w1.requires_grad else None,
+                gpre.sum(axis=0) if b1.requires_grad else None, gw2, gb2]
+
+    return tz.fused(out, [x, w1, b1, w2, b2], vjp)
 
 
 def connect(tokens: Tensor, cfg: ConnectorConfig, mlp: ConnectorMlp) -> AudioRows:

@@ -35,15 +35,22 @@ The mel cache holds each clip's first-layer patch rows in
 every later encoder layer reads its patches as a view of the output below.
 Only the encode that a gradient reaches (tape on, trainable encoder) fills
 the mel cache, the one path that reads a clip's rows again; the others read
-it but keep no miss. That encode concatenates its batch and runs one GEMM
-per layer, so the weight gradients keep their summation order.
+it but keep no miss. That encode hands ``audio.encode`` the cached arrays
+themselves, one per clip, and its tape keeps them with no copy.
+
+Training pins glibc's heap trim and mmap thresholds once per process
+(``make_train_state``), so the memory one step frees is the memory the
+next step reuses, whatever the order or size of its allocations.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import io
 import os
+import platform
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -60,6 +67,18 @@ from .vocab import Vocab
 # entries kept in each of a Captioner's per-clip caches (least recently used
 # goes first); far above the clips any one training or eval pass touches
 CACHE_ENTRIES = 256
+
+# glibc malloc thresholds that training pins (``_fix_allocator``), sized from
+# the largest array a nano step allocates: the first encoder layer's output
+# for a batch, 8 clips x 4096 rows x 16 channels of float64, 4 MiB. Every
+# array up to 8 times that comes from the heap, not from its own mmap (32 MiB
+# is also glibc's upper limit), and up to 32 times that, above the 57 MB a
+# warm time_major step allocates and frees, may lie free at the heap top
+# without being handed back to the OS.
+_LARGEST_STEP_ARRAY = 8 * 4096 * 16 * 8
+_MMAP_THRESHOLD = 8 * _LARGEST_STEP_ARRAY
+_TRIM_THRESHOLD = 32 * _LARGEST_STEP_ARRAY
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters in glibc's malloc.h
 
 
 def _cache_get(cache: OrderedDict, key: str):
@@ -149,32 +168,37 @@ class Captioner:
     def audio_tokens(self, samples: list[Sample]) -> Tensor:
         """Encoder tokens [B, T_a, F_a, d_enc] of the samples' clips.
 
-        The encoder runs on the tape, once over the whole batch, only when a
-        gradient can reach it: the tape is recording and the encoder is
-        trainable; that call also keeps its clips' mel rows. Every other
-        call takes each clip's grid from the cache and encodes the misses
-        off the tape one clip at a time, keeping no mel rows, so no encode
-        holds more than one clip's patch rows and activations however many
-        clips miss. A cached grid is valid only while the encoder weights
-        equal the ones that made it: each such call compares them with a
-        kept copy and clears the cache when they differ (NaN weights always
-        differ).
+        One loop over the clips serves both cache rules. When a gradient can
+        reach the encoder (the tape is recording and the encoder is
+        trainable), it collects each clip's patch rows from the mel cache,
+        keeping a miss's, and the encoder runs once on the tape over the
+        list. Otherwise it takes each clip's grid from the grid cache and
+        encodes a miss off the tape on its own, keeping no mel rows, so no
+        encode holds more than one clip's patch rows and activations however
+        many clips miss. A cached grid is valid only while the encoder
+        weights equal the ones that made it: each such call compares them
+        with a kept copy and clears the cache when they differ (NaN weights
+        always differ).
         """
-        if tz.grad_enabled() and self.cfg["train.encoder_trainable"]:
-            rows = np.concatenate([self._clip_rows(s, keep=True) for s in samples])
-            return audiomod.encode(rows, self.encoder)
-        weights = np.concatenate([t.data.ravel() for t in self.encoder.parameters().values()])
-        if not np.array_equal(weights, self._grid_weights):
-            self._grid_cache.clear()
-            self._grid_weights = weights
+        on_tape = tz.grad_enabled() and self.cfg["train.encoder_trainable"]
         keys = [_clip_key(s) for s in samples]
-        grids = {key: _cache_get(self._grid_cache, key) for key in keys}
-        todo = {key: s for key, s in zip(keys, samples) if grids[key] is None}
-        with tz.no_grad():
-            for key, sample in todo.items():
-                grids[key] = audiomod.encode(self._clip_rows(sample, keep=False),
-                                             self.encoder).data[0]
+        rows, grids = [], {}
+        if not on_tape:
+            weights = np.concatenate([t.data.ravel() for t in self.encoder.parameters().values()])
+            if not np.array_equal(weights, self._grid_weights):
+                self._grid_cache.clear()
+                self._grid_weights = weights
+            grids = {key: _cache_get(self._grid_cache, key) for key in keys}
+        for key, sample in zip(keys, samples):
+            if on_tape:
+                rows.append(self._clip_rows(sample, keep=True))
+            elif grids[key] is None:
+                with tz.no_grad():
+                    grids[key] = audiomod.encode([self._clip_rows(sample, keep=False)],
+                                                 self.encoder).data[0]
                 _cache_put(self._grid_cache, key, grids[key])
+        if on_tape:
+            return audiomod.encode(rows, self.encoder)
         return Tensor(np.stack([grids[key] for key in keys]))
 
     def _clip_rows(self, sample: Sample, keep: bool) -> np.ndarray:
@@ -332,6 +356,7 @@ class TrainState:
 
 
 def make_train_state(captioner: Captioner, dump_dir: str | None = None) -> TrainState:
+    _fix_allocator()
     v = captioner.cfg.values
     opt = optim.AdamW(
         captioner.trainable_parameters(),
@@ -342,15 +367,40 @@ def make_train_state(captioner: Captioner, dump_dir: str | None = None) -> Train
     return TrainState(captioner, opt, dump_dir=dump_dir)
 
 
+@functools.cache
+def _fix_allocator() -> None:
+    """Pin glibc's trim and mmap thresholds, once per process; elsewhere a
+    no-op.
+
+    By default glibc raises both with the largest mmapped block it frees:
+    the mmap threshold to that block's size and the trim threshold to twice
+    it. How much free heap top a step may leave before glibc hands it back
+    to the OS, for the next step to fault in again, then follows the size
+    of the step's largest array. Setting the thresholds turns that
+    adjustment off: every array of a step comes from the heap, and the
+    heap top stays mapped.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    libc = ctypes.CDLL(None)
+    for name, param, value in (("M_TRIM_THRESHOLD", _M_TRIM_THRESHOLD, _TRIM_THRESHOLD),
+                               ("M_MMAP_THRESHOLD", _M_MMAP_THRESHOLD, _MMAP_THRESHOLD)):
+        if libc.mallopt(param, value) != 1:
+            raise OSError(f"mallopt({name}, {value}) failed")
+
+
 def train_step(state: TrainState, batch: list[Sample]) -> float:
     """One optimizer step of mean masked cross-entropy over the batch.
 
     The step's leaf gradients, which clipping and the optimizer read but
-    never write, stay in ``state.last_grads`` until the next step's backward
-    has made its own. Allocated last, they lie at the top of the heap; freed
-    before the next forward, they would let glibc hand the tape's memory
-    under them back to the OS, and that forward would fault it all in again:
-    nearly every minor page fault of a warm time_major step.
+    never write, stay in ``state.last_grads`` until the next step's loss is
+    known to be finite: the divergence dump of that step reports them. They
+    are dropped before its backward, so its gradients can take their
+    memory. They used to be kept through that backward to guard the heap
+    top, whose release made a warm step fault; ``make_train_state`` now
+    pins glibc's trim threshold, so no free hands memory back to the OS,
+    and gradients kept across the backward only scatter its allocations
+    and grow the heap.
     """
     cap = state.captioner
     logits, targets, mask, _ = cap.batch_forward(batch, mode="train")
@@ -359,6 +409,7 @@ def train_step(state: TrainState, batch: list[Sample]) -> float:
     if not np.isfinite(value):
         path = _write_divergence_dump(state, value)
         raise TrainingDiverged(f"non-finite loss {value} at step {state.step}", path)
+    state.last_grads = {}
     leaves = loss.backward()
     state.last_grads = {name: leaves[p] for name, p in sorted(state.optimizer.params.items())
                         if p in leaves}

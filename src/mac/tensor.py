@@ -7,13 +7,15 @@ topological order and returns each leaf's gradient; no tensor keeps one.
 The one multi-gradient op, ``fused``, records a kernel whose single adjoint
 returns every input's gradient at once. Its users are the Mamba block of
 ``mac.blocks`` (in_proj, conv, scan of ``mac.ssd`` and out_proj, one node
-per output), the patch encoder of ``mac.audio`` and ``embedding``, one
-gather from several tables (the LM input of ``mac.pipeline``). The adjoint
-runs once per output gradient, each input's tape entry takes its share, and
-a share of None reaches no gradient. A fused node differentiates only its
-parents. The block's are its input, its LoRA factors and a carried state,
-and it reads every frozen block weight as a constant; the encoder's are its
-layer weights and biases; the gather's are its tables. The array forms of
+per output), the patch encoder of ``mac.audio``, the connector MLP of
+``mac.connector`` and ``embedding``, one gather from several tables (the LM
+input of ``mac.pipeline``). The adjoint runs once per output gradient, each
+input's tape entry takes its share, and a share of None reaches no
+gradient. A fused node differentiates only its parents. The block's are its
+input, its LoRA factors and a carried state, and it reads every frozen block
+weight as a constant; the encoder's are its layer weights and biases; the
+MLP's are its input rows and its two layers' weights and biases; the
+gather's are its tables. The array forms of
 the activations, norms and the causal conv (``_sigmoid``, ``_softplus``,
 ``_rms_norm``, ``conv1d_depthwise_causal`` and its input adjoint) are
 shared with those kernels; ``rms_norm`` keeps its per-row r and rebuilds
@@ -28,7 +30,6 @@ training step takes about as long as a float64 one.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -251,45 +252,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     """ln(1 + e^x), evaluated as max(x, 0) + ln(1 + e^-|x|) to avoid
     overflow. Its slope is ``_sigmoid(x)``, left to the adjoint that needs it."""
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
-def gelu(a) -> Tensor:
-    """tanh-approximation GELU: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
-
-    One tape node. The forward computes the tanh's argument in one scratch
-    array, takes the tanh in place and keeps it with x and 0.5 x; the
-    adjoint builds its factor in place from them.
-    """
-    a = _ensure(a)
-    x = a.data
-    t = x * x  # the tanh's argument, then the tanh
-    t *= x
-    t *= 0.044715
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    half = 0.5 * x
-    out = t + 1.0
-    out *= half
-
-    def vjp(g):
-        slope = x * x  # d inner / dx = c (1 + 3 * 0.044715 x^2)
-        slope *= 3 * 0.044715
-        slope += 1.0
-        slope *= _GELU_C
-        factor = t * t  # 0.5 x (1 - t^2) d inner / dx + 0.5 (1 + t)
-        np.subtract(1.0, factor, out=factor)
-        factor *= half
-        factor *= slope
-        np.add(t, 1.0, out=slope)
-        slope *= 0.5
-        factor += slope
-        return np.multiply(g, factor, out=factor if factor.dtype == g.dtype else None)
-
-    return _node(out, [(a, vjp)])
 
 
 # -- shape ops --------------------------------------------------------------

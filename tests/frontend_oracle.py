@@ -11,10 +11,13 @@ compares the batch path against it.
 
 ``encode_batch`` is the batch encoder as a composition of taped ops, one
 node per matmul, bias, ReLU and re-patching reshape: the oracle of the one
-fused node that ``audio.encode`` records. It reads ``audio.patch_rows``'
+fused node that ``audio.encode`` records. Its first layer is one matmul per
+clip, concatenated, so the first weight's gradient sums the clips' products
+in clip order, as the fused adjoint does. It reads ``audio.patch_rows``'
 nested row order, in which each layer's patches are runs of consecutive rows
 of the output below. ``encode`` cuts every layer's patches out of the mel
-image itself, with no nesting, and so checks that layout independently.
+image itself, with no nesting, and so checks that layout independently. The
+connector MLP here is the composed one of ``tensor_oracle``.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import numpy as np
 from mac import audio as audiomod
 from mac import synth
 from mac import tensor as tz
-from mac.connector import SEG_AUDIO, SEG_CAPTION, SEG_PROMPT, SEG_SEPARATOR, mlp_forward
+from mac.connector import SEG_AUDIO, SEG_CAPTION, SEG_PROMPT, SEG_SEPARATOR
 from mac.tensor import ContractError, ShapeError, Tensor
-from tensor_oracle import mul, relu, take, transpose
+from tensor_oracle import mlp_forward, mul, relu, take, transpose
 
 
 def melspectrogram(waveform) -> audiomod.MelSpec:
@@ -94,24 +97,21 @@ def encode(mel: audiomod.MelSpec, encoder: audiomod.CnnEncoder) -> AudioTokenGri
 def encode_batch(rows, encoder: audiomod.CnnEncoder) -> Tensor:
     """Run the patch stack over B clips -> tokens [B, T_a, F_a, d_enc].
 
-    ``rows`` is the clips' ``patch_rows``, concatenated. A frozen encoder is
-    the caller's ``tz.no_grad()`` around this call: off the tape, no
-    gradient can reach the encoder weights.
+    ``rows`` holds the clips' ``patch_rows``, one array per clip. A frozen
+    encoder is the caller's ``tz.no_grad()`` around this call: off the tape,
+    no gradient can reach the encoder weights.
     """
     cfg = encoder.cfg
-    pt, pf = cfg.patches[0]
-    per_clip = (cfg.mel_frames // pt) * (cfg.mel_bins // pf)
-    x = Tensor(rows)
-    if x.ndim != 2 or x.shape[0] % per_clip or x.shape[1] != pt * pf:
-        raise ShapeError(f"patch rows {x.shape} are not whole clips of {per_clip}x{pt * pf}")
-    b = x.shape[0] // per_clip
+    (w, bias), last = encoder.layers[0], len(encoder.layers) - 1
+    x = tz.concat([tz.matmul(Tensor(r), w) for r in rows], axis=0)
     for i, ((pt, pf), (w, bias)) in enumerate(zip(cfg.patches, encoder.layers)):
         if i:  # in nested order a patch is pt * pf consecutive rows of the output below
             x = tz.reshape(x, (x.shape[0] // (pt * pf), pt * pf * x.shape[1]))
-        x = tz.add(tz.matmul(x, w), bias)
-        if i < len(encoder.layers) - 1:
+            x = tz.matmul(x, w)
+        x = tz.add(x, bias)
+        if i < last:
             x = relu(x)
-    return tz.reshape(x, (b, cfg.grid_t, cfg.grid_f, x.shape[1]))
+    return tz.reshape(x, (len(rows), cfg.grid_t, cfg.grid_f, x.shape[1]))
 
 
 def connect(grid: AudioTokenGrid, cfg, mlp, sep_embedding: Tensor) -> tuple[Tensor, list[str]]:

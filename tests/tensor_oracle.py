@@ -13,6 +13,11 @@ gradients come from the generic autograd tape alone.
 ``relu`` is the activation the composed patch encoder of ``frontend_oracle``
 applies; the fused ``audio.encode`` takes it in place on arrays.
 
+``gelu`` is the taped tanh-approximation GELU that ``mac.tensor`` kept
+before the connector MLP became one node, and ``mlp_forward`` is that MLP
+composed of taped matmul, bias and ``gelu`` nodes: the oracle of the fused
+``connector.mlp_forward``.
+
 ``conv1d_depthwise_causal`` is the causal conv composed from taped slices,
 products and sums, the oracle of ``mac.tensor``'s array kernel of that name
 and of its adjoints, which the fused Mamba block runs; ``block_oracle``
@@ -27,6 +32,8 @@ discretize with; the fused Mamba block computes them inline on arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -130,6 +137,51 @@ def exp(a) -> Tensor:
     a = tz._ensure(a)
     out = np.exp(a.data)
     return tz._node(out, [(a, lambda g: g * out)])
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def gelu(a) -> Tensor:
+    """tanh-approximation GELU: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
+
+    One tape node. The forward computes the tanh's argument in one scratch
+    array, takes the tanh in place and keeps it with x and 0.5 x; the
+    adjoint builds its factor in place from them.
+    """
+    a = tz._ensure(a)
+    x = a.data
+    t = x * x  # the tanh's argument, then the tanh
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    half = 0.5 * x
+    out = t + 1.0
+    out *= half
+
+    def vjp(g):
+        slope = x * x  # d inner / dx = c (1 + 3 * 0.044715 x^2)
+        slope *= 3 * 0.044715
+        slope += 1.0
+        slope *= _GELU_C
+        factor = t * t  # 0.5 x (1 - t^2) d inner / dx + 0.5 (1 + t)
+        np.subtract(1.0, factor, out=factor)
+        factor *= half
+        factor *= slope
+        np.add(t, 1.0, out=slope)
+        slope *= 0.5
+        factor += slope
+        return np.multiply(g, factor, out=factor if factor.dtype == g.dtype else None)
+
+    return tz._node(out, [(a, vjp)])
+
+
+def mlp_forward(x, mlp) -> Tensor:
+    """The connector MLP, linear -> GELU -> linear, as five taped nodes."""
+    h = gelu(tz.add(tz.matmul(x, mlp.w1), mlp.b1))
+    return tz.add(tz.matmul(h, mlp.w2), mlp.b2)
 
 
 def relu(a) -> Tensor:

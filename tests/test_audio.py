@@ -224,8 +224,7 @@ def desk_encoder(**over) -> EncoderConfig:
 
 def encode_mels(mels, enc):
     """Encode mel images [T, F] as one batch."""
-    rows = np.concatenate([patch_rows(MelSpec(m), enc.cfg) for m in mels])
-    return encode(rows, enc)
+    return encode([patch_rows(MelSpec(m), enc.cfg) for m in mels], enc)
 
 
 class TestEncoder:
@@ -258,8 +257,16 @@ class TestEncoder:
         enc = CnnEncoder(desk_encoder(), np.random.default_rng(4))
         with pytest.raises(ShapeError, match="does not match encoder input"):
             patch_rows(MelSpec(np.zeros((1000, 128))), enc.cfg)
-        with pytest.raises(ShapeError, match="not whole clips"):
-            encode(np.zeros((4096 + 1, 32)), enc)
+
+    def test_rows_of_the_wrong_shape_name_their_clip(self):
+        enc = CnnEncoder(desk_encoder(), np.random.default_rng(4))
+        good = np.zeros((4096, 32))
+        for bad in (np.zeros((4096 + 1, 32)), np.zeros((4096, 16)), np.zeros(4096 * 32)):
+            with pytest.raises(ShapeError, match=r"patch rows of clip 2 have shape "
+                                                 + re.escape(f"{bad.shape}, expected (4096, 32)")):
+                encode([good, good, bad, good], enc)
+        with pytest.raises(ShapeError, match="no clips"):
+            encode([], enc)
 
     def test_frozen_blocks_gradients(self):
         enc = CnnEncoder(desk_encoder(), np.random.default_rng(5))
@@ -348,10 +355,10 @@ def trained_encode(fn, enc, rows, upstream):
 
 
 def clip_rows(cfg, n, seed):
-    """The first-layer patch rows of n random mel images, concatenated."""
+    """The first-layer patch rows of n random mel images, one array each."""
     rng = np.random.default_rng(seed)
-    return np.concatenate([patch_rows(MelSpec(rng.standard_normal((cfg.mel_frames, cfg.mel_bins))),
-                                      cfg) for _ in range(n)])
+    return [patch_rows(MelSpec(rng.standard_normal((cfg.mel_frames, cfg.mel_bins))), cfg)
+            for _ in range(n)]
 
 
 class TestFusedEncoder:

@@ -1,5 +1,7 @@
 """Connector layouts, lengths, separator placement, MLP contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from mac.connector import SEP, VARIANTS, ConnectorConfig, ConnectorMlp, connect,
 from mac.tensor import ContractError, ShapeError, Tensor
 
 import frontend_oracle
-from conftest import check_gradients
+import tensor_oracle
+from conftest import check_gradients, recorded_nodes
 from tensor_oracle import mul, take, tsum
 from test_pipeline import tiny_captioner
 
@@ -234,6 +237,58 @@ class TestMlp:
         cfg, mlp = build("concatenation", t=2, f=2, d_enc=3)
         with pytest.raises(ShapeError):
             mlp_forward(Tensor(np.ones((4, 5))), mlp)
+        with pytest.raises(ShapeError):
+            mlp_forward(Tensor(np.ones((2, 2, 6))), mlp)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fused_equals_composed_oracle_bit_for_bit(self, variant):
+        # the MLP rows connect() makes for each layout, at the nano widths:
+        # one fused node and the five taped nodes of tensor_oracle agree in
+        # the output and in all five gradients, bit for bit
+        cfg, mlp = build(variant, t=4, f=8, d_enc=64, d_model=64)
+        rng = np.random.default_rng(19)
+        mlp.b1.data[:] = rng.standard_normal(mlp.b1.shape)
+        mlp.b2.data[:] = rng.standard_normal(mlp.b2.shape)
+        grid = make_grid(rng, cfg.grid_t, cfg.grid_f, cfg.d_enc, b=3)
+        leaves = [grid] + list(mlp.parameters().values())
+        for leaf in leaves:
+            leaf.requires_grad = True
+        n_rows = cfg.grid_t if variant == "concatenation" else cfg.grid_t * cfg.grid_f
+        rows = tz.reshape(grid, (3 * n_rows, cfg.mlp_in))
+        upstream = rng.standard_normal((3 * n_rows, cfg.d_model))
+        fused, composed = mlp_forward(rows, mlp), tensor_oracle.mlp_forward(rows, mlp)
+        assert recorded_nodes(fused) == recorded_nodes(rows) + 1
+        assert np.array_equal(fused.data, composed.data)
+        got = tsum(mul(fused, upstream)).backward()
+        want = tsum(mul(composed, upstream)).backward()
+        assert len(got) == len(want) == 5
+        for leaf in leaves:
+            assert got[leaf].dtype == want[leaf].dtype and np.array_equal(got[leaf], want[leaf])
+
+    def test_keeps_the_pre_activation_and_its_tanh(self):
+        # the composed MLP also keeps x @ w1, 0.5 x and the GELU output; the
+        # fused node holds two [N, hidden] arrays beside its output
+        cfg, mlp = build("time_major", t=16, f=8, d_enc=64, d_model=64)
+        for t_ in mlp.parameters().values():
+            t_.requires_grad = True
+        rows = Tensor(np.random.default_rng(20).standard_normal((8 * 128, 64)))
+        hidden = rows.shape[0] * mlp.w1.shape[1] * rows.data.itemsize
+        out_bytes = rows.shape[0] * mlp.w2.shape[1] * rows.data.itemsize
+        held = {}
+        for name, fn in (("fused", mlp_forward), ("composed", tensor_oracle.mlp_forward)):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = fn(rows, mlp)
+                held[name] = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            del out
+        assert held["fused"] <= 2 * hidden + out_bytes + self.MEMORY_SLACK, held
+        assert held["composed"] >= 5 * hidden, held
+
+    # bytes the node, its closures and their cells may take: 2 kB was seen
+    MEMORY_SLACK = 16 * 1024
 
 
 class TestConfig:
