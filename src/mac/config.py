@@ -217,14 +217,16 @@ def _parse_channels(text: str) -> tuple[int, ...]:
         raise ConfigError(f"audio.channels: bad list {text!r}") from exc
 
 
-# the int keys that must be >= 1; the float keys' ranges are in validate,
-# every other check is a typed config's own
+# the int keys that must be >= 1, and the epoch counts, which must be >= 0 and
+# sum to at least 1; the float keys' ranges are in validate, every other check
+# is a typed config's own
 _AT_LEAST_ONE = (
     "model.n_layers", "model.n_heads", "model.head_dim", "model.d_state", "model.n_groups",
     "model.lora_rank", "model.conv_width", "audio.mel_frames", "audio.d_enc",
     "connector.hidden_mult", "train.batch_size", "train.steps_per_epoch",
     "train.max_caption_len", "data.n_train",
 )
+_EPOCHS = ("train.warmup_epochs", "train.epochs_stage1", "train.epochs_stage2")
 
 
 def validate(cfg: Config) -> list[str]:
@@ -232,6 +234,9 @@ def validate(cfg: Config) -> list[str]:
     they describe; returns the full list of problems."""
     v = cfg.values
     errors = [f"{key} must be >= 1" for key in _AT_LEAST_ONE if v[key] < 1]
+    errors += [f"{key} must be >= 0" for key in _EPOCHS + ("data.n_eval",) if v[key] < 0]
+    if sum(v[key] for key in _EPOCHS) < 1:
+        errors.append(f"{', '.join(_EPOCHS)} must sum to at least 1")
     # each float range is written so that NaN fails it
     errors += [f"{key} must be finite and > 0, got {v[key]}"
                for key in ("train.lr_stage1", "train.lr_stage2") if not 0 < v[key] < math.inf]

@@ -1,25 +1,23 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
-numpy holds the data; this module owns the graph. Each differentiable
-primitive records one vector-Jacobian closure per input that needs a
-gradient, and ``backward`` on a scalar walks the tape once in reverse
-topological order and returns each leaf's gradient; no tensor keeps one.
-The one multi-gradient op, ``fused``, records a kernel whose single adjoint
-returns every input's gradient at once. Its users are the Mamba block of
+numpy holds the data; this module owns the graph. The tape has one kind
+of node: every differentiable op is recorded by ``fused`` with its parents
+and one adjoint, which maps the output gradient to the list of every
+parent's gradient, None for a parent that needs none. ``backward`` on a
+scalar walks the tape once in reverse topological order, calls each node's
+adjoint once and returns each leaf's gradient; no tensor keeps one. Besides
+the elementwise and shape ops here, the nodes are the Mamba block of
 ``mac.blocks`` (in_proj, conv, scan of ``mac.ssd`` and out_proj, one node
 per output), the patch encoder of ``mac.audio``, the connector MLP of
 ``mac.connector`` and ``embedding``, one gather from several tables (the LM
-input of ``mac.pipeline``). The adjoint runs once per output gradient, each
-input's tape entry takes its share, and a share of None reaches no
-gradient. A fused node differentiates only its parents. The block's are its
-input, its LoRA factors and a carried state, and it reads every frozen block
-weight as a constant; the encoder's are its layer weights and biases; the
-MLP's are its input rows and its two layers' weights and biases; the
-gather's are its tables. The array forms of
-the activations, norms and the causal conv (``_sigmoid``, ``_softplus``,
-``_rms_norm``, ``conv1d_depthwise_causal`` and its input adjoint) are
-shared with those kernels; ``rms_norm`` keeps its per-row r and rebuilds
-xhat in the adjoint.
+input of ``mac.pipeline``). A node differentiates only its parents. The
+block's are its input, its LoRA factors and a carried state, and it reads
+every frozen block weight as a constant; the encoder's are its layer weights
+and biases; the MLP's are its input rows and its two layers' weights and
+biases; the gather's are its tables. The array forms of the activations,
+norms and the causal conv (``_sigmoid``, ``_softplus``, ``_rms_norm``,
+``conv1d_depthwise_causal`` and its input adjoint) are shared with those
+kernels; ``rms_norm`` keeps its per-row r and rebuilds xhat in the adjoint.
 
 Two float widths are supported: float64 (the default, used by all oracle,
 equivalence and gradient tests) and float32 (``train.precision=fp32``).
@@ -82,7 +80,7 @@ class Tensor:
     ``backward`` returns them.
     """
 
-    __slots__ = ("data", "requires_grad", "_pairs")
+    __slots__ = ("data", "requires_grad", "_pairs", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -92,8 +90,10 @@ class Tensor:
             arr = arr.astype(_default_dtype)
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
-        # (parent, vjp) pairs; vjp maps the output gradient to the parent's
+        # ((parent, i), ...) for each parent a gradient reaches, i its place in
+        # the list _vjp(output gradient) returns; () and None on a leaf
         self._pairs: tuple = ()
+        self._vjp: Callable | None = None
 
     # -- metadata ----------------------------------------------------------
 
@@ -121,9 +121,11 @@ class Tensor:
     def backward(self) -> dict["Tensor", np.ndarray]:
         """Reverse-mode pass from a scalar; returns {leaf: gradient}.
 
-        A leaf used more than once gets the sum of its uses' gradients. The
-        sums are kept in a map that lives only for this walk, each node's
-        leaving it as its adjoints run, so every call stands alone.
+        Each node the loss reaches has its adjoint called once, and each of
+        its recorded parents gets its share, in ``_pairs`` order. A leaf used
+        more than once gets the sum of its uses' gradients. The sums are kept
+        in a map that lives only for this walk, each node's leaving it as its
+        adjoint runs, so every call stands alone.
         """
         if self.shape != ():
             raise ContractError(
@@ -151,13 +153,16 @@ class Tensor:
             g = grads.pop(node, None)
             if g is None:
                 continue
-            for parent, vjp in node._pairs:
-                pg = vjp(g)  # None: this output gradient does not reach the parent
+            if not node._pairs:
+                if node.requires_grad:
+                    leaves[node] = g
+                continue
+            shares = node._vjp(g)
+            for parent, i in node._pairs:
+                pg = shares[i]  # None: this output gradient does not reach the parent
                 if pg is not None:
                     prev = grads.get(parent)
                     grads[parent] = pg if prev is None else prev + pg
-            if not node._pairs and node.requires_grad:
-                leaves[node] = g
         return leaves
 
 
@@ -165,42 +170,17 @@ def _ensure(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data: np.ndarray, pairs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
-    """Wrap an op result, recording vjp closures for parents that need them."""
+def fused(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
+    """Wrap an op result as a tape node: ``vjp(g)`` returns every parent's
+    gradient, in ``parents`` order, and should give None for a parent that
+    needs none rather than compute it. Only the parents that need a gradient
+    are recorded; under ``no_grad``, or when none does, the result is a
+    constant."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    if _grad_enabled:
-        live = tuple((p, f) for p, f in pairs if p.requires_grad or p._pairs)
-        out._pairs = live
-        out.requires_grad = bool(live)
-    else:
-        out._pairs = ()
-        out.requires_grad = False
-    return out
-
-
-def fused(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
-    """Record an op whose one ``vjp(g)`` returns every parent's gradient, in
-    ``parents`` order. It runs once per output gradient; each parent's tape
-    entry then takes its own share, and the last one to take drops the
-    output gradient and the shares nobody takes."""
-    if not _grad_enabled:
-        return _node(data, ())
-    memo: list = [None, None, 0]  # output gradient, its shares, takers left
-
-    def share(i):
-        def take(g):
-            if memo[0] is not g:
-                memo[:] = [g, list(vjp(g)), takers]
-            grad, memo[1][i] = memo[1][i], None
-            memo[2] -= 1
-            if not memo[2]:
-                memo[:] = [None, None, 0]
-            return grad
-        return take
-
-    out = _node(data, [(p, share(i)) for i, p in enumerate(parents)])
-    takers = len(out._pairs)
+    live = (tuple((p, i) for i, p in enumerate(parents) if p.requires_grad)
+            if _grad_enabled else ())
+    out._pairs, out._vjp, out.requires_grad = live, vjp if live else None, bool(live)
     return out
 
 
@@ -232,10 +212,8 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
 
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
-    return _node(
-        a.data + b.data,
-        [(a, lambda g: _unbroadcast(g, a.shape)), (b, lambda g: _unbroadcast(g, b.shape))],
-    )
+    return fused(a.data + b.data, [a, b],
+                 lambda g: [_unbroadcast(g, p.shape) if p.requires_grad else None for p in (a, b)])
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -260,7 +238,7 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 def reshape(a, shape) -> Tensor:
     a = _ensure(a)
     shape = tuple(shape)
-    return _node(a.data.reshape(shape), [(a, lambda g: g.reshape(a.shape))])
+    return fused(a.data.reshape(shape), [a], lambda g: [g.reshape(a.shape)])
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -268,20 +246,8 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_vjp(i):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def vjp(g):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            return g[tuple(sl)]
-
-        return vjp
-
-    return _node(data, [(p, make_vjp(i)) for i, p in enumerate(parts)])
+    cuts = np.cumsum([p.shape[axis] for p in parts[:-1]])
+    return fused(data, parts, lambda g: np.split(g, cuts, axis=axis))
 
 
 # -- contractions ------------------------------------------------------------
@@ -302,19 +268,15 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul batch extents disagree: {a.shape} @ {b.shape}")
     out = np.matmul(a.data, b.data)
 
-    def vjp_a(g):
-        return np.matmul(g, np.swapaxes(b.data, -1, -2))
-
-    def vjp_b(g):
+    def vjp(g):
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
+        if not b.requires_grad:
+            return [ga, None]
         if b.ndim == 2:
-            k = a.shape[-1]
-            n = g.shape[-1]
-            return np.matmul(
-                a.data.reshape(-1, k).T, g.reshape(-1, n)
-            )
-        return np.matmul(np.swapaxes(a.data, -1, -2), g)
+            return [ga, np.matmul(a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))]
+        return [ga, np.matmul(np.swapaxes(a.data, -1, -2), g)]
 
-    return _node(out, [(a, vjp_a), (b, vjp_b)])
+    return fused(out, [a, b], vjp)
 
 
 def embedding(tables: Sequence[Tensor], ids: np.ndarray) -> Tensor:
@@ -425,9 +387,9 @@ def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray) -> Tensor:
         p = ez / ez.sum(axis=1, keepdims=True)
         p[np.arange(z.shape[0]), t] -= 1.0
         p *= (m / total)[:, None]
-        return (g * p).reshape(logits.shape)
+        return [(g * p).reshape(logits.shape)]
 
-    return _node(np.asarray(loss, dtype=z.dtype), [(logits, vjp)])
+    return fused(np.asarray(loss, dtype=z.dtype), [logits], vjp)
 
 
 _RMS_EPS = 1e-5
@@ -462,17 +424,15 @@ def _rms_norm_grad(g: np.ndarray, w: np.ndarray, r: np.ndarray, xhat: np.ndarray
 def rms_norm(x, weight, eps: float = _RMS_EPS) -> Tensor:
     """Root-mean-square normalization over the last axis, scaled by weight.
 
-    One tape node with the closed-form adjoints of ``_rms_norm_grad``; the
+    One tape node with the closed-form adjoint of ``_rms_norm_grad``; the
     weight's gradient is the sum of g xhat. The node keeps r, one entry per
-    row, and not xhat: each adjoint rebuilds xhat = x r from the input.
+    row, and not xhat: the adjoint rebuilds xhat = x r from the input.
     """
     x, weight = _ensure(x), _ensure(weight)
     out, r, _ = _rms_norm(x.data, weight.data, eps)
-    return _node(
-        out,
-        [(x, lambda g: _rms_norm_grad(g, weight.data, r, x.data * r)),
-         (weight, lambda g: _unbroadcast(g * (x.data * r), weight.shape))],
-    )
+    return fused(out, [x, weight], lambda g: [
+        _rms_norm_grad(g, weight.data, r, x.data * r) if x.requires_grad else None,
+        _unbroadcast(g * (x.data * r), weight.shape) if weight.requires_grad else None])
 
 
 # -- constructors -----------------------------------------------------------

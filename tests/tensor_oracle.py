@@ -41,9 +41,16 @@ from mac import tensor as tz
 from mac.tensor import Tensor
 
 
+def _record(data: np.ndarray, pairs) -> Tensor:
+    """A ``tz.fused`` node from (parent, adjoint) pairs, one adjoint per
+    parent; the adjoint of a parent that needs no gradient is not run."""
+    return tz.fused(data, [p for p, _ in pairs],
+                    lambda g: [f(g) if p.requires_grad else None for p, f in pairs])
+
+
 def mul(a, b) -> Tensor:
     a, b = tz._operands(a, b)
-    return tz._node(
+    return _record(
         a.data * b.data,
         [
             (a, lambda g: tz._unbroadcast(g * b.data, a.shape)),
@@ -56,7 +63,7 @@ def transpose(a, axes) -> Tensor:
     a = tz._ensure(a)
     axes = tuple(axes)
     inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    return tz._node(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
+    return _record(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
 
 
 def take(a, index) -> Tensor:
@@ -70,7 +77,7 @@ def take(a, index) -> Tensor:
         buf[index] = g
         return buf
 
-    return tz._node(out, [(a, vjp)])
+    return _record(out, [(a, vjp)])
 
 
 def where_mask(a, keep: np.ndarray, fill: float) -> Tensor:
@@ -78,7 +85,7 @@ def where_mask(a, keep: np.ndarray, fill: float) -> Tensor:
     a = tz._ensure(a)
     keep = np.asarray(keep, dtype=bool)
     out = np.where(keep, a.data, a.data.dtype.type(fill))
-    return tz._node(out, [(a, lambda g: np.where(keep, g, 0.0))])
+    return _record(out, [(a, lambda g: np.where(keep, g, 0.0))])
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -94,13 +101,13 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axes)
         return np.broadcast_to(g, a.shape).copy()
 
-    return tz._node(np.asarray(out), [(a, vjp)])
+    return _record(np.asarray(out), [(a, vjp)])
 
 
 def broadcast_to(a, shape) -> Tensor:
     a = tz._ensure(a)
     shape = tuple(shape)
-    return tz._node(
+    return _record(
         np.broadcast_to(a.data, shape).copy(),
         [(a, lambda g: tz._unbroadcast(g, a.shape))],
     )
@@ -110,7 +117,7 @@ def cast(a, dtype) -> Tensor:
     a = tz._ensure(a)
     dtype = np.dtype(dtype)
     src = a.data.dtype
-    return tz._node(a.data.astype(dtype), [(a, lambda g: g.astype(src))])
+    return _record(a.data.astype(dtype), [(a, lambda g: g.astype(src))])
 
 
 def cumsum(a, axis: int) -> Tensor:
@@ -120,23 +127,23 @@ def cumsum(a, axis: int) -> Tensor:
     def vjp(g):
         return np.flip(np.cumsum(np.flip(g, axis=axis), axis=axis), axis=axis)
 
-    return tz._node(out, [(a, vjp)])
+    return _record(out, [(a, vjp)])
 
 
 def log(a) -> Tensor:
     a = tz._ensure(a)
-    return tz._node(np.log(a.data), [(a, lambda g: g / a.data)])
+    return _record(np.log(a.data), [(a, lambda g: g / a.data)])
 
 
 def neg(a) -> Tensor:
     a = tz._ensure(a)
-    return tz._node(-a.data, [(a, lambda g: -g)])
+    return _record(-a.data, [(a, lambda g: -g)])
 
 
 def exp(a) -> Tensor:
     a = tz._ensure(a)
     out = np.exp(a.data)
-    return tz._node(out, [(a, lambda g: g * out)])
+    return _record(out, [(a, lambda g: g * out)])
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -175,7 +182,7 @@ def gelu(a) -> Tensor:
         factor += slope
         return np.multiply(g, factor, out=factor if factor.dtype == g.dtype else None)
 
-    return tz._node(out, [(a, vjp)])
+    return _record(out, [(a, vjp)])
 
 
 def mlp_forward(x, mlp) -> Tensor:
@@ -187,26 +194,26 @@ def mlp_forward(x, mlp) -> Tensor:
 def relu(a) -> Tensor:
     a = tz._ensure(a)
     out = np.maximum(a.data, 0.0)
-    return tz._node(out, [(a, lambda g: g * (a.data > 0))])
+    return _record(out, [(a, lambda g: g * (a.data > 0))])
 
 
 def softplus(a) -> Tensor:
     a = tz._ensure(a)
     slope = tz._sigmoid(a.data)
-    return tz._node(tz._softplus(a.data), [(a, lambda g: g * slope)])
+    return _record(tz._softplus(a.data), [(a, lambda g: g * slope)])
 
 
 def silu(a) -> Tensor:
     a = tz._ensure(a)
     s = tz._sigmoid(a.data)
-    return tz._node(a.data * s, [(a, lambda g: g * s * (1.0 + a.data * (1.0 - s)))])
+    return _record(a.data * s, [(a, lambda g: g * s * (1.0 + a.data * (1.0 - s)))])
 
 
 def power(a, exponent: float) -> Tensor:
     a = tz._ensure(a)
     e = float(exponent)
     out = a.data**e
-    return tz._node(out, [(a, lambda g: g * e * a.data ** (e - 1.0))])
+    return _record(out, [(a, lambda g: g * e * a.data ** (e - 1.0))])
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:

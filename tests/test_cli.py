@@ -81,6 +81,29 @@ class TestBasics:
                                                        "train.weight_decay=0", "train.beta1=0",
                                                        "train.beta2=0.999"])
 
+    EPOCHS = ("train.warmup_epochs", "train.epochs_stage1", "train.epochs_stage2")
+    NO_EPOCHS = [f"{key}=0" for key in EPOCHS]
+    NEGATIVE_COUNTS = [(settings, key) for key in EPOCHS + ("data.n_eval",)
+                       for settings in ([f"{key}=-1"], [f"{key}=-3"])]
+
+    def test_counts_below_zero_or_no_epoch_are_config_errors(self):
+        for settings, key in self.NEGATIVE_COUNTS + [(self.NO_EPOCHS, ", ".join(self.EPOCHS))]:
+            with pytest.raises(configmod.ConfigError) as err:
+                configmod.apply_overrides(configmod.Config(), settings)
+            assert key in str(err.value), settings
+        # the bounds themselves stay valid: one epoch in any stage, no eval clips
+        for key in self.EPOCHS:
+            configmod.apply_overrides(configmod.Config(),
+                                      self.NO_EPOCHS + [f"{key}=1", "data.n_eval=0"])
+
+    def test_counts_below_zero_or_no_epoch_exit_2(self, tmp_path, capsys):
+        for settings, key in self.NEGATIVE_COUNTS + [(self.NO_EPOCHS, "must sum to at least 1")]:
+            args = [a for s in settings for a in ("--set", s)]
+            code, _, err = run_cli(["train"] + args + ["--out", str(tmp_path / "run")], capsys)
+            assert code == 2, settings
+            assert err.startswith("error_code=config") and key in err, err
+        assert not (tmp_path / "run").exists()
+
     def test_nonpositive_encoder_width_exit_2(self, tmp_path, capsys):
         for channels in ("0,16,16", "-4,16,16", "8,16,0"):
             code, _, err = run_cli(["train", "--set", f"audio.channels={channels}",

@@ -347,7 +347,7 @@ class TestArrayContract:
     @pytest.mark.parametrize("batch", (1, 2))
     def test_scans_return_arrays_and_record_nothing(self, monkeypatch, mode, batch):
         nodes = []
-        monkeypatch.setattr(tz, "_node", lambda *args: nodes.append(args))
+        monkeypatch.setattr(tz, "fused", lambda *args: nodes.append(args))
         rng = np.random.default_rng(19)
         params = random_params(rng, t=11, h=4, p=3, g=2, n=5, batch=batch)
         initial = rng.standard_normal((batch, 4, 3, 5))

@@ -53,6 +53,31 @@ class TestMatmul:
         check_gradients(lambda: tsum(mul(tz.matmul(a, b2), 0.3)), [a, b2])
         check_gradients(lambda: tsum(mul(tz.matmul(a, bb), 0.3)), [a, bb])
 
+    @pytest.mark.parametrize("b_shape", [(4, 2), (5, 4, 2)], ids=["shared", "batched"])
+    def test_a_frozen_operand_leaves_the_live_gradient_bit_identical(self, monkeypatch, b_shape):
+        rng = np.random.default_rng(7)
+        a_data, b_data = rng.standard_normal((5, 3, 4)), rng.standard_normal(b_shape)
+        w = rng.standard_normal((5, 3, 2))
+        products = []
+        real_matmul = np.matmul
+        monkeypatch.setattr(np, "matmul",
+                            lambda *args, **kw: products.append(1) or real_matmul(*args, **kw))
+
+        def grads(live_a, live_b):
+            a, b = Tensor(a_data, requires_grad=live_a), Tensor(b_data, requires_grad=live_b)
+            loss = tsum(mul(tz.matmul(a, b), w))
+            products.clear()
+            got = loss.backward()
+            return got.get(a), got.get(b), len(products)
+
+        ga, gb, n_both = grads(True, True)
+        ga_alone, none_b, n_a = grads(True, False)
+        none_a, gb_alone, n_b = grads(False, True)
+        assert none_a is None and none_b is None
+        np.testing.assert_array_equal(ga_alone, ga)
+        np.testing.assert_array_equal(gb_alone, gb)
+        assert (n_both, n_a, n_b) == (2, 1, 1)  # a frozen side's product is never taken
+
 
 class TestSoftplus:
     def test_at_zero(self):
@@ -137,6 +162,25 @@ class TestBackward:
         grads = loss.backward()
         assert grads[w] == 5.0
 
+    def test_a_fused_node_runs_its_adjoint_once_per_backward(self):
+        a, c = Tensor([1.0, 2.0], requires_grad=True), Tensor([5.0, 6.0], requires_grad=True)
+        b = Tensor([3.0, 4.0])
+        calls = []
+
+        def vjp(g):
+            calls.append(g)
+            return [2.0 * g, g, 3.0 * g]  # the frozen b's share reaches nothing
+
+        out = tz.fused(2.0 * a.data + b.data + 3.0 * c.data, [a, b, c], vjp)
+        assert out._pairs == ((a, 0), (c, 2))
+        loss = tsum(tz.add(out, out))  # two uses, whose gradients meet before the adjoint
+        for n in (1, 2):
+            grads = loss.backward()
+            assert len(calls) == n
+            assert list(grads) == [a, c]
+            np.testing.assert_array_equal(grads[a], [4.0, 4.0])
+            np.testing.assert_array_equal(grads[c], [6.0, 6.0])
+
     def test_each_backward_call_stands_alone(self):
         # two calls on one graph, whose leaf w is used twice, return equal
         # gradients, and no tensor of the graph keeps one
@@ -191,6 +235,16 @@ class TestPrimitiveGradients:
             lambda: tsum(mul(broadcast_to(tz.reshape(x, (2, 3, 4, 1)), (2, 3, 4, 5)), 0.1)),
             [x],
         )
+
+    def test_concat_of_unequal_parts_with_a_frozen_middle(self):
+        rng = np.random.default_rng(8)
+        first, middle, last = (Tensor(rng.standard_normal((2, n, 3))) for n in (1, 4, 2))
+        w = Tensor(rng.standard_normal((2, 7, 3)))
+        check_gradients(lambda: tsum(mul(tz.concat([first, middle, last], axis=-2), w)),
+                        [first, last])
+        out = tz.concat([first, middle, last], axis=-2)
+        assert out._pairs == ((first, 0), (last, 2))
+        assert middle not in tsum(mul(out, w)).backward()
 
     def test_cumsum(self):
         rng = np.random.default_rng(6)
