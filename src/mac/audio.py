@@ -75,6 +75,8 @@ def read_wav_bytes(blob: bytes) -> tuple[np.ndarray, int]:
                 raise WavFormatError(f"unsupported bit depth {bits} (16-bit only)", body + 14)
             if channels not in (1, 2):
                 raise WavFormatError(f"unsupported channel count {channels}", body + 2)
+            if rate == 0:
+                raise WavFormatError("sample rate of 0", body + 4)
             fmt = (channels, rate)
         elif cid == b"data":
             if fmt is None:
@@ -164,7 +166,11 @@ def mel_to_hertz(m):
 
 
 def mel_filterbank() -> np.ndarray:
-    """Triangular filters on a uniform mel grid -> [MEL_BINS, STFT_NFFT//2 + 1]."""
+    """Triangular filters on a uniform mel grid -> [MEL_BINS, STFT_NFFT//2 + 1].
+
+    Filter 0 is empty: it spans 0 to 27.9 Hz, and the only FFT bin there,
+    at 0 Hz, gets weight 0, so mel bin 0 of every clip is log(``LOG_FLOOR``).
+    """
     edges = mel_to_hertz(np.linspace(0.0, hertz_to_mel(SAMPLE_RATE / 2), MEL_BINS + 2))
     freqs = np.arange(STFT_NFFT // 2 + 1) * (SAMPLE_RATE / STFT_NFFT)
     bank = np.zeros((MEL_BINS, freqs.size))

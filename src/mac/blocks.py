@@ -9,12 +9,13 @@ Block dataflow (residual added by the caller / the stack):
     y * silu(z) -> RMS norm -> out_proj (LoRA)
 
 ``MambaBlock.forward`` runs all of it as one numpy forward with one
-hand-written adjoint, recorded as one fused tape node per output: the block
-output, the final scan state and the conv tail, so gradients also flow
-through carried states. Its array kernels are ``lora_apply`` (one matmul by
-the merged weight ``base + scale * down @ up``), ``tz.conv1d_depthwise_causal``
-and ``ssd.kernel``, which picks the scan from the sequence length: a
-one-token step runs the recurrence, a longer sequence the chunked scan.
+hand-written adjoint, recorded as one fused tape node: the block output.
+The final scan state and the conv tail it returns are plain constants, and
+a state passed in is read as one, so no gradient flows through a carried
+state. Its array kernels are ``lora_apply`` (one matmul by the merged
+weight ``base + scale * down @ up``), ``tz.conv1d_depthwise_causal`` and
+``ssd.kernel``, which picks the scan from the sequence length: a one-token
+step runs the recurrence, a longer sequence the chunked scan.
 
 The node keeps only what its adjoint cannot rebuild in one elementwise pass
 from arrays it already holds: the in_proj output, the conv output, the
@@ -34,11 +35,12 @@ entering ``merged_lora``, and every step inside reuses it. The composed
 block these kernels replaced is the test suite's oracle.
 
 The node differentiates only what fine-tuning trains: its parents are the
-block input, the down/up factors of the in_proj and out_proj adapters and a
-carried state when one is passed. The base projections, the conv weight and
-bias, ``dt_bias``, ``log_a``, ``skip`` and ``gate_norm`` stay frozen, as
-``Captioner`` flags them when it is built: the node reads them as
-constants, so no gradient reaches them even where one is asked for.
+block input and the down/up factors of the in_proj and out_proj adapters,
+which every block has (``SsmLm`` draws them at ``LmConfig.lora_rank``). The
+base projections, the conv weight and bias, ``dt_bias``, ``log_a``,
+``skip`` and ``gate_norm`` stay frozen, as ``Captioner`` flags them when it
+is built: the node reads them as constants, so no gradient reaches them
+even where one is asked for.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ from .tensor import ContractError, ShapeError, Tensor
 @dataclass
 class LmConfig:
     """The LM's shape; its width is n_heads * head_dim, both outside and
-    inside a block."""
+    inside a block. Every in_proj and out_proj carries a LoRA adapter of
+    rank ``lora_rank``."""
 
     n_layers: int
     n_heads: int
@@ -65,6 +68,7 @@ class LmConfig:
     n_groups: int
     vocab_size: int
     conv_width: int
+    lora_rank: int
 
     def __post_init__(self):
         if self.n_heads % self.n_groups != 0:
@@ -110,57 +114,51 @@ def _merged_weight(base: Tensor, adapter: LoraAdapter) -> np.ndarray:
     return base.data + adapter.scale * (adapter.down.data @ adapter.up.data)
 
 
-def lora_apply(base: Tensor, adapter: LoraAdapter | None,
+def lora_apply(base: Tensor, adapter: LoraAdapter,
                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x @ W for W = base + scale * down @ up, one matmul by the merged
-    weight (W = base without an adapter) -> (x @ W, W).
+    weight -> (x @ W, W).
 
     Arrays in, arrays out: the Mamba block's fused node records it, and its
     adjoint (``_lora_grads``) multiplies by the returned W. Inside
     ``merged_lora`` the weight merged on entry is W as it is.
     """
-    if adapter is None:
-        weight = base.data
-    else:
-        weight = adapter.merged if adapter.merged is not None else _merged_weight(base, adapter)
+    weight = adapter.merged if adapter.merged is not None else _merged_weight(base, adapter)
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"LoRA input {x.shape} does not match weight {weight.shape}")
     return x @ weight, weight
 
 
-def _lora_grads(adapter: LoraAdapter | None, weight: np.ndarray, x: np.ndarray,
+def _lora_grads(adapter: LoraAdapter, weight: np.ndarray, x: np.ndarray,
                 g: np.ndarray) -> list:
-    """Gradients of ``lora_apply``'s input x and, with an adapter, of its
-    down and up factors, for output gradient g. A frozen factor gets None;
-    the base weight is a constant and gets none."""
+    """Gradients of ``lora_apply``'s input x and of its down and up factors,
+    for output gradient g. A frozen factor gets None; the base weight is a
+    constant and gets none."""
     g2 = g.reshape(-1, g.shape[-1])
-    grads = [(g2 @ weight.T).reshape(x.shape)]
-    if adapter is not None:
-        x2 = x.reshape(-1, x.shape[-1])
-        down, up, scale = adapter.down, adapter.up, adapter.scale
-        grads += [scale * (x2.T @ (g2 @ up.data.T)) if down.requires_grad else None,
-                  scale * ((x2 @ down.data).T @ g2) if up.requires_grad else None]
-    return grads
+    x2 = x.reshape(-1, x.shape[-1])
+    down, up, scale = adapter.down, adapter.up, adapter.scale
+    return [(g2 @ weight.T).reshape(x.shape),
+            scale * (x2.T @ (g2 @ up.data.T)) if down.requires_grad else None,
+            scale * ((x2 @ down.data).T @ g2) if up.requires_grad else None]
 
 
 class LoraLinear:
-    """Frozen base matrix with an optional trainable low-rank adapter."""
+    """Frozen base matrix with its trainable low-rank adapter, which
+    ``SsmLm`` draws after every block's weights."""
 
-    def __init__(self, base: Tensor, adapter: LoraAdapter | None = None):
+    adapter: LoraAdapter
+
+    def __init__(self, base: Tensor):
         self.base = base
-        self.adapter = adapter
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {"base": self.base}
-        if self.adapter is not None:
-            out["lora.down"] = self.adapter.down
-            out["lora.up"] = self.adapter.up
-        return out
+        return {"base": self.base, "lora.down": self.adapter.down, "lora.up": self.adapter.up}
 
 
 @dataclass
 class BlockState:
-    """Streaming state of one block: scan state h + conv tail (last K-1 inputs)."""
+    """Streaming state of one block: scan state h + conv tail (last K-1
+    inputs). Both are constants: no gradient flows through a carried state."""
 
     ssm: Tensor
     conv_tail: Tensor
@@ -206,7 +204,8 @@ class MambaBlock:
         The residual is added by the caller. Passing the returned state back
         as ``state`` continues the sequence where this call stopped; no state
         is a zero state (a cold start). One numpy forward and one adjoint,
-        recorded as one fused node per output (see the module docstring).
+        recorded as one fused node, the output; the states in and out are
+        constants (see the module docstring).
         """
         cfg = self.cfg
         if x.ndim != 3 or x.shape[-1] != cfg.d_model:
@@ -239,66 +238,44 @@ class MambaBlock:
         out, w_out = lora_apply(out_proj.base, out_proj.adapter, mixed)
         del mixed  # rebuilt by the adjoint
 
-        in_lora, out_lora = ([] if lin.adapter is None else [lin.adapter.down, lin.adapter.up]
-                             for lin in (in_proj, out_proj))
-        carried = [] if state is None else [state.ssm, state.conv_tail]
-        parents = [x, *in_lora, *out_lora, *carried]  # the frozen weights are constants
-
-        def vjp(g_out, g_h, g_tail):
+        def vjp(g_out):
             # the sigmoids, the gate norm's xhat and out_proj's input are
             # rebuilt here from the kept proj, conv output, y and r by the
             # forward's own operations, so every result is as if kept
-            g_mix = [None] * len(out_lora)
-            g_z = g_conv = g_dt = gh0 = None
-            if g_tail is None:
-                gy = None
-                if g_out is not None:
-                    s_z = tz._sigmoid(zg)
-                    xhat = y * (zg * s_z)
-                    xhat *= r
-                    g_mixed, *g_mix = _lora_grads(out_proj.adapter, w_out, xhat * gate_norm, g_out)
-                    gy = tz._rms_norm_grad(g_mixed, gate_norm, r, xhat)  # of y * silu(z)
-                    del g_mixed, xhat
-                    g_z = _silu_slope(zg, s_z)
-                    g_z *= gy
-                    g_z *= y
-                    gy *= zg
-                    gy *= s_z
-                    gy = gy.reshape(b, t, h, p)
-                gdt, gB, gC, gx, gh0 = scan_vjp(gy, g_h)
-                if gy is not None:
-                    gx += gy * skip
-                # the conv output's gradient: silu's slope, each part's
-                # gradient multiplied into its columns
-                g_conv = _silu_slope(pre, tz._sigmoid(pre))
-                for lo, part in ((0, gx), (di, gB), (di + gn, gC)):
-                    part = part.reshape(b, t, -1)
-                    g_conv[..., lo : lo + part.shape[-1]] *= part
-                del gy, gx, gB, gC  # a lower peak leaves less fresh heap to fault in
-                g_dt = gdt * tz._sigmoid(proj[..., di + cd :] + self.dt_bias.data)  # softplus'
+            s_z = tz._sigmoid(zg)
+            xhat = y * (zg * s_z)
+            xhat *= r
+            g_mixed, *g_out_lora = _lora_grads(out_proj.adapter, w_out, xhat * gate_norm, g_out)
+            gy = tz._rms_norm_grad(g_mixed, gate_norm, r, xhat)  # of y * silu(z)
+            del g_mixed, xhat
+            g_z = _silu_slope(zg, s_z)
+            g_z *= gy
+            g_z *= y
+            gy *= zg
+            gy *= s_z
+            gy = gy.reshape(b, t, h, p)
+            gdt, gB, gC, gx = scan_vjp(gy)
+            gx += gy * skip
+            # the conv output's gradient: silu's slope, each part's gradient
+            # multiplied into its columns
+            g_conv = _silu_slope(pre, tz._sigmoid(pre))
+            for lo, part in ((0, gx), (di, gB), (di + gn, gC)):
+                part = part.reshape(b, t, -1)
+                g_conv[..., lo : lo + part.shape[-1]] *= part
+            del gy, gx, gB, gC  # a lower peak leaves less fresh heap to fault in
             # in_proj's output gradient, one buffer: the conv adjoint writes its
             # part, and each other part is added to its zeros, as the sum of
             # the parts' separate buffers was
             g_proj = np.zeros(proj.shape, proj.dtype)
-            g_prefix = None if state is None else np.zeros(prefix.shape, prefix.dtype)
-            if g_tail is not None:  # the tail is the last K-1 rows of [prefix, x]
-                cut = max(k - 1 - t, 0)
-                g_proj[..., t - (k - 1 - cut) :, di : di + cd] += g_tail[..., cut:, :]
-                if g_prefix is not None:
-                    g_prefix[..., t:, :] += g_tail[..., :cut, :]
-            else:
-                if g_z is not None:
-                    g_proj[..., :di] += g_z
-                g_proj[..., di + cd :] += g_dt
-                tz._conv1d_input_grad(g_conv, self.conv_w.data, g_proj[..., di : di + cd],
-                                      g_prefix)
-            g_state = [] if state is None else [
-                None if gh0 is None else gh0.astype(state.ssm.dtype, copy=False), g_prefix]
-            return [*_lora_grads(in_proj.adapter, w_in, x.data, g_proj), *g_mix, *g_state]
+            g_proj[..., :di] += g_z
+            g_proj[..., di + cd :] += gdt * tz._sigmoid(proj[..., di + cd :] + self.dt_bias.data)
+            tz._conv1d_input_grad(g_conv, self.conv_w.data, g_proj[..., di : di + cd])
+            return [*_lora_grads(in_proj.adapter, w_in, x.data, g_proj), *g_out_lora]
 
-        return (tz.fused(out, parents, lambda g: vjp(g, None, None)),
-                BlockState(ssm=tz.fused(h_end, parents, lambda g: vjp(None, g, None)),
-                           conv_tail=tz.fused(tail, parents, lambda g: vjp(None, None, g))))
+        factors = [in_proj.adapter.down, in_proj.adapter.up,
+                   out_proj.adapter.down, out_proj.adapter.up]
+        return (tz.fused(out, [x, *factors], vjp),  # the frozen weights are constants
+                BlockState(ssm=Tensor(h_end), conv_tail=Tensor(tail)))
 
     __call__ = forward
 
@@ -325,6 +302,9 @@ class SsmLm:
         d = cfg.d_model
         self.embedding = Tensor(rng.standard_normal((cfg.vocab_size, d)) / np.sqrt(d))
         self.blocks = [MambaBlock(cfg, rng) for _ in range(cfg.n_layers)]
+        for blk in self.blocks:  # drawn after every block, so the rank moves no other weight
+            blk.in_proj.adapter = LoraAdapter.init(d, cfg.d_in_proj, cfg.lora_rank, rng)
+            blk.out_proj.adapter = LoraAdapter.init(d, d, cfg.lora_rank, rng)
         self.final_norm = tz.ones((d,))
 
     def parameters(self) -> dict[str, Tensor]:
@@ -356,13 +336,6 @@ class SsmLm:
     __call__ = forward
 
 
-def attach_lora(lm: SsmLm, rank: int, rng: np.random.Generator) -> None:
-    """Attach fresh adapters to in_proj and out_proj of every block."""
-    for blk in lm.blocks:
-        blk.in_proj.adapter = LoraAdapter.init(blk.cfg.d_model, blk.cfg.d_in_proj, rank, rng)
-        blk.out_proj.adapter = LoraAdapter.init(blk.cfg.d_model, blk.cfg.d_model, rank, rng)
-
-
 @contextmanager
 def merged_lora(lm: SsmLm):
     """Inference with every LoRA projection of ``lm`` merged once.
@@ -372,8 +345,7 @@ def merged_lora(lm: SsmLm):
     weights are cleared on exit, also when the body raises, so a training
     step never sees one.
     """
-    projs = [proj for blk in lm.blocks for proj in (blk.in_proj, blk.out_proj)
-             if proj.adapter is not None]
+    projs = [proj for blk in lm.blocks for proj in (blk.in_proj, blk.out_proj)]
     with tz.no_grad():
         try:
             for proj in projs:

@@ -38,13 +38,11 @@ class AdamW:
         params: dict[str, Tensor],
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.95),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         self.params = dict(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = {k: np.zeros_like(v.data) for k, v in self.params.items()}
@@ -68,7 +66,7 @@ class AdamW:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data -= self.lr * update

@@ -131,7 +131,6 @@ class Captioner:
         self.lm_cfg, self.enc_cfg, self.conn_cfg = configmod.model_configs(cfg, len(vocab))
         rng = np.random.default_rng(v["train.seed"])
         self.lm = blocks.SsmLm(self.lm_cfg, rng)
-        blocks.attach_lora(self.lm, v["model.lora_rank"], rng)
         self.encoder = audiomod.CnnEncoder(self.enc_cfg, rng)
         self.mlp = connector.ConnectorMlp(self.conn_cfg, rng)
         self.sep_embedding = Tensor(

@@ -30,9 +30,10 @@ the recurrence. The three ``scan_*`` wrappers name the modes and return
 ``(y, h)`` without the adjoint.
 
 The chunked algorithm is one numpy forward plus the one hand-written
-adjoint, which returns the gradients of dt, B, C, x and the initial state
-together, with the cross-chunk carry run in reverse. ``a`` is a constant
-of the scan: the block's ``log_a`` is frozen, so nothing differentiates it.
+adjoint, which maps the gradient of y to those of dt, B, C and x, with the
+cross-chunk carry run in reverse. ``a``, the initial state and the final
+state are constants of the scan: the block's ``log_a`` is frozen, and a
+carried state takes no gradient, so nothing differentiates them.
 The forward keeps for the adjoint only what one elementwise pass cannot
 rebuild; the adjoint rebuilds the intra-chunk operator and x times the
 end-of-chunk weights, and takes each multiply-then-sum reduction as one
@@ -127,10 +128,10 @@ def kernel(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFA
     (``chunked``, ``DEFAULT_CHUNK``), runs a one-token decode step as the
     recurrence and a longer sequence in chunks of ``DEFAULT_CHUNK``. The
     other modes serve the wrappers, ``mac bench --mode`` and the tests.
-    ``vjp(gy, gh)`` returns the gradients of (dt, B, C, x, h0) for output
-    gradients gy and gh, either None. The recurrence's is the chunked
-    adjoint at chunk length 1, the same transform, built only when called:
-    a decode step does no extra work.
+    ``vjp(gy)`` returns the gradients of (dt, B, C, x) for the gradient gy
+    of y; ``initial`` and the final state are constants. The recurrence's
+    is the chunked adjoint at chunk length 1, the same transform, built
+    only when called: a decode step does no extra work.
     """
     params.validate()
     dt, a, B, C, x = params.dt, params.a, params.B, params.C, params.x
@@ -146,8 +147,8 @@ def kernel(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFA
     else:
         y, h_final = _recurrent(dt, a, B, C, x, initial)
 
-        def vjp(gy, gh):
-            return _chunked(dt, a, B, C, x, initial, 1)[2](gy, gh)
+        def vjp(gy):
+            return _chunked(dt, a, B, C, x, initial, 1)[2](gy)
     return y, h_final.astype(x.dtype, copy=False), vjp
 
 
@@ -297,48 +298,43 @@ def _chunked(dt, a, B, C, x, h0, L):
     del y_state
     y = unchunks(y)
 
-    def vjp(gy, gh):
-        if gy is None:
-            gcum, gcoef = np.zeros(cum.shape), np.zeros(coef.shape)
-            gx, gB, gC = np.zeros(x_c.shape), np.zeros(b_c.shape), np.zeros(c_c.shape)
-            gstates = np.zeros(entering.shape)
-        else:
-            # each large temporary is dropped once used: a lower peak leaves
-            # less fresh heap to be faulted in
-            gy_c = chunks(gy)
-            # y_state = decay_in * (C @ state^T): g_raw reaches each entering
-            # state, C and, through decay_in, cum
-            g_raw = gy_c * decay_in[..., None]
-            gstates = g_raw.swapaxes(-1, -2) @ c_c
-            g_cs = g_raw @ entering  # [.., L, N]
-            del g_raw
-            gC = g_cs.sum(axis=3, keepdims=True)
-            gcum = np.einsum("...ln,...ln->...l", g_cs, c_c)
-            del g_cs
-            # y_intra = mix @ x with mix = cb * decay * coef_s
-            gx = mixer().swapaxes(-1, -2) @ gy_c
-            gmix = gy_c @ x_c.swapaxes(-1, -2)
-            del gy_c
-            gmix *= decay
-            gcb = np.einsum("...hts,...hs->...ts", gmix, coef)[:, :, :, None]
-            gmix *= cb  # now gcoef's terms; times coef_s, those of d/d(cum_t - cum_s)
-            gcoef = np.einsum("...ts->...s", gmix)
-            gcum += np.einsum("...ts,...s->...t", gmix, coef)
-            del gmix
-            gcum -= gcoef * coef
-            gC += gcb @ b_c
-            gB = gcb.swapaxes(-1, -2) @ c_c
-        # the carry in reverse, in place, chunk-major and in the width of its
-        # terms: carry[c + 1] becomes the gradient of the state leaving chunk
-        # c and carry[0] that of h0
-        last = np.float64 if gh is None else gh
-        carry = np.empty(states.shape, np.result_type(decay_chunk, gstates, last))
-        carry[:nc] = gstates.swapaxes(0, 1)
-        carry[nc] = 0.0 if gh is None else gh.reshape(nb, g, hpg, p, n)
+    def vjp(gy):
+        # each large temporary is dropped once used: a lower peak leaves less
+        # fresh heap to be faulted in
+        gy_c = chunks(gy)
+        # y_state = decay_in * (C @ state^T): g_raw reaches each entering
+        # state (but the first, h0, a constant), C and, through decay_in, cum
+        g_raw = gy_c * decay_in[..., None]
+        gstates = g_raw[:, 1:].swapaxes(-1, -2) @ c_c[:, 1:]
+        g_cs = g_raw @ entering  # [.., L, N]
+        del g_raw
+        gC = g_cs.sum(axis=3, keepdims=True)
+        gcum = np.einsum("...ln,...ln->...l", g_cs, c_c)
+        del g_cs
+        # y_intra = mix @ x with mix = cb * decay * coef_s
+        gx = mixer().swapaxes(-1, -2) @ gy_c
+        gmix = gy_c @ x_c.swapaxes(-1, -2)
+        del gy_c
+        gmix *= decay
+        gcb = np.einsum("...hts,...hs->...ts", gmix, coef)[:, :, :, None]
+        gmix *= cb  # now gcoef's terms; times coef_s, those of d/d(cum_t - cum_s)
+        gcoef = np.einsum("...ts->...s", gmix)
+        gcum += np.einsum("...ts,...s->...t", gmix, coef)
+        del gmix
+        gcum -= gcoef * coef
+        gC += gcb @ b_c
+        gB = gcb.swapaxes(-1, -2) @ c_c
+        # the carry in reverse, in place, chunk-major and in float64:
+        # carry[c] becomes the gradient of the state leaving chunk c. The
+        # final state and h0 are constants, so it starts from zero after the
+        # last chunk and stops at the first
+        carry = np.empty(states[1:].shape)
+        carry[:-1] = gstates.swapaxes(0, 1)
+        carry[-1] = 0.0
         del gstates
-        for c in range(nc - 1, -1, -1):
-            carry[c] += decay_step[c] * carry[c + 1]
-        glocal = carry[1:].swapaxes(0, 1)
+        for c in range(nc - 2, -1, -1):
+            carry[c] += decay_step[c + 1] * carry[c + 1]
+        glocal = carry.swapaxes(0, 1)
         gcum[..., -1] += np.einsum("...pn,...pn->...", glocal, entering) * decay_chunk
         # the state's own term (x * w)^T @ B with w = decay_end * coef
         gxw = b_c @ glocal.swapaxes(-1, -2)  # [.., L, P]
@@ -353,7 +349,7 @@ def _chunked(dt, a, B, C, x, h0, L):
         gcum -= gwd
         gz = np.flip(np.cumsum(np.flip(gcum, -1), axis=-1), -1)  # cum = cumsum(z)
         gdt = unchunks(gz) * a + unchunks(gcoef)  # z = dt * a, coef = dt
-        return gdt, unchunks(gB), unchunks(gC), unchunks(gx), carry[0].reshape(nb, h, p, n)
+        return gdt, unchunks(gB), unchunks(gC), unchunks(gx)
 
     return y, states[nc].reshape(nb, h, p, n), vjp
 

@@ -7,17 +7,18 @@ parent's gradient, None for a parent that needs none. ``backward`` on a
 scalar walks the tape once in reverse topological order, calls each node's
 adjoint once and returns each leaf's gradient; no tensor keeps one. Besides
 the elementwise and shape ops here, the nodes are the Mamba block of
-``mac.blocks`` (in_proj, conv, scan of ``mac.ssd`` and out_proj, one node
-per output), the patch encoder of ``mac.audio``, the connector MLP of
+``mac.blocks`` (in_proj, conv, scan of ``mac.ssd`` and out_proj, one node,
+the block output), the patch encoder of ``mac.audio``, the connector MLP of
 ``mac.connector`` and ``embedding``, one gather from several tables (the LM
 input of ``mac.pipeline``). A node differentiates only its parents. The
-block's are its input, its LoRA factors and a carried state, and it reads
-every frozen block weight as a constant; the encoder's are its layer weights
-and biases; the MLP's are its input rows and its two layers' weights and
-biases; the gather's are its tables. The array forms of the activations,
-norms and the causal conv (``_sigmoid``, ``_softplus``, ``_rms_norm``,
-``conv1d_depthwise_causal`` and its input adjoint) are shared with those
-kernels; ``rms_norm`` keeps its per-row r and rebuilds xhat in the adjoint.
+block's are its input and its four LoRA factors, and it reads every frozen
+block weight and any carried state as a constant; the encoder's are its
+layer weights and biases; the MLP's are its input rows and its two layers'
+weights and biases; the gather's are its tables. The array forms of the
+activations, norms and the causal conv (``_sigmoid``, ``_softplus``,
+``_rms_norm``, ``conv1d_depthwise_causal`` and its input adjoint) are
+shared with those kernels; ``rms_norm`` keeps its per-row r and rebuilds
+xhat in the adjoint.
 
 Two float widths are supported: float64 (the default, used by all oracle,
 equivalence and gradient tests) and float32 (``train.precision=fp32``).
@@ -342,20 +343,16 @@ def conv1d_depthwise_causal(x: np.ndarray, weight: np.ndarray, bias: np.ndarray 
     return out, tail
 
 
-def _conv1d_input_grad(g: np.ndarray, weight: np.ndarray, gx: np.ndarray,
-                       gprefix: np.ndarray | None) -> None:
-    """Write the gradients of ``conv1d_depthwise_causal``'s x and prefix for
-    output gradient g [..., T, C] into gx [..., T, C] and, unless it is None,
-    gprefix [..., K-1, C]. Row r of [prefix, x] feeds output row r - i
-    through tap i, so its gradient is one ``np.einsum`` over a window view
-    of g padded with K-1 zero rows at each end, the window reversed so the
-    taps add in order 0..K-1."""
+def _conv1d_input_grad(g: np.ndarray, weight: np.ndarray, gx: np.ndarray) -> None:
+    """Write the gradient of ``conv1d_depthwise_causal``'s x for output
+    gradient g [..., T, C] into gx [..., T, C]; the prefix is a constant.
+    Row r of x feeds output row r - i through tap i, so its gradient is one
+    ``np.einsum`` over a window view of g padded with K-1 zero rows at its
+    end, the window reversed so the taps add in order 0..K-1."""
     k, t = weight.shape[0], g.shape[-2]
     pad = np.zeros(g.shape[:-2] + (k - 1, g.shape[-1]), g.dtype)
-    win = _windows(np.concatenate([pad, g, pad], axis=-2), t + k - 1, k, k - 1, -1)
-    np.einsum(_CONV, win[..., k - 1 :, :, :], weight, out=gx, casting="same_kind")
-    if gprefix is not None:
-        np.einsum(_CONV, win[..., : k - 1, :, :], weight, out=gprefix, casting="same_kind")
+    win = _windows(np.concatenate([g, pad], axis=-2), t, k, k - 1, -1)
+    np.einsum(_CONV, win, weight, out=gx, casting="same_kind")
 
 
 def cross_entropy(logits, targets: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -401,12 +398,12 @@ def _mean_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)[..., None] / a.shape[-1]
 
 
-def _rms_norm(x: np.ndarray, w: np.ndarray, eps: float = _RMS_EPS):
-    """-> (x r w, r, xhat = x r) with r = 1/sqrt(mean(x^2) + eps) over the
-    last axis; r and xhat are what ``_rms_norm_grad`` needs. r has one
-    entry per row, so its steps allocate: on small arrays that is cheaper
-    than writing in place."""
-    r = np.reciprocal(np.sqrt(_mean_last(x, x) + eps))
+def _rms_norm(x: np.ndarray, w: np.ndarray):
+    """-> (x r w, r, xhat = x r) with r = 1/sqrt(mean(x^2) + ``_RMS_EPS``)
+    over the last axis; r and xhat are what ``_rms_norm_grad`` needs. r has
+    one entry per row, so its steps allocate: on small arrays that is
+    cheaper than writing in place."""
+    r = np.reciprocal(np.sqrt(_mean_last(x, x) + _RMS_EPS))
     xhat = x * r
     return xhat * w, r, xhat
 
@@ -421,7 +418,7 @@ def _rms_norm_grad(g: np.ndarray, w: np.ndarray, r: np.ndarray, xhat: np.ndarray
     return out
 
 
-def rms_norm(x, weight, eps: float = _RMS_EPS) -> Tensor:
+def rms_norm(x, weight) -> Tensor:
     """Root-mean-square normalization over the last axis, scaled by weight.
 
     One tape node with the closed-form adjoint of ``_rms_norm_grad``; the
@@ -429,7 +426,7 @@ def rms_norm(x, weight, eps: float = _RMS_EPS) -> Tensor:
     row, and not xhat: the adjoint rebuilds xhat = x r from the input.
     """
     x, weight = _ensure(x), _ensure(weight)
-    out, r, _ = _rms_norm(x.data, weight.data, eps)
+    out, r, _ = _rms_norm(x.data, weight.data)
     return fused(out, [x, weight], lambda g: [
         _rms_norm_grad(g, weight.data, r, x.data * r) if x.requires_grad else None,
         _unbroadcast(g * (x.data * r), weight.shape) if weight.requires_grad else None])
@@ -438,9 +435,9 @@ def rms_norm(x, weight, eps: float = _RMS_EPS) -> Tensor:
 # -- constructors -----------------------------------------------------------
 
 
-def zeros(shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype or _default_dtype), requires_grad)
+def zeros(shape, dtype=None) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=dtype or _default_dtype))
 
 
-def ones(shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype or _default_dtype), requires_grad)
+def ones(shape, dtype=None) -> Tensor:
+    return Tensor(np.ones(shape, dtype=dtype or _default_dtype))

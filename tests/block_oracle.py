@@ -22,13 +22,10 @@ from ssd_oracle import TapedParams, scan
 from tensor_oracle import conv1d_depthwise_causal, exp, mul, neg, silu, softplus, take
 
 
-def lora_apply(base: Tensor, adapter: LoraAdapter | None, x: Tensor) -> Tensor:
+def lora_apply(base: Tensor, adapter: LoraAdapter, x: Tensor) -> Tensor:
     """x @ base plus the scaled low-rank update (x @ down) @ up."""
-    y = tz.matmul(x, base)
-    if adapter is None:
-        return y
     delta = tz.matmul(tz.matmul(x, adapter.down), adapter.up)
-    return tz.add(y, mul(delta, adapter.scale))
+    return tz.add(tz.matmul(x, base), mul(delta, adapter.scale))
 
 
 def block_forward(blk: MambaBlock, x: Tensor,

@@ -7,9 +7,10 @@ their outputs and gradients come from the generic autograd tape alone.
 
 ``mac.ssd`` itself is arrays in, arrays out, and only the Mamba block
 records it on the tape. ``taped_scan`` records ``ssd.kernel`` the same way
-for the tests that differentiate a scan on its own: two ``tz.fused`` nodes,
-y and the final state, whose adjoint is the kernel's. Their parents are dt,
-B, C, x and the initial state: the kernel reads ``a`` as a constant.
+for the tests that differentiate a scan on its own: one ``tz.fused`` node,
+y, whose adjoint is the kernel's. Its parents are dt, B, C and x: the
+kernel reads ``a`` and the initial state as constants, and the final state
+it returns is one too.
 
 Both take ``TapedParams``, the ``SelectiveParams`` fields as tensors with
 their batch axis, and an optional initial state tensor [nb, H, P, N], and
@@ -72,19 +73,14 @@ class TapedParams:
 
 def taped_scan(params: TapedParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,
                initial: Tensor | None = None):
-    """``ssd.kernel`` on the tape, recorded as two fused nodes, y and the
-    final state, that share the kernel's adjoint."""
+    """``ssd.kernel`` on the tape: y as one fused node with the kernel's
+    adjoint, and the final state as a constant."""
     y, h_final, vjp = ssd.kernel(params.arrays(), mode, chunk_len,
                                  None if initial is None else initial.data)
     parents = [params.dt, params.B, params.C, params.x]
-    if initial is not None:
-        parents.append(initial)
-
-    def grads(gy, gh):
-        return [gv.astype(p.dtype, copy=False) for gv, p in zip(vjp(gy, gh), parents)]
-
-    return (tz.fused(y, parents, lambda g: grads(g, None)),
-            tz.fused(h_final, parents, lambda g: grads(None, g)))
+    return (tz.fused(y, parents, lambda g: [gv.astype(p.dtype, copy=False)
+                                            for gv, p in zip(vjp(g), parents)]),
+            Tensor(h_final))
 
 
 def scan(params: TapedParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,

@@ -144,6 +144,15 @@ class TestMel:
         mel = melspectrogram(np.zeros(16000))
         np.testing.assert_allclose(mel.frames, np.log(1e-6), atol=1e-9)
 
+    def test_filter_0_is_the_one_empty_filter_at_the_defaults(self):
+        # filter 0 spans 0 to 27.9 Hz, where the one FFT bin, at 0 Hz, has
+        # weight 0: mel bin 0 is the log floor even for a clip with sound
+        bank = audio.mel_filterbank()
+        assert np.flatnonzero(~bank.any(axis=1)).tolist() == [0]
+        mel = melspectrogram(synth.render({"kind": "noise", "bursts": 3, "seed": 1}))
+        assert (mel.frames[:, 0] == np.log(audio.LOG_FLOOR)).all()
+        assert (mel.frames[:, 1:] > np.log(audio.LOG_FLOOR)).any(axis=0).all()
+
     def test_pure_tone_lands_in_analytic_filter(self):
         # analytic oracle: triangle responses of the documented filterbank
         # evaluated directly at 1 kHz

@@ -16,7 +16,8 @@ from tensor_oracle import mul, take, tsum
 # T = 1 (the recurrence), one partial chunk, and more than one chunk with
 # the last one padded
 LENGTHS = (1, 7, 37)
-TINY = dict(n_layers=2, n_heads=3, head_dim=8, d_state=6, n_groups=1, vocab_size=13, conv_width=4)
+TINY = dict(n_layers=2, n_heads=3, head_dim=8, d_state=6, n_groups=1, vocab_size=13, conv_width=4,
+            lora_rank=2)
 
 
 def tiny_lm(seed=0, **over) -> SsmLm:
@@ -74,14 +75,11 @@ class TestBlockForward:
         # full finite-difference sweep of the input and every parameter the
         # block differentiates (the pre-norm weight and live LoRA factors),
         # over two chunks of the scan, the second one padded; carried, the
-        # block continues a state whose scan state and conv tail are leaves
-        # too, and the loss reads the new state and tail as well
+        # block continues a state, which it reads as a constant
         cfg = LmConfig(n_layers=1, n_heads=2, head_dim=3, d_state=2, n_groups=1,
-                       vocab_size=5, conv_width=3)
+                       vocab_size=5, conv_width=3, lora_rank=2)
         rng = np.random.default_rng(6)
-        lm = SsmLm(cfg, rng)
-        blocks.attach_lora(lm, rank=2, rng=rng)
-        blk = lm.blocks[0]
+        blk = SsmLm(cfg, rng).blocks[0]
         for proj in (blk.in_proj, blk.out_proj):  # a live adapter, not the zero init
             proj.adapter.up.data[:] = rng.standard_normal(proj.adapter.up.shape) * 0.3
         t = ssd.DEFAULT_CHUNK + 3
@@ -91,21 +89,12 @@ class TestBlockForward:
         state = None
         if carried:
             with tz.no_grad():
-                _, warm = blk.forward(Tensor(rng.standard_normal((1, 5, 6))))
-            state = blocks.BlockState(ssm=Tensor(warm.ssm.data),
-                                      conv_tail=Tensor(warm.conv_tail.data))
-            leaves += [state.ssm, state.conv_tail]
-            w_ssm, w_tail = (Tensor(rng.standard_normal(v.shape))
-                             for v in (warm.ssm, warm.conv_tail))
+                _, state = blk.forward(Tensor(rng.standard_normal((1, 5, 6))))
 
         def fn():
             # pre-norm applied the way the residual stack does
-            y, new = blk.forward(tz.rms_norm(x, blk.res_norm), state=state)
-            loss = tsum(mul(y, w))
-            if carried:
-                loss = tz.add(loss, tz.add(tsum(mul(new.ssm, w_ssm)),
-                                           tsum(mul(new.conv_tail, w_tail))))
-            return loss
+            y, _ = blk.forward(tz.rms_norm(x, blk.res_norm), state=state)
+            return tsum(mul(y, w))
 
         worst = check_gradients(fn, leaves, tol=1e-4)
         assert worst < 1e-4
@@ -164,54 +153,45 @@ def _leaves(blk: MambaBlock) -> list[Tensor]:
 
 class TestFusedBlockMatchesComposedOracle:
     """``MambaBlock.forward`` (one fused node) against the composed block of
-    ``block_oracle``: outputs and every gradient at 1e-10 in fp64."""
+    ``block_oracle``: outputs, final states and every gradient at 1e-10 in
+    fp64."""
 
-    CFG = dict(n_layers=2, n_heads=4, head_dim=3, d_state=5, n_groups=2, vocab_size=7)
+    CFG = dict(n_layers=2, n_heads=4, head_dim=3, d_state=5, n_groups=2, vocab_size=7,
+               lora_rank=3)
 
     def _block(self, width, seed):
         cfg = LmConfig(**self.CFG, conv_width=width)
         rng = np.random.default_rng(seed)
-        lm = SsmLm(cfg, rng)
-        blocks.attach_lora(lm, rank=3, rng=rng)
-        blk = lm.blocks[0]
+        blk = SsmLm(cfg, rng).blocks[0]
         for proj in (blk.in_proj, blk.out_proj):  # a live adapter, not the zero init
             proj.adapter.up.data[:] = rng.standard_normal(proj.adapter.up.shape) * 0.3
         return blk
 
-    def _run(self, forward, blk, x, state, weights):
-        """Loss over the output, the final scan state and the conv tail."""
-        out, new = forward(blk, x, state=state)
-        loss = tz.add(tz.add(tsum(mul(out, weights[0])), tsum(mul(new.ssm, weights[1]))),
-                      tsum(mul(new.conv_tail, weights[2])))
-        return out, new, loss
+    def _warm_state(self, blk, rng, b):
+        """A state to continue, as the caller gets it: constants."""
+        with tz.no_grad():
+            return blk.forward(Tensor(rng.standard_normal((b, 5, blk.cfg.d_model))))[1]
 
     @pytest.mark.parametrize("t", LENGTHS)
     @pytest.mark.parametrize("width", [4, 1])
     @pytest.mark.parametrize("carried", [False, True])
     def test_outputs_and_all_gradients(self, t, width, carried):
+        # the loss reads the output; the final scan state and conv tail are
+        # compared as values, and a carried state is a constant on both sides
         blk = self._block(width, seed=40 + width)
         rng = np.random.default_rng(41)
         b, d = 2, blk.cfg.d_model
         x = Tensor(rng.standard_normal((b, t, d)), requires_grad=True)
-        state = None
+        state = self._warm_state(blk, rng, b) if carried else None
         leaves = [x] + _leaves(blk)
-        if carried:
-            with tz.no_grad():
-                _, warm = blk.forward(Tensor(rng.standard_normal((b, 5, d))))
-            state = blocks.BlockState(ssm=Tensor(warm.ssm.data, requires_grad=True),
-                                      conv_tail=Tensor(warm.conv_tail.data, requires_grad=True))
-            leaves += [state.ssm, state.conv_tail]
         for leaf in leaves:
             leaf.requires_grad = True
-        with tz.no_grad():
-            probe = blk.forward(x, state=state)
-        weights = [Tensor(rng.standard_normal(v.shape))
-                   for v in (probe[0], probe[1].ssm, probe[1].conv_tail)]
+        weights = Tensor(rng.standard_normal((b, t, d)))
 
         results = []
         for forward in (MambaBlock.forward, block_oracle.block_forward):
-            out, new, loss = self._run(forward, blk, x, state, weights)
-            grads = loss.backward()
+            out, new = forward(blk, x, state=state)
+            grads = tsum(mul(out, weights)).backward()
             results.append([out.data, new.ssm.data, new.conv_tail.data]
                            + [grads[leaf] for leaf in leaves])
         assert blk.in_proj.base not in grads and blk.out_proj.base not in grads
@@ -221,26 +201,25 @@ class TestFusedBlockMatchesComposedOracle:
             assert np.abs(fused - oracle).max(initial=0.0) <= 1e-10 * scale
 
     @pytest.mark.parametrize("carried", [False, True])
-    def test_fused_block_records_one_node_per_output(self, carried):
+    def test_fused_block_records_one_node_and_constant_states(self, carried):
         blk = self._block(4, seed=43)
         for leaf in blk.parameters().values():  # even the frozen ones: they stay constants
             leaf.requires_grad = True
         rng = np.random.default_rng(44)
         x = Tensor(rng.standard_normal((2, 6, blk.cfg.d_model)), requires_grad=True)
-        state = None
-        if carried:
-            with tz.no_grad():
-                _, warm = blk.forward(Tensor(rng.standard_normal((2, 5, blk.cfg.d_model))))
-            state = blocks.BlockState(ssm=Tensor(warm.ssm.data, requires_grad=True),
-                                      conv_tail=Tensor(warm.conv_tail.data, requires_grad=True))
+        state = self._warm_state(blk, rng, 2) if carried else None
+        if carried:  # a state that asks for a gradient is still read as a constant
+            state.ssm.requires_grad = state.conv_tail.requires_grad = True
         out, new = blk.forward(x, state=state)
-        # output, final scan state and conv tail: each one node whose parents
-        # are the block input, the 4 LoRA factors and the carried state
-        want = [x] + _leaves(blk) + ([state.ssm, state.conv_tail] if carried else [])
+        # the output is one node whose parents are exactly the block input and
+        # the 4 LoRA factors; the final scan state and conv tail are not on
+        # the tape
+        want = [x] + _leaves(blk)
         assert len(_leaves(blk)) == 4
-        for node in (out, new.ssm, new.conv_tail):
-            assert recorded_nodes(node) == 1
-            assert {id(p) for p, _ in node._pairs} == {id(v) for v in want}
+        assert recorded_nodes(out) == 1
+        assert [id(p) for p, _ in out._pairs] == [id(v) for v in want]
+        for part in (new.ssm, new.conv_tail):
+            assert part._pairs == () and part._vjp is None and not part.requires_grad
 
 
 NODES_PER_BLOCK = 3  # pre-norm, block, residual add
@@ -252,7 +231,6 @@ class TestTapeBudget:
         # the LM's recorded nodes do not grow with the batch or the sequence
         for n_layers in (1, 2):
             lm = tiny_lm(seed=45, n_layers=n_layers)
-            blocks.attach_lora(lm, rank=2, rng=np.random.default_rng(46))
             for name, t in lm.parameters().items():
                 if ".lora." in name:
                     t.requires_grad = True
@@ -335,49 +313,75 @@ class TestLmForward:
 
     @pytest.mark.parametrize("width", [4, 1])
     def test_streaming_gradients_equal_full(self, width):
-        # the gradients of x and of every LoRA factor through the carried
-        # states of the whole stack: the loss sum(logits * w) over one
-        # forward, and over the pieces of the streaming test above
+        # with the carried states read as constants, a piece's gradient of
+        # its own input is the full forward's gradient of those positions
+        # from a loss over the piece alone: the loss sum(logits * w) masked
+        # to the piece, over the pieces of the streaming test above. The
+        # first piece starts cold, so its LoRA factors' gradients match too
         rng = np.random.default_rng(17)
-        x = Tensor(rng.standard_normal((2, 40, 24)), requires_grad=True)
+        x = rng.standard_normal((2, 40, 24))
         w = rng.standard_normal((2, 40, TINY["vocab_size"]))
-        lm = tiny_lm(seed=16, conv_width=width)
-        blocks.attach_lora(lm, rank=3, rng=rng)
+        lm = tiny_lm(seed=16, conv_width=width, lora_rank=3)
         for blk in lm.blocks:
             for proj in (blk.in_proj, blk.out_proj):  # a live adapter, not the zero init
                 proj.adapter.up.data[:] = rng.standard_normal(proj.adapter.up.shape) * 0.3
-        leaves = [x] + [v for blk in lm.blocks for v in _leaves(blk)]
-        results = []
-        for first in (None, 1, 5):
-            spans = [(0, 40)] if first is None else [
-                (0, first), (first, 7), (7, 9), (9, 12), (12, 31),
-                *((t, t + 1) for t in range(31, 40))]
-            for leaf in leaves:
-                leaf.requires_grad = True
-            states, terms = None, []
-            for lo, hi in spans:
-                out, states = lm.forward(take(x, np.s_[:, lo:hi, :]), states=states,
-                                         return_states=True)
-                terms.append(tsum(mul(out, Tensor(w[:, lo:hi]))))
-            loss = terms[0]
-            for term in terms[1:]:
-                loss = tz.add(loss, term)
-            grads = loss.backward()
-            results.append([grads[leaf] for leaf in leaves])
-        full = results[0]
-        for streamed in results[1:]:
-            for got, expect in zip(streamed, full):
-                scale = max(1.0, float(np.abs(expect).max()))
-                assert np.abs(got - expect).max() <= 1e-10 * scale
+        factors = [v for blk in lm.blocks for v in _leaves(blk)]
+        for leaf in factors:
+            leaf.requires_grad = True
+
+        def grads_of(inp, weight, states=None):
+            """(gradients of inp and of every factor, states after inp)."""
+            inp = Tensor(inp, requires_grad=True)
+            out, new = lm.forward(inp, states=states, return_states=True)
+            grads = tsum(mul(out, Tensor(weight))).backward()
+            return [grads[inp]] + [grads[f] for f in factors], new
+
+        for first in (1, 5):
+            states = None
+            for lo, hi in ((0, first), (first, 7), (7, 9), (9, 12), (12, 31),
+                           *((t, t + 1) for t in range(31, 40))):
+                piece, states = grads_of(x[:, lo:hi], w[:, lo:hi], states)
+                masked = np.zeros_like(w)
+                masked[:, lo:hi] = w[:, lo:hi]
+                full, _ = grads_of(x, masked)
+                pairs = [(piece[0], full[0][:, lo:hi])]
+                if lo == 0:
+                    pairs += list(zip(piece[1:], full[1:]))
+                for got, expect in pairs:
+                    scale = max(1.0, float(np.abs(expect).max()))
+                    assert np.abs(got - expect).max() <= 1e-10 * scale, (width, first, lo)
 
 
 class TestLora:
+    def test_every_projection_is_adapted_when_built(self):
+        lm = tiny_lm(seed=21, lora_rank=3)
+        d, d_in_proj = lm.cfg.d_model, lm.cfg.d_in_proj
+        for i, blk in enumerate(lm.blocks):
+            for name, proj, d_out in (("in_proj", blk.in_proj, d_in_proj),
+                                      ("out_proj", blk.out_proj, d)):
+                ad = proj.adapter
+                assert isinstance(ad, LoraAdapter)
+                assert ad.down.shape == (d, 3) and ad.up.shape == (3, d_out)
+                assert lm.parameters()[f"blocks.{i}.{name}.lora.up"] is ad.up
+        # the adapters are drawn after every block's weights: their rank
+        # moves no other parameter
+        other = tiny_lm(seed=21, lora_rank=5).parameters()
+        for name, t in lm.parameters().items():
+            if ".lora." not in name:
+                assert np.array_equal(t.data, other[name].data), name
+
     def test_zero_init_noop_bit_identical(self):
-        lm = tiny_lm(seed=18)
+        # a fresh adapter's up factor is zero, so its down factor, whatever
+        # it holds, moves no logit
+        lm = tiny_lm(seed=18, lora_rank=4)
         x = Tensor(np.random.default_rng(19).standard_normal((1, 6, 24)))
         with tz.no_grad():
             before = lm.forward(x).data.copy()
-        blocks.attach_lora(lm, rank=4, rng=np.random.default_rng(20))
+        rng = np.random.default_rng(20)
+        for blk in lm.blocks:
+            for proj in (blk.in_proj, blk.out_proj):
+                assert not proj.adapter.up.data.any()
+                proj.adapter.down.data[:] = rng.standard_normal(proj.adapter.down.shape)
         with tz.no_grad():
             after = lm.forward(x).data
         assert np.array_equal(before, after)
@@ -404,7 +408,6 @@ class TestLora:
 
     def test_base_receives_no_gradient_through_lora(self):
         lm = tiny_lm(seed=24)
-        blocks.attach_lora(lm, rank=2, rng=np.random.default_rng(24))
         blk = lm.blocks[0]
         adapters = [blk.in_proj.adapter, blk.out_proj.adapter]
         for ad in adapters:  # the bases stay frozen: requires_grad False
@@ -416,7 +419,6 @@ class TestLora:
 
     def test_frozen_base_bit_invariant_under_training(self):
         lm = tiny_lm(seed=25)
-        blocks.attach_lora(lm, rank=2, rng=np.random.default_rng(26))
         frozen = {
             name: t.data.copy()
             for name, t in lm.parameters().items()
@@ -456,8 +458,7 @@ class TestLora:
 
     def test_trainable_count_scales_linearly_in_rank(self):
         def adapter_count(rank):
-            lm = tiny_lm(seed=28)
-            blocks.attach_lora(lm, rank=rank, rng=np.random.default_rng(29))
+            lm = tiny_lm(seed=28, lora_rank=rank)
             return sum(t.data.size for k, t in lm.parameters().items() if ".lora." in k)
 
         assert adapter_count(256) == 32 * adapter_count(8)

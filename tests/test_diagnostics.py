@@ -250,7 +250,7 @@ class TestScalingBench:
     def test_rows_and_slope_on_small_lengths(self):
         # a batch of one through ``ssd.kernel``, in every mode
         for mode in ssd.MODES:
-            rows, slope = scaling_bench([32, 64, 128], mode=mode, repeats=1)
+            rows, slope = scaling_bench([32, 64, 128], mode=mode)
             assert [r[0] for r in rows] == [32, 64, 128]
             assert all(r[1] > 0 for r in rows)
             flops = [ssd.count_flops(t, 16, 4, 16, mode) for t in (32, 64, 128)]

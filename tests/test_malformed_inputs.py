@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from mac import checkpoint, synth
+from mac import audio, checkpoint, synth
 from mac import config as configmod
 
 N_MUTATIONS = 300
@@ -113,3 +113,13 @@ def test_checkpoint_manifest_faults_name_file_and_line(tmp_path, line, message):
     bad.write_bytes(b"MACCKPT 1 %d\n" % len(new) + new + rest[len(manifest):])
     with pytest.raises(checkpoint.CheckpointError, match=f"{re.escape(str(bad))}: {message}"):
         checkpoint.load(str(bad))
+
+
+def test_wav_with_a_sample_rate_of_0_fails_at_the_rate_field(tmp_path):
+    # read as valid, the rate would reach the resampler as a divisor
+    path = tmp_path / "rate0.wav"
+    audio.write_wav(str(path), np.zeros(320), rate=0)
+    rate_field = 12 + 8 + 4  # RIFF header, fmt chunk header, codec and channels
+    with pytest.raises(audio.WavFormatError,
+                       match=rf"sample rate of 0 \(byte offset {rate_field}\)"):
+        audio.load_wav(str(path))

@@ -231,16 +231,15 @@ class TestProperties:
         bmat = Tensor(rng.standard_normal((1, t, g, n)), requires_grad=True)
         cmat = Tensor(rng.standard_normal((1, t, g, n)), requires_grad=True)
         x = Tensor(rng.standard_normal((1, t, h, p)), requires_grad=True)
-        h0 = Tensor(rng.standard_normal((1, h, p, n)), requires_grad=True)
+        h0 = Tensor(rng.standard_normal((1, h, p, n)))  # so is the entering state
         w = Tensor(rng.standard_normal((1, t, h, p)))
-        w_state = Tensor(rng.standard_normal((1, h, p, n)))
-        leaves = [dt_raw, bmat, cmat, x, h0]
+        leaves = [dt_raw, bmat, cmat, x]
 
         def loss_for(mode):
             def fn():
                 params = TapedParams(dt=softplus(dt_raw), a=neg(exp(log_a)), B=bmat, C=cmat, x=x)
-                y, final = taped_scan(params, mode, chunk_len=3, initial=h0)
-                return tz.add(tsum(mul(y, w)), tsum(mul(final, w_state)))
+                y, _ = taped_scan(params, mode, chunk_len=3, initial=h0)
+                return tsum(mul(y, w))
             return fn
 
         grads = {}
@@ -255,37 +254,31 @@ class TestProperties:
 
 
 def scan_leaves(rng, t, h, p, g, n, batch=1, dtype=np.float64, slow_head=False):
-    """dt, a, B, C, x and an initial state as leaves that need gradients;
-    the kernel gives one to all but a, its constant, and the composed
-    oracle to all."""
+    """dt, a, B, C and x as leaves that need gradients (the kernel gives one
+    to all but a, its constant, and the composed oracle to all), and an
+    initial state, a constant of both."""
     a = -np.exp(rng.standard_normal(h))
     if slow_head:
         a[0] = -1e-8  # head 0 hardly decays: abar = exp(dt*a) within 1e-7 of 1
     values = (np.log1p(np.exp(rng.standard_normal((batch, t, h)))), a,
               rng.standard_normal((batch, t, g, n)), rng.standard_normal((batch, t, g, n)),
-              rng.standard_normal((batch, t, h, p)), rng.standard_normal((batch, h, p, n)))
-    return [Tensor(v, requires_grad=True, dtype=dtype) for v in values]
+              rng.standard_normal((batch, t, h, p)))
+    leaves = [Tensor(v, requires_grad=True, dtype=dtype) for v in values]
+    return leaves + [Tensor(rng.standard_normal((batch, h, p, n)), dtype=dtype)]
 
 
-def scan_loss(scan, leaves, mode, on):
-    """(y, final state, loss) of one taped scan at chunk_len 4; ``on`` picks
-    y, the state or both."""
+def scan_loss(scan, leaves, mode):
+    """(y, final state, loss over y) of one taped scan at chunk_len 4."""
     dt, a, bmat, cmat, x, h0 = leaves
     y, final = scan(TapedParams(dt=dt, a=a, B=bmat, C=cmat, x=x), mode, chunk_len=4, initial=h0)
-    rng = np.random.default_rng(99)
-    terms = []
-    if on in ("y", "both"):
-        terms.append(tsum(mul(y, Tensor(rng.standard_normal(y.shape), dtype=y.dtype))))
-    if on in ("state", "both"):
-        w = Tensor(rng.standard_normal(final.shape), dtype=final.dtype)
-        terms.append(tsum(mul(final, w)))
-    loss = terms[0] if len(terms) == 1 else tz.add(terms[0], terms[1])
-    return y, final, loss
+    w = Tensor(np.random.default_rng(99).standard_normal(y.shape), dtype=y.dtype)
+    return y, final, tsum(mul(y, w))
 
 
 class TestKernelsMatchOracle:
     """The numpy kernels and their adjoints, recorded by ``taped_scan``,
-    against the composed-Tensor scans."""
+    against the composed-Tensor scans: y and the final state as values,
+    and the gradients of dt, B, C and x from a loss over y."""
 
     @pytest.mark.parametrize("mode", ssd.MODES)
     @pytest.mark.parametrize("g", (1, 2))
@@ -299,29 +292,26 @@ class TestKernelsMatchOracle:
             leaves = scan_leaves(rng, t=t, h=4, p=3, g=g, n=5, batch=batch, slow_head=slow_head)
             for initial in (True, False):
                 use = leaves if initial else leaves[:5] + [None]
-                for on in ("y", "state", "both"):
-                    got, expect = [], []
-                    for scan, out in ((taped_scan, got), (ssd_oracle.scan, expect)):
-                        y, final, loss = scan_loss(scan, use, mode, on)
-                        grads = loss.backward()
-                        # C does not reach the final state: the tape has no gradient for it
-                        out.extend([y.data, final.data] + [grads.get(v, np.zeros(v.shape))
-                                                           for v in use
-                                                           if v is not None and v is not use[1]])
-                    for i, (a, b) in enumerate(zip(got, expect)):
-                        assert a.shape == b.shape
-                        assert rel_err(a, b) < 1e-10, (t, initial, on, i)
+                got, expect = [], []
+                for scan, out in ((taped_scan, got), (ssd_oracle.scan, expect)):
+                    y, final, loss = scan_loss(scan, use, mode)
+                    grads = loss.backward()
+                    out.extend([y.data, final.data] + [grads[v] for v in use[:5]
+                                                       if v is not use[1]])
+                for i, (a, b) in enumerate(zip(got, expect)):
+                    assert a.shape == b.shape
+                    assert rel_err(a, b) < 1e-10, (t, initial, i)
 
     @pytest.mark.parametrize("mode", ssd.MODES)
     def test_float32_outputs_and_gradients(self, mode):
         rng = np.random.default_rng(18)
         leaves = scan_leaves(rng, t=9, h=4, p=3, g=2, n=5, batch=2, dtype=np.float32)
         with using_dtype(np.float32):
-            y, final, loss = scan_loss(taped_scan, leaves, mode, "both")
+            y, final, loss = scan_loss(taped_scan, leaves, mode)
             grads = loss.backward()
         assert y.dtype == np.float32 and final.dtype == np.float32
-        assert leaves[1] not in grads  # a
-        assert all(grads[v].dtype == np.float32 for v in leaves if v is not leaves[1])
+        assert leaves[1] not in grads and leaves[5] not in grads  # a, the initial state
+        assert all(grads[v].dtype == np.float32 for v in leaves[:5] if v is not leaves[1])
 
     @pytest.mark.parametrize("mode", ssd.MODES)
     def test_one_token_adjoint_is_built_only_when_called(self, monkeypatch, mode):
@@ -334,10 +324,10 @@ class TestKernelsMatchOracle:
         monkeypatch.setattr(ssd, "_chunked", counted)
         rng = np.random.default_rng(20)
         params = random_params(rng, t=1, h=4, p=3, g=2, n=5, batch=2)
-        y, h_final, vjp = ssd.kernel(params, mode, 4, rng.standard_normal((2, 4, 3, 5)))
+        y, _, vjp = ssd.kernel(params, mode, 4, rng.standard_normal((2, 4, 3, 5)))
         assert calls == []
-        grads = vjp(np.ones(y.shape), np.ones(h_final.shape))
-        assert calls == [1] and len(grads) == 5  # dt, B, C, x, h0
+        grads = vjp(np.ones(y.shape))
+        assert calls == [1] and len(grads) == 4  # dt, B, C, x
 
 
 class TestArrayContract:
