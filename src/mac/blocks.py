@@ -231,7 +231,7 @@ class MambaBlock:
             C=xbc[..., di + gn :].reshape(b, t, cfg.n_groups, cfg.d_state))
         y, h_end, scan_vjp = ssd.kernel(params, initial=initial)
         skip = self.skip.data[:, None]
-        y = (y.astype(xs.dtype, copy=False) + xs * skip).reshape(b, t, di)
+        y = (y + xs * skip).reshape(b, t, di)
         del xbc, xs, params  # the scan keeps its own chunk-layout copies
         zg = proj[..., :di]
         mixed, r, _ = tz._rms_norm(y * (zg * tz._sigmoid(zg)), gate_norm)

@@ -70,7 +70,9 @@ SCHEMA: dict[str, Field] = {
     "train.beta1": Field(0.9, "float"),
     "train.beta2": Field(0.95, "float"),
     "train.encoder_trainable": Field(True, "bool"),
-    "train.precision": Field("fp64", "str", ("fp32", "fp64")),
+    "train.precision": Field("fp64", "str", ("fp32", "fp64"), help=(
+        "float width of parameters, activations, gradients and AdamW moments; the mel "
+        "front end, the scan's state carry and the grad-norm sum stay float64")),
     "train.max_caption_len": Field(24, "int"),
     "data.source": Field("synthetic", "str", ("synthetic", "manifest")),
     "data.manifest": Field("", "str", help="JSONL manifest path when source=manifest"),

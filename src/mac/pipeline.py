@@ -142,8 +142,11 @@ class Captioner:
         self._grid_cache: OrderedDict[str, np.ndarray] = OrderedDict()
         self._grid_weights = np.empty(0)
         self._mel_cache: OrderedDict[str, np.ndarray] = OrderedDict()
+        # the one float width of every parameter and clip row: each op takes its inputs'
+        self.dtype = np.dtype(np.float32 if v["train.precision"] == "fp32" else np.float64)
         encoder = v["train.encoder_trainable"]
         for name, t in self.named_parameters().items():
+            t.data = t.data.astype(self.dtype, copy=False)
             t.requires_grad = (name == "sep_embedding" or name.startswith("connector.")
                                or ".lora." in name or (encoder and name.startswith("encoder.")))
 
@@ -202,9 +205,8 @@ class Captioner:
 
     def _clip_rows(self, sample: Sample, keep: bool) -> np.ndarray:
         """One clip's first-layer patch rows, in ``audiomod.patch_rows``'
-        nested order. They are read from the mel cache (the mel image
-        depends only on the clip, never on weights); a miss's rows, one
-        transpose of its mel image, are cached only with ``keep``."""
+        nested order and the model's width, from the mel cache; a miss's
+        rows, one transpose of its mel image, are cached only with ``keep``."""
         key = _clip_key(sample)
         rows = _cache_get(self._mel_cache, key)
         if rows is None:
@@ -213,7 +215,7 @@ class Captioner:
             else:
                 wave = Tensor(synth.render(sample.audio["synthetic"]))
             mel = audiomod.melspectrogram(wave).pad_to(self.enc_cfg.mel_frames)
-            rows = audiomod.patch_rows(mel, self.enc_cfg)
+            rows = audiomod.patch_rows(mel, self.enc_cfg).astype(self.dtype, copy=False)
             if keep:
                 _cache_put(self._mel_cache, key, rows)
         return rows
@@ -334,7 +336,7 @@ def load_captioner(path: str) -> Captioner:
             raise checkpoint.CheckpointError(
                 f"{path}: tensor {name}: shape {arr.shape} does not match model "
                 f"{params[name].shape}")
-        params[name].data = arr.astype(params[name].dtype)
+        params[name].data = arr.astype(model.dtype, copy=False)
     return model
 
 
@@ -511,7 +513,7 @@ def _greedy(cap: Captioner, logits: Tensor, states: list, max_len: int) -> list[
         return out
     done = [False] * len(out)
     while True:
-        nxt = logits.data[:, -1].argmax(axis=-1)
+        nxt = _next_ids(logits.data[:, -1])
         for j, ids in enumerate(out):
             if not done[j]:
                 ids.append(int(nxt[j]))
@@ -522,13 +524,18 @@ def _greedy(cap: Captioner, logits: Tensor, states: list, max_len: int) -> list[
                                         return_states=True)
 
 
+def _next_ids(logits: np.ndarray) -> np.ndarray:
+    """Argmax ids of logits [..., V] but <pad> and <bos> (ids 0, 1): no text holds them."""
+    return logits[..., 2:].argmax(axis=-1) + 2
+
+
 def _decode_full(cap: Captioner, prefix: Tensor, max_len: int) -> list[int]:
     """Greedy ids for one prefix [1, L, D], re-forwarding every step (the oracle)."""
     ids: list[int] = []
     current = prefix
     while True:
         logits = cap.lm.forward(current)
-        nxt = int(np.argmax(logits.data[0, -1]))
+        nxt = int(_next_ids(logits.data[0, -1]))
         ids.append(nxt)
         if nxt == cap.vocab.eos_id or len(ids) >= max_len:
             return ids
@@ -640,56 +647,52 @@ def run_experiment(cfg: configmod.Config, out_dir: str) -> list[dict]:
 
     Stages: optional classification-prompt warmup, then two caption stages
     with the second learning rate a tenth of the first by default.
-    Deterministic under a fixed seed in fp64 precision at a fixed BLAS
-    thread count: the last bits of a loss move with the count, which ``mac``
-    takes from ``MAC_NUM_THREADS`` (every core when it is unset).
+    Deterministic under a fixed seed at a fixed BLAS thread count: the last
+    bits of a loss move with the count, which ``mac`` takes from
+    ``MAC_NUM_THREADS`` (every core when it is unset).
     """
     os.makedirs(out_dir, exist_ok=True)
     v = cfg.values
-    tz.set_default_dtype(np.float64 if v["train.precision"] == "fp64" else np.float32)
-    try:
-        train, eval_ = corpus_samples(cfg)
-        vocab = build_vocab_for(cfg, train, eval_)
-        cap = Captioner(cfg, vocab)
-        state = make_train_state(cap, dump_dir=out_dir)
+    train, eval_ = corpus_samples(cfg)
+    vocab = build_vocab_for(cfg, train, eval_)
+    cap = Captioner(cfg, vocab)
+    state = make_train_state(cap, dump_dir=out_dir)
 
-        stages = []
-        if v["train.warmup_epochs"] > 0:
-            warm = [Sample(audio=s.audio, prompt=v["data.classify_prompt"],
-                           caption=s.label, label=s.label) for s in train]
-            stages.append(("warmup", v["train.warmup_epochs"], v["train.lr_stage1"], warm))
-        stages.append(("stage1", v["train.epochs_stage1"], v["train.lr_stage1"], train))
-        stages.append(("stage2", v["train.epochs_stage2"], v["train.lr_stage2"], train))
+    stages = []
+    if v["train.warmup_epochs"] > 0:
+        warm = [Sample(audio=s.audio, prompt=v["data.classify_prompt"],
+                       caption=s.label, label=s.label) for s in train]
+        stages.append(("warmup", v["train.warmup_epochs"], v["train.lr_stage1"], warm))
+    stages.append(("stage1", v["train.epochs_stage1"], v["train.lr_stage1"], train))
+    stages.append(("stage2", v["train.epochs_stage2"], v["train.lr_stage2"], train))
 
-        rng = np.random.default_rng(v["train.seed"] + 1)
-        rows = []
-        epoch = 0
-        for stage_name, epochs, lr, pool in stages:
-            state.optimizer.lr = lr
-            for _ in range(epochs):
-                losses = []
-                for _ in range(v["train.steps_per_epoch"]):
-                    idx = rng.choice(len(pool), size=min(v["train.batch_size"], len(pool)),
-                                     replace=False)
-                    losses.append(train_step(state, [pool[i] for i in sorted(idx)]))
-                token_acc, f1, _ = evaluate(cap, eval_ if eval_ else pool)
-                rows.append({
-                    "epoch": epoch,
-                    "stage": stage_name,
-                    "loss": float(np.mean(losses)),
-                    "token_acc": token_acc,
-                    "caption_f1": f1,
-                    "seed": v["train.seed"],
-                })
-                epoch += 1
+    rng = np.random.default_rng(v["train.seed"] + 1)
+    rows = []
+    epoch = 0
+    for stage_name, epochs, lr, pool in stages:
+        state.optimizer.lr = lr
+        for _ in range(epochs):
+            losses = []
+            for _ in range(v["train.steps_per_epoch"]):
+                idx = rng.choice(len(pool), size=min(v["train.batch_size"], len(pool)),
+                                 replace=False)
+                losses.append(train_step(state, [pool[i] for i in sorted(idx)]))
+            token_acc, f1, _ = evaluate(cap, eval_ if eval_ else pool)
+            rows.append({
+                "epoch": epoch,
+                "stage": stage_name,
+                "loss": float(np.mean(losses)),
+                "token_acc": token_acc,
+                "caption_f1": f1,
+                "seed": v["train.seed"],
+            })
+            epoch += 1
 
-        write_metrics(os.path.join(out_dir, "metrics.csv"), rows)
-        cap.save(os.path.join(out_dir, "final.ckpt"))
-        checkpoint.write_atomic(os.path.join(out_dir, "config.txt"),
-                                configmod.dump(cfg).encode("utf-8"))
-        return rows
-    finally:
-        tz.set_default_dtype(np.float64)
+    write_metrics(os.path.join(out_dir, "metrics.csv"), rows)
+    cap.save(os.path.join(out_dir, "final.ckpt"))
+    checkpoint.write_atomic(os.path.join(out_dir, "config.txt"),
+                            configmod.dump(cfg).encode("utf-8"))
+    return rows
 
 
 def write_metrics(path: str, rows: list[dict]) -> None:

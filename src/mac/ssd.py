@@ -128,10 +128,10 @@ def kernel(params: SelectiveParams, mode: str = "chunked", chunk_len: int = DEFA
     (``chunked``, ``DEFAULT_CHUNK``), runs a one-token decode step as the
     recurrence and a longer sequence in chunks of ``DEFAULT_CHUNK``. The
     other modes serve the wrappers, ``mac bench --mode`` and the tests.
-    ``vjp(gy)`` returns the gradients of (dt, B, C, x) for the gradient gy
-    of y; ``initial`` and the final state are constants. The recurrence's
-    is the chunked adjoint at chunk length 1, the same transform, built
-    only when called: a decode step does no extra work.
+    ``vjp(gy)`` returns the gradients of (dt, B, C, x) in their dtypes for
+    the gradient gy of y; ``initial`` and the final state are constants.
+    The recurrence's is the chunked adjoint at chunk length 1, the same
+    transform, built only when called: a decode step does no extra work.
     """
     params.validate()
     dt, a, B, C, x = params.dt, params.a, params.B, params.C, params.x
@@ -297,6 +297,7 @@ def _chunked(dt, a, B, C, x, h0, L):
     y += y_state
     del y_state
     y = unchunks(y)
+    widths = (dt.dtype, B.dtype, C.dtype, x.dtype)  # the vjp keeps no input array
 
     def vjp(gy):
         # each large temporary is dropped once used: a lower peak leaves less
@@ -349,7 +350,8 @@ def _chunked(dt, a, B, C, x, h0, L):
         gcum -= gwd
         gz = np.flip(np.cumsum(np.flip(gcum, -1), axis=-1), -1)  # cum = cumsum(z)
         gdt = unchunks(gz) * a + unchunks(gcoef)  # z = dt * a, coef = dt
-        return gdt, unchunks(gB), unchunks(gC), unchunks(gx)
+        return tuple(gv.astype(w, copy=False) for gv, w in
+                     zip((gdt, unchunks(gB), unchunks(gC), unchunks(gx)), widths))
 
     return y, states[nc].reshape(nb, h, p, n), vjp
 

@@ -20,11 +20,10 @@ activations, norms and the causal conv (``_sigmoid``, ``_softplus``,
 shared with those kernels; ``rms_norm`` keeps its per-row r and rebuilds
 xhat in the adjoint.
 
-Two float widths are supported: float64 (the default, used by all oracle,
-equivalence and gradient tests) and float32 (``train.precision=fp32``).
-float32 is not faster today: most initializers still draw float64 weights,
-so most activations and every gradient stay float64, and a float32
-training step takes about as long as a float64 one.
+Two float widths, float64 and float32, and no global default: an op takes
+its width from its inputs, and ``mac.pipeline.Captioner`` casts a model's
+parameters and clip rows to ``train.precision``. ``Tensor``, ``zeros`` and
+``ones`` make float64 unless given a dtype.
 """
 
 from __future__ import annotations
@@ -43,16 +42,7 @@ class ContractError(ValueError):
     """A documented precondition of an operation was violated."""
 
 
-_default_dtype = np.float64
 _grad_enabled = True
-
-
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}; use float32 or float64")
-    _default_dtype = dtype.type
 
 
 @contextmanager
@@ -88,7 +78,7 @@ class Tensor:
         if dtype is not None:
             arr = arr.astype(dtype)
         elif arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_default_dtype)
+            arr = arr.astype(np.float64)
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
         # ((parent, i), ...) for each parent a gradient reaches, i its place in
@@ -435,9 +425,9 @@ def rms_norm(x, weight) -> Tensor:
 # -- constructors -----------------------------------------------------------
 
 
-def zeros(shape, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype or _default_dtype))
+def zeros(shape, dtype=np.float64) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=dtype))
 
 
-def ones(shape, dtype=None) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype or _default_dtype))
+def ones(shape, dtype=np.float64) -> Tensor:
+    return Tensor(np.ones(shape, dtype=dtype))

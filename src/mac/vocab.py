@@ -51,6 +51,8 @@ class Vocab:
     def encode(self, text: str) -> list[int]:
         out = []
         for word in text.split():
+            if word in (PAD, BOS):
+                raise VocabError(f"reserved token {word!r} is not a word of a prompt or caption")
             if word not in self.ids:
                 raise VocabError(f"out-of-vocabulary word {word!r}")
             out.append(self.ids[word])

@@ -1,31 +1,9 @@
 """Shared oracles and helpers for the test suite."""
 
-from contextlib import contextmanager
-
 import numpy as np
-import pytest
 
 from mac import checkpoint
 from mac import tensor as tz
-
-
-@pytest.fixture(autouse=True)
-def _fp64_default():
-    # oracle and equivalence tests run at 64-bit; tests that want fp32 opt in
-    tz.set_default_dtype(np.float64)
-    yield
-    tz.set_default_dtype(np.float64)
-
-
-@contextmanager
-def using_dtype(dtype):
-    """Temporarily switch the default float width."""
-    prev = tz._default_dtype
-    tz.set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        tz.set_default_dtype(prev)
 
 
 def rel_err(a, b, floor: float = 1e-4) -> float:

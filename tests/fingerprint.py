@@ -40,7 +40,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mac import config, pipeline
-from mac import tensor as tz
 
 STEPS = 3
 PROMPT = "Write an audio caption && describing the sound"
@@ -62,25 +61,21 @@ def run_cell(name: str) -> dict[str, np.ndarray]:
     cfg = config.apply_overrides(config.Config(), [
         f"connector.variant={variant}", f"train.encoder_trainable={encoder == 'trainable'}",
         f"train.precision={precision}", f"data.prompt={PROMPT}"])
-    tz.set_default_dtype(np.float64 if precision == "fp64" else np.float32)
-    try:
-        train, eval_ = pipeline.corpus_samples(cfg)
-        cap = pipeline.Captioner(cfg, pipeline.build_vocab_for(cfg, train, eval_))
-        state = pipeline.make_train_state(cap)
-        out, losses = {}, []
-        for step in range(STEPS):
-            losses.append(pipeline.train_step(state, train[: cfg["train.batch_size"]]))
-            out.update({f"grad/{step}/{k}": g for k, g in state.last_grads.items()})
-        out["losses"] = np.array(losses)
-        out.update({f"param/{k}": t.data for k, t in cap.named_parameters().items()})
-        out["evaluate"] = np.array(pipeline.evaluate(cap, eval_))
-        max_len = cfg["train.max_caption_len"]
-        for path, streaming in (("streaming", True), ("full", False)):
-            out[f"captions/{path}"] = np.array(
-                [pipeline.generate_greedy(cap, s, max_len, streaming=streaming) for s in eval_])
-        return out
-    finally:
-        tz.set_default_dtype(np.float64)
+    train, eval_ = pipeline.corpus_samples(cfg)
+    cap = pipeline.Captioner(cfg, pipeline.build_vocab_for(cfg, train, eval_))
+    state = pipeline.make_train_state(cap)
+    out, losses = {}, []
+    for step in range(STEPS):
+        losses.append(pipeline.train_step(state, train[: cfg["train.batch_size"]]))
+        out.update({f"grad/{step}/{k}": g for k, g in state.last_grads.items()})
+    out["losses"] = np.array(losses)
+    out.update({f"param/{k}": t.data for k, t in cap.named_parameters().items()})
+    out["evaluate"] = np.array(pipeline.evaluate(cap, eval_))
+    max_len = cfg["train.max_caption_len"]
+    for path, streaming in (("streaming", True), ("full", False)):
+        out[f"captions/{path}"] = np.array(
+            [pipeline.generate_greedy(cap, s, max_len, streaming=streaming) for s in eval_])
+    return out
 
 
 def fingerprint(cells: list[str], keep: Path | None) -> dict:
@@ -104,8 +99,9 @@ def _arrays(path: Path) -> dict[str, np.ndarray]:
 
 def compare(a: Path, b: Path) -> int:
     """Print, per tensor of two --keep directories, the largest difference
-    relative to the tensor's largest magnitude (string arrays: equal or
-    differ); -> the number of tensors that differ or are on one side only."""
+    relative to the tensor's largest magnitude (string arrays: equal, or
+    each entry that differs, A's then B's); -> the number of tensors that
+    differ or are on one side only."""
     differ = 0
     for file in sorted({p.name for p in a.glob("*.npz")} | {p.name for p in b.glob("*.npz")}):
         left, right = _arrays(a / file), _arrays(b / file)
@@ -115,7 +111,8 @@ def compare(a: Path, b: Path) -> int:
                 same, text = False, "on one side only, or of another shape or kind"
             elif x.dtype.kind == "U":
                 same = bool((x == y).all())
-                text = "equal" if same else "differ"
+                text = "equal" if same else "differ: " + "; ".join(
+                    f"[{i}] {str(x[i])!r} -> {str(y[i])!r}" for i in np.flatnonzero(x != y))
             else:
                 gap = float(np.abs(x.astype(np.float64) - y).max(initial=0.0))
                 scale = float(np.abs(x).max(initial=0.0))

@@ -77,10 +77,7 @@ def taped_scan(params: TapedParams, mode: str = "chunked", chunk_len: int = DEFA
     adjoint, and the final state as a constant."""
     y, h_final, vjp = ssd.kernel(params.arrays(), mode, chunk_len,
                                  None if initial is None else initial.data)
-    parents = [params.dt, params.B, params.C, params.x]
-    return (tz.fused(y, parents, lambda g: [gv.astype(p.dtype, copy=False)
-                                            for gv, p in zip(vjp(g), parents)]),
-            Tensor(h_final))
+    return (tz.fused(y, [params.dt, params.B, params.C, params.x], vjp), Tensor(h_final))
 
 
 def scan(params: TapedParams, mode: str = "chunked", chunk_len: int = DEFAULT_CHUNK,

@@ -1,5 +1,7 @@
 """Selective-scan kernels: discretization, three-mode equivalence, FLOPs."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from mac import tensor as tz
 from mac.tensor import ContractError, ShapeError, Tensor
 
 import ssd_oracle
-from conftest import check_gradients, rel_err, using_dtype
+from conftest import check_gradients, rel_err
 from ssd_oracle import TapedParams, taped_scan
 from tensor_oracle import exp, mul, neg, softplus, tsum
 
@@ -306,12 +308,23 @@ class TestKernelsMatchOracle:
     def test_float32_outputs_and_gradients(self, mode):
         rng = np.random.default_rng(18)
         leaves = scan_leaves(rng, t=9, h=4, p=3, g=2, n=5, batch=2, dtype=np.float32)
-        with using_dtype(np.float32):
-            y, final, loss = scan_loss(taped_scan, leaves, mode)
-            grads = loss.backward()
+        y, final, loss = scan_loss(taped_scan, leaves, mode)
+        grads = loss.backward()
         assert y.dtype == np.float32 and final.dtype == np.float32
         assert leaves[1] not in grads and leaves[5] not in grads  # a, the initial state
         assert all(grads[v].dtype == np.float32 for v in leaves[:5] if v is not leaves[1])
+
+    @pytest.mark.parametrize("mode", ("chunked", "convolutional"))
+    def test_the_chunked_adjoint_keeps_no_input_array(self, mode):
+        # the Mamba block frees its scan inputs once the forward is done, and
+        # the adjoint rebuilds from its own chunk-layout copies
+        rng = np.random.default_rng(21)
+        params = random_params(rng, t=9, h=4, p=3, g=2, n=5, batch=2, dtype=np.float32)
+        inputs = [weakref.ref(getattr(params, k)) for k in ("dt", "B", "C", "x")]
+        y, _, vjp = ssd.kernel(params, mode, 4)
+        del params
+        assert [ref() for ref in inputs] == [None] * 4
+        assert [g.dtype for g in vjp(np.ones(y.shape, y.dtype))] == [np.dtype(np.float32)] * 4
 
     @pytest.mark.parametrize("mode", ssd.MODES)
     def test_one_token_adjoint_is_built_only_when_called(self, monkeypatch, mode):

@@ -10,7 +10,7 @@ from mac import tensor as tz
 from mac.tensor import ContractError, ShapeError, Tensor
 
 import tensor_oracle
-from conftest import check_gradients, recorded_nodes, rel_err, using_dtype
+from conftest import check_gradients, recorded_nodes, rel_err
 from tensor_oracle import broadcast_to, cast, cumsum, log, mul, take, transpose, tsum, where_mask
 
 # ln(1 + e^-3) at 40-digit precision
@@ -460,12 +460,14 @@ class TestInvariants:
         assert not y.requires_grad and y._pairs == ()
 
     def test_float32_mode(self):
-        with using_dtype(np.float32):
-            x = tz.zeros((3,))
-            assert x.dtype == np.float32
-            y = tz.add(x, tz.ones((3,)))
-            assert y.dtype == np.float32
-        assert tz.zeros((1,)).dtype == np.float64
+        x = tz.zeros((3,), dtype=np.float32)
+        assert x.dtype == np.float32
+        y = tz.add(x, tz.ones((3,), dtype=np.float32))
+        assert y.dtype == np.float32
+        # with no dtype given, a constructor makes float64, and so does
+        # Tensor from non-float input
+        assert tz.zeros((1,)).dtype == tz.ones((1,)).dtype == np.float64
+        assert Tensor([1, 2]).dtype == np.float64
 
     def test_python_scalar_takes_the_tensor_dtype(self):
         x = Tensor(np.linspace(-1, 1, 4), dtype=np.float32, requires_grad=True)
